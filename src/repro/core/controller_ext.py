@@ -20,7 +20,7 @@ from typing import List, Optional
 
 from repro.core.chunking import CHUNK_SIZE, join_chunks
 from repro.core.inline_command import InlineInfo
-from repro.faults.plan import CORRUPT_CHUNK
+from repro.faults.plan import CORRUPT_CHUNK, CORRUPT_TLP
 from repro.host.memory import HostMemory
 from repro.pcie import tlp as tlpmod
 from repro.pcie.link import PCIeLink
@@ -120,7 +120,7 @@ def fetch_inline_payload(
     *injector* (a :class:`~repro.faults.FaultInjector`) may fail any
     chunk's DMA with a detected ``corrupt_chunk`` fault; the fetch is
     abandoned with :class:`ChunkCorruptionError` after paying for the
-    entries already moved.
+    entries up to and including the corrupt one.
 
     *window* (a :class:`SqeWindow`) supplies chunks the controller
     already burst-prefetched: those cost no new TLPs and only the cheap
@@ -134,16 +134,7 @@ def fetch_inline_payload(
             f"SQ{state.qid}: command advertises {info.chunks} inline chunks "
             f"but only {available} entries are visible past the doorbell")
 
-    if (injector is not None and injector.active) or link.faults.active:
-        return _fetch_chunks_faulted(state, info, host_memory, link, clock,
-                                     timing, injector, window)
-
-    # Fault-free fast path: per-chunk fault opportunities are
-    # unobservable with no plan armed, so accounting is batched — the
-    # functional reads and head advances still happen per chunk, while
-    # each *run* of same-kind chunks (burst-prefetched vs DMA-fetched)
-    # collapses into one bulk traffic record and one repeated advance
-    # (bit-identical to the per-chunk clock arithmetic).
+    chunk_left = injector.left if injector is not None else None
     if info.chunks == 1:
         # Dominant small-payload case (<= 64 B): one chunk, no run
         # bookkeeping needed.
@@ -158,38 +149,83 @@ def fetch_inline_payload(
                 CAT_INLINE_CHUNK,
                 tlpmod.device_dma_read(CHUNK_SIZE, link.config))
             clock.advance(timing.chunk_fetch_ns)
+        if chunk_left is not None:
+            if chunk_left[CORRUPT_CHUNK]:
+                chunk_left[CORRUPT_CHUNK] -= 1
+            elif injector.fire(CORRUPT_CHUNK):
+                raise _corrupt(state, 1, 1)
         # join_chunks((raw,), n) reduces to a truncating slice here.
         pl = info.payload_len
         return raw if pl == CHUNK_SIZE else raw[:pl]
 
+    # Runs of same-kind chunks (burst-prefetched vs DMA-fetched) are
+    # accounted in bulk — one traffic record, one repeated clock advance
+    # (bit-identical to the per-chunk arithmetic), one countdown
+    # subtraction — while the functional reads and head advances still
+    # happen per chunk.  A chunk at which a fault stream has an event
+    # (a ``corrupt_chunk`` or ``corrupt_tlp`` decision, or a crash cut)
+    # ends the run and is charged on its own, in per-chunk order: its
+    # TLP, its fetch time, then its ``corrupt_chunk`` decision.
+    tlp_left = link.faults.left
+    chunk_gap = (chunk_left[CORRUPT_CHUNK] if chunk_left is not None
+                 else info.chunks)
+    tlp_gap = tlp_left[CORRUPT_TLP]
     chunks: List[bytes] = []
     dma_batch = tlpmod.device_dma_read(CHUNK_SIZE, link.config)
     run_is_burst = False
     run_len = 0
-    for _ in range(info.chunks):
+    for i in range(info.chunks):
         raw = window.take(state.head) if window is not None else None
-        if raw is not None:
+        is_burst = raw is not None
+        if chunk_gap and (is_burst or tlp_gap):
+            if raw is None:
+                raw = host_memory.read(state.slot_addr(state.head),
+                                       CHUNK_SIZE)
+                tlp_gap -= 1
             state.advance()
-            is_burst = True
+            chunk_gap -= 1
+            if run_len and is_burst != run_is_burst:
+                _flush_chunk_run(link, clock, timing, dma_batch,
+                                 run_is_burst, run_len, chunk_left)
+                run_len = 0
+            run_is_burst = is_burst
+            run_len += 1
+            chunks.append(raw)
+            continue
+        if run_len:
+            _flush_chunk_run(link, clock, timing, dma_batch,
+                             run_is_burst, run_len, chunk_left)
+            run_len = 0
+        if is_burst:
+            state.advance()
+            clock.advance(timing.burst_sqe_logic_ns)
         else:
             raw = host_memory.read(state.slot_addr(state.head), CHUNK_SIZE)
             state.advance()
-            is_burst = False
-        if run_len and is_burst != run_is_burst:
-            _flush_chunk_run(link, clock, timing, dma_batch,
-                             run_is_burst, run_len)
-            run_len = 0
-        run_is_burst = is_burst
-        run_len += 1
+            link.record_only(CAT_INLINE_CHUNK, dma_batch)
+            clock.advance(timing.chunk_fetch_ns)
+        if chunk_left is not None and injector.fire(CORRUPT_CHUNK):
+            raise _corrupt(state, i + 1, info.chunks)
         chunks.append(raw)
+        chunk_gap = (chunk_left[CORRUPT_CHUNK] if chunk_left is not None
+                     else info.chunks)
+        tlp_gap = tlp_left[CORRUPT_TLP]
     if run_len:
         _flush_chunk_run(link, clock, timing, dma_batch,
-                         run_is_burst, run_len)
+                         run_is_burst, run_len, chunk_left)
     return join_chunks(chunks, info.payload_len)
 
 
+def _corrupt(state: DeviceSqState, number: int,
+             total: int) -> ChunkCorruptionError:
+    return ChunkCorruptionError(
+        f"SQ{state.qid}: inline chunk {number}/{total} "
+        f"failed its integrity check")
+
+
 def _flush_chunk_run(link: PCIeLink, clock: SimClock, timing: TimingModel,
-                     dma_batch, run_is_burst: bool, run_len: int) -> None:
+                     dma_batch, run_is_burst: bool, run_len: int,
+                     chunk_left) -> None:
     """Account one run of same-kind inline chunks in bulk."""
     if run_is_burst:
         clock.advance_repeat(timing.burst_sqe_logic_ns, run_len)
@@ -199,38 +235,5 @@ def _flush_chunk_run(link: PCIeLink, clock: SimClock, timing: TimingModel,
         # do not double charge).
         link.record_only(CAT_INLINE_CHUNK, dma_batch, run_len)
         clock.advance_repeat(timing.chunk_fetch_ns, run_len)
-
-
-def _fetch_chunks_faulted(
-    state: DeviceSqState,
-    info: InlineInfo,
-    host_memory: HostMemory,
-    link: PCIeLink,
-    clock: SimClock,
-    timing: TimingModel,
-    injector,
-    window: Optional[SqeWindow],
-) -> bytes:
-    """Per-chunk path, kept verbatim for armed fault plans: every chunk
-    is a distinct ``corrupt_chunk`` / ``corrupt_tlp`` opportunity, and
-    opportunity indices drive the seeded per-kind RNG streams."""
-    from repro.faults.plan import CORRUPT_CHUNK
-
-    chunks: List[bytes] = []
-    for i in range(info.chunks):
-        raw = window.take(state.head) if window is not None else None
-        if raw is not None:
-            state.advance()
-            clock.advance(timing.burst_sqe_logic_ns)
-        else:
-            raw = host_memory.read(state.slot_addr(state.head), CHUNK_SIZE)
-            state.advance()
-            link.record_only(CAT_INLINE_CHUNK,
-                             tlpmod.device_dma_read(CHUNK_SIZE, link.config))
-            clock.advance(timing.chunk_fetch_ns)
-        if injector is not None and injector.fire(CORRUPT_CHUNK):
-            raise ChunkCorruptionError(
-                f"SQ{state.qid}: inline chunk {i + 1}/{info.chunks} "
-                f"failed its integrity check")
-        chunks.append(raw)
-    return join_chunks(chunks, info.payload_len)
+    if chunk_left is not None:
+        chunk_left[CORRUPT_CHUNK] -= run_len

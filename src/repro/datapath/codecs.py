@@ -222,9 +222,11 @@ class TaggedInlineWriteCodec(HostCodec):
         chunks = split_tagged(data, payload_id)
         with res.sq.lock:
             with driver.clock.span("drv.sq_submit"):
-                if res.sq.space() < 1 + len(chunks):
-                    raise _driver_error(
-                        f"SQ{qid} cannot hold tagged submission")
+                needed = 1 + len(chunks)
+                if res.sq.space() < needed:
+                    raise QueueFullError(
+                        f"SQ{qid}: need {needed} slots for tagged inline "
+                        f"submit, have {res.sq.space()}")
                 res.sq.push_raw(cmd.pack())
                 driver.clock.advance(driver.timing.sqe_submit_ns)
                 for chunk in chunks:

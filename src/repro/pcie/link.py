@@ -14,7 +14,7 @@ serialisation + propagation.
 
 from __future__ import annotations
 
-from repro.faults.plan import CORRUPT_TLP, CUT_TLP, NULL_INJECTOR
+from repro.faults.plan import CORRUPT_TLP, MMIO_TLP, FaultInjector
 from repro.pcie import tlp as tlpmod
 from repro.pcie.tlp import TlpBatch
 from repro.pcie.traffic import EVT_TLP_REPLAY, TrafficCounter
@@ -24,12 +24,13 @@ from repro.sim.config import LinkConfig, TimingModel
 class PCIeLink:
     """A point-to-point PCIe link between host root complex and the SSD.
 
-    When a :class:`~repro.faults.FaultInjector` is attached, DMA-carrying
-    transactions may suffer a ``corrupt_tlp`` fault: the link layer's LCRC
-    detects the mangled TLP, NAKs it, and the sender replays — duplicate
-    wire traffic plus a replay latency penalty, with the data itself
-    intact (exactly the recovery PCIe guarantees below the transaction
-    layer).
+    Every DMA-carrying transaction is a ``corrupt_tlp`` opportunity of
+    the attached :class:`~repro.faults.FaultInjector` (the rig's, or a
+    private one that never fires): when the fault fires the link layer's
+    LCRC detects the mangled TLP, NAKs it, and the sender replays —
+    duplicate wire traffic plus a replay latency penalty, with the data
+    itself intact (exactly the recovery PCIe guarantees below the
+    transaction layer).
     """
 
     def __init__(self, link: LinkConfig, timing: TimingModel,
@@ -37,9 +38,7 @@ class PCIeLink:
         self.config = link
         self.timing = timing
         self.counter = counter if counter is not None else TrafficCounter()
-        if injector is None:
-            injector = NULL_INJECTOR
-        self.faults = injector
+        self.faults = injector if injector is not None else FaultInjector()
 
     def _replay_penalty_ns(self, category: str, batch: TlpBatch) -> float:
         """Charge a link-layer replay if a corrupt-TLP fault fires."""
@@ -69,11 +68,7 @@ class PCIeLink:
         Returns the one-way delivery latency.  The host CPU itself only
         pays the store cost from the timing model, not this latency.
         """
-        if self.faults.crash_armed:
-            # MMIO stores never call fire(); the power-cut stream must
-            # still see them (a cut mid-doorbell is a classic torn
-            # publication), so they tick the TLP cut stream directly.
-            self.faults.crash_tick(CUT_TLP)
+        self.faults.fire(MMIO_TLP)  # a crash cut may land here
         batch = tlpmod.host_mmio_write(nbytes, self.config)
         self.counter.record(category, batch)
         return self._one_way(batch.downstream_bytes)
@@ -81,8 +76,7 @@ class PCIeLink:
     def host_mmio_read(self, nbytes: int, category: str) -> float:
         """Host load from BAR space; returns the full round-trip latency
         the CPU stalls for (uncached read across the link)."""
-        if self.faults.crash_armed:
-            self.faults.crash_tick(CUT_TLP)
+        self.faults.fire(MMIO_TLP)
         batch = tlpmod.host_mmio_read(nbytes, self.config)
         self.counter.record(category, batch)
         request_ns = self._one_way(batch.downstream_bytes)
@@ -115,23 +109,43 @@ class PCIeLink:
                     count: int = 1) -> None:
         """Account *count* copies of a pre-built batch without a latency.
 
-        Each copy is still a corrupt-TLP opportunity: the replayed copy is
-        recorded as duplicate traffic (the caller owns the clock, so the
-        latency penalty is only charged on the timed
-        ``device_read``/``device_write`` paths).  With no fault plan armed
-        the opportunities are unobservable, so the whole run collapses to
-        one bulk totals update.
+        Each copy is a ``corrupt_tlp`` opportunity; a copy that draws the
+        fault is replayed, so its duplicate is recorded too (the caller
+        owns the clock, so the latency penalty is only charged on the
+        timed ``device_read``/``device_write`` paths).  The copies are
+        consumed against the injector's countdown: a run with no event in
+        it is one totals update.  At an event the copies up to and
+        including it are recorded before the opportunity is decided, so a
+        crash cut there sees that TLP on the wire.
         """
-        if not self.faults.active:
-            # Same arithmetic as ``counter.record_batch``, inlined: this
-            # pair sits on every hot-loop TLP record.
-            tot = self.counter._by_cat[category]
-            tot.downstream_bytes += batch.downstream_bytes * count
-            tot.upstream_bytes += batch.upstream_bytes * count
-            tot.tlp_count += batch.tlp_count * count
+        left = self.faults.left
+        clear = left[CORRUPT_TLP] - count
+        if clear < 0:
+            self._record_across_events(category, batch, count)
             return
-        for _ in range(count):
-            self.counter.record(category, batch)
-            if self.faults.fire(CORRUPT_TLP):
-                self.counter.record(category, batch)
-                self.counter.record_event(EVT_TLP_REPLAY)
+        left[CORRUPT_TLP] = clear
+        # Same arithmetic as ``counter.record_batch``, inlined: this
+        # sits on every hot-loop TLP record.
+        tot = self.counter._by_cat[category]
+        tot.downstream_bytes += batch.downstream_bytes * count
+        tot.upstream_bytes += batch.upstream_bytes * count
+        tot.tlp_count += batch.tlp_count * count
+
+    def _record_across_events(self, category: str, batch: TlpBatch,
+                              count: int) -> None:
+        """:meth:`record_only` for a run with an event in it."""
+        faults = self.faults
+        left = faults.left
+        counter = self.counter
+        while True:
+            clear = left[CORRUPT_TLP]
+            if clear >= count:
+                left[CORRUPT_TLP] = clear - count
+                counter.record_batch(category, batch, count)
+                return
+            left[CORRUPT_TLP] = 0
+            counter.record_batch(category, batch, clear + 1)
+            count -= clear + 1
+            if faults.fire(CORRUPT_TLP):
+                counter.record(category, batch)  # the replayed copy
+                counter.record_event(EVT_TLP_REPLAY)

@@ -52,20 +52,25 @@ class CompletionUnit:
                                  0, result.status, dnr)
             # CQE faults target the I/O path: a lost *admin* completion
             # has no in-band recovery (real drivers escalate to a
-            # controller reset), so bring-up is exempt.  (``fire`` is a
-            # no-op without a plan, so the ``active`` gate is pure
-            # fast-path: opportunity streams only exist when armed.)
-            if qid != 0 and ctrl.faults.active:
-                if ctrl.faults.fire(DELAY_CQE):
-                    clock.advance(ctrl.faults.delay_cqe_ns)
-                if ctrl.faults.fire(DROP_CQE):
-                    # The CQE write (or its MSI-X) is lost: the command
-                    # ran, but the host learns nothing and must time out
-                    # + retry.
-                    ctrl.dropped_cqes += 1
-                    clock.advance(timing.completion_post_ns)
-                    ctrl.commands_processed += 1
-                    return
+            # controller reset), so bring-up is exempt.
+            if qid != 0:
+                faults = ctrl.faults
+                left = faults.left
+                if left[DELAY_CQE] and left[DROP_CQE]:
+                    # Neither countdown is due: ``fire`` for both, inlined.
+                    left[DELAY_CQE] -= 1
+                    left[DROP_CQE] -= 1
+                else:
+                    if faults.fire(DELAY_CQE):
+                        clock.advance(faults.delay_cqe_ns)
+                    if faults.fire(DROP_CQE):
+                        # The CQE write (or its MSI-X) is lost: the
+                        # command ran, but the host learns nothing and
+                        # must time out + retry.
+                        ctrl.dropped_cqes += 1
+                        clock.advance(timing.completion_post_ns)
+                        ctrl.commands_processed += 1
+                        return
             cq.post(cqe, ctrl.host_memory)
             if ctrl.config.cq_coalesce > 1 and qid != ADMIN_QID:
                 # Coalesced posting: the CQE text is staged (functional

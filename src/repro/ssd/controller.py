@@ -114,10 +114,9 @@ class NvmeController:
                  injector=None) -> None:
         if mode not in (MODE_QUEUE_LOCAL, MODE_TAGGED):
             raise ValueError(f"unknown fetch mode {mode!r}")
-        if injector is None:
-            from repro.faults.plan import NULL_INJECTOR
-            injector = NULL_INJECTOR
-        self.faults = injector
+        # One injector per rig: without one of its own the controller
+        # shares the link's, so both count the same opportunity streams.
+        self.faults = injector if injector is not None else link.faults
         self.config = config
         self.timing = config.timing
         self.clock = clock

@@ -304,11 +304,16 @@ class FetchUnit:
                 clock.advance(timing.cmd_fetch_logic_ns)
             cmd = NvmeCommand.unpack(raw)
 
-            if (cmd.inline_length and ctrl.faults.active
-                    and ctrl.faults.fire(CORRUPT_INLINE_LENGTH)):
-                # The reserved field arrived bit-flipped: the decode below
-                # must detect it and fail the command, never mis-fetch.
-                cmd.cdw2 = ctrl.faults.corrupt_length(cmd.cdw2)
+            if cmd.inline_length:
+                # ``faults.fire`` with its countdown step inlined.
+                left = ctrl.faults.left
+                if left[CORRUPT_INLINE_LENGTH]:
+                    left[CORRUPT_INLINE_LENGTH] -= 1
+                elif ctrl.faults.fire(CORRUPT_INLINE_LENGTH):
+                    # The reserved field arrived bit-flipped: the decode
+                    # below must detect it and fail the command, never
+                    # mis-fetch.
+                    cmd.cdw2 = ctrl.faults.corrupt_length(cmd.cdw2)
 
             # --- ByteExpress detection (paper §3.3.1) -------------------
             try:

@@ -114,13 +114,13 @@ class TestScheduleAndLimits:
 class TestInactiveInjector:
     def test_null_plan_never_fires(self):
         inj = FaultInjector()
-        assert not inj.active
+        assert inj.plan is None
         assert not any(_decisions(inj, CORRUPT_CHUNK, 50))
         assert inj.delay_cqe_ns == 0.0
 
     def test_empty_plan_never_fires(self):
         inj = FaultInjector(FaultPlan())
-        assert not inj.active
+        assert inj.plan is None
         assert not any(_decisions(inj, CORRUPT_CHUNK, 50))
 
 

@@ -63,3 +63,17 @@ def test_deep_inline_payload_respects_queue_capacity():
     with pytest.raises(QueueFullError):
         tb.driver.submit_write_inline(NvmeCommand(opcode=IoOpcode.WRITE),
                                       b"x" * (64 * 10), qid=1)
+
+
+@pytest.mark.parametrize("method,mode", [("byteexpress", "queue_local"),
+                                         ("byteexpress-tagged", "tagged")])
+def test_inline_codecs_raise_the_same_type_on_a_full_sq(method, mode):
+    """Both inline codecs report a full SQ as ``QueueFullError`` — one
+    error type for one condition, whichever encoding is in use."""
+    from repro.nvme.queues import QueueFullError
+
+    cfg = SimConfig(sq_depth=8).nand_off()
+    tb = make_block_testbed(config=cfg, mode=mode)
+    with pytest.raises(QueueFullError):
+        tb.driver.submit(method, NvmeCommand(opcode=IoOpcode.WRITE),
+                         b"x" * (64 * 10), qid=1, payload_id=1)
