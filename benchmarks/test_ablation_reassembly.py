@@ -86,7 +86,7 @@ def test_tagged_tolerates_multi_queue_interleaving():
     for i in range(8):
         qid = tb.driver.io_qids[i % len(tb.driver.io_qids)]
         payload = bytes([0x40 + i]) * 200
-        tb.driver.submit_write_inline_tagged(
+        tb.driver.submit("byteexpress-tagged",
             NvmeCommand(opcode=IoOpcode.WRITE, cdw10=i * 4096), payload,
             qid=qid, payload_id=100 + i)
         expected[i * 4096] = payload

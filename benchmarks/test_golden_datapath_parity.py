@@ -52,12 +52,9 @@ def _fingerprint_method(method: str) -> dict:
     for i in range(BATCH_OPS):
         cmd = NvmeCommand(opcode=IoOpcode.WRITE, nsid=1,
                           cdw10=(i * PAGE_SIZE) & 0xFFFFFFFF)
-        if method == "byteexpress":
-            cids.append(tb.driver.submit_write_inline(
-                cmd, _payload(i, 96), qid, ring=False))
-        else:
-            cids.append(tb.driver.submit_write_prp(
-                cmd, _payload(i, 96), qid, ring=False, private_buffer=True))
+        # Private DMA buffers for PRP at QD>1; the inline codec has none.
+        cids.append(tb.driver.submit(method, cmd, _payload(i, 96), qid,
+                                     ring=False, private_buffer=True))
     tb.driver.kick(qid)
     tb.ssd.controller.process_all()
     completion_order = [cqe.cid for cqe in tb.driver.reap(qid)]

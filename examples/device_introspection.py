@@ -20,7 +20,7 @@ def main() -> None:
     payload = b"an inline payload riding the submission queue" * 3  # 138 B
 
     print("=== submit (not yet processed) " + "=" * 30)
-    tb.driver.submit_write_inline(
+    tb.driver.submit("byteexpress",
         NvmeCommand(opcode=IoOpcode.WRITE, cdw10=0), payload, qid=1)
     print(dump_queue(tb.driver, qid=1))
 

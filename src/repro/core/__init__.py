@@ -1,5 +1,6 @@
-"""ByteExpress core: chunking, inline commands, driver/controller patches,
-out-of-order reassembly, and the hybrid switching policy."""
+"""ByteExpress core: chunking, inline commands, the controller patch,
+out-of-order reassembly, and the hybrid switching policy.  The driver
+half is :class:`repro.datapath.codecs.InlineWriteCodec`."""
 
 from repro.core.chunking import CHUNK_SIZE, chunk_count, join_chunks, split_payload
 from repro.core.controller_ext import (
@@ -7,7 +8,6 @@ from repro.core.controller_ext import (
     InlineFetchError,
     fetch_inline_payload,
 )
-from repro.core.driver_ext import SubmitRecord, submit_plain, submit_with_inline_payload
 from repro.core.hybrid import (
     DEFAULT_THRESHOLD,
     METHOD_BYTEEXPRESS,
@@ -40,9 +40,6 @@ __all__ = [
     "InlineInfo",
     "InlineEncodingError",
     "MAX_INLINE_BYTES",
-    "SubmitRecord",
-    "submit_with_inline_payload",
-    "submit_plain",
     "DeviceSqState",
     "fetch_inline_payload",
     "InlineFetchError",

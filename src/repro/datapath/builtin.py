@@ -18,6 +18,7 @@ from typing import Any, Dict
 
 from repro.datapath import names
 from repro.datapath.codecs import (
+    FRAGMENT_WRITE_CODEC,
     INLINE_WRITE_CODEC,
     PRP_WRITE_CODEC,
     SGL_WRITE_CODEC,
@@ -110,6 +111,7 @@ def register_builtin_methods() -> None:
     register(DatapathSpec(
         name=names.BANDSLIM,
         caps=DatapathCaps(fragmented=True, engine_capable=True, figure5=True),
+        host_codec=FRAGMENT_WRITE_CODEC,
         factory=_make_bandslim,
         summary="BandSlim-style fragmentation into command fields"))
     register(DatapathSpec(

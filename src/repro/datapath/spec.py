@@ -7,8 +7,9 @@ the benchmarks:
 
 * a **host codec** — how the driver encodes the SQE and moves the
   payload (PRP staging, SGL segments, inline chunk append, tagged
-  chunks).  Primitive write paths have one; layered methods (BandSlim,
-  MMIO, hybrid) orchestrate primitives and leave it ``None``;
+  chunks, BandSlim fragment commands).  Every queue-protocol write path
+  has one; methods outside the queue protocol (MMIO, PIO) or layered
+  over other methods (hybrid) leave it ``None``;
 * a **device decoder** — how the controller pulls the payload (and, for
   PRP/SGL, pushes read data back).  ``None`` for methods whose device
   half lives in a personality layer (BandSlim reassembly, the MMIO BAR
@@ -64,6 +65,13 @@ class DatapathCaps:
     #: Uses the MMIO BAR byte window instead of the queue protocol; only
     #: built when a testbed asks for the window (``include_mmio``).
     bar_window: bool = False
+
+    @property
+    def breaker_guarded(self) -> bool:
+        """Subject to the circuit breaker: the payload rides the queue
+        (inline) or command fields (fragmented), so a faulty link can
+        keep failing it where the PRP baseline would not."""
+        return self.inline or self.fragmented
 
     def slots_needed(self, payload_len: int, tagged: bool = False) -> int:
         """Worst-case SQ slots one submission of *payload_len* occupies."""

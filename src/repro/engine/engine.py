@@ -20,13 +20,13 @@ entries: ``byteexpress`` (queue-local or tagged chunks, following the
 controller's mode), ``prp`` (stock baseline, private per-command DMA
 buffers), and ``bandslim`` (fragment command sequences; requires the
 device layer from :mod:`repro.transfer.bandslim` to be registered).
-Inline methods respect the driver's circuit breaker per submission and
-are downgraded to PRP while it is open.
+Every (re)submission is one host-codec encode.  Breaker-guarded methods
+(inline or fragmented) respect the driver's circuit breaker per
+submission and are downgraded to PRP while it is open.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set
 
@@ -38,13 +38,11 @@ from repro.engine.table import CommandFuture, InFlightCommand, InFlightTable
 from repro.host.driver import NvmeDriver
 from repro.nvme.command import NvmeCommand
 from repro.nvme.constants import (
-    BANDSLIM_FRAGMENT_CAPACITY,
     DEFAULT_NSID,
     PAGE_SIZE,
     IoOpcode,
     VendorOpcode,
 )
-from repro.pcie.traffic import EVT_INLINE_FALLBACK
 from repro.ssd.controller import MODE_TAGGED
 from repro.ssd.device import OpenSsd
 
@@ -125,9 +123,11 @@ class IoEngine:
         self.parked: List[InFlightCommand] = []
         #: Queues with submissions whose doorbell has not been rung yet.
         self._dirty: Set[int] = set()
-        self._payload_ids = itertools.count(1)
-        self._live_payload_ids: Set[int] = set()
+        #: A tagged controller reassembles every inline payload from
+        #: self-describing chunks, so inline writes take the tagged codec.
         self.tagged = ssd.controller.mode == MODE_TAGGED
+        self._tagged_spec = datapath_registry.resolve(
+            dp_names.BYTEEXPRESS_TAGGED)
         #: Optional interleaving controller (repro.verify.explore.Schedule).
         #: When set, the reactor routes its arbitrary ordering decisions
         #: through ``schedule.order(label, seq)`` so the explorer can
@@ -275,14 +275,13 @@ class IoEngine:
         method = entry.method
         spec = (self._spec_cache.get(method)
                 or datapath_registry.resolve(method))
-        if ((spec.caps.inline or spec.caps.fragmented)
+        if (spec.caps.breaker_guarded
                 and not self.driver.breaker.allow_inline()):
-            # Breaker open: this attempt rides the stock path instead.
-            method = dp_names.PRP
-            spec = datapath_registry.resolve(method)
+            spec = self.driver._fall_back_to_prp()
+            method = spec.name
             self.stats.inline_fallbacks += 1
-            self.driver.inline_fallbacks += 1
-            self.driver.link.counter.record_event(EVT_INLINE_FALLBACK)
+        elif self.tagged and spec.caps.inline:
+            spec = self._tagged_spec
         entry.method_used = method
         entry.attempts += 1
         entry.last_submit_ns = self.clock.now
@@ -294,26 +293,11 @@ class IoEngine:
         # — this allocation runs once per (re)submission.
         cmd = NvmeCommand(entry.opcode, 0, 0, entry.nsid, 0, 0, 0, 0, 0,
                           entry.cdw10, entry.cdw11)
-        if spec.caps.fragmented:
-            cid = self._submit_bandslim(entry, qid)
-        elif spec.caps.inline:
-            if self.tagged:
-                pid = self._alloc_payload_id()
-                cid = self.driver.submit(
-                    dp_names.BYTEEXPRESS_TAGGED, cmd, entry.payload, qid,
-                    ring=False, payload_id=pid)
-                entry.payload_id = pid
-            else:
-                # Engine-capable specs always carry a host codec; calling
-                # it directly skips the driver.submit resolve layer.
-                cid = spec.host_codec.encode(self.driver, cmd,
-                                             entry.payload, qid, ring=False)
-        else:
-            # Single-SQE data-pointer path (PRP): every in-flight write
-            # needs its own DMA buffer at QD>1.
-            cid = spec.host_codec.encode(self.driver, cmd, entry.payload,
-                                         qid, ring=False,
-                                         private_buffer=True)
+        # Engine-capable specs always carry a host codec; calling it
+        # directly skips the driver.submit resolve layer.  Every
+        # in-flight write at QD>1 needs its own DMA buffer (PRP).
+        cid = spec.host_codec.encode(self.driver, cmd, entry.payload, qid,
+                                     ring=False, private_buffer=True)
         entry.key = (qid, cid)
         self.table.add(entry)
         self.scheduler.note_submit(qid)
@@ -348,30 +332,6 @@ class IoEngine:
         self.scheduler.note_submit(qid)
         self._dirty.add(qid)
 
-    def _submit_bandslim(self, entry: InFlightCommand, qid: int) -> int:
-        """Fragment-sequence submission; only the last fragment's CQE
-        exists, so only its CID enters the table."""
-        from repro.transfer.bandslim import pack_fragment
-
-        stream_id = self._alloc_payload_id()
-        entry.payload_id = stream_id
-        payload = entry.payload
-        cap = BANDSLIM_FRAGMENT_CAPACITY
-        pieces = [payload[off:off + cap]
-                  for off in range(0, len(payload), cap)]
-        # The fragment-management software layer (per payload).
-        self.clock.advance(self.timing.bandslim_task_host_ns)
-        cid = -1
-        for seq, piece in enumerate(pieces):
-            last = seq == len(pieces) - 1
-            frag = pack_fragment(stream_id, seq, len(payload), piece,
-                                 last=last, target_opcode=entry.opcode,
-                                 target_cdw10=entry.cdw10)
-            self.clock.advance(self.timing.bandslim_frag_host_ns)
-            cid = self.driver.submit_raw(frag, qid, ring=False,
-                                        expect_completion=last)
-        return cid
-
     def resubmit(self, entry: InFlightCommand) -> None:
         """Reactor callback: re-place a parked entry after backoff.
 
@@ -392,19 +352,6 @@ class IoEngine:
             self.parked.append(entry)
             return
         self._submit_entry(entry, qid)
-
-    # ------------------------------------------------------------------
-    # payload-id allocation (tagged mode, BandSlim streams)
-    # ------------------------------------------------------------------
-    def _alloc_payload_id(self) -> int:
-        while True:
-            pid = next(self._payload_ids) & 0xFFFFFFFF
-            if pid and pid not in self._live_payload_ids:
-                self._live_payload_ids.add(pid)
-                return pid
-
-    def release_payload_id(self, pid: int) -> None:
-        self._live_payload_ids.discard(pid)
 
     # ------------------------------------------------------------------
     # progress

@@ -132,8 +132,6 @@ class CompletionReactor:
             e.stats.stale_completions += 1
             return 0
         e.scheduler.note_complete(qid)
-        if entry.payload_id is not None:
-            e.release_payload_id(entry.payload_id)
         breaker = e.driver.breaker
         if cqe.ok:
             if entry.is_inline:
@@ -207,12 +205,9 @@ class CompletionReactor:
         for entry in lost:
             e.table.pop(entry.key)
             e.scheduler.note_complete(entry.key[0])
+            # Quarantines the CID and aborts any payload id bound to it.
             e.driver.retire(*entry.key)
-            if entry.payload_id is not None:
-                e.ssd.controller.abort_payload(entry.payload_id)
-                e.release_payload_id(entry.payload_id)
             entry.key = None
-            entry.payload_id = None
             if not self._park_for_retry(entry):
                 entry.release_read_buffer(e.driver.memory)
                 entry.fail(None, e.clock.now)
@@ -236,10 +231,9 @@ class CompletionReactor:
         backoff_ns = policy.backoff_ns(entry.attempts)
         if e.clock.now + backoff_ns > entry.deadline_ns:
             return False
-        if entry.key is not None:
-            # Parked off an error CQE: the CID already retired via reap.
-            entry.key = None
-            entry.payload_id = None
+        # Parked off an error CQE the CID already retired via reap (and
+        # released its payload id); the timeout path cleared the key.
+        entry.key = None
         entry.retry_at_ns = e.clock.now + backoff_ns
         e.parked.append(entry)
         e.stats.retries += 1

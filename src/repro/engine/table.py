@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from repro.datapath import names as dp_names
+from repro.datapath import registry as datapath_registry
 from repro.nvme.completion import NvmeCompletion
 
 #: Future lifecycle states.
@@ -123,8 +123,6 @@ class InFlightCommand:
     method_used: str = ""
     #: (qid, cid) of the current submission; None while parked for retry.
     key: Optional[Tuple[int, int]] = None
-    #: Tagged-mode payload id of the current submission, if any.
-    payload_id: Optional[int] = None
     attempts: int = 0
     first_submit_ns: float = 0.0
     last_submit_ns: float = 0.0
@@ -151,8 +149,10 @@ class InFlightCommand:
 
     @property
     def is_inline(self) -> bool:
-        """Did the *current* submission use an inline transfer path?"""
-        return self.method_used in (dp_names.BYTEEXPRESS, dp_names.BANDSLIM)
+        """Did the *current* submission use a breaker-guarded (inline or
+        fragmented) transfer path?"""
+        return bool(self.method_used) and datapath_registry.resolve(
+            self.method_used).caps.breaker_guarded
 
     @property
     def is_keyed(self) -> bool:

@@ -2,10 +2,12 @@
 
 Owns the queue pairs, the per-queue submission locks, PRP/SGL construction,
 doorbell writes and completion handling — the pieces of the Linux driver
-the paper touches.  The ByteExpress change is confined to
-:func:`repro.core.driver_ext.submit_with_inline_payload`, mirroring the
-paper's <30-line ``nvme_queue_rq`` patch; everything else here is the
-stock driver behaviour.
+the paper touches.  Every write enters through :meth:`NvmeDriver.submit`,
+which hands the whole encode to the method's host codec
+(:mod:`repro.datapath.codecs`); the ByteExpress change is
+:class:`~repro.datapath.codecs.InlineWriteCodec`, mirroring the paper's
+<30-line ``nvme_queue_rq`` patch, and everything else here is the stock
+driver behaviour.
 
 Synchronous semantics: ``passthru`` and the lower-level submit/wait pair
 model the NVMe passthrough ioctl used by KV-SSD and CSD user libraries
@@ -13,21 +15,22 @@ model the NVMe passthrough ioctl used by KV-SSD and CSD user libraries
 issue their 1 M operations.
 
 Error recovery: ``passthru`` runs a retry/timeout/backoff loop.  A
-command that produces no completion (lost doorbell, dropped CQE) times
-out, gets its doorbell re-rung, and is resubmitted with exponential
-backoff until the per-command deadline; completions whose DNR bit is
-clear (transient transfer faults) are retried the same way.  After
-``threshold`` consecutive inline failures a :class:`CircuitBreaker`
-downgrades ByteExpress submissions to the PRP baseline until a probe
-succeeds — fault-tolerant, merely slower.
+command that produces no completion gets its doorbell re-rung (which
+recovers a lost doorbell); if it is still silent it has timed out
+(dropped CQE) and is resubmitted with exponential backoff until the
+per-command deadline; completions whose DNR bit is clear (transient
+transfer faults) are retried the same way.  After ``threshold``
+consecutive failures on a breaker-guarded path (ByteExpress, BandSlim)
+a :class:`CircuitBreaker` downgrades submissions to the PRP baseline
+until a probe succeeds — fault-tolerant, merely slower.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.core.driver_ext import submit_plain
 from repro.datapath import names as dp_names
 from repro.durability.domains import DEVICE_VOLATILE, HOST_VOLATILE
 from repro.datapath import registry as datapath_registry
@@ -53,7 +56,6 @@ from repro.nvme.constants import (
 )
 from repro.nvme.identify import IDENTIFY_SIZE, IdentifyController
 from repro.nvme.passthrough import PassthruRequest, PassthruResult
-from repro.nvme.prp import build_prps
 from repro.nvme.queues import CompletionQueue, SubmissionQueue
 from repro.nvme.registers import (
     CC_ENABLE,
@@ -130,6 +132,10 @@ class _QueueResources:
     #: when the owning CID retires — keyed per CID so that out-of-order
     #: completions at QD>1 free exactly their own pages.
     pending_pages: Dict[int, List[int]] = field(default_factory=dict)
+    #: Payload / stream id bound to each in-flight CID (tagged inline
+    #: chunks, BandSlim fragment streams): released when the CID
+    #: retires, aborted at the controller when the command is abandoned.
+    payload_ids: Dict[int, int] = field(default_factory=dict)
 
 
 #: Scratch buffer size per queue (covers the largest microbench transfer).
@@ -186,6 +192,10 @@ class NvmeDriver:
         self.shadow_rings = 0
         self.shadow_wakes = 0
         self._queues: Dict[int, _QueueResources] = {}
+        #: One payload/stream-id space per driver, shared by every path
+        #: that tags a payload (tagged inline chunks, BandSlim streams).
+        self._payload_ids = itertools.count(1)
+        self._live_payload_ids: Set[int] = set()
         self._admin = self._make_resources(0, _ADMIN_DEPTH, _ADMIN_DEPTH)
         # Persistence domains: the driver's in-flight command table is
         # host-volatile; SQ/CQ ring *contents* belong to the device's
@@ -233,10 +243,7 @@ class NvmeDriver:
             if read_len > res.scratch_pages * PAGE_SIZE:
                 raise DriverError("admin read exceeds scratch buffer")
             cmd.prp1 = res.scratch
-        with res.sq.lock:
-            with self.clock.span("drv.sq_submit"):
-                submit_plain(res.sq, cmd, self.clock, self.timing)
-            self._ring_sq_doorbell(res)
+        self._push_sqe(res, cmd)
         for _ in range(3):
             cqe = self._try_wait_on(res)
             if cqe is not None:
@@ -379,7 +386,8 @@ class NvmeDriver:
     def snapshot(self) -> object:
         return {qid: (res.next_cid, set(res.live_cids),
                       set(res.zombie_cids),
-                      {cid: list(p) for cid, p in res.pending_pages.items()})
+                      {cid: list(p) for cid, p in res.pending_pages.items()},
+                      dict(res.payload_ids))
                 for qid, res in self._all_resources()}
 
     def restore(self, state: object) -> None:
@@ -387,11 +395,15 @@ class NvmeDriver:
         for qid, res in self._all_resources():
             if qid not in state:
                 continue
-            next_cid, live, zombie, pending = state[qid]
+            next_cid, live, zombie, pending, payload_ids = state[qid]
             res.next_cid = next_cid
             res.live_cids = set(live)
             res.zombie_cids = set(zombie)
             res.pending_pages = {cid: list(p) for cid, p in pending.items()}
+            res.payload_ids = dict(payload_ids)
+        self._live_payload_ids = {
+            pid for _qid, res in self._all_resources()
+            for pid in res.payload_ids.values()}
 
     def scrub(self) -> None:
         """Power cut: the in-flight table is gone; nothing is pinned
@@ -402,6 +414,8 @@ class NvmeDriver:
             res.live_cids.clear()
             res.zombie_cids.clear()
             res.pending_pages.clear()
+            res.payload_ids.clear()
+        self._live_payload_ids.clear()
 
     # ------------------------------------------------------------------
     # helpers
@@ -456,6 +470,8 @@ class NvmeDriver:
         res.zombie_cids.discard(cid)
         for page in res.pending_pages.pop(cid, ()):
             self.memory.free_page(page)
+        if res.payload_ids:
+            self._live_payload_ids.discard(res.payload_ids.pop(cid, 0))
 
     def _abandon_cid(self, res: _QueueResources, cid: int) -> None:
         """Release an abandoned command's CID into quarantine.
@@ -466,7 +482,12 @@ class NvmeDriver:
         its CQE delayed.  Reusing the CID inside that window would make
         the late CQE resolve the *new* command, so the CID is parked in
         ``zombie_cids`` until the late CQE arrives or the queue drains.
+        A payload id bound to the command is aborted at the controller,
+        so half-received reassembly state cannot pin device SRAM.
         """
+        pid = res.payload_ids.get(cid)
+        if pid is not None:
+            self.ssd.controller.abort_payload(pid)
         self._retire_cid(res, cid)
         res.zombie_cids.add(cid)
 
@@ -497,6 +518,37 @@ class NvmeDriver:
         :meth:`_retire_cid`.
         """
         self._abandon_cid(self.queue(qid), cid)
+
+    def _bind_payload_id(self, res: _QueueResources, cid: int,
+                         payload_id: Optional[int] = None) -> int:
+        """Bind a payload / stream id to *cid* for the command's lifetime.
+
+        ``None`` allocates the next id not live on this driver (zero is
+        never handed out).  The binding ends with the CID: retirement
+        releases the id, abandonment also aborts it at the controller.
+        """
+        live = self._live_payload_ids
+        if payload_id is None:
+            payload_id = next(self._payload_ids) & 0xFFFFFFFF
+            while not payload_id or payload_id in live:
+                payload_id = next(self._payload_ids) & 0xFFFFFFFF
+        live.add(payload_id)
+        res.payload_ids[cid] = payload_id
+        return payload_id
+
+    def _push_sqe(self, res: _QueueResources, cmd: NvmeCommand,
+                  ring: bool = True) -> None:
+        """Insert one SQE under the SQ lock and optionally ring.
+
+        The insertion (and its host CPU cost) is the ``drv.sq_submit``
+        phase; the doorbell is written under the same lock acquisition.
+        """
+        with res.sq.lock:
+            with self.clock.span("drv.sq_submit"):
+                res.sq.push_raw(cmd.pack())
+                self.clock.advance(self.timing.sqe_submit_ns)
+            if ring:
+                self._ring_sq_doorbell(res)
 
     def _stage_data(self, res: _QueueResources, data: bytes) -> int:
         """Copy the user payload into the queue's DMA-able scratch buffer."""
@@ -578,15 +630,16 @@ class NvmeDriver:
                ring: bool = True, private_buffer: bool = False,
                payload_id: Optional[int] = None) -> int:
         """Generic write submission: encode *data* with *method*'s host
-        codec (ISSUE 5 tentpole).
+        codec.
 
-        *method* is a registry name (``"prp"``, ``"sgl"``, ...) or a
+        *method* is a registry name (``"prp"``, ``"bandslim"``, ...) or a
         :class:`~repro.datapath.spec.DatapathSpec`.  The codec owns the
-        whole encode — staging, data-pointer construction, SQE (and chunk)
-        insertion under the SQ lock, the optional doorbell — so every
-        method follows one submission shape and new methods need no
-        driver edits.  *private_buffer* and *payload_id* are forwarded to
-        codecs that use them (PRP at QD>1; tagged inline).
+        whole encode — staging, data-pointer construction, SQE (and chunk
+        or fragment) insertion under the SQ lock, the optional doorbell —
+        so every method follows one submission shape and new methods need
+        no driver edits.  *private_buffer* and *payload_id* are forwarded
+        to codecs that use them (PRP at QD>1; tagged inline and BandSlim,
+        which allocate an id from the driver when none is given).
         """
         spec = self._resolve_spec(method)
         codec = spec.host_codec
@@ -598,48 +651,10 @@ class NvmeDriver:
                             private_buffer=private_buffer,
                             payload_id=payload_id)
 
-    def submit_write_prp(self, cmd: NvmeCommand, data: bytes,
-                         qid: int, ring: bool = True,
-                         private_buffer: bool = False) -> int:
-        """Stock write path (thin wrapper over the generic :meth:`submit`
-        with the PRP codec): stage data, build PRPs, insert SQE, doorbell.
-
-        *private_buffer* allocates a dedicated DMA buffer for this command
-        instead of reusing the queue's scratch area.  Mandatory at QD>1:
-        concurrent in-flight writes staged into the shared scratch would
-        overwrite each other before the device fetches them.  The buffer
-        is freed automatically when the command's CID retires.
-        """
-        return self.submit(dp_names.PRP, cmd, data, qid, ring=ring,
-                           private_buffer=private_buffer)
-
-    def submit_write_sgl(self, cmd: NvmeCommand, data: bytes,
-                         qid: int, ring: bool = True) -> int:
-        """SGL write path (§5 comparison): byte-granular data pointer."""
-        return self.submit(dp_names.SGL, cmd, data, qid, ring=ring)
-
-    def submit_write_inline(self, cmd: NvmeCommand, data: bytes,
-                            qid: int, ring: bool = True) -> int:
-        """ByteExpress path: command + payload chunks under one SQ lock.
-
-        Refused when the controller's Identify page does not advertise
-        ByteExpress support — on stock firmware the chunks would be
-        misparsed as commands, so feature detection is mandatory.
-        """
-        return self.submit(dp_names.BYTEEXPRESS, cmd, data, qid, ring=ring)
-
-    def submit_write_inline_tagged(self, cmd: NvmeCommand, data: bytes,
-                                   qid: int, payload_id: int,
-                                   ring: bool = True) -> int:
-        """ByteExpress tagged mode (§3.3.2 future work): self-describing
-        chunks that the controller may fetch interleaved across queues."""
-        return self.submit(dp_names.BYTEEXPRESS_TAGGED, cmd, data, qid,
-                           ring=ring, payload_id=payload_id)
-
     def submit_raw(self, cmd: NvmeCommand, qid: int,
                    ring: bool = True, expect_completion: bool = True) -> int:
-        """Insert a command with no driver-managed data phase (BandSlim
-        fragments, flushes, result-fetch commands).
+        """Insert a command with no driver-managed data phase (flushes,
+        keyed commands, result-fetch commands).
 
         *expect_completion=False* marks a command whose CQE is suppressed
         by protocol (BandSlim intermediate fragments): its CID is not
@@ -647,11 +662,7 @@ class NvmeDriver:
         """
         res = self.queue(qid)
         cmd.cid = self._alloc_cid(res, track=expect_completion)
-        with res.sq.lock:
-            with self.clock.span("drv.sq_submit"):
-                submit_plain(res.sq, cmd, self.clock, self.timing)
-            if ring:
-                self._ring_sq_doorbell(res)
+        self._push_sqe(res, cmd, ring)
         return cmd.cid
 
     def submit_read_prp(self, cmd: NvmeCommand, read_len: int,
@@ -666,11 +677,7 @@ class NvmeDriver:
         cmd.cid = self._alloc_cid(res)
         cmd.prp1 = res.scratch
         cmd.cdw13 = read_len
-        with res.sq.lock:
-            with self.clock.span("drv.sq_submit"):
-                submit_plain(res.sq, cmd, self.clock, self.timing)
-            if ring:
-                self._ring_sq_doorbell(res)
+        self._push_sqe(res, cmd, ring)
         return cmd.cid, res.scratch
 
     def submit_read_sgl(self, cmd: NvmeCommand, want: int, total: int,
@@ -697,11 +704,7 @@ class NvmeDriver:
         cmd.prp1 = int.from_bytes(desc[:8], "little")
         cmd.prp2 = int.from_bytes(desc[8:], "little")
         cmd.cdw13 = total
-        with res.sq.lock:
-            with self.clock.span("drv.sq_submit"):
-                submit_plain(res.sq, cmd, self.clock, self.timing)
-            if ring:
-                self._ring_sq_doorbell(res)
+        self._push_sqe(res, cmd, ring)
         return cmd.cid, res.scratch
 
     # ------------------------------------------------------------------
@@ -733,33 +736,14 @@ class NvmeDriver:
 
         start_ns = self.clock.now
         start_bytes = self.link.counter.total_bytes
-        temp_pages: List[int] = []
         for payload, cdw10 in zip(payloads, cdw10s):
             cmd = NvmeCommand(opcode=opcode, nsid=DEFAULT_NSID, cdw10=cdw10)
-            if spec.caps.inline:
-                self.submit(spec, cmd, payload, qid, ring=False)
-                continue
-            # PRP: every in-flight op needs a private DMA buffer.
-            pages = self.memory.alloc_pages(
-                max(1, (len(payload) + PAGE_SIZE - 1) // PAGE_SIZE))
-            temp_pages.extend(pages)
-            self.memory.write(pages[0], payload)
-            mapping = build_prps(self.memory, pages[0], len(payload))
-            cmd.cid = self._alloc_cid(res)
-            res.pending_pages.setdefault(cmd.cid, []).extend(mapping.list_pages)
-            cmd.prp1, cmd.prp2 = mapping.prp1, mapping.prp2
-            cmd.cdw12 = len(payload)
-            with self.clock.span("drv.sq_submit"):
-                with res.sq.lock:
-                    submit_plain(res.sq, cmd, self.clock, self.timing)
-        with res.sq.lock:
-            self._ring_sq_doorbell(res)
+            # Every in-flight op needs a private DMA buffer (PRP staging).
+            self.submit(spec, cmd, payload, qid, ring=False,
+                        private_buffer=True)
+        self.kick(qid)
 
-        statuses = []
-        for _ in payloads:
-            statuses.append(self._wait_on(res).status)
-        for page in temp_pages:
-            self.memory.free_page(page)
+        statuses = [self._wait_on(res).status for _ in payloads]
         return BatchResult(ops=len(payloads),
                            elapsed_ns=self.clock.now - start_ns,
                            pcie_bytes=(self.link.counter.total_bytes
@@ -794,7 +778,10 @@ class NvmeDriver:
         pages).  The CQ doorbell is rung once per batch — the head
         publication amortises exactly as interrupt-coalesced drivers do.
         """
-        res = self.queue(qid)
+        return self._reap(self.queue(qid), limit)
+
+    def _reap(self, res: _QueueResources,
+              limit: Optional[int] = None) -> List[NvmeCompletion]:
         out: List[NvmeCompletion] = []
         poll = res.cq.poll
         while limit is None or len(out) < limit:
@@ -804,43 +791,35 @@ class NvmeDriver:
             out.append(cqe)
         if out:
             # Batched harvesting: the whole drain was collected above;
-            # handling cost, SQ-head reports and CID retirement are
-            # applied in one pass.  One span covers the batch (span
-            # *totals* are what the phase breakdowns consume), and
-            # ``advance_repeat`` keeps the clock arithmetic bit-identical
-            # to a per-CQE loop.
+            # handling cost, SQ-head reports, the CQ doorbell and CID
+            # retirement are applied in one pass.  One span covers the
+            # batch (span *totals* are what the phase breakdowns
+            # consume), and ``advance_repeat`` keeps the clock arithmetic
+            # bit-identical to a per-CQE loop.
             with self.clock.span("drv.completion"):
                 self.clock.advance_repeat(self.timing.completion_handle_ns,
                                           len(out))
                 for cqe in out:
                     res.sq.note_sq_head(cqe.sq_head)
+                self._ring_cq_doorbell(res)
             for cqe in out:
                 self._retire_cid(res, cqe.cid)
-            self._ring_cq_doorbell(res)
         self._maybe_clear_zombies(res)
         return out
 
     def _try_wait_on(self,
                      res: _QueueResources) -> Optional[NvmeCompletion]:
-        """One poll → process → poll round; ``None`` means timeout.
+        """Drive the device if the CQ is empty, then reap one CQE;
+        ``None`` means nothing arrived.
 
         The device model runs to quiescence inside ``process_all``, so an
-        empty CQ afterwards is a genuine command timeout: nothing further
-        will arrive without new host action (re-ring, resubmit).
+        empty CQ afterwards is genuine silence: nothing further will
+        arrive without new host action (re-ring, resubmit).
         """
-        cqe = res.cq.poll()
-        if cqe is None:
+        if res.cq.peek() is None:
             self.ssd.controller.process_all()
-            cqe = res.cq.poll()
-        if cqe is None:
-            return None
-        with self.clock.span("drv.completion"):
-            self.clock.advance(self.timing.completion_handle_ns)
-            res.sq.note_sq_head(cqe.sq_head)
-            self._ring_cq_doorbell(res)
-        self._retire_cid(res, cqe.cid)
-        self._maybe_clear_zombies(res)
-        return cqe
+        out = self._reap(res, 1)
+        return out[0] if out else None
 
     def _wait_on(self, res: _QueueResources) -> NvmeCompletion:
         cqe = self._try_wait_on(res)
@@ -851,23 +830,33 @@ class NvmeDriver:
     # ------------------------------------------------------------------
     # passthrough ioctl
     # ------------------------------------------------------------------
+    def _fall_back_to_prp(self) -> DatapathSpec:
+        """Breaker open: count the fallback and return the stock PRP
+        spec the attempt rides instead (``passthru`` and the engine)."""
+        self.inline_fallbacks += 1
+        self.link.counter.record_event(EVT_INLINE_FALLBACK)
+        return self._resolve_spec(dp_names.PRP)
+
     def passthru(self, req: PassthruRequest, method: str = dp_names.PRP,
                  qid: Optional[int] = None) -> PassthruResult:
         """Synchronous NVMe passthrough: the KV-SSD/CSD user-API entry.
 
-        *method* names a registry datapath with a host codec (``prp``,
-        ``sgl``, ``byteexpress``); the write submission goes through the
-        generic :meth:`submit`.  BandSlim and MMIO have their own
-        orchestration layers in :mod:`repro.transfer` because they do not
-        map onto a single command submission.
+        *method* names any registry datapath with a host codec (``prp``,
+        ``sgl``, ``bandslim``, ``byteexpress``, ``byteexpress-tagged``);
+        the write is one :meth:`submit` per attempt.  MMIO and PIO have
+        their own orchestration layers in :mod:`repro.transfer` because
+        they do not use the queue protocol.
 
-        Recovery is built in.  A timeout (no completion after the device
-        ran to quiescence) re-rings the doorbell — recovering a lost tail
-        update — and otherwise resubmits with exponential backoff, as
-        does any error completion whose DNR bit is clear, until
-        ``retry_policy`` runs out of attempts or deadline.  Inline
-        submissions consult the circuit breaker and are downgraded to the
-        PRP baseline while it is open.
+        Recovery is built in.  No completion after the device ran to
+        quiescence first re-rings the doorbell — recovering a lost tail
+        update — and repolls; a command still silent after that has
+        timed out.  Timeouts, and error completions whose DNR bit is
+        clear, are resubmitted with exponential backoff until
+        ``retry_policy`` runs out of attempts or deadline; the abandoned
+        attempt's CID is quarantined and its payload id aborted at the
+        controller.  Breaker-guarded submissions (inline or fragmented)
+        consult the circuit breaker and are downgraded to the PRP
+        baseline while it is open.
         """
         qid = qid if qid is not None else self.io_qids[0]
         res = self.queue(qid)
@@ -881,12 +870,10 @@ class NvmeDriver:
         # return over PRP/SGL read submissions), so an unknown name only
         # matters when a write will actually encode with it.
         spec = self._resolve_spec(method) if req.is_write else None
-        inline = spec is not None and spec.caps.inline
-        if inline and not self.breaker.allow_inline():
-            spec = self._resolve_spec(dp_names.PRP)
-            inline = False
-            self.inline_fallbacks += 1
-            self.link.counter.record_event(EVT_INLINE_FALLBACK)
+        guarded = spec is not None and spec.caps.breaker_guarded
+        if guarded and not self.breaker.allow_inline():
+            spec = self._fall_back_to_prp()
+            guarded = False
 
         attempt = 0
         cqe: Optional[NvmeCompletion] = None
@@ -915,23 +902,25 @@ class NvmeDriver:
 
             cqe = self._try_wait_on(res)
             if cqe is None:
-                # Timeout.  The command (or its doorbell) was lost;
-                # republish the tail — idempotent, and exactly what
-                # recovers a dropped doorbell write — and repoll.
-                self.timeouts += 1
-                self.link.counter.record_event(EVT_TIMEOUT)
+                # No completion: the doorbell (or the command) was lost.
+                # Republish the tail — idempotent, and exactly what
+                # recovers a dropped doorbell write — and repoll.  Only a
+                # command still silent after that has timed out.
                 with res.sq.lock:
                     self._ring_sq_doorbell(res)
                 cqe = self._try_wait_on(res)
+                if cqe is None:
+                    self.timeouts += 1
+                    self.link.counter.record_event(EVT_TIMEOUT)
 
             if cqe is not None and cqe.ok:
-                if inline:
+                if guarded:
                     self.breaker.record_success()
                 break
 
             retryable = cqe is None or cqe.retryable
-            if inline and retryable:
-                # Transient transfer fault on the inline path; semantic
+            if guarded and retryable:
+                # Transient transfer fault on a guarded path; semantic
                 # errors (DNR set) would fail on PRP too and do not
                 # count against the breaker.
                 trips_before = self.breaker.trips
@@ -949,15 +938,16 @@ class NvmeDriver:
             self.clock.advance(backoff_ns)
             self.retries += 1
             self.link.counter.record_event(EVT_RETRY)
-            if inline and not self.breaker.allow_inline():
+            if guarded and not self.breaker.allow_inline():
                 # The breaker opened mid-command: finish on the stock
                 # path, which no inline fault can touch.
-                spec = self._resolve_spec(dp_names.PRP)
-                inline = False
-                self.inline_fallbacks += 1
-                self.link.counter.record_event(EVT_INLINE_FALLBACK)
+                spec = self._fall_back_to_prp()
+                guarded = False
 
         if cqe is None:
+            # The last attempt is abandoned too: quarantine its CID and
+            # abort its payload id, as a retry would have.
+            self._abandon_cid(res, prev_cid)
             raise CommandTimeoutError(
                 f"command on SQ{qid} produced no completion within "
                 f"{attempt} attempt(s)")

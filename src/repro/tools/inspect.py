@@ -60,7 +60,7 @@ def describe_command(cmd: NvmeCommand, admin: bool = False) -> str:
     except InlineEncodingError:
         lines.append(f"inline : MALFORMED reserved field (cdw2={cmd.cdw2:#x})")
     if cmd.opcode == VendorOpcode.BANDSLIM_FRAG:
-        from repro.transfer.bandslim import unpack_fragment
+        from repro.datapath.codecs import unpack_fragment
         try:
             view = unpack_fragment(cmd)
             lines.append(f"frag   : stream={view.stream} seq={view.seq} "

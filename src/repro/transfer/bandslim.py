@@ -8,94 +8,32 @@ exactly the overhead ByteExpress's in-queue chunks avoid.  Sub-32-byte
 payloads fit one command (matching the paper's observation); beyond that
 the per-command cost grows linearly with the fragment count.
 
-Fragment wire encoding (inside one 64 B SQE):
-
-=========  ==========================================================
-field      use
-=========  ==========================================================
-opcode     ``VendorOpcode.BANDSLIM_FRAG``
-cdw10      stream id (one per payload transfer)
-cdw11      fragment length (7:0) | last flag (8) | target opcode (23:16)
-cdw13      fragment sequence number
-cdw14      total payload length (every fragment carries it)
-mptr,prp1, 32 bytes of fragment payload
-prp2,cdw12,
-cdw15
-=========  ==========================================================
+The host half is :class:`~repro.datapath.codecs.FragmentWriteCodec`,
+which also owns the fragment wire encoding; this module keeps the device
+half (fragment reassembly) and the benchmark-facing transfer object.
 """
 
 from __future__ import annotations
 
-import itertools
-import struct
 from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.datapath import names as dp_names
+from repro.datapath.codecs import (
+    FragmentView,
+    fragment_count,
+    pack_fragment,
+    unpack_fragment,
+)
 from repro.host.driver import NvmeDriver
 from repro.nvme.command import NvmeCommand
-from repro.nvme.constants import (
-    BANDSLIM_FRAGMENT_CAPACITY,
-    IoOpcode,
-    StatusCode,
-    VendorOpcode,
-)
-from repro.nvme.passthrough import PassthruRequest
-from repro.pcie.traffic import EVT_INLINE_FALLBACK
+from repro.nvme.constants import IoOpcode, StatusCode, VendorOpcode
 from repro.ssd.controller import CommandContext, CommandResult
 from repro.ssd.device import OpenSsd
-from repro.transfer.base import TransferMethod, TransferStats
+from repro.transfer.base import PassthruTransfer, TransferStats
 
-_LAST_FLAG = 1 << 8
-
-
-def pack_fragment(stream: int, seq: int, total_len: int, frag: bytes,
-                  last: bool, target_opcode: int,
-                  target_cdw10: int = 0) -> NvmeCommand:
-    """Encode one payload fragment into a vendor command.
-
-    *target_cdw10* carries the logical command's CDW10 (e.g. the write
-    offset) in the fragment's CDW3 — CDW2 must stay zero so the fragment
-    is never mistaken for a ByteExpress command.
-    """
-    if not 0 < len(frag) <= BANDSLIM_FRAGMENT_CAPACITY:
-        raise ValueError(
-            f"fragment must be 1..{BANDSLIM_FRAGMENT_CAPACITY} bytes")
-    padded = frag + b"\x00" * (BANDSLIM_FRAGMENT_CAPACITY - len(frag))
-    mptr, prp1, prp2 = struct.unpack("<QQQ", padded[:24])
-    cdw12, cdw15 = struct.unpack("<II", padded[24:32])
-    cdw11 = len(frag) | (_LAST_FLAG if last else 0) | ((target_opcode & 0xFF) << 16)
-    return NvmeCommand(opcode=VendorOpcode.BANDSLIM_FRAG,
-                       cdw3=target_cdw10,
-                       cdw10=stream, cdw11=cdw11, cdw13=seq, cdw14=total_len,
-                       mptr=mptr, prp1=prp1, prp2=prp2,
-                       cdw12=cdw12, cdw15=cdw15)
-
-
-@dataclass(frozen=True)
-class FragmentView:
-    stream: int
-    seq: int
-    total_len: int
-    data: bytes
-    last: bool
-    target_opcode: int
-    target_cdw10: int = 0
-
-
-def unpack_fragment(cmd: NvmeCommand) -> FragmentView:
-    """Decode a vendor fragment command (device side)."""
-    if cmd.opcode != VendorOpcode.BANDSLIM_FRAG:
-        raise ValueError(f"not a BandSlim fragment: opcode {cmd.opcode:#x}")
-    frag_len = cmd.cdw11 & 0xFF
-    if not 0 < frag_len <= BANDSLIM_FRAGMENT_CAPACITY:
-        raise ValueError(f"bad fragment length {frag_len}")
-    raw = (struct.pack("<QQQ", cmd.mptr, cmd.prp1, cmd.prp2)
-           + struct.pack("<II", cmd.cdw12, cmd.cdw15))
-    return FragmentView(stream=cmd.cdw10, seq=cmd.cdw13, total_len=cmd.cdw14,
-                        data=raw[:frag_len], last=bool(cmd.cdw11 & _LAST_FLAG),
-                        target_opcode=(cmd.cdw11 >> 16) & 0xFF,
-                        target_cdw10=cmd.cdw3)
+__all__ = ["BandSlimDeviceLayer", "BandSlimTransfer", "FragmentView",
+           "pack_fragment", "unpack_fragment"]
 
 
 @dataclass
@@ -157,77 +95,30 @@ class BandSlimDeviceLayer:
         return self.ssd.controller.dispatch_local(inner)
 
 
-class BandSlimTransfer(TransferMethod):
-    """Host half: fragment planning, per-fragment command issue."""
+class BandSlimTransfer(PassthruTransfer):
+    """Host half: one passthrough write through the fragment codec.
+
+    ``commands`` reports the fragment count, or 1 when the circuit
+    breaker sent the write down the PRP baseline instead.  The stats
+    keep this method's name either way — the caller asked for BandSlim
+    and the fallback is an implementation detail of degraded mode.
+    """
 
     name = dp_names.BANDSLIM
 
-    def __init__(self, driver: NvmeDriver, device_layer: BandSlimDeviceLayer) -> None:
-        self.driver = driver
+    def __init__(self, driver: NvmeDriver,
+                 device_layer: BandSlimDeviceLayer) -> None:
+        super().__init__(driver)
         self.device_layer = device_layer
-        self._streams = itertools.count(1)
 
     def write(self, payload: bytes, opcode: int = IoOpcode.WRITE,
               cdw10: int = 0, cdw11: int = 0, nsid: int = 1,
               qid: Optional[int] = None) -> TransferStats:
         if not payload:
             raise ValueError("BandSlim transfer requires a payload")
-        if not self.driver.breaker.allow_inline():
-            # Circuit breaker open: the inline paths are misbehaving, so
-            # deliver through the always-correct PRP baseline.  The stats
-            # keep this method's name — the caller asked for BandSlim and
-            # the fallback is an implementation detail of degraded mode.
-            self.driver.inline_fallbacks += 1
-            self.driver.link.counter.record_event(EVT_INLINE_FALLBACK)
-            req = PassthruRequest(opcode=opcode, nsid=nsid, data=payload,
-                                  cdw10=cdw10, cdw11=cdw11)
-            res = self.driver.passthru(req, method=dp_names.PRP, qid=qid)
-            return TransferStats(method=self.name, payload_len=len(payload),
-                                 latency_ns=res.latency_ns,
-                                 pcie_bytes=res.pcie_bytes,
-                                 commands=1, status=res.status)
-        qid = qid if qid is not None else self.driver.io_qids[0]
-        clock = self.driver.clock
-        timing = self.driver.timing
-        counter = self.driver.link.counter
-        start_ns, start_bytes = clock.now, counter.total_bytes
-
-        clock.advance(timing.passthrough_ns)
-        # The fragment-management software layer (per payload).
-        clock.advance(timing.bandslim_task_host_ns)
-
-        stream = next(self._streams) & 0xFFFFFFFF
-        cap = BANDSLIM_FRAGMENT_CAPACITY
-        pieces = [payload[off:off + cap] for off in range(0, len(payload), cap)]
-        sq = self.driver.queue(qid).sq
-        if len(pieces) > sq.space():
-            # A torn fragment stream would wedge the device-side
-            # reassembly; refuse before inserting anything.
-            raise ValueError(
-                f"payload needs {len(pieces)} fragment commands but "
-                f"SQ{qid} has {sq.space()} free slots")
-        for seq, piece in enumerate(pieces):
-            last = seq == len(pieces) - 1
-            frag = pack_fragment(stream, seq, len(payload), piece,
-                                 last=last, target_opcode=opcode,
-                                 target_cdw10=cdw10)
-            clock.advance(timing.bandslim_frag_host_ns)
-            # Every fragment is a full command with its own SQE; the tail
-            # update is published once the sequence is in place.  Only the
-            # final fragment produces a CQE (intermediates are suppressed
-            # by the device layer), so only its CID is tracked as live.
-            self.driver.submit_raw(frag, qid, ring=last,
-                                   expect_completion=last)
-
-        cqe = self.driver.wait(qid)
-        status = cqe.status
-        if cqe.ok:
-            self.driver.breaker.record_success()
-        elif cqe.retryable:
-            # Transient transfer fault on the inline path (semantic
-            # failures would fail on PRP too, so they don't count).
-            self.driver.breaker.record_failure()
-        return TransferStats(method=self.name, payload_len=len(payload),
-                             latency_ns=clock.now - start_ns,
-                             pcie_bytes=counter.total_bytes - start_bytes,
-                             commands=len(pieces), status=status)
+        fallbacks = self.driver.inline_fallbacks
+        stats = super().write(payload, opcode=opcode, cdw10=cdw10,
+                              cdw11=cdw11, nsid=nsid, qid=qid)
+        if self.driver.inline_fallbacks == fallbacks:
+            stats.commands = fragment_count(len(payload))
+        return stats

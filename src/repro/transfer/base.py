@@ -15,9 +15,13 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.nvme.constants import IoOpcode
+from repro.nvme.passthrough import PassthruRequest
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.host.driver import NvmeDriver
 
 
 @dataclass
@@ -118,3 +122,23 @@ class TransferMethod(abc.ABC):
         for payload in payloads:
             agg.add(self.write(payload, **kwargs))
         return agg
+
+
+class PassthruTransfer(TransferMethod):
+    """A queue-protocol method: each write is one synchronous
+    ``driver.passthru`` under the registry method named :attr:`name`, so
+    it shares the driver's retry, timeout and breaker recovery."""
+
+    def __init__(self, driver: "NvmeDriver") -> None:
+        self.driver = driver
+
+    def write(self, payload: bytes, opcode: int = IoOpcode.WRITE,
+              cdw10: int = 0, cdw11: int = 0, nsid: int = 1,
+              qid: Optional[int] = None) -> TransferStats:
+        req = PassthruRequest(opcode=opcode, nsid=nsid, data=payload,
+                              cdw10=cdw10, cdw11=cdw11)
+        result = self.driver.passthru(req, method=self.name, qid=qid)
+        return TransferStats(method=self.name, payload_len=len(payload),
+                             latency_ns=result.latency_ns,
+                             pcie_bytes=result.pcie_bytes,
+                             commands=1, status=result.status)

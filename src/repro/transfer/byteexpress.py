@@ -8,61 +8,17 @@ relaxation (self-describing chunks, out-of-order reassembly across SQs).
 
 from __future__ import annotations
 
-import itertools
-from typing import Optional
-
 from repro.datapath import names as dp_names
-from repro.host.driver import NvmeDriver
-from repro.nvme.constants import IoOpcode
-from repro.nvme.passthrough import PassthruRequest
-from repro.transfer.base import TransferMethod, TransferStats
+from repro.transfer.base import PassthruTransfer
 
 
-class ByteExpressTransfer(TransferMethod):
+class ByteExpressTransfer(PassthruTransfer):
     name = dp_names.BYTEEXPRESS
 
-    def __init__(self, driver: NvmeDriver) -> None:
-        self.driver = driver
 
-    def write(self, payload: bytes, opcode: int = IoOpcode.WRITE,
-              cdw10: int = 0, cdw11: int = 0, nsid: int = 1,
-              qid: Optional[int] = None) -> TransferStats:
-        req = PassthruRequest(opcode=opcode, nsid=nsid, data=payload,
-                              cdw10=cdw10, cdw11=cdw11)
-        result = self.driver.passthru(req, method=dp_names.BYTEEXPRESS, qid=qid)
-        return TransferStats(method=self.name, payload_len=len(payload),
-                             latency_ns=result.latency_ns,
-                             pcie_bytes=result.pcie_bytes,
-                             commands=1, status=result.status)
-
-
-class TaggedByteExpressTransfer(TransferMethod):
+class TaggedByteExpressTransfer(PassthruTransfer):
     """Out-of-order reassembly variant; requires a controller built in
     ``MODE_TAGGED``.  Chunk capacity drops to 56 B (8 B header), which the
     reassembly ablation quantifies against the queue-local design."""
 
     name = dp_names.BYTEEXPRESS_TAGGED
-
-    def __init__(self, driver: NvmeDriver) -> None:
-        self.driver = driver
-        self._ids = itertools.count(1)
-
-    def write(self, payload: bytes, opcode: int = IoOpcode.WRITE,
-              cdw10: int = 0, cdw11: int = 0, nsid: int = 1,
-              qid: Optional[int] = None) -> TransferStats:
-        from repro.nvme.command import NvmeCommand
-
-        qid = qid if qid is not None else self.driver.io_qids[0]
-        clock = self.driver.clock
-        counter = self.driver.link.counter
-        start_ns, start_bytes = clock.now, counter.total_bytes
-        clock.advance(self.driver.timing.passthrough_ns)
-
-        cmd = NvmeCommand(opcode=opcode, nsid=nsid, cdw10=cdw10, cdw11=cdw11)
-        payload_id = next(self._ids) & 0xFFFFFFFF
-        self.driver.submit_write_inline_tagged(cmd, payload, qid, payload_id)
-        cqe = self.driver.wait(qid)
-        return TransferStats(method=self.name, payload_len=len(payload),
-                             latency_ns=clock.now - start_ns,
-                             pcie_bytes=counter.total_bytes - start_bytes,
-                             commands=1, status=cqe.status)

@@ -6,50 +6,17 @@ amplification for 32-byte payloads (Figure 1(c))."""
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.datapath import names as dp_names
-from repro.host.driver import NvmeDriver
-from repro.nvme.constants import IoOpcode
-from repro.nvme.passthrough import PassthruRequest
-from repro.transfer.base import TransferMethod, TransferStats
+from repro.transfer.base import PassthruTransfer
 
 
-class PrpTransfer(TransferMethod):
+class PrpTransfer(PassthruTransfer):
     name = dp_names.PRP
 
-    def __init__(self, driver: NvmeDriver) -> None:
-        self.driver = driver
 
-    def write(self, payload: bytes, opcode: int = IoOpcode.WRITE,
-              cdw10: int = 0, cdw11: int = 0, nsid: int = 1,
-              qid: Optional[int] = None) -> TransferStats:
-        req = PassthruRequest(opcode=opcode, nsid=nsid, data=payload,
-                              cdw10=cdw10, cdw11=cdw11)
-        result = self.driver.passthru(req, method=dp_names.PRP, qid=qid)
-        return TransferStats(method=self.name, payload_len=len(payload),
-                             latency_ns=result.latency_ns,
-                             pcie_bytes=result.pcie_bytes,
-                             commands=1, status=result.status)
-
-
-class SglTransfer(TransferMethod):
+class SglTransfer(PassthruTransfer):
     """SGL data-block transfer (§5 discussion): byte-granular DMA, but the
     command still carries a descriptor the controller must parse before it
     can program the engine."""
 
     name = dp_names.SGL
-
-    def __init__(self, driver: NvmeDriver) -> None:
-        self.driver = driver
-
-    def write(self, payload: bytes, opcode: int = IoOpcode.WRITE,
-              cdw10: int = 0, cdw11: int = 0, nsid: int = 1,
-              qid: Optional[int] = None) -> TransferStats:
-        req = PassthruRequest(opcode=opcode, nsid=nsid, data=payload,
-                              cdw10=cdw10, cdw11=cdw11)
-        result = self.driver.passthru(req, method=dp_names.SGL, qid=qid)
-        return TransferStats(method=self.name, payload_len=len(payload),
-                             latency_ns=result.latency_ns,
-                             pcie_bytes=result.pcie_bytes,
-                             commands=1, status=result.status)

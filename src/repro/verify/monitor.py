@@ -35,6 +35,7 @@ from repro.core.inline_command import (
 from repro.core.reassembly import tagged_chunk_count
 from repro.nvme.command import NvmeCommand
 from repro.nvme.constants import ADMIN_QID, StatusCode
+from repro.ssd.context import MODE_TAGGED
 from repro.verify.invariants import (
     INV_CACHE_COHERENT,
     INV_CID_UNIQUE,
@@ -69,8 +70,9 @@ class _SqState:
     last_slot: int = -1
     #: Last published doorbell value the monitor saw.
     published: int = 0
-    #: Next inline submission on this queue uses tagged chunking.
-    tagged_hint: bool = False
+    #: The device reassembles this queue's inline payloads from tagged
+    #: (self-describing) chunks: its controller runs in tagged mode.
+    tagged: bool = False
 
 
 @dataclass
@@ -156,16 +158,17 @@ class ProtocolMonitor:
         return monitor
 
     def attach_driver(self, driver: Any) -> None:
-        """Observe every queue pair the driver owns, CID allocation,
-        tagged-submission hints, and the host shadow-doorbell page."""
+        """Observe every queue pair the driver owns, CID allocation, and
+        the host shadow-doorbell page."""
+        tagged = driver.ssd.controller.mode == MODE_TAGGED
         resources = [driver._admin] + [driver._queues[qid]
                                        for qid in sorted(driver._queues)]
         for res in resources:
             self.attach_sq(res.sq)
+            self._sq[id(res.sq)].tagged = tagged
             self.attach_cq(res.cq)
             self._sq_by_qid[res.sq.qid] = res.sq
         self._wrap_alloc_cid(driver)
-        self._wrap_tagged_hint(driver)
         if driver.shadow is not None:
             self.attach_shadow_host(driver.shadow)
 
@@ -187,6 +190,7 @@ class ProtocolMonitor:
         provisioning): host-side SQ/CQ mirrors plus the controller's
         device CQ producer for the new qid."""
         self.attach_sq(res.sq)
+        self._sq[id(res.sq)].tagged = ctrl.mode == MODE_TAGGED
         self.attach_cq(res.cq)
         self._sq_by_qid[qid] = res.sq
         dev_state = ctrl._cqs.get(qid)
@@ -258,7 +262,7 @@ class ProtocolMonitor:
         self._wrap_note_sq_head(sq, state)
 
     def _expected_chunks(self, state: _SqState, payload_len: int) -> int:
-        if state.tagged_hint:
+        if state.tagged:
             return tagged_chunk_count(payload_len)
         return chunk_count(payload_len)
 
@@ -284,8 +288,6 @@ class ProtocolMonitor:
                         sq_snapshot(sq))
                 state.pending_chunks -= 1
                 state.last_slot = slot
-                if state.pending_chunks == 0:
-                    state.tagged_hint = False
                 return slot
             cmd = NvmeCommand.unpack(entry)
             if cmd.inline_length:
@@ -476,34 +478,6 @@ class ProtocolMonitor:
             return cid
 
         self._patch(driver, "_alloc_cid", _alloc_cid)
-
-    def _wrap_tagged_hint(self, driver: Any) -> None:
-        """Flag tagged submissions so inline-chunk accounting uses the
-        self-describing chunk size.  Wraps the generic ``submit`` entry:
-        every path (legacy wrappers, engine, passthru) funnels through
-        it, and the resolved spec's ``tag_reassembly`` cap tells us the
-        encoding without trusting call-site names."""
-        orig = driver.submit
-
-        def submit(method: Any, cmd: Any, data: bytes, qid: int,
-                   ring: bool = True, private_buffer: bool = False,
-                   payload_id: Optional[int] = None) -> int:
-            spec = driver._resolve_spec(method)
-            state = None
-            if spec.caps.tag_reassembly:
-                sq = driver.queue(qid).sq
-                state = self._sq.get(id(sq))
-            if state is not None:
-                state.tagged_hint = True
-            try:
-                return orig(spec, cmd, data, qid, ring=ring,
-                            private_buffer=private_buffer,
-                            payload_id=payload_id)
-            finally:
-                if state is not None and state.pending_chunks == 0:
-                    state.tagged_hint = False
-
-        self._patch(driver, "submit", submit)
 
     # ------------------------------------------------------------------
     # engine in-flight table

@@ -8,29 +8,41 @@ from repro.core.controller_ext import (
     InlineFetchError,
     fetch_inline_payload,
 )
-from repro.core.driver_ext import submit_with_inline_payload
 from repro.core.inline_command import inspect_command
-from repro.host.memory import HostMemory
+from repro.datapath.codecs import INLINE_WRITE_CODEC
 from repro.nvme.command import NvmeCommand
 from repro.nvme.constants import SQE_SIZE
-from repro.nvme.queues import SubmissionQueue
 from repro.pcie.link import PCIeLink
 from repro.pcie.traffic import CAT_INLINE_CHUNK, TrafficCounter
 from repro.sim.clock import SimClock
-from repro.sim.config import LinkConfig, TimingModel
+from repro.sim.config import LinkConfig, SimConfig, TimingModel
+from repro.testbed import make_block_testbed
 
 TIMING = TimingModel()
 
 
+def _host_sq(depth):
+    """A driver's I/O queue 1 whose device side the test drives by hand
+    (the controller never runs): the host half is the real codec."""
+    tb = make_block_testbed(config=SimConfig(sq_depth=depth).nand_off(),
+                            include_mmio=False)
+    return tb.driver, tb.driver.queue(1).sq
+
+
+def _encode(driver, sq, payload):
+    """Insert one inline submission and publish the tail host-side."""
+    INLINE_WRITE_CODEC.encode(driver, NvmeCommand(opcode=1), payload, 1,
+                              ring=False)
+    with sq.lock:
+        sq.ring_doorbell()
+
+
 def _submit(payload, depth=64):
-    mem = HostMemory()
-    sq = SubmissionQueue(qid=1, depth=depth, memory=mem)
+    driver, sq = _host_sq(depth)
+    mem = driver.memory
     clock = SimClock()
     link = PCIeLink(LinkConfig(), TIMING, TrafficCounter())
-    with sq.lock:
-        submit_with_inline_payload(sq, NvmeCommand(opcode=1), payload,
-                                   clock, TIMING)
-        sq.ring_doorbell()
+    _encode(driver, sq, payload)
     state = DeviceSqState(qid=1, base_addr=sq.base_addr, depth=sq.depth)
     raw = mem.read(state.slot_addr(0), SQE_SIZE)
     state.advance()  # past the command
@@ -88,20 +100,18 @@ def test_chunks_beyond_doorbell_rejected():
 
 def test_wraparound_chunk_fetch():
     """Chunks spanning the ring end are fetched correctly."""
-    mem = HostMemory()
-    sq = SubmissionQueue(qid=1, depth=8, memory=mem)
+    driver, sq = _host_sq(depth=8)
+    mem = driver.memory
     clock = SimClock()
     link = PCIeLink(LinkConfig(), TIMING, TrafficCounter())
     # Advance the ring close to the end first.
     with sq.lock:
         for _ in range(6):
             sq.push_raw(b"\x00" * SQE_SIZE)
+        sq.ring_doorbell()
     sq.note_sq_head(6)
     payload = bytes(range(128))
-    with sq.lock:
-        submit_with_inline_payload(sq, NvmeCommand(opcode=1), payload,
-                                   clock, TIMING)
-        sq.ring_doorbell()
+    _encode(driver, sq, payload)
     state = DeviceSqState(qid=1, base_addr=sq.base_addr, depth=8, head=6)
     cmd = NvmeCommand.unpack(mem.read(state.slot_addr(6), SQE_SIZE))
     state.advance()

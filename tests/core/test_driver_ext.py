@@ -1,84 +1,96 @@
-"""Host-side inline submission: consecutive slots, lock discipline,
+"""Host-side inline submission (the driver's ByteExpress change, carried
+by ``InlineWriteCodec``): consecutive slots, lock discipline,
 all-or-nothing space check, Table-1 submit costs."""
 
 import pytest
 
-from repro.core.driver_ext import submit_plain, submit_with_inline_payload
-from repro.host.memory import HostMemory
+from repro.datapath.codecs import INLINE_WRITE_CODEC, PRP_WRITE_CODEC
 from repro.nvme.command import NvmeCommand
 from repro.nvme.constants import SQE_SIZE
-from repro.nvme.queues import QueueFullError, SubmissionQueue
-from repro.sim.clock import SimClock
-from repro.sim.config import TimingModel
-
-TIMING = TimingModel()
+from repro.nvme.queues import QueueFullError
+from repro.sim.config import SimConfig
+from repro.testbed import make_block_testbed
 
 
 def _rig(depth=16):
-    sq = SubmissionQueue(qid=1, depth=depth, memory=HostMemory())
-    return sq, SimClock()
+    tb = make_block_testbed(config=SimConfig(sq_depth=depth).nand_off(),
+                            include_mmio=False)
+    tb.clock.reset_spans()
+    return tb, tb.driver.queue(1).sq
+
+
+def _encode(tb, payload, codec=INLINE_WRITE_CODEC):
+    return codec.encode(tb.driver, NvmeCommand(opcode=1), payload, 1,
+                        ring=False)
+
+
+def _submit_ns(tb):
+    return tb.clock.span_totals()["drv.sq_submit"]
 
 
 def test_command_then_chunks_consecutive():
-    sq, clock = _rig()
+    tb, sq = _rig()
     payload = bytes(range(130))
-    with sq.lock:
-        rec = submit_with_inline_payload(sq, NvmeCommand(opcode=1), payload,
-                                         clock, TIMING)
-    assert rec.slots == [0, 1, 2, 3]  # cmd + 3 chunks
+    _encode(tb, payload)
+    assert sq.tail == 4  # cmd + 3 chunks in slots 0..3
     # Chunk bytes really landed in the following slots.
     slot1 = sq.memory.read(sq.slot_addr(1), SQE_SIZE)
     assert slot1 == payload[:64]
+    slot3 = sq.memory.read(sq.slot_addr(3), SQE_SIZE)
+    assert slot3 == payload[128:] + b"\x00" * 62  # last chunk zero-padded
 
 
 def test_inline_length_encoded():
-    sq, clock = _rig()
-    with sq.lock:
-        submit_with_inline_payload(sq, NvmeCommand(opcode=1), b"x" * 100,
-                                   clock, TIMING)
+    tb, sq = _rig()
+    _encode(tb, b"x" * 100)
     cmd = NvmeCommand.unpack(sq.memory.read(sq.slot_addr(0), SQE_SIZE))
     assert cmd.inline_length == 100
 
 
 def test_submit_cost_matches_table1():
     """Table 1 driver column: 60 ns base + ~30 ns per chunk."""
+    timing = SimConfig().timing
     for size, chunks in ((64, 1), (128, 2), (256, 4)):
-        sq, clock = _rig()
-        with sq.lock:
-            rec = submit_with_inline_payload(sq, NvmeCommand(opcode=1),
-                                             b"x" * size, clock, TIMING)
-        assert rec.submit_ns == pytest.approx(
-            TIMING.sqe_submit_ns + chunks * TIMING.chunk_submit_ns)
+        tb, _sq = _rig()
+        _encode(tb, b"x" * size)
+        assert _submit_ns(tb) == pytest.approx(
+            timing.sqe_submit_ns + chunks * timing.chunk_submit_ns)
 
 
 def test_queue_full_is_all_or_nothing():
-    sq, clock = _rig(depth=4)  # 3 usable slots
+    tb, sq = _rig(depth=4)  # 3 usable slots
     tail_before = sq.tail
-    with sq.lock:
-        with pytest.raises(QueueFullError):
-            submit_with_inline_payload(sq, NvmeCommand(opcode=1),
-                                       b"x" * 256, clock, TIMING)
+    with pytest.raises(QueueFullError):
+        _encode(tb, b"x" * 256)
     assert sq.tail == tail_before  # nothing partially inserted
 
 
 def test_empty_payload_rejected():
-    sq, clock = _rig()
-    with sq.lock:
-        with pytest.raises(ValueError):
-            submit_with_inline_payload(sq, NvmeCommand(opcode=1), b"",
-                                       clock, TIMING)
+    tb, sq = _rig()
+    with pytest.raises(ValueError):
+        _encode(tb, b"")
+    assert sq.tail == 0
 
 
 def test_requires_lock():
-    sq, clock = _rig()
-    with pytest.raises(Exception):
-        submit_with_inline_payload(sq, NvmeCommand(opcode=1), b"x",
-                                   clock, TIMING)
+    """Every entry lands while the codec holds the SQ lock — the lock
+    is what keeps the chunks consecutive after their command."""
+    tb, sq = _rig()
+    held = []
+    push = sq.push_raw
+
+    def recording_push(entry):
+        held.append(sq.lock.held)
+        return push(entry)
+
+    sq.push_raw = recording_push
+    _encode(tb, b"x" * 200)
+    assert held == [True] * 5  # command + 4 chunks
+    assert not sq.lock.held  # released afterwards
 
 
 def test_submit_plain_cost():
-    sq, clock = _rig()
-    with sq.lock:
-        rec = submit_plain(sq, NvmeCommand(opcode=1), clock, TIMING)
-    assert rec.submit_ns == pytest.approx(TIMING.sqe_submit_ns)
-    assert rec.slots == [0]
+    tb, sq = _rig()
+    _encode(tb, b"x" * 64, codec=PRP_WRITE_CODEC)
+    assert _submit_ns(tb) == pytest.approx(SimConfig().timing.sqe_submit_ns)
+    assert sq.tail == 1  # a plain command occupies one slot

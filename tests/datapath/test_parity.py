@@ -1,23 +1,24 @@
-"""Datapath parity: generic ``submit()`` vs the legacy entry points.
+"""Datapath parity: generic ``submit()`` vs the transfer objects.
 
-ISSUE 5 satellite: every registered method must round-trip payloads at
-the boundary sizes (1 B … 4 KiB) through the codec-driven generic
-``driver.submit()``; the read paths must work via the device decoders;
-and the wrapped legacy entry points (``submit_write_prp`` & friends)
-must produce *identical* wire traffic to the generic path — they are
-thin wrappers, and any divergence means the codec move changed the
-protocol.
+Every registered method must round-trip payloads at the boundary sizes
+(1 B … 4 KiB) through the codec-driven generic ``driver.submit()`` and
+through its transfer object; the read paths must work via the device
+decoders; and a codec method's transfer object (one ``passthru`` per
+write) must put *identical* traffic on the wire as the generic path —
+both end in the same codec, so any divergence means a second encoder
+crept back in.
 """
 
 import pytest
 
 from repro.datapath import names, registry
+from repro.engine.engine import engine_methods
 from repro.host.driver import DriverError
 from repro.nvme.command import NvmeCommand
 from repro.nvme.constants import PAGE_SIZE, IoOpcode
 from repro.nvme.passthrough import PassthruRequest
 from repro.ssd.context import MODE_TAGGED
-from repro.testbed import make_block_testbed
+from repro.testbed import make_block_testbed, make_engine_testbed
 
 #: Boundary sizes: 1 B, chunk edges (63/64/65), a mid size, page edges.
 BOUNDARY_SIZES = (1, 63, 64, 65, 256, 512, 4095, 4096)
@@ -29,6 +30,10 @@ CODEC_METHODS = tuple(
 #: Registered methods with no codec (orchestrated in repro.transfer).
 ORCHESTRATED_METHODS = tuple(
     spec.name for spec in registry.specs() if spec.host_codec is None)
+
+#: Registered methods with a benchmark-facing transfer object.
+TRANSFER_METHODS = tuple(
+    spec.name for spec in registry.specs() if spec.factory is not None)
 
 
 def _payload(i: int, size: int) -> bytes:
@@ -62,10 +67,11 @@ def test_codec_methods_roundtrip_boundary_sizes(method):
             (method, size)
 
 
-@pytest.mark.parametrize("method", ORCHESTRATED_METHODS)
+@pytest.mark.parametrize("method", TRANSFER_METHODS)
 def test_orchestrated_methods_roundtrip_boundary_sizes(method):
-    """Methods without a host codec round-trip through their transfer
-    orchestration layer (the registry factory built them)."""
+    """Every method round-trips through its transfer object (the
+    registry factory built it): a passthrough for codec methods, the
+    orchestration layer for the rest."""
     tb = _testbed_for(method)
     # The BAR byte window has no LBA addressing (its commit command
     # carries only a length), so bar_window writes all land at offset 0.
@@ -135,41 +141,28 @@ def test_read_back_through_sgl_decoder():
     assert tb.driver.memory.read(buf, 64) == payload[:64]
 
 
-# ------------------------------------------- legacy wrapper parity
+# ------------------------------------- transfer object vs generic submit
 
 
-def _run_legacy(method: str, tb):
-    drv = tb.driver
+def _run_transfer(method: str, tb):
     for i, size in enumerate(BOUNDARY_SIZES):
-        payload = _payload(i, size)
-        cmd = NvmeCommand(opcode=IoOpcode.WRITE, nsid=1,
-                          cdw10=(i * 2 * PAGE_SIZE) & 0xFFFFFFFF)
-        if method == names.PRP:
-            drv.submit_write_prp(cmd, payload, qid=1)
-        elif method == names.SGL:
-            drv.submit_write_sgl(cmd, payload, qid=1)
-        elif method == names.BYTEEXPRESS:
-            drv.submit_write_inline(cmd, payload, qid=1)
-        else:
-            drv.submit_write_inline_tagged(cmd, payload, qid=1, payload_id=i)
-        assert drv.wait(1).ok
+        stats = tb.method(method).write(
+            _payload(i, size), cdw10=(i * 2 * PAGE_SIZE) & 0xFFFFFFFF)
+        assert stats.ok
 
 
 def _run_generic(method: str, tb):
-    spec = registry.resolve(method)
     for i, size in enumerate(BOUNDARY_SIZES):
         payload = _payload(i, size)
         cmd = NvmeCommand(opcode=IoOpcode.WRITE, nsid=1,
                           cdw10=(i * 2 * PAGE_SIZE) & 0xFFFFFFFF)
-        kwargs = {"payload_id": i} if spec.caps.tag_reassembly else {}
-        tb.driver.submit(method, cmd, payload, qid=1, **kwargs)
+        tb.driver.submit(method, cmd, payload, qid=1)
         assert tb.driver.wait(1).ok
 
 
 def _fingerprint(tb):
     counter = tb.traffic
     return {
-        "clock_ns": round(tb.clock.now, 6),
         "total_bytes": counter.total_bytes,
         "tlp_breakdown": counter.tlp_breakdown(),
         "byte_breakdown": counter.breakdown(),
@@ -177,13 +170,47 @@ def _fingerprint(tb):
 
 
 @pytest.mark.parametrize("method", CODEC_METHODS)
-def test_legacy_wrappers_produce_identical_wire_traffic(method):
-    tb_legacy = _testbed_for(method)
+def test_transfer_writes_match_generic_submit_wire_traffic(method):
+    tb_transfer = _testbed_for(method)
     tb_generic = _testbed_for(method)
-    _run_legacy(method, tb_legacy)
+    _run_transfer(method, tb_transfer)
     _run_generic(method, tb_generic)
-    assert _fingerprint(tb_legacy) == _fingerprint(tb_generic)
+    assert _fingerprint(tb_transfer) == _fingerprint(tb_generic)
+    # The clocks differ by exactly the passthrough ioctl, once per write.
+    passthrough_ns = tb_transfer.ssd.config.timing.passthrough_ns
+    assert tb_transfer.clock.now == pytest.approx(
+        tb_generic.clock.now + len(BOUNDARY_SIZES) * passthrough_ns)
     for i, size in enumerate(BOUNDARY_SIZES):
         offset = i * 2 * PAGE_SIZE
-        assert (tb_legacy.personality.read_back(offset, size)
+        assert (tb_transfer.personality.read_back(offset, size)
                 == tb_generic.personality.read_back(offset, size))
+
+
+# ------------------------------------------------ engine vs passthrough
+
+
+@pytest.mark.parametrize("method", engine_methods())
+def test_engine_and_passthru_writes_land_identical_bytes(method):
+    """Both front doors end in the method's host codec, so a fault-free
+    synchronous write and an engine write of the same payload leave the
+    same bytes on the device."""
+    assert registry.resolve(method).host_codec is not None
+    sync_tb = make_engine_testbed(queues=2)
+    engine_tb = make_engine_testbed(queues=2)
+    engine = engine_tb.make_engine(qd=4)
+    futures = []
+    for i, size in enumerate(BOUNDARY_SIZES):
+        payload = _payload(i, size)
+        offset = i * 2 * PAGE_SIZE
+        res = sync_tb.driver.passthru(
+            PassthruRequest(opcode=IoOpcode.WRITE, data=payload,
+                            cdw10=offset), method=method)
+        assert res.ok, (method, size)
+        futures.append(engine.submit(payload, method=method, cdw10=offset))
+    engine.drain()
+    assert all(f.ok for f in futures)
+    for i, size in enumerate(BOUNDARY_SIZES):
+        offset = i * 2 * PAGE_SIZE
+        landed = sync_tb.personality.read_back(offset, size)
+        assert landed == _payload(i, size), (method, size)
+        assert engine_tb.personality.read_back(offset, size) == landed

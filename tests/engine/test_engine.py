@@ -124,7 +124,7 @@ def test_tagged_mode_interleaves_across_queues():
     ctrl = tb.ssd.controller
     assert ctrl._reassembly.high_water >= 2
     assert ctrl._reassembly.in_flight == 0
-    assert not eng._live_payload_ids
+    assert not eng.driver._live_payload_ids
 
 
 def test_bandslim_through_engine():

@@ -47,6 +47,6 @@ def test_tagged_reassembly_byte_identical(queues, qd, policy, sizes,
             f"payload {i} (len {len(p)}) corrupted by interleaving")
     # no reassembly state, payload ids, or CIDs may leak
     assert tb.ssd.controller._reassembly.in_flight == 0
-    assert not engine._live_payload_ids
+    assert not engine.driver._live_payload_ids
     for qid in engine.qids:
         assert tb.driver.inflight(qid) == 0

@@ -17,15 +17,14 @@ from collections import Counter
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.core.chunking import CHUNK_SIZE, join_chunks
+from repro.core.chunking import CHUNK_SIZE, join_chunks, split_payload
 from repro.core.controller_ext import (
     ChunkCorruptionError,
     DeviceSqState,
     SqeWindow,
     fetch_inline_payload,
 )
-from repro.core.driver_ext import submit_with_inline_payload
-from repro.core.inline_command import inspect_command
+from repro.core.inline_command import inspect_command, make_inline_command
 from repro.faults.plan import (
     ALL_KINDS,
     CORRUPT_CHUNK,
@@ -264,12 +263,18 @@ _LINK = LinkConfig()
 def _inline_sq(payload, window_len):
     """Host memory holding one inline command + chunks, the device's SQ
     state just past the command, and an optional burst window over the
-    first *window_len* chunks."""
+    first *window_len* chunks.
+
+    The entries are laid out the way ``InlineWriteCodec`` writes them
+    (command with the inline length, then zero-padded 64 B chunks), on a
+    bare queue: the oracle runs thousands of these per test.
+    """
     mem = HostMemory()
     sq = SubmissionQueue(qid=1, depth=64, memory=mem)
+    cmd = make_inline_command(NvmeCommand(opcode=1), len(payload))
     with sq.lock:
-        submit_with_inline_payload(sq, NvmeCommand(opcode=1), payload,
-                                   SimClock(), _TIMING)
+        for entry in [cmd.pack()] + split_payload(payload):
+            sq.push_raw(entry)
         sq.ring_doorbell()
     state = DeviceSqState(qid=1, base_addr=sq.base_addr, depth=sq.depth)
     info = inspect_command(NvmeCommand.unpack(

@@ -22,7 +22,7 @@ def tb():
 
 def _submit(tb, qid, ring=False, offset=0):
     cmd = NvmeCommand(opcode=IoOpcode.WRITE, nsid=1, cdw10=offset)
-    return tb.driver.submit_write_prp(cmd, b"\xcd" * 64, qid, ring=ring,
+    return tb.driver.submit("prp", cmd, b"\xcd" * 64, qid, ring=ring,
                                       private_buffer=True)
 
 

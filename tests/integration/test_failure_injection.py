@@ -17,7 +17,7 @@ def test_sq_backpressure_on_inline_flood():
     cfg = SimConfig(sq_depth=16).nand_off()
     tb = make_block_testbed(config=cfg)
     with pytest.raises(QueueFullError):
-        tb.driver.submit_write_inline(NvmeCommand(opcode=IoOpcode.WRITE),
+        tb.driver.submit("byteexpress", NvmeCommand(opcode=IoOpcode.WRITE),
                                       b"x" * (64 * 20), qid=1)
     # Queue still works afterwards.
     stats = tb.method("byteexpress").write(b"ok" * 10)

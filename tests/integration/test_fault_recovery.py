@@ -28,12 +28,14 @@ from repro.host.driver import CommandTimeoutError, RetryPolicy
 from repro.nvme.constants import IoOpcode, StatusCode
 from repro.nvme.passthrough import PassthruRequest
 from repro.pcie.traffic import (
+    CAT_DOORBELL,
     EVT_BREAKER_TRIP,
     EVT_INLINE_FALLBACK,
     EVT_RETRY,
     EVT_TIMEOUT,
     EVT_TLP_REPLAY,
 )
+from repro.ssd.context import MODE_TAGGED
 from repro.testbed import make_block_testbed
 
 
@@ -41,14 +43,14 @@ def _wreq(payload: bytes, offset: int = 0) -> PassthruRequest:
     return PassthruRequest(opcode=IoOpcode.WRITE, data=payload, cdw10=offset)
 
 
-def _bringup_opportunities(kind: str) -> int:
+def _bringup_opportunities(kind: str, **rig) -> int:
     """Fault opportunities of *kind* consumed by controller bring-up.
 
     Scheduling a fault at this index targets the first I/O-phase
     opportunity without hard-coding the admin-command count.
     """
     probe_plan = FaultPlan.scheduled({kind: [10 ** 9]})  # active, never fires
-    probe = make_block_testbed(fault_plan=probe_plan)
+    probe = make_block_testbed(fault_plan=probe_plan, **rig)
     return probe.ssd.faults.opportunities[kind]
 
 
@@ -100,6 +102,53 @@ class TestRetryBackoffRecovery:
         assert res.latency_ns >= tb.driver.retry_policy.backoff_base_ns
         assert tb.traffic.event_count(EVT_TIMEOUT) == 1
 
+    def test_dropped_cqe_on_bandslim_write_resubmitted(self):
+        """BandSlim's only CQE (the last fragment's) is lost: the write
+        is resubmitted as a fresh fragment stream, like any passthru."""
+        idx = _bringup_opportunities(DROP_CQE)
+        plan = FaultPlan.scheduled({DROP_CQE: [idx]})
+        tb = make_block_testbed(fault_plan=plan)
+        payload = bytes(range(100))
+        stats = tb.method("bandslim").write(payload)
+        assert stats.ok
+        assert stats.commands == 4
+        assert tb.personality.read_back(0, 100) == payload
+        assert tb.driver.timeouts == 1
+        assert tb.driver.retries == 1
+        assert tb.ssd.controller.dropped_cqes == 1
+        # both streams' ids and CIDs are released again
+        assert not tb.driver._live_payload_ids
+        assert tb.driver.inflight(1) == 0
+
+    def test_dropped_cqe_on_tagged_write_resubmitted(self):
+        """A tagged write whose CQE is lost is resubmitted under a fresh
+        payload id; the abandoned id is aborted at the controller and
+        holds no reassembly state."""
+        rig = dict(mode=MODE_TAGGED, include_mmio=False)
+        idx = _bringup_opportunities(DROP_CQE, **rig)
+        plan = FaultPlan.scheduled({DROP_CQE: [idx]})
+        tb = make_block_testbed(fault_plan=plan, **rig)
+        ctrl = tb.ssd.controller
+        aborted = []
+        abort_payload = ctrl.abort_payload
+
+        def recording_abort(payload_id):
+            aborted.append(payload_id)
+            abort_payload(payload_id)
+
+        ctrl.abort_payload = recording_abort
+        payload = bytes(range(200))
+        stats = tb.method("byteexpress-tagged").write(payload)
+        assert stats.ok
+        assert tb.personality.read_back(0, 200) == payload
+        assert tb.driver.retries == 1
+        assert len(aborted) == 1
+        reassembly = ctrl._reassembly
+        assert aborted[0] not in reassembly._inflight
+        assert aborted[0] not in reassembly._expected_len
+        assert reassembly.in_flight == 0
+        assert not tb.driver._live_payload_ids
+
     def test_dropped_doorbell_recovered_by_reringing(self):
         idx = _bringup_opportunities(DROP_DOORBELL)
         plan = FaultPlan.scheduled({DROP_DOORBELL: [idx]})
@@ -109,9 +158,15 @@ class TestRetryBackoffRecovery:
         assert res.ok
         assert tb.personality.read_back(0, 64) == payload
         # Re-ringing the doorbell recovered the command without a full
-        # resubmission.
-        assert tb.driver.timeouts == 1
+        # resubmission; a stalled command is not charged a timeout.
+        assert tb.driver.timeouts == 0
         assert tb.driver.retries == 0
+        # The re-ring is one extra doorbell write on the wire.
+        assert tb.ssd.faults.opportunities[DROP_DOORBELL] == idx + 2
+        clean = make_block_testbed()
+        clean.driver.passthru(_wreq(payload), method="byteexpress")
+        assert (tb.traffic.category(CAT_DOORBELL).tlp_count
+                == clean.traffic.category(CAT_DOORBELL).tlp_count + 1)
 
     def test_delayed_cqe_still_completes(self):
         clean = make_block_testbed()

@@ -66,7 +66,7 @@ class TestDescribeCommand:
 class TestDumps:
     def test_dump_queue_shows_pending(self):
         tb = make_block_testbed()
-        tb.driver.submit_write_inline(NvmeCommand(opcode=IoOpcode.WRITE),
+        tb.driver.submit("byteexpress", NvmeCommand(opcode=IoOpcode.WRITE),
                                       b"q" * 100, qid=1)
         out = dump_queue(tb.driver, 1)
         assert "SQ1:" in out
@@ -101,7 +101,7 @@ def test_feature_detection_blocks_inline_on_stock_firmware():
     driver = NvmeDriver(ssd)
     assert not driver.identify.byteexpress
     with pytest.raises(DriverError):
-        driver.submit_write_inline(NvmeCommand(opcode=IoOpcode.WRITE),
+        driver.submit("byteexpress", NvmeCommand(opcode=IoOpcode.WRITE),
                                    b"x" * 64, qid=1)
     # PRP still works — graceful degradation.
     from repro.nvme.passthrough import PassthruRequest

@@ -37,7 +37,7 @@ def test_round_robin_serves_queues_fairly():
     per_queue = 3
     for i in range(per_queue):
         for qid in qids:
-            tb.driver.submit_write_inline(
+            tb.driver.submit("byteexpress",
                 NvmeCommand(opcode=IoOpcode.WRITE, cdw10=0),
                 bytes([qid]) * 64, qid=qid)
     order = []

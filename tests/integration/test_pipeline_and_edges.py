@@ -6,7 +6,6 @@ from repro.metrics.pipeline import estimate_pipeline
 from repro.nvme.command import NvmeCommand
 from repro.nvme.constants import IoOpcode, StatusCode
 from repro.nvme.sgl import build_sgl
-from repro.core.driver_ext import submit_plain
 from repro.testbed import make_block_testbed
 
 
@@ -57,9 +56,7 @@ class TestSglMultiExtentWrite:
         desc = mapping.inline.pack()
         cmd.prp1 = int.from_bytes(desc[:8], "little")
         cmd.prp2 = int.from_bytes(desc[8:], "little")
-        with res.sq.lock:
-            submit_plain(res.sq, cmd, tb.clock, tb.ssd.config.timing)
-            tb.driver._ring_sq_doorbell(res)
+        tb.driver._push_sqe(res, cmd)
         assert tb.driver.wait(1).ok
         assert tb.personality.read_back(0, 10) == b"AAAABBBBBB"
 
@@ -75,9 +72,7 @@ class TestSglMultiExtentWrite:
         desc = mapping.inline.pack()
         cmd.prp1 = int.from_bytes(desc[:8], "little")
         cmd.prp2 = int.from_bytes(desc[8:], "little")
-        with res.sq.lock:
-            submit_plain(res.sq, cmd, tb.clock, tb.ssd.config.timing)
-            tb.driver._ring_sq_doorbell(res)
+        tb.driver._push_sqe(res, cmd)
         assert tb.driver.wait(1).status == StatusCode.DATA_TRANSFER_ERROR
 
 

@@ -23,7 +23,7 @@ def _rig(queues=3):
 
 def _put(tb, qid, offset=0):
     cmd = NvmeCommand(opcode=IoOpcode.WRITE, nsid=1, cdw10=offset)
-    tb.driver.submit_write_prp(cmd, b"\xab" * 64, qid)
+    tb.driver.submit("prp", cmd, b"\xab" * 64, qid)
 
 
 def test_scan_resumes_after_last_serviced_queue():

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.nvme.constants import BANDSLIM_FRAGMENT_CAPACITY, IoOpcode, StatusCode
+from repro.nvme.queues import QueueFullError
 from repro.transfer.bandslim import pack_fragment, unpack_fragment
 from repro.testbed import make_block_testbed
 
@@ -90,8 +91,9 @@ class TestBandSlimTransfer:
         """A fragment stream larger than the SQ must fail atomically."""
         from repro.sim.config import SimConfig
         tb = make_block_testbed(config=SimConfig(sq_depth=16).nand_off())
-        with pytest.raises(ValueError):
+        with pytest.raises(QueueFullError):
             tb.method("bandslim").write(b"x" * (32 * 32))  # 32 frags > 15
+        assert tb.driver.queue(1).sq.tail == 0
         # Nothing partially inserted: the path still works.
         assert tb.method("bandslim").write(b"y" * 64).ok
 

@@ -64,7 +64,7 @@ def test_tagged_traffic_is_clean():
 
     tb = _tb(mode=MODE_TAGGED)
     mon = ProtocolMonitor.attach_testbed(tb)
-    tb.driver.submit_write_inline_tagged(
+    tb.driver.submit("byteexpress-tagged",
         NvmeCommand(opcode=IoOpcode.WRITE), b"q" * 300, qid=1, payload_id=9)
     assert tb.driver.wait(1).ok
     assert mon.violations == []
@@ -160,7 +160,7 @@ def test_cq_overrun_flagged_with_unguarded_producer():
 
 def test_live_cid_reallocation_flagged():
     tb = _tb()
-    cid = tb.driver.submit_write_inline(
+    cid = tb.driver.submit("byteexpress",
         NvmeCommand(opcode=IoOpcode.WRITE), b"x" * 64, qid=1, ring=False)
 
     def buggy_alloc(res, track=True):  # hands out an in-flight CID
@@ -176,7 +176,7 @@ def test_live_cid_reallocation_flagged():
 
 def test_zombie_cid_reallocation_flagged():
     tb = _tb()
-    cid = tb.driver.submit_write_inline(
+    cid = tb.driver.submit("byteexpress",
         NvmeCommand(opcode=IoOpcode.WRITE), b"x" * 64, qid=1)
     tb.driver.retire(1, cid)  # abandoned: CID now quarantined
 
@@ -206,7 +206,7 @@ def test_firmware_starvation_flagged():
     ctrl = tb.ssd.controller
     object.__setattr__(ctrl, "poll_once", lambda: 0)  # sweep serves no one
     mon = ProtocolMonitor.attach_testbed(tb)
-    tb.driver.submit_write_inline(
+    tb.driver.submit("byteexpress",
         NvmeCommand(opcode=IoOpcode.WRITE), b"x" * 64, qid=1)
     for _ in range(mon.fairness_bound - 1):
         ctrl.poll_once()

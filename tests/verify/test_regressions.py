@@ -64,7 +64,7 @@ class TestCqOverrunGuard:
 
 class TestCidQuarantine:
     def _submit(self, tb, qid=1, ring=True):
-        return tb.driver.submit_write_inline(
+        return tb.driver.submit("byteexpress",
             NvmeCommand(opcode=IoOpcode.WRITE), b"q" * 64, qid=qid,
             ring=ring)
 
