@@ -12,12 +12,13 @@ import pytest
 from conftest import report, scaled_ops
 from repro.core.reassembly import tagged_chunk_count
 from repro.core.chunking import chunk_count
+from repro.datapath import names, resolve
 from repro.metrics import format_table
 from repro.nvme.command import NvmeCommand
 from repro.nvme.constants import IoOpcode
 from repro.ssd.controller import MODE_TAGGED
 from repro.testbed import make_block_testbed
-from repro.transfer.byteexpress import TaggedByteExpressTransfer
+from repro.transfer import PassthruTransfer
 from repro.workloads import fixed_size_payloads
 
 SIZES = (64, 128, 256, 512, 1024)
@@ -28,7 +29,8 @@ def comparison():
     out = {}
     local_tb = make_block_testbed()
     tagged_tb = make_block_testbed(mode=MODE_TAGGED)
-    tagged = TaggedByteExpressTransfer(tagged_tb.driver)
+    tagged = PassthruTransfer(tagged_tb.driver,
+                              resolve(names.BYTEEXPRESS_TAGGED))
     for size in SIZES:
         ops = scaled_ops(size)
         local = local_tb.method("byteexpress").run_workload(
@@ -58,7 +60,7 @@ def test_ablation_report(comparison, benchmark):
               "(8 B/chunk header cost)"))
 
     tb = make_block_testbed(mode=MODE_TAGGED)
-    method = TaggedByteExpressTransfer(tb.driver)
+    method = PassthruTransfer(tb.driver, resolve(names.BYTEEXPRESS_TAGGED))
     benchmark(lambda: method.write(b"x" * 128))
 
 

@@ -14,13 +14,13 @@ import pytest
 
 from conftest import report, scaled_ops
 from repro.metrics import format_table, reduction_pct
-from repro.datapath import registry as datapath_registry
+from repro.datapath import method_names
 from repro.testbed import make_block_testbed
 from repro.workloads import FIGURE5_SIZES, fixed_size_payloads
 
-# The sweep set comes from the registry: any method registered with
+# The sweep set comes from the method table: any method listed with
 # the figure5 cap joins the comparison automatically.
-METHODS = datapath_registry.method_names(figure5=True)
+METHODS = method_names(figure5=True)
 
 
 def _sweep():

@@ -10,11 +10,11 @@ Run:  python examples/transfer_explorer.py [--gen N]
 
 import argparse
 
-from repro import LinkConfig, SimConfig, make_block_testbed
+from repro import LinkConfig, PassthruTransfer, SimConfig, make_block_testbed
+from repro.datapath import names, resolve
 from repro.metrics import format_table
 from repro.ssd.controller import MODE_TAGGED
 from repro.testbed import make_block_testbed as _mk
-from repro.transfer.byteexpress import TaggedByteExpressTransfer
 
 SIZES = (32, 64, 128, 256, 512, 1024, 2048, 4096)
 METHODS = ("prp", "sgl", "bandslim", "byteexpress", "hybrid")
@@ -50,7 +50,8 @@ def main() -> None:
 
     # Tagged out-of-order variant (paper §3.3.2 future work).
     tagged_tb = _mk(mode=MODE_TAGGED)
-    tagged = TaggedByteExpressTransfer(tagged_tb.driver)
+    tagged = PassthruTransfer(tagged_tb.driver,
+                              resolve(names.BYTEEXPRESS_TAGGED))
     size = 512
     local = tb.method("byteexpress").write(bytes(size))
     ooo = tagged.write(bytes(size))

@@ -43,7 +43,7 @@ from repro.testbed import (
 )
 from repro.transfer import (
     AggregateStats,
-    ByteExpressTransfer,
+    PassthruTransfer,
     TransferMethod,
     TransferStats,
     make_methods,
@@ -85,7 +85,7 @@ __all__ = [
     "TransferMethod",
     "TransferStats",
     "AggregateStats",
-    "ByteExpressTransfer",
+    "PassthruTransfer",
     "make_methods",
     # applications
     "KVStore",

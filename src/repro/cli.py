@@ -21,9 +21,9 @@ import argparse
 import sys
 from typing import List
 
+from repro import datapath
 from repro.csd.pushdown import CsdClient
 from repro.datapath import names as dp_names
-from repro.datapath import registry as datapath_registry
 from repro.csd.queries import CORPUS
 from repro.kvssd import KVStore
 from repro.metrics import format_table, format_traffic_breakdown
@@ -43,13 +43,10 @@ from repro.workloads import (
 )
 
 def _suite_methods() -> tuple:
-    """Methods the kv/pushdown testbeds can build: every registered
-    spec with a factory, minus the opt-in BAR window and
-    tagged-reassembly variants (those need a special testbed)."""
-    return tuple(spec.name for spec in datapath_registry.specs()
-                 if spec.factory is not None
-                 and not spec.caps.bar_window
-                 and not spec.caps.tag_reassembly)
+    """Methods the kv/pushdown testbeds can build: every method, minus
+    the opt-in BAR window and tagged-reassembly variants (those need a
+    special testbed)."""
+    return datapath.method_names(bar_window=False, tag_reassembly=False)
 
 
 def _sweep_methods() -> tuple:
@@ -57,20 +54,18 @@ def _sweep_methods() -> tuple:
     method its own rig, enabling the BAR byte window when the method
     needs one (``mmio``, ``pio_coherent``), so only the
     tagged-reassembly variant stays out."""
-    return tuple(spec.name for spec in datapath_registry.specs()
-                 if spec.factory is not None
-                 and not spec.caps.tag_reassembly)
+    return datapath.method_names(tag_reassembly=False)
 
 
 def _figure5_default() -> str:
-    return ",".join(datapath_registry.method_names(figure5=True))
+    return ",".join(datapath.method_names(figure5=True))
 
 
 def _figure5_suite_default() -> str:
     """Figure-5 methods the stock kv/pushdown testbeds can build
     (drops the BAR-window variants those rigs don't carve)."""
     suite = set(_suite_methods())
-    return ",".join(m for m in datapath_registry.method_names(figure5=True)
+    return ",".join(m for m in datapath.method_names(figure5=True)
                     if m in suite)
 
 
@@ -135,7 +130,7 @@ def cmd_sweep(args) -> int:
     rows = []
     latency_series = {m: [] for m in methods}
     for method in methods:
-        bar = datapath_registry.resolve(method).caps.bar_window
+        bar = datapath.resolve(method).caps.bar_window
         tb = make_block_testbed(config=_config(args), include_mmio=bar,
                                 fault_plan=_fault_plan(args))
         for size in sizes:
@@ -303,7 +298,7 @@ def cmd_engine(args) -> int:
     from repro.ssd.controller import MODE_QUEUE_LOCAL, MODE_TAGGED
     from repro.testbed import make_engine_testbed
 
-    engine_choices = datapath_registry.method_names(engine_capable=True)
+    engine_choices = datapath.method_names(engine_capable=True)
     if args.method not in engine_choices:
         print(f"unknown engine method {args.method!r}; pick from "
               f"{engine_choices}", file=sys.stderr)
@@ -375,7 +370,7 @@ def cmd_virt(args) -> int:
         run_tenant_loads,
     )
 
-    engine_choices = datapath_registry.method_names(engine_capable=True)
+    engine_choices = datapath.method_names(engine_capable=True)
     if args.method not in engine_choices:
         print(f"unknown engine method {args.method!r}; pick from "
               f"{engine_choices}", file=sys.stderr)
@@ -439,7 +434,7 @@ def cmd_serve(args) -> int:
     from repro.testbed import make_kv_testbed
     from repro.workloads import run_serving
 
-    engine_choices = datapath_registry.method_names(engine_capable=True)
+    engine_choices = datapath.method_names(engine_capable=True)
     if args.method not in engine_choices:
         print(f"unknown serve method {args.method!r}; pick from "
               f"{engine_choices}", file=sys.stderr)
@@ -644,7 +639,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--streams", type=int, default=4,
                    help="concurrent client streams")
     p.add_argument("--method", default=dp_names.BYTEEXPRESS,
-                   choices=datapath_registry.method_names(
+                   choices=datapath.method_names(
                        engine_capable=True))
     p.add_argument("--ops", type=int, default=2000,
                    help="total operations across all streams")
@@ -687,7 +682,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--size", type=int, default=64,
                    help="payload bytes per op")
     p.add_argument("--method", default=dp_names.BYTEEXPRESS,
-                   choices=datapath_registry.method_names(
+                   choices=datapath.method_names(
                        engine_capable=True))
     p.add_argument("--concurrency", type=int, default=4,
                    help="outstanding ops per tenant (closed loop)")
@@ -726,7 +721,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--qd", type=int, default=32,
                    help="per-queue queue-depth cap")
     p.add_argument("--method", default=dp_names.BYTEEXPRESS,
-                   choices=datapath_registry.method_names(
+                   choices=datapath.method_names(
                        engine_capable=True))
     p.add_argument("--seed", type=_seed_int, default=0x5EED)
     p.set_defaults(func=cmd_serve)

@@ -8,12 +8,7 @@ from repro.core.controller_ext import (
     InlineFetchError,
     fetch_inline_payload,
 )
-from repro.core.hybrid import (
-    DEFAULT_THRESHOLD,
-    METHOD_BYTEEXPRESS,
-    METHOD_PRP,
-    HybridPolicy,
-)
+from repro.core.hybrid import DEFAULT_THRESHOLD, HybridPolicy
 from repro.core.inline_command import (
     MAX_INLINE_BYTES,
     InlineEncodingError,
@@ -51,6 +46,4 @@ __all__ = [
     "TAGGED_CAPACITY",
     "HybridPolicy",
     "DEFAULT_THRESHOLD",
-    "METHOD_BYTEEXPRESS",
-    "METHOD_PRP",
 ]

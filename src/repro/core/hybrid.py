@@ -19,9 +19,6 @@ from repro.datapath import names as dp_names
 #: Paper-suggested default switching point.
 DEFAULT_THRESHOLD = 256
 
-METHOD_BYTEEXPRESS = dp_names.BYTEEXPRESS
-METHOD_PRP = dp_names.PRP
-
 
 @dataclass(frozen=True)
 class HybridPolicy:
@@ -40,6 +37,6 @@ class HybridPolicy:
         path (matching the driver, which rejects empty inline submits).
         """
         if payload_len <= 0:
-            return METHOD_PRP
-        return (METHOD_BYTEEXPRESS if payload_len <= self.threshold
-                else METHOD_PRP)
+            return dp_names.PRP
+        return (dp_names.BYTEEXPRESS if payload_len <= self.threshold
+                else dp_names.PRP)

@@ -56,7 +56,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 def _driver_error(message: str) -> Exception:
     """The driver's own exception type (imported late: the driver module
-    imports the registry, and eager cross-imports here would make the
+    imports this package, and eager cross-imports here would make the
     package order-sensitive)."""
     from repro.host.driver import DriverError
 
@@ -66,7 +66,7 @@ def _driver_error(message: str) -> Exception:
 class HostCodec:
     """One write-path encoding; stateless, shared across drivers."""
 
-    #: Registry name of the method this codec encodes (diagnostics).
+    #: Name of the method this codec encodes (diagnostics).
     method: str = ""
 
     def encode(self, driver: "NvmeDriver", cmd: NvmeCommand, data: bytes,

@@ -1,11 +1,14 @@
-"""Device-side payload decoders: how the controller moves data.
+"""Device-side data-pointer decoders: how the controller moves data.
 
-Each decoder owns one data-pointer interpretation — PRP walking, SGL
-walking, inline chunk fetch — lifted verbatim out of the old
-``NvmeController`` monolith's ``_pull_*`` / ``_push_*`` methods.  The
-controller's dispatch path asks :func:`decoder_for_psdt` which decoder a
-command's PSDT field selects and delegates; the firmware handlers only
-ever see the resulting :class:`~repro.ssd.context.CommandContext`.
+Each decoder owns one data-pointer interpretation — PRP walking or SGL
+walking — lifted verbatim out of the old ``NvmeController`` monolith's
+``_pull_*`` / ``_push_*`` methods.  The controller's dispatch path asks
+:func:`decoder_for_psdt` which decoder a command's PSDT field selects
+and delegates; the firmware handlers only ever see the resulting
+:class:`~repro.ssd.context.CommandContext`.  Inline (ByteExpress)
+payloads are not a data pointer: the fetch unit detects the inline
+marker during command decode and pulls the chunk run itself
+(:func:`repro.core.controller_ext.fetch_inline_payload`).
 
 Decoders hold no state: they operate on the controller instance passed
 in (clock, link, host memory, timing), so one decoder singleton serves
@@ -19,9 +22,8 @@ code opened it before branching on the PSDT.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
-from repro.core.controller_ext import fetch_inline_payload
 from repro.datapath import names
 from repro.nvme.command import NvmeCommand
 from repro.nvme.constants import PAGE_SIZE, Psdt
@@ -31,7 +33,6 @@ from repro.pcie import tlp as tlpmod
 from repro.pcie.traffic import CAT_DATA, CAT_PRP_LIST
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.controller_ext import DeviceSqState, SqeWindow
     from repro.ssd.controller import NvmeController
 
 
@@ -179,43 +180,9 @@ class SglDecoder(DeviceDecoder):
                            + ctrl.timing.link_propagation_ns)
 
 
-class InlineDecoder(DeviceDecoder):
-    """ByteExpress queue-local decode: the payload is the next SQ entries.
-
-    Unlike PRP/SGL this is not selected by the PSDT field — the fetch
-    unit detects the inline marker during command decode and calls
-    :meth:`fetch` with its queue-window state.
-    """
-
-    transport = names.TRANSPORT_INLINE
-
-    def fetch(self, ctrl: "NvmeController", state: "DeviceSqState", info,
-              shadow_tail: int,
-              window: Optional["SqeWindow"] = None) -> bytes:
-        """Fetch and validate the chunk run following the inline SQE."""
-        return fetch_inline_payload(
-            state, info, shadow_tail,
-            ctrl.host_memory, ctrl.link, ctrl.clock, ctrl.timing,
-            injector=ctrl.faults, window=window)
-
-    def pull(self, ctrl: "NvmeController", cmd: NvmeCommand,
-             nbytes: int) -> bytes:
-        raise NotImplementedError(
-            "inline payloads are fetched during command decode, not through "
-            "the data-pointer pull path")
-
-
-class TaggedInlineDecoder(InlineDecoder):
-    """Tagged-mode marker: chunks are self-describing and reassembled by
-    the controller's :class:`~repro.core.reassembly.ReassemblyBuffer`;
-    the transport seen by handlers is still the inline transport."""
-
-
 #: Shared decoder singletons (decoders are stateless).
 PRP_DECODER = PrpDecoder()
 SGL_DECODER = SglDecoder()
-INLINE_DECODER = InlineDecoder()
-TAGGED_INLINE_DECODER = TaggedInlineDecoder()
 
 
 def decoder_for_psdt(psdt: int) -> DeviceDecoder:

@@ -10,7 +10,7 @@ Two vocabularies live here:
 
 * **method names** — what the user/benchmark selects (``prp``, ``sgl``,
   ``bandslim``, ``byteexpress``, ``byteexpress-tagged``, ``mmio``,
-  ``hybrid``): keys of the :mod:`repro.datapath.registry`;
+  ``hybrid``): keys of the :data:`repro.datapath.SPECS` table;
 * **transports** — how a payload actually arrived at the device
   (``prp``, ``sgl``, ``inline``, ``mmio``, ``bandslim``): the
   ``CommandContext.transport`` tag firmware handlers see.  Layered

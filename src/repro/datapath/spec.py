@@ -1,34 +1,28 @@
-"""Datapath specifications: one registration per transfer method.
+"""Datapath specifications: one entry per transfer method.
 
-A :class:`DatapathSpec` bundles everything the stack needs to know about
-one transfer method, so adding a method means writing *one* registration
-instead of editing the driver, the controller, the engine, the CLI and
-the benchmarks:
+A :class:`DatapathSpec` is what the stack needs to know about one
+transfer method:
 
+* its **name** (:mod:`repro.datapath.names`);
+* **capability flags** (:class:`DatapathCaps`) — what the rest of the
+  stack may ask of the method (inline transport, tag reassembly,
+  fragmentation, async-engine support, batched submission, Figure-5
+  membership, the BAR byte window);
 * a **host codec** — how the driver encodes the SQE and moves the
   payload (PRP staging, SGL segments, inline chunk append, tagged
   chunks, BandSlim fragment commands).  Every queue-protocol write path
   has one; methods outside the queue protocol (MMIO, PIO) or layered
-  over other methods (hybrid) leave it ``None``;
-* a **device decoder** — how the controller pulls the payload (and, for
-  PRP/SGL, pushes read data back).  ``None`` for methods whose device
-  half lives in a personality layer (BandSlim reassembly, the MMIO BAR
-  window);
-* **capability flags** (:class:`DatapathCaps`) — what the rest of the
-  stack may ask of the method (reads, inline transport, tag reassembly,
-  async-engine support, batched submission, Figure-5 membership);
-* a **factory** — builds the :class:`~repro.transfer.base.TransferMethod`
-  benchmark object for :func:`repro.transfer.make_methods`.
+  over other methods (hybrid) leave it ``None``.
 
-Specs are plain data; behaviour lives in the codec/decoder objects they
-reference.  The registry (:mod:`repro.datapath.registry`) is the single
-source of truth for which methods exist.
+Specs are plain frozen data; behaviour lives in the codec objects they
+reference.  The method roster is the static :data:`repro.datapath.SPECS`
+table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.core.chunking import chunk_count
 from repro.core.reassembly import tagged_chunk_count
@@ -36,17 +30,12 @@ from repro.nvme.constants import BANDSLIM_FRAGMENT_CAPACITY
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.datapath.codecs import HostCodec
-    from repro.datapath.decoders import DeviceDecoder
 
 
 @dataclass(frozen=True)
 class DatapathCaps:
-    """What a transfer method supports, declared once at registration."""
+    """What a transfer method supports, declared once in its spec."""
 
-    #: The driver can move host→device payloads with this method.
-    supports_write: bool = True
-    #: The method has a dedicated device→host read encoding.
-    supports_read: bool = False
     #: The payload rides the submission queue itself (ByteExpress family):
     #: subject to the circuit breaker and the firmware capability bit.
     inline: bool = False
@@ -85,26 +74,14 @@ class DatapathCaps:
         return 1
 
 
-#: Builds the benchmark-facing TransferMethod: ``factory(ssd, driver,
-#: built)`` where *built* maps already-constructed method names to their
-#: instances (layered methods compose earlier primitives).
-MethodFactory = Callable[[Any, Any, dict], Any]
-
-
 @dataclass(frozen=True)
 class DatapathSpec:
-    """One transfer method's complete datapath registration."""
+    """One transfer method's datapath description."""
 
     name: str
     caps: DatapathCaps = field(default_factory=DatapathCaps)
     #: Driver-side encoder; ``None`` for layered/orchestrated methods.
     host_codec: Optional["HostCodec"] = None
-    #: Controller-side payload decoder; ``None`` when the device half is
-    #: a personality layer rather than a wire decoder.
-    device_decoder: Optional["DeviceDecoder"] = None
-    factory: Optional[MethodFactory] = None
-    #: One-line description for ``repro info`` style listings.
-    summary: str = ""
 
     def __post_init__(self) -> None:
         if not self.name:

@@ -30,8 +30,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set
 
+from repro import datapath
 from repro.datapath import names as dp_names
-from repro.datapath import registry as datapath_registry
 from repro.engine.reactor import CompletionReactor
 from repro.engine.scheduler import MultiQueueScheduler
 from repro.engine.table import CommandFuture, InFlightCommand, InFlightTable
@@ -47,9 +47,9 @@ from repro.ssd.controller import MODE_TAGGED
 from repro.ssd.device import OpenSsd
 
 def engine_methods() -> tuple:
-    """Write paths the engine can drive asynchronously — every registry
-    method whose caps declare ``engine_capable``."""
-    return datapath_registry.method_names(engine_capable=True)
+    """Write paths the engine can drive asynchronously — every method
+    whose caps declare ``engine_capable``."""
+    return datapath.method_names(engine_capable=True)
 
 
 class EngineError(Exception):
@@ -102,11 +102,9 @@ class IoEngine:
         #: fixed at creation), so saturation checks are one comparison.
         self._max_slots = max(driver.queue(qid).sq.depth - 1
                               for qid in self.qids)
-        #: Registry lookups memoised per method name — registration is
-        #: complete before an engine exists, and specs are frozen.
-        self._spec_cache: dict = {}
-        #: Slot footprints memoised per (method, payload length) — pure
-        #: function of the method's caps and the engine's tagged mode.
+        #: Slot footprints memoised per (method name, payload length) —
+        #: pure function of the method's caps and the engine's tagged
+        #: mode.
         self._slots_cache: dict = {}
         self._fits_cache: dict = {}
         self.qd = qd
@@ -126,8 +124,9 @@ class IoEngine:
         #: A tagged controller reassembles every inline payload from
         #: self-describing chunks, so inline writes take the tagged codec.
         self.tagged = ssd.controller.mode == MODE_TAGGED
-        self._tagged_spec = datapath_registry.resolve(
-            dp_names.BYTEEXPRESS_TAGGED)
+        self._tagged_spec = datapath.resolve(dp_names.BYTEEXPRESS_TAGGED)
+        #: Keyed and read-style commands ride the PRP spec.
+        self._prp_spec = datapath.resolve(dp_names.PRP)
         #: Optional interleaving controller (repro.verify.explore.Schedule).
         #: When set, the reactor routes its arbitrary ordering decisions
         #: through ``schedule.order(label, seq)`` so the explorer can
@@ -153,14 +152,10 @@ class IoEngine:
         Blocks (in simulated time) only under backpressure, reaping
         completions until the scheduler finds capacity.
         """
-        spec = self._spec_cache.get(method)
-        if spec is None:
-            try:
-                spec = datapath_registry.resolve(method)
-            except datapath_registry.UnknownMethodError:
-                spec = None
-            else:
-                self._spec_cache[method] = spec
+        try:
+            spec = datapath.resolve(method)
+        except datapath.UnknownMethodError:
+            spec = None
         if spec is None or not spec.caps.engine_capable:
             raise EngineError(
                 f"unknown engine method {method!r}; "
@@ -177,7 +172,7 @@ class IoEngine:
         now = self.clock.now
         future.submit_ns = now
         entry = InFlightCommand(
-            future=future, method=method, opcode=opcode, payload=payload,
+            future=future, spec=spec, opcode=opcode, payload=payload,
             cdw10=cdw10, cdw11=cdw11,
             nsid=self.default_nsid if nsid is None else nsid, stream=stream,
             first_submit_ns=now,
@@ -211,7 +206,7 @@ class IoEngine:
         now = self.clock.now
         future.submit_ns = now
         entry = InFlightCommand(
-            future=future, method=dp_names.PRP, opcode=opcode, payload=b"",
+            future=future, spec=self._prp_spec, opcode=opcode, payload=b"",
             cdw10=cdw10, cdw11=cdw11,
             nsid=self.default_nsid if nsid is None else nsid, stream=stream,
             mptr=mptr, cdw14=cdw14, cdw15=cdw15, read_len=read_len,
@@ -223,16 +218,15 @@ class IoEngine:
 
     def _slots_needed(self, entry: InFlightCommand) -> int:
         """SQ slots the submission occupies (worst case: inline path) —
-        declared by the method's registry caps."""
+        declared by the method's caps."""
         if entry.is_keyed:
             return 1  # single SQE, operands in the command itself
-        spec = (self._spec_cache.get(entry.method)
-                or datapath_registry.resolve(entry.method))
-        return spec.caps.slots_needed(len(entry.payload), tagged=self.tagged)
+        return entry.spec.caps.slots_needed(len(entry.payload),
+                                            tagged=self.tagged)
 
     def _dispatch(self, entry: InFlightCommand) -> None:
         """Place *entry* on a queue, reaping under backpressure."""
-        key = (entry.method, len(entry.payload))
+        key = (entry.spec.name, len(entry.payload))
         need = self._slots_cache.get(key)
         if need is None:
             if len(self._slots_cache) >= 65536:
@@ -272,17 +266,14 @@ class IoEngine:
         if entry.is_keyed:
             self._submit_keyed(entry, qid)
             return
-        method = entry.method
-        spec = (self._spec_cache.get(method)
-                or datapath_registry.resolve(method))
+        spec = entry.spec
         if (spec.caps.breaker_guarded
                 and not self.driver.breaker.allow_inline()):
             spec = self.driver._fall_back_to_prp()
-            method = spec.name
             self.stats.inline_fallbacks += 1
         elif self.tagged and spec.caps.inline:
             spec = self._tagged_spec
-        entry.method_used = method
+        entry.spec_used = spec
         entry.attempts += 1
         entry.last_submit_ns = self.clock.now
         # The async submission API call itself (io_uring-style ioctl).
@@ -310,7 +301,7 @@ class IoEngine:
         across timeout resubmissions — the retry must land its data in
         the same place the future's copy-out will look.
         """
-        entry.method_used = entry.method
+        entry.spec_used = entry.spec
         entry.attempts += 1
         entry.last_submit_ns = self.clock.now
         # The async submission API call itself (io_uring-style ioctl).

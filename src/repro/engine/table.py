@@ -15,10 +15,12 @@ deadline derived from the driver's :class:`~repro.host.driver.RetryPolicy`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple
 
-from repro.datapath import registry as datapath_registry
 from repro.nvme.completion import NvmeCompletion
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.datapath.spec import DatapathSpec
 
 #: Future lifecycle states.
 PENDING = "pending"
@@ -51,7 +53,8 @@ class CommandFuture:
         self.latency_ns: float = 0.0
         self.attempts: int = 0
         #: Transfer method of the final (resolving) submission — may
-        #: differ from the requested one after a breaker fallback.
+        #: differ from the requested one after a breaker fallback, or
+        #: name the tagged variant on a tagged controller.
         self.method_used: Optional[str] = None
         self.stream = stream
         self.payload_len = payload_len
@@ -97,8 +100,8 @@ class InFlightCommand:
     """One outstanding command plus everything needed to re-issue it."""
 
     future: CommandFuture
-    #: Requested transfer method ("byteexpress" | "prp" | "bandslim").
-    method: str
+    #: Requested transfer method (an engine-capable spec).
+    spec: "DatapathSpec"
     opcode: int
     payload: bytes
     cdw10: int = 0
@@ -118,9 +121,10 @@ class InFlightCommand:
     #: at first submission and reused across retries; freed by the
     #: reactor when the future resolves.
     read_pages: Tuple[int, ...] = ()
-    #: Method actually used for the current submission (breaker fallback
-    #: may downgrade an inline request to "prp" per attempt).
-    method_used: str = ""
+    #: Spec the current submission used: breaker fallback may downgrade
+    #: a guarded request to PRP per attempt, and a tagged controller
+    #: swaps inline writes to the tagged spec.  None until submitted.
+    spec_used: Optional["DatapathSpec"] = None
     #: (qid, cid) of the current submission; None while parked for retry.
     key: Optional[Tuple[int, int]] = None
     attempts: int = 0
@@ -138,12 +142,14 @@ class InFlightCommand:
     def fail(self, cqe: Optional[NvmeCompletion], now_ns: float) -> None:
         state = FAILED if cqe is not None else TIMED_OUT
         self.future.attempts = self.attempts
-        self.future.method_used = self.method_used
+        if self.spec_used is not None:
+            self.future.method_used = self.spec_used.name
         self.future._resolve(state, cqe, now_ns - self.first_submit_ns)
 
     def resolve(self, cqe: NvmeCompletion, now_ns: float) -> None:
         self.future.attempts = self.attempts
-        self.future.method_used = self.method_used
+        if self.spec_used is not None:
+            self.future.method_used = self.spec_used.name
         state = OK if cqe.ok else FAILED
         self.future._resolve(state, cqe, now_ns - self.first_submit_ns)
 
@@ -151,8 +157,8 @@ class InFlightCommand:
     def is_inline(self) -> bool:
         """Did the *current* submission use a breaker-guarded (inline or
         fragmented) transfer path?"""
-        return bool(self.method_used) and datapath_registry.resolve(
-            self.method_used).caps.breaker_guarded
+        used = self.spec_used
+        return used is not None and used.caps.breaker_guarded
 
     @property
     def is_keyed(self) -> bool:

@@ -31,9 +31,9 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
+from repro import datapath
 from repro.datapath import names as dp_names
 from repro.durability.domains import DEVICE_VOLATILE, HOST_VOLATILE
-from repro.datapath import registry as datapath_registry
 from repro.datapath.spec import DatapathSpec
 from repro.faults.plan import DROP_DOORBELL
 from repro.host.breaker import CircuitBreaker
@@ -617,13 +617,13 @@ class NvmeDriver:
     # submission primitives
     # ------------------------------------------------------------------
     def _resolve_spec(self, method) -> DatapathSpec:
-        """Resolve *method* (name or spec) through the datapath registry,
+        """Resolve *method* (name or spec) through the datapath table,
         translating lookup failures into the driver's exception type."""
         if isinstance(method, DatapathSpec):
             return method
         try:
-            return datapath_registry.resolve(method)
-        except datapath_registry.UnknownMethodError as exc:
+            return datapath.resolve(method)
+        except datapath.UnknownMethodError as exc:
             raise DriverError(str(exc)) from None
 
     def submit(self, method, cmd: NvmeCommand, data: bytes, qid: int,
@@ -632,7 +632,7 @@ class NvmeDriver:
         """Generic write submission: encode *data* with *method*'s host
         codec.
 
-        *method* is a registry name (``"prp"``, ``"bandslim"``, ...) or a
+        *method* is a method name (``"prp"``, ``"bandslim"``, ...) or a
         :class:`~repro.datapath.spec.DatapathSpec`.  The codec owns the
         whole encode — staging, data-pointer construction, SQE (and chunk
         or fragment) insertion under the SQ lock, the optional doorbell —
@@ -719,7 +719,7 @@ class NvmeDriver:
         Models asynchronous submission at queue depth ``len(payloads)``:
         the tail-pointer update is published once for the whole batch, so
         doorbell MMIO cost and traffic amortise — one of the per-command
-        overheads §4.2 charges BandSlim for.  Supports registry methods
+        overheads §4.2 charges BandSlim for.  Supports the methods
         whose caps declare ``batchable`` (the mechanisms whose submission
         is a single command sequence).
         """
@@ -837,15 +837,17 @@ class NvmeDriver:
         self.link.counter.record_event(EVT_INLINE_FALLBACK)
         return self._resolve_spec(dp_names.PRP)
 
-    def passthru(self, req: PassthruRequest, method: str = dp_names.PRP,
+    def passthru(self, req: PassthruRequest,
+                 method: "str | DatapathSpec" = dp_names.PRP,
                  qid: Optional[int] = None) -> PassthruResult:
         """Synchronous NVMe passthrough: the KV-SSD/CSD user-API entry.
 
-        *method* names any registry datapath with a host codec (``prp``,
-        ``sgl``, ``bandslim``, ``byteexpress``, ``byteexpress-tagged``);
-        the write is one :meth:`submit` per attempt.  MMIO and PIO have
-        their own orchestration layers in :mod:`repro.transfer` because
-        they do not use the queue protocol.
+        *method* names (or is the spec of) any datapath with a host
+        codec (``prp``, ``sgl``, ``bandslim``, ``byteexpress``,
+        ``byteexpress-tagged``); the write is one :meth:`submit` per
+        attempt.  MMIO and PIO have their own orchestration layer in
+        :mod:`repro.transfer` because they do not use the queue
+        protocol.
 
         Recovery is built in.  No completion after the device ran to
         quiescence first re-rings the doorbell — recovering a lost tail

@@ -100,9 +100,6 @@ __all__ = [
 #: Default bounded capacity of the service-order trace (ring buffer).
 SERVICE_LOG_CAPACITY = 4096
 
-#: Backwards-compatible private alias (pre-decomposition name).
-_DeferredCommand = DeferredCommand
-
 
 class NvmeController:
     """The device-side protocol engine."""
@@ -421,21 +418,6 @@ class NvmeController:
         state = self._sqs[qid]
         return (self._sq_tails[qid] - state.head) % state.depth
 
-    # ------------------------------------------------------------------
-    # shadow doorbells (DBBUF): device-side poll / sync / park
-    # ------------------------------------------------------------------
-    def _shadow_span_bytes(self) -> int:
-        """Delegate to the fetch unit (see ``FetchUnit.shadow_span_bytes``)."""
-        return self.fetch.shadow_span_bytes()
-
-    def _peek_shadow(self) -> bool:
-        """Delegate to the fetch unit (see ``FetchUnit.peek_shadow``)."""
-        return self.fetch.peek_shadow()
-
-    def _sync_shadow(self) -> None:
-        """Delegate to the fetch unit (see ``FetchUnit.sync_shadow``)."""
-        self.fetch.sync_shadow()
-
     def quiesce(self) -> None:
         """The device-idle transition, called by the host-side drive
         loops once the firmware loop runs dry.
@@ -460,7 +442,7 @@ class NvmeController:
         (``process_all``) keep the default and wait the throttle out.
         """
         if self._shadow is not None and not self._shadow_stale:
-            self._peek_shadow()
+            self.fetch.peek_shadow()
         if self._shadow_stale:
             return True
         tails = self._sq_tails
@@ -486,7 +468,7 @@ class NvmeController:
         parallel service width (bounded by ``config.fetch_lanes``).
         """
         if self._shadow is not None and self._shadow_stale:
-            self._sync_shadow()
+            self.fetch.sync_shadow()
         tails = self._sq_tails
         chunks = self._pending_chunks
         count = 0
@@ -530,9 +512,9 @@ class NvmeController:
         """
         if self._shadow is not None:
             if not self._shadow_stale:
-                self._peek_shadow()
+                self.fetch.peek_shadow()
             if self._shadow_stale:
-                self._sync_shadow()
+                self.fetch.sync_shadow()
         done = 0
         # Snapshot: servicing the admin queue can CREATE/DELETE queues
         # mid-sweep (tenant provisioning), mutating ``_rr_order`` under
@@ -580,32 +562,6 @@ class NvmeController:
                                    self.qos.take_wait_ns()))
         return done
 
-    #: Backwards-compatible alias (pre-engine name).
-    _poll_once = poll_once
-
-    # ------------------------------------------------------------------
-    # command fetch — delegates into the fetch unit (``self.fetch``)
-    # ------------------------------------------------------------------
-    def _fetch_sqe(self, state: DeviceSqState) -> bytes:
-        """Delegate to the fetch unit (see ``FetchUnit.fetch_sqe``)."""
-        return self.fetch.fetch_sqe(state)
-
-    def _resync_sq(self, qid: int) -> None:
-        """Delegate to the fetch unit (see ``FetchUnit.resync_sq``)."""
-        self.fetch.resync_sq(qid)
-
-    def _service_queue(self, qid: int) -> int:
-        """Delegate to the fetch unit (see ``FetchUnit.service_queue``)."""
-        return self.fetch.service_queue(qid)
-
-    def _fetch_and_execute(self, qid: int, window=None) -> None:
-        """Delegate to the fetch unit (see ``FetchUnit.fetch_and_execute``)."""
-        self.fetch.fetch_and_execute(qid, window=window)
-
-    def _fetch_tagged_chunk(self, qid: int) -> None:
-        """Delegate to the fetch unit (see ``FetchUnit.fetch_tagged_chunk``)."""
-        self.fetch.fetch_tagged_chunk(qid)
-
     # ------------------------------------------------------------------
     # data movement — delegated to the datapath decoders
     # ------------------------------------------------------------------
@@ -629,7 +585,7 @@ class NvmeController:
     def _transfer_and_dispatch(self, qid: int, ctx: CommandContext) -> None:
         cmd = ctx.cmd
         if qid == ADMIN_QID:
-            self._dispatch_admin(qid, ctx)
+            self.admin.dispatch(qid, ctx)
             return
         ns_map = self._ns_of_qid
         if ns_map:
@@ -689,18 +645,7 @@ class NvmeController:
         """
         self.completion.complete(qid, cmd, result)
 
-    def _flush_cq(self, cq_qid: int) -> None:
-        """Delegate to the completion unit (see ``CompletionUnit.flush_cq``)."""
-        self.completion.flush_cq(cq_qid)
-
     def flush_completions(self) -> None:
         """Flush every CQ's buffered completion batch (idle transition,
         or any point the host needs the accounting settled)."""
         self.completion.flush_all()
-
-    # ------------------------------------------------------------------
-    # admin command set — delegated to the admin engine (``self.admin``)
-    # ------------------------------------------------------------------
-    def _dispatch_admin(self, qid: int, ctx: CommandContext) -> None:
-        """Delegate to the admin engine (see ``AdminEngine.dispatch``)."""
-        self.admin.dispatch(qid, ctx)

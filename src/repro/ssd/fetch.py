@@ -24,7 +24,7 @@ from repro.core.controller_ext import (
 from repro.core.inline_command import InlineEncodingError, inspect_command
 from repro.faults.plan import CORRUPT_INLINE_LENGTH
 from repro.core.reassembly import ReassemblyError, parse_tagged, tagged_chunk_count
-from repro.datapath.decoders import INLINE_DECODER
+from repro.datapath.names import TRANSPORT_INLINE
 from repro.host.shadow import SLOT_SIZE
 from repro.nvme.command import NvmeCommand
 from repro.nvme.constants import SQE_SIZE, StatusCode
@@ -339,13 +339,11 @@ class FetchUnit:
             ctx = CommandContext(cmd, qid)
             if info.is_inline:
                 try:
-                    # Direct call into the decoder's implementation
-                    # (``INLINE_DECODER.fetch`` is a thin wrapper).
                     ctx.data = fetch_inline_payload(
                         state, info, ctrl._sq_tails[qid],
                         ctrl.host_memory, ctrl.link, clock, timing,
                         injector=ctrl.faults, window=window)
-                    ctx.transport = INLINE_DECODER.transport
+                    ctx.transport = TRANSPORT_INLINE
                     ctrl.inline_payloads += 1
                 except ChunkCorruptionError:
                     ctrl.fetch_errors += 1
@@ -404,7 +402,7 @@ class FetchUnit:
                 ctrl._deferred.pop(i)
                 ctx = CommandContext(cmd=deferred.cmd, qid=deferred.qid,
                                      data=payload,
-                                     transport=INLINE_DECODER.transport)
+                                     transport=TRANSPORT_INLINE)
                 ctrl.inline_payloads += 1
                 ctrl._transfer_and_dispatch(deferred.qid, ctx)
                 return

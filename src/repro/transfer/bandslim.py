@@ -25,6 +25,7 @@ from repro.datapath.codecs import (
     pack_fragment,
     unpack_fragment,
 )
+from repro.datapath.spec import DatapathSpec
 from repro.host.driver import NvmeDriver
 from repro.nvme.command import NvmeCommand
 from repro.nvme.constants import IoOpcode, StatusCode, VendorOpcode
@@ -104,11 +105,9 @@ class BandSlimTransfer(PassthruTransfer):
     and the fallback is an implementation detail of degraded mode.
     """
 
-    name = dp_names.BANDSLIM
-
-    def __init__(self, driver: NvmeDriver,
+    def __init__(self, driver: NvmeDriver, spec: DatapathSpec,
                  device_layer: BandSlimDeviceLayer) -> None:
-        super().__init__(driver)
+        super().__init__(driver, spec)
         self.device_layer = device_layer
 
     def write(self, payload: bytes, opcode: int = IoOpcode.WRITE,

@@ -21,6 +21,7 @@ from repro.nvme.constants import IoOpcode
 from repro.nvme.passthrough import PassthruRequest
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.datapath.spec import DatapathSpec
     from repro.host.driver import NvmeDriver
 
 
@@ -126,18 +127,21 @@ class TransferMethod(abc.ABC):
 
 class PassthruTransfer(TransferMethod):
     """A queue-protocol method: each write is one synchronous
-    ``driver.passthru`` under the registry method named :attr:`name`, so
-    it shares the driver's retry, timeout and breaker recovery."""
+    ``driver.passthru`` through *spec*'s host codec, so every codec
+    method (PRP, SGL, ByteExpress, tagged ByteExpress, BandSlim) shares
+    the driver's retry, timeout and breaker recovery."""
 
-    def __init__(self, driver: "NvmeDriver") -> None:
+    def __init__(self, driver: "NvmeDriver", spec: "DatapathSpec") -> None:
         self.driver = driver
+        self.spec = spec
+        self.name = spec.name
 
     def write(self, payload: bytes, opcode: int = IoOpcode.WRITE,
               cdw10: int = 0, cdw11: int = 0, nsid: int = 1,
               qid: Optional[int] = None) -> TransferStats:
         req = PassthruRequest(opcode=opcode, nsid=nsid, data=payload,
                               cdw10=cdw10, cdw11=cdw11)
-        result = self.driver.passthru(req, method=self.name, qid=qid)
+        result = self.driver.passthru(req, method=self.spec, qid=qid)
         return TransferStats(method=self.name, payload_len=len(payload),
                              latency_ns=result.latency_ns,
                              pcie_bytes=result.pcie_bytes,

@@ -11,17 +11,15 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.datapath import names as dp_names
-from repro.core.hybrid import METHOD_BYTEEXPRESS, HybridPolicy
+from repro.core.hybrid import HybridPolicy
 from repro.nvme.constants import IoOpcode
 from repro.transfer.base import TransferMethod, TransferStats
-from repro.transfer.byteexpress import ByteExpressTransfer
-from repro.transfer.prp_transfer import PrpTransfer
 
 
 class HybridTransfer(TransferMethod):
     name = dp_names.HYBRID
 
-    def __init__(self, byteexpress: ByteExpressTransfer, prp: PrpTransfer,
+    def __init__(self, byteexpress: TransferMethod, prp: TransferMethod,
                  policy: Optional[HybridPolicy] = None) -> None:
         self.byteexpress = byteexpress
         self.prp = prp
@@ -33,7 +31,7 @@ class HybridTransfer(TransferMethod):
               cdw10: int = 0, cdw11: int = 0, nsid: int = 1,
               qid: Optional[int] = None) -> TransferStats:
         choice = self.policy.choose(len(payload))
-        if choice == METHOD_BYTEEXPRESS:
+        if choice == dp_names.BYTEEXPRESS:
             self.inline_ops += 1
             inner = self.byteexpress.write(payload, opcode=opcode,
                                            cdw10=cdw10, cdw11=cdw11,

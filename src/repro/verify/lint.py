@@ -70,7 +70,7 @@ _QUEUE_FIELDS = frozenset({"head", "tail", "phase", "shadow_tail",
 _QUEUE_RECEIVERS = frozenset({"sq", "cq"})
 
 #: Transfer-method spellings VER106 polices.  Imported from the single
-#: source of truth so a method added to the registry is policed at once.
+#: source of truth so a method added to the table is policed at once.
 from repro.datapath.names import METHOD_LITERALS
 
 _IGNORE_RE = re.compile(r"#\s*verify:\s*ignore\[([A-Za-z0-9*,\s]+)\]")
@@ -274,7 +274,7 @@ class _Linter(ast.NodeVisitor):
             self._report(node, VER106,
                          f"hard-coded transfer-method literal "
                          f"{node.value!r}; resolve it through "
-                         f"repro.datapath.names / the registry")
+                         f"repro.datapath.names / the method table")
         self.generic_visit(node)
 
     # -- VER105: bare except -------------------------------------------

@@ -4,12 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core.hybrid import (
-    DEFAULT_THRESHOLD,
-    METHOD_BYTEEXPRESS,
-    METHOD_PRP,
-    HybridPolicy,
-)
+from repro.core.hybrid import DEFAULT_THRESHOLD, HybridPolicy
+from repro.datapath.names import BYTEEXPRESS, PRP
 
 
 def test_default_threshold_is_paper_suggestion():
@@ -17,25 +13,25 @@ def test_default_threshold_is_paper_suggestion():
 
 
 def test_below_threshold_inlines():
-    assert HybridPolicy().choose(64) == METHOD_BYTEEXPRESS
+    assert HybridPolicy().choose(64) == BYTEEXPRESS
 
 
 def test_at_threshold_inlines():
-    assert HybridPolicy().choose(256) == METHOD_BYTEEXPRESS
+    assert HybridPolicy().choose(256) == BYTEEXPRESS
 
 
 def test_above_threshold_prp():
-    assert HybridPolicy().choose(257) == METHOD_PRP
+    assert HybridPolicy().choose(257) == PRP
 
 
 def test_zero_payload_takes_prp():
-    assert HybridPolicy().choose(0) == METHOD_PRP
+    assert HybridPolicy().choose(0) == PRP
 
 
 def test_custom_threshold():
     policy = HybridPolicy(threshold=128)
-    assert policy.choose(128) == METHOD_BYTEEXPRESS
-    assert policy.choose(129) == METHOD_PRP
+    assert policy.choose(128) == BYTEEXPRESS
+    assert policy.choose(129) == PRP
 
 
 def test_negative_threshold_rejected():
@@ -46,5 +42,5 @@ def test_negative_threshold_rejected():
 @given(st.integers(0, 1 << 20))
 def test_choice_is_total_and_consistent(n):
     choice = HybridPolicy().choose(n)
-    assert choice in (METHOD_BYTEEXPRESS, METHOD_PRP)
+    assert choice in (BYTEEXPRESS, PRP)
     assert choice == HybridPolicy().choose(n)

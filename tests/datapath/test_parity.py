@@ -1,6 +1,6 @@
 """Datapath parity: generic ``submit()`` vs the transfer objects.
 
-Every registered method must round-trip payloads at the boundary sizes
+Every listed method must round-trip payloads at the boundary sizes
 (1 B … 4 KiB) through the codec-driven generic ``driver.submit()`` and
 through its transfer object; the read paths must work via the device
 decoders; and a codec method's transfer object (one ``passthru`` per
@@ -11,7 +11,8 @@ crept back in.
 
 import pytest
 
-from repro.datapath import names, registry
+from repro import datapath
+from repro.datapath import names
 from repro.engine.engine import engine_methods
 from repro.host.driver import DriverError
 from repro.nvme.command import NvmeCommand
@@ -23,17 +24,16 @@ from repro.testbed import make_block_testbed, make_engine_testbed
 #: Boundary sizes: 1 B, chunk edges (63/64/65), a mid size, page edges.
 BOUNDARY_SIZES = (1, 63, 64, 65, 256, 512, 4095, 4096)
 
-#: Registered methods whose host codec drives the generic submit path.
+#: Methods whose host codec drives the generic submit path.
 CODEC_METHODS = tuple(
-    spec.name for spec in registry.specs() if spec.host_codec is not None)
+    spec.name for spec in datapath.SPECS if spec.host_codec is not None)
 
-#: Registered methods with no codec (orchestrated in repro.transfer).
+#: Methods with no codec (orchestrated in repro.transfer).
 ORCHESTRATED_METHODS = tuple(
-    spec.name for spec in registry.specs() if spec.host_codec is None)
+    spec.name for spec in datapath.SPECS if spec.host_codec is None)
 
-#: Registered methods with a benchmark-facing transfer object.
-TRANSFER_METHODS = tuple(
-    spec.name for spec in registry.specs() if spec.factory is not None)
+#: Every method has a benchmark-facing transfer object.
+TRANSFER_METHODS = datapath.method_names()
 
 
 def _payload(i: int, size: int) -> bytes:
@@ -41,7 +41,7 @@ def _payload(i: int, size: int) -> bytes:
 
 
 def _testbed_for(method: str):
-    mode = (MODE_TAGGED if registry.resolve(method).caps.tag_reassembly
+    mode = (MODE_TAGGED if datapath.resolve(method).caps.tag_reassembly
             else None)
     if mode is None:
         return make_block_testbed(include_mmio=True)
@@ -54,7 +54,7 @@ def _testbed_for(method: str):
 @pytest.mark.parametrize("method", CODEC_METHODS)
 def test_codec_methods_roundtrip_boundary_sizes(method):
     tb = _testbed_for(method)
-    spec = registry.resolve(method)
+    spec = datapath.resolve(method)
     for i, size in enumerate(BOUNDARY_SIZES):
         payload = _payload(i, size)
         offset = i * 2 * PAGE_SIZE
@@ -70,12 +70,12 @@ def test_codec_methods_roundtrip_boundary_sizes(method):
 @pytest.mark.parametrize("method", TRANSFER_METHODS)
 def test_orchestrated_methods_roundtrip_boundary_sizes(method):
     """Every method round-trips through its transfer object (the
-    registry factory built it): a passthrough for codec methods, the
+    ``make_methods`` built it): a passthrough for codec methods, the
     orchestration layer for the rest."""
     tb = _testbed_for(method)
     # The BAR byte window has no LBA addressing (its commit command
     # carries only a length), so bar_window writes all land at offset 0.
-    addressable = not registry.resolve(method).caps.bar_window
+    addressable = not datapath.resolve(method).caps.bar_window
     for i, size in enumerate(BOUNDARY_SIZES):
         payload = _payload(i, size)
         offset = i * 2 * PAGE_SIZE if addressable else 0
@@ -103,7 +103,7 @@ def test_generic_submit_rejects_unknown_method():
 def test_generic_submit_accepts_spec_objects():
     tb = make_block_testbed(include_mmio=False)
     cmd = NvmeCommand(opcode=IoOpcode.WRITE, nsid=1, cdw10=0)
-    tb.driver.submit(registry.resolve(names.PRP), cmd, b"spec!" * 8, qid=1)
+    tb.driver.submit(datapath.resolve(names.PRP), cmd, b"spec!" * 8, qid=1)
     assert tb.driver.wait(1).ok
     assert tb.personality.read_back(0, 40) == b"spec!" * 8
 
@@ -194,7 +194,7 @@ def test_engine_and_passthru_writes_land_identical_bytes(method):
     """Both front doors end in the method's host codec, so a fault-free
     synchronous write and an engine write of the same payload leave the
     same bytes on the device."""
-    assert registry.resolve(method).host_codec is not None
+    assert datapath.resolve(method).host_codec is not None
     sync_tb = make_engine_testbed(queues=2)
     engine_tb = make_engine_testbed(queues=2)
     engine = engine_tb.make_engine(qd=4)

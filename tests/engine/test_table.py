@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.datapath import names, resolve
 from repro.engine.table import (
     FAILED,
     OK,
@@ -17,7 +18,8 @@ from repro.nvme.constants import StatusCode
 
 
 def _entry(qid, cid, **kw):
-    e = InFlightCommand(future=CommandFuture(), method="byteexpress",
+    e = InFlightCommand(future=CommandFuture(),
+                        spec=resolve(names.BYTEEXPRESS),
                         opcode=0x01, payload=b"x" * 64, **kw)
     e.key = (qid, cid)
     return e
@@ -39,7 +41,7 @@ def test_future_starts_pending():
 def test_resolve_success_sets_latency_and_attempts():
     e = _entry(1, 7)
     e.attempts = 2
-    e.method_used = "byteexpress"
+    e.spec_used = resolve(names.BYTEEXPRESS)
     e.first_submit_ns = 100.0
     e.resolve(_cqe(1, 7), now_ns=350.0)
     assert e.future.state == OK
@@ -102,7 +104,8 @@ def test_table_rejects_duplicate_key_and_keyless_entry():
 
 def test_is_inline_tracks_method_used():
     e = _entry(1, 0)
-    e.method_used = "prp"
+    assert not e.is_inline  # not submitted yet
+    e.spec_used = resolve(names.PRP)
     assert not e.is_inline
-    e.method_used = "bandslim"
+    e.spec_used = resolve(names.BANDSLIM)
     assert e.is_inline

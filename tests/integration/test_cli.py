@@ -77,7 +77,7 @@ def test_serve_disabled_optimisations(capsys):
 
 
 def test_serve_unknown_method(capsys):
-    # argparse rejects non-registry methods before cmd_serve runs.
+    # argparse rejects unknown methods before cmd_serve runs.
     with pytest.raises(SystemExit) as exc:
         main(["serve", "--method", "warp-drive"])
     assert exc.value.code == 2

@@ -79,11 +79,13 @@ class TestSglMultiExtentWrite:
 class TestMmioEdges:
     def test_zero_length_commit_reports_error(self):
         tb = make_block_testbed()
-        from repro.transfer.mmio_transfer import MMIO_COMMIT_REG, MMIO_STATUS_REG
-        tb.ssd.bar.write32(MMIO_STATUS_REG, 0)
-        tb.ssd.bar.write32(MMIO_COMMIT_REG, 0)
-        status = tb.ssd.bar.read32(MMIO_STATUS_REG)
-        assert status == StatusCode.INVALID_FIELD
+        from repro.transfer.bar_window import MMIO_PROFILE, decode_status
+        tb.ssd.bar.write32(MMIO_PROFILE.status_reg, 0)
+        tb.ssd.bar.write32(MMIO_PROFILE.commit_reg, 0)
+        raw = tb.ssd.bar.read32(MMIO_PROFILE.status_reg)
+        # Published as status + 1, like every other outcome.
+        assert raw == StatusCode.INVALID_FIELD + 1
+        assert decode_status(raw) == StatusCode.INVALID_FIELD
 
     def test_mmio_and_nvme_paths_coexist(self):
         tb = make_block_testbed()

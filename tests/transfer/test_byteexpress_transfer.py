@@ -2,8 +2,10 @@
 
 import pytest
 
+from repro.datapath import names, resolve
 from repro.ssd.controller import MODE_TAGGED
 from repro.testbed import make_block_testbed
+from repro.transfer import PassthruTransfer
 
 
 def test_single_command_any_size():
@@ -33,8 +35,7 @@ def test_latency_steps_per_chunk():
 
 def test_tagged_variant_roundtrip():
     tb = make_block_testbed(mode=MODE_TAGGED)
-    from repro.transfer.byteexpress import TaggedByteExpressTransfer
-    method = TaggedByteExpressTransfer(tb.driver)
+    method = PassthruTransfer(tb.driver, resolve(names.BYTEEXPRESS_TAGGED))
     payload = bytes(range(256)) * 2
     stats = method.write(payload, cdw10=0)
     assert stats.ok
@@ -46,8 +47,8 @@ def test_tagged_needs_more_chunks_than_queue_local():
     overhead the reassembly ablation quantifies."""
     tb_local = make_block_testbed()
     tb_tagged = make_block_testbed(mode=MODE_TAGGED)
-    from repro.transfer.byteexpress import TaggedByteExpressTransfer
-    tagged = TaggedByteExpressTransfer(tb_tagged.driver)
+    tagged = PassthruTransfer(tb_tagged.driver,
+                              resolve(names.BYTEEXPRESS_TAGGED))
     size = 56 * 8  # 8 tagged chunks, 7 queue-local chunks
     t_local = tb_local.method("byteexpress").write(b"x" * size).pcie_bytes
     t_tagged = tagged.write(b"x" * size).pcie_bytes

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.datapath import registry as datapath_registry
+from repro.datapath import method_names
 from repro.kvssd.commands import encode_store_payload
 from repro.nvme.constants import KvOpcode, StatusCode
 from repro.pcie.mmio import BYTE_WINDOW_SIZE
@@ -11,7 +11,7 @@ from repro.testbed import make_block_testbed, make_kv_testbed
 
 class TestRegistration:
     def test_listed_in_the_figure5_sweep(self):
-        assert "pio_coherent" in datapath_registry.method_names(figure5=True)
+        assert "pio_coherent" in method_names(figure5=True)
 
     def test_gated_by_the_bar_window_flag(self):
         assert "pio_coherent" not in make_block_testbed(

@@ -223,7 +223,7 @@ def test_ver106_ignores_prose_mentions():
 
 def test_ver106_exempts_datapath_tests_and_benchmarks():
     src = 'm = "prp"\n'
-    for path in ("src/repro/datapath/builtin.py",
+    for path in ("src/repro/datapath/__init__.py",
                  "tests/datapath/test_parity.py",
                  "benchmarks/test_fig5_methods_sweep.py"):
         assert codes(src, path=path) == [], path
