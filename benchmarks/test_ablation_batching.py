@@ -2,20 +2,32 @@
 
 §4.2 attributes part of BandSlim's cost to "doorbell ringing, tail
 pointer address updates" per command.  This ablation shows how much of
-any method's per-op cost is doorbell/submission amortisable: batches
-share one tail update, so per-op latency and doorbell traffic drop as
-the batch grows — and ByteExpress keeps its advantage at every depth.
+any method's per-op cost is doorbell/submission amortisable: an
+``IoEngine`` pinned to one queue at ``qd=depth`` submits a batch of
+writes, and its poll round publishes them with one tail update and
+reaps them with one CQ head update — so per-op latency and doorbell
+traffic drop as the batch grows, and ByteExpress keeps its advantage
+at every depth.
 """
 
 import pytest
 
 from conftest import report
 from repro.metrics import format_table
-from repro.nvme.constants import IoOpcode
 from repro.testbed import make_block_testbed
 
 DEPTHS = (1, 2, 4, 8, 16, 32)
 SIZE = 64
+
+
+def _batch(tb, engine, payloads, method):
+    """Submit *payloads* as one batch and drain it; returns the batch's
+    (elapsed ns, PCIe bytes)."""
+    start_ns, start_bytes = tb.clock.now, tb.traffic.total_bytes
+    futures = [engine.submit(p, method=method) for p in payloads]
+    engine.drain()
+    assert all(f.ok for f in futures)
+    return tb.clock.now - start_ns, tb.traffic.total_bytes - start_bytes
 
 
 @pytest.fixture(scope="module")
@@ -24,17 +36,15 @@ def sweep():
     for method in ("prp", "byteexpress"):
         tb = make_block_testbed()
         for depth in DEPTHS:
+            engine = tb.make_engine(queues=1, qd=depth)
             payloads = [bytes([i]) * SIZE for i in range(depth)]
             # Repeat to stabilise the mean.
             total_ns, total_bytes, ops = 0.0, 0, 0
             for _ in range(max(1, 64 // depth)):
-                result = tb.driver.write_batch(payloads,
-                                               opcode=IoOpcode.WRITE,
-                                               method=method)
-                assert result.ok
-                total_ns += result.elapsed_ns
-                total_bytes += result.pcie_bytes
-                ops += result.ops
+                elapsed_ns, pcie_bytes = _batch(tb, engine, payloads, method)
+                total_ns += elapsed_ns
+                total_bytes += pcie_bytes
+                ops += depth
             out[(method, depth)] = (total_ns / ops, total_bytes / ops)
     return out
 
@@ -53,9 +63,9 @@ def test_ablation_report(sweep, benchmark):
                     "per batch"))
 
     tb = make_block_testbed()
+    engine = tb.make_engine(queues=1, qd=8)
     payloads = [b"x" * SIZE] * 8
-    benchmark(lambda: tb.driver.write_batch(payloads,
-                                            opcode=IoOpcode.WRITE))
+    benchmark(lambda: _batch(tb, engine, payloads, "byteexpress"))
 
 
 def test_per_op_latency_improves_with_depth(sweep):

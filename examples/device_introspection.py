@@ -39,10 +39,14 @@ def main() -> None:
     print(dump_traffic(tb.ssd))
 
     print("\n=== batched submission (one doorbell, 8 ops) " + "=" * 16)
-    result = tb.driver.write_batch([b"batch!" * 10] * 8,
-                                   opcode=IoOpcode.WRITE)
-    print(f"8 writes: {result.elapsed_ns / 1000:.2f} us total, "
-          f"{result.mean_latency_ns / 1000:.2f} us/op, all ok={result.ok}")
+    engine = tb.make_engine(queues=1, qd=8)
+    start_ns = tb.clock.now
+    futures = [engine.submit(b"batch!" * 10) for _ in range(8)]
+    engine.drain()
+    elapsed_ns = tb.clock.now - start_ns
+    print(f"8 writes: {elapsed_ns / 1000:.2f} us total, "
+          f"{elapsed_ns / 8 / 1000:.2f} us/op, "
+          f"all ok={all(f.ok for f in futures)}")
 
 
 if __name__ == "__main__":

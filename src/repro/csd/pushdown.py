@@ -24,8 +24,8 @@ from repro.csd.schema import TableSchema
 from repro.csd.sql import SqlError, parse_predicate, parse_query
 from repro.csd.table import TableError, TableStore
 from repro.host.driver import NvmeDriver
-from repro.nvme.command import NvmeCommand
 from repro.nvme.constants import StatusCode, VendorOpcode
+from repro.nvme.passthrough import PassthruRequest
 from repro.ssd.controller import CommandContext, CommandResult
 from repro.ssd.device import OpenSsd
 from repro.transfer.base import TransferMethod, TransferStats
@@ -195,8 +195,6 @@ class CsdClient:
             self._send_batch(bytes(batch))
 
     def _send_batch(self, payload: bytes) -> None:
-        from repro.nvme.passthrough import PassthruRequest
-
         req = PassthruRequest(opcode=VendorOpcode.CSD_LOAD_ROWS, data=payload)
         result = self.driver.passthru(req, method=dp_names.PRP, qid=self.qid)
         if not result.ok:
@@ -214,16 +212,23 @@ class CsdClient:
 
     def fetch_results(self, schema: TableSchema,
                       max_len: int = 32 * 1024) -> List[Tuple[object, ...]]:
-        """Retrieve the oldest completed filter result."""
-        cmd = NvmeCommand(opcode=VendorOpcode.CSD_FETCH_RESULT)
-        _, buf = self.driver.submit_read_prp(cmd, max_len, self.qid)
-        cqe = self.driver.wait(self.qid)
-        if cqe.status == StatusCode.KV_KEY_NOT_FOUND:
+        """Retrieve the oldest completed filter result.
+
+        One ``passthru`` read, so a lost doorbell or CQE is recovered
+        like any write.  FETCH_RESULT pops its result on the device,
+        though: a retry after a lost CQE returns the *next* queued
+        result — the same at-least-once behaviour ``CSD_PUSHDOWN``
+        has through ``passthru``.
+        """
+        req = PassthruRequest(opcode=VendorOpcode.CSD_FETCH_RESULT,
+                              read_len=max_len)
+        res = self.driver.passthru(req, qid=self.qid)
+        if res.status == StatusCode.KV_KEY_NOT_FOUND:
             raise SqlError("no filter results queued on the device")
-        if not cqe.ok:
-            raise SqlError(f"fetch_results failed with status {cqe.status:#x}")
-        raw = self.driver.memory.read(buf, max_len)
-        return schema.unpack_rows(self._trim(schema, raw, cqe.result))
+        if not res.ok:
+            raise SqlError(f"fetch_results failed with status {res.status:#x}")
+        return schema.unpack_rows(self._trim(schema, res.data or b"",
+                                             res.result))
 
     @staticmethod
     def _trim(schema: TableSchema, raw: bytes, row_count: int) -> bytes:

@@ -32,8 +32,7 @@ from repro.datapath.spec import DatapathCaps, DatapathSpec
 SPECS: Tuple[DatapathSpec, ...] = (
     # Stock NVMe baseline: DMA via PRP page lists.
     DatapathSpec(names.PRP,
-                 DatapathCaps(engine_capable=True, batchable=True,
-                              figure5=True),
+                 DatapathCaps(engine_capable=True, figure5=True),
                  PRP_WRITE_CODEC),
     # Scatter-gather lists: byte-granular data pointers (§5).
     DatapathSpec(names.SGL, DatapathCaps(), SGL_WRITE_CODEC),
@@ -45,7 +44,7 @@ SPECS: Tuple[DatapathSpec, ...] = (
     # The paper's inline transfer: payload chunks ride the SQ.
     DatapathSpec(names.BYTEEXPRESS,
                  DatapathCaps(inline=True, engine_capable=True,
-                              batchable=True, figure5=True),
+                              figure5=True),
                  INLINE_WRITE_CODEC),
     # §3.3.2 future work: self-describing chunks, out-of-order
     # reassembly (needs a MODE_TAGGED controller).

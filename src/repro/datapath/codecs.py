@@ -4,8 +4,8 @@ Each codec owns one wire encoding — PRP staging, SGL segments, inline
 chunk append, tagged chunks, BandSlim fragment commands — and is the
 only place that encoding is written.  Every write in the stack (the
 driver's generic :meth:`~repro.host.driver.NvmeDriver.submit`, the
-synchronous ``passthru``, ``write_batch`` and the async engine) ends in
-exactly one :meth:`HostCodec.encode` call.
+synchronous ``passthru`` and the async engine) ends in exactly one
+:meth:`HostCodec.encode` call.
 
 Codecs hold no state: they operate on the driver instance passed in, so
 one codec singleton serves every driver in the process.  The protocol
@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from repro.core.chunking import CHUNK_SIZE, chunk_count, split_payload
 from repro.core.inline_command import make_inline_command
@@ -51,7 +51,7 @@ from repro.nvme.queues import QueueFullError
 from repro.nvme.sgl import build_sgl
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.host.driver import NvmeDriver
+    from repro.host.driver import NvmeDriver, _QueueResources
 
 
 def _driver_error(message: str) -> Exception:
@@ -78,8 +78,10 @@ class HostCodec:
         raise NotImplementedError
 
 
-class PrpWriteCodec(HostCodec):
-    """Stock write path: stage data, build PRPs, insert SQE, doorbell.
+def _stage(driver: "NvmeDriver", res: "_QueueResources", data: bytes,
+           private_buffer: bool) -> Tuple[int, List[int]]:
+    """Copy *data* into DMA-able host memory; returns its address and
+    the pages the command's CID owns.
 
     *private_buffer* allocates a dedicated DMA buffer for this command
     instead of reusing the queue's scratch area.  Mandatory at QD>1:
@@ -87,6 +89,16 @@ class PrpWriteCodec(HostCodec):
     overwrite each other before the device fetches them.  The buffer
     is freed automatically when the command's CID retires.
     """
+    if not private_buffer:
+        return driver._stage_data(res, data), []
+    pages = driver.memory.alloc_pages(
+        max(1, (len(data) + PAGE_SIZE - 1) // PAGE_SIZE))
+    driver.memory.write(pages[0], data)
+    return pages[0], pages
+
+
+class PrpWriteCodec(HostCodec):
+    """Stock write path: stage data, build PRPs, insert SQE, doorbell."""
 
     method = names.PRP
 
@@ -96,14 +108,7 @@ class PrpWriteCodec(HostCodec):
         if not data:
             raise _driver_error("PRP write requires a payload")
         res = driver.queue(qid)
-        data_pages: List[int] = []
-        if private_buffer:
-            data_pages = driver.memory.alloc_pages(
-                max(1, (len(data) + PAGE_SIZE - 1) // PAGE_SIZE))
-            addr = data_pages[0]
-            driver.memory.write(addr, data)
-        else:
-            addr = driver._stage_data(res, data)
+        addr, data_pages = _stage(driver, res, data, private_buffer)
         mapping = build_prps(driver.memory, addr, len(data))
         cmd.cid = driver._alloc_cid(res)
         res.pending_pages.setdefault(cmd.cid, []).extend(
@@ -126,10 +131,11 @@ class SglWriteCodec(HostCodec):
         if not data:
             raise _driver_error("SGL write requires a payload")
         res = driver.queue(qid)
-        addr = driver._stage_data(res, data)
+        addr, data_pages = _stage(driver, res, data, private_buffer)
         mapping = build_sgl(driver.memory, [(addr, len(data))])
         cmd.cid = driver._alloc_cid(res)
-        res.pending_pages.setdefault(cmd.cid, []).extend(mapping.segment_pages)
+        res.pending_pages.setdefault(cmd.cid, []).extend(
+            list(mapping.segment_pages) + data_pages)
         cmd.use_sgl()
         desc = mapping.inline.pack()
         cmd.prp1 = int.from_bytes(desc[:8], "little")

@@ -6,8 +6,8 @@ transfer method:
 * its **name** (:mod:`repro.datapath.names`);
 * **capability flags** (:class:`DatapathCaps`) — what the rest of the
   stack may ask of the method (inline transport, tag reassembly,
-  fragmentation, async-engine support, batched submission, Figure-5
-  membership, the BAR byte window);
+  fragmentation, async-engine support, Figure-5 membership, the BAR
+  byte window);
 * a **host codec** — how the driver encodes the SQE and moves the
   payload (PRP staging, SGL segments, inline chunk append, tagged
   chunks, BandSlim fragment commands).  Every queue-protocol write path
@@ -46,9 +46,6 @@ class DatapathCaps:
     fragmented: bool = False
     #: The asynchronous multi-queue engine can drive this method.
     engine_capable: bool = False
-    #: Submission is a single command sequence that ``write_batch`` can
-    #: amortise under one doorbell.
-    batchable: bool = False
     #: Swept by the Figure-5 benchmark and the CLI sweep default.
     figure5: bool = False
     #: Uses the MMIO BAR byte window instead of the queue protocol; only

@@ -196,7 +196,7 @@ class IoEngine:
         *read_len* == 0 submits a keyed command with no data phase in
         either direction (DELETE, EXIST).
 
-        Unlike ``submit_read_prp`` on the driver — whose shared per-queue
+        Unlike a synchronous ``passthru`` read — whose shared per-queue
         scratch buffer is unsafe past QD 1 — every in-flight read owns
         its buffer, so reads pipeline like writes do.
         """

@@ -140,12 +140,9 @@ class CompletionReactor:
             entry.resolve(cqe, e.clock.now)
             e.stats.completed += 1
             return 1
-        if entry.is_inline and cqe.retryable:
-            trips_before = breaker.trips
-            breaker.record_failure()
-            if breaker.trips > trips_before:
-                e.stats.breaker_trips += 1
-                e.driver.link.counter.record_event(EVT_BREAKER_TRIP)
+        if entry.is_inline and cqe.retryable and breaker.record_failure():
+            e.stats.breaker_trips += 1
+            e.driver.link.counter.record_event(EVT_BREAKER_TRIP)
         if cqe.retryable and self._park_for_retry(entry):
             return 0
         self._finish_read(entry, None)
@@ -225,11 +222,9 @@ class CompletionReactor:
         exhausted — the caller must fail the future.
         """
         e = self.engine
-        policy = e.driver.retry_policy
-        if entry.attempts >= policy.max_attempts:
-            return False
-        backoff_ns = policy.backoff_ns(entry.attempts)
-        if e.clock.now + backoff_ns > entry.deadline_ns:
+        backoff_ns = e.driver.retry_policy.next_backoff(
+            entry.attempts, e.clock.now, entry.deadline_ns)
+        if backoff_ns is None:
             return False
         # Parked off an error CQE the CID already retired via reap (and
         # released its payload id); the timeout path cleared the key.

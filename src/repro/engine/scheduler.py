@@ -124,12 +124,3 @@ class MultiQueueScheduler:
             raise SchedulerError(
                 f"completion accounting underflow on qid {qid}")
         self.inflight[qid] -= 1
-
-    @property
-    def total_inflight(self) -> int:
-        return sum(self.inflight.values())
-
-    @property
-    def saturated(self) -> bool:
-        """True when every queue is at its QD cap."""
-        return all(v >= self.qd_cap for v in self.inflight.values())

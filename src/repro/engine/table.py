@@ -184,7 +184,6 @@ class InFlightTable:
 
     def __init__(self) -> None:
         self._entries: Dict[Tuple[int, int], InFlightCommand] = {}
-        self._per_queue: Dict[int, int] = {}
         self.high_water = 0
 
     def add(self, entry: InFlightCommand) -> None:
@@ -193,20 +192,13 @@ class InFlightTable:
         if entry.key in self._entries:
             raise ValueError(f"duplicate in-flight key {entry.key}")
         self._entries[entry.key] = entry
-        self._per_queue[entry.key[0]] = self._per_queue.get(entry.key[0], 0) + 1
         self.high_water = max(self.high_water, len(self._entries))
 
     def pop(self, key: Tuple[int, int]) -> Optional[InFlightCommand]:
-        entry = self._entries.pop(key, None)
-        if entry is not None:
-            self._per_queue[key[0]] -= 1
-        return entry
+        return self._entries.pop(key, None)
 
     def get(self, key: Tuple[int, int]) -> Optional[InFlightCommand]:
         return self._entries.get(key)
-
-    def pending_on(self, qid: int) -> int:
-        return self._per_queue.get(qid, 0)
 
     def entries(self) -> List[InFlightCommand]:
         """Snapshot of current entries (safe to mutate the table while

@@ -72,13 +72,16 @@ class CircuitBreaker:
         if self.state == STATE_HALF_OPEN:
             self.state = STATE_CLOSED
 
-    def record_failure(self) -> None:
+    def record_failure(self) -> bool:
+        """Count one inline failure; returns True when it tripped the
+        breaker open."""
         self.consecutive_failures += 1
-        if self.state == STATE_HALF_OPEN:
+        if (self.state == STATE_HALF_OPEN
+                or (self.state == STATE_CLOSED
+                    and self.consecutive_failures >= self.config.threshold)):
             self._trip()
-        elif (self.state == STATE_CLOSED
-              and self.consecutive_failures >= self.config.threshold):
-            self._trip()
+            return True
+        return False
 
     def _trip(self) -> None:
         self.state = STATE_OPEN

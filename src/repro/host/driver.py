@@ -9,10 +9,10 @@ which hands the whole encode to the method's host codec
 <30-line ``nvme_queue_rq`` patch, and everything else here is the stock
 driver behaviour.
 
-Synchronous semantics: ``passthru`` and the lower-level submit/wait pair
-model the NVMe passthrough ioctl used by KV-SSD and CSD user libraries
-(paper §2.1) at queue depth 1, which is how the paper's microbenchmarks
-issue their 1 M operations.
+Synchronous semantics: ``passthru`` models the NVMe passthrough ioctl
+that KV-SSD and CSD user libraries issue every command through (paper
+§2.1), at queue depth 1, which is how the paper's microbenchmarks issue
+their 1 M operations.
 
 Error recovery: ``passthru`` runs a retry/timeout/backoff loop.  A
 command that produces no completion gets its doorbell re-rung (which
@@ -48,11 +48,9 @@ from repro.nvme.command import NvmeCommand
 from repro.nvme.completion import NvmeCompletion
 from repro.nvme.constants import (
     CQE_SIZE,
-    DEFAULT_NSID,
     PAGE_SIZE,
     SQE_SIZE,
     AdminOpcode,
-    StatusCode,
 )
 from repro.nvme.identify import IDENTIFY_SIZE, IdentifyController
 from repro.nvme.passthrough import PassthruRequest, PassthruResult
@@ -106,6 +104,19 @@ class RetryPolicy:
         """Backoff before resubmission number *attempt* (1-based)."""
         return self.backoff_base_ns * self.backoff_multiplier ** (attempt - 1)
 
+    def next_backoff(self, attempts: int, now_ns: float,
+                     deadline_ns: float) -> Optional[float]:
+        """Backoff before resubmitting a command that has made *attempts*
+        attempts, or ``None`` when its budget is spent: no attempts left,
+        or the backoff would end past *deadline_ns*.  The one budget
+        rule of ``passthru`` and the engine's reactor."""
+        if attempts >= self.max_attempts:
+            return None
+        backoff_ns = self.backoff_ns(attempts)
+        if now_ns + backoff_ns > deadline_ns:
+            return None
+        return backoff_ns
+
 
 @dataclass
 class _QueueResources:
@@ -140,24 +151,6 @@ class _QueueResources:
 
 #: Scratch buffer size per queue (covers the largest microbench transfer).
 _SCRATCH_BYTES = 64 * 1024
-
-
-@dataclass
-class BatchResult:
-    """Outcome of one batched submission."""
-
-    ops: int
-    elapsed_ns: float
-    pcie_bytes: int
-    statuses: List[int]
-
-    @property
-    def ok(self) -> bool:
-        return all(s == StatusCode.SUCCESS for s in self.statuses)
-
-    @property
-    def mean_latency_ns(self) -> float:
-        return self.elapsed_ns / self.ops if self.ops else 0.0
 
 
 #: Admin queue depth used during bring-up.
@@ -665,21 +658,6 @@ class NvmeDriver:
         self._push_sqe(res, cmd, ring)
         return cmd.cid
 
-    def submit_read_prp(self, cmd: NvmeCommand, read_len: int,
-                        qid: int, ring: bool = True) -> Tuple[int, int]:
-        """Read path: point PRP1 at the scratch buffer for the return data.
-
-        Returns (cid, buffer_addr); fetch the data after the completion.
-        """
-        res = self.queue(qid)
-        if read_len > res.scratch_pages * PAGE_SIZE:
-            raise DriverError(f"read of {read_len} B exceeds scratch buffer")
-        cmd.cid = self._alloc_cid(res)
-        cmd.prp1 = res.scratch
-        cmd.cdw13 = read_len
-        self._push_sqe(res, cmd, ring)
-        return cmd.cid, res.scratch
-
     def submit_read_sgl(self, cmd: NvmeCommand, want: int, total: int,
                         qid: int, ring: bool = True) -> Tuple[int, int]:
         """Small-read optimisation (§5): receive the first *want* bytes of
@@ -706,49 +684,6 @@ class NvmeDriver:
         cmd.cdw13 = total
         self._push_sqe(res, cmd, ring)
         return cmd.cid, res.scratch
-
-    # ------------------------------------------------------------------
-    # batched submission (queue depth > 1)
-    # ------------------------------------------------------------------
-    def write_batch(self, payloads: List[bytes], opcode: int,
-                    method: str = dp_names.BYTEEXPRESS,
-                    qid: Optional[int] = None,
-                    cdw10s: Optional[List[int]] = None) -> "BatchResult":
-        """Submit many writes with ONE doorbell ring, then reap them all.
-
-        Models asynchronous submission at queue depth ``len(payloads)``:
-        the tail-pointer update is published once for the whole batch, so
-        doorbell MMIO cost and traffic amortise — one of the per-command
-        overheads §4.2 charges BandSlim for.  Supports the methods
-        whose caps declare ``batchable`` (the mechanisms whose submission
-        is a single command sequence).
-        """
-        if not payloads:
-            raise DriverError("empty batch")
-        spec = self._resolve_spec(method)
-        if not spec.caps.batchable:
-            raise DriverError(f"write_batch does not support {spec.name!r}")
-        qid = qid if qid is not None else self.io_qids[0]
-        res = self.queue(qid)
-        cdw10s = cdw10s if cdw10s is not None else [0] * len(payloads)
-        if len(cdw10s) != len(payloads):
-            raise DriverError("cdw10s length mismatch")
-
-        start_ns = self.clock.now
-        start_bytes = self.link.counter.total_bytes
-        for payload, cdw10 in zip(payloads, cdw10s):
-            cmd = NvmeCommand(opcode=opcode, nsid=DEFAULT_NSID, cdw10=cdw10)
-            # Every in-flight op needs a private DMA buffer (PRP staging).
-            self.submit(spec, cmd, payload, qid, ring=False,
-                        private_buffer=True)
-        self.kick(qid)
-
-        statuses = [self._wait_on(res).status for _ in payloads]
-        return BatchResult(ops=len(payloads),
-                           elapsed_ns=self.clock.now - start_ns,
-                           pcie_bytes=(self.link.counter.total_bytes
-                                       - start_bytes),
-                           statuses=statuses)
 
     # ------------------------------------------------------------------
     # completion
@@ -847,7 +782,10 @@ class NvmeDriver:
         ``byteexpress-tagged``); the write is one :meth:`submit` per
         attempt.  MMIO and PIO have their own orchestration layer in
         :mod:`repro.transfer` because they do not use the queue
-        protocol.
+        protocol.  Reads and data-less commands (the KV-SSD's keyed
+        RETRIEVE/DELETE/EXIST/LIST, the CSD's result fetch) ignore
+        *method*: each attempt is one SQE, and a read's data return
+        lands in the queue's scratch buffer.
 
         Recovery is built in.  No completion after the device ran to
         quiescence first re-rings the doorbell — recovering a lost tail
@@ -862,6 +800,9 @@ class NvmeDriver:
         """
         qid = qid if qid is not None else self.io_qids[0]
         res = self.queue(qid)
+        if req.read_len > res.scratch_pages * PAGE_SIZE:
+            raise DriverError(
+                f"read of {req.read_len} B exceeds scratch buffer")
         start_ns = self.clock.now
         start_bytes = self.link.counter.total_bytes
         self.clock.advance(self.timing.passthrough_ns)
@@ -879,7 +820,6 @@ class NvmeDriver:
 
         attempt = 0
         cqe: Optional[NvmeCompletion] = None
-        read_buf: Optional[int] = None
         prev_cid: Optional[int] = None
         while True:
             attempt += 1
@@ -890,16 +830,18 @@ class NvmeDriver:
                 # unallocatable until the late CQE lands.
                 self._abandon_cid(res, prev_cid)
             cmd = NvmeCommand(opcode=req.opcode, nsid=req.nsid,
+                              mptr=req.mptr,
                               cdw10=req.cdw10, cdw11=req.cdw11,
                               cdw12=req.cdw12, cdw13=req.cdw13,
                               cdw14=req.cdw14, cdw15=req.cdw15)
-            read_buf = None
             if req.is_write:
                 prev_cid = self.submit(spec, cmd, req.data, qid)
-            elif req.read_len:
-                prev_cid, read_buf = self.submit_read_prp(cmd, req.read_len,
-                                                          qid)
             else:
+                if req.read_len:
+                    # The data return lands in the queue's scratch
+                    # buffer: safe, since passthru runs at QD 1.
+                    cmd.prp1 = res.scratch
+                    cmd.cdw13 = req.read_len
                 prev_cid = self.submit_raw(cmd, qid)
 
             cqe = self._try_wait_on(res)
@@ -925,17 +867,14 @@ class NvmeDriver:
                 # Transient transfer fault on a guarded path; semantic
                 # errors (DNR set) would fail on PRP too and do not
                 # count against the breaker.
-                trips_before = self.breaker.trips
-                self.breaker.record_failure()
-                if self.breaker.trips > trips_before:
+                if self.breaker.record_failure():
                     self.link.counter.record_event(EVT_BREAKER_TRIP)
 
             if not retryable:
                 break  # DNR set: retrying cannot change the outcome
-            if attempt >= policy.max_attempts:
-                break
-            backoff_ns = policy.backoff_ns(attempt)
-            if self.clock.now + backoff_ns > deadline_ns:
+            backoff_ns = policy.next_backoff(attempt, self.clock.now,
+                                             deadline_ns)
+            if backoff_ns is None:
                 break
             self.clock.advance(backoff_ns)
             self.retries += 1
@@ -954,8 +893,8 @@ class NvmeDriver:
                 f"command on SQ{qid} produced no completion within "
                 f"{attempt} attempt(s)")
         data = None
-        if read_buf is not None and cqe.ok:
-            data = self.memory.read(read_buf, req.read_len)
+        if req.read_len and cqe.ok:
+            data = self.memory.read(res.scratch, req.read_len)
         return PassthruResult(
             status=cqe.status, result=cqe.result, data=data,
             latency_ns=self.clock.now - start_ns,

@@ -12,12 +12,6 @@ from repro.kvssd.commands import (
     encode_batch_payload,
     encode_store_payload,
     key_field_words,
-    make_delete_command,
-    make_exist_command,
-    make_list_command,
-    make_retrieve_command,
-    make_store_command,
-    pack_key_fields,
     unpack_key_fields,
 )
 from repro.kvssd.kvssd import KvSsdPersonality
@@ -51,13 +45,7 @@ __all__ = [
     "TOMBSTONE",
     "encode_store_payload",
     "decode_store_payload",
-    "pack_key_fields",
     "unpack_key_fields",
-    "make_store_command",
-    "make_retrieve_command",
-    "make_delete_command",
-    "make_exist_command",
-    "make_list_command",
     "decode_key_list",
     "encode_batch_payload",
     "decode_batch_payload",

@@ -13,16 +13,15 @@ from typing import Iterable, List, Optional, Tuple
 
 from repro.kvssd.commands import (
     MAX_INLINE_KEY,
+    KvEncodingError,
     decode_key_list,
     encode_batch_payload,
     encode_store_payload,
-    make_delete_command,
-    make_exist_command,
-    make_list_command,
-    make_retrieve_command,
+    key_field_words,
 )
 from repro.host.driver import NvmeDriver
 from repro.nvme.constants import KvOpcode, StatusCode, VendorOpcode
+from repro.nvme.passthrough import PassthruRequest, PassthruResult
 from repro.transfer.base import TransferMethod, TransferStats
 
 
@@ -56,39 +55,32 @@ class KVStore:
 
     def get(self, key: bytes, max_value_len: int = 4096) -> bytes:
         """Fetch the value for *key* (keys are limited to 16 bytes)."""
-        self._check_key(key)
-        cmd = make_retrieve_command(key)
-        _, buf = self.driver.submit_read_prp(cmd, max_value_len, self.qid)
-        cqe = self.driver.wait(self.qid)
-        if cqe.status == StatusCode.KV_KEY_NOT_FOUND:
+        res = self._keyed(KvOpcode.RETRIEVE, key, read_len=max_value_len)
+        if res.status == StatusCode.KV_KEY_NOT_FOUND:
             raise KeyNotFoundError(key.hex())
-        if not cqe.ok:
-            raise KvError(f"RETRIEVE failed with status {cqe.status:#x}")
-        value_len = cqe.result
+        if not res.ok:
+            raise KvError(f"RETRIEVE failed with status {res.status:#x}")
+        value_len = res.result
         if value_len > max_value_len:
             raise KvError(
                 f"value of {value_len} B exceeds buffer of {max_value_len} B")
-        return self.driver.memory.read(buf, value_len)
+        return (res.data or b"")[:value_len]
 
     def delete(self, key: bytes) -> None:
-        self._check_key(key)
-        cmd = make_delete_command(key)
-        self.driver.submit_raw(cmd, self.qid)
-        cqe = self.driver.wait(self.qid)
-        if cqe.status == StatusCode.KV_KEY_NOT_FOUND:
+        """Remove *key*.  A retried DELETE whose lost-CQE attempt already
+        ran finds the key gone and raises :class:`KeyNotFoundError`."""
+        res = self._keyed(KvOpcode.DELETE, key)
+        if res.status == StatusCode.KV_KEY_NOT_FOUND:
             raise KeyNotFoundError(key.hex())
-        if not cqe.ok:
-            raise KvError(f"DELETE failed with status {cqe.status:#x}")
+        if not res.ok:
+            raise KvError(f"DELETE failed with status {res.status:#x}")
 
     def exists(self, key: bytes) -> bool:
-        self._check_key(key)
-        cmd = make_exist_command(key)
-        self.driver.submit_raw(cmd, self.qid)
-        cqe = self.driver.wait(self.qid)
-        if cqe.status == StatusCode.KV_KEY_NOT_FOUND:
+        res = self._keyed(KvOpcode.EXIST, key)
+        if res.status == StatusCode.KV_KEY_NOT_FOUND:
             return False
-        if not cqe.ok:
-            raise KvError(f"EXIST failed with status {cqe.status:#x}")
+        if not res.ok:
+            raise KvError(f"EXIST failed with status {res.status:#x}")
         return True
 
     def put_batch(self,
@@ -114,23 +106,36 @@ class KVStore:
     def list_keys(self, start_key: bytes = b"\x00",
                   max_keys: int = 64, max_len: int = 8192) -> List[bytes]:
         """Enumerate up to *max_keys* keys ≥ *start_key*, in order."""
-        self._check_key(start_key)
-        cmd = make_list_command(start_key, max_keys)
-        _, buf = self.driver.submit_read_prp(cmd, max_len, self.qid)
-        cqe = self.driver.wait(self.qid)
-        if not cqe.ok:
-            raise KvError(f"LIST failed with status {cqe.status:#x}")
+        if max_keys <= 0:
+            raise KvEncodingError("max_keys must be positive")
+        # CDW15 bounds the count.
+        res = self._keyed(KvOpcode.LIST, start_key, read_len=max_len,
+                          cdw15=max_keys)
+        if not res.ok:
+            raise KvError(f"LIST failed with status {res.status:#x}")
         # The CQE result reports the response's byte length (mirroring
-        # get()'s value-length contract) — read exactly that, not the
+        # get()'s value-length contract) — decode exactly that, not the
         # whole worst-case buffer.
-        list_len = cqe.result
+        list_len = res.result
         if list_len > max_len:
             raise KvError(
                 f"key list of {list_len} B exceeds buffer of {max_len} B")
-        raw = self.driver.memory.read(buf, list_len)
-        return list(decode_key_list(raw))
+        return list(decode_key_list((res.data or b"")[:list_len]))
 
     # ------------------------------------------------------------------
+    def _keyed(self, opcode: int, key: bytes, read_len: int = 0,
+               cdw15: int = 0) -> PassthruResult:
+        """One keyed command through ``passthru``: the key rides the
+        SQE's key field (mptr + CDW10/11, its length in CDW14), so the
+        command gets passthru's retry, timeout and re-ring recovery."""
+        self._check_key(key)
+        mptr, cdw10, cdw11, cdw14 = key_field_words(key)
+        return self.driver.passthru(
+            PassthruRequest(opcode=opcode, read_len=read_len, mptr=mptr,
+                            cdw10=cdw10, cdw11=cdw11, cdw14=cdw14,
+                            cdw15=cdw15),
+            qid=self.qid)
+
     @staticmethod
     def _check_key(key: bytes) -> None:
         if not key:

@@ -3,15 +3,16 @@
 Encoding conventions used by this KV-SSD:
 
 * **STORE**: the host→device payload is ``key_len u16 | key | value``;
-  CDW14 additionally carries the key length so the device can validate.
+  a non-zero CDW14 must match the key length (the device validates it).
   The payload travels by whichever transfer method is selected (PRP,
   BandSlim, ByteExpress, ...), which is exactly the data path the paper's
   Figure 6 compares.
-* **RETRIEVE / DELETE / EXIST**: the key (≤16 B, the KV command set's
-  fixed key field) rides inside the command itself — packed into the
-  unused metadata pointer and CDW10/11 — with CDW14 holding the key
-  length.  RETRIEVE returns the value through the normal read data path
-  and reports the value length in the CQE result field.
+* **RETRIEVE / DELETE / EXIST / LIST**: the key (≤16 B, the KV command
+  set's fixed key field) rides inside the command itself — packed into
+  the unused metadata pointer and CDW10/11 by :func:`key_field_words` —
+  with CDW14 holding the key length.  RETRIEVE and LIST return data
+  through the normal read data path and report its length in the CQE
+  result field; LIST's CDW15 bounds the key count.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import struct
 from typing import Iterable, List, Tuple
 
 from repro.nvme.command import NvmeCommand
-from repro.nvme.constants import KvOpcode
 
 #: The NVMe KV command set's fixed in-command key field size.
 MAX_INLINE_KEY = 16
@@ -55,9 +55,9 @@ def decode_store_payload(payload: bytes) -> Tuple[bytes, bytes]:
 def key_field_words(key: bytes) -> Tuple[int, int, int, int]:
     """Encode a ≤16 B key as its command-word tuple.
 
-    Returns ``(mptr, cdw10, cdw11, cdw14)`` — the raw words callers
-    that build SQEs field-by-field (the async engine's keyed path) pass
-    straight through, with CDW14 carrying the key length.
+    Returns ``(mptr, cdw10, cdw11, cdw14)`` — the raw words every
+    keyed command carries (``KVStore``'s passthrough requests and the
+    async engine's keyed path), with CDW14 carrying the key length.
     """
     if not key:
         raise KvEncodingError("empty key")
@@ -71,11 +71,6 @@ def key_field_words(key: bytes) -> Tuple[int, int, int, int]:
             len(key))
 
 
-def pack_key_fields(cmd: NvmeCommand, key: bytes) -> None:
-    """Place a ≤16 B key into the command's key field (mptr + CDW10/11)."""
-    cmd.mptr, cmd.cdw10, cmd.cdw11, cmd.cdw14 = key_field_words(key)
-
-
 def unpack_key_fields(cmd: NvmeCommand) -> bytes:
     """Recover the in-command key (device side)."""
     key_len = cmd.cdw14
@@ -85,43 +80,6 @@ def unpack_key_fields(cmd: NvmeCommand) -> bytes:
            + cmd.cdw10.to_bytes(4, "little")
            + cmd.cdw11.to_bytes(4, "little"))
     return raw[:key_len]
-
-
-def make_store_command(key: bytes, nsid: int = 1) -> NvmeCommand:
-    """A STORE command shell; the payload is attached by the driver."""
-    cmd = NvmeCommand(opcode=KvOpcode.STORE, nsid=nsid)
-    if len(key) > 0xFFFF:
-        raise KvEncodingError("key exceeds 16-bit length field")
-    cmd.cdw14 = len(key)
-    return cmd
-
-
-def make_retrieve_command(key: bytes, nsid: int = 1) -> NvmeCommand:
-    cmd = NvmeCommand(opcode=KvOpcode.RETRIEVE, nsid=nsid)
-    pack_key_fields(cmd, key)
-    return cmd
-
-
-def make_delete_command(key: bytes, nsid: int = 1) -> NvmeCommand:
-    cmd = NvmeCommand(opcode=KvOpcode.DELETE, nsid=nsid)
-    pack_key_fields(cmd, key)
-    return cmd
-
-
-def make_exist_command(key: bytes, nsid: int = 1) -> NvmeCommand:
-    cmd = NvmeCommand(opcode=KvOpcode.EXIST, nsid=nsid)
-    pack_key_fields(cmd, key)
-    return cmd
-
-
-def make_list_command(start_key: bytes, max_keys: int,
-                      nsid: int = 1) -> NvmeCommand:
-    """LIST: enumerate keys ≥ *start_key*; CDW15 bounds the count."""
-    if max_keys <= 0:
-        raise KvEncodingError("max_keys must be positive")
-    cmd = NvmeCommand(opcode=KvOpcode.LIST, nsid=nsid, cdw15=max_keys)
-    pack_key_fields(cmd, start_key)
-    return cmd
 
 
 _PAIR_HEADER = struct.Struct("<HI")

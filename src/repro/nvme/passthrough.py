@@ -26,6 +26,9 @@ class PassthruRequest:
     data: Optional[bytes] = None
     #: Expected device→host transfer length for reads.
     read_len: int = 0
+    #: The SQE's metadata-pointer word (the ioctl's ``metadata`` field);
+    #: NVMe-KV carries the first 8 key bytes here.
+    mptr: int = 0
     cdw10: int = 0
     cdw11: int = 0
     cdw12: int = 0

@@ -67,6 +67,25 @@ def test_codec_methods_roundtrip_boundary_sizes(method):
             (method, size)
 
 
+@pytest.mark.parametrize("method", CODEC_METHODS)
+def test_unrung_private_buffer_writes_land_their_own_payloads(method):
+    """QD>1: several writes staged before one doorbell must each DMA
+    their own payload.  A codec that staged every write into the queue's
+    shared scratch page would deliver the last payload four times."""
+    tb = _testbed_for(method)
+    offsets = [i * PAGE_SIZE for i in range(4)]
+    for i, offset in enumerate(offsets):
+        cmd = NvmeCommand(opcode=IoOpcode.WRITE, nsid=1, cdw10=offset)
+        tb.driver.submit(method, cmd, _payload(i, 96), qid=1, ring=False,
+                         private_buffer=True)
+    tb.driver.kick(1)
+    tb.ssd.controller.process_all()
+    assert all(cqe.ok for cqe in tb.driver.reap(1))
+    for i, offset in enumerate(offsets):
+        assert tb.personality.read_back(offset, 96) == _payload(i, 96), \
+            (method, i)
+
+
 @pytest.mark.parametrize("method", TRANSFER_METHODS)
 def test_orchestrated_methods_roundtrip_boundary_sizes(method):
     """Every method round-trips through its transfer object (the

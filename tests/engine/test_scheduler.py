@@ -19,7 +19,6 @@ def test_round_robin_skips_capped_queue():
     assert other != q
     s.note_submit(other)
     assert s.pick() is None
-    assert s.saturated
     assert s.rejections == 1
     s.note_complete(q)
     assert s.pick() == q
@@ -87,10 +86,3 @@ def test_invalid_construction(bad):
     with pytest.raises(SchedulerError):
         MultiQueueScheduler(**bad)
 
-
-def test_total_inflight():
-    s = MultiQueueScheduler([1, 2], qd_cap=4)
-    s.note_submit(1)
-    s.note_submit(2)
-    s.note_submit(2)
-    assert s.total_inflight == 3

@@ -80,13 +80,13 @@ def test_table_keying_and_per_queue_counts():
     t.add(_entry(1, 1))
     t.add(_entry(2, 0))
     assert len(t) == 3
-    assert t.pending_on(1) == 2
-    assert t.pending_on(2) == 1
-    assert t.pending_on(9) == 0
+    # The same CID on two queues names two commands.
+    assert t.get((1, 0)) is not t.get((2, 0))
+    assert t.get((2, 1)) is None
     assert t.high_water == 3
     entry = t.pop((1, 1))
     assert entry.key == (1, 1)
-    assert t.pending_on(1) == 1
+    assert len(t) == 2
     assert t.pop((1, 1)) is None  # idempotent
     assert t.high_water == 3  # high-water survives pops
 

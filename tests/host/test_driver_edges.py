@@ -2,20 +2,10 @@
 
 import pytest
 
-from repro.host.driver import BatchResult
 from repro.nvme.command import NvmeCommand
-from repro.nvme.constants import IoOpcode, StatusCode
+from repro.nvme.constants import IoOpcode
 from repro.sim.config import SimConfig
 from repro.testbed import make_block_testbed
-
-
-def test_batch_result_ok_flags_failures():
-    good = BatchResult(ops=2, elapsed_ns=10.0, pcie_bytes=1,
-                       statuses=[0, 0])
-    bad = BatchResult(ops=2, elapsed_ns=10.0, pcie_bytes=1,
-                      statuses=[0, StatusCode.INTERNAL_ERROR])
-    assert good.ok and not bad.ok
-    assert good.mean_latency_ns == 5.0
 
 
 def test_wait_handles_back_to_back_completions():

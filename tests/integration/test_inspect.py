@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.kvssd.commands import make_retrieve_command
+from repro.kvssd.commands import key_field_words
 from repro.nvme.command import NvmeCommand
-from repro.nvme.constants import IoOpcode
+from repro.nvme.constants import IoOpcode, KvOpcode
 from repro.testbed import make_block_testbed
 from repro.tools import (
     describe_command,
@@ -59,7 +59,10 @@ class TestDescribeCommand:
         assert "stream=5 seq=1 20 B LAST -> nvm.write" in out
 
     def test_kv_command(self):
-        out = describe_command(make_retrieve_command(b"somekey"))
+        mptr, cdw10, cdw11, cdw14 = key_field_words(b"somekey")
+        out = describe_command(NvmeCommand(
+            opcode=KvOpcode.RETRIEVE, nsid=1, mptr=mptr, cdw10=cdw10,
+            cdw11=cdw11, cdw14=cdw14))
         assert "kv.retrieve" in out
 
 

@@ -9,14 +9,10 @@ from repro.kvssd.commands import (
     KvEncodingError,
     decode_store_payload,
     encode_store_payload,
-    make_delete_command,
-    make_retrieve_command,
-    make_store_command,
-    pack_key_fields,
+    key_field_words,
     unpack_key_fields,
 )
 from repro.nvme.command import NvmeCommand
-from repro.nvme.constants import KvOpcode
 
 
 class TestStorePayload:
@@ -44,25 +40,30 @@ class TestStorePayload:
             (key, value)
 
 
+def _keyed_command(key):
+    """A command carrying *key* in its key field (mptr + CDW10/11)."""
+    mptr, cdw10, cdw11, cdw14 = key_field_words(key)
+    return NvmeCommand(mptr=mptr, cdw10=cdw10, cdw11=cdw11, cdw14=cdw14)
+
+
 class TestKeyFields:
     def test_roundtrip(self):
-        cmd = NvmeCommand()
-        pack_key_fields(cmd, b"exactly16bytes!!")
+        cmd = _keyed_command(b"exactly16bytes!!")
         assert unpack_key_fields(cmd) == b"exactly16bytes!!"
 
     def test_short_key(self):
-        cmd = NvmeCommand()
-        pack_key_fields(cmd, b"k")
+        cmd = _keyed_command(b"k")
+        assert cmd.cdw14 == 1
         assert unpack_key_fields(cmd) == b"k"
 
     def test_key_survives_wire(self):
-        cmd = make_retrieve_command(b"wire-key")
+        cmd = _keyed_command(b"wire-key")
         back = NvmeCommand.unpack(cmd.pack())
         assert unpack_key_fields(back) == b"wire-key"
 
     def test_oversized_key_rejected(self):
         with pytest.raises(KvEncodingError):
-            pack_key_fields(NvmeCommand(), b"x" * (MAX_INLINE_KEY + 1))
+            key_field_words(b"x" * (MAX_INLINE_KEY + 1))
 
     def test_bad_length_field_rejected(self):
         cmd = NvmeCommand(cdw14=17)
@@ -71,12 +72,4 @@ class TestKeyFields:
 
     @given(st.binary(min_size=1, max_size=MAX_INLINE_KEY))
     def test_roundtrip_property(self, key):
-        cmd = NvmeCommand()
-        pack_key_fields(cmd, key)
-        assert unpack_key_fields(cmd) == key
-
-
-def test_command_factories_set_opcodes():
-    assert make_store_command(b"k").opcode == KvOpcode.STORE
-    assert make_retrieve_command(b"k").opcode == KvOpcode.RETRIEVE
-    assert make_delete_command(b"k").opcode == KvOpcode.DELETE
+        assert unpack_key_fields(_keyed_command(key)) == key

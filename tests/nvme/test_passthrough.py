@@ -37,3 +37,23 @@ def test_negative_read_len():
 def test_result_ok():
     assert PassthruResult(status=StatusCode.SUCCESS).ok
     assert not PassthruResult(status=StatusCode.INTERNAL_ERROR).ok
+
+
+def test_mptr_reaches_the_sqe():
+    """``PassthruRequest.mptr`` is carried into the SQE's metadata-pointer
+    word, where NVMe-KV keeps the first 8 key bytes."""
+    from repro.ssd.controller import CommandResult
+    from repro.testbed import make_block_testbed
+
+    tb = make_block_testbed()
+    seen = []
+
+    def on_probe(ctx):
+        seen.append((ctx.cmd.mptr, ctx.cmd.cdw10))
+        return CommandResult()
+
+    tb.ssd.controller.register_handler(0xC9, on_probe, data_phase=False)
+    res = tb.driver.passthru(PassthruRequest(
+        opcode=0xC9, mptr=0x1122334455667788, cdw10=7))
+    assert res.ok
+    assert seen == [(0x1122334455667788, 7)]
