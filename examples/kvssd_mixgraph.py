@@ -59,7 +59,7 @@ def main() -> None:
     probe = next(iter(MixGraphWorkload(ops=1, seed=0xF16)))
     value = store.get(probe.key, max_value_len=64 * 1024)
     print(f"\nget({probe.key!r}) -> {len(value)} B (verified)")
-    scan = list(tb.personality.scan(b"\x00" * 16, b"\xff" * 16))
+    scan = list(tb.personality.scan(b"\x00"))
     print(f"full-range device-side scan: {len(scan)} live keys")
 
 

@@ -264,7 +264,7 @@ class _KvPlane:
         # recovery replays only flushed segments, so a pointer into the
         # (scrubbed) active buffer is dangling by construction.
         index = self.tb.personality.index
-        for key, ptr in index.scan(b"\x00", b"\xff" * 16):
+        for key, ptr in index.scan(b"\x00"):
             if ptr.segment not in durable:
                 torn.append(f"index[{key!r}] points at segment "
                             f"{ptr.segment}, past the durable watermark")

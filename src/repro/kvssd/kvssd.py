@@ -133,10 +133,7 @@ class KvSsdPersonality:
         """Run one value-log GC pass if dead space crossed the threshold."""
         if self.vlog.dead_bytes < self.gc_threshold_bytes:
             return False
-        return self.vlog.collect(
-            is_live=lambda key, ptr: self.index.get(key) == ptr,
-            on_relocate=lambda key, _old, new: self.index.put(key, new),
-            keep_tombstone=lambda key: self.index.get(key) is None)
+        return self.vlog.collect(self.index.get_many, self.index.put)
 
     def _lookup(self, ctx: CommandContext) -> Tuple[Optional[bytes],
                                                     Optional[bytes]]:
@@ -201,7 +198,7 @@ class KvSsdPersonality:
             return CommandResult(StatusCode.INVALID_FIELD)
         max_keys = ctx.cmd.cdw15 or 64
         keys = []
-        for key, _ptr in self.index.scan(start, b"\xff" * 255):
+        for key, _ptr in self.index.scan(start):
             keys.append(key)
             if len(keys) >= max_keys:
                 break
@@ -233,7 +230,8 @@ class KvSsdPersonality:
     # ------------------------------------------------------------------
     # device-local iteration (used by tests and the example applications)
     # ------------------------------------------------------------------
-    def scan(self, start: bytes, end: bytes) -> Iterator[Tuple[bytes, bytes]]:
+    def scan(self, start: bytes,
+             end: Optional[bytes] = None) -> Iterator[Tuple[bytes, bytes]]:
         """Range scan over [start, end): the SYSTOR '23 iterator API."""
         for key, ptr in self.index.scan(start, end):
             stored_key, value = self.vlog.read(ptr)

@@ -17,8 +17,9 @@ merged view of memtable + all levels.
 from __future__ import annotations
 
 import struct
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.kvssd.value_log import LogPointer
 from repro.ssd.ftl import PageMappingFtl
@@ -27,18 +28,18 @@ from repro.ssd.ftl import PageMappingFtl
 #: offset u32 | length u32 | key bytes.
 _ENTRY = struct.Struct("<HBIII")
 
-#: Marker pointer stored for deletions.
+#: Marker pointer stored for deletions.  Every test is ``is TOMBSTONE``:
+#: deserialisation re-interns this singleton and snapshots copy
+#: references, so identity survives every rebuild of the index.
 TOMBSTONE = LogPointer(segment=0xFFFFFFFF, offset=0xFFFFFFFF, length=0)
 
 
 def _serialize_entries(entries: List[Tuple[bytes, LogPointer]]) -> bytes:
-    out = bytearray()
-    for key, ptr in entries:
-        tomb = 1 if ptr == TOMBSTONE else 0
-        out += _ENTRY.pack(len(key), tomb, ptr.segment & 0xFFFFFFFF,
-                           ptr.offset & 0xFFFFFFFF, ptr.length & 0xFFFFFFFF)
-        out += key
-    return bytes(out)
+    pack = _ENTRY.pack
+    return b"".join([
+        pack(len(key), ptr is TOMBSTONE, ptr.segment & 0xFFFFFFFF,
+             ptr.offset & 0xFFFFFFFF, ptr.length & 0xFFFFFFFF) + key
+        for key, ptr in entries])
 
 
 def _deserialize_entries(raw: bytes) -> List[Tuple[bytes, LogPointer]]:
@@ -56,34 +57,29 @@ def _deserialize_entries(raw: bytes) -> List[Tuple[bytes, LogPointer]]:
 
 @dataclass
 class SsTable:
-    """One immutable sorted run, pinned in DRAM, persisted to NAND pages."""
+    """One immutable sorted run, pinned in DRAM, persisted to NAND pages.
+
+    ``keys`` mirrors ``entries`` so lookups bisect a plain list of bytes.
+    """
 
     entries: List[Tuple[bytes, LogPointer]]
     lpns: List[int] = field(default_factory=list)
+    keys: List[bytes] = field(init=False, repr=False)
+    min_key: bytes = field(init=False, repr=False)
+    max_key: bytes = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         keys = [k for k, _ in self.entries]
         if keys != sorted(keys):
             raise ValueError("SSTable entries must be sorted")
-
-    @property
-    def min_key(self) -> bytes:
-        return self.entries[0][0]
-
-    @property
-    def max_key(self) -> bytes:
-        return self.entries[-1][0]
+        self.keys = keys
+        self.min_key, self.max_key = (keys[0], keys[-1]) if keys else (b"", b"")
 
     def get(self, key: bytes) -> Optional[LogPointer]:
-        lo, hi = 0, len(self.entries)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self.entries[mid][0] < key:
-                lo = mid + 1
-            else:
-                hi = mid
-        if lo < len(self.entries) and self.entries[lo][0] == key:
-            return self.entries[lo][1]
+        keys = self.keys
+        i = bisect_left(keys, key)
+        if i < len(keys) and keys[i] == key:
+            return self.entries[i][1]
         return None
 
 
@@ -152,14 +148,14 @@ class LsmIndex:
         # Oldest-first so newer tables overwrite older mappings; L0 is
         # ordered oldest→newest, deeper levels hold a single older run.
         for table in self.levels[level + 1] + self.levels[level]:
-            for key, ptr in table.entries:
-                merged[key] = ptr
+            merged.update(table.entries)
         for table in sources:
             for lpn in table.lpns:
                 self.ftl.trim(lpn)
         is_last = (level + 1 == len(self.levels) - 1)
-        entries = sorted((k, p) for k, p in merged.items()
-                         if not (is_last and p == TOMBSTONE))
+        entries = sorted(merged.items())
+        if is_last:
+            entries = [e for e in entries if e[1] is not TOMBSTONE]
         self.levels[level] = []
         self.levels[level + 1] = (
             [self._persist(SsTable(entries))] if entries else [])
@@ -189,30 +185,53 @@ class LsmIndex:
                         ptr = table.get(key)
                 if ptr is not None:
                     break
-        if ptr is None or ptr == TOMBSTONE:
+        if ptr is None or ptr is TOMBSTONE:
             return None
         return ptr
 
-    def scan(self, start: bytes, end: bytes) -> Iterator[Tuple[bytes, LogPointer]]:
-        """Merged in-order iteration over [start, end) (SYSTOR '23 API)."""
-        if start >= end:
+    def get_many(self, keys: Sequence[bytes]) -> List[Optional[LogPointer]]:
+        """:meth:`get` for many keys, answered in *keys* order.
+
+        The keys are sorted once and each table is searched in one
+        forward pass, newest first; a key stops at the first table
+        holding it, the precedence :meth:`get` applies.
+        """
+        distinct = set(keys)
+        found = {k: self._memtable[k] for k in distinct if k in self._memtable}
+        pending = sorted(distinct.difference(found))
+        for table in self._tables():
+            tkeys, entries, i, missed = table.keys, table.entries, 0, []
+            for key in pending:
+                i = bisect_left(tkeys, key, i)
+                if i < len(tkeys) and tkeys[i] == key:
+                    found[key] = entries[i][1]
+                else:
+                    missed.append(key)
+            pending = missed
+        return [None if (ptr := found.get(k)) is TOMBSTONE else ptr for k in keys]
+
+    def _tables(self) -> List[SsTable]:
+        """Every table, newest first: the order lookups search them in."""
+        return self.levels[0][::-1] + [t for level in self.levels[1:] for t in level]
+
+    def scan(self, start: bytes,
+             end: Optional[bytes] = None) -> Iterator[Tuple[bytes, LogPointer]]:
+        """Merged in-order iteration over [start, end) (SYSTOR '23 API);
+        ``end=None`` leaves the range unbounded above."""
+        if end is not None and start >= end:
             return
         view: Dict[bytes, LogPointer] = {}
-        for level in reversed(self.levels[1:]):
-            for table in level:
-                for key, ptr in table.entries:
-                    if start <= key < end:
-                        view[key] = ptr
-        for table in self.levels[0]:
-            for key, ptr in table.entries:
-                if start <= key < end:
-                    view[key] = ptr
+        for table in reversed(self._tables()):  # oldest first: newer wins
+            lo = bisect_left(table.keys, start)
+            hi = len(table.keys) if end is None else bisect_left(table.keys, end)
+            view.update(table.entries[lo:hi])
         for key, ptr in self._memtable.items():
-            if start <= key < end:
+            if start <= key and (end is None or key < end):
                 view[key] = ptr
         for key in sorted(view):
-            if view[key] != TOMBSTONE:
-                yield key, view[key]
+            ptr = view[key]
+            if ptr is not TOMBSTONE:
+                yield key, ptr
 
     # ------------------------------------------------------------------
     # persistence (repro.durability) — the memtable and the DRAM-pinned
@@ -258,12 +277,3 @@ class LsmIndex:
     @property
     def memtable_size(self) -> int:
         return len(self._memtable)
-
-    @property
-    def total_entries(self) -> int:
-        """Live index entries across memtable and all levels (with dups)."""
-        total = len(self._memtable)
-        for level in self.levels:
-            for table in level:
-                total += len(table.entries)
-        return total

@@ -14,8 +14,7 @@ Entry format: ``key_len u16 | value_len u32 | key | value``.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.ssd.dram import DeviceDram, DramRegion
 from repro.ssd.ftl import PageMappingFtl
@@ -27,8 +26,7 @@ _TOMBSTONE_FLAG = 0x8000
 MAX_LOG_KEY = 0x7FFF
 
 
-@dataclass(frozen=True)
-class LogPointer:
+class LogPointer(NamedTuple):
     """Location of one value-log entry."""
 
     segment: int      # log segment number (== logical page for flushed)
@@ -62,9 +60,6 @@ class ValueLog:
         self.gc_relocated = 0
 
     # ------------------------------------------------------------------
-    def entry_size(self, key: bytes, value: bytes) -> int:
-        return _ENTRY_HEADER.size + len(key) + len(value)
-
     def append(self, key: bytes, value: bytes,
                tombstone: bool = False) -> LogPointer:
         """Append one entry; flushes the active segment first if needed.
@@ -78,7 +73,7 @@ class ValueLog:
             raise ValueError(f"key exceeds {MAX_LOG_KEY} bytes")
         if tombstone and value:
             raise ValueError("tombstones carry no value")
-        size = self.entry_size(key, value)
+        size = _ENTRY_HEADER.size + len(key) + len(value)
         if size > self.segment_bytes:
             raise ValueError(
                 f"entry of {size} B exceeds segment size {self.segment_bytes}")
@@ -105,12 +100,18 @@ class ValueLog:
         self._segment += 1
         self._offset = 0
 
-    def read(self, ptr: LogPointer) -> Tuple[bytes, bytes]:
-        """Fetch (key, value) for a pointer, from DRAM or NAND."""
+    def read(self, ptr: LogPointer,
+             read_page: Optional[Callable[[int], bytes]] = None
+             ) -> Tuple[bytes, bytes]:
+        """Fetch (key, value) for a pointer, from DRAM or NAND.
+
+        Flushed segments come through *read_page* (``ftl.read`` unless
+        given).
+        """
         if ptr.segment == self._segment and not self._flushed.get(ptr.segment):
             raw = self._buffer.read(ptr.offset, ptr.length)
         elif self._flushed.get(ptr.segment):
-            page = self.ftl.read(self.lpn_base + ptr.segment)
+            page = (read_page or self.ftl.read)(self.lpn_base + ptr.segment)
             raw = page[ptr.offset:ptr.offset + ptr.length]
         else:
             raise KeyError(f"stale log pointer {ptr}")
@@ -120,23 +121,10 @@ class ValueLog:
         return body[:key_len], body[key_len:key_len + value_len]
 
     def peek(self, ptr: LogPointer) -> Tuple[bytes, bytes]:
-        """Timing-free :meth:`read` for verification oracles.
-
-        Identical decoding, but flushed segments are fetched through the
-        FTL/NAND ``peek`` chain so the shadow read charges no simulated
-        time and perturbs no counters.
-        """
-        if ptr.segment == self._segment and not self._flushed.get(ptr.segment):
-            raw = self._buffer.read(ptr.offset, ptr.length)
-        elif self._flushed.get(ptr.segment):
-            page = self.ftl.peek(self.lpn_base + ptr.segment)
-            raw = page[ptr.offset:ptr.offset + ptr.length]
-        else:
-            raise KeyError(f"stale log pointer {ptr}")
-        key_len, value_len = _ENTRY_HEADER.unpack_from(raw)
-        key_len &= ~_TOMBSTONE_FLAG
-        body = raw[_ENTRY_HEADER.size:]
-        return body[:key_len], body[key_len:key_len + value_len]
+        """Timing-free :meth:`read` for verification oracles: flushed
+        segments come through the FTL/NAND ``peek`` chain, so the shadow
+        read charges no simulated time and perturbs no counters."""
+        return self.read(ptr, self.ftl.peek)
 
     @property
     def active_bytes(self) -> int:
@@ -146,12 +134,6 @@ class ValueLog:
     def flushed_segments(self) -> Tuple[int, ...]:
         """Flushed (NAND-durable) segment numbers, in flush order."""
         return tuple(sorted(self._flushed))
-
-    def parse_segment(
-            self, segment: int
-    ) -> Iterator[Tuple[LogPointer, bytes, bytes, bool]]:
-        """Public replay iterator over one flushed segment."""
-        return self._parse_segment(segment)
 
     # ------------------------------------------------------------------
     # persistence (repro.durability)
@@ -216,13 +198,14 @@ class ValueLog:
             total += self._used.get(seg, 0) - self._live.get(seg, 0)
         return total
 
-    def _parse_segment(
+    def parse_segment(
             self, segment: int
-    ) -> Iterator[Tuple[LogPointer, bytes, bytes, bool]]:
-        """Yield (ptr, key, value, is_tombstone) for a flushed segment."""
+    ) -> List[Tuple[LogPointer, bytes, bytes, bool]]:
+        """(ptr, key, value, is_tombstone) for each entry of a flushed segment."""
         page = self.ftl.read(self.lpn_base + segment)
         used = self._used[segment]
         offset = 0
+        entries = []
         while offset + _ENTRY_HEADER.size <= used:
             key_field, value_len = _ENTRY_HEADER.unpack_from(page, offset)
             if key_field == 0:
@@ -231,24 +214,27 @@ class ValueLog:
             key_len = key_field & ~_TOMBSTONE_FLAG
             size = _ENTRY_HEADER.size + key_len + value_len
             body = page[offset + _ENTRY_HEADER.size:offset + size]
-            yield (LogPointer(segment, offset, size),
-                   bytes(body[:key_len]), bytes(body[key_len:]), is_tomb)
+            entries.append((LogPointer(segment, offset, size),
+                            bytes(body[:key_len]), bytes(body[key_len:]), is_tomb))
             offset += size
+        return entries
 
     def collect(
             self,
-            is_live: Callable[[bytes, LogPointer], bool],
-            on_relocate: Callable[[bytes, LogPointer, LogPointer], None],
-            keep_tombstone: Optional[Callable[[bytes], bool]] = None,
+            current: Callable[[List[bytes]], List[Optional[LogPointer]]],
+            on_relocate: Callable[[bytes, LogPointer], None],
     ) -> bool:
         """One GC pass: reclaim the flushed segment with the most garbage.
 
-        *is_live(key, ptr)* asks the index whether *ptr* is still current;
-        *on_relocate(key, old_ptr, new_ptr)* updates the index after a
-        live entry is re-appended.  *keep_tombstone(key)*, when given,
-        decides whether a durable deletion record must be carried forward
-        (it must while any older segment may still hold the key).
-        Returns False when nothing is worth collecting.
+        *current(keys)* returns the index's pointer for every key in the
+        victim (None when absent or deleted), asked once for the whole
+        segment: relocating a key changes only that key's answer, and
+        the index always points at a key's last append, so answers taken
+        up front stay exact.  A value entry is live iff it is its key's
+        current pointer; *on_relocate(key, new_ptr)* updates the index
+        after it is re-appended.  A durable deletion record is carried
+        forward iff its key is absent, since an older segment may still
+        hold the key.  Returns False when nothing is worth collecting.
         """
         candidates = [seg for seg in self._flushed
                       if self._used.get(seg, 0) > self._live.get(seg, 0)]
@@ -256,16 +242,17 @@ class ValueLog:
             return False
         victim = max(candidates,
                      key=lambda s: self._used[s] - self._live.get(s, 0))
-        for old_ptr, key, value, is_tomb in list(self._parse_segment(victim)):
+        entries = self.parse_segment(victim)
+        pointers = current([key for _ptr, key, _value, _tomb in entries])
+        for (old_ptr, key, value, is_tomb), ptr in zip(entries, pointers):
             if is_tomb:
-                if keep_tombstone is not None and keep_tombstone(key):
+                if ptr is None:
                     self.append(key, b"", tombstone=True)
                     self.gc_relocated += 1
                 continue
-            if not is_live(key, old_ptr):
+            if ptr != old_ptr:
                 continue
-            new_ptr = self.append(key, value)
-            on_relocate(key, old_ptr, new_ptr)
+            on_relocate(key, self.append(key, value))
             self.gc_relocated += 1
         self.ftl.trim(self.lpn_base + victim)
         del self._flushed[victim]

@@ -133,3 +133,20 @@ class TestCrashFreeParity:
         tb = make_crash_testbed(spec)
         run_crash(spec, tb=tb)
         assert tb.ssd.faults.crash_plan is None
+
+
+class TestTornChecks:
+    def test_index_pointer_at_all_ones_key_is_checked(self):
+        # 16 x 0xff is a legal key; the torn-pointer walk must reach it.
+        from repro.durability.harness import _KvPlane, make_crash_testbed
+        from repro.kvssd import LogPointer
+
+        spec = CrashSpec(plane=PLANE_KV, ops=4)
+        tb = make_crash_testbed(spec)
+        run_crash(spec, tb=tb)
+        tb.personality.crash_and_recover()  # index now points at NAND only
+        plane = _KvPlane(tb, spec)
+        assert plane.torn_checks() == []
+        tb.personality.index.put(b"\xff" * 16, LogPointer(999, 0, 8))
+        torn = plane.torn_checks()
+        assert len(torn) == 1 and "segment 999" in torn[0]

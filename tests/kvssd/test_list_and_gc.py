@@ -92,7 +92,7 @@ class TestValueLogGc:
     def test_collect_noop_without_garbage(self):
         tb, kv, store = self._rig()
         store.put(b"only-key-0000001", b"v")
-        assert not kv.vlog.collect(lambda k, p: True, lambda k, o, n: None)
+        assert not kv.vlog.collect(kv.index.get_many, kv.index.put)
 
     def test_deletes_feed_gc(self):
         tb, kv, store = self._rig()

@@ -148,3 +148,41 @@ def test_model_equivalence_with_deletes(ops):
             model.pop(key, None)
     for key in {k for _, k in ops}:
         assert (idx.get(key) is not None) == (key in model)
+
+
+_SMALL_KEYS = st.integers(0, 20).map(lambda i: b"k%02d" % i)
+
+
+@given(st.lists(st.tuples(st.sampled_from(["put", "delete"]), _SMALL_KEYS),
+                min_size=1, max_size=150),
+       st.lists(_SMALL_KEYS | st.binary(min_size=1, max_size=3), max_size=40))
+@settings(max_examples=60, deadline=None)
+def test_get_many_matches_get(ops, extra):
+    """Property: the batched lookup GC uses answers exactly like get().
+
+    A 4-entry memtable over 21 keys spreads every key's versions over
+    the memtable, L0, cascaded levels and tombstones; the query repeats
+    keys and asks for ones the index never saw.
+    """
+    idx = _index(memtable_entries=4)
+    for n, (op, key) in enumerate(ops):
+        if op == "put":
+            idx.put(key, _ptr(n))
+        else:
+            idx.delete(key)
+    keys = [k for _, k in ops] + extra + [k for _, k in ops[::3]]
+    assert idx.get_many(keys) == [idx.get(k) for k in keys]
+
+
+def test_get_many_spans_every_level():
+    idx = _index(memtable_entries=2)
+    for i in range(40):
+        idx.put(b"k%02d" % i, _ptr(i))
+    idx.delete(b"k05")
+    idx.delete(b"k06")
+    idx.put(b"k06", _ptr(99))
+    assert any(idx.levels[lvl] for lvl in range(1, len(idx.levels)))
+    keys = [b"k%02d" % i for i in range(45)] + [b"k07", b"k05", b"a", b"z"]
+    got = idx.get_many(keys)
+    assert got == [idx.get(k) for k in keys]
+    assert got[5] is None and got[6] == _ptr(99) and got[44] is None

@@ -145,3 +145,32 @@ def test_scan_unaffected_by_explicit_flush_midstream():
     before = list(idx.scan(b"m0", b"m9"))
     idx.flush_memtable()
     assert list(idx.scan(b"m0", b"m9")) == before
+
+
+# ----------------------------------------------------------------------
+# unbounded scans
+# ----------------------------------------------------------------------
+
+def test_unbounded_scan_reaches_the_all_ones_key():
+    """``end=None`` has no upper bound: a fake "largest key" such as
+    16 x 0xff is itself a legal key and would hide it."""
+    idx = _index(memtable_entries=4)
+    top = b"\xff" * 16
+    for i, k in enumerate((b"a", b"m", top, b"\xff" * 15)):
+        idx.put(k, _ptr(i + 1))
+    idx.flush_memtable()
+    idx.put(b"\xff" * 17, _ptr(9))  # memtable key past the old fake bound
+    assert _keys(idx, b"\x00", None) == [
+        b"a", b"m", b"\xff" * 15, top, b"\xff" * 17]
+    assert _keys(idx, b"n", None) == [b"\xff" * 15, top, b"\xff" * 17]
+    assert [k for k, _p in idx.scan(b"\x00")] == _keys(idx, b"\x00", None)
+
+
+def test_bounded_scan_slices_every_table():
+    idx = _index(memtable_entries=3)
+    keys = [b"k%02d" % i for i in range(30)]
+    for i, k in enumerate(keys):
+        idx.put(k, _ptr(i + 1))
+    assert _keys(idx, b"k10", b"k20") == keys[10:20]
+    assert _keys(idx, b"k295", None) == []
+    assert _keys(idx, b"", b"k03") == keys[:3]

@@ -1,0 +1,110 @@
+"""Tombstones are recognised by identity (``ptr is TOMBSTONE``).
+
+Every path that rebuilds index entries must therefore hand back the
+singleton itself, not an equal copy: a deleted key must still read None
+and stay out of scans after each of them.
+"""
+
+from repro.kvssd import KVStore
+from repro.kvssd.lsm import (
+    TOMBSTONE,
+    LsmIndex,
+    SsTable,
+    _deserialize_entries,
+    _serialize_entries,
+)
+from repro.kvssd.value_log import LogPointer
+from repro.sim.clock import SimClock
+from repro.sim.config import TimingModel
+from repro.ssd.ftl import PageMappingFtl
+from repro.ssd.nand import NandArray, NandGeometry
+from repro.testbed import make_kv_testbed
+
+
+def _index(memtable_entries=4):
+    nand = NandArray(SimClock(), TimingModel(),
+                     NandGeometry(channels=2, ways=2, blocks_per_die=32,
+                                  pages_per_block=32, page_bytes=2048))
+    ftl = PageMappingFtl(nand)
+    return LsmIndex(ftl, lpn_base=ftl.logical_capacity_pages // 2,
+                    memtable_entries=memtable_entries)
+
+
+def _ptr(n):
+    return LogPointer(segment=n, offset=n * 8, length=8)
+
+
+def _assert_deleted(idx, key):
+    assert idx.get(key) is None
+    assert idx.get_many([key]) == [None]
+    assert key not in [k for k, _p in idx.scan(b"\x00")]
+
+
+def test_serialise_round_trip_reinterns_the_singleton():
+    entries = [(b"a", _ptr(1)), (b"b", TOMBSTONE), (b"c", _ptr(3))]
+    back = _deserialize_entries(_serialize_entries(entries))
+    assert back == entries
+    assert back[1][1] is TOMBSTONE
+    assert all(p is not TOMBSTONE for k, p in back if k != b"b")
+    # A table rebuilt from those bytes shadows an older value for b"b".
+    idx = _index()
+    idx.put(b"b", _ptr(2))
+    idx.flush_memtable()
+    idx.levels[0].append(SsTable(back))
+    _assert_deleted(idx, b"b")
+    assert [k for k, _p in idx.scan(b"\x00")] == [b"a", b"c"]
+
+
+def test_snapshot_restore_keeps_tombstones():
+    idx = _index(memtable_entries=4)
+    for i in range(6):
+        idx.put(b"k%d" % i, _ptr(i + 1))
+    idx.delete(b"k1")           # flushed into an SSTable below
+    idx.flush_memtable()
+    idx.delete(b"k4")           # memtable tombstone over a flushed value
+    state = idx.snapshot()
+    fresh = _index(memtable_entries=4)
+    fresh.restore(state)
+    for key in (b"k1", b"k4"):
+        _assert_deleted(fresh, key)
+    assert [k for k, _p in fresh.scan(b"\x00")] == [b"k0", b"k2", b"k3",
+                                                     b"k5"]
+
+
+def test_compaction_into_a_non_last_level_keeps_tombstones():
+    idx = _index(memtable_entries=2)
+    for i in range(48):
+        idx.put(b"k%02d" % i, _ptr(i + 1))
+    assert len(idx.levels) >= 3, "no deep level to shadow; add more keys"
+    deepest = len(idx.levels) - 1
+    assert b"k00" in idx.levels[deepest][0].keys
+    idx.delete(b"k00")
+    compactions = idx.compactions
+    for i in range(10):         # push the tombstone out of L0
+        idx.put(b"z%02d" % i, _ptr(100 + i))
+    assert idx.compactions > compactions
+    held = [t for level in idx.levels[1:deepest] for t in level
+            if b"k00" in t.keys]
+    assert held, "tombstone did not land in a non-last level"
+    assert held[0].get(b"k00") is TOMBSTONE
+    _assert_deleted(idx, b"k00")
+
+
+def test_recover_replay_keeps_deletes():
+    tb = make_kv_testbed(memtable_entries=4)
+    kv = tb.personality
+    kv.gc_threshold_bytes = kv.vlog.segment_bytes
+    store = KVStore(tb.driver, tb.method("byteexpress"))
+    for i in range(12):
+        store.put(b"recover-key-%04d" % i, b"v" * 2000)
+    for i in (2, 7):
+        store.delete(b"recover-key-%04d" % i)
+    for round_ in range(12):      # churn so GC carries the tombstones
+        store.put(b"recover-key-0000", bytes([round_]) * 3000)
+    assert kv.vlog.gc_runs > 0
+    kv.crash_and_recover()
+    for i in (2, 7):
+        _assert_deleted(kv.index, b"recover-key-%04d" % i)
+        assert kv.peek(b"recover-key-%04d" % i) is None
+    assert store.list_keys(b"recover") == [
+        b"recover-key-%04d" % i for i in range(12) if i not in (2, 7)]
