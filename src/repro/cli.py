@@ -25,6 +25,8 @@ from repro import datapath
 from repro.csd.pushdown import CsdClient
 from repro.datapath import names as dp_names
 from repro.csd.queries import CORPUS
+from repro.engine.engine import engine_methods
+from repro.host.driver import DriverError
 from repro.kvssd import KVStore
 from repro.metrics import format_table, format_traffic_breakdown
 from repro.metrics.ascii_plot import ascii_chart
@@ -298,11 +300,6 @@ def cmd_engine(args) -> int:
     from repro.ssd.controller import MODE_QUEUE_LOCAL, MODE_TAGGED
     from repro.testbed import make_engine_testbed
 
-    engine_choices = datapath.method_names(engine_capable=True)
-    if args.method not in engine_choices:
-        print(f"unknown engine method {args.method!r}; pick from "
-              f"{engine_choices}", file=sys.stderr)
-        return 2
     try:
         cfg = SimConfig(link=LinkConfig(generation=args.gen),
                         lba_bytes=args.lba,
@@ -325,7 +322,12 @@ def cmd_engine(args) -> int:
                for i in range(args.streams)]
     gen = LoadGenerator(engine, streams, seed=args.seed,
                         method=args.method)
-    report = gen.run()
+    try:
+        report = gen.run()
+    except DriverError as exc:
+        # e.g. byteexpress-tagged without --tagged: refused at encode.
+        print(f"bad engine configuration: {exc}", file=sys.stderr)
+        return 2
     print(report.table())
     print()
     rows = [[k, v] for k, v in report.engine_stats.items()]
@@ -370,11 +372,6 @@ def cmd_virt(args) -> int:
         run_tenant_loads,
     )
 
-    engine_choices = datapath.method_names(engine_capable=True)
-    if args.method not in engine_choices:
-        print(f"unknown engine method {args.method!r}; pick from "
-              f"{engine_choices}", file=sys.stderr)
-        return 2
     tb = make_virt_testbed()
     manager = TenantManager(tb, qos=args.qos)
     params = None
@@ -393,7 +390,11 @@ def cmd_virt(args) -> int:
         loads.append(TenantLoad(tenant=name, ops=args.ops, size=args.size,
                                 method=args.method,
                                 concurrency=args.concurrency))
-    reports = run_tenant_loads(manager, loads)
+    try:
+        reports = run_tenant_loads(manager, loads)
+    except DriverError as exc:
+        print(f"bad tenant configuration: {exc}", file=sys.stderr)
+        return 2
     rows = []
     total_ok = 0
     for tenant in manager.tenants():
@@ -434,11 +435,6 @@ def cmd_serve(args) -> int:
     from repro.testbed import make_kv_testbed
     from repro.workloads import run_serving
 
-    engine_choices = datapath.method_names(engine_capable=True)
-    if args.method not in engine_choices:
-        print(f"unknown serve method {args.method!r}; pick from "
-              f"{engine_choices}", file=sys.stderr)
-        return 2
     tb = make_kv_testbed()
     try:
         service = tb.make_service(
@@ -451,7 +447,7 @@ def cmd_serve(args) -> int:
             read_ratio=args.read_ratio,
             keys_per_session=args.keys_per_session,
             fan_in=args.fan_in, seed=args.seed)
-    except (ServiceError, ValueError) as exc:
+    except (ServiceError, ValueError, DriverError) as exc:
         print(f"bad serving configuration: {exc}", file=sys.stderr)
         return 2
     stats = service.stats
@@ -639,8 +635,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--streams", type=int, default=4,
                    help="concurrent client streams")
     p.add_argument("--method", default=dp_names.BYTEEXPRESS,
-                   choices=datapath.method_names(
-                       engine_capable=True))
+                   choices=engine_methods())
     p.add_argument("--ops", type=int, default=2000,
                    help="total operations across all streams")
     p.add_argument("--dist", default="fixed:64",
@@ -682,8 +677,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--size", type=int, default=64,
                    help="payload bytes per op")
     p.add_argument("--method", default=dp_names.BYTEEXPRESS,
-                   choices=datapath.method_names(
-                       engine_capable=True))
+                   choices=engine_methods())
     p.add_argument("--concurrency", type=int, default=4,
                    help="outstanding ops per tenant (closed loop)")
     p.add_argument("--no-qos", dest="qos", action="store_false",
@@ -721,8 +715,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--qd", type=int, default=32,
                    help="per-queue queue-depth cap")
     p.add_argument("--method", default=dp_names.BYTEEXPRESS,
-                   choices=datapath.method_names(
-                       engine_capable=True))
+                   choices=engine_methods())
     p.add_argument("--seed", type=_seed_int, default=0x5EED)
     p.set_defaults(func=cmd_serve)
 

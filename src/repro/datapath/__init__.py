@@ -32,19 +32,16 @@ from repro.datapath.spec import DatapathCaps, DatapathSpec
 SPECS: Tuple[DatapathSpec, ...] = (
     # Stock NVMe baseline: DMA via PRP page lists.
     DatapathSpec(names.PRP,
-                 DatapathCaps(engine_capable=True, figure5=True),
-                 PRP_WRITE_CODEC),
+                 DatapathCaps(figure5=True), PRP_WRITE_CODEC),
     # Scatter-gather lists: byte-granular data pointers (§5).
     DatapathSpec(names.SGL, DatapathCaps(), SGL_WRITE_CODEC),
     # BandSlim-style fragmentation into command fields.
     DatapathSpec(names.BANDSLIM,
-                 DatapathCaps(fragmented=True, engine_capable=True,
-                              figure5=True),
+                 DatapathCaps(fragmented=True, figure5=True),
                  FRAGMENT_WRITE_CODEC),
     # The paper's inline transfer: payload chunks ride the SQ.
     DatapathSpec(names.BYTEEXPRESS,
-                 DatapathCaps(inline=True, engine_capable=True,
-                              figure5=True),
+                 DatapathCaps(inline=True, figure5=True),
                  INLINE_WRITE_CODEC),
     # §3.3.2 future work: self-describing chunks, out-of-order
     # reassembly (needs a MODE_TAGGED controller).
@@ -83,8 +80,8 @@ def method_names(**caps: bool) -> Tuple[str, ...]:
     flags.
 
     Keyword arguments name :class:`~repro.datapath.spec.DatapathCaps`
-    fields and the required value, e.g. ``method_names(engine_capable=True)``
-    or ``method_names(figure5=True)``.  An unknown capability name raises
+    fields and the required value, e.g. ``method_names(figure5=True)``
+    or ``method_names(bar_window=False)``.  An unknown capability name raises
     ``AttributeError`` — a misspelt filter must not return everything.
     """
     return tuple(spec.name for spec in SPECS

@@ -229,7 +229,10 @@ class TaggedInlineWriteCodec(HostCodec):
     chunks that the controller may fetch interleaved across queues.
 
     The chunks carry *payload_id*; ``None`` takes a fresh id from the
-    driver, bound to the command's CID until it retires.
+    driver, bound to the command's CID until it retires.  Refused unless
+    the controller runs in tagged mode: a queue-local controller would
+    store each chunk's tag header as payload bytes and still complete
+    the write with SUCCESS.
     """
 
     method = names.BYTEEXPRESS_TAGGED
@@ -237,8 +240,14 @@ class TaggedInlineWriteCodec(HostCodec):
     def encode(self, driver: "NvmeDriver", cmd: NvmeCommand, data: bytes,
                qid: int, *, ring: bool = True, private_buffer: bool = False,
                payload_id: Optional[int] = None) -> int:
+        from repro.ssd.context import MODE_TAGGED
+
         if not data:
             raise _driver_error("inline submission requires a payload")
+        if driver.ssd.controller.mode != MODE_TAGGED:
+            raise _driver_error(
+                "tagged inline write needs a controller in tagged mode "
+                f"(this one runs {driver.ssd.controller.mode!r})")
         _require_byteexpress(driver)
         res = driver.queue(qid)
         make_inline_command(cmd, len(data))

@@ -6,13 +6,13 @@ transfer method:
 * its **name** (:mod:`repro.datapath.names`);
 * **capability flags** (:class:`DatapathCaps`) — what the rest of the
   stack may ask of the method (inline transport, tag reassembly,
-  fragmentation, async-engine support, Figure-5 membership, the BAR
-  byte window);
+  fragmentation, Figure-5 membership, the BAR byte window);
 * a **host codec** — how the driver encodes the SQE and moves the
   payload (PRP staging, SGL segments, inline chunk append, tagged
   chunks, BandSlim fragment commands).  Every queue-protocol write path
   has one; methods outside the queue protocol (MMIO, PIO) or layered
-  over other methods (hybrid) leave it ``None``.
+  over other methods (hybrid) leave it ``None``.  Only codec-bearing
+  methods run at QD>1 (the async engine, the crash harness).
 
 Specs are plain frozen data; behaviour lives in the codec objects they
 reference.  The method roster is the static :data:`repro.datapath.SPECS`
@@ -34,7 +34,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 @dataclass(frozen=True)
 class DatapathCaps:
-    """What a transfer method supports, declared once in its spec."""
+    """What a transfer method supports, declared once in its spec.
+
+    Engine support is no flag: a method rides the async engine iff its
+    spec carries a host codec (:func:`repro.engine.engine.engine_methods`).
+    """
 
     #: The payload rides the submission queue itself (ByteExpress family):
     #: subject to the circuit breaker and the firmware capability bit.
@@ -44,8 +48,6 @@ class DatapathCaps:
     tag_reassembly: bool = False
     #: The payload is split across multiple NVMe commands (BandSlim).
     fragmented: bool = False
-    #: The asynchronous multi-queue engine can drive this method.
-    engine_capable: bool = False
     #: Swept by the Figure-5 benchmark and the CLI sweep default.
     figure5: bool = False
     #: Uses the MMIO BAR byte window instead of the queue protocol; only

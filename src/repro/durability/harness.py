@@ -28,6 +28,11 @@ then run the power-loss sequence —
    Under ``REPRO_VERIFY=1`` violations raise; otherwise they are
    recorded on the returned :class:`CrashReport`.
 
+At QD 1 an op's ack is its synchronous write's status.  At QD>1 the
+workload runs through an :class:`~repro.engine.IoEngine` on one queue,
+and an op is acked iff its future resolved OK before the cut: acks are
+observed per reaped CQE batch, not per CQE.
+
 The harness only ever *arms* the injector around the workload phase —
 recovery traffic runs disarmed, and a rig that never arms a crash pays
 nothing (the golden traffic fingerprints stay byte-identical).
@@ -38,20 +43,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Set, Tuple, Union
 
+from repro import datapath
 from repro.datapath import names as dp_names
 from repro.faults.plan import CUT_KINDS, CrashCut, CrashPlan
-from repro.nvme.command import NvmeCommand
 from repro.nvme.constants import PAGE_SIZE, IoOpcode, KvOpcode, StatusCode
 
 PLANE_BLOCK = "block"
 PLANE_KV = "kv"
 PLANES: Tuple[str, ...] = (PLANE_BLOCK, PLANE_KV)
-
-#: Methods whose host side is a BAR byte window (need include_mmio rigs).
-_BAR_METHODS = frozenset({dp_names.MMIO, dp_names.PIO_COHERENT})
-#: Methods whose generic ``driver.submit`` path needs a private DMA
-#: buffer per in-flight command (shared scratch would tear at QD>1).
-_PRIVATE_BUFFER_METHODS = frozenset({dp_names.PRP, dp_names.SGL})
 
 
 @dataclass(frozen=True)
@@ -86,9 +85,14 @@ class CrashSpec:
             raise ValueError("ops must be at least 1")
         if self.payload_bytes < 1:
             raise ValueError("payload_bytes must be at least 1")
-        if self.qd > 1 and self.method in _BAR_METHODS:
-            raise ValueError(f"{self.method!r} is a synchronous BAR-window "
-                             f"path; it has no QD>1 submission mode")
+        try:
+            codec = datapath.resolve(self.method).host_codec
+        except datapath.UnknownMethodError as exc:
+            raise ValueError(str(exc)) from None
+        if self.qd > 1 and codec is None:
+            raise ValueError(f"{self.method!r} has no host codec: BAR-window "
+                             f"and layered paths are synchronous and have "
+                             f"no QD>1 submission mode")
 
     def label(self) -> str:
         cut = (f"{self.cut.cut_kind}@{self.cut.cut_index}"
@@ -178,10 +182,6 @@ class _BlockPlane:
     def payload(self, op: int) -> bytes:
         return _pattern(op, self.spec.payload_bytes)
 
-    def command(self, op: int) -> NvmeCommand:
-        return NvmeCommand(opcode=self.opcode, nsid=1,
-                           cdw10=op * PAGE_SIZE)
-
     def write_kwargs(self, op: int) -> Dict[str, int]:
         return {"opcode": int(self.opcode), "cdw10": op * PAGE_SIZE}
 
@@ -234,9 +234,6 @@ class _KvPlane:
 
         return encode_store_payload(self.key(op), self.value(op))
 
-    def command(self, op: int) -> NvmeCommand:
-        return NvmeCommand(opcode=self.opcode, nsid=1)
-
     def write_kwargs(self, op: int) -> Dict[str, int]:
         return {"opcode": int(self.opcode)}
 
@@ -284,7 +281,7 @@ def make_crash_testbed(spec: CrashSpec) -> Any:
     # any of those modules without a cycle.
     from repro.testbed import make_block_testbed, make_kv_testbed
 
-    include_mmio = spec.method in _BAR_METHODS
+    include_mmio = datapath.resolve(spec.method).caps.bar_window
     if spec.plane == PLANE_KV:
         tb = make_kv_testbed(include_mmio=include_mmio)
     else:
@@ -311,38 +308,29 @@ def _issue_qd1(tb: Any, plane: Union["_BlockPlane", "_KvPlane"],
             acked.add(op)
 
 
-def _issue_batched(tb: Any, plane: Union["_BlockPlane", "_KvPlane"],
-                   spec: CrashSpec, report: "CrashReport",
-                   acked: Set[int]) -> None:
-    """QD>1 loop: submit a window unrung, kick once, drive, then reap.
+def _issue_engine(tb: Any, plane: Union["_BlockPlane", "_KvPlane"],
+                  spec: CrashSpec, report: "CrashReport",
+                  acked: Set[int]) -> None:
+    """QD>1 loop: one ``IoEngine.submit`` per op, then one drain.
 
-    Completions are harvested one CQE at a time so "the host observed
-    this ack" is decided at single-completion granularity — a cut during
-    the reap loses at most the CQE being read, never a whole batch.
-    Progress lands on *report* in place (a cut aborts mid-loop).
+    An op is issued once its ``submit`` returned and acked iff its
+    future resolved OK; the ``finally`` tallies both when a
+    :class:`CrashCut` aborts a backpressure poll or the drain.
     """
-    driver, ssd = tb.driver, tb.ssd
-    qid = driver.io_qids[0]
-    private = spec.method in _PRIVATE_BUFFER_METHODS
-    pending: Dict[int, int] = {}
-    next_op = 0
-    while next_op < spec.ops or pending:
-        while next_op < spec.ops and len(pending) < spec.qd:
-            cid = driver.submit(spec.method, plane.command(next_op),
-                                plane.payload(next_op), qid, ring=False,
-                                private_buffer=private)
-            pending[cid] = next_op
-            report.issued += 1
-            next_op += 1
-        driver.kick(qid)
-        ssd.controller.process_all()
-        while True:
-            cqes = driver.reap(qid, limit=1)
-            if not cqes:
-                break
-            op = pending.pop(cqes[0].cid, None)
-            if op is not None and cqes[0].status == StatusCode.SUCCESS:
-                acked.add(op)
+    from repro.engine import IoEngine
+
+    engine = IoEngine(tb.ssd, tb.driver, queues=tb.driver.io_qids[:1],
+                      qd=spec.qd)
+    futures = []
+    try:
+        for op in range(spec.ops):
+            futures.append(engine.submit(plane.payload(op),
+                                         method=spec.method,
+                                         **plane.write_kwargs(op)))
+        engine.drain()
+    finally:
+        report.issued = len(futures)
+        acked.update(op for op, future in enumerate(futures) if future.ok)
 
 
 def _reboot_host(tb: Any) -> None:
@@ -351,7 +339,8 @@ def _reboot_host(tb: Any) -> None:
     from repro.host.driver import NvmeDriver
     from repro.transfer import make_methods
 
-    include_mmio = bool(_BAR_METHODS & set(tb.methods))
+    include_mmio = any(name in tb.methods
+                       for name in datapath.method_names(bar_window=True))
     tb.driver = NvmeDriver(tb.ssd)
     tb.methods = make_methods(tb.ssd, tb.driver, include_mmio=include_mmio)
 
@@ -361,7 +350,8 @@ def run_crash(spec: CrashSpec, tb: Any = None) -> CrashReport:
 
     Pass *tb* to reuse a pre-built rig (it must match *spec*'s plane and
     method roster); the rig is consumed — after a cut it has been
-    crashed and rebooted.  Under ``REPRO_VERIFY=1`` a durability
+    crashed and rebooted.  QD>1 acks an op iff its engine future
+    resolved OK before the cut (per reaped CQE batch, not per CQE).  Under ``REPRO_VERIFY=1`` a durability
     violation raises :class:`~repro.verify.InvariantViolation`
     (``INV_DURABLE_ACK`` / ``INV_NO_TORN_STATE``) instead of merely
     filling in the report.
@@ -403,7 +393,7 @@ def run_crash(spec: CrashSpec, tb: Any = None) -> CrashReport:
         if spec.qd == 1:
             _issue_qd1(tb, plane, spec, report, acked)
         else:
-            _issue_batched(tb, plane, spec, report, acked)
+            _issue_engine(tb, plane, spec, report, acked)
     except CrashCut:
         report.cut_fired = True
     finally:

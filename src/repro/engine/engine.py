@@ -15,9 +15,10 @@ Backpressure is built in: when every eligible queue is at its QD cap
 completions inline until capacity frees, so memory and CID usage stay
 bounded no matter how fast the caller submits.
 
-Transfer methods are the write paths whose submission maps onto SQ
-entries: ``byteexpress`` (queue-local or tagged chunks, following the
-controller's mode), ``prp`` (stock baseline, private per-command DMA
+Transfer methods are the write paths that carry a host codec
+(:func:`engine_methods`): ``byteexpress`` (queue-local or tagged chunks,
+following the controller's mode), ``byteexpress-tagged`` (tagged
+controllers only), ``prp`` and ``sgl`` (private per-command DMA
 buffers), and ``bandslim`` (fragment command sequences; requires the
 device layer from :mod:`repro.transfer.bandslim` to be registered).
 Every (re)submission is one host-codec encode.  Breaker-guarded methods
@@ -46,10 +47,12 @@ from repro.nvme.constants import (
 from repro.ssd.controller import MODE_TAGGED
 from repro.ssd.device import OpenSsd
 
+
 def engine_methods() -> tuple:
-    """Write paths the engine can drive asynchronously — every method
-    whose caps declare ``engine_capable``."""
-    return datapath.method_names(engine_capable=True)
+    """Write paths the engine can drive asynchronously: every spec with
+    a host codec, in table order (a submission is one ``encode``)."""
+    return tuple(spec.name for spec in datapath.SPECS
+                 if spec.host_codec is not None)
 
 
 class EngineError(Exception):
@@ -80,7 +83,11 @@ class EngineStats:
 
 
 class IoEngine:
-    """Asynchronous multi-queue submission over one driver/device pair."""
+    """Asynchronous multi-queue submission over one driver/device pair.
+
+    The stack's one QD>1 loop (load generator, KV service, tenants, the
+    crash harness): a write is acked once its future resolves OK.
+    """
 
     def __init__(self, ssd: OpenSsd, driver: NvmeDriver,
                  queues: Optional[Sequence[int]] = None,
@@ -156,7 +163,7 @@ class IoEngine:
             spec = datapath.resolve(method)
         except datapath.UnknownMethodError:
             spec = None
-        if spec is None or not spec.caps.engine_capable:
+        if spec is None or spec.host_codec is None:
             raise EngineError(
                 f"unknown engine method {method!r}; "
                 f"expected one of {engine_methods()}")
@@ -284,9 +291,9 @@ class IoEngine:
         # — this allocation runs once per (re)submission.
         cmd = NvmeCommand(entry.opcode, 0, 0, entry.nsid, 0, 0, 0, 0, 0,
                           entry.cdw10, entry.cdw11)
-        # Engine-capable specs always carry a host codec; calling it
+        # ``submit`` admits only codec-bearing specs; calling the codec
         # directly skips the driver.submit resolve layer.  Every
-        # in-flight write at QD>1 needs its own DMA buffer (PRP).
+        # in-flight write at QD>1 needs its own DMA buffer (PRP, SGL).
         cid = spec.host_codec.encode(self.driver, cmd, entry.payload, qid,
                                      ring=False, private_buffer=True)
         entry.key = (qid, cid)

@@ -703,9 +703,8 @@ class NvmeDriver:
         with res.sq.lock:
             self._ring_sq_doorbell(res)
 
-    def reap(self, qid: int,
-             limit: Optional[int] = None) -> List[NvmeCompletion]:
-        """Drain up to *limit* visible CQEs from *qid* without blocking.
+    def reap(self, qid: int) -> List[NvmeCompletion]:
+        """Drain every visible CQE from *qid* without blocking.
 
         Pure completion-side harvesting for the reactor: never drives the
         device.  Each CQE pays host handling cost, applies the SQ-head
@@ -713,7 +712,7 @@ class NvmeDriver:
         pages).  The CQ doorbell is rung once per batch — the head
         publication amortises exactly as interrupt-coalesced drivers do.
         """
-        return self._reap(self.queue(qid), limit)
+        return self._reap(self.queue(qid))
 
     def _reap(self, res: _QueueResources,
               limit: Optional[int] = None) -> List[NvmeCompletion]:

@@ -18,7 +18,7 @@ from repro.host.driver import DriverError
 from repro.nvme.command import NvmeCommand
 from repro.nvme.constants import PAGE_SIZE, IoOpcode
 from repro.nvme.passthrough import PassthruRequest
-from repro.ssd.context import MODE_TAGGED
+from repro.ssd.context import MODE_QUEUE_LOCAL, MODE_TAGGED
 from repro.testbed import make_block_testbed, make_engine_testbed
 
 #: Boundary sizes: 1 B, chunk edges (63/64/65), a mid size, page edges.
@@ -40,12 +40,14 @@ def _payload(i: int, size: int) -> bytes:
     return bytes((i * 13 + j) & 0xFF for j in range(size))
 
 
+def _tagged(method: str) -> bool:
+    return datapath.resolve(method).caps.tag_reassembly
+
+
 def _testbed_for(method: str):
-    mode = (MODE_TAGGED if datapath.resolve(method).caps.tag_reassembly
-            else None)
-    if mode is None:
+    if not _tagged(method):
         return make_block_testbed(include_mmio=True)
-    return make_block_testbed(mode=mode, include_mmio=False)
+    return make_block_testbed(mode=MODE_TAGGED, include_mmio=False)
 
 
 # ------------------------------------------------- generic round-trips
@@ -212,10 +214,11 @@ def test_transfer_writes_match_generic_submit_wire_traffic(method):
 def test_engine_and_passthru_writes_land_identical_bytes(method):
     """Both front doors end in the method's host codec, so a fault-free
     synchronous write and an engine write of the same payload leave the
-    same bytes on the device."""
-    assert datapath.resolve(method).host_codec is not None
-    sync_tb = make_engine_testbed(queues=2)
-    engine_tb = make_engine_testbed(queues=2)
+    same bytes on the device.  The tagged method runs on a tagged rig,
+    the only controller mode that can reassemble it."""
+    mode = MODE_TAGGED if _tagged(method) else MODE_QUEUE_LOCAL
+    sync_tb = make_engine_testbed(queues=2, mode=mode)
+    engine_tb = make_engine_testbed(queues=2, mode=mode)
     engine = engine_tb.make_engine(qd=4)
     futures = []
     for i, size in enumerate(BOUNDARY_SIZES):
@@ -233,3 +236,27 @@ def test_engine_and_passthru_writes_land_identical_bytes(method):
         landed = sync_tb.personality.read_back(offset, size)
         assert landed == _payload(i, size), (method, size)
         assert engine_tb.personality.read_back(offset, size) == landed
+
+
+# ------------------------------------------- tagged codec, wrong controller
+
+
+@pytest.mark.parametrize("front_door", ("passthru", "engine"))
+def test_tagged_write_on_queue_local_controller_is_refused(front_door):
+    """A queue-local controller reads tagged chunks as raw payload, so
+    the write would complete SUCCESS with the 8-byte tag header stored
+    in place of the data.  The codec refuses it before pushing a slot."""
+    tb = make_engine_testbed(queues=1)
+    sq = tb.driver.queue(1).sq
+    tail = sq.tail
+    payload = b"\xab" * 64
+    with pytest.raises(DriverError, match="tagged mode"):
+        if front_door == "passthru":
+            tb.driver.passthru(
+                PassthruRequest(opcode=IoOpcode.WRITE, data=payload),
+                method=names.BYTEEXPRESS_TAGGED)
+        else:
+            tb.make_engine(qd=4).submit(payload,
+                                        method=names.BYTEEXPRESS_TAGGED)
+    assert sq.tail == tail
+    assert tb.personality.read_back(0, 64) == bytes(64)

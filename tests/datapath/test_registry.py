@@ -30,9 +30,16 @@ def test_figure5_filter_matches_paper_sweep():
         names.PIO_COHERENT)
 
 
-def test_engine_capable_filter():
-    assert set(datapath.method_names(engine_capable=True)) == {
-        names.PRP, names.BANDSLIM, names.BYTEEXPRESS}
+def test_engine_methods_are_the_codec_bearing_specs():
+    """Engine support is derived, not declared: a method rides the
+    engine iff its spec carries the host codec a submission encodes."""
+    from repro.engine.engine import engine_methods
+
+    assert engine_methods() == tuple(
+        spec.name for spec in datapath.SPECS if spec.host_codec is not None)
+    assert engine_methods() == (
+        names.PRP, names.SGL, names.BANDSLIM, names.BYTEEXPRESS,
+        names.BYTEEXPRESS_TAGGED)
 
 
 def test_unknown_capability_flag_raises():

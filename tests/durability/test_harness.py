@@ -29,10 +29,16 @@ class TestCrashSpec:
             CrashSpec(**kwargs)
 
     @pytest.mark.parametrize("method",
-                             [dp_names.MMIO, dp_names.PIO_COHERENT])
+                             [dp_names.MMIO, dp_names.PIO_COHERENT,
+                              dp_names.HYBRID])
     def test_rejects_qd_above_one_on_bar_window_paths(self, method):
+        # QD>1 rides the engine, which needs a host codec to encode.
         with pytest.raises(ValueError, match="BAR-window"):
             CrashSpec(plane=PLANE_KV, method=method, qd=2)
+
+    def test_rejects_unknown_method(self):
+        with pytest.raises(ValueError, match="warp-drive"):
+            CrashSpec(method="warp-drive")
 
     def test_label_encodes_the_whole_experiment(self):
         spec = CrashSpec(plane=PLANE_KV, qd=1, payload_bytes=256,
@@ -72,6 +78,48 @@ class TestBlockPlane:
             plane=PLANE_BLOCK, method=dp_names.PRP, qd=8, ops=24,
             cut=CrashPlan(CUT_TLP, 40)))
         assert report.cut_fired and report.ok
+
+
+#: (plane, method) pairs the QD-8 engine loop must keep durable: every
+#: codec method on the block plane, the paper's inline path on KV.
+QD8_CASES = [(PLANE_BLOCK, method) for method in (
+    dp_names.PRP, dp_names.SGL, dp_names.BANDSLIM, dp_names.BYTEEXPRESS)]
+QD8_CASES.append((PLANE_KV, dp_names.BYTEEXPRESS))
+
+
+class TestQd8Engine:
+    """QD>1 workloads run through an IoEngine: a cut anywhere in the
+    run loses no write whose future resolved before it."""
+
+    @staticmethod
+    def _spec(plane, method, cut, plp=True):
+        return CrashSpec(plane=plane, method=method, qd=8, ops=24,
+                         payload_bytes=256, cut=cut, plp=plp)
+
+    @pytest.mark.parametrize("cut_kind", [CUT_TLP, CUT_DOORBELL, CUT_CQE])
+    @pytest.mark.parametrize("plane,method", QD8_CASES)
+    def test_mid_run_cut_loses_no_acked_write(self, plane, method,
+                                              cut_kind):
+        probe = run_crash(self._spec(plane, method,
+                                     CrashPlan(cut_kind, 2 ** 31 - 1)))
+        assert not probe.cut_fired and probe.ok
+        assert probe.acked == probe.issued == 24
+        report = run_crash(self._spec(
+            plane, method, CrashPlan(cut_kind, probe.opportunities // 2)))
+        assert report.cut_fired
+        assert report.ok, (report.lost, report.torn)
+        assert 0 < report.acked < 24
+
+    def test_no_plp_doorbell_cut_trips_inv_durable_ack(self, monkeypatch):
+        # The third kick dies: two reaped batches of 8 were acked, and
+        # without PLP the device reboots from its boot-time journal.
+        monkeypatch.setenv("REPRO_VERIFY", "1")
+        with pytest.raises(InvariantViolation) as excinfo:
+            run_crash(self._spec(PLANE_KV, dp_names.BYTEEXPRESS,
+                                 CrashPlan(CUT_DOORBELL, 2), plp=False))
+        assert excinfo.value.rule == "INV_DURABLE_ACK"
+        assert excinfo.value.snapshot["acked"] == 16
+        assert excinfo.value.snapshot["lost"] == 16
 
 
 class TestKvPlane:

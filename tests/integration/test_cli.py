@@ -91,3 +91,19 @@ def test_serve_bad_mix_is_exit_2(capsys):
 def test_serve_bad_window_is_exit_2(capsys):
     assert main(["serve", "--window-ns", "-1"]) == 2
     assert "bad serving configuration" in capsys.readouterr().err
+
+
+def test_crash_qd8_on_a_codecless_method_is_exit_2(capsys):
+    # QD>1 rides the async engine, which needs a host codec; hybrid
+    # has none, so the spec is refused before a rig is built.
+    assert main(["crash", "--plane", "block", "--method", "hybrid",
+                 "--qd", "8"]) == 2
+    assert "bad crash configuration" in capsys.readouterr().err
+
+
+def test_engine_tagged_method_needs_a_tagged_controller(capsys):
+    assert main(["engine", "--queues", "1", "--streams", "1", "--ops", "8",
+                 "--method", "byteexpress-tagged"]) == 2
+    assert "bad engine configuration" in capsys.readouterr().err
+    assert main(["engine", "--queues", "1", "--streams", "1", "--ops", "8",
+                 "--method", "byteexpress-tagged", "--tagged"]) == 0
