@@ -29,10 +29,11 @@ import pytest
 
 from conftest import DEFAULT_OPS, RESULTS_DIR, report
 from repro.datapath import names as dp_names
+from repro.engine import LoadGenerator, StreamSpec
 from repro.metrics import format_table
 from repro.pcie.traffic import CAT_CMD_FETCH, CAT_DOORBELL
 from repro.testbed import make_virt_testbed
-from repro.virt import QosParams, TenantLoad, TenantManager, run_tenant_loads
+from repro.virt import QosParams, TenantManager
 
 RESULTS_PATH = RESULTS_DIR / "noisy_neighbor.json"
 
@@ -50,19 +51,23 @@ VICTIM_QOS = QosParams(weight=4)
 def _scenario(name: str, ops: int, aggressor: bool, qos: bool) -> dict:
     tb = make_virt_testbed()
     mgr = TenantManager(tb, qos=qos)
-    mgr.provision("victim", qos=VICTIM_QOS if qos else None)
-    loads = [TenantLoad(tenant="victim", ops=ops, size=VICTIM_SIZE,
-                        method=dp_names.BYTEEXPRESS, concurrency=4)]
+    tenants = [mgr.provision("victim", qos=VICTIM_QOS if qos else None)]
+    # One stream per tenant; stream 0 is the victim.
+    streams = [StreamSpec(stream_id=0, ops=ops, size=f"fixed:{VICTIM_SIZE}",
+                          method=dp_names.BYTEEXPRESS, concurrency=4)]
     if aggressor:
-        mgr.provision("aggressor", qos=AGGRESSOR_QOS if qos else None)
-        loads.append(TenantLoad(tenant="aggressor", ops=ops,
-                                size=AGGRESSOR_SIZE, method=dp_names.PRP,
-                                concurrency=8))
+        tenants.append(mgr.provision(
+            "aggressor", qos=AGGRESSOR_QOS if qos else None))
+        streams.append(StreamSpec(stream_id=1, ops=ops,
+                                  size=f"fixed:{AGGRESSOR_SIZE}",
+                                  method=dp_names.PRP, concurrency=8))
+    engines = {s.stream_id: mgr.engine(t, qd=s.concurrency)
+               for s, t in zip(streams, tenants)}
     tlps_before = {c: tb.traffic.category(c).tlp_count
                    for c in (CAT_DOORBELL, CAT_CMD_FETCH)}
-    reports = run_tenant_loads(mgr, loads)
-    total_ok = sum(r.ok for r in reports.values())
-    victim = reports["victim"]
+    result = LoadGenerator(engines, streams).run()
+    total_ok = result.total_ok
+    victim = result.streams[0]
     assert victim.ok == ops, victim
     mgr.teardown_all()
     return {

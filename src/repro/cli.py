@@ -294,7 +294,9 @@ def cmd_faults(args) -> int:
 
 def cmd_engine(args) -> int:
     """Concurrent load over the asynchronous multi-queue engine."""
-    from repro.engine import LoadGenerator, StreamSpec
+    from repro.engine import (EngineSaturatedError, LoadGenerator,
+                              SchedulerError, StreamSpec)
+    from repro.engine.loadgen import LoadGenError
     from repro.faults import fault_event
     from repro.sim.config import LinkConfig
     from repro.ssd.controller import MODE_QUEUE_LOCAL, MODE_TAGGED
@@ -307,24 +309,26 @@ def cmd_engine(args) -> int:
                         doorbell_mode=args.doorbell_mode,
                         burst_limit=args.burst_limit,
                         cq_coalesce=args.cq_coalesce).nand_off()
-    except ValueError as exc:
+        mode = MODE_TAGGED if args.tagged else MODE_QUEUE_LOCAL
+        tb = make_engine_testbed(queues=args.queues, config=cfg, mode=mode,
+                                 fault_plan=_fault_plan(args))
+        engine = tb.make_engine(queues=args.queues, qd=args.qd,
+                                policy=args.policy)
+        if args.streams < 1:
+            raise LoadGenError("--streams must be >= 1")
+        per_stream = max(1, args.ops // args.streams)
+        window = max(1, args.queues * args.qd // args.streams)
+        streams = [StreamSpec(stream_id=i, ops=per_stream, size=args.dist,
+                              concurrency=window, think_ns=args.think_ns)
+                   for i in range(args.streams)]
+        gen = LoadGenerator(engine, streams, seed=args.seed,
+                            method=args.method)
+    except (ValueError, LoadGenError, SchedulerError) as exc:
         print(f"bad engine configuration: {exc}", file=sys.stderr)
         return 2
-    mode = MODE_TAGGED if args.tagged else MODE_QUEUE_LOCAL
-    tb = make_engine_testbed(queues=args.queues, config=cfg, mode=mode,
-                             fault_plan=_fault_plan(args))
-    engine = tb.make_engine(queues=args.queues, qd=args.qd,
-                            policy=args.policy)
-    per_stream = max(1, args.ops // args.streams)
-    window = max(1, args.queues * args.qd // args.streams)
-    streams = [StreamSpec(stream_id=i, ops=per_stream, size=args.dist,
-                          concurrency=window, think_ns=args.think_ns)
-               for i in range(args.streams)]
-    gen = LoadGenerator(engine, streams, seed=args.seed,
-                        method=args.method)
     try:
         report = gen.run()
-    except DriverError as exc:
+    except (DriverError, EngineSaturatedError) as exc:
         # e.g. byteexpress-tagged without --tagged: refused at encode.
         print(f"bad engine configuration: {exc}", file=sys.stderr)
         return 2
@@ -364,13 +368,11 @@ def cmd_engine(args) -> int:
 def cmd_virt(args) -> int:
     """Multi-tenant run: N tenants on private namespaces and queues,
     loaded concurrently, with QoS arbitration on or off."""
+    from repro.engine import (EngineSaturatedError, LoadGenerator,
+                              SchedulerError, StreamSpec)
+    from repro.engine.loadgen import LoadGenError
     from repro.testbed import make_virt_testbed
-    from repro.virt import (
-        QosParams,
-        TenantLoad,
-        TenantManager,
-        run_tenant_loads,
-    )
+    from repro.virt import QosParams, TenantManager, VirtError
 
     tb = make_virt_testbed()
     manager = TenantManager(tb, qos=args.qos)
@@ -383,26 +385,32 @@ def cmd_virt(args) -> int:
         except ValueError as exc:
             print(f"bad QoS parameters: {exc}", file=sys.stderr)
             return 2
-    loads = []
-    for i in range(args.tenants):
-        name = f"tenant{i}"
-        manager.provision(name, queues=args.queues, qos=params)
-        loads.append(TenantLoad(tenant=name, ops=args.ops, size=args.size,
-                                method=args.method,
-                                concurrency=args.concurrency))
     try:
-        reports = run_tenant_loads(manager, loads)
-    except DriverError as exc:
+        tenants = [manager.provision(f"tenant{i}", queues=args.queues,
+                                     qos=params)
+                   for i in range(args.tenants)]
+        # One stream per tenant; the stream id is the tenant's index.
+        streams = [StreamSpec(stream_id=i, ops=args.ops,
+                              size=f"fixed:{args.size}",
+                              concurrency=args.concurrency,
+                              max_size=args.size)
+                   for i in range(args.tenants)]
+        engines = {i: manager.engine(t, qd=args.concurrency)
+                   for i, t in enumerate(tenants)}
+        gen = LoadGenerator(engines, streams, method=args.method)
+    except (VirtError, LoadGenError, SchedulerError) as exc:
+        print(f"bad tenant configuration: {exc}", file=sys.stderr)
+        return 2
+    try:
+        report = gen.run()
+    except (DriverError, EngineSaturatedError) as exc:
         print(f"bad tenant configuration: {exc}", file=sys.stderr)
         return 2
     rows = []
-    total_ok = 0
-    for tenant in manager.tenants():
-        rep = reports[tenant.name]
-        total_ok += rep.ok
+    for tenant, rep in zip(tenants, report.streams):
         rows.append([tenant.name, tenant.nsid,
                      ",".join(str(q) for q in tenant.qids),
-                     rep.ok, rep.errors,
+                     rep.ok, rep.errors + rep.timeouts,
                      f"{rep.latency.p50 / 1000:.2f}",
                      f"{rep.latency.p99 / 1000:.2f}",
                      f"{rep.kops:.1f}"])
@@ -426,7 +434,7 @@ def cmd_virt(args) -> int:
               f"{arb.denied_bytes} bytes-denied, "
               f"{arb.denied_weight} weight-denied")
     manager.teardown_all()
-    return 0 if total_ok == args.tenants * args.ops else 1
+    return 0 if report.total_ok == report.total_ops else 1
 
 
 def cmd_serve(args) -> int:

@@ -29,7 +29,7 @@ submission and are downgraded to PRP while it is open.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro import datapath
 from repro.datapath import names as dp_names
@@ -109,10 +109,10 @@ class IoEngine:
         #: fixed at creation), so saturation checks are one comparison.
         self._max_slots = max(driver.queue(qid).sq.depth - 1
                               for qid in self.qids)
-        #: Slot footprints memoised per (method name, payload length) —
-        #: pure function of the method's caps and the engine's tagged
-        #: mode.
-        self._slots_cache: dict = {}
+        #: (slot footprint, fits-check) memoised per (method name,
+        #: payload length) — pure function of the method's caps and the
+        #: engine's tagged mode; one fits-closure per distinct footprint.
+        self._placements: dict = {}
         self._fits_cache: dict = {}
         self.qd = qd
         self.fetch_lanes = (fetch_lanes if fetch_lanes is not None
@@ -223,33 +223,33 @@ class IoEngine:
         self._dispatch(entry)
         return future
 
-    def _slots_needed(self, entry: InFlightCommand) -> int:
-        """SQ slots the submission occupies (worst case: inline path) —
-        declared by the method's caps."""
-        if entry.is_keyed:
-            return 1  # single SQE, operands in the command itself
-        return entry.spec.caps.slots_needed(len(entry.payload),
-                                            tagged=self.tagged)
+    def _placement(self, entry: InFlightCommand
+                   ) -> Tuple[int, Callable[[int], bool]]:
+        """The SQ slots *entry* occupies (worst case: inline path, as the
+        method's caps declare) and the scheduler's fits-check for that
+        many."""
+        key = (entry.spec.name, len(entry.payload))
+        placement = self._placements.get(key)
+        if placement is None:
+            if len(self._placements) >= 65536:
+                self._placements.clear()
+            # A keyed command is one SQE: its operands ride in the SQE.
+            need = (1 if entry.is_keyed else entry.spec.caps.slots_needed(
+                len(entry.payload), tagged=self.tagged))
+            fits = self._fits_cache.get(need)
+            if fits is None:
+                def fits(qid: int, _need: int = need) -> bool:
+                    return self.driver.queue(qid).sq.space() >= _need
+                self._fits_cache[need] = fits
+            placement = self._placements[key] = (need, fits)
+        return placement
 
     def _dispatch(self, entry: InFlightCommand) -> None:
         """Place *entry* on a queue, reaping under backpressure."""
-        key = (entry.spec.name, len(entry.payload))
-        need = self._slots_cache.get(key)
-        if need is None:
-            if len(self._slots_cache) >= 65536:
-                self._slots_cache.clear()
-            need = self._slots_cache[key] = self._slots_needed(entry)
+        need, fits = self._placement(entry)
         if need > self._max_slots:
             raise EngineSaturatedError(
                 f"submission needs {need} SQ slots; no queue is that deep")
-
-        # One fits-closure per distinct slot count (closures are pure
-        # functions of ``need``), instead of one allocation per dispatch.
-        fits = self._fits_cache.get(need)
-        if fits is None:
-            def fits(qid: int, _need: int = need) -> bool:
-                return self.driver.queue(qid).sq.space() >= _need
-            self._fits_cache[need] = fits
 
         guard = 0
         while True:
@@ -338,11 +338,7 @@ class IoEngine:
         into the backpressure loop from inside the reactor would
         re-enter ``poll``.
         """
-        need = self._slots_needed(entry)
-
-        def fits(qid: int) -> bool:
-            return self.driver.queue(qid).sq.space() >= need
-
+        _, fits = self._placement(entry)
         qid = self.scheduler.pick(stream=entry.stream, fits=fits)
         if qid is None:
             self.stats.backpressure_waits += 1

@@ -1,4 +1,4 @@
-"""Concurrent load generator: many client streams over one engine.
+"""Concurrent load generator: many client streams over I/O engines.
 
 Each :class:`StreamSpec` describes an independent client — its own
 closed-loop concurrency (outstanding-ops window), its own seeded
@@ -6,7 +6,8 @@ arrival process (exponential think times between a completion and the
 next issue), and its own payload-size distribution (fixed, uniform, or
 the MixGraph generalised-Pareto value sizes from
 :mod:`repro.workloads.mixgraph`).  The generator multiplexes all
-streams onto the engine's queue set and reports per-stream and
+streams onto one engine's queue set, or one engine per stream (a
+tenant's each, all contending at once), and reports per-stream and
 aggregate latency (p50/p99/p99.9), throughput and PCIe traffic.
 
 Everything is seeded: two runs with the same specs and seed produce
@@ -17,7 +18,7 @@ ablation rely on.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
@@ -119,6 +120,7 @@ def _draw_sizes(spec: StreamSpec, seed: int) -> np.ndarray:
 @dataclass
 class _StreamState:
     spec: StreamSpec
+    engine: IoEngine
     sizes: np.ndarray
     think: Optional[np.ndarray]
     issued: int = 0
@@ -172,7 +174,9 @@ class LoadReport:
     total_timeouts: int
     latency: LatencySummary
     pcie_bytes: int
+    #: Engine counters, summed over the run's engines.
     engine_stats: dict
+    #: Most commands any one engine had in flight at once.
     inflight_high_water: int
 
     @property
@@ -212,9 +216,19 @@ class LoadReport:
 
 
 class LoadGenerator:
-    """Drives many client streams through one :class:`IoEngine`."""
+    """Drives many client streams through one engine, or one per stream.
 
-    def __init__(self, engine: IoEngine, streams: List[StreamSpec],
+    *engine* is either one engine every stream shares, or a
+    ``{stream_id: engine}`` mapping that gives each stream its own (a
+    tenant's engine, say); engines may repeat, and all must share one
+    clock.  Each round issues for every stream, then polls each
+    distinct engine once, in stream order, and harvests its streams.
+    Every engine is polled every round, even once its streams are done:
+    a poll drives the shared controller for all of them.
+    """
+
+    def __init__(self, engine: Union[IoEngine, Mapping[int, IoEngine]],
+                 streams: List[StreamSpec],
                  seed: int = 0x5EED, method: str = dp_names.BYTEEXPRESS,
                  opcode: int = IoOpcode.WRITE) -> None:
         if not streams:
@@ -222,20 +236,34 @@ class LoadGenerator:
         ids = [s.stream_id for s in streams]
         if len(set(ids)) != len(ids):
             raise LoadGenError(f"duplicate stream ids: {ids}")
-        self.engine = engine
+        engines = (engine if isinstance(engine, Mapping)
+                   else dict.fromkeys(ids, engine))
+        if sorted(engines) != sorted(ids):
+            raise LoadGenError(f"engines for streams {sorted(engines)} do "
+                               f"not match the stream ids {sorted(ids)}")
         self.seed = seed
         self.method = method
         self.opcode = opcode
         self._states: List[_StreamState] = []
+        #: Poll order: each distinct engine with the streams it serves.
+        groups: Dict[int, Tuple[IoEngine, List[_StreamState]]] = {}
         for spec in streams:
             think = None
             if spec.think_ns > 0:
                 rng = make_rng(seed, f"loadgen.think.{spec.stream_id}")
                 think = rng.exponential(spec.think_ns, size=spec.ops)
-            self._states.append(_StreamState(
-                spec=spec, sizes=_draw_sizes(spec, seed), think=think))
-        #: Distinct write offset per op — concurrent writes must not
-        #: overlap, or verification of the backing store is meaningless.
+            eng = engines[spec.stream_id]
+            state = _StreamState(spec=spec, engine=eng,
+                                 sizes=_draw_sizes(spec, seed), think=think)
+            self._states.append(state)
+            groups.setdefault(id(eng), (eng, []))[1].append(state)
+        self._groups = list(groups.values())
+        self.clock = self._groups[0][0].clock
+        if any(eng.clock is not self.clock for eng, _ in self._groups):
+            raise LoadGenError("every engine must share one clock")
+        #: Distinct write offset per op, across all streams — concurrent
+        #: writes must not overlap, or verification of the backing store
+        #: is meaningless.
         self._next_offset = 0
 
     # ------------------------------------------------------------------
@@ -246,13 +274,13 @@ class LoadGenerator:
         self._next_offset += PAGE_SIZE
         payload = _payload_bytes(
             state.issued * 131 + spec.stream_id * 31, size)
-        future = self.engine.submit(
+        future = state.engine.submit(
             payload, method=spec.method or self.method, opcode=self.opcode,
             cdw10=offset & 0xFFFFFFFF, stream=spec.stream_id)
         if state.issued == 0:
             state.start_ns = future.submit_ns
         if state.think is not None:
-            state.next_issue_ns = (self.engine.clock.now
+            state.next_issue_ns = (self.clock.now
                                    + float(state.think[state.issued]))
         state.outstanding.append(future)
         state.issued += 1
@@ -278,41 +306,48 @@ class LoadGenerator:
             return 0
         state.outstanding = still
         if state.finished:
-            state.end_ns = self.engine.clock.now
+            state.end_ns = self.clock.now
         return harvested
 
     def run(self) -> LoadReport:
         """Run every stream to completion; returns the report."""
-        engine = self.engine
-        clock = engine.clock
-        counter = engine.driver.link.counter
+        clock = self.clock
+        groups = self._groups
+        counter = groups[0][0].driver.link.counter
         start_ns, start_bytes = clock.now, counter.total_bytes
 
         stall = 0
         while not all(s.finished for s in self._states):
+            round_start_ns = clock.now
             progressed = 0
             for state in self._states:
                 while state.can_issue(clock.now):
                     self._issue(state)
                     progressed += 1
-            resolved = engine.poll()
-            for state in self._states:
-                progressed += self._harvest(state)
-            if progressed == 0 and resolved == 0:
-                if engine.table or engine.parked:
-                    stall += 1
-                    if stall > 100:
-                        raise LoadGenError("load generator wedged")
-                    continue
-                # Every stream is merely thinking: jump to the earliest
-                # next arrival instead of spinning.
-                waiting = [s.next_issue_ns for s in self._states
-                           if not s.finished]
-                if not waiting:
-                    break
-                clock.advance_to(min(waiting))
-            else:
+            for engine, states in groups:
+                engine.poll()
+                for state in states:
+                    progressed += self._harvest(state)
+            if progressed:
                 stall = 0
+                continue
+            if any(e.table or e.parked for e, _ in groups):
+                # A QoS-throttled round moves the clock to the next
+                # token refill yet resolves nothing; only no progress on
+                # a frozen clock is a wedge.
+                stall = stall + 1 if clock.now <= round_start_ns else 0
+                if stall > 100:
+                    raise LoadGenError(
+                        "load generator wedged (no progress and the "
+                        "clock is not advancing)")
+                continue
+            # Every stream is merely thinking: jump to the earliest
+            # next arrival instead of spinning.
+            waiting = [s.next_issue_ns for s in self._states
+                       if not s.finished]
+            if not waiting:
+                break
+            clock.advance_to(min(waiting))
 
         elapsed_ns = clock.now - start_ns
         reports = []
@@ -329,6 +364,10 @@ class LoadGenerator:
                 elapsed_ns=max(state.end_ns - state.start_ns, 0.0)))
         agg_lat = (summarize_latencies(all_lat) if all_lat
                    else LatencySummary.empty())
+        engine_stats: Dict[str, int] = {}
+        for engine, _ in groups:
+            for name, value in engine.stats.as_dict().items():
+                engine_stats[name] = engine_stats.get(name, 0) + value
         return LoadReport(
             streams=tuple(reports),
             elapsed_ns=elapsed_ns,
@@ -338,5 +377,5 @@ class LoadGenerator:
             total_timeouts=sum(s.timeouts for s in self._states),
             latency=agg_lat,
             pcie_bytes=counter.total_bytes - start_bytes,
-            engine_stats=engine.stats.as_dict(),
-            inflight_high_water=engine.table.high_water)
+            engine_stats=engine_stats,
+            inflight_high_water=max(e.table.high_water for e, _ in groups))

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import (TYPE_CHECKING, Callable, Dict, Iterator, List, Optional,
-                    Tuple)
+                    Tuple, Union)
 
 from repro.datapath import names as dp_names
 from repro.engine.engine import IoEngine
@@ -575,7 +575,7 @@ class KvService:
             ef = self.engine.submit_read(
                 page_bytes, KvOpcode.LIST, cdw10=cdw10, cdw11=cdw11,
                 mptr=mptr, cdw14=cdw14, cdw15=page_size, nsid=self.nsid)
-            self._await(ef)
+            self._await(ef, "the device")
             if not ef.ok:
                 raise ServiceError(
                     f"LIST failed with status {ef.status:#x}"
@@ -594,7 +594,7 @@ class KvService:
                 cursor = key
                 future = KvFuture("get", key, -1, self.clock.now)
                 self._get_through(key, future)
-                self._await_serving(future)
+                self._await(future, "a value read")
                 if future.not_found:
                     continue  # deleted after the page snapshot
                 yield key, future.result()
@@ -602,17 +602,10 @@ class KvService:
                 return
             first_page = False
 
-    def _await(self, ef: CommandFuture) -> None:
-        stall = 0
-        while not ef.done:
-            before = self.clock.now
-            self.engine.poll()
-            self._run_callbacks()
-            stall = stall + 1 if self.clock.now <= before else 0
-            if stall > 100:
-                raise ServiceError("scan stalled awaiting the device")
-
-    def _await_serving(self, future: KvFuture) -> None:
+    def _await(self, future: Union[CommandFuture, KvFuture],
+               what: str) -> None:
+        """Poll the engine (running service callbacks) until *future*
+        resolves; a frozen clock for 100 rounds is a stalled scan."""
         stall = 0
         while not future.done:
             before = self.clock.now
@@ -620,4 +613,4 @@ class KvService:
             self._run_callbacks()
             stall = stall + 1 if self.clock.now <= before else 0
             if stall > 100:
-                raise ServiceError("scan stalled awaiting a value read")
+                raise ServiceError(f"scan stalled awaiting {what}")

@@ -1,21 +1,18 @@
 """Multi-tenant NVMe virtualization: namespace isolation, per-tenant
 queue passthrough, and QoS arbitration (weighted round-robin + token
-buckets) at the fetch unit."""
+buckets) at the fetch unit.  Tenant loads run on
+:class:`~repro.engine.LoadGenerator` with one engine per tenant."""
 
 from repro.virt.qos import QosArbiter, QosParams, TenantBudget, TokenBucket
 from repro.virt.tenant import Tenant, TenantManager, TenantSpec, VirtError
-from repro.virt.workload import TenantLoad, TenantLoadReport, run_tenant_loads
 
 __all__ = [
     "QosArbiter",
     "QosParams",
     "Tenant",
     "TenantBudget",
-    "TenantLoad",
-    "TenantLoadReport",
     "TenantManager",
     "TenantSpec",
     "TokenBucket",
     "VirtError",
-    "run_tenant_loads",
 ]

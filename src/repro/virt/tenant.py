@@ -17,8 +17,8 @@ allocation and isolation):
   :class:`~repro.virt.qos.QosArbiter`.
 
 ``engine()`` returns a per-tenant :class:`~repro.engine.IoEngine`
-facade pinned to the tenant's queues and namespace, so the existing
-load generators and datapath codecs run unmodified per tenant.
+facade pinned to the tenant's queues and namespace, so the load
+generator and datapath codecs run unmodified per tenant.
 """
 
 from __future__ import annotations
@@ -208,7 +208,10 @@ class TenantManager:
                policy: str = "round_robin",
                fetch_lanes: Optional[int] = None):
         """An :class:`~repro.engine.IoEngine` pinned to the tenant's
-        queues and namespace — existing loadgen code runs unmodified."""
+        queues and namespace.  Tenant loads run as one
+        :class:`~repro.engine.LoadGenerator` over a ``{stream_id:
+        manager.engine(tenant, qd=concurrency)}`` mapping, which issues
+        into every tenant's engine in the same poll loop."""
         from repro.engine import IoEngine
 
         if isinstance(tenant, str):

@@ -107,3 +107,32 @@ def test_engine_tagged_method_needs_a_tagged_controller(capsys):
     assert "bad engine configuration" in capsys.readouterr().err
     assert main(["engine", "--queues", "1", "--streams", "1", "--ops", "8",
                  "--method", "byteexpress-tagged", "--tagged"]) == 0
+
+
+def test_virt(capsys):
+    assert main(["virt", "--tenants", "2", "--ops", "20"]) == 0
+    out = capsys.readouterr().out
+    assert "virt: 2 tenant(s) x 1 queue(s), 20 x 64B byteexpress" in out
+    assert "tenant0 |" in out and "tenant1 |" in out
+    assert "namespace rejections: 0" in out
+    assert "arbiter: 40 grants" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["engine", "--streams", "0"],
+    ["engine", "--qd", "0"],
+    ["engine", "--dist", "fixed:0"],
+    ["engine", "--dist", "fixed:9000"],
+    ["engine", "--think-ns", "-1"],
+    ["virt", "--size", "0"],
+    ["virt", "--concurrency", "0"],
+    ["virt", "--ops", "0"],
+    ["virt", "--tenants", "0"],
+    ["virt", "--queues", "0"],
+    ["virt", "--size", "70000"],
+], ids=" ".join)
+def test_bad_engine_and_tenant_arguments_are_exit_2(argv, capsys):
+    # A small --ops first, so the argument under test overrides it.
+    assert main([argv[0], "--ops", "8", *argv[1:]]) == 2
+    label = {"engine": "engine", "virt": "tenant"}[argv[0]]
+    assert f"bad {label} configuration" in capsys.readouterr().err

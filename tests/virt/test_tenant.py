@@ -3,23 +3,26 @@ the per-tenant engine facade, and provisioning at scale."""
 
 import pytest
 
+from repro.datapath import names as dp_names
+from repro.engine import LoadGenerator, StreamSpec
 from repro.nvme.constants import DEFAULT_NSID, IoOpcode, StatusCode
 from repro.nvme.passthrough import PassthruRequest
 from repro.testbed import make_virt_testbed
 from repro.verify.monitor import ProtocolMonitor
-from repro.virt import (
-    QosParams,
-    TenantLoad,
-    TenantManager,
-    TenantSpec,
-    VirtError,
-    run_tenant_loads,
-)
+from repro.virt import QosParams, TenantManager, TenantSpec, VirtError
 
 
 @pytest.fixture
 def virt_tb():
     return make_virt_testbed()
+
+
+def _run_tenant_streams(mgr, tenants, streams, **engine_kw):
+    """Run one stream per tenant, each on its tenant's engine at
+    ``qd=concurrency``, interleaved in one load generator."""
+    engines = {s.stream_id: mgr.engine(t, qd=s.concurrency, **engine_kw)
+               for s, t in zip(streams, tenants)}
+    return LoadGenerator(engines, streams).run()
 
 
 # ----------------------------------------------------------------------
@@ -222,8 +225,6 @@ def test_engine_facade_targets_tenant_namespace(virt_tb):
 
 
 def test_loadgen_runs_unmodified_per_tenant(virt_tb):
-    from repro.engine import LoadGenerator, StreamSpec
-
     mgr = TenantManager(virt_tb)
     t = mgr.provision("a", queues=2)
     gen = LoadGenerator(mgr.engine(t, qd=4),
@@ -235,14 +236,61 @@ def test_loadgen_runs_unmodified_per_tenant(virt_tb):
 
 def test_interleaved_tenant_loads(virt_tb):
     mgr = TenantManager(virt_tb)
-    for name in ("a", "b"):
-        mgr.provision(name)
-    reports = run_tenant_loads(mgr, [
-        TenantLoad(tenant="a", ops=25, size=64),
-        TenantLoad(tenant="b", ops=25, size=256),
+    tenants = [mgr.provision(name) for name in ("a", "b")]
+    report = _run_tenant_streams(mgr, tenants, [
+        StreamSpec(stream_id=0, ops=25, size="fixed:64", concurrency=4),
+        StreamSpec(stream_id=1, ops=25, size="fixed:256", concurrency=4),
     ])
-    assert reports["a"].ok == 25 and reports["b"].ok == 25
-    assert reports["a"].errors == 0 and reports["b"].errors == 0
+    assert [s.ok for s in report.streams] == [25, 25]
+    assert report.total_errors == 0 and report.total_timeouts == 0
+
+
+#: Victim (64 B byteexpress, QD 4) and aggressor (4 KiB PRP, QD 8), 60
+#: ops each: per-stream (ok, p50, p99, elapsed_ns) as the dedicated
+#: interleaved tenant loop measured them before tenant loads moved onto
+#: the load generator.  Moving a loop must not move a simulated number.
+_NOISY_PAIR_PIN = {
+    False: [(60, 15490.0, 17240.0, 583360.0),
+            (60, 60408.0, 61648.0, 478680.0)],
+    True: [(60, 8430.0, 17039.399999999998, 302406.0),
+           (60, 166250.0, 166341.0, 1228176.0)],
+}
+
+
+@pytest.mark.parametrize("qos", [False, True], ids=["qos_off", "qos_on"])
+def test_tenant_streams_reproduce_the_noisy_neighbor_pair(qos):
+    mgr = TenantManager(make_virt_testbed(), qos=qos)
+    tenants = [
+        mgr.provision("victim", qos=QosParams(weight=4) if qos else None),
+        mgr.provision("aggressor",
+                      qos=QosParams(weight=1, bytes_per_sec=200e6,
+                                    burst_bytes=2 * 4160)
+                      if qos else None),
+    ]
+    report = _run_tenant_streams(mgr, tenants, [
+        StreamSpec(stream_id=0, ops=60, size="fixed:64",
+                   method=dp_names.BYTEEXPRESS, concurrency=4),
+        StreamSpec(stream_id=1, ops=60, size="fixed:4096",
+                   method=dp_names.PRP, concurrency=8),
+    ])
+    got = [(s.ok, s.latency.p50, s.latency.p99, s.elapsed_ns)
+           for s in report.streams]
+    assert got == _NOISY_PAIR_PIN[qos]
+
+
+def test_affinity_policy_tenant_engines_run(virt_tb):
+    # Affinity placement needs a stream id on every submission; the load
+    # generator sends one, so a tenant engine may use the policy.
+    mgr = TenantManager(virt_tb)
+    tenants = [mgr.provision(name, queues=2) for name in ("a", "b")]
+    report = _run_tenant_streams(mgr, tenants, [
+        StreamSpec(stream_id=i, ops=20, size="fixed:64", concurrency=4)
+        for i in range(2)], policy="affinity")
+    assert report.total_ok == 40
+    # Stream i is pinned to queue i % 2 of its tenant's pair.
+    used = [[virt_tb.driver.queue(q).sq.tail != 0 for q in t.qids]
+            for t in tenants]
+    assert used == [[True, False], [False, True]]
 
 
 # ----------------------------------------------------------------------
@@ -263,10 +311,11 @@ def test_hundred_tenants_monitored_zero_violations():
     assert len(tb.driver.io_qids) >= 101
     # Every 10th tenant does real I/O (all 100 would be slow for no
     # extra coverage); the rest exercise provisioning + teardown.
-    loads = [TenantLoad(tenant=t.name, ops=5, size=64, concurrency=2)
-             for t in tenants[::10]]
-    reports = run_tenant_loads(mgr, loads)
-    assert all(r.ok == 5 for r in reports.values())
+    loaded = tenants[::10]
+    report = _run_tenant_streams(mgr, loaded, [
+        StreamSpec(stream_id=i, ops=5, size="fixed:64", concurrency=2)
+        for i in range(len(loaded))])
+    assert [s.ok for s in report.streams] == [5] * len(loaded)
     mgr.teardown_all()
     assert tb.monitor.violations == []
     assert tb.monitor.checks["INV_TENANT_QUEUE"] > 0
