@@ -108,6 +108,7 @@ def fetch_inline_payload(
     timing: TimingModel,
     injector=None,
     window: Optional[SqeWindow] = None,
+    chunk_batch: Optional[tlpmod.TlpBatch] = None,
 ) -> bytes:
     """Fetch ``info.chunks`` payload entries following the command.
 
@@ -126,6 +127,10 @@ def fetch_inline_payload(
     already burst-prefetched: those cost no new TLPs and only the cheap
     on-die decode time; chunks past the window's end fall back to the
     per-entry DMA path.
+
+    *chunk_batch* is the TLP batch of one 64 B chunk fetch on *link*;
+    the controller passes the one it built at start-up, ``None`` builds
+    it here.
     """
 
     available = (shadow_tail - state.head) % state.depth
@@ -135,19 +140,25 @@ def fetch_inline_payload(
             f"but only {available} entries are visible past the doorbell")
 
     chunk_left = injector.left if injector is not None else None
+    if chunk_batch is None:
+        chunk_batch = tlpmod.device_dma_read(CHUNK_SIZE, link.config)
+    # ``state.slot_addr``/``state.advance`` are inlined below: they run
+    # once per chunk.
+    base = state.base_addr
+    depth = state.depth
     if info.chunks == 1:
         # Dominant small-payload case (<= 64 B): one chunk, no run
         # bookkeeping needed.
-        raw = window.take(state.head) if window is not None else None
+        head = state.head
+        raw = window.take(head) if window is not None else None
         if raw is not None:
-            state.advance()
+            state.head = (head + 1) % depth
             clock.advance(timing.burst_sqe_logic_ns)
         else:
-            raw = host_memory.read(state.slot_addr(state.head), CHUNK_SIZE)
-            state.advance()
-            link.record_only(
-                CAT_INLINE_CHUNK,
-                tlpmod.device_dma_read(CHUNK_SIZE, link.config))
+            raw = host_memory.read(base + (head % depth) * CHUNK_SIZE,
+                                   CHUNK_SIZE)
+            state.head = (head + 1) % depth
+            link.record_only(CAT_INLINE_CHUNK, chunk_batch)
             clock.advance(timing.chunk_fetch_ns)
         if chunk_left is not None:
             if chunk_left[CORRUPT_CHUNK]:
@@ -171,21 +182,21 @@ def fetch_inline_payload(
                  else info.chunks)
     tlp_gap = tlp_left[CORRUPT_TLP]
     chunks: List[bytes] = []
-    dma_batch = tlpmod.device_dma_read(CHUNK_SIZE, link.config)
     run_is_burst = False
     run_len = 0
     for i in range(info.chunks):
-        raw = window.take(state.head) if window is not None else None
+        head = state.head
+        raw = window.take(head) if window is not None else None
         is_burst = raw is not None
         if chunk_gap and (is_burst or tlp_gap):
             if raw is None:
-                raw = host_memory.read(state.slot_addr(state.head),
+                raw = host_memory.read(base + (head % depth) * CHUNK_SIZE,
                                        CHUNK_SIZE)
                 tlp_gap -= 1
-            state.advance()
+            state.head = (head + 1) % depth
             chunk_gap -= 1
             if run_len and is_burst != run_is_burst:
-                _flush_chunk_run(link, clock, timing, dma_batch,
+                _flush_chunk_run(link, clock, timing, chunk_batch,
                                  run_is_burst, run_len, chunk_left)
                 run_len = 0
             run_is_burst = is_burst
@@ -193,16 +204,17 @@ def fetch_inline_payload(
             chunks.append(raw)
             continue
         if run_len:
-            _flush_chunk_run(link, clock, timing, dma_batch,
+            _flush_chunk_run(link, clock, timing, chunk_batch,
                              run_is_burst, run_len, chunk_left)
             run_len = 0
         if is_burst:
-            state.advance()
+            state.head = (head + 1) % depth
             clock.advance(timing.burst_sqe_logic_ns)
         else:
-            raw = host_memory.read(state.slot_addr(state.head), CHUNK_SIZE)
-            state.advance()
-            link.record_only(CAT_INLINE_CHUNK, dma_batch)
+            raw = host_memory.read(base + (head % depth) * CHUNK_SIZE,
+                                   CHUNK_SIZE)
+            state.head = (head + 1) % depth
+            link.record_only(CAT_INLINE_CHUNK, chunk_batch)
             clock.advance(timing.chunk_fetch_ns)
         if chunk_left is not None and injector.fire(CORRUPT_CHUNK):
             raise _corrupt(state, i + 1, info.chunks)
@@ -211,7 +223,7 @@ def fetch_inline_payload(
                      else info.chunks)
         tlp_gap = tlp_left[CORRUPT_TLP]
     if run_len:
-        _flush_chunk_run(link, clock, timing, dma_batch,
+        _flush_chunk_run(link, clock, timing, chunk_batch,
                          run_is_burst, run_len, chunk_left)
     return join_chunks(chunks, info.payload_len)
 

@@ -64,15 +64,17 @@ _INFO_CACHE: dict = {}
 
 def inspect_command(cmd: NvmeCommand) -> InlineInfo:
     """What the controller learns from the reserved field at fetch time."""
-    n = cmd.inline_length
+    n = cmd.cdw2  # the inline length (``cmd.inline_length``)
     if n == 0:
         return _NOT_INLINE
-    info = _INFO_CACHE.get(n)
-    if info is None:
-        if n > MAX_INLINE_BYTES:
-            raise InlineEncodingError(
-                f"malformed inline length {n} in reserved field")
-        if len(_INFO_CACHE) >= 4096:
-            _INFO_CACHE.clear()
-        info = _INFO_CACHE[n] = InlineInfo(True, n, chunk_count(n))
+    try:
+        return _INFO_CACHE[n]
+    except KeyError:
+        pass
+    if n > MAX_INLINE_BYTES:
+        raise InlineEncodingError(
+            f"malformed inline length {n} in reserved field")
+    if len(_INFO_CACHE) >= 4096:
+        _INFO_CACHE.clear()
+    info = _INFO_CACHE[n] = InlineInfo(True, n, chunk_count(n))
     return info

@@ -36,8 +36,8 @@ import struct
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Optional, Tuple
 
-from repro.core.chunking import CHUNK_SIZE, chunk_count, split_payload
-from repro.core.inline_command import make_inline_command
+from repro.core.chunking import CHUNK_SIZE
+from repro.core.inline_command import MAX_INLINE_BYTES, make_inline_command
 from repro.core.reassembly import split_tagged, tagged_chunk_count
 from repro.datapath import names
 from repro.nvme.command import NvmeCommand
@@ -172,51 +172,50 @@ class InlineWriteCodec(HostCodec):
     def encode(self, driver: "NvmeDriver", cmd: NvmeCommand, data: bytes,
                qid: int, *, ring: bool = True, private_buffer: bool = False,
                payload_id: Optional[int] = None) -> int:
-        _require_byteexpress(driver)
+        if not driver.identify.byteexpress:
+            _require_byteexpress(driver)  # raises
         res = driver.queue(qid)
         cmd.cid = driver._alloc_cid(res)
-        cmd.cdw12 = len(data)
+        n = len(data)
+        cmd.cdw12 = n
         clock = driver.clock
         timing = driver.timing
         sq = res.sq
         with sq.lock:
             _start = clock.now
             try:
-                n = len(data)
                 if not n:
                     raise ValueError(
                         "inline submission requires a non-empty payload")
-                if n <= CHUNK_SIZE:
-                    # Dominant case: one command + one chunk.
-                    if (sq.head - sq.tail - 1) % sq.depth < 2:
-                        raise QueueFullError(
-                            f"SQ{sq.qid}: need 2 slots for inline "
-                            f"submit, have {sq.space()}")
+                needed = 1 + (n + CHUNK_SIZE - 1) // CHUNK_SIZE
+                if (sq.head - sq.tail - 1) % sq.depth < needed:
+                    raise QueueFullError(
+                        f"SQ{sq.qid}: need {needed} slots for inline "
+                        f"submit, have {sq.space()}")
+                # ``make_inline_command`` inlined: it is called only to
+                # raise its error when one of its checks fails.
+                if n > MAX_INLINE_BYTES or cmd.cdw2:
                     make_inline_command(cmd, n)
-                    sq.push_raw(cmd.pack())
-                    clock.advance(timing.sqe_submit_ns)
-                    sq.push_raw(data if n == CHUNK_SIZE
-                                else data + b"\x00" * (CHUNK_SIZE - n))
+                cmd.cdw2 = n
+                push = sq.push_raw
+                push(cmd.pack())
+                clock.advance(timing.sqe_submit_ns)
+                if needed == 2:
+                    # Dominant case: one command + one chunk.
+                    push(data if n == CHUNK_SIZE
+                         else data + b"\x00" * (CHUNK_SIZE - n))
                     clock.advance(timing.chunk_submit_ns)
                 else:
-                    needed = 1 + chunk_count(n)
-                    if (sq.head - sq.tail - 1) % sq.depth < needed:
-                        raise QueueFullError(
-                            f"SQ{sq.qid}: need {needed} slots for inline "
-                            f"submit, have {sq.space()}")
-                    make_inline_command(cmd, n)
-                    sq.push_raw(cmd.pack())
-                    clock.advance(timing.sqe_submit_ns)
                     # Chunks land per slot (the monitor's ``push_raw``
                     # wrapper sees every one), then the per-chunk CPU
                     # cost is charged in one repeated advance — bit-
                     # identical to advancing after each insert.
-                    chunks = split_payload(data)
-                    push = sq.push_raw
-                    for chunk in chunks:
-                        push(chunk)
+                    for off in range(0, n - CHUNK_SIZE, CHUNK_SIZE):
+                        push(data[off:off + CHUNK_SIZE])
+                    push(data[(needed - 2) * CHUNK_SIZE:]
+                         + b"\x00" * ((needed - 1) * CHUNK_SIZE - n))
                     clock.advance_repeat(timing.chunk_submit_ns,
-                                         len(chunks))
+                                         needed - 1)
             finally:
                 clock.span_end("drv.sq_submit", _start)
             if ring:

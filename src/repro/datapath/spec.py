@@ -53,13 +53,15 @@ class DatapathCaps:
     #: Uses the MMIO BAR byte window instead of the queue protocol; only
     #: built when a testbed asks for the window (``include_mmio``).
     bar_window: bool = False
+    #: Subject to the circuit breaker: the payload rides the queue
+    #: (inline) or command fields (fragmented), so a faulty link can keep
+    #: failing it where the PRP baseline would not.  Derived, not passed:
+    #: ``inline or fragmented``, computed once (it is read per command).
+    breaker_guarded: bool = field(init=False, repr=False, compare=False)
 
-    @property
-    def breaker_guarded(self) -> bool:
-        """Subject to the circuit breaker: the payload rides the queue
-        (inline) or command fields (fragmented), so a faulty link can
-        keep failing it where the PRP baseline would not."""
-        return self.inline or self.fragmented
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "breaker_guarded",
+                           self.inline or self.fragmented)
 
     def slots_needed(self, payload_len: int, tagged: bool = False) -> int:
         """Worst-case SQ slots one submission of *payload_len* occupies."""

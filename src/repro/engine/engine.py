@@ -36,6 +36,7 @@ from repro.datapath import names as dp_names
 from repro.engine.reactor import CompletionReactor
 from repro.engine.scheduler import MultiQueueScheduler
 from repro.engine.table import CommandFuture, InFlightCommand, InFlightTable
+from repro.host.breaker import STATE_CLOSED
 from repro.host.driver import NvmeDriver
 from repro.nvme.command import NvmeCommand
 from repro.nvme.constants import (
@@ -48,11 +49,15 @@ from repro.ssd.controller import MODE_TAGGED
 from repro.ssd.device import OpenSsd
 
 
+#: Engine-capable specs by method name, in table order.
+_ENGINE_SPECS = {spec.name: spec for spec in datapath.SPECS
+                 if spec.host_codec is not None}
+
+
 def engine_methods() -> tuple:
     """Write paths the engine can drive asynchronously: every spec with
     a host codec, in table order (a submission is one ``encode``)."""
-    return tuple(spec.name for spec in datapath.SPECS
-                 if spec.host_codec is not None)
+    return tuple(_ENGINE_SPECS)
 
 
 class EngineError(Exception):
@@ -160,13 +165,11 @@ class IoEngine:
         completions until the scheduler finds capacity.
         """
         try:
-            spec = datapath.resolve(method)
-        except datapath.UnknownMethodError:
-            spec = None
-        if spec is None or spec.host_codec is None:
+            spec = _ENGINE_SPECS[method]
+        except KeyError:
             raise EngineError(
                 f"unknown engine method {method!r}; "
-                f"expected one of {engine_methods()}")
+                f"expected one of {engine_methods()}") from None
         if not payload:
             raise EngineError("engine submissions require a payload")
         if (spec.caps.fragmented
@@ -175,7 +178,7 @@ class IoEngine:
             raise EngineError(
                 "bandslim requires the BandSlimDeviceLayer to be "
                 "registered on the controller")
-        future = CommandFuture(stream=stream, payload_len=len(payload))
+        future = CommandFuture(stream, len(payload))
         now = self.clock.now
         future.submit_ns = now
         entry = InFlightCommand(
@@ -228,20 +231,32 @@ class IoEngine:
         """The SQ slots *entry* occupies (worst case: inline path, as the
         method's caps declare) and the scheduler's fits-check for that
         many."""
-        key = (entry.spec.name, len(entry.payload))
-        placement = self._placements.get(key)
-        if placement is None:
-            if len(self._placements) >= 65536:
-                self._placements.clear()
-            # A keyed command is one SQE: its operands ride in the SQE.
-            need = (1 if entry.is_keyed else entry.spec.caps.slots_needed(
-                len(entry.payload), tagged=self.tagged))
-            fits = self._fits_cache.get(need)
-            if fits is None:
-                def fits(qid: int, _need: int = need) -> bool:
-                    return self.driver.queue(qid).sq.space() >= _need
-                self._fits_cache[need] = fits
-            placement = self._placements[key] = (need, fits)
+        key = (entry.spec.name, entry.future.payload_len)
+        try:
+            return self._placements[key]
+        except KeyError:
+            pass
+        if len(self._placements) >= 65536:
+            self._placements.clear()
+        # A keyed command is one SQE: its operands ride in the SQE.
+        need = (1 if entry.is_keyed else entry.spec.caps.slots_needed(
+            len(entry.payload), tagged=self.tagged))
+        fits = self._fits_cache.get(need)
+        if fits is None:
+            queues = self.driver._queues
+            queue = self.driver.queue
+
+            def fits(qid: int, _need: int = need) -> bool:
+                # ``driver.queue(qid).sq.space() >= _need`` with the
+                # lookup and ``space()`` inlined; an unknown qid still
+                # raises the driver's error.
+                try:
+                    sq = queues[qid].sq
+                except KeyError:
+                    sq = queue(qid).sq
+                return (sq.head - sq.tail - 1) % sq.depth >= _need
+            self._fits_cache[need] = fits
+        placement = self._placements[key] = (need, fits)
         return placement
 
     def _dispatch(self, entry: InFlightCommand) -> None:
@@ -270,21 +285,27 @@ class IoEngine:
 
     def _submit_entry(self, entry: InFlightCommand, qid: int) -> None:
         """Drive one (re)submission through the driver, no doorbell."""
-        if entry.is_keyed:
+        if not entry.payload:  # keyed: submitted through submit_read
             self._submit_keyed(entry, qid)
             return
         spec = entry.spec
-        if (spec.caps.breaker_guarded
-                and not self.driver.breaker.allow_inline()):
-            spec = self.driver._fall_back_to_prp()
+        caps = spec.caps
+        driver = self.driver
+        breaker = driver.breaker
+        # A closed breaker's ``allow_inline()`` is True with no side
+        # effect, so it is only asked once the breaker has tripped.
+        if (caps.breaker_guarded and breaker.state != STATE_CLOSED
+                and not breaker.allow_inline()):
+            spec = driver._fall_back_to_prp()
             self.stats.inline_fallbacks += 1
-        elif self.tagged and spec.caps.inline:
+        elif self.tagged and caps.inline:
             spec = self._tagged_spec
         entry.spec_used = spec
         entry.attempts += 1
-        entry.last_submit_ns = self.clock.now
+        clock = self.clock
+        entry.last_submit_ns = clock.now
         # The async submission API call itself (io_uring-style ioctl).
-        self.clock.advance(self.timing.passthrough_ns)
+        clock.advance(self.timing.passthrough_ns)
 
         # Positional NvmeCommand construction (field order: opcode,
         # flags, cid, nsid, cdw2, cdw3, mptr, prp1, prp2, cdw10, cdw11)
@@ -294,7 +315,7 @@ class IoEngine:
         # ``submit`` admits only codec-bearing specs; calling the codec
         # directly skips the driver.submit resolve layer.  Every
         # in-flight write at QD>1 needs its own DMA buffer (PRP, SGL).
-        cid = spec.host_codec.encode(self.driver, cmd, entry.payload, qid,
+        cid = spec.host_codec.encode(driver, cmd, entry.payload, qid,
                                      ring=False, private_buffer=True)
         entry.key = (qid, cid)
         self.table.add(entry)

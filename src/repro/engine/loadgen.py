@@ -24,7 +24,7 @@ import numpy as np
 
 from repro.datapath import names as dp_names
 from repro.engine.engine import IoEngine
-from repro.engine.table import CommandFuture, TIMED_OUT
+from repro.engine.table import OK, PENDING, TIMED_OUT, CommandFuture
 from repro.metrics.stats import LatencySummary, summarize_latencies
 from repro.metrics.reporting import format_table
 from repro.nvme.constants import PAGE_SIZE, IoOpcode
@@ -65,34 +65,24 @@ class StreamSpec:
             raise LoadGenError("think time must be non-negative")
 
 
-#: Grow-only index ramp shared by every payload fill; 4 KB covers the
-#: default ``max_size``, larger requests regrow it once.
-_PAYLOAD_RAMP = np.arange(4096, dtype=np.int64)
-
-
-#: Payload memo: the fill depends only on ``base % 256`` and the size, so
-#: at most 256 distinct payloads exist per size class.
-_PAYLOAD_CACHE: dict = {}
+#: Payload ramp: byte ``j`` is ``j & 0xFF``, so the slice starting at
+#: ``base & 0xFF`` is the fill ``(base + i) & 0xFF``.  Long enough for
+#: the default ``max_size`` from any start; larger requests regrow it.
+_PAYLOAD_RAMP = bytes(range(256)) * 17
 
 
 def _payload_bytes(base: int, size: int) -> bytes:
     """Deterministic payload fill, ``(base + i) & 0xFF`` per byte.
 
-    Vectorized but byte-identical to the scalar generator expression it
-    replaced — golden fingerprints depend on the exact payload bytes.
+    One slice of a fixed ramp, byte-identical to the scalar generator
+    expression — golden fingerprints depend on the exact payload bytes.
     """
     global _PAYLOAD_RAMP
-    key = (base & 0xFF, size)
-    data = _PAYLOAD_CACHE.get(key)
-    if data is None:
-        if size > _PAYLOAD_RAMP.size:
-            _PAYLOAD_RAMP = np.arange(size, dtype=np.int64)
-        if len(_PAYLOAD_CACHE) >= 8192:
-            _PAYLOAD_CACHE.clear()
-        data = _PAYLOAD_CACHE[key] = (
-            ((base + _PAYLOAD_RAMP[:size]) & 0xFF)
-            .astype(np.uint8).tobytes())
-    return data
+    start = base & 0xFF
+    end = start + size
+    if end > len(_PAYLOAD_RAMP):
+        _PAYLOAD_RAMP = bytes(range(256)) * (end // 256 + 1)
+    return _PAYLOAD_RAMP[start:end]
 
 
 def _draw_sizes(spec: StreamSpec, seed: int) -> np.ndarray:
@@ -121,7 +111,8 @@ def _draw_sizes(spec: StreamSpec, seed: int) -> np.ndarray:
 class _StreamState:
     spec: StreamSpec
     engine: IoEngine
-    sizes: np.ndarray
+    #: Payload sizes per op, as Python ints.
+    sizes: List[int]
     think: Optional[np.ndarray]
     issued: int = 0
     start_ns: float = 0.0
@@ -136,11 +127,6 @@ class _StreamState:
     @property
     def finished(self) -> bool:
         return self.issued >= self.spec.ops and not self.outstanding
-
-    def can_issue(self, now_ns: float) -> bool:
-        return (self.issued < self.spec.ops
-                and len(self.outstanding) < self.spec.concurrency
-                and now_ns >= self.next_issue_ns)
 
 
 @dataclass(frozen=True)
@@ -254,7 +240,8 @@ class LoadGenerator:
                 think = rng.exponential(spec.think_ns, size=spec.ops)
             eng = engines[spec.stream_id]
             state = _StreamState(spec=spec, engine=eng,
-                                 sizes=_draw_sizes(spec, seed), think=think)
+                                 sizes=_draw_sizes(spec, seed).tolist(),
+                                 think=think)
             self._states.append(state)
             groups.setdefault(id(eng), (eng, []))[1].append(state)
         self._groups = list(groups.values())
@@ -267,43 +254,57 @@ class LoadGenerator:
         self._next_offset = 0
 
     # ------------------------------------------------------------------
-    def _issue(self, state: _StreamState) -> None:
+    def _fill(self, state: _StreamState) -> int:
+        """Issue *state*'s next ops while its window has room, it has
+        ops left and its next arrival is due; returns the ops issued."""
         spec = state.spec
-        size = int(state.sizes[state.issued])
-        offset = self._next_offset
-        self._next_offset += PAGE_SIZE
-        payload = _payload_bytes(
-            state.issued * 131 + spec.stream_id * 31, size)
-        future = state.engine.submit(
-            payload, method=spec.method or self.method, opcode=self.opcode,
-            cdw10=offset & 0xFFFFFFFF, stream=spec.stream_id)
-        if state.issued == 0:
-            state.start_ns = future.submit_ns
-        if state.think is not None:
-            state.next_issue_ns = (self.clock.now
-                                   + float(state.think[state.issued]))
-        state.outstanding.append(future)
-        state.issued += 1
+        clock = self.clock
+        sizes = state.sizes
+        think = state.think
+        outstanding = state.outstanding
+        method = spec.method or self.method
+        opcode = self.opcode
+        sid = spec.stream_id
+        room = spec.concurrency - len(outstanding)
+        first = issued = state.issued
+        end = spec.ops
+        while room > 0 and issued < end and clock.now >= state.next_issue_ns:
+            offset = self._next_offset
+            self._next_offset = offset + PAGE_SIZE
+            # ``engine.submit`` is looked up per issue: callers may
+            # replace it on the engine after building the generator.
+            future = state.engine.submit(
+                _payload_bytes(issued * 131 + sid * 31, sizes[issued]),
+                method=method, opcode=opcode, cdw10=offset & 0xFFFFFFFF,
+                cdw11=offset >> 32, stream=sid)
+            if issued == 0:
+                state.start_ns = future.submit_ns
+            if think is not None:
+                state.next_issue_ns = clock.now + float(think[issued])
+            outstanding.append(future)
+            issued += 1
+            state.issued = issued
+            room -= 1
+        return issued - first
 
     def _harvest(self, state: _StreamState) -> int:
-        # Single pass: ``f.done`` is a property, and this scan runs once
-        # per poll round per stream over every outstanding future.
-        harvested = 0
-        still: List[CommandFuture] = []
-        for f in state.outstanding:
-            if not f.done:
-                still.append(f)
-                continue
-            harvested += 1
-            if f.ok:
-                state.ok += 1
-                state.latencies.append(f.latency_ns)
-            elif f.state == TIMED_OUT:
-                state.timeouts += 1
-            else:
-                state.errors += 1
+        # One pass over the window per poll round; future states are
+        # read directly (no property frames on this scan).
+        outstanding = state.outstanding
+        still = [f for f in outstanding if f.state == PENDING]
+        harvested = len(outstanding) - len(still)
         if not harvested:
             return 0
+        latencies = state.latencies
+        for f in outstanding:
+            fstate = f.state
+            if fstate == OK:
+                state.ok += 1
+                latencies.append(f.latency_ns)
+            elif fstate == TIMED_OUT:
+                state.timeouts += 1
+            elif fstate != PENDING:
+                state.errors += 1
         state.outstanding = still
         if state.finished:
             state.end_ns = self.clock.now
@@ -321,9 +322,7 @@ class LoadGenerator:
             round_start_ns = clock.now
             progressed = 0
             for state in self._states:
-                while state.can_issue(clock.now):
-                    self._issue(state)
-                    progressed += 1
+                progressed += self._fill(state)
             for engine, states in groups:
                 engine.poll()
                 for state in states:

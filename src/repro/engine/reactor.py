@@ -31,6 +31,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, List
 
+from repro.host.breaker import STATE_CLOSED
+from repro.nvme.constants import StatusCode
 from repro.pcie.traffic import (
     EVT_BREAKER_TRIP,
     EVT_RETRY,
@@ -133,8 +135,11 @@ class CompletionReactor:
             return 0
         e.scheduler.note_complete(qid)
         breaker = e.driver.breaker
-        if cqe.ok:
-            if entry.is_inline:
+        if cqe.status == StatusCode.SUCCESS:
+            # ``record_success()`` is a no-op on a closed breaker with no
+            # failure streak, so it is only called when it has work.
+            if ((breaker.consecutive_failures
+                 or breaker.state != STATE_CLOSED) and entry.is_inline):
                 breaker.record_success()
             self._finish_read(entry, cqe)
             entry.resolve(cqe, e.clock.now)

@@ -51,6 +51,7 @@ class MultiQueueScheduler:
         self.qd_cap = qd_cap
         self.policy = policy
         self.inflight: Dict[int, int] = {qid: 0 for qid in self.qids}
+        self._nqids = len(self.qids)
         self._rr_next = 0
         #: Picks that found no eligible queue (backpressure events).
         self.rejections = 0
@@ -99,7 +100,7 @@ class MultiQueueScheduler:
         qids = self.qids
         inflight = self.inflight
         cap = self.qd_cap
-        n = len(qids)
+        n = self._nqids
         start = self._rr_next
         for i in range(n):
             idx = (start + i) % n

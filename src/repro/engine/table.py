@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple
 
 from repro.nvme.completion import NvmeCompletion
+from repro.nvme.constants import StatusCode
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.datapath.spec import DatapathSpec
@@ -83,7 +84,7 @@ class CommandFuture:
 
     def _resolve(self, state: str, cqe: Optional[NvmeCompletion],
                  latency_ns: float) -> None:
-        if self.done:
+        if self.state != PENDING:
             raise FutureError(f"future already resolved ({self.state})")
         self.state = state
         self.cqe = cqe
@@ -147,11 +148,12 @@ class InFlightCommand:
         self.future._resolve(state, cqe, now_ns - self.first_submit_ns)
 
     def resolve(self, cqe: NvmeCompletion, now_ns: float) -> None:
-        self.future.attempts = self.attempts
+        future = self.future
+        future.attempts = self.attempts
         if self.spec_used is not None:
-            self.future.method_used = self.spec_used.name
-        state = OK if cqe.ok else FAILED
-        self.future._resolve(state, cqe, now_ns - self.first_submit_ns)
+            future.method_used = self.spec_used.name
+        state = OK if cqe.status == StatusCode.SUCCESS else FAILED
+        future._resolve(state, cqe, now_ns - self.first_submit_ns)
 
     @property
     def is_inline(self) -> bool:
@@ -192,7 +194,9 @@ class InFlightTable:
         if entry.key in self._entries:
             raise ValueError(f"duplicate in-flight key {entry.key}")
         self._entries[entry.key] = entry
-        self.high_water = max(self.high_water, len(self._entries))
+        depth = len(self._entries)
+        if depth > self.high_water:
+            self.high_water = depth
 
     def pop(self, key: Tuple[int, int]) -> Optional[InFlightCommand]:
         return self._entries.pop(key, None)

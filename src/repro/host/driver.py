@@ -437,17 +437,20 @@ class NvmeDriver:
         (BandSlim intermediate fragments are acknowledged only through
         the final fragment's CQE).
         """
-        if len(res.live_cids) + len(res.zombie_cids) >= 0xFFFF:
+        live = res.live_cids
+        zombie = res.zombie_cids
+        if ((len(live) + len(zombie) if zombie else len(live))
+                >= 0xFFFF):
             raise DriverError(
                 f"CID space exhausted on SQ{res.sq.qid}: "
-                f"{len(res.live_cids)} in flight + "
-                f"{len(res.zombie_cids)} quarantined")
+                f"{len(live)} in flight + "
+                f"{len(zombie)} quarantined")
         cid = res.next_cid
-        while cid in res.live_cids or cid in res.zombie_cids:
+        while cid in live or cid in zombie:
             cid = (cid + 1) & 0xFFFF
         res.next_cid = (cid + 1) & 0xFFFF
         if track:
-            res.live_cids.add(cid)
+            live.add(cid)
         return cid
 
     def _retire_cid(self, res: _QueueResources, cid: int) -> None:
@@ -460,9 +463,11 @@ class NvmeDriver:
         # A CQE for a quarantined CID is the late completion the
         # quarantine was waiting for: the CID is provably out of the
         # device now, so it leaves the zombie set too.
-        res.zombie_cids.discard(cid)
-        for page in res.pending_pages.pop(cid, ()):
-            self.memory.free_page(page)
+        if res.zombie_cids:
+            res.zombie_cids.discard(cid)
+        if res.pending_pages:
+            for page in res.pending_pages.pop(cid, ()):
+                self.memory.free_page(page)
         if res.payload_ids:
             self._live_payload_ids.discard(res.payload_ids.pop(cid, 0))
 
@@ -730,12 +735,17 @@ class NvmeDriver:
             # batch (span *totals* are what the phase breakdowns
             # consume), and ``advance_repeat`` keeps the clock arithmetic
             # bit-identical to a per-CQE loop.
-            with self.clock.span("drv.completion"):
-                self.clock.advance_repeat(self.timing.completion_handle_ns,
-                                          len(out))
+            clock = self.clock
+            _start = clock.now
+            try:
+                clock.advance_repeat(self.timing.completion_handle_ns,
+                                     len(out))
+                note_sq_head = res.sq.note_sq_head
                 for cqe in out:
-                    res.sq.note_sq_head(cqe.sq_head)
+                    note_sq_head(cqe.sq_head)
                 self._ring_cq_doorbell(res)
+            finally:
+                clock.span_end("drv.completion", _start)
             for cqe in out:
                 self._retire_cid(res, cqe.cid)
         self._maybe_clear_zombies(res)

@@ -61,20 +61,22 @@ class HostMemory:
     def write(self, addr: int, data: bytes) -> None:
         """Write *data* starting at *addr*, possibly spanning pages."""
         in_page = addr & (PAGE_SIZE - 1)
-        if data and in_page + len(data) <= PAGE_SIZE:
+        n = len(data)
+        if n and in_page + n <= PAGE_SIZE:
             # Single-frame access: the overwhelmingly common case (SQE
             # slots, CQE slots, inline chunks all fit one page).
-            frame = self._frames.get(addr - in_page)
-            if frame is None:
+            try:
+                frame = self._frames[addr - in_page]
+            except KeyError:
                 raise MemoryError(
-                    f"access to unmapped host address {addr:#x}")
-            frame[in_page:in_page + len(data)] = data
+                    f"access to unmapped host address {addr:#x}") from None
+            frame[in_page:in_page + n] = data
             return
         off = 0
-        while off < len(data):
+        while off < n:
             base = (addr + off) & ~(PAGE_SIZE - 1)
             in_page = (addr + off) - base
-            take = min(len(data) - off, PAGE_SIZE - in_page)
+            take = min(n - off, PAGE_SIZE - in_page)
             frame = self._frame(addr + off)
             frame[in_page:in_page + take] = data[off:off + take]
             off += take
@@ -83,10 +85,11 @@ class HostMemory:
         """Read *nbytes* starting at *addr*, possibly spanning pages."""
         in_page = addr & (PAGE_SIZE - 1)
         if 0 < nbytes <= PAGE_SIZE - in_page:
-            frame = self._frames.get(addr - in_page)
-            if frame is None:
+            try:
+                frame = self._frames[addr - in_page]
+            except KeyError:
                 raise MemoryError(
-                    f"access to unmapped host address {addr:#x}")
+                    f"access to unmapped host address {addr:#x}") from None
             return bytes(frame[in_page:in_page + nbytes])
         out = bytearray()
         off = 0

@@ -76,12 +76,14 @@ class NvmeCommand:
     @classmethod
     def unpack(cls, raw: bytes) -> "NvmeCommand":
         """Parse a 64-byte SQE."""
-        if len(raw) != SQE_SIZE:
-            raise ValueError(f"SQE must be {SQE_SIZE} bytes, got {len(raw)}")
-        (opcode, flags, cid, nsid, cdw2, cdw3, mptr, prp1, prp2,
-         cdw10, cdw11, cdw12, cdw13, cdw14, cdw15) = _SQE_STRUCT.unpack(raw)
-        return cls(opcode, flags, cid, nsid, cdw2, cdw3, mptr, prp1, prp2,
-                   cdw10, cdw11, cdw12, cdw13, cdw14, cdw15)
+        try:
+            fields = _SQE_STRUCT.unpack(raw)
+        except struct.error:
+            # The struct format is exactly SQE_SIZE bytes: a size
+            # mismatch is the only way a bytes-like input fails here.
+            raise ValueError(
+                f"SQE must be {SQE_SIZE} bytes, got {len(raw)}") from None
+        return cls(*fields)
 
     def _validate(self) -> None:
         for name, bits in (("opcode", 8), ("flags", 8), ("cid", 16),

@@ -56,9 +56,14 @@ class NvmeCompletion:
 
     @classmethod
     def unpack(cls, raw: bytes) -> "NvmeCompletion":
-        if len(raw) != CQE_SIZE:
-            raise ValueError(f"CQE must be {CQE_SIZE} bytes, got {len(raw)}")
-        result, _rsvd, sq_head, sq_id, cid, dw3_hi = _CQE_STRUCT.unpack(raw)
+        try:
+            result, _rsvd, sq_head, sq_id, cid, dw3_hi = (
+                _CQE_STRUCT.unpack(raw))
+        except struct.error:
+            # The struct format is exactly CQE_SIZE bytes: a size
+            # mismatch is the only way a bytes-like input fails here.
+            raise ValueError(
+                f"CQE must be {CQE_SIZE} bytes, got {len(raw)}") from None
         # Positional construction: this sits on the host's CQ poll path.
         return cls(result, sq_head, sq_id, cid,
                    dw3_hi & 1, (dw3_hi >> 1) & 0x3FFF,

@@ -101,7 +101,7 @@ class SubmissionQueue:
         Requires the queue lock to be held — this is the invariant that
         makes ByteExpress's consecutive-slot layout sound.
         """
-        if not self.lock.held:
+        if not self.lock._held:
             raise LockNotHeldError(f"SQ{self.qid} written without its lock")
         if len(entry) != SQE_SIZE:
             raise ValueError(f"SQ entries are {SQE_SIZE} bytes")
@@ -121,7 +121,7 @@ class SubmissionQueue:
         inserted the entries, so a ByteExpress CMD+chunk sequence can
         never be published mid-insertion (paper §3 ordering argument).
         """
-        if not self.lock.held:
+        if not self.lock._held:
             raise LockNotHeldError(
                 f"SQ{self.qid} doorbell rung without its lock")
         self.shadow_tail = self.tail
@@ -244,11 +244,16 @@ class CompletionQueue:
 
     def poll(self) -> Optional[NvmeCompletion]:
         """Consume the next completion if its phase bit matches; else None."""
-        cqe = self.peek()
-        if cqe is None:
+        # ``peek`` inlined: this runs once per completion.
+        head = self.head
+        depth = self.depth
+        raw = self.memory.read(self.base_addr + (head % depth) * CQE_SIZE,
+                               CQE_SIZE)
+        if (raw[14] & 1) != self.phase:
             return None
-        self.head = (self.head + 1) % self.depth
-        if self.head == 0:
+        cqe = NvmeCompletion.unpack(raw)
+        self.head = head = (head + 1) % depth
+        if head == 0:
             self.phase ^= 1
         if self.outstanding > 0:
             self.outstanding -= 1

@@ -131,6 +131,29 @@ class PCIeLink:
         tot.upstream_bytes += batch.upstream_bytes * count
         tot.tlp_count += batch.tlp_count * count
 
+    def record_pair(self, category_a: str, batch_a: TlpBatch,
+                    category_b: str, batch_b: TlpBatch) -> None:
+        """``record_only(category_a, batch_a)`` then
+        ``record_only(category_b, batch_b)``: when neither copy is at a
+        ``corrupt_tlp`` event, both take one countdown step of two (a
+        completion's CQE write and its MSI-X ride here)."""
+        left = self.faults.left
+        clear = left[CORRUPT_TLP] - 2
+        if clear < 0:
+            self.record_only(category_a, batch_a)
+            self.record_only(category_b, batch_b)
+            return
+        left[CORRUPT_TLP] = clear
+        by_cat = self.counter._by_cat
+        tot = by_cat[category_a]
+        tot.downstream_bytes += batch_a.downstream_bytes
+        tot.upstream_bytes += batch_a.upstream_bytes
+        tot.tlp_count += batch_a.tlp_count
+        tot = by_cat[category_b]
+        tot.downstream_bytes += batch_b.downstream_bytes
+        tot.upstream_bytes += batch_b.upstream_bytes
+        tot.tlp_count += batch_b.tlp_count
+
     def _record_across_events(self, category: str, batch: TlpBatch,
                               count: int) -> None:
         """:meth:`record_only` for a run with an event in it."""

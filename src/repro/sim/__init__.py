@@ -1,6 +1,6 @@
 """Simulation foundation: clock, configuration, deterministic RNG."""
 
-from repro.sim.clock import SimClock, Span
+from repro.sim.clock import SimClock
 from repro.sim.config import (
     CQE_SIZE,
     PAGE_SIZE,
@@ -13,7 +13,6 @@ from repro.sim.rng import make_rng, random_bytes
 
 __all__ = [
     "SimClock",
-    "Span",
     "LinkConfig",
     "SimConfig",
     "TimingModel",

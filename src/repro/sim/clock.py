@@ -9,28 +9,16 @@ decomposable into protocol phases.
 
 The clock also supports *spans*: named, nested intervals used to attribute
 time to protocol phases (driver submit, doorbell, command fetch, data
-transfer, completion).  Benchmarks use spans to regenerate Table 1 of the
-paper, which reports per-phase overheads.
+transfer, completion).  Benchmarks use span totals to regenerate Table 1
+of the paper, which reports per-phase overheads.  Only the per-name
+totals are kept, so span storage is bounded by the number of span names,
+not by the number of operations.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Dict, List, Tuple
-
-
-@dataclass(slots=True)
-class Span:
-    """A named interval of simulated time."""
-
-    name: str
-    start_ns: float
-    end_ns: float
-
-    @property
-    def duration_ns(self) -> float:
-        return self.end_ns - self.start_ns
+from typing import Dict, List
 
 
 class _SpanScope:
@@ -52,8 +40,7 @@ class _SpanScope:
         self._start = self._clock.now
 
     def __exit__(self, *exc) -> None:
-        clock = self._clock
-        clock._spans.append((self._name, self._start, clock.now))
+        self._clock.span_end(self._name, self._start)
 
 
 class _ConcurrencyScope:
@@ -101,10 +88,10 @@ class SimClock:
             raise ValueError("jitter must be non-negative")
         #: Current simulated time in nanoseconds (read-only by convention).
         self.now = float(start_ns)
-        #: Completed spans as (name, start_ns, end_ns) tuples — tuples,
-        #: not :class:`Span` objects, because span close-out sits on the
-        #: hot loop; :meth:`spans` materialises Span objects on demand.
-        self._spans: List[Tuple[str, float, float]] = []
+        #: Total duration per span name, added to in place as each span
+        #: closes (in closing order, so the float sums are the same as
+        #: summing a list of closed spans afterwards).
+        self._span_totals: Dict[str, float] = {}
         self._concurrency: List[float] = []
         self.jitter = jitter
         self._rng_state = seed & 0xFFFFFFFFFFFFFFFF or 1
@@ -182,27 +169,22 @@ class SimClock:
         return _SpanScope(self, name)
 
     def span_end(self, name: str, start_ns: float) -> None:
-        """Append a completed span directly: the fast-path twin of
-        :meth:`span` for hot loops, paired with reading :attr:`now` at
-        the start of the region (use ``try/finally`` to match the
-        context manager's record-on-exception behaviour)."""
-        self._spans.append((name, start_ns, self.now))
-
-    def spans(self, name: str = None) -> List[Span]:
-        """All recorded spans, optionally filtered by name."""
-        if name is None:
-            return [Span(n, s, e) for n, s, e in self._spans]
-        return [Span(n, s, e) for n, s, e in self._spans if n == name]
+        """Close a span directly: the fast-path twin of :meth:`span` for
+        hot loops, paired with reading :attr:`now` at the start of the
+        region (use ``try/finally`` to match the context manager's
+        record-on-exception behaviour)."""
+        totals = self._span_totals
+        try:
+            totals[name] += self.now - start_ns
+        except KeyError:
+            totals[name] = self.now - start_ns
 
     def span_totals(self) -> Dict[str, float]:
-        """Total duration per span name."""
-        totals: Dict[str, float] = {}
-        for name, start, end in self._spans:
-            totals[name] = totals.get(name, 0.0) + (end - start)
-        return totals
+        """Total duration per span name, in order of first close."""
+        return dict(self._span_totals)
 
     def reset_spans(self) -> None:
-        self._spans.clear()
+        self._span_totals.clear()
 
     # ------------------------------------------------------------------
     # persistence (repro.durability)
@@ -214,17 +196,18 @@ class SimClock:
 
     def snapshot(self) -> object:
         return {"now": self.now, "rng_state": self._rng_state,
-                "jitter": self.jitter, "spans": list(self._spans)}
+                "jitter": self.jitter, "span_totals": dict(self._span_totals)}
 
     def restore(self, state: object) -> None:
         assert isinstance(state, dict)
         self.now = float(state["now"])  # type: ignore[arg-type]
         self._rng_state = int(state["rng_state"])  # type: ignore[arg-type]
         self.jitter = float(state["jitter"])  # type: ignore[arg-type]
-        self._spans = list(state["spans"])  # type: ignore[call-overload]
+        self._span_totals = dict(state["span_totals"])  # type: ignore[call-overload]
 
     def scrub(self) -> None:
         """No-op: simulated time never rewinds, even across a crash."""
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"SimClock(now={self.now:.1f}ns, spans={len(self._spans)})"
+        return (f"SimClock(now={self.now:.1f}ns, "
+                f"spans={len(self._span_totals)})")

@@ -47,9 +47,10 @@ class CompletionUnit:
         try:
             state = ctrl._sqs[qid]
             cq = ctrl._cqs[ctrl._sq_cq[qid]]
-            dnr = result.status != StatusCode.SUCCESS and not result.retryable
+            status = result.status
+            dnr = status != StatusCode.SUCCESS and not result.retryable
             cqe = NvmeCompletion(result.result, state.head, qid, cmd.cid,
-                                 0, result.status, dnr)
+                                 0, status, dnr)
             # CQE faults target the I/O path: a lost *admin* completion
             # has no in-band recovery (real drivers escalate to a
             # controller reset), so bring-up is exempt.
@@ -82,8 +83,8 @@ class CompletionUnit:
                 if ctrl._coalesced[cq.qid] >= ctrl.config.cq_coalesce:
                     self.flush_cq(cq.qid)
             else:
-                link.record_only(CAT_CQE, self._cqe_batch)
-                link.record_only(CAT_MSIX, self._msix_batch)
+                link.record_pair(CAT_CQE, self._cqe_batch,
+                                 CAT_MSIX, self._msix_batch)
                 clock.advance(timing.completion_post_ns)
         finally:
             clock.span_end("ctrl.completion", _span_start)

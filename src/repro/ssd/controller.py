@@ -602,20 +602,23 @@ class NvmeController:
         # Convention (matches the NVM command set): CDW12 carries the
         # host→device data length in bytes for our vendor/passthrough
         # commands; zero means no host→device data phase.
-        xfer_len = cmd.cdw12 if self._data_phase.get(cmd.opcode, True) else 0
-        if ctx.data is None and xfer_len:
-            decoder = decoder_for_psdt(cmd.psdt)
-            try:
-                ctx.data = decoder.pull(self, cmd, xfer_len)
-                ctx.transport = decoder.transport
-            except (ValueError, MemoryError):
-                self.fetch_errors += 1
-                self._complete(qid, cmd,
-                               CommandResult(StatusCode.DATA_TRANSFER_ERROR))
-                return
+        if ctx.data is None:
+            xfer_len = (cmd.cdw12 if self._data_phase.get(cmd.opcode, True)
+                        else 0)
+            if xfer_len:
+                decoder = decoder_for_psdt(cmd.psdt)
+                try:
+                    ctx.data = decoder.pull(self, cmd, xfer_len)
+                    ctx.transport = decoder.transport
+                except (ValueError, MemoryError):
+                    self.fetch_errors += 1
+                    self._complete(qid, cmd, CommandResult(
+                        StatusCode.DATA_TRANSFER_ERROR))
+                    return
 
-        handler = self._handlers.get(cmd.opcode)
-        if handler is None:
+        try:
+            handler = self._handlers[cmd.opcode]
+        except KeyError:
             self._complete(qid, cmd, CommandResult(StatusCode.INVALID_OPCODE))
             return
         result = handler(ctx)

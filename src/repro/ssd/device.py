@@ -9,7 +9,6 @@ exactly like the Cosmos+ firmware variants the paper evaluates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.durability.domains import (
@@ -111,38 +110,41 @@ class BlockSsdPersonality:
         ssd.durability.register("block.medium", PERSISTENT, self)
 
     # ------------------------------------------------------------------
-    def _stage(self, data: bytes) -> None:
-        """Land the payload in device DRAM (wraps when full)."""
-        if self._staging_off + len(data) > self.staging.size:
-            self._staging_off = 0
-        self.staging.write(self._staging_off, data)
-        self._staging_off += len(data)
-
     def _on_write(self, ctx: CommandContext) -> CommandResult:
-        if ctx.data is None:
+        data = ctx.data
+        if data is None:
             return CommandResult(StatusCode.INVALID_FIELD)
-        self._stage(ctx.data)
-        offset = ctx.cmd.cdw10 | (ctx.cmd.cdw11 << 32)
-        if not self.ssd.nand_enabled:
-            self._write_functional(offset, ctx.data)
+        n = len(data)
+        # Land the payload in device DRAM staging (wraps when full).
+        off = self._staging_off
+        if off + n > self.staging.size:
+            off = 0
+        self.staging.write(off, data)
+        self._staging_off = off + n
+        cmd = ctx.cmd
+        offset = cmd.cdw10 | (cmd.cdw11 << 32)
+        if not self.ssd.config.nand_enabled:
+            self._write_functional(offset, data, n)
             return CommandResult()
         try:
-            self._write_through_ftl(offset, ctx.data)
+            self._write_through_ftl(offset, data)
         except NandError:
             return CommandResult(StatusCode.MEDIA_WRITE_FAULT)
         return CommandResult()
 
-    def _write_functional(self, offset: int, data: bytes) -> None:
+    def _write_functional(self, offset: int, data: bytes, n: int) -> None:
+        """Write *data* (*n* bytes) at byte *offset* of the NAND-off
+        functional store."""
         in_page = offset % PAGE_SIZE
-        if data and in_page + len(data) <= PAGE_SIZE:
-            # Fast path: the write lands in a single page.  (``get`` +
-            # explicit insert, not ``setdefault`` — the latter would
-            # allocate a fresh 4 KB default on every call.)
+        if n and in_page + n <= PAGE_SIZE:
+            # Fast path: the write lands in a single page.
             lpn = offset // PAGE_SIZE
-            page = self._pages.get(lpn)
-            if page is None:
-                page = self._pages[lpn] = bytearray(PAGE_SIZE)
-            page[in_page:in_page + len(data)] = data
+            pages = self._pages
+            if lpn in pages:
+                page = pages[lpn]
+            else:
+                page = pages[lpn] = bytearray(PAGE_SIZE)
+            page[in_page:in_page + n] = data
             return
         for lpn, start, piece in self._split_pages(offset, data):
             page = self._pages.setdefault(lpn, bytearray(PAGE_SIZE))

@@ -30,11 +30,12 @@ class DramRegion:
     _data: bytearray
 
     def write(self, offset: int, data: bytes) -> None:
-        if offset < 0 or offset + len(data) > self.size:
+        end = offset + len(data)
+        if offset < 0 or end > self.size:
             raise ValueError(
-                f"write [{offset}, {offset + len(data)}) outside region "
+                f"write [{offset}, {end}) outside region "
                 f"'{self.name}' of {self.size} B")
-        self._data[offset:offset + len(data)] = data
+        self._data[offset:end] = data
 
     def read(self, offset: int, nbytes: int) -> bytes:
         if offset < 0 or offset + nbytes > self.size:

@@ -49,7 +49,8 @@ class FetchUnit:
     def __init__(self, ctrl: "NvmeController") -> None:
         self.ctrl = ctrl
         # The single-SQE fetch shape never changes; build its TLP batch
-        # once instead of per command.
+        # once instead of per command.  An inline chunk is one SQE, so
+        # chunk fetches share it.
         self._sqe_fetch_batch = tlpmod.device_dma_read(SQE_SIZE,
                                                        ctrl.link.config)
 
@@ -289,22 +290,25 @@ class FetchUnit:
         timing = ctrl.timing
         _span_start = clock.now
         try:
-            raw = window.take(state.head) if window is not None else None
+            head = state.head
+            raw = window.take(head) if window is not None else None
             if raw is not None:
                 # Burst-prefetched: already on-die, decode cost only.
-                state.advance()
+                state.head = (head + 1) % state.depth
                 clock.advance(timing.burst_sqe_logic_ns)
             else:
                 clock.advance(timing.doorbell_poll_ns)
-                # fetch_sqe inlined: 64 B DMA read at the device head.
-                raw = ctrl.host_memory.read(state.slot_addr(state.head),
-                                            SQE_SIZE)
-                state.advance()
+                # fetch_sqe inlined (slot address and head advance too):
+                # 64 B DMA read at the device head.
+                depth = state.depth
+                raw = ctrl.host_memory.read(
+                    state.base_addr + (head % depth) * SQE_SIZE, SQE_SIZE)
+                state.head = (head + 1) % depth
                 ctrl.link.record_only(CAT_CMD_FETCH, self._sqe_fetch_batch)
                 clock.advance(timing.cmd_fetch_logic_ns)
             cmd = NvmeCommand.unpack(raw)
 
-            if cmd.inline_length:
+            if cmd.cdw2:  # the inline length (``cmd.inline_length``)
                 # ``faults.fire`` with its countdown step inlined.
                 left = ctrl.faults.left
                 if left[CORRUPT_INLINE_LENGTH]:
@@ -342,7 +346,8 @@ class FetchUnit:
                     ctx.data = fetch_inline_payload(
                         state, info, ctrl._sq_tails[qid],
                         ctrl.host_memory, ctrl.link, clock, timing,
-                        injector=ctrl.faults, window=window)
+                        injector=ctrl.faults, window=window,
+                        chunk_batch=self._sqe_fetch_batch)
                     ctx.transport = TRANSPORT_INLINE
                     ctrl.inline_payloads += 1
                 except ChunkCorruptionError:

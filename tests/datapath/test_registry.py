@@ -128,3 +128,14 @@ def test_slots_needed_paged_methods_use_one_slot():
     for method in (names.PRP, names.SGL):
         caps = datapath.resolve(method).caps
         assert caps.slots_needed(4096) == 1
+
+
+def test_breaker_guarded_is_inline_or_fragmented():
+    """``breaker_guarded`` is derived once per caps object, never passed."""
+    for spec in datapath.SPECS:
+        caps = spec.caps
+        assert caps.breaker_guarded == (caps.inline or caps.fragmented), (
+            spec.name)
+    assert DatapathCaps(fragmented=True).breaker_guarded
+    assert not DatapathCaps(figure5=True).breaker_guarded
+    assert dataclasses.replace(DatapathCaps(), inline=True).breaker_guarded

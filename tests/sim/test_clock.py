@@ -38,9 +38,7 @@ def test_span_records_duration():
     clk = SimClock()
     with clk.span("phase"):
         clk.advance(30)
-    spans = clk.spans("phase")
-    assert len(spans) == 1
-    assert spans[0].duration_ns == 30
+    assert clk.span_totals() == {"phase": 30}
 
 
 def test_nested_spans_attribute_correctly():
@@ -61,8 +59,8 @@ def test_span_filter_and_all():
         clk.advance(1)
     with clk.span("b"):
         clk.advance(2)
-    assert len(clk.spans()) == 2
-    assert clk.spans("a")[0].duration_ns == 1
+    assert list(clk.span_totals()) == ["a", "b"]
+    assert clk.span_totals()["a"] == 1
 
 
 def test_span_records_even_on_exception():
@@ -79,5 +77,22 @@ def test_reset_spans():
     with clk.span("x"):
         clk.advance(1)
     clk.reset_spans()
-    assert clk.spans() == []
+    assert clk.span_totals() == {}
     assert clk.now == 1  # time is not reset
+
+
+def test_span_totals_add_in_closing_order():
+    """Totals are summed in place as spans close, in the same order a
+    list of closed spans would be summed: the float result is exact."""
+    clk = SimClock()
+    durations = [0.1, 0.2, 0.3, 1e-9, 7.0]
+    expected = 0.0
+    for d in durations:
+        start = clk.now
+        clk.advance(d)
+        clk.span_end("phase", start)
+        expected += clk.now - start
+    assert clk.span_totals() == {"phase": expected}
+    with clk.span("phase"):
+        clk.advance(1.5)
+    assert clk.span_totals()["phase"] == expected + 1.5
