@@ -68,7 +68,7 @@ def _fingerprint_method(method: str) -> dict:
             cmd = NvmeCommand(opcode=IoOpcode.WRITE, nsid=1,
                               cdw10=(i * PAGE_SIZE) & 0xFFFFFFFF)
             cids.append(tb.driver.submit(method, cmd, _payload(i, 96), qid,
-                                         ring=False, private_buffer=True))
+                                         ring=False))
         tb.driver.kick(qid)
         tb.ssd.controller.process_all()
         out["submit_cids"] = cids

@@ -133,8 +133,7 @@ class CsdPersonality:
         if len(packed) > self.workspace.size:
             return CommandResult(StatusCode.INTERNAL_ERROR)
         self.workspace.write(0, packed)
-        return CommandResult(result=len(result.rows),
-                             read_data=packed[:limit])
+        return CommandResult(result=len(packed), read_data=packed[:limit])
 
     # ------------------------------------------------------------------
     def run_pending(self) -> int:
@@ -218,7 +217,9 @@ class CsdClient:
         like any write.  FETCH_RESULT pops its result on the device,
         though: a retry after a lost CQE returns the *next* queued
         result — the same at-least-once behaviour ``CSD_PUSHDOWN``
-        has through ``passthru``.
+        has through ``passthru``.  The CQE result is the packed rows'
+        byte length; a result larger than *max_len* raises
+        :class:`SqlError` (the rows did not fit the buffer).
         """
         req = PassthruRequest(opcode=VendorOpcode.CSD_FETCH_RESULT,
                               read_len=max_len)
@@ -227,22 +228,7 @@ class CsdClient:
             raise SqlError("no filter results queued on the device")
         if not res.ok:
             raise SqlError(f"fetch_results failed with status {res.status:#x}")
-        return schema.unpack_rows(self._trim(schema, res.data or b"",
-                                             res.result))
-
-    @staticmethod
-    def _trim(schema: TableSchema, raw: bytes, row_count: int) -> bytes:
-        """Cut the scratch buffer down to exactly *row_count* packed rows."""
-        import struct as _struct
-
-        from repro.csd.schema import ColumnType
-
-        pos = 0
-        for _ in range(row_count):
-            for col in schema.columns:
-                if col.ctype in (ColumnType.INT64, ColumnType.FLOAT64):
-                    pos += 8
-                else:
-                    (n,) = _struct.unpack_from("<H", raw, pos)
-                    pos += 2 + n
-        return raw[:pos]
+        if res.result > max_len:
+            raise SqlError(f"filter result of {res.result} B exceeds buffer "
+                           f"of {max_len} B")
+        return schema.unpack_rows(res.data or b"")

@@ -3,9 +3,9 @@
 Each codec owns one wire encoding — PRP staging, SGL segments, inline
 chunk append, tagged chunks, BandSlim fragment commands — and is the
 only place that encoding is written.  Every write in the stack (the
-driver's generic :meth:`~repro.host.driver.NvmeDriver.submit`, the
-synchronous ``passthru`` and the async engine) ends in exactly one
-:meth:`HostCodec.encode` call.
+driver's generic :meth:`~repro.host.driver.NvmeDriver.submit` and the
+async engine, which the synchronous ``passthru`` drives at QD 1) ends in
+exactly one :meth:`HostCodec.encode` call.
 
 Codecs hold no state: they operate on the driver instance passed in, so
 one codec singleton serves every driver in the process.  The protocol
@@ -51,7 +51,7 @@ from repro.nvme.queues import QueueFullError
 from repro.nvme.sgl import build_sgl
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.host.driver import NvmeDriver, _QueueResources
+    from repro.host.driver import NvmeDriver
 
 
 def _driver_error(message: str) -> Exception:
@@ -70,7 +70,7 @@ class HostCodec:
     method: str = ""
 
     def encode(self, driver: "NvmeDriver", cmd: NvmeCommand, data: bytes,
-               qid: int, *, ring: bool = True, private_buffer: bool = False,
+               qid: int, *, ring: bool = True,
                payload_id: Optional[int] = None) -> int:
         """Stage *data*, fill the SQE's data pointer, insert the SQE (and
         any payload chunks) under the SQ lock, optionally ring, and
@@ -78,19 +78,17 @@ class HostCodec:
         raise NotImplementedError
 
 
-def _stage(driver: "NvmeDriver", res: "_QueueResources", data: bytes,
-           private_buffer: bool) -> Tuple[int, List[int]]:
-    """Copy *data* into DMA-able host memory; returns its address and
-    the pages the command's CID owns.
-
-    *private_buffer* allocates a dedicated DMA buffer for this command
-    instead of reusing the queue's scratch area.  Mandatory at QD>1:
-    concurrent in-flight writes staged into the shared scratch would
-    overwrite each other before the device fetches them.  The buffer
-    is freed automatically when the command's CID retires.
-    """
-    if not private_buffer:
-        return driver._stage_data(res, data), []
+def _stage(driver: "NvmeDriver", data: bytes) -> Tuple[int, List[int]]:
+    """Copy *data* into a DMA buffer of its own; returns its address and
+    its pages, which the command's CID owns and frees when it retires
+    (in-flight writes never share a buffer the device has yet to
+    fetch).  A payload larger than the controller's maximum data
+    transfer size (Identify MDTS) is refused before anything is
+    allocated."""
+    if len(data) > driver.identify.max_transfer_bytes:
+        raise _driver_error(
+            f"payload of {len(data)} B exceeds the controller's maximum "
+            f"data transfer size ({driver.identify.max_transfer_bytes} B)")
     pages = driver.memory.alloc_pages(
         max(1, (len(data) + PAGE_SIZE - 1) // PAGE_SIZE))
     driver.memory.write(pages[0], data)
@@ -103,12 +101,12 @@ class PrpWriteCodec(HostCodec):
     method = names.PRP
 
     def encode(self, driver: "NvmeDriver", cmd: NvmeCommand, data: bytes,
-               qid: int, *, ring: bool = True, private_buffer: bool = False,
+               qid: int, *, ring: bool = True,
                payload_id: Optional[int] = None) -> int:
         if not data:
             raise _driver_error("PRP write requires a payload")
         res = driver.queue(qid)
-        addr, data_pages = _stage(driver, res, data, private_buffer)
+        addr, data_pages = _stage(driver, data)
         mapping = build_prps(driver.memory, addr, len(data))
         cmd.cid = driver._alloc_cid(res)
         res.pending_pages.setdefault(cmd.cid, []).extend(
@@ -126,12 +124,12 @@ class SglWriteCodec(HostCodec):
     method = names.SGL
 
     def encode(self, driver: "NvmeDriver", cmd: NvmeCommand, data: bytes,
-               qid: int, *, ring: bool = True, private_buffer: bool = False,
+               qid: int, *, ring: bool = True,
                payload_id: Optional[int] = None) -> int:
         if not data:
             raise _driver_error("SGL write requires a payload")
         res = driver.queue(qid)
-        addr, data_pages = _stage(driver, res, data, private_buffer)
+        addr, data_pages = _stage(driver, data)
         mapping = build_sgl(driver.memory, [(addr, len(data))])
         cmd.cid = driver._alloc_cid(res)
         res.pending_pages.setdefault(cmd.cid, []).extend(
@@ -170,7 +168,7 @@ class InlineWriteCodec(HostCodec):
     method = names.BYTEEXPRESS
 
     def encode(self, driver: "NvmeDriver", cmd: NvmeCommand, data: bytes,
-               qid: int, *, ring: bool = True, private_buffer: bool = False,
+               qid: int, *, ring: bool = True,
                payload_id: Optional[int] = None) -> int:
         if not driver.identify.byteexpress:
             _require_byteexpress(driver)  # raises
@@ -237,7 +235,7 @@ class TaggedInlineWriteCodec(HostCodec):
     method = names.BYTEEXPRESS_TAGGED
 
     def encode(self, driver: "NvmeDriver", cmd: NvmeCommand, data: bytes,
-               qid: int, *, ring: bool = True, private_buffer: bool = False,
+               qid: int, *, ring: bool = True,
                payload_id: Optional[int] = None) -> int:
         from repro.ssd.context import MODE_TAGGED
 
@@ -349,7 +347,7 @@ class FragmentWriteCodec(HostCodec):
     method = names.BANDSLIM
 
     def encode(self, driver: "NvmeDriver", cmd: NvmeCommand, data: bytes,
-               qid: int, *, ring: bool = True, private_buffer: bool = False,
+               qid: int, *, ring: bool = True,
                payload_id: Optional[int] = None) -> int:
         if not data:
             raise _driver_error("BandSlim write requires a payload")

@@ -93,7 +93,15 @@ class PrpDecoder(DeviceDecoder):
 
     def push(self, ctrl: "NvmeController", cmd: NvmeCommand,
              data: bytes) -> None:
-        """PRP read return: one DMA write to the host buffer."""
+        """PRP read return: one DMA write to the host buffer.
+
+        The buffer ends at CDW13 (the read length) rounded up to whole
+        pages: data past it is never transferred, so a value larger than
+        the host asked for cannot overrun into the next page.  A zero
+        CDW13 (admin data returns) leaves the length to the command.
+        """
+        if cmd.cdw13:
+            data = data[:-(-cmd.cdw13 // PAGE_SIZE) * PAGE_SIZE]
         ctrl.host_memory.write(cmd.prp1, data)
         batch = tlpmod.device_dma_write(len(data), ctrl.link.config)
         ctrl.link.record_only(CAT_DATA, batch)

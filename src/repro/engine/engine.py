@@ -45,6 +45,8 @@ from repro.nvme.constants import (
     IoOpcode,
     VendorOpcode,
 )
+from repro.nvme.queues import QueueFullError
+from repro.pcie.traffic import EVT_INLINE_FALLBACK
 from repro.ssd.controller import MODE_TAGGED
 from repro.ssd.device import OpenSsd
 
@@ -64,8 +66,11 @@ class EngineError(Exception):
     """Engine misuse or unrecoverable engine state."""
 
 
-class EngineSaturatedError(EngineError):
-    """A submission can never be placed (footprint exceeds every queue)."""
+class EngineSaturatedError(EngineError, QueueFullError):
+    """A submission can never be placed (footprint exceeds every queue).
+
+    A :class:`QueueFullError`, like the codecs' own refusal of a payload
+    the SQ cannot hold."""
 
 
 @dataclass
@@ -90,8 +95,9 @@ class EngineStats:
 class IoEngine:
     """Asynchronous multi-queue submission over one driver/device pair.
 
-    The stack's one QD>1 loop (load generator, KV service, tenants, the
-    crash harness): a write is acked once its future resolves OK.
+    The stack's one submission loop: the QD>1 callers (load generator,
+    KV service, tenants, the crash harness) and ``NvmeDriver.passthru``
+    at QD 1.  A write is acked once its future resolves OK.
     """
 
     def __init__(self, ssd: OpenSsd, driver: NvmeDriver,
@@ -137,7 +143,8 @@ class IoEngine:
         #: self-describing chunks, so inline writes take the tagged codec.
         self.tagged = ssd.controller.mode == MODE_TAGGED
         self._tagged_spec = datapath.resolve(dp_names.BYTEEXPRESS_TAGGED)
-        #: Keyed and read-style commands ride the PRP spec.
+        #: Keyed and read-style commands ride the PRP spec, and so do
+        #: guarded writes while the breaker is open.
         self._prp_spec = datapath.resolve(dp_names.PRP)
         #: Optional interleaving controller (repro.verify.explore.Schedule).
         #: When set, the reactor routes its arbitrary ordering decisions
@@ -204,11 +211,8 @@ class IoEngine:
         return; the resolved future carries the returned bytes in
         ``future.data`` (trimmed to the CQE-reported result length).
         *read_len* == 0 submits a keyed command with no data phase in
-        either direction (DELETE, EXIST).
-
-        Unlike a synchronous ``passthru`` read — whose shared per-queue
-        scratch buffer is unsafe past QD 1 — every in-flight read owns
-        its buffer, so reads pipeline like writes do.
+        either direction (DELETE, EXIST).  Every in-flight read owns its
+        buffer, so reads pipeline like writes do.
         """
         if read_len < 0:
             raise EngineError("read_len must be >= 0")
@@ -296,16 +300,17 @@ class IoEngine:
         # effect, so it is only asked once the breaker has tripped.
         if (caps.breaker_guarded and breaker.state != STATE_CLOSED
                 and not breaker.allow_inline()):
-            spec = driver._fall_back_to_prp()
+            # Breaker open: this attempt rides the stock PRP path.
+            spec = self._prp_spec
+            driver.inline_fallbacks += 1
+            driver.link.counter.record_event(EVT_INLINE_FALLBACK)
             self.stats.inline_fallbacks += 1
         elif self.tagged and caps.inline:
             spec = self._tagged_spec
         entry.spec_used = spec
         entry.attempts += 1
-        clock = self.clock
-        entry.last_submit_ns = clock.now
         # The async submission API call itself (io_uring-style ioctl).
-        clock.advance(self.timing.passthrough_ns)
+        self.clock.advance(self.timing.passthrough_ns)
 
         # Positional NvmeCommand construction (field order: opcode,
         # flags, cid, nsid, cdw2, cdw3, mptr, prp1, prp2, cdw10, cdw11)
@@ -313,10 +318,9 @@ class IoEngine:
         cmd = NvmeCommand(entry.opcode, 0, 0, entry.nsid, 0, 0, 0, 0, 0,
                           entry.cdw10, entry.cdw11)
         # ``submit`` admits only codec-bearing specs; calling the codec
-        # directly skips the driver.submit resolve layer.  Every
-        # in-flight write at QD>1 needs its own DMA buffer (PRP, SGL).
+        # directly skips the driver.submit resolve layer.
         cid = spec.host_codec.encode(driver, cmd, entry.payload, qid,
-                                     ring=False, private_buffer=True)
+                                     ring=False)
         entry.key = (qid, cid)
         self.table.add(entry)
         self.scheduler.note_submit(qid)
@@ -331,7 +335,6 @@ class IoEngine:
         """
         entry.spec_used = entry.spec
         entry.attempts += 1
-        entry.last_submit_ns = self.clock.now
         # The async submission API call itself (io_uring-style ioctl).
         self.clock.advance(self.timing.passthrough_ns)
         cmd = NvmeCommand(entry.opcode, 0, 0, entry.nsid, 0, 0, entry.mptr,
@@ -373,9 +376,14 @@ class IoEngine:
     # ------------------------------------------------------------------
     def kick_dirty(self) -> None:
         """Publish every deferred tail: one doorbell MMIO per queue."""
-        for qid in self._order("kick", sorted(self._dirty)):
+        dirty = self._dirty
+        if len(dirty) == 1 and self.schedule is None:
+            # One dirty queue (every QD-1 round): nothing to order.
+            self.driver.kick(dirty.pop())
+            return
+        for qid in self._order("kick", sorted(dirty)):
             self.driver.kick(qid)
-        self._dirty.clear()
+        dirty.clear()
 
     def poll(self) -> int:
         """One reactor round; returns futures resolved this round."""
@@ -386,11 +394,14 @@ class IoEngine:
         of futures resolved while draining."""
         resolved = 0
         stall = 0
+        clock = self.clock
         while self.table or self.parked:
-            before = (len(self.table), len(self.parked), self.clock.now)
-            resolved += self.poll()
-            after = (len(self.table), len(self.parked), self.clock.now)
-            stall = stall + 1 if after == before else 0
+            before_ns = clock.now
+            done = self.poll()
+            resolved += done
+            # No progress on a frozen clock: every submission, recovery
+            # step and reap advances it, so only a wedge stands still.
+            stall = 0 if done or clock.now != before_ns else stall + 1
             if stall > 100:
                 raise EngineError(
                     f"drain stalled with {len(self.table)} in flight "

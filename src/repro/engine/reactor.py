@@ -22,9 +22,13 @@ One ``poll()`` round is the engine's heartbeat:
    pipeline is otherwise empty, sleep the clock forward to the earliest
    ``retry_at`` so backoff consumes simulated time exactly once.
 
-This is the asynchronous generalisation of ``NvmeDriver.passthru``'s
-inline recovery loop — same policy object, same breaker, same event
-taxonomy — applied to many commands concurrently.
+This is the stack's one recovery loop.  ``NvmeDriver.passthru`` is a
+QD-1 submission to an engine, so the synchronous ioctl path recovers
+here too, with the driver's policy object, breaker and event taxonomy.
+CQEs are matched to futures by (qid, cid): a late CQE of an abandoned
+attempt counts as a stale completion and can never resolve another
+command.  A timeout is not a breaker failure (the command may have
+run); error completions with DNR clear on a guarded path are.
 """
 
 from __future__ import annotations
@@ -74,7 +78,8 @@ class CompletionReactor:
                 ctrl.poll_once()
         if e.table:
             resolved += self._recover_stuck()
-        self._release_parked(pipeline_idle=resolved == 0 and not e.table)
+        if e.parked:
+            self._release_parked(pipeline_idle=resolved == 0 and not e.table)
         return resolved
 
     # ------------------------------------------------------------------
@@ -92,15 +97,24 @@ class CompletionReactor:
         ctrl = e.ssd.controller
         conc = e.clock._concurrency
         fetch_lanes = e.fetch_lanes
-        # ready_only: a QoS-throttled tenant's backlog must not make
+        # Ready work only: a QoS-throttled tenant's backlog must not make
         # this loop (and with it every tenant's poll) wait out a token
         # refill — throttled queues get serviced once sim time reaches
         # their refill instant.
-        while ctrl.has_pending(ready_only=True):
-            lanes = min(max(1, ctrl.active_queue_count()), fetch_lanes)
-            # Inlined clock.concurrent(lanes): lanes >= 1 by the max()
-            # above, so the scope's validation cannot fire; the push/pop
-            # pair is all that remains of the context manager.
+        while True:
+            width = ctrl.sweep_width()
+            if not width:
+                break
+            lanes = width if width < fetch_lanes else fetch_lanes
+            if lanes == 1 and not conc:
+                # A one-lane scope divides every advance by 1.0, which is
+                # exact: with no outer scope open there is nothing to push.
+                ctrl.poll_once()
+                continue
+            # Inlined clock.concurrent(lanes): lanes >= 1 (width > 0 here
+            # and fetch_lanes >= 1), so the scope's validation cannot
+            # fire; the push/pop pair is all that remains of the context
+            # manager.
             conc.append(float(lanes))
             try:
                 ctrl.poll_once()
@@ -141,7 +155,8 @@ class CompletionReactor:
             if ((breaker.consecutive_failures
                  or breaker.state != STATE_CLOSED) and entry.is_inline):
                 breaker.record_success()
-            self._finish_read(entry, cqe)
+            if entry.read_pages:
+                self._finish_read(entry, cqe)
             entry.resolve(cqe, e.clock.now)
             e.stats.completed += 1
             return 1
@@ -150,18 +165,18 @@ class CompletionReactor:
             e.driver.link.counter.record_event(EVT_BREAKER_TRIP)
         if cqe.retryable and self._park_for_retry(entry):
             return 0
-        self._finish_read(entry, None)
+        if entry.read_pages:
+            self._finish_read(entry, None)
         entry.resolve(cqe, e.clock.now)
         e.stats.failed += 1
         return 1
 
     def _finish_read(self, entry: "InFlightCommand", cqe) -> None:
-        """Terminal read handling: copy the device's data return out of
-        the entry's private DMA buffer into the future (success only),
-        then free the buffer.  Parked retries keep the buffer — the
-        resubmission lands its data in the same pages."""
-        if not entry.read_pages:
-            return
+        """Terminal handling of a read with a data buffer: copy the
+        device's data return out of the entry's private DMA buffer into
+        the future (success only), then free the buffer.  Parked retries
+        keep the buffer — the resubmission lands its data in the same
+        pages."""
         if cqe is not None and cqe.ok:
             want = min(cqe.result, entry.read_len)
             if want > 0:
@@ -243,8 +258,6 @@ class CompletionReactor:
 
     def _release_parked(self, pipeline_idle: bool) -> None:
         e = self.engine
-        if not e.parked:
-            return
         if pipeline_idle and not e.table:
             # Nothing in flight to absorb the wait: backoff is the only
             # thing standing between now and progress, so sleep to the

@@ -130,7 +130,6 @@ class InFlightCommand:
     key: Optional[Tuple[int, int]] = None
     attempts: int = 0
     first_submit_ns: float = 0.0
-    last_submit_ns: float = 0.0
     deadline_ns: float = float("inf")
     #: Absolute simulated time before which a parked entry must not be
     #: resubmitted (exponential backoff).

@@ -12,24 +12,21 @@ driver behaviour.
 Synchronous semantics: ``passthru`` models the NVMe passthrough ioctl
 that KV-SSD and CSD user libraries issue every command through (paper
 §2.1), at queue depth 1, which is how the paper's microbenchmarks issue
-their 1 M operations.
+their 1 M operations.  It is one submission to a QD-1
+:class:`~repro.engine.IoEngine` per queue, so the ioctl and async I/O
+share one submit path and one completion path.
 
-Error recovery: ``passthru`` runs a retry/timeout/backoff loop.  A
-command that produces no completion gets its doorbell re-rung (which
-recovers a lost doorbell); if it is still silent it has timed out
-(dropped CQE) and is resubmitted with exponential backoff until the
-per-command deadline; completions whose DNR bit is clear (transient
-transfer faults) are retried the same way.  After ``threshold``
-consecutive failures on a breaker-guarded path (ByteExpress, BandSlim)
-a :class:`CircuitBreaker` downgrades submissions to the PRP baseline
-until a probe succeeds — fault-tolerant, merely slower.
+Error recovery lives in one place, the engine's completion reactor
+(:mod:`repro.engine.reactor`); the driver only holds its knobs
+(:class:`RetryPolicy`, the :class:`CircuitBreaker`) and the CID
+lifecycle (allocation, retirement, quarantine of abandoned CIDs).
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
 from repro import datapath
 from repro.datapath import names as dp_names
@@ -38,12 +35,6 @@ from repro.datapath.spec import DatapathSpec
 from repro.faults.plan import DROP_DOORBELL
 from repro.host.breaker import CircuitBreaker
 from repro.host.shadow import MAX_QID, ShadowDoorbells
-from repro.pcie.traffic import (
-    EVT_BREAKER_TRIP,
-    EVT_INLINE_FALLBACK,
-    EVT_RETRY,
-    EVT_TIMEOUT,
-)
 from repro.nvme.command import NvmeCommand
 from repro.nvme.completion import NvmeCompletion
 from repro.nvme.constants import (
@@ -70,6 +61,9 @@ from repro.sim.config import DOORBELL_SHADOW
 from repro.pcie.traffic import CAT_DOORBELL
 from repro.ssd.device import OpenSsd
 
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.engine.engine import IoEngine
+
 
 class DriverError(Exception):
     """Driver-level failures (no completion, bad arguments)."""
@@ -81,7 +75,7 @@ class CommandTimeoutError(DriverError):
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """Host-side recovery knobs for one passthrough command.
+    """Host-side recovery knobs for one command.
 
     Backoff is exponential in simulated time: attempt *n* (1-based)
     sleeps ``backoff_base_ns * backoff_multiplier**(n-1)`` before its
@@ -108,8 +102,8 @@ class RetryPolicy:
                      deadline_ns: float) -> Optional[float]:
         """Backoff before resubmitting a command that has made *attempts*
         attempts, or ``None`` when its budget is spent: no attempts left,
-        or the backoff would end past *deadline_ns*.  The one budget
-        rule of ``passthru`` and the engine's reactor."""
+        or the backoff would end past *deadline_ns*.  The engine
+        reactor's budget rule, for async and passthrough commands."""
         if attempts >= self.max_attempts:
             return None
         backoff_ns = self.backoff_ns(attempts)
@@ -122,7 +116,8 @@ class RetryPolicy:
 class _QueueResources:
     sq: SubmissionQueue
     cq: CompletionQueue
-    #: Reusable page-aligned data buffer (sync QD=1 makes reuse safe).
+    #: Reusable page-aligned buffer for admin data returns and the SGL
+    #: bit-bucket read, which wait for one command at a time.
     scratch: int
     scratch_pages: int
     next_cid: int = 0
@@ -185,6 +180,8 @@ class NvmeDriver:
         self.shadow_rings = 0
         self.shadow_wakes = 0
         self._queues: Dict[int, _QueueResources] = {}
+        #: ``passthru``'s QD-1 engine per qid, built on first use.
+        self._engines: Dict[int, "IoEngine"] = {}
         #: One payload/stream-id space per driver, shared by every path
         #: that tags a payload (tagged inline chunks, BandSlim streams).
         self._payload_ids = itertools.count(1)
@@ -325,6 +322,7 @@ class NvmeDriver:
             if not cqe.ok:
                 raise DriverError(f"{name} {qid} failed: {cqe.status:#x}")
         del self._queues[qid]
+        self._engines.pop(qid, None)
         self.ssd.durability.unregister(f"nvme.sq{qid}")
         self.ssd.durability.unregister(f"nvme.cq{qid}")
         # No completion can arrive for this queue anymore: quarantined
@@ -409,6 +407,7 @@ class NvmeDriver:
             res.pending_pages.clear()
             res.payload_ids.clear()
         self._live_payload_ids.clear()
+        self._engines.clear()
 
     # ------------------------------------------------------------------
     # helpers
@@ -548,14 +547,6 @@ class NvmeDriver:
             if ring:
                 self._ring_sq_doorbell(res)
 
-    def _stage_data(self, res: _QueueResources, data: bytes) -> int:
-        """Copy the user payload into the queue's DMA-able scratch buffer."""
-        if len(data) > res.scratch_pages * PAGE_SIZE:
-            raise DriverError(
-                f"payload of {len(data)} B exceeds scratch buffer")
-        self.memory.write(res.scratch, data)
-        return res.scratch
-
     def _ring_sq_doorbell(self, res: _QueueResources) -> None:
         """Publish the SQ tail.
 
@@ -614,19 +605,25 @@ class NvmeDriver:
     # ------------------------------------------------------------------
     # submission primitives
     # ------------------------------------------------------------------
-    def _resolve_spec(self, method) -> DatapathSpec:
-        """Resolve *method* (name or spec) through the datapath table,
-        translating lookup failures into the driver's exception type."""
+    def _codec_spec(self, method) -> DatapathSpec:
+        """Resolve *method* (name or spec) through the datapath table to a
+        spec that carries a host codec, raising the driver's exception
+        type for unknown and codec-less methods."""
         if isinstance(method, DatapathSpec):
-            return method
-        try:
-            return datapath.resolve(method)
-        except datapath.UnknownMethodError as exc:
-            raise DriverError(str(exc)) from None
+            spec = method
+        else:
+            try:
+                spec = datapath.resolve(method)
+            except datapath.UnknownMethodError as exc:
+                raise DriverError(str(exc)) from None
+        if spec.host_codec is None:
+            raise DriverError(
+                f"transfer method {spec.name!r} has no host codec; use its "
+                f"orchestration layer in repro.transfer")
+        return spec
 
     def submit(self, method, cmd: NvmeCommand, data: bytes, qid: int,
-               ring: bool = True, private_buffer: bool = False,
-               payload_id: Optional[int] = None) -> int:
+               ring: bool = True, payload_id: Optional[int] = None) -> int:
         """Generic write submission: encode *data* with *method*'s host
         codec.
 
@@ -635,19 +632,13 @@ class NvmeDriver:
         whole encode — staging, data-pointer construction, SQE (and chunk
         or fragment) insertion under the SQ lock, the optional doorbell —
         so every method follows one submission shape and new methods need
-        no driver edits.  *private_buffer* and *payload_id* are forwarded
-        to codecs that use them (PRP at QD>1; tagged inline and BandSlim,
-        which allocate an id from the driver when none is given).
+        no driver edits.  Staged payloads (PRP, SGL) get DMA pages owned
+        by the command's CID.  *payload_id* is forwarded to the codecs
+        that tag a payload (tagged inline and BandSlim, which allocate an
+        id from the driver when none is given).
         """
-        spec = self._resolve_spec(method)
-        codec = spec.host_codec
-        if codec is None:
-            raise DriverError(
-                f"transfer method {spec.name!r} has no host codec; use its "
-                f"orchestration layer in repro.transfer")
-        return codec.encode(self, cmd, data, qid, ring=ring,
-                            private_buffer=private_buffer,
-                            payload_id=payload_id)
+        return self._codec_spec(method).host_codec.encode(
+            self, cmd, data, qid, ring=ring, payload_id=payload_id)
 
     def submit_raw(self, cmd: NvmeCommand, qid: int,
                    ring: bool = True, expect_completion: bool = True) -> int:
@@ -774,137 +765,56 @@ class NvmeDriver:
     # ------------------------------------------------------------------
     # passthrough ioctl
     # ------------------------------------------------------------------
-    def _fall_back_to_prp(self) -> DatapathSpec:
-        """Breaker open: count the fallback and return the stock PRP
-        spec the attempt rides instead (``passthru`` and the engine)."""
-        self.inline_fallbacks += 1
-        self.link.counter.record_event(EVT_INLINE_FALLBACK)
-        return self._resolve_spec(dp_names.PRP)
-
     def passthru(self, req: PassthruRequest,
                  method: "str | DatapathSpec" = dp_names.PRP,
                  qid: Optional[int] = None) -> PassthruResult:
         """Synchronous NVMe passthrough: the KV-SSD/CSD user-API entry.
 
-        *method* names (or is the spec of) any datapath with a host
-        codec (``prp``, ``sgl``, ``bandslim``, ``byteexpress``,
-        ``byteexpress-tagged``); the write is one :meth:`submit` per
-        attempt.  MMIO and PIO have their own orchestration layer in
-        :mod:`repro.transfer` because they do not use the queue
-        protocol.  Reads and data-less commands (the KV-SSD's keyed
-        RETRIEVE/DELETE/EXIST/LIST, the CSD's result fetch) ignore
-        *method*: each attempt is one SQE, and a read's data return
-        lands in the queue's scratch buffer.
+        One submission to a QD-1 :class:`~repro.engine.IoEngine` pinned
+        to *qid*, then a drain: the ioctl and async I/O share one submit
+        path and one completion path, as ``nvme_queue_rq`` does in
+        Linux.  *method* names (or is the spec of) any datapath with a
+        host codec (``prp``, ``sgl``, ``bandslim``, ``byteexpress``,
+        ``byteexpress-tagged``); MMIO and PIO have their own
+        orchestration layer in :mod:`repro.transfer` because they do not
+        use the queue protocol.  Reads and data-less commands (the
+        KV-SSD's keyed RETRIEVE/DELETE/EXIST/LIST, the CSD's result
+        fetch) ignore *method*; a read's data return is the first
+        ``min(result, read_len)`` bytes of its private buffer.
 
-        Recovery is built in.  No completion after the device ran to
-        quiescence first re-rings the doorbell — recovering a lost tail
-        update — and repolls; a command still silent after that has
-        timed out.  Timeouts, and error completions whose DNR bit is
-        clear, are resubmitted with exponential backoff until
-        ``retry_policy`` runs out of attempts or deadline; the abandoned
-        attempt's CID is quarantined and its payload id aborted at the
-        controller.  Breaker-guarded submissions (inline or fragmented)
-        consult the circuit breaker and are downgraded to the PRP
-        baseline while it is open.
+        Recovery is the engine reactor's: re-ring, timeout, backoff,
+        breaker fallback, and (qid, cid) completion matching, so a late
+        CQE of an abandoned attempt can never acknowledge this command.
+        A command that never completes raises
+        :class:`CommandTimeoutError`.
         """
         qid = qid if qid is not None else self.io_qids[0]
-        res = self.queue(qid)
-        if req.read_len > res.scratch_pages * PAGE_SIZE:
-            raise DriverError(
-                f"read of {req.read_len} B exceeds scratch buffer")
+        try:
+            engine = self._engines[qid]
+        except KeyError:
+            from repro.engine.engine import IoEngine
+
+            engine = self._engines[qid] = IoEngine(
+                self.ssd, self, queues=(qid,), qd=1)
         start_ns = self.clock.now
         start_bytes = self.link.counter.total_bytes
-        self.clock.advance(self.timing.passthrough_ns)
-        policy = self.retry_policy
-        deadline_ns = start_ns + policy.deadline_ns
-
-        # Resolve the datapath lazily: reads ignore *method* (they always
-        # return over PRP/SGL read submissions), so an unknown name only
-        # matters when a write will actually encode with it.
-        spec = self._resolve_spec(method) if req.is_write else None
-        guarded = spec is not None and spec.caps.breaker_guarded
-        if guarded and not self.breaker.allow_inline():
-            spec = self._fall_back_to_prp()
-            guarded = False
-
-        attempt = 0
-        cqe: Optional[NvmeCompletion] = None
-        prev_cid: Optional[int] = None
-        while True:
-            attempt += 1
-            if prev_cid is not None:
-                # The previous attempt is abandoned; if its CQE was lost
-                # for good, nothing else will ever retire the CID — and
-                # if it was merely delayed, quarantine keeps the CID
-                # unallocatable until the late CQE lands.
-                self._abandon_cid(res, prev_cid)
-            cmd = NvmeCommand(opcode=req.opcode, nsid=req.nsid,
-                              mptr=req.mptr,
-                              cdw10=req.cdw10, cdw11=req.cdw11,
-                              cdw12=req.cdw12, cdw13=req.cdw13,
-                              cdw14=req.cdw14, cdw15=req.cdw15)
-            if req.is_write:
-                prev_cid = self.submit(spec, cmd, req.data, qid)
-            else:
-                if req.read_len:
-                    # The data return lands in the queue's scratch
-                    # buffer: safe, since passthru runs at QD 1.
-                    cmd.prp1 = res.scratch
-                    cmd.cdw13 = req.read_len
-                prev_cid = self.submit_raw(cmd, qid)
-
-            cqe = self._try_wait_on(res)
-            if cqe is None:
-                # No completion: the doorbell (or the command) was lost.
-                # Republish the tail — idempotent, and exactly what
-                # recovers a dropped doorbell write — and repoll.  Only a
-                # command still silent after that has timed out.
-                with res.sq.lock:
-                    self._ring_sq_doorbell(res)
-                cqe = self._try_wait_on(res)
-                if cqe is None:
-                    self.timeouts += 1
-                    self.link.counter.record_event(EVT_TIMEOUT)
-
-            if cqe is not None and cqe.ok:
-                if guarded:
-                    self.breaker.record_success()
-                break
-
-            retryable = cqe is None or cqe.retryable
-            if guarded and retryable:
-                # Transient transfer fault on a guarded path; semantic
-                # errors (DNR set) would fail on PRP too and do not
-                # count against the breaker.
-                if self.breaker.record_failure():
-                    self.link.counter.record_event(EVT_BREAKER_TRIP)
-
-            if not retryable:
-                break  # DNR set: retrying cannot change the outcome
-            backoff_ns = policy.next_backoff(attempt, self.clock.now,
-                                             deadline_ns)
-            if backoff_ns is None:
-                break
-            self.clock.advance(backoff_ns)
-            self.retries += 1
-            self.link.counter.record_event(EVT_RETRY)
-            if guarded and not self.breaker.allow_inline():
-                # The breaker opened mid-command: finish on the stock
-                # path, which no inline fault can touch.
-                spec = self._fall_back_to_prp()
-                guarded = False
-
+        if req.is_write:
+            spec = self._codec_spec(method)
+            future = engine.submit(req.data, spec.name, opcode=req.opcode,
+                                   cdw10=req.cdw10, cdw11=req.cdw11,
+                                   nsid=req.nsid)
+        else:
+            future = engine.submit_read(
+                req.read_len, req.opcode, cdw10=req.cdw10, cdw11=req.cdw11,
+                mptr=req.mptr, cdw14=req.cdw14, cdw15=req.cdw15,
+                nsid=req.nsid)
+        engine.drain()
+        cqe = future.cqe
         if cqe is None:
-            # The last attempt is abandoned too: quarantine its CID and
-            # abort its payload id, as a retry would have.
-            self._abandon_cid(res, prev_cid)
             raise CommandTimeoutError(
                 f"command on SQ{qid} produced no completion within "
-                f"{attempt} attempt(s)")
-        data = None
-        if req.read_len and cqe.ok:
-            data = self.memory.read(res.scratch, req.read_len)
+                f"{future.attempts} attempt(s)")
         return PassthruResult(
-            status=cqe.status, result=cqe.result, data=data,
+            status=cqe.status, result=cqe.result, data=future.data,
             latency_ns=self.clock.now - start_ns,
             pcie_bytes=self.link.counter.total_bytes - start_bytes)

@@ -31,8 +31,9 @@ class PassthruRequest:
     mptr: int = 0
     cdw10: int = 0
     cdw11: int = 0
-    cdw12: int = 0
-    cdw13: int = 0
+    #: Keyed-command words (NVMe-KV: key length, per-opcode bound).
+    #: CDW12/13 are not fields: the driver derives them from the data
+    #: (write length) and *read_len* (read length).
     cdw14: int = 0
     cdw15: int = 0
 
@@ -41,6 +42,9 @@ class PassthruRequest:
             raise ValueError("a passthrough command is either a write or a read")
         if self.read_len < 0:
             raise ValueError("negative read length")
+        if self.data is not None and (self.mptr or self.cdw14 or self.cdw15):
+            raise ValueError("a write carries CDW10/11 only: its host codec "
+                             "owns the rest of the SQE")
 
     @property
     def is_write(self) -> bool:

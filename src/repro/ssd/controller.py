@@ -461,22 +461,43 @@ class NvmeController:
                 return True
         return False
 
-    def active_queue_count(self) -> int:
-        """Queues with doorbell'd work the next sweep would service.
+    def sweep_width(self) -> int:
+        """``has_pending(ready_only=True)`` and the next sweep's width in
+        one scan: 0 when no fetchable work is ready, else the number of
+        queues with doorbell'd work (at least 1).
 
-        The engine's completion reactor uses this to size the firmware's
-        parallel service width (bounded by ``config.fetch_lanes``).
+        The engine's completion reactor drives the firmware while this
+        is non-zero and sizes the parallel service width from it
+        (bounded by ``config.fetch_lanes``).  A stale shadow page counts
+        as ready and is synced before the queues are counted.
         """
-        if self._shadow is not None and self._shadow_stale:
-            self.fetch.sync_shadow()
+        ready = False
+        if self._shadow is not None:
+            if not self._shadow_stale:
+                self.fetch.peek_shadow()
+            if self._shadow_stale:
+                self.fetch.sync_shadow()
+                ready = True
         tails = self._sq_tails
         chunks = self._pending_chunks
+        qos = self.qos
         count = 0
         for qid, state in self._sqs.items():
+            # ``chunks`` is empty unless tagged chunks are in flight.
             if ((tails[qid] - state.head) % state.depth
-                    or chunks.get(qid, 0)):
+                    or (chunks and chunks.get(qid, 0))):
                 count += 1
-        return count
+                if ready:
+                    continue
+                if qos is not None and (
+                        not qos.serviceable(qid)
+                        or (qos.governs(qid) and not qos.ready(
+                            qid, self.fetch.peek_cost(state)))):
+                    continue  # parked or throttled: pending, not ready
+                ready = True
+        if not ready:
+            return 0
+        return count or 1
 
     def supports(self, opcode: int) -> bool:
         """Is firmware registered for *opcode*?  (Feature probing for

@@ -201,7 +201,7 @@ class BlockSsdPersonality:
                 page = bytes(self._pages.get(lpn, b"\x00" * PAGE_SIZE))
             out += page[in_page:in_page + take]
             pos += take
-        return CommandResult(read_data=bytes(out))
+        return CommandResult(result=len(out), read_data=bytes(out))
 
     def _on_flush(self, ctx: CommandContext) -> CommandResult:
         if self.ssd.nand_enabled:

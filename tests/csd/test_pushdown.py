@@ -64,6 +64,16 @@ def test_segment_and_full_give_same_result(rig):
     assert full == seg
 
 
+def test_result_larger_than_the_buffer_is_an_error(rig):
+    """The FETCH_RESULT CQE reports the packed rows' byte length, so a
+    result that outgrows the host buffer is refused, not cut mid-row."""
+    _, client = rig
+    _load(client, VPIC)
+    client.pushdown(VPIC.full_sql)
+    with pytest.raises(SqlError, match="exceeds buffer"):
+        client.fetch_results(VPIC.schema, max_len=100)
+
+
 def test_unknown_table_rejected(rig):
     _, client = rig
     with pytest.raises(SqlError):

@@ -78,8 +78,7 @@ def test_unrung_private_buffer_writes_land_their_own_payloads(method):
     offsets = [i * PAGE_SIZE for i in range(4)]
     for i, offset in enumerate(offsets):
         cmd = NvmeCommand(opcode=IoOpcode.WRITE, nsid=1, cdw10=offset)
-        tb.driver.submit(method, cmd, _payload(i, 96), qid=1, ring=False,
-                         private_buffer=True)
+        tb.driver.submit(method, cmd, _payload(i, 96), qid=1, ring=False)
     tb.driver.kick(1)
     tb.ssd.controller.process_all()
     assert all(cqe.ok for cqe in tb.driver.reap(1))

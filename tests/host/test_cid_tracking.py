@@ -22,8 +22,7 @@ def tb():
 
 def _submit(tb, qid, ring=False, offset=0):
     cmd = NvmeCommand(opcode=IoOpcode.WRITE, nsid=1, cdw10=offset)
-    return tb.driver.submit("prp", cmd, b"\xcd" * 64, qid, ring=ring,
-                                      private_buffer=True)
+    return tb.driver.submit("prp", cmd, b"\xcd" * 64, qid, ring=ring)
 
 
 def test_outstanding_cids_are_distinct_and_tracked(tb):

@@ -67,9 +67,10 @@ def test_completion_updates_sq_head(tb, payload64):
 
 
 def test_oversized_payload_rejected(tb):
+    mdts = tb.driver.identify.max_transfer_bytes
     with pytest.raises(DriverError):
         tb.driver.submit("prp", NvmeCommand(opcode=IoOpcode.WRITE),
-                                   b"x" * (128 * 1024), qid=1)
+                                   b"x" * (mdts + 1), qid=1)
 
 
 def test_passthru_write_and_read_roundtrip(tb, payload64):

@@ -3,6 +3,8 @@
 import pytest
 
 from repro.kvssd import KeyNotFoundError, KvError, KVStore
+from repro.kvssd.commands import encode_store_payload, key_field_words
+from repro.nvme.constants import KvOpcode
 from repro.workloads import FillRandomWorkload, MixGraphWorkload
 
 
@@ -61,6 +63,29 @@ def test_value_larger_than_read_buffer(rig):
     with pytest.raises(KvError):
         store.get(b"big", max_value_len=4096)
     assert store.get(b"big", max_value_len=8192) == b"v" * 5000
+
+
+def test_read_return_stops_at_the_host_buffer(kv_tb):
+    """A RETRIEVE whose value outgrows its 4 KiB buffer must not DMA the
+    rest into the next host page.  Here that page is the private buffer
+    of a PRP STORE queued behind the read: an overrun corrupts the STORE
+    payload before the device fetches it, and the STORE fails."""
+    engine = kv_tb.make_engine(queues=1, qd=8)
+    value = bytes(range(256)) * 23 + b"\x5a" * 112  # 6,000 B
+    put = engine.submit(encode_store_payload(b"big", value), "prp",
+                        opcode=KvOpcode.STORE)
+    engine.drain()
+    assert put.ok
+    mptr, cdw10, cdw11, cdw14 = key_field_words(b"big")
+    get = engine.submit_read(4096, KvOpcode.RETRIEVE, cdw10=cdw10,
+                             cdw11=cdw11, mptr=mptr, cdw14=cdw14)
+    store = engine.submit(encode_store_payload(b"next", b"n" * 100), "prp",
+                          opcode=KvOpcode.STORE)
+    engine.drain()
+    assert get.ok and get.cqe.result == len(value)
+    assert get.data == value[:4096]
+    assert store.ok, store.status
+    assert kv_tb.personality.peek(b"next") == b"n" * 100
 
 
 def test_put_returns_transfer_stats(rig):

@@ -34,6 +34,14 @@ def test_negative_read_len():
         PassthruRequest(opcode=0x02, read_len=-1)
 
 
+@pytest.mark.parametrize("word", ["mptr", "cdw14", "cdw15"])
+def test_write_carries_no_words_its_codec_owns(word):
+    """A write's SQE is built by its host codec from CDW10/11 and the
+    data; a keyed-command word on a write would be silently dropped."""
+    with pytest.raises(ValueError):
+        PassthruRequest(opcode=0x01, data=b"x", **{word: 1})
+
+
 def test_result_ok():
     assert PassthruResult(status=StatusCode.SUCCESS).ok
     assert not PassthruResult(status=StatusCode.INTERNAL_ERROR).ok

@@ -71,8 +71,7 @@ def test_burst_clamps_to_published_tail():
     payloads = [bytes([0x10 + i]) * 64 for i in range(6)]
     for i, payload in enumerate(payloads):
         cmd = NvmeCommand(opcode=IoOpcode.WRITE, nsid=1, cdw10=i * 4096)
-        tb.driver.submit("prp", cmd, payload, 1, ring=False,
-                                   private_buffer=True)
+        tb.driver.submit("prp", cmd, payload, 1, ring=False)
     before = ctrl.commands_processed
     # publish only the first 4 entries
     tb.ssd.bar.write32(sq_doorbell_offset(1), 4)
@@ -97,8 +96,7 @@ def test_burst_window_never_wraps_the_ring_end():
     # walk the ring near its end, then stage a batch across the wrap
     for i in range(6):
         cmd = NvmeCommand(opcode=IoOpcode.WRITE, nsid=1, cdw10=i * 4096)
-        tb.driver.submit("prp", cmd, bytes([i + 1]) * 64, 1,
-                                   private_buffer=True)
+        tb.driver.submit("prp", cmd, bytes([i + 1]) * 64, 1)
     ctrl.process_all()
     tb.driver.reap(1)  # retire the CQEs so the host SQ head advances
     payloads = _stage_inline(tb, 6)  # 12 SQEs from slot 6: wraps at 16

@@ -96,6 +96,15 @@ class TestBandSlimTransfer:
         assert tb.driver.queue(1).sq.tail == 0
         # Nothing partially inserted: the path still works.
         assert tb.method("bandslim").write(b"y" * 64).ok
+        # The engine refuses it with the same error type, up front.
+        engine = tb.make_engine(queues=1, qd=4)
+        tail = tb.driver.queue(1).sq.tail
+        with pytest.raises(QueueFullError):
+            engine.submit(b"x" * (32 * 32), "bandslim")
+        assert tb.driver.queue(1).sq.tail == tail and not engine.inflight
+        future = engine.submit(b"z" * 64, "bandslim")
+        engine.drain()
+        assert future.ok
 
     def test_length_mismatch_detected(self):
         tb = make_block_testbed()
