@@ -395,7 +395,8 @@ class IoEngine:
         resolved = 0
         stall = 0
         clock = self.clock
-        while self.table or self.parked:
+        table = self.table._entries
+        while table or self.parked:
             before_ns = clock.now
             done = self.poll()
             resolved += done

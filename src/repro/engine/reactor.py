@@ -76,7 +76,7 @@ class CompletionReactor:
                 # Without this, a backpressured submitter polling on a
                 # throttled queue would spin on a frozen clock.
                 ctrl.poll_once()
-        if e.table:
+        if e.table._entries:
             resolved += self._recover_stuck()
         if e.parked:
             self._release_parked(pipeline_idle=resolved == 0 and not e.table)

@@ -120,6 +120,9 @@ class _QueueResources:
     #: bit-bucket read, which wait for one command at a time.
     scratch: int
     scratch_pages: int
+    #: BAR offsets of this pair's SQ tail and CQ head doorbells.
+    sq_doorbell: int
+    cq_doorbell: int
     next_cid: int = 0
     #: CIDs currently in flight on this queue.  At QD>1 a CID may not be
     #: reused until its completion arrives (or the host abandons the
@@ -210,7 +213,9 @@ class NvmeDriver:
         cq = CompletionQueue(qid, cq_depth, self.memory)
         scratch_pages = _SCRATCH_BYTES // PAGE_SIZE
         scratch = self.memory.alloc_pages(scratch_pages)[0]
-        return _QueueResources(sq, cq, scratch, scratch_pages)
+        return _QueueResources(sq, cq, scratch, scratch_pages,
+                               sq_doorbell_offset(qid),
+                               cq_doorbell_offset(qid))
 
     def _enable_controller(self) -> None:
         bar = self.ssd.bar
@@ -540,10 +545,14 @@ class NvmeDriver:
         The insertion (and its host CPU cost) is the ``drv.sq_submit``
         phase; the doorbell is written under the same lock acquisition.
         """
+        clock = self.clock
         with res.sq.lock:
-            with self.clock.span("drv.sq_submit"):
+            _start = clock.now
+            try:
                 res.sq.push_raw(cmd.pack())
-                self.clock.advance(self.timing.sqe_submit_ns)
+                clock.advance(self.timing.sqe_submit_ns)
+            finally:
+                clock.span_end("drv.sq_submit", _start)
             if ring:
                 self._ring_sq_doorbell(res)
 
@@ -581,7 +590,7 @@ class NvmeDriver:
                 self.link.host_mmio_write(4, CAT_DOORBELL)
                 self.clock.advance(self.timing.doorbell_write_ns)
                 self.shadow_wakes += 1
-                self.ssd.bar.write32(sq_doorbell_offset(qid), tail)
+                self.ssd.bar.write32(res.sq_doorbell, tail)
             return
         self.link.host_mmio_write(4, CAT_DOORBELL)
         self.clock.advance(self.timing.doorbell_write_ns)
@@ -589,7 +598,7 @@ class NvmeDriver:
             # The posted write left the root complex but never landed:
             # the host paid the cost, the device's tail stays stale.
             return
-        self.ssd.bar.write32(sq_doorbell_offset(qid), tail)
+        self.ssd.bar.write32(res.sq_doorbell, tail)
 
     def _ring_cq_doorbell(self, res: _QueueResources) -> None:
         if self.shadow is not None and res.cq.qid != 0:
@@ -598,7 +607,7 @@ class NvmeDriver:
             self.shadow.write_cq_head(res.cq.qid, res.cq.head)
             self.clock.advance(self.timing.shadow_db_write_ns)
             return
-        self.ssd.bar.write32(cq_doorbell_offset(res.cq.qid), res.cq.head)
+        self.ssd.bar.write32(res.cq_doorbell, res.cq.head)
         self.link.host_mmio_write(4, CAT_DOORBELL)
         self.clock.advance(self.timing.doorbell_write_ns)
 
@@ -695,7 +704,10 @@ class NvmeDriver:
         this is also the timeout-recovery re-ring (republishing the tail
         is idempotent and recovers a dropped doorbell write).
         """
-        res = self.queue(qid)
+        try:
+            res = self._queues[qid]
+        except KeyError:
+            res = self.queue(qid)  # raises the driver's error
         with res.sq.lock:
             self._ring_sq_doorbell(res)
 
@@ -708,7 +720,11 @@ class NvmeDriver:
         pages).  The CQ doorbell is rung once per batch — the head
         publication amortises exactly as interrupt-coalesced drivers do.
         """
-        return self._reap(self.queue(qid))
+        try:
+            res = self._queues[qid]
+        except KeyError:
+            res = self.queue(qid)  # raises the driver's error
+        return self._reap(res)
 
     def _reap(self, res: _QueueResources,
               limit: Optional[int] = None) -> List[NvmeCompletion]:
@@ -739,7 +755,8 @@ class NvmeDriver:
                 clock.span_end("drv.completion", _start)
             for cqe in out:
                 self._retire_cid(res, cqe.cid)
-        self._maybe_clear_zombies(res)
+        if res.zombie_cids:
+            self._maybe_clear_zombies(res)
         return out
 
     def _try_wait_on(self,

@@ -39,6 +39,12 @@ class PCIeLink:
         self.timing = timing
         self.counter = counter if counter is not None else TrafficCounter()
         self.faults = injector if injector is not None else FaultInjector()
+        # ``LinkConfig`` is frozen, so its bandwidth is computed once.
+        self._bytes_per_ns = link.bytes_per_ns
+        #: The 4 B MMIO write (every doorbell) and its one-way delivery
+        #: ns, built once: for a given link neither ever changes.
+        self._doorbell = tlpmod.host_mmio_write(4, link)
+        self._doorbell_ns = self._one_way(self._doorbell.downstream_bytes)
 
     def _replay_penalty_ns(self, category: str, batch: TlpBatch) -> float:
         """Charge a link-layer replay if a corrupt-TLP fault fires."""
@@ -54,7 +60,7 @@ class PCIeLink:
     # ------------------------------------------------------------------
     def serialisation_ns(self, wire_bytes: int) -> float:
         """Time to clock *wire_bytes* onto the link."""
-        return wire_bytes / self.config.bytes_per_ns
+        return wire_bytes / self._bytes_per_ns
 
     def _one_way(self, wire_bytes: int) -> float:
         return self.serialisation_ns(wire_bytes) + self.timing.link_propagation_ns
@@ -69,6 +75,9 @@ class PCIeLink:
         pays the store cost from the timing model, not this latency.
         """
         self.faults.fire(MMIO_TLP)  # a crash cut may land here
+        if nbytes == 4:
+            self.counter.record(category, self._doorbell)
+            return self._doorbell_ns
         batch = tlpmod.host_mmio_write(nbytes, self.config)
         self.counter.record(category, batch)
         return self._one_way(batch.downstream_bytes)
@@ -116,8 +125,14 @@ class PCIeLink:
         consumed against the injector's countdown: a run with no event in
         it is one totals update.  At an event the copies up to and
         including it are recorded before the opportunity is decided, so a
-        crash cut there sees that TLP on the wire.
+        crash cut there sees that TLP on the wire.  *count* keeps
+        ``counter.record_batch``'s contract: a negative one raises, and
+        zero records nothing (no countdown step, no empty category).
         """
+        if count <= 0:
+            if count < 0:
+                raise ValueError(f"count must be non-negative, got {count}")
+            return
         left = self.faults.left
         clear = left[CORRUPT_TLP] - count
         if clear < 0:
@@ -126,10 +141,12 @@ class PCIeLink:
         left[CORRUPT_TLP] = clear
         # Same arithmetic as ``counter.record_batch``, inlined: this
         # sits on every hot-loop TLP record.
-        tot = self.counter._by_cat[category]
+        counter = self.counter
+        tot = counter._by_cat[category]
         tot.downstream_bytes += batch.downstream_bytes * count
         tot.upstream_bytes += batch.upstream_bytes * count
         tot.tlp_count += batch.tlp_count * count
+        counter.total_bytes += batch.total_bytes * count
 
     def record_pair(self, category_a: str, batch_a: TlpBatch,
                     category_b: str, batch_b: TlpBatch) -> None:
@@ -144,7 +161,8 @@ class PCIeLink:
             self.record_only(category_b, batch_b)
             return
         left[CORRUPT_TLP] = clear
-        by_cat = self.counter._by_cat
+        counter = self.counter
+        by_cat = counter._by_cat
         tot = by_cat[category_a]
         tot.downstream_bytes += batch_a.downstream_bytes
         tot.upstream_bytes += batch_a.upstream_bytes
@@ -153,6 +171,7 @@ class PCIeLink:
         tot.downstream_bytes += batch_b.downstream_bytes
         tot.upstream_bytes += batch_b.upstream_bytes
         tot.tlp_count += batch_b.tlp_count
+        counter.total_bytes += batch_a.total_bytes + batch_b.total_bytes
 
     def _record_across_events(self, category: str, batch: TlpBatch,
                               count: int) -> None:

@@ -52,6 +52,13 @@ class DirectionTotals:
 class TrafficCounter:
     """Accumulates TLP batches by category.
 
+    ``total_bytes`` is a running integer: every path that adds bytes to a
+    category (:meth:`record`, :meth:`record_batch`, and the inlined
+    copies in ``PCIeLink.record_only``/``record_pair``) adds the same
+    bytes to it, and :meth:`reset` zeroes it.  Byte counts are integers,
+    so it always equals the sum over categories exactly, and reading it
+    around every synchronous command costs one attribute load.
+
     >>> from repro.sim.config import LinkConfig
     >>> from repro.pcie.tlp import host_mmio_write
     >>> tc = TrafficCounter()
@@ -63,12 +70,15 @@ class TrafficCounter:
     def __init__(self) -> None:
         self._by_cat: Dict[str, DirectionTotals] = defaultdict(DirectionTotals)
         self._events: Dict[str, int] = defaultdict(int)
+        #: Bytes over every category, kept as a running total.
+        self.total_bytes = 0
 
     def record(self, category: str, batch: TlpBatch) -> None:
         tot = self._by_cat[category]
         tot.downstream_bytes += batch.downstream_bytes
         tot.upstream_bytes += batch.upstream_bytes
         tot.tlp_count += batch.tlp_count
+        self.total_bytes += batch.total_bytes
 
     def record_batch(self, category: str, batch: TlpBatch,
                      count: int = 1) -> None:
@@ -86,6 +96,7 @@ class TrafficCounter:
         tot.downstream_bytes += batch.downstream_bytes * count
         tot.upstream_bytes += batch.upstream_bytes * count
         tot.tlp_count += batch.tlp_count * count
+        self.total_bytes += batch.total_bytes * count
 
     # -- protocol events (retries, fallbacks, fault injections) -------------
     def record_event(self, name: str, count: int = 1) -> None:
@@ -106,10 +117,6 @@ class TrafficCounter:
     def events(self) -> Dict[str, int]:
         """All event counts (stable ordering by name)."""
         return {k: self._events[k] for k in sorted(self._events)}
-
-    @property
-    def total_bytes(self) -> int:
-        return sum(t.total_bytes for t in self._by_cat.values())
 
     @property
     def downstream_bytes(self) -> int:
@@ -146,3 +153,4 @@ class TrafficCounter:
     def reset(self) -> None:
         self._by_cat.clear()
         self._events.clear()
+        self.total_bytes = 0

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import replace
+from functools import partial
 from typing import TYPE_CHECKING, Deque, Dict, List, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -312,7 +313,7 @@ class NvmeController:
             raise ValueError("CQ depth must be at least 2")
         self._cqs[qid] = DeviceCqState(qid=qid, base_addr=base, depth=depth)
         self.bar.on_write(cq_doorbell_offset(qid),
-                          lambda head, q=qid: self.note_cq_head(q, head))
+                          partial(self.note_cq_head, qid))
 
     def create_sq(self, qid: int, base: int, depth: int, cq_qid: int) -> None:
         if qid in self._sqs:
@@ -326,7 +327,7 @@ class NvmeController:
         self._sq_cq[qid] = cq_qid
         self._rr_order.append(qid)
         self.bar.on_write(sq_doorbell_offset(qid),
-                          lambda tail, q=qid: self.note_sq_doorbell(q, tail))
+                          partial(self.note_sq_doorbell, qid))
 
     def delete_sq(self, qid: int) -> None:
         if qid not in self._sqs:
@@ -428,9 +429,13 @@ class NvmeController:
         shadow page for another ``shadow_idle_ns`` — with one small DMA
         write.  A no-op unless the device did work since the last park:
         an idle host polling an idle device must not generate traffic.
+        Both halves are skipped without a call when they have nothing to
+        do (no coalesced CQE; no shadow page).
         """
-        self.flush_completions()
-        self.fetch.park()
+        if self._coalesced:
+            self.flush_completions()
+        if self._shadow is not None:
+            self.fetch.park()
 
     def has_pending(self, ready_only: bool = False) -> bool:
         """Is there fetchable work?
@@ -554,9 +559,9 @@ class NvmeController:
         for i in range(nqueues):
             idx = (start + i) % nqueues
             qid = order[idx]
-            state = sqs.get(qid)
-            if state is None:
+            if qid not in sqs:
                 continue  # deleted by an admin command this sweep
+            state = sqs[qid]
             if tagged and self._pending_chunks.get(qid, 0):
                 fetch.fetch_tagged_chunk(qid)
                 serviced = 1

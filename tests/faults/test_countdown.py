@@ -212,7 +212,7 @@ def test_countdown_matches_one_at_a_time_oracle(plan, actions):
         assert _snapshot(got, got_counter) == _snapshot(want, want_counter)
 
 
-@given(plans(), st.lists(st.integers(1, 40), max_size=30))
+@given(plans(), st.lists(st.integers(0, 40), max_size=30))
 @settings(max_examples=150, deadline=None)
 def test_record_only_matches_per_copy_loop(plan, runs):
     """``record_only`` on a run of copies ≡ one record + one ``fire`` per
@@ -233,6 +233,7 @@ def test_record_only_matches_per_copy_loop(plan, runs):
     assert got_counter.breakdown() == want_counter.breakdown()
     assert got_counter.tlp_breakdown() == want_counter.tlp_breakdown()
     assert got_counter.events() == want_counter.events()
+    assert got_counter.total_bytes == want_counter.total_bytes
     assert link.faults.opportunities[CORRUPT_TLP] == sum(runs)
 
 
