@@ -5,13 +5,13 @@ bit-bucket descriptors as the small-I/O remedy ("enabling completion of
 small-data read requests without requiring data return").  This bench
 quantifies that: reading 64 B of a 4 KB logical block costs a full block
 of return traffic under PRP but only the wanted bytes with a bit bucket.
+Both reads are the same synchronous passthrough, so both pay the ioctl.
 """
 
 import pytest
 
 from conftest import report
 from repro.metrics import format_table
-from repro.nvme.command import NvmeCommand
 from repro.nvme.constants import IoOpcode
 from repro.nvme.passthrough import PassthruRequest
 from repro.testbed import make_block_testbed
@@ -32,9 +32,10 @@ def _prp_read(tb, want):
 def _bucket_read(tb, want):
     before = tb.traffic.total_bytes
     t0 = tb.clock.now
-    cmd = NvmeCommand(opcode=IoOpcode.READ, cdw10=0)
-    tb.driver.submit_read_sgl(cmd, want=want, total=BLOCK, qid=1)
-    assert tb.driver.wait(1).ok
+    r = tb.driver.passthru(PassthruRequest(opcode=IoOpcode.READ,
+                                           read_len=want, cdw10=0),
+                           method="sgl")
+    assert r.ok
     return tb.traffic.total_bytes - before, tb.clock.now - t0
 
 

@@ -27,7 +27,7 @@ def main() -> None:
     print("\n=== controller before/after " + "=" * 33)
     print(dump_controller(tb.ssd))
     tb.ssd.controller.process_all()
-    cqe = tb.driver.wait(1)
+    (cqe,) = tb.driver.reap(1)
     print("completion status:", hex(cqe.status))
     print(dump_controller(tb.ssd))
 

@@ -165,7 +165,7 @@ class CsdClient:
                  qid: Optional[int] = None) -> None:
         self.driver = driver
         self.method = method
-        self.qid = qid if qid is not None else driver.io_qids[0]
+        self.qid = qid if qid is not None else driver.default_qid()
 
     # ------------------------------------------------------------------
     def create_table(self, schema: TableSchema) -> None:

@@ -11,7 +11,7 @@ simulation's clock.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, List, Tuple
 
 from repro.csd.schema import TableSchema
 from repro.ssd.ftl import PageMappingFtl
@@ -57,12 +57,6 @@ class DeviceTable:
             for lpn in self.lpns:
                 self.ftl.read(lpn)  # charge the media time
         return self.schema.unpack_rows(bytes(self._buffer))
-
-    def iter_rows(self) -> Iterator[dict]:
-        """Rows as column-name dicts (the filter executor's input)."""
-        names = [c.name for c in self.schema.columns]
-        for row in self.scan_rows():
-            yield dict(zip(names, row))
 
 
 class TableStore:

@@ -20,7 +20,7 @@ Two vocabularies live here:
 
 from __future__ import annotations
 
-from typing import FrozenSet
+from typing import FrozenSet, Tuple
 
 PRP: str = "prp"
 SGL: str = "sgl"
@@ -30,6 +30,9 @@ BANDSLIM: str = "bandslim"
 MMIO: str = "mmio"
 PIO_COHERENT: str = "pio_coherent"
 HYBRID: str = "hybrid"
+
+#: Methods a read's device→host data return can take.
+READ_METHODS: Tuple[str, ...] = (PRP, SGL)
 
 #: Transport tags (``CommandContext.transport``).  PRP/SGL/MMIO/BandSlim
 #: transports share their method's spelling; the submission-queue inline

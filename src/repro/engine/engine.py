@@ -38,7 +38,9 @@ from repro.engine.scheduler import MultiQueueScheduler
 from repro.engine.table import CommandFuture, InFlightCommand, InFlightTable
 from repro.host.breaker import STATE_CLOSED
 from repro.host.driver import NvmeDriver
+from repro.host.memory import HostMemory
 from repro.nvme.command import NvmeCommand
+from repro.nvme.completion import NvmeCompletion
 from repro.nvme.constants import (
     DEFAULT_NSID,
     PAGE_SIZE,
@@ -46,6 +48,7 @@ from repro.nvme.constants import (
     VendorOpcode,
 )
 from repro.nvme.queues import QueueFullError
+from repro.nvme.sgl import build_read_sgl
 from repro.pcie.traffic import EVT_INLINE_FALLBACK
 from repro.ssd.controller import MODE_TAGGED
 from repro.ssd.device import OpenSsd
@@ -54,6 +57,9 @@ from repro.ssd.device import OpenSsd
 #: Engine-capable specs by method name, in table order.
 _ENGINE_SPECS = {spec.name: spec for spec in datapath.SPECS
                  if spec.host_codec is not None}
+
+#: Specs a read's device→host data return can take.
+_READ_SPECS = {name: _ENGINE_SPECS[name] for name in dp_names.READ_METHODS}
 
 
 def engine_methods() -> tuple:
@@ -201,7 +207,8 @@ class IoEngine:
     def submit_read(self, read_len: int, opcode: int, cdw10: int = 0,
                     cdw11: int = 0, mptr: int = 0, cdw14: int = 0,
                     cdw15: int = 0, nsid: Optional[int] = None,
-                    stream: Optional[int] = None) -> CommandFuture:
+                    stream: Optional[int] = None,
+                    method: str = dp_names.PRP) -> CommandFuture:
         """Issue one asynchronous read-style (or keyed, data-free) command.
 
         The command carries no host→device payload — its operands ride
@@ -212,15 +219,21 @@ class IoEngine:
         ``future.data`` (trimmed to the CQE-reported result length).
         *read_len* == 0 submits a keyed command with no data phase in
         either direction (DELETE, EXIST).  Every in-flight read owns its
-        buffer, so reads pipeline like writes do.
+        buffer, so reads pipeline like writes do.  *method* ``sgl``
+        discards the rest of the logical block in a bit bucket (§5).
         """
         if read_len < 0:
             raise EngineError("read_len must be >= 0")
+        try:
+            spec = _READ_SPECS[method]
+        except KeyError:
+            raise EngineError(
+                f"a read takes 'prp' or 'sgl', not {method!r}") from None
         future = CommandFuture(stream=stream, payload_len=0)
         now = self.clock.now
         future.submit_ns = now
         entry = InFlightCommand(
-            future=future, spec=self._prp_spec, opcode=opcode, payload=b"",
+            future=future, spec=spec, opcode=opcode, payload=b"",
             cdw10=cdw10, cdw11=cdw11,
             nsid=self.default_nsid if nsid is None else nsid, stream=stream,
             mptr=mptr, cdw14=cdw14, cdw15=cdw15, read_len=read_len,
@@ -346,9 +359,26 @@ class IoEngine:
                 pages = self.driver.memory.alloc_pages(
                     -(-entry.read_len // PAGE_SIZE))
                 entry.read_pages = tuple(pages)
-            cmd.prp1 = entry.read_pages[0]
             cmd.cdw13 = entry.read_len
-        cid = self.driver.submit_raw(cmd, qid, ring=False)
+            if entry.spec is self._prp_spec:
+                cmd.prp1 = entry.read_pages[0]
+                cid = self.driver.submit_raw(cmd, qid, ring=False)
+            else:
+                # SGL (§5): read_len bytes into the buffer, then a bit
+                # bucket to the next LBA boundary.  The segment page is
+                # the CID's, so each retry builds its own.
+                mapping = build_read_sgl(
+                    self.driver.memory, entry.read_pages[0], entry.read_len,
+                    -entry.read_len % self.ssd.config.lba_bytes)
+                cmd.use_sgl()
+                desc = mapping.inline.pack()
+                cmd.prp1 = int.from_bytes(desc[:8], "little")
+                cmd.prp2 = int.from_bytes(desc[8:], "little")
+                cid = self.driver.submit_raw(cmd, qid, ring=False)
+                self.driver.queue(qid).pending_pages[cid] = (
+                    mapping.segment_pages)
+        else:
+            cid = self.driver.submit_raw(cmd, qid, ring=False)
         entry.key = (qid, cid)
         self.table.add(entry)
         self.scheduler.note_submit(qid)
@@ -412,3 +442,57 @@ class IoEngine:
     @property
     def inflight(self) -> int:
         return len(self.table)
+
+
+
+@dataclass(slots=True)
+class AdminCommand(InFlightCommand):
+    """An admin command: its SQE is re-issued under a fresh CID on every
+    attempt, and a data return (Identify's page) fills the buffer, since
+    the CQE reports no length."""
+
+    sqe: Optional[NvmeCommand] = None
+
+    def finish_read(self, cqe: Optional[NvmeCompletion],
+                    memory: HostMemory) -> None:
+        if cqe is not None and cqe.ok:
+            self.future.data = memory.read(self.read_pages[0], self.read_len)
+        self.release_read_buffer(memory)
+
+
+class AdminQueueEngine(IoEngine):
+    """An engine on the admin queue (qid 0, driven at QD 1).  Admin
+    commands run in the kernel, so a submission pays no ioctl cost
+    (``passthrough_ns``)."""
+
+    def submit_admin(self, cmd: NvmeCommand,
+                     read_len: int = 0) -> CommandFuture:
+        """Issue admin command *cmd* (Create-CQ/SQ carry a ring base in
+        PRP1, DBBUF_CONFIG its pages in PRP1/PRP2); a *read_len*-byte
+        data return comes back in the future's ``data``."""
+        future = CommandFuture()
+        now = self.clock.now
+        future.submit_ns = now
+        entry = AdminCommand(
+            future=future, spec=self._prp_spec, opcode=cmd.opcode,
+            payload=b"", read_len=read_len, first_submit_ns=now,
+            deadline_ns=now + self.driver.retry_policy.deadline_ns, sqe=cmd)
+        self.stats.submitted += 1
+        self._dispatch(entry)
+        return future
+
+    def _submit_keyed(self, entry: InFlightCommand, qid: int) -> None:
+        assert isinstance(entry, AdminCommand) and entry.sqe is not None
+        entry.spec_used = entry.spec
+        entry.attempts += 1
+        cmd = entry.sqe
+        if entry.read_len:
+            if not entry.read_pages:
+                entry.read_pages = tuple(self.driver.memory.alloc_pages(
+                    -(-entry.read_len // PAGE_SIZE)))
+            cmd.prp1 = entry.read_pages[0]
+        cid = self.driver.submit_raw(cmd, qid, ring=False)
+        entry.key = (qid, cid)
+        self.table.add(entry)
+        self.scheduler.note_submit(qid)
+        self._dirty.add(qid)

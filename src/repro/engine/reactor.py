@@ -23,8 +23,10 @@ One ``poll()`` round is the engine's heartbeat:
    ``retry_at`` so backoff consumes simulated time exactly once.
 
 This is the stack's one recovery loop.  ``NvmeDriver.passthru`` is a
-QD-1 submission to an engine, so the synchronous ioctl path recovers
-here too, with the driver's policy object, breaker and event taxonomy.
+QD-1 submission to an engine, and so is every admin command (on the
+:class:`~repro.engine.engine.AdminQueueEngine`), so the synchronous
+ioctl path and bring-up recover here too, with the driver's policy
+object, breaker and event taxonomy.
 CQEs are matched to futures by (qid, cid): a late CQE of an abandoned
 attempt counts as a stale completion and can never resolve another
 command.  A timeout is not a breaker failure (the command may have
@@ -156,7 +158,7 @@ class CompletionReactor:
                  or breaker.state != STATE_CLOSED) and entry.is_inline):
                 breaker.record_success()
             if entry.read_pages:
-                self._finish_read(entry, cqe)
+                entry.finish_read(cqe, e.driver.memory)
             entry.resolve(cqe, e.clock.now)
             e.stats.completed += 1
             return 1
@@ -166,25 +168,10 @@ class CompletionReactor:
         if cqe.retryable and self._park_for_retry(entry):
             return 0
         if entry.read_pages:
-            self._finish_read(entry, None)
+            entry.finish_read(None, e.driver.memory)
         entry.resolve(cqe, e.clock.now)
         e.stats.failed += 1
         return 1
-
-    def _finish_read(self, entry: "InFlightCommand", cqe) -> None:
-        """Terminal handling of a read with a data buffer: copy the
-        device's data return out of the entry's private DMA buffer into
-        the future (success only), then free the buffer.  Parked retries
-        keep the buffer — the resubmission lands its data in the same
-        pages."""
-        if cqe is not None and cqe.ok:
-            want = min(cqe.result, entry.read_len)
-            if want > 0:
-                entry.future.data = self.engine.driver.memory.read(
-                    entry.read_pages[0], want)
-            else:
-                entry.future.data = b""
-        entry.release_read_buffer(self.engine.driver.memory)
 
     # ------------------------------------------------------------------
     # timeout recovery

@@ -22,6 +22,7 @@ from repro.nvme.constants import StatusCode
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.datapath.spec import DatapathSpec
+    from repro.host.memory import HostMemory
 
 #: Future lifecycle states.
 PENDING = "pending"
@@ -166,10 +167,21 @@ class InFlightCommand:
         """Submitted through ``submit_read`` (no host→device payload)?"""
         return not self.payload
 
-    def release_read_buffer(self, memory: "object") -> None:
+    def finish_read(self, cqe: Optional[NvmeCompletion],
+                    memory: "HostMemory") -> None:
+        """Terminal handling of a read with a data buffer: on success,
+        copy the data return (the length CQE DW0 reports, capped at the
+        buffer) into the future; then free the buffer.  Parked retries
+        keep it: the resubmission lands its data in the same pages."""
+        if cqe is not None and cqe.ok:
+            self.future.data = memory.read(self.read_pages[0],
+                                           min(cqe.result, self.read_len))
+        self.release_read_buffer(memory)
+
+    def release_read_buffer(self, memory: "HostMemory") -> None:
         """Free the private read-return pages, if any (idempotent)."""
         for page in self.read_pages:
-            memory.free_page(page)  # type: ignore[attr-defined]
+            memory.free_page(page)
         self.read_pages = ()
 
 

@@ -9,15 +9,13 @@ which hands the whole encode to the method's host codec
 <30-line ``nvme_queue_rq`` patch, and everything else here is the stock
 driver behaviour.
 
-Synchronous semantics: ``passthru`` models the NVMe passthrough ioctl
-that KV-SSD and CSD user libraries issue every command through (paper
-§2.1), at queue depth 1, which is how the paper's microbenchmarks issue
-their 1 M operations.  It is one submission to a QD-1
-:class:`~repro.engine.IoEngine` per queue, so the ioctl and async I/O
-share one submit path and one completion path.
-
-Error recovery lives in one place, the engine's completion reactor
-(:mod:`repro.engine.reactor`); the driver only holds its knobs
+Every command is an engine submission.  ``passthru`` models the NVMe
+passthrough ioctl that KV-SSD and CSD user libraries issue every command
+through (paper §2.1), at queue depth 1 as the paper's microbenchmarks
+do: one submission to a QD-1 :class:`~repro.engine.IoEngine` per I/O
+queue.  Admin commands are QD-1 submissions on qid 0, as Linux sends
+them through blk-mq too.  So the engine's reactor is the one loop that
+completes and recovers commands; the driver holds its knobs
 (:class:`RetryPolicy`, the :class:`CircuitBreaker`) and the CID
 lifecycle (allocation, retirement, quarantine of abandoned CIDs).
 """
@@ -26,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Set
 
 from repro import datapath
 from repro.datapath import names as dp_names
@@ -38,6 +36,7 @@ from repro.host.shadow import MAX_QID, ShadowDoorbells
 from repro.nvme.command import NvmeCommand
 from repro.nvme.completion import NvmeCompletion
 from repro.nvme.constants import (
+    ADMIN_QID,
     CQE_SIZE,
     PAGE_SIZE,
     SQE_SIZE,
@@ -63,6 +62,7 @@ from repro.ssd.device import OpenSsd
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engine.engine import IoEngine
+    from repro.engine.table import CommandFuture
 
 
 class DriverError(Exception):
@@ -116,10 +116,6 @@ class RetryPolicy:
 class _QueueResources:
     sq: SubmissionQueue
     cq: CompletionQueue
-    #: Reusable page-aligned buffer for admin data returns and the SGL
-    #: bit-bucket read, which wait for one command at a time.
-    scratch: int
-    scratch_pages: int
     #: BAR offsets of this pair's SQ tail and CQ head doorbells.
     sq_doorbell: int
     cq_doorbell: int
@@ -145,10 +141,6 @@ class _QueueResources:
     #: chunks, BandSlim fragment streams): released when the CID
     #: retires, aborted at the controller when the command is abandoned.
     payload_ids: Dict[int, int] = field(default_factory=dict)
-
-
-#: Scratch buffer size per queue (covers the largest microbench transfer).
-_SCRATCH_BYTES = 64 * 1024
 
 
 #: Admin queue depth used during bring-up.
@@ -182,22 +174,24 @@ class NvmeDriver:
         self.shadow: Optional[ShadowDoorbells] = None
         self.shadow_rings = 0
         self.shadow_wakes = 0
+        #: Every queue pair by qid: the admin pair is qid 0, the lowest.
         self._queues: Dict[int, _QueueResources] = {}
-        #: ``passthru``'s QD-1 engine per qid, built on first use.
+        #: The QD-1 engine per qid (admin and ``passthru``), built lazily.
         self._engines: Dict[int, "IoEngine"] = {}
         #: One payload/stream-id space per driver, shared by every path
         #: that tags a payload (tagged inline chunks, BandSlim streams).
         self._payload_ids = itertools.count(1)
         self._live_payload_ids: Set[int] = set()
-        self._admin = self._make_resources(0, _ADMIN_DEPTH, _ADMIN_DEPTH)
+        admin = self._queues[ADMIN_QID] = self._make_resources(
+            ADMIN_QID, _ADMIN_DEPTH, _ADMIN_DEPTH)
         # Persistence domains: the driver's in-flight command table is
         # host-volatile; SQ/CQ ring *contents* belong to the device's
         # volatile domain (the rings are the protocol's shared state —
         # a power cut tears both sides at once).
         ssd.durability.register("host.driver", HOST_VOLATILE, self)
-        ssd.durability.register("nvme.sq0", DEVICE_VOLATILE, self._admin.sq)
-        ssd.durability.register("nvme.cq0", DEVICE_VOLATILE, self._admin.cq)
-        self._enable_controller()
+        ssd.durability.register("nvme.sq0", DEVICE_VOLATILE, admin.sq)
+        ssd.durability.register("nvme.cq0", DEVICE_VOLATILE, admin.cq)
+        self._enable_controller(admin)
         self.identify = self._identify_controller()
         for qid in range(1, ssd.config.num_io_queues + 1):
             self._create_io_queue_pair(qid)
@@ -211,17 +205,14 @@ class NvmeDriver:
                         cq_depth: int) -> _QueueResources:
         sq = SubmissionQueue(qid, sq_depth, self.memory)
         cq = CompletionQueue(qid, cq_depth, self.memory)
-        scratch_pages = _SCRATCH_BYTES // PAGE_SIZE
-        scratch = self.memory.alloc_pages(scratch_pages)[0]
-        return _QueueResources(sq, cq, scratch, scratch_pages,
-                               sq_doorbell_offset(qid),
+        return _QueueResources(sq, cq, sq_doorbell_offset(qid),
                                cq_doorbell_offset(qid))
 
-    def _enable_controller(self) -> None:
+    def _enable_controller(self, admin: _QueueResources) -> None:
         bar = self.ssd.bar
         bar.write32(REG_AQA, aqa_value(_ADMIN_DEPTH, _ADMIN_DEPTH))
-        bar.write32(REG_ASQ_LO, self._admin.sq.base_addr)
-        bar.write32(REG_ACQ_LO, self._admin.cq.base_addr)
+        bar.write32(REG_ASQ_LO, admin.sq.base_addr)
+        bar.write32(REG_ACQ_LO, admin.cq.base_addr)
         for reg in (REG_AQA, REG_ASQ_LO, REG_ACQ_LO):
             self.link.host_mmio_write(4, CAT_DOORBELL)
         bar.write32(REG_CC, CC_ENABLE)
@@ -230,32 +221,31 @@ class NvmeDriver:
             raise DriverError("controller failed to come ready (CSTS.RDY=0)")
 
     def _admin_command(self, cmd: NvmeCommand,
-                       read_len: int = 0) -> NvmeCompletion:
-        """Submit one admin command synchronously."""
-        res = self._admin
-        cmd.cid = self._alloc_cid(res)
-        if read_len:
-            if read_len > res.scratch_pages * PAGE_SIZE:
-                raise DriverError("admin read exceeds scratch buffer")
-            cmd.prp1 = res.scratch
-        self._push_sqe(res, cmd)
-        for _ in range(3):
-            cqe = self._try_wait_on(res)
-            if cqe is not None:
-                return cqe
-            # Lost admin doorbell (bring-up must survive a flaky link):
-            # republish the tail and give the device another turn.
-            with res.sq.lock:
-                self._ring_sq_doorbell(res)
-        return self._wait_on(res)
+                       read_len: int = 0) -> "CommandFuture":
+        """Run one admin command: a QD-1 submission to the admin queue's
+        engine, then a drain, so the reactor recovers it as it does I/O.
+        Raises :class:`DriverError` unless it completes successfully;
+        the future carries a *read_len*-byte data return in ``data``.
+        """
+        try:
+            engine = self._engines[ADMIN_QID]
+        except KeyError:
+            from repro.engine.engine import AdminQueueEngine
+
+            engine = self._engines[ADMIN_QID] = AdminQueueEngine(
+                self.ssd, self, queues=(ADMIN_QID,), qd=1)
+        future = engine.submit_admin(cmd, read_len)
+        engine.drain()
+        if not future.ok:
+            raise DriverError(
+                f"admin opcode {cmd.opcode:#x} (cdw10 {cmd.cdw10:#x}) "
+                f"failed: {future.state}, status {future.status}")
+        return future
 
     def _identify_controller(self) -> IdentifyController:
         cmd = NvmeCommand(opcode=AdminOpcode.IDENTIFY, cdw10=1)
-        cqe = self._admin_command(cmd, read_len=IDENTIFY_SIZE)
-        if not cqe.ok:
-            raise DriverError(f"IDENTIFY failed with status {cqe.status:#x}")
         return IdentifyController.unpack(
-            self.memory.read(self._admin.scratch, IDENTIFY_SIZE))
+            self._admin_command(cmd, IDENTIFY_SIZE).data)
 
     def _create_io_queue_pair(self, qid: int,
                               sq_depth: Optional[int] = None,
@@ -269,16 +259,12 @@ class NvmeDriver:
         create_cq = NvmeCommand(
             opcode=AdminOpcode.CREATE_CQ, prp1=res.cq.base_addr,
             cdw10=qid | ((res.cq.depth - 1) << 16), cdw11=0b11)
-        cqe = self._admin_command(create_cq)
-        if not cqe.ok:
-            raise DriverError(f"CREATE_CQ {qid} failed: {cqe.status:#x}")
+        self._admin_command(create_cq)
         create_sq = NvmeCommand(
             opcode=AdminOpcode.CREATE_SQ, prp1=res.sq.base_addr,
             cdw10=qid | ((res.sq.depth - 1) << 16),
             cdw11=0b1 | (qid << 16))
-        cqe = self._admin_command(create_sq)
-        if not cqe.ok:
-            raise DriverError(f"CREATE_SQ {qid} failed: {cqe.status:#x}")
+        self._admin_command(create_sq)
         self._queues[qid] = res
         self.ssd.durability.register(f"nvme.sq{qid}", DEVICE_VOLATILE, res.sq)
         self.ssd.durability.register(f"nvme.cq{qid}", DEVICE_VOLATILE, res.cq)
@@ -312,20 +298,19 @@ class NvmeDriver:
     def delete_io_queue_pair(self, qid: int) -> None:
         """Tear down I/O queue pair *qid*: Delete-SQ then Delete-CQ admin
         commands, then release every host resource the pair pinned —
-        ring pages, the scratch buffer, per-CID pinned pages, CID state,
-        and (under shadow doorbells) the pair's shadow slots, so a later
-        reuse of the qid starts from a clean slate.
+        ring pages, per-CID pinned pages, CID state, and (under shadow
+        doorbells) the pair's shadow slots, so a later reuse of the qid
+        starts from a clean slate.
         """
+        if qid == ADMIN_QID:
+            raise DriverError("the admin queue pair cannot be deleted")
         res = self.queue(qid)
         if res.live_cids:
             raise DriverError(
                 f"queue {qid} still has {len(res.live_cids)} command(s) "
                 f"in flight")
-        for opcode, name in ((AdminOpcode.DELETE_SQ, "DELETE_SQ"),
-                             (AdminOpcode.DELETE_CQ, "DELETE_CQ")):
-            cqe = self._admin_command(NvmeCommand(opcode=opcode, cdw10=qid))
-            if not cqe.ok:
-                raise DriverError(f"{name} {qid} failed: {cqe.status:#x}")
+        for opcode in (AdminOpcode.DELETE_SQ, AdminOpcode.DELETE_CQ):
+            self._admin_command(NvmeCommand(opcode=opcode, cdw10=qid))
         del self._queues[qid]
         self._engines.pop(qid, None)
         self.ssd.durability.unregister(f"nvme.sq{qid}")
@@ -337,7 +322,6 @@ class NvmeDriver:
                 self.memory.free_page(page)
         self._free_buffer(res.sq.base_addr, res.sq.depth * SQE_SIZE)
         self._free_buffer(res.cq.base_addr, res.cq.depth * CQE_SIZE)
-        self._free_buffer(res.scratch, res.scratch_pages * PAGE_SIZE)
         if self.shadow is not None and qid <= MAX_QID:
             # Zero the slots: a reused qid must not inherit a stale tail.
             self.shadow.write_sq_tail(qid, 0)
@@ -362,10 +346,7 @@ class NvmeDriver:
         cmd = NvmeCommand(opcode=AdminOpcode.DBBUF_CONFIG,
                           prp1=shadow.shadow_addr,
                           prp2=shadow.eventidx_addr)
-        cqe = self._admin_command(cmd)
-        if not cqe.ok:
-            raise DriverError(
-                f"DBBUF_CONFIG failed with status {cqe.status:#x}")
+        self._admin_command(cmd)
         self.shadow = shadow
         self.ssd.durability.register("host.shadow", HOST_VOLATILE, shadow)
 
@@ -376,19 +357,16 @@ class NvmeDriver:
     # per-queue CID allocation, zombie quarantine, pinned-page tracking.
     # Queue ring contents have their own registrations (nvme.sq*/cq*).
 
-    def _all_resources(self) -> List[Tuple[int, _QueueResources]]:
-        return [(0, self._admin)] + sorted(self._queues.items())
-
     def snapshot(self) -> object:
         return {qid: (res.next_cid, set(res.live_cids),
                       set(res.zombie_cids),
                       {cid: list(p) for cid, p in res.pending_pages.items()},
                       dict(res.payload_ids))
-                for qid, res in self._all_resources()}
+                for qid, res in self._queues.items()}
 
     def restore(self, state: object) -> None:
         assert isinstance(state, dict)
-        for qid, res in self._all_resources():
+        for qid, res in self._queues.items():
             if qid not in state:
                 continue
             next_cid, live, zombie, pending, payload_ids = state[qid]
@@ -398,14 +376,14 @@ class NvmeDriver:
             res.pending_pages = {cid: list(p) for cid, p in pending.items()}
             res.payload_ids = dict(payload_ids)
         self._live_payload_ids = {
-            pid for _qid, res in self._all_resources()
+            pid for res in self._queues.values()
             for pid in res.payload_ids.values()}
 
     def scrub(self) -> None:
         """Power cut: the in-flight table is gone; nothing is pinned
         anymore (the pages themselves are zeroed by the host-memory
         scrub — there is no one left to free them to)."""
-        for _qid, res in self._all_resources():
+        for res in self._queues.values():
             res.next_cid = 0
             res.live_cids.clear()
             res.zombie_cids.clear()
@@ -419,13 +397,20 @@ class NvmeDriver:
     # ------------------------------------------------------------------
     @property
     def io_qids(self) -> List[int]:
-        return sorted(self._queues)
+        return sorted(self._queues)[1:]  # [0] is the admin pair
+
+    def default_qid(self) -> int:
+        """The lowest I/O qid: where a command goes when none is named."""
+        try:
+            return sorted(self._queues)[1]  # [0] is the admin pair
+        except IndexError:
+            raise DriverError("no I/O queue exists") from None
 
     def queue(self, qid: int) -> _QueueResources:
         try:
             return self._queues[qid]
         except KeyError:
-            raise DriverError(f"no such I/O queue: {qid}")
+            raise DriverError(f"no such queue: {qid}")
 
     def _alloc_cid(self, res: _QueueResources, track: bool = True) -> int:
         """Hand out the next CID that is not in flight on this queue.
@@ -663,40 +648,9 @@ class NvmeDriver:
         self._push_sqe(res, cmd, ring)
         return cmd.cid
 
-    def submit_read_sgl(self, cmd: NvmeCommand, want: int, total: int,
-                        qid: int, ring: bool = True) -> Tuple[int, int]:
-        """Small-read optimisation (§5): receive the first *want* bytes of
-        a *total*-byte (LBA-granular) read; a bit-bucket descriptor
-        discards the rest on the device, saving the return traffic.
-
-        Returns (cid, buffer_addr).
-        """
-        from repro.nvme.sgl import build_read_sgl
-
-        res = self.queue(qid)
-        if want > res.scratch_pages * PAGE_SIZE:
-            raise DriverError(f"read of {want} B exceeds scratch buffer")
-        if total < want:
-            raise DriverError("total read length smaller than wanted bytes")
-        mapping = build_read_sgl(self.memory, res.scratch, want,
-                                 total - want)
-        cmd.cid = self._alloc_cid(res)
-        res.pending_pages.setdefault(cmd.cid, []).extend(mapping.segment_pages)
-        cmd.use_sgl()
-        desc = mapping.inline.pack()
-        cmd.prp1 = int.from_bytes(desc[:8], "little")
-        cmd.prp2 = int.from_bytes(desc[8:], "little")
-        cmd.cdw13 = total
-        self._push_sqe(res, cmd, ring)
-        return cmd.cid, res.scratch
-
     # ------------------------------------------------------------------
     # completion
     # ------------------------------------------------------------------
-    def wait(self, qid: int) -> NvmeCompletion:
-        """Drive the device until one completion arrives on *qid*."""
-        return self._wait_on(self.queue(qid))
-
     def kick(self, qid: int) -> None:
         """Ring *qid*'s SQ doorbell, publishing any unrung submissions.
 
@@ -724,13 +678,9 @@ class NvmeDriver:
             res = self._queues[qid]
         except KeyError:
             res = self.queue(qid)  # raises the driver's error
-        return self._reap(res)
-
-    def _reap(self, res: _QueueResources,
-              limit: Optional[int] = None) -> List[NvmeCompletion]:
         out: List[NvmeCompletion] = []
         poll = res.cq.poll
-        while limit is None or len(out) < limit:
+        while True:
             cqe = poll()
             if cqe is None:
                 break
@@ -759,26 +709,6 @@ class NvmeDriver:
             self._maybe_clear_zombies(res)
         return out
 
-    def _try_wait_on(self,
-                     res: _QueueResources) -> Optional[NvmeCompletion]:
-        """Drive the device if the CQ is empty, then reap one CQE;
-        ``None`` means nothing arrived.
-
-        The device model runs to quiescence inside ``process_all``, so an
-        empty CQ afterwards is genuine silence: nothing further will
-        arrive without new host action (re-ring, resubmit).
-        """
-        if res.cq.peek() is None:
-            self.ssd.controller.process_all()
-        out = self._reap(res, 1)
-        return out[0] if out else None
-
-    def _wait_on(self, res: _QueueResources) -> NvmeCompletion:
-        cqe = self._try_wait_on(res)
-        if cqe is None:
-            raise DriverError(f"no completion arrived on CQ{res.cq.qid}")
-        return cqe
-
     # ------------------------------------------------------------------
     # passthrough ioctl
     # ------------------------------------------------------------------
@@ -796,8 +726,11 @@ class NvmeDriver:
         orchestration layer in :mod:`repro.transfer` because they do not
         use the queue protocol.  Reads and data-less commands (the
         KV-SSD's keyed RETRIEVE/DELETE/EXIST/LIST, the CSD's result
-        fetch) ignore *method*; a read's data return is the first
-        ``min(result, read_len)`` bytes of its private buffer.
+        fetch) take ``prp`` or ``sgl``; a read's data return is the
+        first ``min(result, read_len)`` bytes of its private buffer, and
+        an ``sgl`` read discards the rest of the logical block in a bit
+        bucket (paper §5) instead of returning it.  *qid* defaults to
+        the lowest I/O queue; qid 0 is the admin queue and is refused.
 
         Recovery is the engine reactor's: re-ring, timeout, backoff,
         breaker fallback, and (qid, cid) completion matching, so a late
@@ -805,7 +738,10 @@ class NvmeDriver:
         A command that never completes raises
         :class:`CommandTimeoutError`.
         """
-        qid = qid if qid is not None else self.io_qids[0]
+        if qid is None:
+            qid = self.default_qid()
+        elif qid == ADMIN_QID:
+            raise DriverError("passthru takes an I/O queue, not qid 0")
         try:
             engine = self._engines[qid]
         except KeyError:
@@ -815,16 +751,19 @@ class NvmeDriver:
                 self.ssd, self, queues=(qid,), qd=1)
         start_ns = self.clock.now
         start_bytes = self.link.counter.total_bytes
+        spec = self._codec_spec(method)
         if req.is_write:
-            spec = self._codec_spec(method)
             future = engine.submit(req.data, spec.name, opcode=req.opcode,
                                    cdw10=req.cdw10, cdw11=req.cdw11,
                                    nsid=req.nsid)
         else:
+            if spec.name not in dp_names.READ_METHODS:
+                raise DriverError(
+                    f"a read takes 'prp' or 'sgl', not {spec.name!r}")
             future = engine.submit_read(
                 req.read_len, req.opcode, cdw10=req.cdw10, cdw11=req.cdw11,
                 mptr=req.mptr, cdw14=req.cdw14, cdw15=req.cdw15,
-                nsid=req.nsid)
+                nsid=req.nsid, method=spec.name)
         engine.drain()
         cqe = future.cqe
         if cqe is None:

@@ -40,7 +40,7 @@ class KVStore:
                  qid: Optional[int] = None) -> None:
         self.driver = driver
         self.put_method = put_method
-        self.qid = qid if qid is not None else driver.io_qids[0]
+        self.qid = qid if qid is not None else driver.default_qid()
 
     # ------------------------------------------------------------------
     def put(self, key: bytes, value: bytes) -> TransferStats:

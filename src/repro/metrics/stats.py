@@ -81,10 +81,6 @@ class LatencySummary:
                    p999=float(p999))
 
     @property
-    def is_empty(self) -> bool:
-        return self.count == 0
-
-    @property
     def mean_us(self) -> float:
         return self.mean / 1000.0
 

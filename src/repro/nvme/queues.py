@@ -228,27 +228,14 @@ class CompletionQueue:
         return slot
 
     # -- host operations -----------------------------------------------------
-    def peek(self) -> Optional[NvmeCompletion]:
-        """Read the next completion without consuming it; None if empty.
-
-        The completion reactor uses this to decide whether a CQ has work
-        before paying per-CQE handling costs — the phase-bit check is the
-        only host-side signal that a new entry has landed.
-        """
-        raw = self.memory.read(self.slot_addr(self.head), CQE_SIZE)
-        # Phase bit lives in bit 0 of DW3's high half-word (byte 14):
-        # check it on the raw bytes so an empty slot costs no CQE object.
-        if (raw[14] & 1) != self.phase:
-            return None
-        return NvmeCompletion.unpack(raw)
-
     def poll(self) -> Optional[NvmeCompletion]:
         """Consume the next completion if its phase bit matches; else None."""
-        # ``peek`` inlined: this runs once per completion.
         head = self.head
         depth = self.depth
         raw = self.memory.read(self.base_addr + (head % depth) * CQE_SIZE,
                                CQE_SIZE)
+        # Phase bit lives in bit 0 of DW3's high half-word (byte 14):
+        # check it on the raw bytes so an empty slot costs no CQE object.
         if (raw[14] & 1) != self.phase:
             return None
         cqe = NvmeCompletion.unpack(raw)

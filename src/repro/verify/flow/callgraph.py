@@ -31,7 +31,7 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 #: Receiver names that mark a method call on the current instance.
 _SELF_NAMES = frozenset({"self", "cls"})
@@ -255,11 +255,6 @@ class Project:
                     self_list.append(fn)
         project._resolve_all()
         return project
-
-    @classmethod
-    def load_paths(cls, paths: Iterable[Path]) -> "Project":
-        return cls.load({str(p): p.read_text(encoding="utf-8")
-                         for p in paths})
 
     def _resolve_all(self) -> None:
         for fn in self.functions.values():

@@ -161,9 +161,7 @@ class ProtocolMonitor:
         """Observe every queue pair the driver owns, CID allocation, and
         the host shadow-doorbell page."""
         tagged = driver.ssd.controller.mode == MODE_TAGGED
-        resources = [driver._admin] + [driver._queues[qid]
-                                       for qid in sorted(driver._queues)]
-        for res in resources:
+        for _qid, res in sorted(driver._queues.items()):
             self.attach_sq(res.sq)
             self._sq[id(res.sq)].tagged = tagged
             self.attach_cq(res.cq)

@@ -64,7 +64,9 @@ def test_codec_methods_roundtrip_boundary_sizes(method):
                           cdw10=offset & 0xFFFFFFFF)
         kwargs = {"payload_id": i} if spec.caps.tag_reassembly else {}
         tb.driver.submit(method, cmd, payload, qid=1, **kwargs)
-        assert tb.driver.wait(1).ok, (method, size)
+        tb.ssd.controller.process_all()
+        (cqe,) = tb.driver.reap(1)
+        assert cqe.ok, (method, size)
         assert tb.personality.read_back(offset, size) == payload, \
             (method, size)
 
@@ -124,7 +126,9 @@ def test_generic_submit_accepts_spec_objects():
     tb = make_block_testbed(include_mmio=False)
     cmd = NvmeCommand(opcode=IoOpcode.WRITE, nsid=1, cdw10=0)
     tb.driver.submit(datapath.resolve(names.PRP), cmd, b"spec!" * 8, qid=1)
-    assert tb.driver.wait(1).ok
+    tb.ssd.controller.process_all()
+    (cqe,) = tb.driver.reap(1)
+    assert cqe.ok
     assert tb.personality.read_back(0, 40) == b"spec!" * 8
 
 
@@ -140,7 +144,9 @@ def test_read_back_through_prp_decoder(write_method):
     tb.driver.submit(write_method,
                      NvmeCommand(opcode=IoOpcode.WRITE, nsid=1, cdw10=0),
                      payload, qid=1)
-    assert tb.driver.wait(1).ok
+    tb.ssd.controller.process_all()
+    (cqe,) = tb.driver.reap(1)
+    assert cqe.ok
     res = tb.driver.passthru(
         PassthruRequest(opcode=IoOpcode.READ, read_len=PAGE_SIZE, cdw10=0))
     assert res.ok
@@ -154,11 +160,13 @@ def test_read_back_through_sgl_decoder():
     tb.driver.submit(names.PRP,
                      NvmeCommand(opcode=IoOpcode.WRITE, nsid=1, cdw10=0),
                      payload, qid=1)
-    assert tb.driver.wait(1).ok
-    cmd = NvmeCommand(opcode=IoOpcode.READ, nsid=1, cdw10=0)
-    _, buf = tb.driver.submit_read_sgl(cmd, want=64, total=PAGE_SIZE, qid=1)
-    assert tb.driver.wait(1).ok
-    assert tb.driver.memory.read(buf, 64) == payload[:64]
+    tb.ssd.controller.process_all()
+    (cqe,) = tb.driver.reap(1)
+    assert cqe.ok
+    res = tb.driver.passthru(
+        PassthruRequest(opcode=IoOpcode.READ, read_len=64, cdw10=0),
+        method=names.SGL)
+    assert res.ok and res.data == payload[:64]
 
 
 # ------------------------------------- transfer object vs generic submit
@@ -177,7 +185,9 @@ def _run_generic(method: str, tb):
         cmd = NvmeCommand(opcode=IoOpcode.WRITE, nsid=1,
                           cdw10=(i * 2 * PAGE_SIZE) & 0xFFFFFFFF)
         tb.driver.submit(method, cmd, payload, qid=1)
-        assert tb.driver.wait(1).ok
+        tb.ssd.controller.process_all()
+        (cqe,) = tb.driver.reap(1)
+        assert cqe.ok
 
 
 def _fingerprint(tb):

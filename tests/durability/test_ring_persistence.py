@@ -138,7 +138,7 @@ class TestCompletionQueue:
         self.fill_past_phase_flip(cq)
         cq.scrub()
         assert cq.base_addr == base
-        assert cq.peek() is None  # zeroed slots read as empty again
+        assert cq.poll() is None  # zeroed slots read as empty again
         cq.device_post(NvmeCompletion(cid=7))
         got = cq.poll()
         assert got is not None and got.cid == 7

@@ -46,7 +46,8 @@ def test_cid_retires_on_completion(tb):
     qid = 1
     cid = _submit(tb, qid, ring=True)
     assert tb.driver.inflight(qid) == 1
-    cqe = tb.driver.wait(qid)
+    tb.ssd.controller.process_all()
+    (cqe,) = tb.driver.reap(qid)
     assert cqe.cid == cid
     assert tb.driver.inflight(qid) == 0
     assert not tb.driver.queue(qid).pending_pages

@@ -26,7 +26,8 @@ def test_unknown_queue_rejected(tb):
 def test_prp_write_roundtrip(tb, payload64):
     cmd = NvmeCommand(opcode=IoOpcode.WRITE)
     tb.driver.submit("prp", cmd, payload64, qid=1)
-    cqe = tb.driver.wait(1)
+    tb.ssd.controller.process_all()
+    (cqe,) = tb.driver.reap(1)
     assert cqe.ok
     assert tb.personality.read_back(0, 64) == payload64
 
@@ -39,7 +40,8 @@ def test_prp_write_needs_payload(tb):
 def test_inline_write_roundtrip(tb, payload100):
     cmd = NvmeCommand(opcode=IoOpcode.WRITE)
     tb.driver.submit("byteexpress", cmd, payload100, qid=1)
-    cqe = tb.driver.wait(1)
+    tb.ssd.controller.process_all()
+    (cqe,) = tb.driver.reap(1)
     assert cqe.ok
     assert tb.personality.read_back(0, 100) == payload100
 
@@ -48,21 +50,19 @@ def test_cids_increment_and_wrap(tb):
     res = tb.driver.queue(1)
     res.next_cid = 0xFFFF
     cid1 = tb.driver.submit_raw(NvmeCommand(opcode=IoOpcode.FLUSH), qid=1)
-    tb.driver.wait(1)
+    tb.ssd.controller.process_all()
+    assert len(tb.driver.reap(1)) == 1
     cid2 = tb.driver.submit_raw(NvmeCommand(opcode=IoOpcode.FLUSH), qid=1)
-    tb.driver.wait(1)
+    tb.ssd.controller.process_all()
+    assert len(tb.driver.reap(1)) == 1
     assert (cid1, cid2) == (0xFFFF, 0)
-
-
-def test_wait_without_submission_raises(tb):
-    with pytest.raises(DriverError):
-        tb.driver.wait(1)
 
 
 def test_completion_updates_sq_head(tb, payload64):
     sq = tb.driver.queue(1).sq
     tb.driver.submit("prp", NvmeCommand(opcode=IoOpcode.WRITE), payload64, qid=1)
-    tb.driver.wait(1)
+    tb.ssd.controller.process_all()
+    assert len(tb.driver.reap(1)) == 1
     assert sq.head == sq.tail  # everything consumed
 
 
@@ -104,8 +104,10 @@ def test_queues_are_independent(tb, payload64):
                                payload64, qid=1)
     tb.driver.submit("prp", NvmeCommand(opcode=IoOpcode.WRITE),
                                payload64, qid=2)
-    assert tb.driver.wait(1).ok
-    assert tb.driver.wait(2).ok
+    tb.ssd.controller.process_all()
+    for qid in (1, 2):
+        (cqe,) = tb.driver.reap(qid)
+        assert cqe.ok
 
 
 def test_prp_list_pages_freed_after_completion(tb):
@@ -116,3 +118,31 @@ def test_prp_list_pages_freed_after_completion(tb):
             PassthruRequest(opcode=IoOpcode.WRITE, data=b"z" * 16384))
         assert res.ok
     assert tb.driver.memory.mapped_pages == before
+
+
+def test_admin_qid_stays_off_the_io_surface(tb, payload64):
+    req = PassthruRequest(opcode=IoOpcode.WRITE, data=payload64)
+    with pytest.raises(DriverError):
+        tb.driver.passthru(req, qid=0)
+    with pytest.raises(DriverError):
+        tb.driver.create_io_queue_pair(0)
+    with pytest.raises(DriverError):
+        tb.driver.delete_io_queue_pair(0)
+    assert tb.driver.create_io_queue_pair() == 5
+    assert tb.driver.io_qids == [1, 2, 3, 4, 5]
+
+
+def test_no_io_queue_raises_driver_error(tb, payload64):
+    from repro.csd.pushdown import CsdClient
+    from repro.kvssd import KVStore
+
+    for qid in tb.driver.io_qids:
+        tb.driver.delete_io_queue_pair(qid)
+    assert tb.driver.io_qids == []
+    with pytest.raises(DriverError):
+        tb.driver.passthru(PassthruRequest(opcode=IoOpcode.WRITE,
+                                           data=payload64))
+    with pytest.raises(DriverError):
+        KVStore(tb.driver, tb.method("byteexpress"))
+    with pytest.raises(DriverError):
+        CsdClient(tb.driver, tb.method("prp"))

@@ -8,28 +8,27 @@ from repro.sim.config import SimConfig
 from repro.testbed import make_block_testbed
 
 
-def test_wait_handles_back_to_back_completions():
+def test_reap_handles_back_to_back_completions():
     tb = make_block_testbed()
     for i in range(3):
         tb.driver.submit("byteexpress",
             NvmeCommand(opcode=IoOpcode.WRITE, cdw10=i * 4096),
             bytes([i]) * 64, qid=1)
-    # One process_all happens inside the first wait; the other two
-    # completions must be reaped without reprocessing.
-    processed_before = None
-    for i in range(3):
-        cqe = tb.driver.wait(1)
-        assert cqe.ok
-        if processed_before is None:
-            processed_before = tb.ssd.controller.commands_processed
-    assert tb.ssd.controller.commands_processed == processed_before
+    # One device drive posts all three completions; one reap harvests
+    # them, and a second finds nothing without reprocessing.
+    tb.ssd.controller.process_all()
+    processed = tb.ssd.controller.commands_processed
+    cqes = tb.driver.reap(1)
+    assert [cqe.ok for cqe in cqes] == [True] * 3
+    assert tb.driver.reap(1) == []
+    assert tb.ssd.controller.commands_processed == processed
 
 
 def test_scratch_boundary_exact_fit():
     from repro.nvme.passthrough import PassthruRequest
 
     tb = make_block_testbed()
-    payload = b"e" * (64 * 1024)  # exactly the scratch size
+    payload = b"e" * (64 * 1024)  # the largest microbench transfer
     res = tb.driver.passthru(PassthruRequest(opcode=IoOpcode.WRITE,
                                              data=payload, cdw10=0))
     assert res.ok

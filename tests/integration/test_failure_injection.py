@@ -41,7 +41,9 @@ def test_malformed_reserved_field_does_not_wedge_queue():
     bad = NvmeCommand(opcode=IoOpcode.WRITE)
     bad.cdw2 = 6400  # claims 100 chunks that were never inserted
     tb.driver.submit_raw(bad, qid=1)
-    assert tb.driver.wait(1).status == StatusCode.INVALID_FIELD
+    tb.ssd.controller.process_all()
+    (cqe,) = tb.driver.reap(1)
+    assert cqe.status == StatusCode.INVALID_FIELD
     assert tb.method("byteexpress").write(b"still alive").ok
 
 
@@ -75,7 +77,9 @@ def test_unknown_opcode_mid_stream():
     tb = make_block_testbed()
     tb.method("byteexpress").write(b"before", cdw10=0)
     tb.driver.submit_raw(NvmeCommand(opcode=0x66), qid=1)
-    assert tb.driver.wait(1).status == StatusCode.INVALID_OPCODE
+    tb.ssd.controller.process_all()
+    (cqe,) = tb.driver.reap(1)
+    assert cqe.status == StatusCode.INVALID_OPCODE
     tb.method("byteexpress").write(b"after!", cdw10=4096)
     assert tb.personality.read_back(0, 6) == b"before"
     assert tb.personality.read_back(4096, 6) == b"after!"
@@ -89,7 +93,8 @@ def test_prp_pull_of_unmapped_memory_fails_cleanly():
     with res.sq.lock:
         res.sq.push_raw(cmd.pack())
         tb.driver._ring_sq_doorbell(res)
-    cqe = tb.driver.wait(1)
+    tb.ssd.controller.process_all()
+    (cqe,) = tb.driver.reap(1)
     assert cqe.status == StatusCode.DATA_TRANSFER_ERROR
 
 
@@ -103,6 +108,7 @@ def test_device_survives_mixed_garbage_stream():
     ]
     for cmd in garbage:
         tb.driver.submit_raw(cmd, qid=1)
-        cqe = tb.driver.wait(1)
+        tb.ssd.controller.process_all()
+        (cqe,) = tb.driver.reap(1)
         assert not cqe.ok
     assert tb.method("prp").write(b"recovered", cdw10=0).ok

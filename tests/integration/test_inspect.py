@@ -74,7 +74,8 @@ class TestDumps:
         out = dump_queue(tb.driver, 1)
         assert "SQ1:" in out
         assert "ByteExpress payload of 100 B" in out
-        tb.driver.wait(1)
+        tb.ssd.controller.process_all()
+        assert len(tb.driver.reap(1)) == 1
 
     def test_dump_controller(self):
         tb = make_block_testbed()

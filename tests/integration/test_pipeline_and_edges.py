@@ -57,7 +57,9 @@ class TestSglMultiExtentWrite:
         cmd.prp1 = int.from_bytes(desc[:8], "little")
         cmd.prp2 = int.from_bytes(desc[8:], "little")
         tb.driver._push_sqe(res, cmd)
-        assert tb.driver.wait(1).ok
+        tb.ssd.controller.process_all()
+        (cqe,) = tb.driver.reap(1)
+        assert cqe.ok
         assert tb.personality.read_back(0, 10) == b"AAAABBBBBB"
 
     def test_sgl_length_mismatch_fails_cleanly(self):
@@ -73,7 +75,9 @@ class TestSglMultiExtentWrite:
         cmd.prp1 = int.from_bytes(desc[:8], "little")
         cmd.prp2 = int.from_bytes(desc[8:], "little")
         tb.driver._push_sqe(res, cmd)
-        assert tb.driver.wait(1).status == StatusCode.DATA_TRANSFER_ERROR
+        tb.ssd.controller.process_all()
+        (cqe,) = tb.driver.reap(1)
+        assert cqe.status == StatusCode.DATA_TRANSFER_ERROR
 
 
 class TestMmioEdges:

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.nvme.command import NvmeCommand
 from repro.nvme.constants import IoOpcode
 from repro.nvme.passthrough import PassthruRequest
 from repro.sim.config import SimConfig
@@ -45,32 +44,43 @@ def test_512b_lba_shrinks_read_return():
     assert traffic < 1500  # ~512 B + protocol, not 4 KB
 
 
+def _sgl_read(tb, read_len):
+    return tb.driver.passthru(
+        PassthruRequest(opcode=IoOpcode.READ, read_len=read_len, cdw10=0),
+        method="sgl")
+
+
 class TestBitBucketRead:
     def test_discards_unwanted_bytes(self, tb):
-        """want=64 of a 4 KB block: bucket saves ~4 KB of return traffic."""
-        def sgl_read():
-            cmd = NvmeCommand(opcode=IoOpcode.READ, cdw10=0)
-            _, buf = tb.driver.submit_read_sgl(cmd, want=64, total=4096,
-                                               qid=1)
-            cqe = tb.driver.wait(1)
-            assert cqe.ok
-            return tb.driver.memory.read(buf, 64)
-
-        data, traffic = _read_traffic(tb, sgl_read)
-        assert data == bytes(range(64))
+        """64 B of a 4 KB block: the bucket saves ~4 KB of return traffic."""
+        r, traffic = _read_traffic(tb, lambda: _sgl_read(tb, 64))
+        assert r.ok and r.data == bytes(range(64))
         assert traffic < 1200  # vs >4 KB for the PRP read
 
     def test_full_read_without_bucket(self, tb):
-        cmd = NvmeCommand(opcode=IoOpcode.READ, cdw10=0)
-        _, buf = tb.driver.submit_read_sgl(cmd, want=4096, total=4096, qid=1)
-        assert tb.driver.wait(1).ok
-        assert tb.driver.memory.read(buf, 4096) == bytes(range(256)) * 16
+        r = _sgl_read(tb, 4096)
+        assert r.ok and r.data == bytes(range(256)) * 16
 
-    def test_validation(self, tb):
+    def test_read_across_blocks_returns_wanted_bytes(self):
+        """With 512 B blocks, a 600 B read spans two blocks; the bucket
+        discards the rest of the second."""
+        tb = make_block_testbed(config=SimConfig(lba_bytes=512).nand_off())
+        tb.method("prp").write(bytes(range(256)) * 4, cdw10=0)
+        r = _sgl_read(tb, 600)
+        assert r.ok and r.data == (bytes(range(256)) * 4)[:600]
+
+    def test_segment_page_freed_at_completion(self, tb):
+        before = tb.driver.memory.mapped_pages
+        assert _sgl_read(tb, 64).ok
+        assert tb.driver.memory.mapped_pages == before
+        assert not tb.driver.queue(1).pending_pages
+
+    def test_read_rejects_write_only_methods(self, tb):
         from repro.host.driver import DriverError
-        cmd = NvmeCommand(opcode=IoOpcode.READ)
-        with pytest.raises(DriverError):
-            tb.driver.submit_read_sgl(cmd, want=128, total=64, qid=1)
+        req = PassthruRequest(opcode=IoOpcode.READ, read_len=64, cdw10=0)
+        for method in ("byteexpress", "bandslim"):
+            with pytest.raises(DriverError):
+                tb.driver.passthru(req, method=method)
 
     def test_build_read_sgl_validation(self):
         from repro.host.memory import HostMemory

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.faults.plan import CORRUPT_TLP, DROP_CQE, DROP_DOORBELL, FaultPlan
 from repro.host.driver import DriverError, NvmeDriver
 from repro.nvme.command import NvmeCommand
 from repro.nvme.constants import AdminOpcode, StatusCode
@@ -56,22 +57,28 @@ def test_disable_resets_queues():
 def test_identify_via_admin_command():
     tb = make_block_testbed()
     cmd = NvmeCommand(opcode=AdminOpcode.IDENTIFY, cdw10=1)
-    cqe = tb.driver._admin_command(cmd, read_len=IDENTIFY_SIZE)
-    assert cqe.ok
-    raw = tb.driver.memory.read(tb.driver._admin.scratch, IDENTIFY_SIZE)
-    assert IdentifyController.unpack(raw).byteexpress
+    future = tb.driver._admin_command(cmd, read_len=IDENTIFY_SIZE)
+    assert future.ok and len(future.data) == IDENTIFY_SIZE
+    assert IdentifyController.unpack(future.data).byteexpress
+
+
+def _forge_admin(tb, cmd):
+    """Submit *cmd* raw on the admin queue; return the device's CQE."""
+    tb.driver.submit_raw(cmd, 0)
+    tb.ssd.controller.process_all()
+    (cqe,) = tb.driver.reap(0)
+    return cqe
 
 
 def test_identify_unknown_cns_rejected():
     tb = make_block_testbed()
     cmd = NvmeCommand(opcode=AdminOpcode.IDENTIFY, cdw10=0x99)
-    cqe = tb.driver._admin_command(cmd, read_len=IDENTIFY_SIZE)
-    assert cqe.status == StatusCode.INVALID_FIELD
+    assert _forge_admin(tb, cmd).status == StatusCode.INVALID_FIELD
 
 
 def test_unknown_admin_opcode_rejected():
     tb = make_block_testbed()
-    cqe = tb.driver._admin_command(NvmeCommand(opcode=0x7E))
+    cqe = _forge_admin(tb, NvmeCommand(opcode=0x7E))
     assert cqe.status == StatusCode.INVALID_OPCODE
 
 
@@ -79,15 +86,14 @@ def test_create_duplicate_queue_rejected():
     tb = make_block_testbed()
     dup_cq = NvmeCommand(opcode=AdminOpcode.CREATE_CQ, prp1=0x100000,
                          cdw10=1 | (63 << 16), cdw11=0b11)
-    assert tb.driver._admin_command(dup_cq).status == StatusCode.INVALID_FIELD
+    assert _forge_admin(tb, dup_cq).status == StatusCode.INVALID_FIELD
 
 
 def test_create_sq_requires_existing_cq():
     tb = make_block_testbed()
     orphan_sq = NvmeCommand(opcode=AdminOpcode.CREATE_SQ, prp1=0x100000,
                             cdw10=9 | (63 << 16), cdw11=0b1 | (9 << 16))
-    assert tb.driver._admin_command(orphan_sq).status == \
-        StatusCode.INVALID_FIELD
+    assert _forge_admin(tb, orphan_sq).status == StatusCode.INVALID_FIELD
 
 
 def test_delete_queue_pair_via_admin():
@@ -98,8 +104,8 @@ def test_delete_queue_pair_via_admin():
     del_cq = NvmeCommand(opcode=AdminOpcode.DELETE_CQ, cdw10=qid)
     assert tb.driver._admin_command(del_cq).ok
     # Deleting again fails cleanly.
-    assert tb.driver._admin_command(
-        NvmeCommand(opcode=AdminOpcode.DELETE_SQ, cdw10=qid)).status == \
+    assert _forge_admin(tb, NvmeCommand(opcode=AdminOpcode.DELETE_SQ,
+                                        cdw10=qid)).status == \
         StatusCode.INVALID_FIELD
 
 
@@ -107,7 +113,54 @@ def test_delete_cq_with_live_sq_rejected():
     tb = make_block_testbed()
     qid = tb.driver.io_qids[0]
     del_cq = NvmeCommand(opcode=AdminOpcode.DELETE_CQ, cdw10=qid)
-    assert tb.driver._admin_command(del_cq).status == StatusCode.INVALID_FIELD
+    assert _forge_admin(tb, del_cq).status == StatusCode.INVALID_FIELD
+
+
+# ----------------------------------------------------------------------
+# Admin commands are QD-1 engine submissions: the reactor recovers them.
+# A default block rig ends bring-up at these values after 9 commands.
+# ----------------------------------------------------------------------
+BRINGUP_NS, BRINGUP_BYTES, BRINGUP_COMMANDS = 30_542.0, 7_308, 9
+
+
+def test_bringup_is_pinned():
+    tb = make_block_testbed(fault_plan=FaultPlan.uniform(0.0))
+    assert (tb.clock.now, tb.traffic.total_bytes,
+            tb.ssd.controller.admin_commands_processed) == (
+        BRINGUP_NS, BRINGUP_BYTES, BRINGUP_COMMANDS)
+    opportunities = tb.ssd.faults.opportunities
+    assert (opportunities[DROP_DOORBELL], opportunities[CORRUPT_TLP],
+            opportunities[DROP_CQE]) == (9, 28, 0)
+
+
+@pytest.mark.parametrize("index", range(BRINGUP_COMMANDS))
+def test_bringup_survives_one_dropped_doorbell(index):
+    """The reactor's re-ring recovers a lost admin doorbell at the cost
+    of one more doorbell write: +100 ns and +36 B."""
+    tb = make_block_testbed(
+        fault_plan=FaultPlan.scheduled({DROP_DOORBELL: [index]}))
+    assert tb.ssd.controller.admin_commands_processed == BRINGUP_COMMANDS
+    assert tb.clock.now == BRINGUP_NS + 100
+    assert tb.traffic.total_bytes == BRINGUP_BYTES + 36
+    assert tb.driver.io_qids == [1, 2, 3, 4]
+
+
+@pytest.mark.parametrize("first", [1, 2], ids=["create_cq", "create_sq"])
+def test_two_dropped_doorbells_on_a_create_fail_loudly(first):
+    """Two lost doorbells in a row abandon the command and resubmit it;
+    the abandoned SQE still runs, so the duplicate Create is refused
+    (DNR set) and bring-up raises rather than half-succeeding."""
+    with pytest.raises(DriverError):
+        make_block_testbed(fault_plan=FaultPlan.scheduled(
+            {DROP_DOORBELL: [first, first + 1]}))
+
+
+def test_identify_survives_being_run_twice():
+    tb = make_block_testbed(
+        fault_plan=FaultPlan.scheduled({DROP_DOORBELL: [0, 1]}))
+    assert tb.driver.identify.byteexpress
+    assert tb.ssd.controller.admin_commands_processed == BRINGUP_COMMANDS + 1
+    assert tb.driver.io_qids == [1, 2, 3, 4]
 
 
 def test_driver_respects_identify_queue_limit():
@@ -153,7 +206,8 @@ def _churn(tb, cycles):
         # Real traffic so CID tracking and staging buffers get exercised.
         cmd = NvmeCommand(opcode=IoOpcode.WRITE, cdw10=(i * 8) & 0xFFFFFFFF)
         drv.submit(dp_names.BYTEEXPRESS, cmd, b"churn-%03d" % (i % 1000), qid)
-        cqe = drv.wait(qid)
+        drv.ssd.controller.process_all()
+        (cqe,) = drv.reap(qid)
         assert cqe.ok
         assert not drv.queue(qid).live_cids
         drv.delete_io_queue_pair(qid)

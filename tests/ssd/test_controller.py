@@ -18,7 +18,8 @@ def tb():
 
 def test_unknown_opcode_fails_cleanly(tb):
     tb.driver.submit_raw(NvmeCommand(opcode=0x7F), qid=1)
-    cqe = tb.driver.wait(1)
+    tb.ssd.controller.process_all()
+    (cqe,) = tb.driver.reap(1)
     assert cqe.status == StatusCode.INVALID_OPCODE
 
 
@@ -26,14 +27,16 @@ def test_commands_processed_counter(tb, payload64):
     before = tb.ssd.controller.commands_processed
     tb.driver.submit("prp", NvmeCommand(opcode=IoOpcode.WRITE),
                                payload64, qid=1)
-    tb.driver.wait(1)
+    tb.ssd.controller.process_all()
+    assert len(tb.driver.reap(1)) == 1
     assert tb.ssd.controller.commands_processed == before + 1
 
 
 def test_inline_payload_counter(tb, payload64):
     tb.driver.submit("byteexpress", NvmeCommand(opcode=IoOpcode.WRITE),
                                   payload64, qid=1)
-    tb.driver.wait(1)
+    tb.ssd.controller.process_all()
+    assert len(tb.driver.reap(1)) == 1
     assert tb.ssd.controller.inline_payloads == 1
 
 
@@ -51,13 +54,16 @@ def test_byteexpress_disabled_firmware_rejects_inline(tb, payload64):
     tb.ssd.controller.byteexpress_enabled = False
     tb.driver.submit("byteexpress", NvmeCommand(opcode=IoOpcode.WRITE),
                                   payload64, qid=1)
-    cqe = tb.driver.wait(1)
+    tb.ssd.controller.process_all()
+    (cqe,) = tb.driver.reap(1)
     assert cqe.status == StatusCode.INVALID_FIELD
     assert tb.ssd.controller.fetch_errors == 1
     # The queue is not wedged: a normal command still works.
     tb.driver.submit("prp", NvmeCommand(opcode=IoOpcode.WRITE),
                                payload64, qid=1)
-    assert tb.driver.wait(1).ok
+    tb.ssd.controller.process_all()
+    (cqe,) = tb.driver.reap(1)
+    assert cqe.ok
 
 
 def test_malformed_inline_length_rejected(tb):
@@ -65,7 +71,8 @@ def test_malformed_inline_length_rejected(tb):
     cmd = NvmeCommand(opcode=IoOpcode.WRITE)
     cmd.cdw2 = 1 << 30  # absurd inline length, no chunks inserted
     tb.driver.submit_raw(cmd, qid=1)
-    cqe = tb.driver.wait(1)
+    tb.ssd.controller.process_all()
+    (cqe,) = tb.driver.reap(1)
     assert cqe.status == StatusCode.INVALID_FIELD
 
 
@@ -78,7 +85,8 @@ def test_inline_chunks_beyond_doorbell_fail_command(tb):
     with res.sq.lock:
         res.sq.push_raw(cmd.pack())  # but inserts none
         tb.driver._ring_sq_doorbell(res)
-    cqe = tb.driver.wait(1)
+    tb.ssd.controller.process_all()
+    (cqe,) = tb.driver.reap(1)
     assert cqe.status == StatusCode.INVALID_FIELD
 
 
@@ -118,7 +126,8 @@ class TestTaggedMode:
         payload = bytes(i % 251 for i in range(500))
         tb.driver.submit("byteexpress-tagged",
             NvmeCommand(opcode=IoOpcode.WRITE), payload, qid=1, payload_id=1)
-        cqe = tb.driver.wait(1)
+        tb.ssd.controller.process_all()
+        (cqe,) = tb.driver.reap(1)
         assert cqe.ok
         assert tb.personality.read_back(0, 500) == payload
 
@@ -145,10 +154,13 @@ class TestTaggedMode:
         tb.driver.submit("byteexpress-tagged",
             NvmeCommand(opcode=IoOpcode.WRITE), b"x" * 100, qid=1,
             payload_id=7)
-        cqe = tb.driver.wait(1)
+        tb.ssd.controller.process_all()
+        (cqe,) = tb.driver.reap(1)
         assert cqe.ok
         # Reuse after completion is fine.
         tb.driver.submit("byteexpress-tagged",
             NvmeCommand(opcode=IoOpcode.WRITE), b"y" * 100, qid=1,
             payload_id=7)
-        assert tb.driver.wait(1).ok
+        tb.ssd.controller.process_all()
+        (cqe,) = tb.driver.reap(1)
+        assert cqe.ok

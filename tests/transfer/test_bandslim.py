@@ -84,7 +84,8 @@ class TestBandSlimTransfer:
         tb = make_block_testbed()
         frag0 = pack_fragment(99, 1, 64, b"a" * 32, False, IoOpcode.WRITE)
         tb.driver.submit_raw(frag0, qid=1)
-        cqe = tb.driver.wait(1)
+        tb.ssd.controller.process_all()
+        (cqe,) = tb.driver.reap(1)
         assert cqe.status == StatusCode.INVALID_FIELD
 
     def test_payload_exceeding_queue_capacity_refused_upfront(self):
@@ -111,5 +112,6 @@ class TestBandSlimTransfer:
         bad = pack_fragment(50, 0, 1000, b"a" * 32, last=True,
                             target_opcode=IoOpcode.WRITE)
         tb.driver.submit_raw(bad, qid=1)
-        cqe = tb.driver.wait(1)
+        tb.ssd.controller.process_all()
+        (cqe,) = tb.driver.reap(1)
         assert cqe.status == StatusCode.DATA_TRANSFER_ERROR

@@ -66,7 +66,9 @@ def test_tagged_traffic_is_clean():
     mon = ProtocolMonitor.attach_testbed(tb)
     tb.driver.submit("byteexpress-tagged",
         NvmeCommand(opcode=IoOpcode.WRITE), b"q" * 300, qid=1, payload_id=9)
-    assert tb.driver.wait(1).ok
+    tb.ssd.controller.process_all()
+    (cqe,) = tb.driver.reap(1)
+    assert cqe.ok
     assert mon.violations == []
 
 
