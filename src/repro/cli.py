@@ -120,15 +120,31 @@ def _fault_plan(args):
         raise SystemExit(2)
 
 
-def cmd_sweep(args) -> int:
-    sizes = [int(s) for s in args.sizes.split(",")]
-    methods = [m for m in args.methods.split(",")]
-    suite = _sweep_methods()
+def _methods(text: str, suite: tuple) -> List[str]:
+    """The comma-separated *text* as method names; an empty list (after
+    printing the error) when one is not in *suite*."""
+    methods = text.split(",")
     for m in methods:
         if m not in suite:
             print(f"unknown method {m!r}; pick from {suite}",
                   file=sys.stderr)
-            return 2
+            return []
+    return methods
+
+
+def cmd_sweep(args) -> int:
+    try:
+        sizes = [int(s) for s in args.sizes.split(",")]
+    except ValueError as exc:
+        print(f"bad sweep configuration: {exc}", file=sys.stderr)
+        return 2
+    if min(sizes) < 1 or args.ops < 1:
+        print("bad sweep configuration: --sizes and --ops must be >= 1",
+              file=sys.stderr)
+        return 2
+    methods = _methods(args.methods, _sweep_methods())
+    if not methods:
+        return 2
     rows = []
     latency_series = {m: [] for m in methods}
     for method in methods:
@@ -151,8 +167,11 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_kv(args) -> int:
+    methods = _methods(args.methods, _suite_methods())
+    if not methods:
+        return 2
     rows = []
-    for method in args.methods.split(","):
+    for method in methods:
         tb = make_kv_testbed()
         store = KVStore(tb.driver, tb.method(method))
         if args.workload == "mixgraph":
@@ -176,12 +195,15 @@ def cmd_kv(args) -> int:
 
 
 def cmd_pushdown(args) -> int:
+    methods = _methods(args.methods, _suite_methods())
+    if not methods:
+        return 2
     tb = make_csd_testbed(execute_inline=False)
     setup = CsdClient(tb.driver, tb.method(dp_names.PRP))
     for query in CORPUS:
         setup.create_table(query.schema)
     rows = []
-    for method in args.methods.split(","):
+    for method in methods:
         client = CsdClient(tb.driver, tb.method(method))
         for query in CORPUS:
             message = query.segment if args.segment else query.full_sql
@@ -200,11 +222,16 @@ def cmd_pushdown(args) -> int:
 
 
 def cmd_replay(args) -> int:
+    try:
+        trace = list(load_trace(args.trace))
+    except (OSError, ValueError) as exc:
+        print(f"bad trace: {exc}", file=sys.stderr)
+        return 2
     tb = make_kv_testbed()
     store = KVStore(tb.driver, tb.method(args.method))
     t0, b0 = tb.clock.now, tb.traffic.total_bytes
     counts = {"put": 0, "get": 0, "delete": 0}
-    for op in load_trace(args.trace):
+    for op in trace:
         if op.op == "put":
             store.put(op.key, op.value)
         elif op.op == "get":
@@ -239,6 +266,10 @@ def cmd_faults(args) -> int:
     from repro.nvme.constants import IoOpcode
     from repro.nvme.passthrough import PassthruRequest
 
+    if args.ops < 1 or args.size < 1:
+        print("bad faults configuration: --ops and --size must be >= 1",
+              file=sys.stderr)
+        return 2
     kinds = args.kinds.split(",") if args.kinds else list(ALL_KINDS)
     for k in kinds:
         if k not in ALL_KINDS:
@@ -439,6 +470,7 @@ def cmd_virt(args) -> int:
 
 def cmd_serve(args) -> int:
     """Closed-loop serving run: N sessions over the KV front-end."""
+    from repro.engine import SchedulerError
     from repro.kvssd.service import ServiceError
     from repro.testbed import make_kv_testbed
     from repro.workloads import run_serving
@@ -455,7 +487,7 @@ def cmd_serve(args) -> int:
             read_ratio=args.read_ratio,
             keys_per_session=args.keys_per_session,
             fan_in=args.fan_in, seed=args.seed)
-    except (ServiceError, ValueError, DriverError) as exc:
+    except (ServiceError, SchedulerError, ValueError, DriverError) as exc:
         print(f"bad serving configuration: {exc}", file=sys.stderr)
         return 2
     stats = service.stats

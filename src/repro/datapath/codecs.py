@@ -172,28 +172,28 @@ class InlineWriteCodec(HostCodec):
                payload_id: Optional[int] = None) -> int:
         if not driver.identify.byteexpress:
             _require_byteexpress(driver)  # raises
-        res = driver.queue(qid)
-        cmd.cid = driver._alloc_cid(res)
         n = len(data)
+        if not n:
+            raise _driver_error("inline submission requires a payload")
+        res = driver.queue(qid)
+        sq = res.sq
+        needed = 1 + (n + CHUNK_SIZE - 1) // CHUNK_SIZE
+        if (sq.head - sq.tail - 1) % sq.depth < needed:
+            raise QueueFullError(
+                f"SQ{sq.qid}: need {needed} slots for inline "
+                f"submit, have {sq.space()}")
+        # ``make_inline_command`` inlined: it is called only to raise
+        # its error when one of its checks fails.
+        if n > MAX_INLINE_BYTES or cmd.cdw2:
+            make_inline_command(cmd, n)
+        # Every check has passed: a refused submit holds no CID.
+        cmd.cid = driver._alloc_cid(res)
         cmd.cdw12 = n
         clock = driver.clock
         timing = driver.timing
-        sq = res.sq
         with sq.lock:
             _start = clock.now
             try:
-                if not n:
-                    raise ValueError(
-                        "inline submission requires a non-empty payload")
-                needed = 1 + (n + CHUNK_SIZE - 1) // CHUNK_SIZE
-                if (sq.head - sq.tail - 1) % sq.depth < needed:
-                    raise QueueFullError(
-                        f"SQ{sq.qid}: need {needed} slots for inline "
-                        f"submit, have {sq.space()}")
-                # ``make_inline_command`` inlined: it is called only to
-                # raise its error when one of its checks fails.
-                if n > MAX_INLINE_BYTES or cmd.cdw2:
-                    make_inline_command(cmd, n)
                 cmd.cdw2 = n
                 push = sq.push_raw
                 push(cmd.pack())

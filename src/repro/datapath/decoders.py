@@ -98,7 +98,8 @@ class PrpDecoder(DeviceDecoder):
         The buffer ends at CDW13 (the read length) rounded up to whole
         pages: data past it is never transferred, so a value larger than
         the host asked for cannot overrun into the next page.  A zero
-        CDW13 (admin data returns) leaves the length to the command.
+        CDW13 (a raw SQE that names no read length) leaves the length
+        to the command.
         """
         if cmd.cdw13:
             data = data[:-(-cmd.cdw13 // PAGE_SIZE) * PAGE_SIZE]

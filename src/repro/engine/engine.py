@@ -21,7 +21,10 @@ following the controller's mode), ``byteexpress-tagged`` (tagged
 controllers only), ``prp`` and ``sgl`` (private per-command DMA
 buffers), and ``bandslim`` (fragment command sequences; requires the
 device layer from :mod:`repro.transfer.bandslim` to be registered).
-Every (re)submission is one host-codec encode.  Breaker-guarded methods
+``submit_read()`` issues a read or keyed command, and the driver issues
+every admin command the same way on an engine pinned to qid 0.  One
+function does every (re)submission: a write is one host-codec encode,
+anything else one SQE.  Breaker-guarded methods
 (inline or fragmented) respect the driver's circuit breaker per
 submission and are downgraded to PRP while it is open.
 """
@@ -38,10 +41,9 @@ from repro.engine.scheduler import MultiQueueScheduler
 from repro.engine.table import CommandFuture, InFlightCommand, InFlightTable
 from repro.host.breaker import STATE_CLOSED
 from repro.host.driver import NvmeDriver
-from repro.host.memory import HostMemory
 from repro.nvme.command import NvmeCommand
-from repro.nvme.completion import NvmeCompletion
 from repro.nvme.constants import (
+    ADMIN_QID,
     DEFAULT_NSID,
     PAGE_SIZE,
     IoOpcode,
@@ -102,8 +104,9 @@ class IoEngine:
     """Asynchronous multi-queue submission over one driver/device pair.
 
     The stack's one submission loop: the QD>1 callers (load generator,
-    KV service, tenants, the crash harness) and ``NvmeDriver.passthru``
-    at QD 1.  A write is acked once its future resolves OK.
+    KV service, tenants, the crash harness), and ``NvmeDriver.passthru``
+    and the driver's admin commands at QD 1.  A write is acked once its
+    future resolves OK.
     """
 
     def __init__(self, ssd: OpenSsd, driver: NvmeDriver,
@@ -120,6 +123,11 @@ class IoEngine:
         self.clock = driver.clock
         self.timing = driver.timing
         self.qids: List[int] = list(queues) if queues else list(driver.io_qids)
+        #: Host cost of one submission call: the passthrough ioctl for
+        #: I/O queues; admin commands are issued in the kernel, so an
+        #: engine on the admin queue charges nothing.
+        self._submit_ns = (0.0 if self.qids == [ADMIN_QID]
+                           else self.timing.passthrough_ns)
         for qid in self.qids:
             driver.queue(qid)  # validates existence
         #: Largest footprint any queue can ever take (SQ depths are
@@ -208,7 +216,8 @@ class IoEngine:
                     cdw11: int = 0, mptr: int = 0, cdw14: int = 0,
                     cdw15: int = 0, nsid: Optional[int] = None,
                     stream: Optional[int] = None,
-                    method: str = dp_names.PRP) -> CommandFuture:
+                    method: str = dp_names.PRP, prp1: int = 0,
+                    prp2: int = 0) -> CommandFuture:
         """Issue one asynchronous read-style (or keyed, data-free) command.
 
         The command carries no host→device payload — its operands ride
@@ -221,6 +230,9 @@ class IoEngine:
         either direction (DELETE, EXIST).  Every in-flight read owns its
         buffer, so reads pipeline like writes do.  *method* ``sgl``
         discards the rest of the logical block in a bit bucket (§5).
+        *prp1*/*prp2* are data-pointer operands of a command that names
+        its own host memory (an admin Create-CQ/SQ ring base, the
+        DBBUF_CONFIG pages); a read's buffer takes PRP1's place.
         """
         if read_len < 0:
             raise EngineError("read_len must be >= 0")
@@ -236,8 +248,8 @@ class IoEngine:
             future=future, spec=spec, opcode=opcode, payload=b"",
             cdw10=cdw10, cdw11=cdw11,
             nsid=self.default_nsid if nsid is None else nsid, stream=stream,
-            mptr=mptr, cdw14=cdw14, cdw15=cdw15, read_len=read_len,
-            first_submit_ns=now,
+            mptr=mptr, cdw14=cdw14, cdw15=cdw15, prp1=prp1, prp2=prp2,
+            read_len=read_len, first_submit_ns=now,
             deadline_ns=now + self.driver.retry_policy.deadline_ns)
         self.stats.submitted += 1
         self._dispatch(entry)
@@ -301,84 +313,67 @@ class IoEngine:
                     "backpressure loop made no progress (livelock)")
 
     def _submit_entry(self, entry: InFlightCommand, qid: int) -> None:
-        """Drive one (re)submission through the driver, no doorbell."""
-        if not entry.payload:  # keyed: submitted through submit_read
-            self._submit_keyed(entry, qid)
-            return
-        spec = entry.spec
-        caps = spec.caps
-        driver = self.driver
-        breaker = driver.breaker
-        # A closed breaker's ``allow_inline()`` is True with no side
-        # effect, so it is only asked once the breaker has tripped.
-        if (caps.breaker_guarded and breaker.state != STATE_CLOSED
-                and not breaker.allow_inline()):
-            # Breaker open: this attempt rides the stock PRP path.
-            spec = self._prp_spec
-            driver.inline_fallbacks += 1
-            driver.link.counter.record_event(EVT_INLINE_FALLBACK)
-            self.stats.inline_fallbacks += 1
-        elif self.tagged and caps.inline:
-            spec = self._tagged_spec
-        entry.spec_used = spec
-        entry.attempts += 1
-        # The async submission API call itself (io_uring-style ioctl).
-        self.clock.advance(self.timing.passthrough_ns)
+        """Drive one (re)submission through the driver, no doorbell: a
+        write is one host-codec encode, anything else one SQE.
 
-        # Positional NvmeCommand construction (field order: opcode,
-        # flags, cid, nsid, cdw2, cdw3, mptr, prp1, prp2, cdw10, cdw11)
-        # — this allocation runs once per (re)submission.
-        cmd = NvmeCommand(entry.opcode, 0, 0, entry.nsid, 0, 0, 0, 0, 0,
-                          entry.cdw10, entry.cdw11)
-        # ``submit`` admits only codec-bearing specs; calling the codec
-        # directly skips the driver.submit resolve layer.
-        cid = spec.host_codec.encode(driver, cmd, entry.payload, qid,
-                                     ring=False)
-        entry.key = (qid, cid)
-        self.table.add(entry)
-        self.scheduler.note_submit(qid)
-        self._dirty.add(qid)
-
-    def _submit_keyed(self, entry: InFlightCommand, qid: int) -> None:
-        """(Re)submit a ``submit_read`` entry: one SQE, no data phase out.
-
-        The read-return buffer is allocated once per entry and reused
+        A read's return buffer is allocated once per entry and reused
         across timeout resubmissions — the retry must land its data in
         the same place the future's copy-out will look.
         """
-        entry.spec_used = entry.spec
-        entry.attempts += 1
-        # The async submission API call itself (io_uring-style ioctl).
-        self.clock.advance(self.timing.passthrough_ns)
-        cmd = NvmeCommand(entry.opcode, 0, 0, entry.nsid, 0, 0, entry.mptr,
-                          0, 0, entry.cdw10, entry.cdw11)
-        cmd.cdw14 = entry.cdw14
-        cmd.cdw15 = entry.cdw15
-        if entry.read_len:
+        driver = self.driver
+        spec = entry.spec
+        payload = entry.payload
+        read_len = entry.read_len
+        if payload:
+            caps = spec.caps
+            breaker = driver.breaker
+            # A closed breaker's ``allow_inline()`` is True with no side
+            # effect, so it is only asked once the breaker has tripped.
+            if (caps.breaker_guarded and breaker.state != STATE_CLOSED
+                    and not breaker.allow_inline()):
+                # Breaker open: this attempt rides the stock PRP path.
+                spec = self._prp_spec
+                driver.inline_fallbacks += 1
+                driver.link.counter.record_event(EVT_INLINE_FALLBACK)
+                self.stats.inline_fallbacks += 1
+            elif self.tagged and caps.inline:
+                spec = self._tagged_spec
+        elif read_len:
             if not entry.read_pages:
-                pages = self.driver.memory.alloc_pages(
-                    -(-entry.read_len // PAGE_SIZE))
+                pages = driver.memory.alloc_pages(-(-read_len // PAGE_SIZE))
                 entry.read_pages = tuple(pages)
-            cmd.cdw13 = entry.read_len
-            if entry.spec is self._prp_spec:
-                cmd.prp1 = entry.read_pages[0]
-                cid = self.driver.submit_raw(cmd, qid, ring=False)
-            else:
-                # SGL (§5): read_len bytes into the buffer, then a bit
-                # bucket to the next LBA boundary.  The segment page is
-                # the CID's, so each retry builds its own.
-                mapping = build_read_sgl(
-                    self.driver.memory, entry.read_pages[0], entry.read_len,
-                    -entry.read_len % self.ssd.config.lba_bytes)
-                cmd.use_sgl()
-                desc = mapping.inline.pack()
-                cmd.prp1 = int.from_bytes(desc[:8], "little")
-                cmd.prp2 = int.from_bytes(desc[8:], "little")
-                cid = self.driver.submit_raw(cmd, qid, ring=False)
-                self.driver.queue(qid).pending_pages[cid] = (
-                    mapping.segment_pages)
+        entry.spec_used = spec
+        entry.attempts += 1
+        # The submission API call itself (the ioctl; nothing on qid 0).
+        self.clock.advance(self._submit_ns)
+
+        # Positional NvmeCommand construction (field order: opcode,
+        # flags, cid, nsid, cdw2, cdw3, mptr, prp1, prp2, cdw10..cdw15)
+        # — this allocation runs once per (re)submission.
+        buffer = entry.read_pages
+        cmd = NvmeCommand(entry.opcode, 0, 0, entry.nsid, 0, 0, entry.mptr,
+                          buffer[0] if buffer else entry.prp1, entry.prp2,
+                          entry.cdw10, entry.cdw11, 0, read_len,
+                          entry.cdw14, entry.cdw15)
+        if payload:
+            # ``submit`` admits only codec-bearing specs; calling the
+            # codec directly skips the driver.submit resolve layer.
+            cid = spec.host_codec.encode(driver, cmd, payload, qid,
+                                         ring=False)
+        elif read_len and spec is not self._prp_spec:
+            # SGL (§5): read_len bytes into the buffer, then a bit bucket
+            # to the next LBA boundary.  The segment page is the CID's,
+            # so each retry builds its own.
+            mapping = build_read_sgl(driver.memory, buffer[0], read_len,
+                                     -read_len % self.ssd.config.lba_bytes)
+            cmd.use_sgl()
+            desc = mapping.inline.pack()
+            cmd.prp1 = int.from_bytes(desc[:8], "little")
+            cmd.prp2 = int.from_bytes(desc[8:], "little")
+            cid = driver.submit_raw(cmd, qid, ring=False)
+            driver.queue(qid).pending_pages[cid] = mapping.segment_pages
         else:
-            cid = self.driver.submit_raw(cmd, qid, ring=False)
+            cid = driver.submit_raw(cmd, qid, ring=False)
         entry.key = (qid, cid)
         self.table.add(entry)
         self.scheduler.note_submit(qid)
@@ -443,56 +438,3 @@ class IoEngine:
     def inflight(self) -> int:
         return len(self.table)
 
-
-
-@dataclass(slots=True)
-class AdminCommand(InFlightCommand):
-    """An admin command: its SQE is re-issued under a fresh CID on every
-    attempt, and a data return (Identify's page) fills the buffer, since
-    the CQE reports no length."""
-
-    sqe: Optional[NvmeCommand] = None
-
-    def finish_read(self, cqe: Optional[NvmeCompletion],
-                    memory: HostMemory) -> None:
-        if cqe is not None and cqe.ok:
-            self.future.data = memory.read(self.read_pages[0], self.read_len)
-        self.release_read_buffer(memory)
-
-
-class AdminQueueEngine(IoEngine):
-    """An engine on the admin queue (qid 0, driven at QD 1).  Admin
-    commands run in the kernel, so a submission pays no ioctl cost
-    (``passthrough_ns``)."""
-
-    def submit_admin(self, cmd: NvmeCommand,
-                     read_len: int = 0) -> CommandFuture:
-        """Issue admin command *cmd* (Create-CQ/SQ carry a ring base in
-        PRP1, DBBUF_CONFIG its pages in PRP1/PRP2); a *read_len*-byte
-        data return comes back in the future's ``data``."""
-        future = CommandFuture()
-        now = self.clock.now
-        future.submit_ns = now
-        entry = AdminCommand(
-            future=future, spec=self._prp_spec, opcode=cmd.opcode,
-            payload=b"", read_len=read_len, first_submit_ns=now,
-            deadline_ns=now + self.driver.retry_policy.deadline_ns, sqe=cmd)
-        self.stats.submitted += 1
-        self._dispatch(entry)
-        return future
-
-    def _submit_keyed(self, entry: InFlightCommand, qid: int) -> None:
-        assert isinstance(entry, AdminCommand) and entry.sqe is not None
-        entry.spec_used = entry.spec
-        entry.attempts += 1
-        cmd = entry.sqe
-        if entry.read_len:
-            if not entry.read_pages:
-                entry.read_pages = tuple(self.driver.memory.alloc_pages(
-                    -(-entry.read_len // PAGE_SIZE)))
-            cmd.prp1 = entry.read_pages[0]
-        cid = self.driver.submit_raw(cmd, qid, ring=False)
-        entry.key = (qid, cid)
-        self.table.add(entry)
-        self.scheduler.note_submit(qid)
-        self._dirty.add(qid)

@@ -23,10 +23,10 @@ One ``poll()`` round is the engine's heartbeat:
    ``retry_at`` so backoff consumes simulated time exactly once.
 
 This is the stack's one recovery loop.  ``NvmeDriver.passthru`` is a
-QD-1 submission to an engine, and so is every admin command (on the
-:class:`~repro.engine.engine.AdminQueueEngine`), so the synchronous
-ioctl path and bring-up recover here too, with the driver's policy
-object, breaker and event taxonomy.
+QD-1 submission to an engine, and so is every admin command (a keyed
+entry on an engine pinned to qid 0), so the synchronous ioctl path and
+bring-up recover here too, with the driver's policy object, breaker
+and event taxonomy.
 CQEs are matched to futures by (qid, cid): a late CQE of an abandoned
 attempt counts as a stale completion and can never resolve another
 command.  A timeout is not a breaker failure (the command may have

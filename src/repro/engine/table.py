@@ -116,6 +116,11 @@ class InFlightCommand:
     mptr: int = 0
     cdw14: int = 0
     cdw15: int = 0
+    #: Caller-owned data-pointer words (an admin command's ring base in
+    #: PRP1, DBBUF_CONFIG's pages in PRP1/PRP2); a read's private
+    #: buffer replaces PRP1.
+    prp1: int = 0
+    prp2: int = 0
     #: Device→host return-buffer size; 0 marks a write (or a keyed
     #: command with no data return at all, e.g. DELETE/EXIST).
     read_len: int = 0

@@ -42,8 +42,8 @@ kind                        injection point
 ``delay_cqe``               controller completion post — the CQE is
                             posted ``delay_cqe_ns`` late.
 ``corrupt_tlp``             PCIe DMA — link-layer LCRC catches the error;
-                            the TLP is replayed (duplicate traffic plus
-                            ``tlp_replay_ns`` latency), data stays intact.
+                            the TLP is replayed (its duplicate wire bytes,
+                            no modelled latency), data stays intact.
 ==========================  ==============================================
 """
 
@@ -177,8 +177,6 @@ class FaultPlan:
     limits: Mapping[str, int] = field(default_factory=dict)
     #: Extra completion latency for a delayed CQE (nanoseconds).
     delay_cqe_ns: float = 50_000.0
-    #: Link-layer replay penalty for a corrupted-then-replayed TLP.
-    tlp_replay_ns: float = 1_000.0
 
     def __post_init__(self) -> None:
         for mapping in (self.rates, self.schedule, self.limits):
@@ -338,10 +336,6 @@ class FaultInjector:
     @property
     def delay_cqe_ns(self) -> float:
         return self.plan.delay_cqe_ns if self.plan else 0.0
-
-    @property
-    def tlp_replay_ns(self) -> float:
-        return self.plan.tlp_replay_ns if self.plan else 0.0
 
     # ------------------------------------------------------------------
     # the countdown

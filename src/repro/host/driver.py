@@ -13,11 +13,12 @@ Every command is an engine submission.  ``passthru`` models the NVMe
 passthrough ioctl that KV-SSD and CSD user libraries issue every command
 through (paper §2.1), at queue depth 1 as the paper's microbenchmarks
 do: one submission to a QD-1 :class:`~repro.engine.IoEngine` per I/O
-queue.  Admin commands are QD-1 submissions on qid 0, as Linux sends
-them through blk-mq too.  So the engine's reactor is the one loop that
-completes and recovers commands; the driver holds its knobs
-(:class:`RetryPolicy`, the :class:`CircuitBreaker`) and the CID
-lifecycle (allocation, retirement, quarantine of abandoned CIDs).
+queue.  Admin commands are keyed ``submit_read`` entries on the same
+kind of engine pinned to qid 0, as Linux sends them through blk-mq too.
+So the engine's reactor is the one loop that completes and recovers
+commands; the driver holds its knobs (:class:`RetryPolicy`, the
+:class:`CircuitBreaker`) and the CID lifecycle (allocation, retirement,
+quarantine of abandoned CIDs).
 """
 
 from __future__ import annotations
@@ -222,19 +223,22 @@ class NvmeDriver:
 
     def _admin_command(self, cmd: NvmeCommand,
                        read_len: int = 0) -> "CommandFuture":
-        """Run one admin command: a QD-1 submission to the admin queue's
-        engine, then a drain, so the reactor recovers it as it does I/O.
-        Raises :class:`DriverError` unless it completes successfully;
-        the future carries a *read_len*-byte data return in ``data``.
+        """Run admin command *cmd*: a keyed QD-1 submission to the admin
+        queue's engine, then a drain, so the reactor recovers it as it
+        does I/O.  Raises :class:`DriverError` unless it completes
+        successfully; the future carries a *read_len*-byte data return
+        (up to the length CQE DW0 reports) in ``data``.
         """
         try:
             engine = self._engines[ADMIN_QID]
         except KeyError:
-            from repro.engine.engine import AdminQueueEngine
+            from repro.engine.engine import IoEngine
 
-            engine = self._engines[ADMIN_QID] = AdminQueueEngine(
+            engine = self._engines[ADMIN_QID] = IoEngine(
                 self.ssd, self, queues=(ADMIN_QID,), qd=1)
-        future = engine.submit_admin(cmd, read_len)
+        future = engine.submit_read(
+            read_len, cmd.opcode, cdw10=cmd.cdw10, cdw11=cmd.cdw11,
+            nsid=cmd.nsid, prp1=cmd.prp1, prp2=cmd.prp2)
         engine.drain()
         if not future.ok:
             raise DriverError(
@@ -753,6 +757,8 @@ class NvmeDriver:
         start_bytes = self.link.counter.total_bytes
         spec = self._codec_spec(method)
         if req.is_write:
+            if not req.data:
+                raise DriverError("a passthrough write requires a payload")
             future = engine.submit(req.data, spec.name, opcode=req.opcode,
                                    cdw10=req.cdw10, cdw11=req.cdw11,
                                    nsid=req.nsid)

@@ -1,6 +1,5 @@
-"""PCIe substrate: TLP accounting, link timing, BAR space, DMA, counters."""
+"""PCIe substrate: TLP accounting, link timing, BAR space, counters."""
 
-from repro.pcie.dma import DmaEngine
 from repro.pcie.link import PCIeLink
 from repro.pcie.mmio import (
     BYTE_WINDOW_BASE,
@@ -41,7 +40,6 @@ __all__ = [
     "device_dma_write",
     "msix_interrupt",
     "PCIeLink",
-    "DmaEngine",
     "BarSpace",
     "DOORBELL_BASE",
     "BYTE_WINDOW_BASE",

@@ -1,15 +1,17 @@
 """Timed PCIe link model.
 
 Couples TLP accounting (:mod:`repro.pcie.tlp`) with the traffic counter and
-a wire-time model.  Every method records the generated TLPs under a traffic
-category and returns the *latency contribution* in nanoseconds; the caller
-decides whose clock to charge (posted writes, for example, cost the host CPU
-almost nothing but delay the device's observation of the data).
+a wire-time model.  Host MMIO methods record the generated TLPs under a
+traffic category and return the *latency contribution* in nanoseconds; the
+caller decides whose clock to charge (posted writes, for example, cost the
+host CPU almost nothing but delay the device's observation of the data).
+Device DMA is accounted only (``record_only``/``record_pair``): the
+controller charges its own calibrated costs to the clock.
 
 Wire-time model: serialisation of the TLP bytes at the link's effective
-bandwidth plus one-way propagation per traversal.  Reads are round trips:
-request serialisation + propagation + host memory access + completion
-serialisation + propagation.
+bandwidth plus one-way propagation per traversal.  An MMIO read is a round
+trip: request serialisation + propagation + completion serialisation +
+propagation.
 """
 
 from __future__ import annotations
@@ -28,9 +30,9 @@ class PCIeLink:
     the attached :class:`~repro.faults.FaultInjector` (the rig's, or a
     private one that never fires): when the fault fires the link layer's
     LCRC detects the mangled TLP, NAKs it, and the sender replays —
-    duplicate wire traffic plus a replay latency penalty, with the data
-    itself intact (exactly the recovery PCIe guarantees below the
-    transaction layer).
+    duplicate wire traffic and no modelled latency, with the data itself
+    intact (exactly the recovery PCIe guarantees below the transaction
+    layer).
     """
 
     def __init__(self, link: LinkConfig, timing: TimingModel,
@@ -45,15 +47,6 @@ class PCIeLink:
         #: ns, built once: for a given link neither ever changes.
         self._doorbell = tlpmod.host_mmio_write(4, link)
         self._doorbell_ns = self._one_way(self._doorbell.downstream_bytes)
-
-    def _replay_penalty_ns(self, category: str, batch: TlpBatch) -> float:
-        """Charge a link-layer replay if a corrupt-TLP fault fires."""
-        if not self.faults.fire(CORRUPT_TLP):
-            return 0.0
-        self.counter.record(category, batch)  # the replayed copy
-        self.counter.record_event(EVT_TLP_REPLAY)
-        return self.faults.tlp_replay_ns + self.serialisation_ns(
-            batch.total_bytes)
 
     # ------------------------------------------------------------------
     # primitive timings
@@ -92,36 +85,13 @@ class PCIeLink:
         completion_ns = self._one_way(batch.upstream_bytes)
         return request_ns + completion_ns
 
-    def device_read(self, nbytes: int, category: str) -> float:
-        """Device-initiated DMA read of host memory; returns round-trip ns."""
-        batch = tlpmod.device_dma_read(nbytes, self.config)
-        self.counter.record(category, batch)
-        request_ns = self._one_way(batch.upstream_bytes)
-        completion_ns = self._one_way(batch.downstream_bytes)
-        return (request_ns + self.timing.host_mem_read_ns + completion_ns
-                + self._replay_penalty_ns(category, batch))
-
-    def device_write(self, nbytes: int, category: str) -> float:
-        """Device-initiated DMA write to host memory (CQE, read data)."""
-        batch = tlpmod.device_dma_write(nbytes, self.config)
-        self.counter.record(category, batch)
-        return (self._one_way(batch.upstream_bytes)
-                + self._replay_penalty_ns(category, batch))
-
-    def msix(self, category: str = "msix") -> float:
-        """Raise an MSI-X interrupt toward the host."""
-        batch = tlpmod.msix_interrupt(self.config)
-        self.counter.record(category, batch)
-        return self._one_way(batch.upstream_bytes)
-
     def record_only(self, category: str, batch: TlpBatch,
                     count: int = 1) -> None:
         """Account *count* copies of a pre-built batch without a latency.
 
         Each copy is a ``corrupt_tlp`` opportunity; a copy that draws the
-        fault is replayed, so its duplicate is recorded too (the caller
-        owns the clock, so the latency penalty is only charged on the
-        timed ``device_read``/``device_write`` paths).  The copies are
+        fault is replayed, so its duplicate is recorded too (a replay
+        costs wire bytes, not modelled time).  The copies are
         consumed against the injector's countdown: a run with no event in
         it is one totals update.  At an event the copies up to and
         including it are recorded before the opportunity is decided, so a

@@ -52,7 +52,8 @@ class AdminEngine:
         cns = cmd.cdw10 & 0xFF
         if cns != 1:  # only Identify Controller is modelled
             return CommandResult(StatusCode.INVALID_FIELD)
-        return CommandResult(read_data=self.ctrl.identify_data.pack())
+        data = self.ctrl.identify_data.pack()
+        return CommandResult(result=len(data), read_data=data)
 
     def _create_cq(self, cmd: NvmeCommand) -> CommandResult:
         ctrl = self.ctrl

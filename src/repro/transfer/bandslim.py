@@ -113,8 +113,6 @@ class BandSlimTransfer(PassthruTransfer):
     def write(self, payload: bytes, opcode: int = IoOpcode.WRITE,
               cdw10: int = 0, cdw11: int = 0, nsid: int = 1,
               qid: Optional[int] = None) -> TransferStats:
-        if not payload:
-            raise ValueError("BandSlim transfer requires a payload")
         fallbacks = self.driver.inline_fallbacks
         stats = super().write(payload, opcode=opcode, cdw10=cdw10,
                               cdw11=cdw11, nsid=nsid, qid=qid)

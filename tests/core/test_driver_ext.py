@@ -5,6 +5,7 @@ all-or-nothing space check, Table-1 submit costs."""
 import pytest
 
 from repro.datapath.codecs import INLINE_WRITE_CODEC, PRP_WRITE_CODEC
+from repro.host.driver import DriverError
 from repro.nvme.command import NvmeCommand
 from repro.nvme.constants import SQE_SIZE
 from repro.nvme.queues import QueueFullError
@@ -67,7 +68,7 @@ def test_queue_full_is_all_or_nothing():
 
 def test_empty_payload_rejected():
     tb, sq = _rig()
-    with pytest.raises(ValueError):
+    with pytest.raises(DriverError):
         _encode(tb, b"")
     assert sq.tail == 0
 

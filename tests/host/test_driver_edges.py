@@ -66,3 +66,30 @@ def test_inline_codecs_raise_the_same_type_on_a_full_sq(method, mode):
     with pytest.raises(QueueFullError):
         tb.driver.submit(method, NvmeCommand(opcode=IoOpcode.WRITE),
                          b"x" * (64 * 10), qid=1, payload_id=1)
+
+
+def test_a_refused_inline_submit_holds_no_cid():
+    """Every refusal of the inline codec (an empty payload, a full SQ, a
+    reserved field already in use) happens before a CID is allocated, so
+    the queue drains to no live CID and can still be deleted."""
+    from repro.core.inline_command import InlineEncodingError
+    from repro.host.driver import DriverError
+    from repro.nvme.queues import QueueFullError
+
+    cfg = SimConfig(sq_depth=8).nand_off()
+    tb = make_block_testbed(config=cfg)
+    drv = tb.driver
+    drv.submit("byteexpress", NvmeCommand(opcode=IoOpcode.WRITE),
+               b"x" * 200, qid=1)
+    for cdw2, payload, error in [(0, b"", DriverError),
+                                 (0, b"x" * 200, QueueFullError),
+                                 (1, b"x" * 64, InlineEncodingError)]:
+        with pytest.raises(error):
+            drv.submit("byteexpress",
+                       NvmeCommand(opcode=IoOpcode.WRITE, cdw2=cdw2),
+                       payload, qid=1)
+    assert drv.inflight(1) == 1
+    tb.ssd.controller.process_all()
+    assert [cqe.ok for cqe in drv.reap(1)] == [True]
+    assert drv.inflight(1) == 0
+    drv.delete_io_queue_pair(1)

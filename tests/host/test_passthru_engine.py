@@ -8,6 +8,7 @@ a later command.
 
 import pytest
 
+from repro.engine.engine import engine_methods
 from repro.faults import DELAY_CQE, DROP_DOORBELL, FaultPlan
 from repro.host.driver import CommandTimeoutError, DriverError
 from repro.kvssd import KVStore
@@ -110,3 +111,16 @@ def test_unknown_and_codecless_methods_are_driver_errors():
         tb.driver.passthru(_wreq(b"x" * 64), method="no-such-method")
     with pytest.raises(DriverError):
         tb.driver.passthru(_wreq(b"x" * 64), method="mmio")
+
+
+@pytest.mark.parametrize("method", engine_methods())
+def test_an_empty_write_is_a_driver_error(method):
+    """passthru refuses an empty write with the driver's error type, as
+    ``driver.submit`` does, whichever method (and its transfer object)
+    carries it."""
+    tb = make_block_testbed()
+    with pytest.raises(DriverError):
+        tb.driver.passthru(_wreq(b""), method=method)
+    if method in tb.methods:
+        with pytest.raises(DriverError):
+            tb.method(method).write(b"")

@@ -130,9 +130,29 @@ def test_virt(capsys):
     ["virt", "--tenants", "0"],
     ["virt", "--queues", "0"],
     ["virt", "--size", "70000"],
+    ["serve", "--qd", "0"],
+    ["kv", "--methods", "warp"],
+    ["pushdown", "--methods", "warp"],
+    ["sweep", "--sizes", "0"],
+    ["sweep", "--ops", "0"],
+    ["faults", "--size", "0"],
+    ["faults", "--ops", "-1"],
 ], ids=" ".join)
 def test_bad_engine_and_tenant_arguments_are_exit_2(argv, capsys):
     # A small --ops first, so the argument under test overrides it.
     assert main([argv[0], "--ops", "8", *argv[1:]]) == 2
-    label = {"engine": "engine", "virt": "tenant"}[argv[0]]
-    assert f"bad {label} configuration" in capsys.readouterr().err
+    message = {"engine": "bad engine configuration",
+               "virt": "bad tenant configuration",
+               "serve": "bad serving configuration",
+               "kv": "unknown method 'warp'",
+               "pushdown": "unknown method 'warp'",
+               "sweep": "bad sweep configuration",
+               "faults": "bad faults configuration"}[argv[0]]
+    err = capsys.readouterr().err
+    assert message in err and err.count("\n") == 1
+
+
+def test_replay_of_a_missing_trace_is_exit_2(tmp_path, capsys):
+    assert main(["replay", str(tmp_path / "missing.jsonl")]) == 2
+    err = capsys.readouterr().err
+    assert "bad trace" in err and err.count("\n") == 1
