@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List
+from typing import List, Optional
 
 from repro import datapath
 from repro.csd.pushdown import CsdClient
@@ -71,14 +71,23 @@ def _figure5_suite_default() -> str:
                     if m in suite)
 
 
-def _config(args) -> SimConfig:
-    cfg = SimConfig(link=LinkConfig(generation=args.gen),
-                    lba_bytes=args.lba)
+def _config(args, command: str) -> Optional[SimConfig]:
+    """The rig config the common flags describe; ``None`` (after
+    printing the error) when a flag is out of range."""
+    try:
+        cfg = SimConfig(link=LinkConfig(generation=args.gen),
+                        lba_bytes=args.lba)
+    except ValueError as exc:
+        print(f"bad {command} configuration: {exc}", file=sys.stderr)
+        return None
     return cfg if getattr(args, "nand", False) else cfg.nand_off()
 
 
 def cmd_info(args) -> int:
-    tb = make_block_testbed(config=_config(args))
+    cfg = _config(args, "info")
+    if cfg is None:
+        return 2
+    tb = make_block_testbed(config=cfg)
     ident = tb.driver.identify
     link = tb.ssd.config.link
     print(f"model        : {ident.model}")
@@ -145,11 +154,14 @@ def cmd_sweep(args) -> int:
     methods = _methods(args.methods, _sweep_methods())
     if not methods:
         return 2
+    cfg = _config(args, "sweep")
+    if cfg is None:
+        return 2
     rows = []
     latency_series = {m: [] for m in methods}
     for method in methods:
         bar = datapath.resolve(method).caps.bar_window
-        tb = make_block_testbed(config=_config(args), include_mmio=bar,
+        tb = make_block_testbed(config=cfg, include_mmio=bar,
                                 fault_plan=_fault_plan(args))
         for size in sizes:
             agg = tb.method(method).run_workload(
@@ -281,7 +293,10 @@ def cmd_faults(args) -> int:
     except ValueError as exc:
         print(f"bad fault plan: {exc}", file=sys.stderr)
         return 2
-    tb = make_block_testbed(config=_config(args), include_mmio=False,
+    cfg = _config(args, "faults")
+    if cfg is None:
+        return 2
+    tb = make_block_testbed(config=cfg, include_mmio=False,
                             fault_plan=plan)
     drv = tb.driver
     recorder = LatencyRecorder()

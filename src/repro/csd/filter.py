@@ -47,9 +47,8 @@ class FilterResult:
 class FilterExecutor:
     """Evaluates predicates over device tables."""
 
-    def __init__(self, clock: SimClock, row_eval_ns: float = ROW_EVAL_NS) -> None:
+    def __init__(self, clock: SimClock) -> None:
         self.clock = clock
-        self.row_eval_ns = row_eval_ns
         self.tasks_executed = 0
         self.rows_scanned = 0
 
@@ -74,7 +73,7 @@ class FilterExecutor:
             scanned += 1
             if predicate is None or evaluate(predicate, dict(zip(names, row))):
                 matches.append(row)
-        self.clock.advance(self.row_eval_ns * scanned)
+        self.clock.advance(ROW_EVAL_NS * scanned)
         self.tasks_executed += 1
         self.rows_scanned += scanned
         return FilterResult(table=table.schema.name, rows=matches,

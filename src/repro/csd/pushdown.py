@@ -31,6 +31,8 @@ from repro.ssd.device import OpenSsd
 from repro.transfer.base import TransferMethod, TransferStats
 
 _NAME_HEADER = struct.Struct("<H")
+#: Device DRAM carved out for filter results awaiting a host fetch.
+WORKSPACE_BYTES = 8 << 20
 
 
 @dataclass(frozen=True)
@@ -60,8 +62,7 @@ def parse_task_message(message: str) -> PushdownTask:
 class CsdPersonality:
     """Device firmware: table catalog, task queue, filter executor."""
 
-    def __init__(self, ssd: OpenSsd, execute_inline: bool = True,
-                 workspace_bytes: int = 8 << 20) -> None:
+    def __init__(self, ssd: OpenSsd, execute_inline: bool = True) -> None:
         self.ssd = ssd
         base = ssd.ftl.logical_capacity_pages // 2
         self.store = TableStore(ssd.ftl, lpn_base=base,
@@ -70,7 +71,7 @@ class CsdPersonality:
         self.execute_inline = execute_inline
         #: The "workspace for filter processing" — results wait here until
         #: the host fetches them.
-        self.workspace = ssd.dram.carve("csd.workspace", workspace_bytes)
+        self.workspace = ssd.dram.carve("csd.workspace", WORKSPACE_BYTES)
         self._results: Deque[FilterResult] = deque()
         self._pending: Deque[PushdownTask] = deque()
         ctl = ssd.controller

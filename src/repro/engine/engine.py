@@ -112,7 +112,6 @@ class IoEngine:
     def __init__(self, ssd: OpenSsd, driver: NvmeDriver,
                  queues: Optional[Sequence[int]] = None,
                  qd: int = 8, policy: str = "round_robin",
-                 fetch_lanes: Optional[int] = None,
                  default_nsid: int = DEFAULT_NSID) -> None:
         self.ssd = ssd
         self.driver = driver
@@ -122,7 +121,10 @@ class IoEngine:
         self.default_nsid = default_nsid
         self.clock = driver.clock
         self.timing = driver.timing
-        self.qids: List[int] = list(queues) if queues else list(driver.io_qids)
+        self.qids: List[int] = list(
+            driver.io_qids if queues is None else queues)
+        if not self.qids:
+            raise EngineError("an engine needs at least one queue")
         #: Host cost of one submission call: the passthrough ioctl for
         #: I/O queues; admin commands are issued in the kernel, so an
         #: engine on the admin queue charges nothing.
@@ -140,11 +142,7 @@ class IoEngine:
         self._placements: dict = {}
         self._fits_cache: dict = {}
         self.qd = qd
-        self.fetch_lanes = (fetch_lanes if fetch_lanes is not None
-                            else ssd.config.fetch_lanes)
-        if self.fetch_lanes < 1:
-            raise EngineError(f"fetch_lanes must be >= 1, got "
-                              f"{self.fetch_lanes}")
+        self.fetch_lanes = ssd.config.fetch_lanes
         self.table = InFlightTable()
         self.scheduler = MultiQueueScheduler(self.qids, qd, policy)
         self.reactor = CompletionReactor(self)

@@ -40,7 +40,7 @@ kind                        injection point
 ``drop_cqe``                controller completion post — the CQE never
                             reaches host memory; the host times out.
 ``delay_cqe``               controller completion post — the CQE is
-                            posted ``delay_cqe_ns`` late.
+                            posted ``DELAY_CQE_NS`` (50 µs) late.
 ``corrupt_tlp``             PCIe DMA — link-layer LCRC catches the error;
                             the TLP is replayed (its duplicate wire bytes,
                             no modelled latency), data stays intact.
@@ -73,6 +73,9 @@ ALL_KINDS: Tuple[str, ...] = (
     DELAY_CQE,
     CORRUPT_TLP,
 )
+
+#: Extra completion latency for a delayed CQE (nanoseconds).
+DELAY_CQE_NS = 50_000.0
 
 #: Host MMIO loads and stores: an opportunity stream with no fault of
 #: its own.  Only a crash cut observes it — a cut mid-doorbell is a
@@ -175,8 +178,6 @@ class FaultPlan:
     rates: Mapping[str, float] = field(default_factory=dict)
     schedule: Mapping[str, Sequence[int]] = field(default_factory=dict)
     limits: Mapping[str, int] = field(default_factory=dict)
-    #: Extra completion latency for a delayed CQE (nanoseconds).
-    delay_cqe_ns: float = 50_000.0
 
     def __post_init__(self) -> None:
         for mapping in (self.rates, self.schedule, self.limits):
@@ -332,10 +333,6 @@ class FaultInjector:
         if ticks == plan.cut_index:
             raise CrashCut(cut, plan.cut_index)
         return plan.cut_index - ticks - 1
-
-    @property
-    def delay_cqe_ns(self) -> float:
-        return self.plan.delay_cqe_ns if self.plan else 0.0
 
     # ------------------------------------------------------------------
     # the countdown

@@ -78,26 +78,25 @@ class CommandTimeoutError(DriverError):
 class RetryPolicy:
     """Host-side recovery knobs for one command.
 
-    Backoff is exponential in simulated time: attempt *n* (1-based)
-    sleeps ``backoff_base_ns * backoff_multiplier**(n-1)`` before its
+    Backoff doubles per attempt in simulated time: attempt *n*
+    (1-based) sleeps ``backoff_base_ns * 2**(n-1)`` before its
     resubmission.  ``deadline_ns`` bounds the whole command, attempts
     and backoffs included, from first submission.
     """
 
     max_attempts: int = 5
     backoff_base_ns: float = 2_000.0
-    backoff_multiplier: float = 2.0
     deadline_ns: float = 10_000_000.0
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be at least 1")
-        if self.backoff_base_ns < 0 or self.backoff_multiplier < 1.0:
-            raise ValueError("backoff must be non-negative and non-shrinking")
+        if self.backoff_base_ns < 0:
+            raise ValueError("backoff_base_ns must be non-negative")
 
     def backoff_ns(self, attempt: int) -> float:
         """Backoff before resubmission number *attempt* (1-based)."""
-        return self.backoff_base_ns * self.backoff_multiplier ** (attempt - 1)
+        return self.backoff_base_ns * 2.0 ** (attempt - 1)
 
     def next_backoff(self, attempts: int, now_ns: float,
                      deadline_ns: float) -> Optional[float]:
@@ -157,16 +156,15 @@ class NvmeDriver:
     through Create-CQ/Create-SQ admin commands.
     """
 
-    def __init__(self, ssd: OpenSsd, retry_policy: Optional[RetryPolicy] = None,
-                 breaker: Optional[CircuitBreaker] = None) -> None:
+    def __init__(self, ssd: OpenSsd) -> None:
         self.ssd = ssd
         self.clock = ssd.clock
         self.timing = ssd.config.timing
         self.link = ssd.link
         self.memory = ssd.host_memory
         self.faults = ssd.faults
-        self.retry_policy = retry_policy or RetryPolicy()
-        self.breaker = breaker or CircuitBreaker()
+        self.retry_policy = RetryPolicy()
+        self.breaker = CircuitBreaker()
         # recovery stats
         self.retries = 0
         self.timeouts = 0

@@ -33,6 +33,12 @@ _ENTRY = struct.Struct("<HBIII")
 #: references, so identity survives every rebuild of the index.
 TOMBSTONE = LogPointer(segment=0xFFFFFFFF, offset=0xFFFFFFFF, length=0)
 
+#: L0 tables that trigger a compaction into L1.
+L0_TABLES = 4
+#: Size ratio between adjacent levels: level *n*'s run holds up to
+#: ``memtable_entries * LEVEL_RATIO**n`` entries before it cascades.
+LEVEL_RATIO = 4
+
 
 def _serialize_entries(entries: List[Tuple[bytes, LogPointer]]) -> bytes:
     pack = _ENTRY.pack
@@ -87,15 +93,12 @@ class LsmIndex:
     """The in-device LSM tree."""
 
     def __init__(self, ftl: PageMappingFtl, lpn_base: int,
-                 memtable_entries: int = 4096,
-                 l0_tables: int = 4, level_ratio: int = 4) -> None:
+                 memtable_entries: int = 4096) -> None:
         if memtable_entries < 1:
             raise ValueError("memtable must hold at least one entry")
         self.ftl = ftl
         self.lpn_base = lpn_base
         self.memtable_entries = memtable_entries
-        self.l0_tables = l0_tables
-        self.level_ratio = level_ratio
         self._memtable: Dict[bytes, LogPointer] = {}
         #: levels[0] is L0 (list of possibly-overlapping tables, newest
         #: last); levels[i>0] hold at most one sorted run each.
@@ -125,7 +128,7 @@ class LsmIndex:
         table = self._persist(SsTable(entries))
         self.levels[0].append(table)
         self.flushes += 1
-        if len(self.levels[0]) > self.l0_tables:
+        if len(self.levels[0]) > L0_TABLES:
             self._compact(0)
 
     def _persist(self, table: SsTable) -> SsTable:
@@ -161,7 +164,7 @@ class LsmIndex:
             [self._persist(SsTable(entries))] if entries else [])
         self.compactions += 1
         # Cascade when the level run grows beyond the size ratio.
-        limit = self.memtable_entries * (self.level_ratio ** (level + 1))
+        limit = self.memtable_entries * (LEVEL_RATIO ** (level + 1))
         run = self.levels[level + 1]
         if run and len(run[0].entries) > limit:
             self._compact(level + 1)

@@ -58,6 +58,9 @@ FAILED = "failed"
 FROM_CACHE = "cache"
 FROM_DEVICE = "device"
 
+#: Host buffer a device GET reads the value into (bytes).
+MAX_VALUE_BYTES = 4096
+
 
 class ServiceError(Exception):
     """Misuse of the serving API (bad key, closed session, ...)."""
@@ -231,8 +234,6 @@ class KvService:
                  batch_window_ns: float = 0.0,
                  batch_max_pairs: int = 32,
                  cache_entries: int = 0,
-                 cache_shards: int = 8,
-                 max_value_bytes: int = 4096,
                  nsid: Optional[int] = None) -> None:
         if batch_window_ns < 0:
             raise ServiceError(
@@ -246,10 +247,9 @@ class KvService:
         self.method = method
         self.batch_window_ns = batch_window_ns
         self.batch_max_pairs = batch_max_pairs
-        self.max_value_bytes = max_value_bytes
         self.nsid = nsid
         self.cache: Optional[ShardedReadCache] = (
-            ShardedReadCache(cache_entries, cache_shards)
+            ShardedReadCache(cache_entries)
             if cache_entries > 0 else None)
         self.stats = ServiceStats()
         self._sessions: Dict[int, KvSession] = {}
@@ -370,7 +370,7 @@ class KvService:
             token = None
         mptr, cdw10, cdw11, cdw14 = key_field_words(key)
         ef = self.engine.submit_read(
-            self.max_value_bytes, KvOpcode.RETRIEVE, cdw10=cdw10,
+            MAX_VALUE_BYTES, KvOpcode.RETRIEVE, cdw10=cdw10,
             cdw11=cdw11, mptr=mptr, cdw14=cdw14, nsid=self.nsid,
             stream=future.session_id)
 

@@ -29,14 +29,16 @@ CSTS_FATAL = 1 << 5
 
 #: NVMe version 1.4 encoded as (major << 16) | (minor << 8).
 VERSION_1_4 = (1 << 16) | (4 << 8)
+#: CAP.TO: worst-case CC.EN → CSTS.RDY time, in 500 ms units (15 s).
+CAP_TIMEOUT_500MS = 30
 
 
-def cap_value(max_queue_entries: int, timeout_500ms: int = 30) -> int:
+def cap_value(max_queue_entries: int) -> int:
     """Build the 64-bit CAP value: MQES (0-based), CQR=1, TO, DSTRD=0."""
     mqes = max_queue_entries - 1
     if not 1 <= mqes <= 0xFFFF:
         raise ValueError("MQES out of range")
-    return mqes | (1 << 16) | ((timeout_500ms & 0xFF) << 24)
+    return mqes | (1 << 16) | (CAP_TIMEOUT_500MS << 24)
 
 
 def aqa_value(asq_depth: int, acq_depth: int) -> int:

@@ -15,7 +15,6 @@ measurements on the Cosmos+ OpenSSD testbed (PCIe Gen2 x8, Zynq-7000):
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Optional
 
 
 #: NVMe submission-queue entry size; also the ByteExpress chunk size (bytes).
@@ -24,6 +23,16 @@ SQE_SIZE = 64
 CQE_SIZE = 16
 #: Host memory page size used for PRP transfers (bytes).
 PAGE_SIZE = 4096
+
+#: Device DRAM capacity (bytes); Cosmos+ has 1 GB.
+DEVICE_DRAM_BYTES = 1 << 30
+#: Tagged-mode reassembly capacity: payloads the controller tracks
+#: concurrently (paper §3.3.2 SRAM budget).  Must cover the engine's
+#: worst case of ``num_io_queues * per-queue QD`` in-flight writes.
+REASSEMBLY_IN_FLIGHT = 256
+#: How long the controller promises to keep polling the shadow page
+#: after going idle before the host must fall back to a BAR wake.
+SHADOW_IDLE_NS = 100_000.0
 
 #: Doorbell publication modes (see :attr:`SimConfig.doorbell_mode`).
 #: ``DOORBELL_MMIO`` happens to share a spelling with the ``mmio``
@@ -175,7 +184,10 @@ class TimingModel:
 
 @dataclass
 class SimConfig:
-    """Top-level simulation configuration."""
+    """Top-level simulation configuration: the values experiments vary.
+
+    Board properties nothing varies are the module constants above.
+    """
 
     link: LinkConfig = field(default_factory=LinkConfig)
     timing: TimingModel = field(default_factory=TimingModel)
@@ -185,12 +197,11 @@ class SimConfig:
     sq_depth: int = 1024
     #: Entries per completion queue.
     cq_depth: int = 1024
-    #: Device DRAM capacity (bytes); Cosmos+ has 1 GB.
-    device_dram_bytes: int = 1 << 30
     #: Whether NAND I/O is performed (Figures 1(b)/5 disable it).
     nand_enabled: bool = True
     #: Minimum PRP data-fetch unit (paper §5: 4 KB standard; some
-    #: configurations support 512 B logical blocks).  Must divide 4096.
+    #: configurations support 512 B logical blocks).  A positive divisor
+    #: of 4096.
     lba_bytes: int = 4096
     #: Per-phase timing dispersion (log-normal sigma); 0 = deterministic.
     #: The Figure-6 benchmarks set ~0.05 to reproduce the paper's
@@ -198,10 +209,6 @@ class SimConfig:
     timing_jitter: float = 0.0
     #: Deterministic seed for workload generators.
     seed: int = 0x5EED
-    #: Tagged-mode reassembly capacity: payloads the controller tracks
-    #: concurrently (paper §3.3.2 SRAM budget).  Must cover the engine's
-    #: worst case of ``num_io_queues * per-queue QD`` in-flight writes.
-    reassembly_in_flight: int = 256
     #: Parallel command-fetch/DMA engines in the controller.  The engine's
     #: completion reactor services up to this many SQs concurrently; more
     #: host queues than lanes saturate the fetch path (the scaling
@@ -222,23 +229,6 @@ class SimConfig:
     #: Buffered CQEs always flush when the device goes idle, which
     #: bounds the added completion delay in this poll-driven model.
     cq_coalesce: int = 1
-    #: How long the controller promises to keep polling the shadow page
-    #: after going idle before the host must fall back to a BAR wake.
-    shadow_idle_ns: float = 100_000.0
-    # --- multi-tenant QoS defaults (repro.virt) ----------------------------
-    #: WRR weight a tenant gets when its spec does not set one.  Weight 0
-    #: parks a queue (never serviced); the admin queue is never governed.
-    qos_default_weight: int = 1
-    #: Default ops/sec budget per tenant (token bucket on the sim clock);
-    #: ``None`` = unlimited.
-    qos_default_ops_per_sec: Optional[float] = None
-    #: Default bytes/sec budget per tenant (SQE + inline chunks or PRP
-    #: data length); ``None`` = unlimited.
-    qos_default_bytes_per_sec: Optional[float] = None
-    #: Token-bucket burst capacities (how far an idle tenant may run
-    #: ahead of its sustained rate).  Must be at least 1.
-    qos_burst_ops: int = 32
-    qos_burst_bytes: int = 64 * 1024
 
     def __post_init__(self) -> None:
         if self.doorbell_mode not in (DOORBELL_MMIO, DOORBELL_SHADOW):
@@ -249,14 +239,12 @@ class SimConfig:
             raise ValueError("burst_limit must be at least 1")
         if self.cq_coalesce < 1:
             raise ValueError("cq_coalesce must be at least 1")
-        if self.qos_default_weight < 0:
-            raise ValueError("qos_default_weight must be >= 0")
-        for name in ("qos_default_ops_per_sec", "qos_default_bytes_per_sec"):
-            rate = getattr(self, name)
-            if rate is not None and rate <= 0:
-                raise ValueError(f"{name} must be positive when set")
-        if self.qos_burst_ops < 1 or self.qos_burst_bytes < 1:
-            raise ValueError("qos burst capacities must be at least 1")
+        if self.fetch_lanes < 1:
+            raise ValueError(
+                f"fetch_lanes must be at least 1, got {self.fetch_lanes}")
+        if self.lba_bytes < 1 or PAGE_SIZE % self.lba_bytes:
+            raise ValueError(f"lba_bytes must be a positive divisor of "
+                             f"{PAGE_SIZE}, got {self.lba_bytes}")
 
     def nand_off(self) -> "SimConfig":
         """Copy of this config with NAND I/O disabled (latency-only runs)."""

@@ -44,7 +44,7 @@ class AdminEngine:
             return
         result = handler(cmd)
         if result.read_data is not None and result.status == StatusCode.SUCCESS:
-            ctrl._push_read_data(cmd, result.read_data)
+            result = ctrl._push_read_data(cmd, result)
         ctrl.admin_commands_processed += 1
         ctrl._complete(qid, cmd, result)
 

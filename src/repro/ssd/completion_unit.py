@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.faults.plan import DELAY_CQE, DROP_CQE
+from repro.faults.plan import DELAY_CQE, DELAY_CQE_NS, DROP_CQE
 from repro.nvme.command import NvmeCommand
 from repro.nvme.completion import NvmeCompletion
 from repro.nvme.constants import CQE_SIZE, StatusCode
@@ -63,7 +63,7 @@ class CompletionUnit:
                     left[DROP_CQE] -= 1
                 else:
                     if faults.fire(DELAY_CQE):
-                        clock.advance(faults.delay_cqe_ns)
+                        clock.advance(DELAY_CQE_NS)
                     if faults.fire(DROP_CQE):
                         # The CQE write (or its MSI-X) is lost: the
                         # command ran, but the host learns nothing and

@@ -70,7 +70,7 @@ from repro.nvme.registers import (
 from repro.pcie.link import PCIeLink
 from repro.pcie.mmio import BarSpace, cq_doorbell_offset, sq_doorbell_offset
 from repro.sim.clock import SimClock
-from repro.sim.config import SimConfig
+from repro.sim.config import REASSEMBLY_IN_FLIGHT, SimConfig
 from repro.ssd.admin import AdminEngine
 from repro.ssd.completion_unit import CompletionUnit
 from repro.ssd.context import (
@@ -107,9 +107,7 @@ class NvmeController:
 
     def __init__(self, config: SimConfig, clock: SimClock, link: PCIeLink,
                  host_memory: HostMemory, bar: Optional[BarSpace] = None,
-                 mode: str = MODE_QUEUE_LOCAL,
-                 identify: Optional[IdentifyController] = None,
-                 injector=None) -> None:
+                 mode: str = MODE_QUEUE_LOCAL, injector=None) -> None:
         if mode not in (MODE_QUEUE_LOCAL, MODE_TAGGED):
             raise ValueError(f"unknown fetch mode {mode!r}")
         # One injector per rig: without one of its own the controller
@@ -124,7 +122,7 @@ class NvmeController:
         self.mode = mode
         # The device advertises its own capability (Cosmos+-class: 16 I/O
         # queues) — independent of how many the host wants to create.
-        self.identify_data = identify or IdentifyController()
+        self.identify_data = IdentifyController()
         #: Firmware support switch: stock firmware would misparse inline
         #: chunks as commands, so a safety-conscious build rejects them.
         self.byteexpress_enabled = True
@@ -146,7 +144,7 @@ class NvmeController:
         self.qos: Optional["QosArbiter"] = None
         # tagged-mode state
         self._reassembly = ReassemblyBuffer(
-            max_in_flight=config.reassembly_in_flight)
+            max_in_flight=REASSEMBLY_IN_FLIGHT)
         self._pending_chunks: Dict[int, int] = {}
         self._deferred: List[DeferredCommand] = []
         #: Optional fetch-order trace: every serviced qid is appended.
@@ -294,7 +292,7 @@ class NvmeController:
         """
         self._disable()
         self._reassembly = ReassemblyBuffer(
-            max_in_flight=self.config.reassembly_in_flight)
+            max_in_flight=REASSEMBLY_IN_FLIGHT)
         self._pending_chunks.clear()
         self._deferred.clear()
 
@@ -426,7 +424,7 @@ class NvmeController:
         Flushes any coalesced completions, then (under shadow doorbells)
         parks the device: the fetch unit publishes the per-queue eventidx
         values and the park record — the promise to keep polling the
-        shadow page for another ``shadow_idle_ns`` — with one small DMA
+        shadow page for another ``SHADOW_IDLE_NS`` — with one small DMA
         write.  A no-op unless the device did work since the last park:
         an idle host polling an idle device must not generate traffic.
         Both halves are skipped without a call when they have nothing to
@@ -591,19 +589,28 @@ class NvmeController:
     # ------------------------------------------------------------------
     # data movement — delegated to the datapath decoders
     # ------------------------------------------------------------------
-    def _push_read_data(self, cmd: NvmeCommand, data: bytes) -> None:
-        """Device→host data return for read-style commands.
+    def _push_read_data(self, cmd: NvmeCommand,
+                        result: CommandResult) -> CommandResult:
+        """Device→host data return for a successful read-style command.
 
         The PSDT field selects the datapath decoder; with an SGL data
         pointer, bit-bucket descriptors discard their share of the data
         instead of transferring it (paper §5: "enabling completion of
         small-data read requests without requiring data return") — the
-        read-side counterpart of write-path granularity.
+        read-side counterpart of write-path granularity.  Returns the
+        result to complete with: DATA_TRANSFER_ERROR, as on the pull
+        side, when the host buffer cannot be written.
         """
+        data = result.read_data
         if not data:
-            return
-        with self.clock.span("ctrl.data_transfer"):
-            decoder_for_psdt(cmd.psdt).push(self, cmd, data)
+            return result
+        try:
+            with self.clock.span("ctrl.data_transfer"):
+                decoder_for_psdt(cmd.psdt).push(self, cmd, data)
+        except (ValueError, MemoryError):
+            self.fetch_errors += 1
+            return CommandResult(StatusCode.DATA_TRANSFER_ERROR)
+        return result
 
     # ------------------------------------------------------------------
     # dispatch + completion
@@ -649,7 +656,7 @@ class NvmeController:
             return
         result = handler(ctx)
         if result.read_data is not None and result.status == StatusCode.SUCCESS:
-            self._push_read_data(cmd, result.read_data)
+            result = self._push_read_data(cmd, result)
         self._complete(qid, cmd, result)
 
     def dispatch_local(self, ctx: CommandContext) -> CommandResult:

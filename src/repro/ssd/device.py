@@ -23,7 +23,7 @@ from repro.pcie.link import PCIeLink
 from repro.pcie.mmio import BarSpace
 from repro.pcie.traffic import TrafficCounter
 from repro.sim.clock import SimClock
-from repro.sim.config import PAGE_SIZE, SimConfig
+from repro.sim.config import DEVICE_DRAM_BYTES, PAGE_SIZE, SimConfig
 from repro.ssd.controller import (
     MODE_QUEUE_LOCAL,
     CommandContext,
@@ -58,7 +58,7 @@ class OpenSsd:
         self.link = PCIeLink(self.config.link, self.config.timing,
                              self.traffic, injector=self.faults)
         self.bar = BarSpace()
-        self.dram = DeviceDram(self.config.device_dram_bytes)
+        self.dram = DeviceDram(DEVICE_DRAM_BYTES)
         self.nand = NandArray(self.clock, self.config.timing)
         self.ftl = PageMappingFtl(self.nand)
         self.controller = NvmeController(self.config, self.clock, self.link,

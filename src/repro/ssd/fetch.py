@@ -30,6 +30,7 @@ from repro.nvme.command import NvmeCommand
 from repro.nvme.constants import SQE_SIZE, StatusCode
 from repro.pcie import tlp as tlpmod
 from repro.pcie.traffic import CAT_CMD_FETCH, CAT_INLINE_CHUNK, CAT_SHADOW_SYNC
+from repro.sim.config import SHADOW_IDLE_NS
 from repro.ssd.context import (
     ADMIN_QID,
     MODE_QUEUE_LOCAL,
@@ -130,7 +131,7 @@ class FetchUnit:
                 if qid != ADMIN_QID:
                     ctrl._shadow.write_sq_eventidx(qid, ctrl._sq_tails[qid])
             ctrl._shadow.write_poll_until(
-                ctrl.clock.now + ctrl.config.shadow_idle_ns)
+                ctrl.clock.now + SHADOW_IDLE_NS)
             ctrl.link.record_only(
                 CAT_SHADOW_SYNC,
                 tlpmod.device_dma_write(self.shadow_span_bytes() + 8,

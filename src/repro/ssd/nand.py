@@ -19,6 +19,9 @@ from typing import Dict, List, Optional, Tuple
 from repro.sim.clock import SimClock
 from repro.sim.config import TimingModel
 
+#: Block erase time (MLC flash, nanoseconds).
+ERASE_NS = 3_000_000.0
+
 
 @dataclass(frozen=True)
 class PhysicalPage:
@@ -171,12 +174,12 @@ class NandArray:
             raise NandError(f"peek of unwritten page {page}")
         return data
 
-    def erase(self, die: int, block: int, erase_ns: float = 3_000_000.0) -> float:
+    def erase(self, die: int, block: int) -> float:
         """Erase a block, resetting its write point."""
         if not 0 <= die < self.geometry.dies:
             raise ValueError(f"die {die} out of range")
         start = max(self.clock.now, self._busy_until[die])
-        end = start + erase_ns
+        end = start + ERASE_NS
         self._busy_until[die] = end
         self._write_points[(die, block)] = 0
         for page in range(self.geometry.pages_per_block):

@@ -61,8 +61,7 @@ class Testbed:
         return self
 
     def make_engine(self, queues: Optional[int] = None, qd: int = 8,
-                    policy: str = "round_robin",
-                    fetch_lanes: Optional[int] = None):
+                    policy: str = "round_robin"):
         """Build an :class:`~repro.engine.IoEngine` over this rig.
 
         *queues* limits the engine to the first N of the rig's I/O
@@ -78,7 +77,7 @@ class Testbed:
                     f"{queues}")
             qids = qids[:queues]
         engine = IoEngine(self.ssd, self.driver, queues=qids, qd=qd,
-                          policy=policy, fetch_lanes=fetch_lanes)
+                          policy=policy)
         if self.monitor is not None:
             self.monitor.attach_engine(engine)  # type: ignore[attr-defined]
         return engine
@@ -151,32 +150,34 @@ def make_engine_testbed(queues: int = 4,
                               fault_plan=fault_plan)
 
 
-def make_virt_testbed(max_queues: int = 1024,
-                      host_queues: int = 1,
-                      config: Optional[SimConfig] = None,
+#: I/O queue pairs a multi-tenant rig's controller advertises.
+VIRT_MAX_QUEUES = 1024
+
+
+def make_virt_testbed(config: Optional[SimConfig] = None,
                       fault_plan=None) -> Testbed:
     """Block-SSD rig sized for multi-tenant provisioning at scale.
 
-    The controller advertises *max_queues* I/O queue pairs (the stock
-    Cosmos+-class identify page caps at 16, far too few for hundreds
-    of tenants), while the host brings up only *host_queues* for
-    itself — every further pair is created on demand by the
-    :class:`~repro.virt.TenantManager`.  Rings default to depth 64 so
-    hundreds of queue pairs stay cheap, and MMIO doorbells (the config
-    default) put no ceiling on qids (the shadow page stops at
-    ``MAX_QID``).
+    The controller advertises ``VIRT_MAX_QUEUES`` I/O queue pairs (the
+    stock Cosmos+-class identify page caps at 16, far too few for
+    hundreds of tenants), while the host brings up only one for itself
+    (a supplied *config* sets its own count) — every further pair is
+    created on demand by the :class:`~repro.virt.TenantManager`.  Rings
+    default to depth 64 so hundreds of queue pairs stay cheap, and MMIO
+    doorbells (the config default) put no ceiling on qids (the shadow
+    page stops at ``MAX_QID``).
     """
     from repro.nvme.identify import IdentifyController
 
-    cfg = config or SimConfig(num_io_queues=host_queues, sq_depth=64,
+    cfg = config or SimConfig(num_io_queues=1, sq_depth=64,
                               cq_depth=64).nand_off()
-    if not 1 <= cfg.num_io_queues <= max_queues:
+    if not 1 <= cfg.num_io_queues <= VIRT_MAX_QUEUES:
         raise ValueError(f"host bring-up queues ({cfg.num_io_queues}) "
-                         f"exceed the advertised limit {max_queues}")
+                         f"exceed the advertised limit {VIRT_MAX_QUEUES}")
     ssd = OpenSsd(cfg, fault_plan=fault_plan)
     # Before the driver's bring-up IDENTIFY reads it.
     ssd.controller.identify_data = IdentifyController(
-        num_io_queues=max_queues)
+        num_io_queues=VIRT_MAX_QUEUES)
     personality = BlockSsdPersonality(ssd)
     driver = NvmeDriver(ssd)
     methods = make_methods(ssd, driver, include_mmio=False)

@@ -30,7 +30,6 @@ from repro.nvme.constants import SQE_SIZE
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.clock import SimClock
-    from repro.sim.config import SimConfig
 
 
 @dataclass(frozen=True)
@@ -58,15 +57,6 @@ class QosParams:
         for name in ("burst_ops", "burst_bytes"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-
-    @classmethod
-    def from_config(cls, config: "SimConfig") -> "QosParams":
-        """The rig-wide defaults a tenant gets without explicit params."""
-        return cls(weight=config.qos_default_weight,
-                   ops_per_sec=config.qos_default_ops_per_sec,
-                   bytes_per_sec=config.qos_default_bytes_per_sec,
-                   burst_ops=config.qos_burst_ops,
-                   burst_bytes=config.qos_burst_bytes)
 
 
 class TokenBucket:

@@ -151,7 +151,7 @@ class TenantManager:
                             f"{clash.name!r}")
         budget = None
         if self.arbiter is not None:
-            params = spec.qos or QosParams.from_config(self.ssd.config)
+            params = spec.qos or QosParams()
             budget = TenantBudget(spec.name, params)
         qids: List[int] = []
         try:
@@ -205,8 +205,7 @@ class TenantManager:
 
     # -- per-tenant engine facade ------------------------------------------
     def engine(self, tenant: Union[Tenant, str], qd: int = 8,
-               policy: str = "round_robin",
-               fetch_lanes: Optional[int] = None):
+               policy: str = "round_robin"):
         """An :class:`~repro.engine.IoEngine` pinned to the tenant's
         queues and namespace.  Tenant loads run as one
         :class:`~repro.engine.LoadGenerator` over a ``{stream_id:
@@ -217,8 +216,7 @@ class TenantManager:
         if isinstance(tenant, str):
             tenant = self.tenant(tenant)
         eng = IoEngine(self.ssd, self.driver, queues=tenant.qids, qd=qd,
-                       policy=policy, fetch_lanes=fetch_lanes,
-                       default_nsid=tenant.nsid)
+                       policy=policy, default_nsid=tenant.nsid)
         if self.monitor is not None:
             self.monitor.attach_engine(eng)
         return eng

@@ -28,6 +28,9 @@ KEY_SIZE = 16
 #: Values are clamped to the KV command set's practical bounds.
 MIN_VALUE = 1
 MAX_VALUE = 64 * 1024
+#: Upper bin edges of the Figure 1(a) size histogram and heatmap.
+HISTOGRAM_BINS = (16, 32, 64, 128, 256, 512, 1024, 4096)
+HEATMAP_BINS = (16, 32, 64, 128, 256, 512, 1024)
 
 
 def sample_value_sizes(n: int, seed: int = 0x5EED) -> np.ndarray:
@@ -46,13 +49,11 @@ def fraction_below(sizes: np.ndarray, threshold: int) -> float:
     return float(np.mean(sizes < threshold))
 
 
-def size_histogram(sizes: np.ndarray,
-                   bins: Tuple[int, ...] = (16, 32, 64, 128, 256, 512,
-                                            1024, 4096)) -> List[Tuple[str, float]]:
+def size_histogram(sizes: np.ndarray) -> List[Tuple[str, float]]:
     """Binned size distribution, Figure 1(a)-style."""
     out: List[Tuple[str, float]] = []
     low = 0
-    for high in bins:
+    for high in HISTOGRAM_BINS:
         frac = float(np.mean((sizes >= low) & (sizes < high)))
         out.append((f"[{low},{high})", frac))
         low = high
@@ -64,20 +65,19 @@ def size_histogram(sizes: np.ndarray,
 _SHADES = " .:-=+*#%@"
 
 
-def value_size_heatmap(sizes: np.ndarray, time_buckets: int = 40,
-                       bins: Tuple[int, ...] = (16, 32, 64, 128, 256, 512,
-                                                1024)) -> str:
+def value_size_heatmap(sizes: np.ndarray, time_buckets: int = 40) -> str:
     """Figure 1(a)'s actual form: a value-size heatmap over time.
 
     Operations are bucketed into *time_buckets* equal windows of the
-    stream (x axis) and into size *bins* (y axis); cell shade encodes the
+    stream (x axis) and into size bins (y axis); cell shade encodes the
     share of that window's operations falling in the size bin.  MixGraph
     is stationary, so the paper's figure (and this one) shows dense
     horizontal bands in the sub-32 B rows.
     """
     if len(sizes) < time_buckets:
         raise ValueError("need at least one op per time bucket")
-    edges = (0,) + tuple(bins)
+    bins = HEATMAP_BINS
+    edges = (0,) + bins
     labels = [f"[{lo},{hi})" for lo, hi in zip(edges, edges[1:])]
     labels.append(f"[{bins[-1]},inf)")
     windows = np.array_split(np.asarray(sizes), time_buckets)

@@ -197,17 +197,16 @@ def _collect(state: _SessionState, verify: bool) -> Tuple[int, int]:
 
 def run_serving(service: KvService, sessions: int, ops_per_session: int,
                 read_ratio: float = 0.9, keys_per_session: int = 32,
-                fan_in: int = 1, seed: int = 0x5EED, preload: bool = True,
-                verify_read_your_writes: bool = True) -> ServingReport:
+                fan_in: int = 1, seed: int = 0x5EED) -> ServingReport:
     """Drive *sessions* closed-loop clients to completion.
 
     Every session issues its deterministic op stream with at most
     *fan_in* operations outstanding; one shared poll loop advances the
     service (and with it group commit and the engine pipeline).  At
     ``fan_in == 1`` each GET is verified against the session's last
-    acknowledged write unless *verify_read_your_writes* is off.
+    acknowledged write.
 
-    *preload* first writes every session's full key range (untimed —
+    A preload first writes every session's full key range (untimed —
     the report's window opens after the preload drains), the standard
     serving-benchmark shape: GETs address a populated store rather
     than an empty one.
@@ -216,7 +215,7 @@ def run_serving(service: KvService, sessions: int, ops_per_session: int,
         raise ValueError("sessions must be positive")
     if fan_in <= 0:
         raise ValueError("fan_in must be positive")
-    verify = verify_read_your_writes and fan_in == 1
+    verify = fan_in == 1
     states = [
         _SessionState(
             session=service.open_session(),
@@ -225,21 +224,20 @@ def run_serving(service: KvService, sessions: int, ops_per_session: int,
         for sid in range(sessions)
     ]
     clock = service.clock
-    if preload:
-        loaded: List[Tuple[_SessionState, bytes, bytes, "KvFuture"]] = []
-        for st in states:
-            sid = st.session.session_id
-            data_rng = make_rng(seed, f"serving.preload.{sid}")
-            sizes = sample_value_sizes(
-                keys_per_session, seed=seed + 104729 * (sid + 1))
-            for kid in range(keys_per_session):
-                key = session_key(sid, kid)
-                value = random_bytes(data_rng, int(sizes[kid]))
-                loaded.append((st, key, value, st.session.put(key, value)))
-        service.drain()
-        for st, key, value, future in loaded:
-            if future.ok:
-                st.acked[key] = value
+    loaded: List[Tuple[_SessionState, bytes, bytes, "KvFuture"]] = []
+    for st in states:
+        sid = st.session.session_id
+        data_rng = make_rng(seed, f"serving.preload.{sid}")
+        sizes = sample_value_sizes(
+            keys_per_session, seed=seed + 104729 * (sid + 1))
+        for kid in range(keys_per_session):
+            key = session_key(sid, kid)
+            value = random_bytes(data_rng, int(sizes[kid]))
+            loaded.append((st, key, value, st.session.put(key, value)))
+    service.drain()
+    for st, key, value, future in loaded:
+        if future.ok:
+            st.acked[key] = value
     start_ns = clock.now
     rw_checks = 0
     stall = 0

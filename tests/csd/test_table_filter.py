@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.csd.filter import FilterExecutor
+from repro.csd.filter import ROW_EVAL_NS, FilterExecutor
 from repro.csd.schema import Column, ColumnType, TableSchema
 from repro.csd.sql import SqlError, parse_predicate
 from repro.csd.table import TableError, TableStore
@@ -95,7 +95,7 @@ class TestFilterExecutor:
         table, ex = self._rig(store, schema)
         t0 = ex.clock.now
         ex.execute(table, parse_predicate("i = 1"))
-        assert ex.clock.now - t0 >= 200 * ex.row_eval_ns
+        assert ex.clock.now - t0 >= 200 * ROW_EVAL_NS
 
     def test_result_pack_roundtrip(self, store, schema):
         table, ex = self._rig(store, schema)

@@ -95,6 +95,28 @@ def test_unknown_method_and_empty_payload():
         eng.submit(b"")
 
 
+def test_engine_fetch_lanes_are_the_controllers():
+    tb, eng = _rig(queues=1)
+    assert eng.fetch_lanes == tb.ssd.config.fetch_lanes
+
+
+@pytest.mark.parametrize("queues", [(), []])
+def test_empty_queue_set_is_refused(queues):
+    tb = make_engine_testbed(queues=1)
+    with pytest.raises(EngineError):
+        IoEngine(tb.ssd, tb.driver, queues=queues)
+
+
+def test_rig_without_io_queues_refuses_an_engine():
+    tb = make_engine_testbed(queues=1)
+    for qid in list(tb.driver.io_qids):
+        tb.driver.delete_io_queue_pair(qid)
+    with pytest.raises(EngineError):
+        IoEngine(tb.ssd, tb.driver)
+    with pytest.raises(EngineError):
+        tb.make_engine()
+
+
 def test_prp_path_uses_private_buffers_at_depth():
     """Concurrent PRP writes must not clobber each other's staging."""
     tb, eng = _rig(queues=2, qd=8)

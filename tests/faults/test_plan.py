@@ -116,7 +116,6 @@ class TestInactiveInjector:
         inj = FaultInjector()
         assert inj.plan is None
         assert not any(_decisions(inj, CORRUPT_CHUNK, 50))
-        assert inj.delay_cqe_ns == 0.0
 
     def test_empty_plan_never_fires(self):
         inj = FaultInjector(FaultPlan())

@@ -137,6 +137,12 @@ def test_virt(capsys):
     ["sweep", "--ops", "0"],
     ["faults", "--size", "0"],
     ["faults", "--ops", "-1"],
+    ["engine", "--lba", "0"],
+    ["engine", "--lba", "3000"],
+    ["sweep", "--lba", "0"],
+    ["sweep", "--lba", "3000"],
+    ["faults", "--lba", "0"],
+    ["faults", "--lba", "3000"],
 ], ids=" ".join)
 def test_bad_engine_and_tenant_arguments_are_exit_2(argv, capsys):
     # A small --ops first, so the argument under test overrides it.
@@ -150,6 +156,13 @@ def test_bad_engine_and_tenant_arguments_are_exit_2(argv, capsys):
                "faults": "bad faults configuration"}[argv[0]]
     err = capsys.readouterr().err
     assert message in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("lba", ["0", "3000"])
+def test_info_rejects_an_lba_that_does_not_divide_a_page(lba, capsys):
+    assert main(["info", "--lba", lba]) == 2
+    err = capsys.readouterr().err
+    assert "bad info configuration" in err and err.count("\n") == 1
 
 
 def test_replay_of_a_missing_trace_is_exit_2(tmp_path, capsys):

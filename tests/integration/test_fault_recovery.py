@@ -23,6 +23,7 @@ from repro.faults import (
     FaultPlan,
     fault_event,
 )
+from repro.faults.plan import DELAY_CQE_NS
 from repro.host.breaker import STATE_OPEN, BreakerConfig, CircuitBreaker
 from repro.host.driver import CommandTimeoutError, RetryPolicy
 from repro.nvme.constants import IoOpcode, StatusCode
@@ -177,7 +178,7 @@ class TestRetryBackoffRecovery:
         tb = make_block_testbed(fault_plan=plan)
         res = tb.driver.passthru(_wreq(b"x" * 64), method="byteexpress")
         assert res.ok and tb.driver.retries == 0
-        assert res.latency_ns >= base + plan.delay_cqe_ns
+        assert res.latency_ns >= base + DELAY_CQE_NS
 
     def test_corrupt_tlp_replay_preserves_data(self):
         plan = FaultPlan(rates={CORRUPT_TLP: 1.0})

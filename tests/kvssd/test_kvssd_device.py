@@ -65,6 +65,19 @@ def test_value_larger_than_read_buffer(rig):
     assert store.get(b"big", max_value_len=8192) == b"v" * 5000
 
 
+def test_read_return_into_no_buffer_fails_only_that_command(rig):
+    """A zero-length read names no host buffer (PRP1 = 0): the value's
+    return fails with a data transfer error instead of escaping the
+    firmware loop, and the queue keeps serving later commands."""
+    tb, store = rig
+    store.put(b"k", b"v" * 10)
+    errors = tb.ssd.controller.fetch_errors
+    with pytest.raises(KvError, match="status 0x4"):
+        store.get(b"k", max_value_len=0)
+    assert tb.ssd.controller.fetch_errors == errors + 1
+    assert store.get(b"k") == b"v" * 10
+
+
 def test_read_return_stops_at_the_host_buffer(kv_tb):
     """A RETRIEVE whose value outgrows its 4 KiB buffer must not DMA the
     rest into the next host page.  Here that page is the private buffer

@@ -43,6 +43,17 @@ def test_default_matches_paper_testbed():
     assert cfg.nand_enabled is True
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"fetch_lanes": 0},
+    {"lba_bytes": 0},
+    {"lba_bytes": -512},
+    {"lba_bytes": 3000},
+])
+def test_config_rejects_out_of_range_fields(kwargs):
+    with pytest.raises(ValueError):
+        SimConfig(**kwargs)
+
+
 def test_nand_off_copy():
     cfg = SimConfig()
     off = cfg.nand_off()

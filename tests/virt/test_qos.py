@@ -3,7 +3,6 @@
 import pytest
 
 from repro.sim.clock import SimClock
-from repro.sim.config import SimConfig
 from repro.virt import QosArbiter, QosParams, TenantBudget, TokenBucket
 
 
@@ -28,24 +27,6 @@ def test_params_defaults_are_unlimited():
 def test_params_validation(kwargs):
     with pytest.raises(ValueError):
         QosParams(**kwargs)
-
-
-def test_params_from_config_mirrors_knobs():
-    cfg = SimConfig(qos_default_weight=3, qos_default_ops_per_sec=1e6,
-                    qos_default_bytes_per_sec=2e8, qos_burst_ops=8,
-                    qos_burst_bytes=4096)
-    p = QosParams.from_config(cfg)
-    assert p == QosParams(weight=3, ops_per_sec=1e6, bytes_per_sec=2e8,
-                          burst_ops=8, burst_bytes=4096)
-
-
-def test_config_rejects_bad_qos_knobs():
-    with pytest.raises(ValueError):
-        SimConfig(qos_default_weight=-1)
-    with pytest.raises(ValueError):
-        SimConfig(qos_default_ops_per_sec=0.0)
-    with pytest.raises(ValueError):
-        SimConfig(qos_burst_ops=0)
 
 
 # ----------------------------------------------------------------------
