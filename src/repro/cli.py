@@ -25,8 +25,9 @@ from repro import datapath
 from repro.csd.pushdown import CsdClient
 from repro.datapath import names as dp_names
 from repro.csd.queries import CORPUS
-from repro.engine.engine import engine_methods
-from repro.host.driver import DriverError
+from repro.engine.engine import EngineSaturatedError, engine_methods
+from repro.engine.loadgen import LoadGenError
+from repro.host.driver import CommandTimeoutError, DriverError
 from repro.kvssd import KVStore
 from repro.metrics import format_table, format_traffic_breakdown
 from repro.metrics.ascii_plot import ascii_chart
@@ -164,8 +165,15 @@ def cmd_sweep(args) -> int:
         tb = make_block_testbed(config=cfg, include_mmio=bar,
                                 fault_plan=_fault_plan(args))
         for size in sizes:
-            agg = tb.method(method).run_workload(
-                fixed_size_payloads(size, args.ops), cdw10=0)
+            try:
+                agg = tb.method(method).run_workload(
+                    fixed_size_payloads(size, args.ops), cdw10=0)
+            except CommandTimeoutError:
+                raise
+            except (DriverError, EngineSaturatedError) as exc:
+                # A payload over MDTS, or one the SQ can never hold inline.
+                print(f"bad sweep configuration: {exc}", file=sys.stderr)
+                return 2
             latency_series[method].append((size, agg.mean_latency_ns / 1000))
             rows.append([method, size, f"{agg.pcie_bytes / agg.ops:.0f}",
                          f"{agg.mean_latency_ns / 1000:.2f}"])
@@ -182,15 +190,19 @@ def cmd_kv(args) -> int:
     methods = _methods(args.methods, _suite_methods())
     if not methods:
         return 2
-    rows = []
-    for method in methods:
-        tb = make_kv_testbed()
-        store = KVStore(tb.driver, tb.method(method))
+    try:
         if args.workload == "mixgraph":
             workload = MixGraphWorkload(ops=args.ops, seed=args.seed)
         else:
             workload = FillRandomWorkload(ops=args.ops, seed=args.seed,
                                           value_size=args.value_size)
+    except ValueError as exc:
+        print(f"bad kv configuration: {exc}", file=sys.stderr)
+        return 2
+    rows = []
+    for method in methods:
+        tb = make_kv_testbed()
+        store = KVStore(tb.driver, tb.method(method))
         t0, b0 = tb.clock.now, tb.traffic.total_bytes
         for op in workload:
             store.put(op.key, op.value)
@@ -209,6 +221,10 @@ def cmd_kv(args) -> int:
 def cmd_pushdown(args) -> int:
     methods = _methods(args.methods, _suite_methods())
     if not methods:
+        return 2
+    if args.ops < 1:
+        print("bad pushdown configuration: --ops must be >= 1",
+              file=sys.stderr)
         return 2
     tb = make_csd_testbed(execute_inline=False)
     setup = CsdClient(tb.driver, tb.method(dp_names.PRP))
@@ -272,7 +288,6 @@ def cmd_faults(args) -> int:
     """Run seeded faults against the ByteExpress write path and report
     how the driver's retry/backoff/breaker machinery coped."""
     from repro.faults import ALL_KINDS, FaultPlan, fault_event
-    from repro.host.driver import CommandTimeoutError
     from repro.metrics import format_latency_summary
     from repro.metrics.stats import LatencyRecorder
     from repro.nvme.constants import IoOpcode
@@ -310,6 +325,10 @@ def cmd_faults(args) -> int:
         except CommandTimeoutError:
             timeouts += 1
             continue
+        except EngineSaturatedError as exc:
+            # An inline payload the SQ can never hold.
+            print(f"bad faults configuration: {exc}", file=sys.stderr)
+            return 2
         recorder.record(res.latency_ns)
         if res.ok:
             ok += 1
@@ -340,9 +359,7 @@ def cmd_faults(args) -> int:
 
 def cmd_engine(args) -> int:
     """Concurrent load over the asynchronous multi-queue engine."""
-    from repro.engine import (EngineSaturatedError, LoadGenerator,
-                              SchedulerError, StreamSpec)
-    from repro.engine.loadgen import LoadGenError
+    from repro.engine import LoadGenerator, SchedulerError, StreamSpec
     from repro.faults import fault_event
     from repro.sim.config import LinkConfig
     from repro.ssd.controller import MODE_QUEUE_LOCAL, MODE_TAGGED
@@ -414,9 +431,7 @@ def cmd_engine(args) -> int:
 def cmd_virt(args) -> int:
     """Multi-tenant run: N tenants on private namespaces and queues,
     loaded concurrently, with QoS arbitration on or off."""
-    from repro.engine import (EngineSaturatedError, LoadGenerator,
-                              SchedulerError, StreamSpec)
-    from repro.engine.loadgen import LoadGenError
+    from repro.engine import LoadGenerator, SchedulerError, StreamSpec
     from repro.testbed import make_virt_testbed
     from repro.virt import QosParams, TenantManager, VirtError
 
@@ -449,7 +464,8 @@ def cmd_virt(args) -> int:
         return 2
     try:
         report = gen.run()
-    except (DriverError, EngineSaturatedError) as exc:
+    except (DriverError, EngineSaturatedError, LoadGenError) as exc:
+        # LoadGenError here: a parked (weight-0) tenant wedges the load.
         print(f"bad tenant configuration: {exc}", file=sys.stderr)
         return 2
     rows = []
@@ -574,7 +590,7 @@ def cmd_crash(args) -> int:
     except InvariantViolation as exc:
         print(f"INVARIANT VIOLATION: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, RuntimeError) as exc:
+    except (ValueError, RuntimeError, EngineSaturatedError) as exc:
         print(f"bad crash configuration: {exc}", file=sys.stderr)
         return 2
     rows = [

@@ -7,8 +7,8 @@ simulator's side of that contract explicit:
 
 * :mod:`repro.durability.domains` — the persistence-domain taxonomy
   (``HOST_VOLATILE`` / ``DEVICE_VOLATILE`` / ``PERSISTENT``), the
-  :class:`Persistable` snapshot/restore/scrub protocol, and the
-  :class:`DurabilityMap` registry every state-holding component joins.
+  :class:`Persistable` scrub protocol (plus :class:`Checkpointed` for
+  the journal recovery re-reads), and the :class:`DurabilityMap`.
 * :mod:`repro.durability.harness` — :func:`run_crash`: run a workload,
   cut power at a seeded TLP/doorbell/CQE opportunity
   (:class:`repro.faults.plan.CrashPlan`), recover (controller reset,

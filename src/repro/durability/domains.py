@@ -32,7 +32,8 @@ no clock, no traffic.  Crash-free runs pay nothing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Protocol, Tuple, runtime_checkable
+from typing import (Dict, List, Optional, Protocol, Tuple, cast,
+                    runtime_checkable)
 
 HOST_VOLATILE = "host_volatile"
 DEVICE_VOLATILE = "device_volatile"
@@ -51,20 +52,27 @@ VOLATILE_DOMAINS: Tuple[str, ...] = (DEVICE_VOLATILE, HOST_VOLATILE)
 class Persistable(Protocol):
     """What a state-holding object must offer to join a domain.
 
-    ``snapshot()`` returns an opaque, self-contained image of the
-    object's state; ``restore()`` reinstates exactly that image;
     ``scrub()`` wipes the state *in place* — identity (carved DRAM
     regions, NAND geometry, registered handlers) survives, contents do
-    not.  Scrub-in-place is the load-bearing half: reset paths that
-    re-allocate instead of scrubbing lose device identity across a
-    simulated controller reset.
+    not.  Scrub-in-place is the load-bearing half of a power cut: reset
+    paths that re-allocate instead of scrubbing lose device identity
+    across a simulated controller reset.
+    """
+
+    def scrub(self) -> None: ...
+
+
+class Checkpointed(Persistable, Protocol):
+    """Journaled metadata, registered with ``checkpointed=True``.
+
+    ``snapshot()`` returns the self-contained image firmware journals
+    at a flush boundary; ``restore()`` is the boot-time re-read of that
+    image after the cut's scrub.
     """
 
     def snapshot(self) -> object: ...
 
     def restore(self, state: object) -> None: ...
-
-    def scrub(self) -> None: ...
 
 
 @dataclass
@@ -72,9 +80,9 @@ class _Entry:
     name: str
     domain: str
     obj: Persistable
-    #: Checkpointed entries model journaled metadata: volatile at the
-    #: cut, but re-readable from NAND afterwards — their last
-    #: flush-boundary snapshot is restored during recovery.
+    #: Checkpointed entries (``obj`` is :class:`Checkpointed`) model the
+    #: journal: volatile at the cut, but re-readable from NAND afterwards
+    #: — their last flush-boundary snapshot is restored during recovery.
     checkpointed: bool
 
 
@@ -140,7 +148,7 @@ class DurabilityMap:
         responsible for having flushed first (the snapshot records
         whatever is durable *now*).
         """
-        return {e.name: e.obj.snapshot()
+        return {e.name: cast(Checkpointed, e.obj).snapshot()
                 for e in self._entries.values() if e.checkpointed}
 
     def crash(self,
@@ -161,5 +169,5 @@ class DurabilityMap:
             for name, image in checkpoint.items():
                 entry = self._entries.get(name)
                 if entry is not None and entry.checkpointed:
-                    entry.obj.restore(image)
+                    cast(Checkpointed, entry.obj).restore(image)
         return scrubbed

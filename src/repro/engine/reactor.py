@@ -186,7 +186,12 @@ class CompletionReactor:
         # Entries the re-ring recovers were stalled, not timed out, so
         # they are charged as ``re_rings`` only; timeouts are charged
         # below, to the entries still tabled after the retried drive.
+        # A parked (weight-0) queue is not stuck: re-ringing it only
+        # burns clock, which hides the wedge from drain's stall check.
+        qos = e.ssd.controller.qos
         for qid in sorted({entry.key[0] for entry in stuck}):
+            if qos is not None and not qos.serviceable(qid):
+                continue
             e.driver.kick(qid)
             e.stats.re_rings += 1
         self.drive_device()

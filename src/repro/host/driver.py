@@ -359,28 +359,6 @@ class NvmeDriver:
     # per-queue CID allocation, zombie quarantine, pinned-page tracking.
     # Queue ring contents have their own registrations (nvme.sq*/cq*).
 
-    def snapshot(self) -> object:
-        return {qid: (res.next_cid, set(res.live_cids),
-                      set(res.zombie_cids),
-                      {cid: list(p) for cid, p in res.pending_pages.items()},
-                      dict(res.payload_ids))
-                for qid, res in self._queues.items()}
-
-    def restore(self, state: object) -> None:
-        assert isinstance(state, dict)
-        for qid, res in self._queues.items():
-            if qid not in state:
-                continue
-            next_cid, live, zombie, pending, payload_ids = state[qid]
-            res.next_cid = next_cid
-            res.live_cids = set(live)
-            res.zombie_cids = set(zombie)
-            res.pending_pages = {cid: list(p) for cid, p in pending.items()}
-            res.payload_ids = dict(payload_ids)
-        self._live_payload_ids = {
-            pid for res in self._queues.values()
-            for pid in res.payload_ids.values()}
-
     def scrub(self) -> None:
         """Power cut: the in-flight table is gone; nothing is pinned
         anymore (the pages themselves are zeroed by the host-memory

@@ -107,18 +107,6 @@ class HostMemory:
         return len(self._frames)
 
     # -- persistence (repro.durability) -----------------------------------
-    def snapshot(self) -> object:
-        """Full image of mapped frames plus the allocation cursor."""
-        return {"next": self._next,
-                "frames": {addr: bytes(frame)
-                           for addr, frame in self._frames.items()}}
-
-    def restore(self, state: object) -> None:
-        assert isinstance(state, dict)
-        self._next = state["next"]
-        self._frames = {addr: bytearray(frame)
-                        for addr, frame in state["frames"].items()}
-
     def scrub(self) -> None:
         """Power-loss wipe: zero every mapped frame *in place*.
 

@@ -126,21 +126,6 @@ class ShadowDoorbells:
     # ------------------------------------------------------------------
     _PAGE_BYTES = 4096
 
-    def snapshot(self) -> object:
-        return {
-            "shadow": self.memory.read(self.shadow_addr, self._PAGE_BYTES),
-            "eventidx": self.memory.read(self.eventidx_addr,
-                                         self._PAGE_BYTES),
-        }
-
-    def restore(self, state: object) -> None:
-        assert isinstance(state, dict)
-        shadow = state["shadow"]
-        eventidx = state["eventidx"]
-        assert isinstance(shadow, bytes) and isinstance(eventidx, bytes)
-        self.memory.write(self.shadow_addr, shadow)
-        self.memory.write(self.eventidx_addr, eventidx)
-
     def scrub(self) -> None:
         """Zero both pages in place (slots, eventidx, park record)."""
         zeros = bytes(self._PAGE_BYTES)

@@ -29,8 +29,8 @@ from repro.ssd.ftl import PageMappingFtl
 _ENTRY = struct.Struct("<HBIII")
 
 #: Marker pointer stored for deletions.  Every test is ``is TOMBSTONE``:
-#: deserialisation re-interns this singleton and snapshots copy
-#: references, so identity survives every rebuild of the index.
+#: deserialisation re-interns this singleton and flushes and compactions
+#: move references, so identity survives every rebuild of the index.
 TOMBSTONE = LogPointer(segment=0xFFFFFFFF, offset=0xFFFFFFFF, length=0)
 
 #: L0 tables that trigger a compaction into L1.
@@ -241,25 +241,6 @@ class LsmIndex:
     # level entries are DEVICE_VOLATILE: a power cut loses them all, and
     # recovery rebuilds the index by replaying the value log.
     # ------------------------------------------------------------------
-    def snapshot(self) -> object:
-        return {
-            "memtable": dict(self._memtable),
-            "levels": [[(list(t.entries), list(t.lpns)) for t in level]
-                       for level in self.levels],
-            "next_lpn": self._next_lpn,
-            "counters": (self.flushes, self.compactions),
-        }
-
-    def restore(self, state: object) -> None:
-        assert isinstance(state, dict)
-        self._memtable = dict(state["memtable"])
-        self.levels = [
-            [SsTable(entries=list(entries), lpns=list(lpns))
-             for entries, lpns in level]
-            for level in state["levels"]]
-        self._next_lpn = state["next_lpn"]
-        self.flushes, self.compactions = state["counters"]
-
     def scrub(self) -> None:
         """Drop every in-DRAM structure; the LPN window resets too.
 

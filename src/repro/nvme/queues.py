@@ -14,7 +14,7 @@ race into a hard test failure.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.host.memory import HostMemory
 from repro.nvme.completion import NvmeCompletion
@@ -149,26 +149,6 @@ class SubmissionQueue:
         return (self.shadow_tail - device_head) % self.depth
 
     # -- persistence (repro.durability) --------------------------------------
-    def snapshot(self) -> object:
-        """Self-contained ring image: pointers plus the SQE slot bytes."""
-        state: Dict[str, object] = {
-            "tail": self.tail,
-            "head": self.head,
-            "shadow_tail": self.shadow_tail,
-            "ring": self.memory.read(self.base_addr,
-                                     self.depth * SQE_SIZE),
-        }
-        return state
-
-    def restore(self, state: object) -> None:
-        assert isinstance(state, dict)
-        self.tail = int(state["tail"])  # type: ignore[arg-type]
-        self.head = int(state["head"])  # type: ignore[arg-type]
-        self.shadow_tail = int(state["shadow_tail"])  # type: ignore[arg-type]
-        ring = state["ring"]
-        assert isinstance(ring, bytes)
-        self.memory.write(self.base_addr, ring)
-
     def scrub(self) -> None:
         """Power-loss wipe: pointers to reset values, slots zeroed.
 
@@ -257,30 +237,6 @@ class CompletionQueue:
         return out
 
     # -- persistence (repro.durability) --------------------------------------
-    def snapshot(self) -> object:
-        """Ring image: both phase bits, both pointers, the CQE bytes."""
-        state: Dict[str, object] = {
-            "head": self.head,
-            "phase": self.phase,
-            "device_tail": self.device_tail,
-            "device_phase": self.device_phase,
-            "outstanding": self.outstanding,
-            "ring": self.memory.read(self.base_addr,
-                                     self.depth * CQE_SIZE),
-        }
-        return state
-
-    def restore(self, state: object) -> None:
-        assert isinstance(state, dict)
-        self.head = int(state["head"])  # type: ignore[arg-type]
-        self.phase = int(state["phase"])  # type: ignore[arg-type]
-        self.device_tail = int(state["device_tail"])  # type: ignore[arg-type]
-        self.device_phase = int(state["device_phase"])  # type: ignore[arg-type]
-        self.outstanding = int(state["outstanding"])  # type: ignore[arg-type]
-        ring = state["ring"]
-        assert isinstance(ring, bytes)
-        self.memory.write(self.base_addr, ring)
-
     def scrub(self) -> None:
         """Power-loss wipe in place: reset phase protocol, zero slots."""
         self.head = 0

@@ -146,10 +146,6 @@ class TrafficCounter:
         """
         return {k: self._by_cat[k].tlp_count for k in sorted(self._by_cat)}
 
-    def snapshot(self) -> int:
-        """Current total, for delta measurements around an operation."""
-        return self.total_bytes
-
     def reset(self) -> None:
         self._by_cat.clear()
         self._events.clear()

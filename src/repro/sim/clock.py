@@ -79,7 +79,9 @@ class SimClock:
     ``now`` is a plain attribute (read ~10 times per simulated I/O; a
     property descriptor call was measurable).  Treat it as read-only:
     only ``advance``/``advance_repeat``/``advance_to`` may move the
-    clock, and only forward.
+    clock, and only forward.  It is simulation scaffolding, not
+    modelled state: it joins no persistence domain, and a power cut
+    never rewinds it.
     """
 
     def __init__(self, start_ns: float = 0.0, jitter: float = 0.0,
@@ -185,28 +187,6 @@ class SimClock:
 
     def reset_spans(self) -> None:
         self._span_totals.clear()
-
-    # ------------------------------------------------------------------
-    # persistence (repro.durability)
-    # ------------------------------------------------------------------
-    # The clock is simulation scaffolding, not modelled state — a crash
-    # does not rewind time — but the crash harness snapshots it so a
-    # restore-then-replay run can be compared step-for-step against an
-    # uninterrupted one, jitter stream included.
-
-    def snapshot(self) -> object:
-        return {"now": self.now, "rng_state": self._rng_state,
-                "jitter": self.jitter, "span_totals": dict(self._span_totals)}
-
-    def restore(self, state: object) -> None:
-        assert isinstance(state, dict)
-        self.now = float(state["now"])  # type: ignore[arg-type]
-        self._rng_state = int(state["rng_state"])  # type: ignore[arg-type]
-        self.jitter = float(state["jitter"])  # type: ignore[arg-type]
-        self._span_totals = dict(state["span_totals"])  # type: ignore[call-overload]
-
-    def scrub(self) -> None:
-        """No-op: simulated time never rewinds, even across a crash."""
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"SimClock(now={self.now:.1f}ns, "

@@ -27,16 +27,6 @@ def _stream_id(stream: str) -> int:
     return h & 0x7FFFFFFFFFFFFFFF
 
 
-def rng_state(rng: np.random.Generator) -> dict:
-    """Picklable snapshot of a generator's position in its stream."""
-    return dict(rng.bit_generator.state)
-
-
-def set_rng_state(rng: np.random.Generator, state: dict) -> None:
-    """Rewind *rng* to a state captured by :func:`rng_state`."""
-    rng.bit_generator.state = state
-
-
 def random_bytes(rng: np.random.Generator, n: int) -> bytes:
     """*n* random bytes from *rng*."""
     if n == 0:

@@ -36,7 +36,6 @@ The shared firmware datatypes (:class:`CommandContext`,
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import replace
 from functools import partial
 from typing import TYPE_CHECKING, Deque, Dict, List, Optional
 
@@ -231,55 +230,6 @@ class NvmeController:
         self.enabled = False
         self.bar.write32(REG_CSTS, 0)
 
-    # ------------------------------------------------------------------
-    # persistence (repro.durability)
-    # ------------------------------------------------------------------
-    # Everything the controller holds about in-flight protocol state —
-    # queue maps, private head pointers, reassembly slots, coalescing
-    # counters — lives in controller SRAM/DRAM: DEVICE_VOLATILE.  The
-    # handler table, identify data and register *capabilities* are
-    # firmware identity and survive (they are republished on reset).
-
-    def snapshot(self) -> object:
-        shadow = (None if self._shadow is None
-                  else (self._shadow.shadow_addr, self._shadow.eventidx_addr))
-        return {
-            "enabled": self.enabled,
-            "sqs": {q: replace(s) for q, s in self._sqs.items()},
-            "sq_tails": dict(self._sq_tails),
-            "cqs": {q: replace(c) for q, c in self._cqs.items()},
-            "sq_cq": dict(self._sq_cq),
-            "rr_order": list(self._rr_order),
-            "rr_next": self._rr_next,
-            "ns_of_qid": dict(self._ns_of_qid),
-            "pending_chunks": dict(self._pending_chunks),
-            "deferred": list(self._deferred),
-            "shadow": shadow,
-            "shadow_stale": self._shadow_stale,
-            "busy_since_park": self._busy_since_park,
-            "coalesced": dict(self._coalesced),
-        }
-
-    def restore(self, state: object) -> None:
-        assert isinstance(state, dict)
-        self.enabled = state["enabled"]
-        self._sqs = {q: replace(s) for q, s in state["sqs"].items()}
-        self._sq_tails = dict(state["sq_tails"])
-        self._cqs = {q: replace(c) for q, c in state["cqs"].items()}
-        self._sq_cq = dict(state["sq_cq"])
-        self._rr_order = list(state["rr_order"])
-        self._rr_next = state["rr_next"]
-        self._ns_of_qid = dict(state["ns_of_qid"])
-        self._pending_chunks = dict(state["pending_chunks"])
-        self._deferred = list(state["deferred"])
-        shadow = state["shadow"]
-        self._shadow = (None if shadow is None else ShadowDoorbells.attach(
-            self.host_memory, shadow[0], shadow[1]))
-        self._shadow_stale = state["shadow_stale"]
-        self._busy_since_park = state["busy_since_park"]
-        self._coalesced = dict(state["coalesced"])
-        self.bar.write32(REG_CSTS, CSTS_READY if self.enabled else 0)
-
     def scrub(self) -> None:
         """Power cut: drop every volatile protocol structure.
 
@@ -293,8 +243,6 @@ class NvmeController:
         self._disable()
         self._reassembly = ReassemblyBuffer(
             max_in_flight=REASSEMBLY_IN_FLIGHT)
-        self._pending_chunks.clear()
-        self._deferred.clear()
 
     # ------------------------------------------------------------------
     # queue management

@@ -209,13 +209,6 @@ class BlockSsdPersonality:
         return CommandResult()
 
     # -- persistence (repro.durability) ------------------------------------
-    def snapshot(self) -> object:
-        return {lpn: bytes(page) for lpn, page in self._pages.items()}
-
-    def restore(self, state: object) -> None:
-        assert isinstance(state, dict)
-        self._pages = {lpn: bytearray(page) for lpn, page in state.items()}
-
     def scrub(self) -> None:
         """Explicit sanitize of the functional medium (never at a crash —
         the medium is PERSISTENT).  Handlers and staging identity stay."""

@@ -45,13 +45,6 @@ class DramRegion:
         return bytes(self._data[offset:offset + nbytes])
 
     # -- persistence (repro.durability) -----------------------------------
-    def snapshot(self) -> object:
-        return bytes(self._data)
-
-    def restore(self, state: object) -> None:
-        assert isinstance(state, bytes) and len(state) == self.size
-        self._data[:] = state
-
     def scrub(self) -> None:
         """Zero the region in place; name/base/size identity survives."""
         self._data[:] = bytes(self.size)
@@ -94,15 +87,6 @@ class DeviceDram:
         return self.capacity - self._next
 
     # -- persistence (repro.durability) -----------------------------------
-    def snapshot(self) -> object:
-        return {name: region.snapshot()
-                for name, region in self._regions.items()}
-
-    def restore(self, state: object) -> None:
-        assert isinstance(state, dict)
-        for name, image in state.items():
-            self._regions[name].restore(image)
-
     def scrub(self) -> None:
         """Zero every carved region in place.
 

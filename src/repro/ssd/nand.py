@@ -206,21 +206,6 @@ class NandArray:
     # never scrubs it.  scrub() models an explicit sanitize/erase-all,
     # wiping contents *in place* so geometry and identity survive.
     # ------------------------------------------------------------------
-    def snapshot(self) -> object:
-        return {
-            "pages": dict(self._pages),
-            "write_points": dict(self._write_points),
-            "busy_until": list(self._busy_until),
-            "counters": (self.programs, self.reads, self.erases),
-        }
-
-    def restore(self, state: object) -> None:
-        assert isinstance(state, dict)
-        self._pages = dict(state["pages"])
-        self._write_points = dict(state["write_points"])
-        self._busy_until = list(state["busy_until"])
-        self.programs, self.reads, self.erases = state["counters"]
-
     def scrub(self) -> None:
         """Erase-all in place: data and write points gone, dies idle.
 

@@ -10,11 +10,12 @@ from repro.durability import (
     DurabilityMap,
     Persistable,
 )
+from repro.kvssd import KVStore
 from repro.testbed import make_block_testbed, make_kv_testbed
 
 
 class FakeState:
-    """Minimal Persistable that records every lifecycle call."""
+    """Minimal checkpointed entry that records every lifecycle call."""
 
     def __init__(self, value: int = 0) -> None:
         self.value = value
@@ -165,3 +166,21 @@ def test_kv_rig_checkpoints_the_value_log():
 
 def test_every_volatile_domain_is_covered_by_crash():
     assert set(VOLATILE_DOMAINS) == {HOST_VOLATILE, DEVICE_VOLATILE}
+
+
+def test_kv_journal_round_trips_through_a_power_cut():
+    # The two checkpointed entries are the real journal: the image taken
+    # at a flush boundary is exactly what a no-PLP boot re-reads.
+    tb = make_kv_testbed()
+    store = KVStore(tb.driver, tb.method("byteexpress"))
+    dmap = tb.ssd.durability
+    for i in range(300):
+        store.put(b"journal-%04d" % i, bytes([i & 0xFF]) * 64)
+    tb.personality.vlog.flush()
+    image = dmap.checkpoint()
+    assert set(image) == {"ssd.ftl", "kv.value_log"}
+    for i in range(300, 400):
+        store.put(b"journal-%04d" % i, bytes([i & 0xFF]) * 64)
+    assert dmap.checkpoint() != image
+    dmap.crash(image)
+    assert dmap.checkpoint() == image

@@ -81,10 +81,10 @@ class TestBlockPlane:
 
 
 #: (plane, method) pairs the QD-8 engine loop must keep durable: every
-#: codec method on the block plane, the paper's inline path on KV.
-QD8_CASES = [(PLANE_BLOCK, method) for method in (
-    dp_names.PRP, dp_names.SGL, dp_names.BANDSLIM, dp_names.BYTEEXPRESS)]
-QD8_CASES.append((PLANE_KV, dp_names.BYTEEXPRESS))
+#: codec method on both planes.
+QD8_CASES = [(plane, method) for plane in (PLANE_BLOCK, PLANE_KV)
+             for method in (dp_names.PRP, dp_names.SGL, dp_names.BANDSLIM,
+                            dp_names.BYTEEXPRESS)]
 
 
 class TestQd8Engine:

@@ -4,6 +4,7 @@
 import pytest
 
 from repro.cli import main
+from repro.host.driver import CommandTimeoutError
 from repro.workloads import MixGraphWorkload, dump_trace
 
 
@@ -143,19 +144,39 @@ def test_virt(capsys):
     ["sweep", "--lba", "3000"],
     ["faults", "--lba", "0"],
     ["faults", "--lba", "3000"],
+    ["kv", "--ops", "0"],
+    ["kv", "--workload", "fillrandom", "--value-size", "0"],
+    ["pushdown", "--ops", "0"],
+    ["pushdown", "--ops", "-1"],
+    ["sweep", "--sizes", "70000", "--methods", "byteexpress"],
+    ["sweep", "--sizes", "2000000", "--methods", "prp"],
+    ["faults", "--size", "70000"],
+    ["crash", "--payload", "65537"],
+    ["virt", "--tenants", "2", "--ops", "5", "--weight", "0"],
 ], ids=" ".join)
 def test_bad_engine_and_tenant_arguments_are_exit_2(argv, capsys):
     # A small --ops first, so the argument under test overrides it.
     assert main([argv[0], "--ops", "8", *argv[1:]]) == 2
-    message = {"engine": "bad engine configuration",
-               "virt": "bad tenant configuration",
-               "serve": "bad serving configuration",
-               "kv": "unknown method 'warp'",
-               "pushdown": "unknown method 'warp'",
-               "sweep": "bad sweep configuration",
-               "faults": "bad faults configuration"}[argv[0]]
+    message = ("unknown method 'warp'" if "warp" in argv else
+               {"engine": "bad engine configuration",
+                "virt": "bad tenant configuration",
+                "serve": "bad serving configuration",
+                "kv": "bad kv configuration",
+                "pushdown": "bad pushdown configuration",
+                "sweep": "bad sweep configuration",
+                "faults": "bad faults configuration",
+                "crash": "bad crash configuration"}[argv[0]])
     err = capsys.readouterr().err
     assert message in err and err.count("\n") == 1
+
+
+def test_sweep_timeout_is_not_a_bad_configuration(capsys):
+    # Every CQE dropped: the write gives up, which is a failed run, not
+    # a refused configuration.
+    with pytest.raises(CommandTimeoutError):
+        main(["sweep", "--sizes", "64", "--ops", "1", "--methods",
+              "byteexpress", "--faults", "1.0", "--fault-kinds", "drop_cqe"])
+    assert "bad sweep configuration" not in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("lba", ["0", "3000"])

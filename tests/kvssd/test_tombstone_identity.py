@@ -55,22 +55,6 @@ def test_serialise_round_trip_reinterns_the_singleton():
     assert [k for k, _p in idx.scan(b"\x00")] == [b"a", b"c"]
 
 
-def test_snapshot_restore_keeps_tombstones():
-    idx = _index(memtable_entries=4)
-    for i in range(6):
-        idx.put(b"k%d" % i, _ptr(i + 1))
-    idx.delete(b"k1")           # flushed into an SSTable below
-    idx.flush_memtable()
-    idx.delete(b"k4")           # memtable tombstone over a flushed value
-    state = idx.snapshot()
-    fresh = _index(memtable_entries=4)
-    fresh.restore(state)
-    for key in (b"k1", b"k4"):
-        _assert_deleted(fresh, key)
-    assert [k for k, _p in fresh.scan(b"\x00")] == [b"k0", b"k2", b"k3",
-                                                     b"k5"]
-
-
 def test_compaction_into_a_non_last_level_keeps_tombstones():
     idx = _index(memtable_entries=2)
     for i in range(48):

@@ -49,14 +49,6 @@ def test_direction_split():
     assert tc.downstream_bytes + tc.upstream_bytes == tc.total_bytes
 
 
-def test_snapshot_delta():
-    tc = TrafficCounter()
-    tc.record(CAT_DATA, device_dma_write(16, LINK))
-    before = tc.snapshot()
-    tc.record(CAT_DATA, device_dma_write(16, LINK))
-    assert tc.snapshot() - before == 48
-
-
 def test_reset():
     tc = TrafficCounter()
     tc.record(CAT_DATA, device_dma_read(64, LINK))

@@ -5,6 +5,8 @@ import pytest
 
 from repro.datapath import names as dp_names
 from repro.engine import LoadGenerator, StreamSpec
+from repro.engine.engine import EngineError
+from repro.engine.loadgen import LoadGenError
 from repro.nvme.constants import DEFAULT_NSID, IoOpcode, StatusCode
 from repro.nvme.passthrough import PassthruRequest
 from repro.testbed import make_virt_testbed
@@ -291,6 +293,46 @@ def test_affinity_policy_tenant_engines_run(virt_tb):
     used = [[virt_tb.driver.queue(q).sq.tail != 0 for q in t.qids]
             for t in tenants]
     assert used == [[True, False], [False, True]]
+
+
+def _bound_polls(engine, limit=1000):
+    """Make *engine*'s polls raise past *limit*, so a livelock fails the
+    test instead of hanging it."""
+    poll, calls = engine.poll, [0]
+
+    def bounded():
+        calls[0] += 1
+        if calls[0] > limit:
+            raise AssertionError(f"still polling after {limit} polls")
+        return poll()
+
+    engine.poll = bounded
+
+
+def test_drain_on_a_parked_tenant_fails_instead_of_livelocking(virt_tb):
+    # A weight-0 queue is parked on purpose: re-ringing it cannot help,
+    # and the clock it burns would hide the wedge from drain().
+    mgr = TenantManager(virt_tb, qos=True)
+    parked = mgr.provision("parked", qos=QosParams(weight=0))
+    engine = mgr.engine(parked, qd=1)
+    _bound_polls(engine)
+    engine.submit(b"x" * 64)
+    with pytest.raises(EngineError, match="drain stalled"):
+        engine.drain()
+    assert engine.stats.re_rings == 0
+
+
+def test_load_on_a_parked_tenant_fails_instead_of_livelocking(virt_tb):
+    mgr = TenantManager(virt_tb, qos=True)
+    tenants = [mgr.provision(f"t{i}", qos=QosParams(weight=0))
+               for i in range(2)]
+    engines = {i: mgr.engine(t, qd=1) for i, t in enumerate(tenants)}
+    for engine in engines.values():
+        _bound_polls(engine)
+    streams = [StreamSpec(stream_id=i, ops=5, size="fixed:64",
+                          concurrency=1) for i in range(2)]
+    with pytest.raises(LoadGenError, match="wedged"):
+        LoadGenerator(engines, streams).run()
 
 
 # ----------------------------------------------------------------------
