@@ -25,10 +25,10 @@ from repro import datapath
 from repro.csd.pushdown import CsdClient
 from repro.datapath import names as dp_names
 from repro.csd.queries import CORPUS
-from repro.engine.engine import EngineSaturatedError, engine_methods
-from repro.engine.loadgen import LoadGenError
-from repro.host.driver import CommandTimeoutError, DriverError
-from repro.kvssd import KVStore
+from repro.engine.engine import engine_methods
+from repro.faults import ALL_KINDS, FaultPlan
+from repro.host.errors import CommandTimeoutError
+from repro.kvssd import KeyNotFoundError, KVStore
 from repro.metrics import format_table, format_traffic_breakdown
 from repro.metrics.ascii_plot import ascii_chart
 from repro.sim.config import (
@@ -72,23 +72,14 @@ def _figure5_suite_default() -> str:
                     if m in suite)
 
 
-def _config(args, command: str) -> Optional[SimConfig]:
-    """The rig config the common flags describe; ``None`` (after
-    printing the error) when a flag is out of range."""
-    try:
-        cfg = SimConfig(link=LinkConfig(generation=args.gen),
-                        lba_bytes=args.lba)
-    except ValueError as exc:
-        print(f"bad {command} configuration: {exc}", file=sys.stderr)
-        return None
-    return cfg if getattr(args, "nand", False) else cfg.nand_off()
+def _config(args) -> SimConfig:
+    """The rig config the common flags describe."""
+    return SimConfig(link=LinkConfig(generation=args.gen),
+                     lba_bytes=args.lba).nand_off()
 
 
 def cmd_info(args) -> int:
-    cfg = _config(args, "info")
-    if cfg is None:
-        return 2
-    tb = make_block_testbed(config=cfg)
+    tb = make_block_testbed(config=_config(args))
     ident = tb.driver.identify
     link = tb.ssd.config.link
     print(f"model        : {ident.model}")
@@ -109,55 +100,36 @@ def _seed_int(text: str) -> int:
     return int(text, 0)
 
 
-def _fault_plan(args):
-    """Build a FaultPlan from --faults/--fault-seed/--fault-kinds flags."""
-    from repro.faults import ALL_KINDS, FaultPlan
-
-    rate = getattr(args, "faults", 0.0) or 0.0
-    if rate <= 0.0:
+def _fault_plan(args) -> Optional[FaultPlan]:
+    """Build a FaultPlan from --faults/--fault-seed/--fault-kinds flags;
+    ``FaultPlan`` itself refuses an unknown kind or a rate outside
+    [0, 1]."""
+    if args.faults <= 0.0:
         return None
-    kinds = (args.fault_kinds.split(",")
-             if getattr(args, "fault_kinds", None) else list(ALL_KINDS))
-    for k in kinds:
-        if k not in ALL_KINDS:
-            print(f"unknown fault kind {k!r}; pick from {sorted(ALL_KINDS)}",
-                  file=sys.stderr)
-            raise SystemExit(2)
-    try:
-        return FaultPlan.uniform(rate, seed=args.fault_seed, kinds=kinds)
-    except ValueError as exc:
-        print(f"bad fault plan: {exc}", file=sys.stderr)
-        raise SystemExit(2)
+    return FaultPlan.uniform(args.faults, seed=args.fault_seed,
+                             kinds=_kinds(args.fault_kinds))
+
+
+def _kinds(text: str) -> List[str]:
+    """The comma-separated fault kinds in *text*; every kind if empty."""
+    return text.split(",") if text else list(ALL_KINDS)
 
 
 def _methods(text: str, suite: tuple) -> List[str]:
-    """The comma-separated *text* as method names; an empty list (after
-    printing the error) when one is not in *suite*."""
+    """The comma-separated *text* as method names, each one in *suite*."""
     methods = text.split(",")
     for m in methods:
         if m not in suite:
-            print(f"unknown method {m!r}; pick from {suite}",
-                  file=sys.stderr)
-            return []
+            raise ValueError(f"unknown method {m!r}; pick from {suite}")
     return methods
 
 
 def cmd_sweep(args) -> int:
-    try:
-        sizes = [int(s) for s in args.sizes.split(",")]
-    except ValueError as exc:
-        print(f"bad sweep configuration: {exc}", file=sys.stderr)
-        return 2
+    sizes = [int(s) for s in args.sizes.split(",")]
     if min(sizes) < 1 or args.ops < 1:
-        print("bad sweep configuration: --sizes and --ops must be >= 1",
-              file=sys.stderr)
-        return 2
+        raise ValueError("--sizes and --ops must be >= 1")
     methods = _methods(args.methods, _sweep_methods())
-    if not methods:
-        return 2
-    cfg = _config(args, "sweep")
-    if cfg is None:
-        return 2
+    cfg = _config(args)
     rows = []
     latency_series = {m: [] for m in methods}
     for method in methods:
@@ -165,15 +137,8 @@ def cmd_sweep(args) -> int:
         tb = make_block_testbed(config=cfg, include_mmio=bar,
                                 fault_plan=_fault_plan(args))
         for size in sizes:
-            try:
-                agg = tb.method(method).run_workload(
-                    fixed_size_payloads(size, args.ops), cdw10=0)
-            except CommandTimeoutError:
-                raise
-            except (DriverError, EngineSaturatedError) as exc:
-                # A payload over MDTS, or one the SQ can never hold inline.
-                print(f"bad sweep configuration: {exc}", file=sys.stderr)
-                return 2
+            agg = tb.method(method).run_workload(
+                fixed_size_payloads(size, args.ops), cdw10=0)
             latency_series[method].append((size, agg.mean_latency_ns / 1000))
             rows.append([method, size, f"{agg.pcie_bytes / agg.ops:.0f}",
                          f"{agg.mean_latency_ns / 1000:.2f}"])
@@ -188,17 +153,11 @@ def cmd_sweep(args) -> int:
 
 def cmd_kv(args) -> int:
     methods = _methods(args.methods, _suite_methods())
-    if not methods:
-        return 2
-    try:
-        if args.workload == "mixgraph":
-            workload = MixGraphWorkload(ops=args.ops, seed=args.seed)
-        else:
-            workload = FillRandomWorkload(ops=args.ops, seed=args.seed,
-                                          value_size=args.value_size)
-    except ValueError as exc:
-        print(f"bad kv configuration: {exc}", file=sys.stderr)
-        return 2
+    if args.workload == "mixgraph":
+        workload = MixGraphWorkload(ops=args.ops, seed=args.seed)
+    else:
+        workload = FillRandomWorkload(ops=args.ops, seed=args.seed,
+                                      value_size=args.value_size)
     rows = []
     for method in methods:
         tb = make_kv_testbed()
@@ -220,12 +179,8 @@ def cmd_kv(args) -> int:
 
 def cmd_pushdown(args) -> int:
     methods = _methods(args.methods, _suite_methods())
-    if not methods:
-        return 2
     if args.ops < 1:
-        print("bad pushdown configuration: --ops must be >= 1",
-              file=sys.stderr)
-        return 2
+        raise ValueError("--ops must be >= 1")
     tb = make_csd_testbed(execute_inline=False)
     setup = CsdClient(tb.driver, tb.method(dp_names.PRP))
     for query in CORPUS:
@@ -250,33 +205,25 @@ def cmd_pushdown(args) -> int:
 
 
 def cmd_replay(args) -> int:
-    try:
-        trace = list(load_trace(args.trace))
-    except (OSError, ValueError) as exc:
-        print(f"bad trace: {exc}", file=sys.stderr)
-        return 2
+    trace = list(load_trace(args.trace))
+    if not trace:
+        raise ValueError("empty trace")
     tb = make_kv_testbed()
     store = KVStore(tb.driver, tb.method(args.method))
     t0, b0 = tb.clock.now, tb.traffic.total_bytes
     counts = {"put": 0, "get": 0, "delete": 0}
     for op in trace:
-        if op.op == "put":
-            store.put(op.key, op.value)
-        elif op.op == "get":
-            try:
+        try:
+            if op.op == "put":
+                store.put(op.key, op.value)
+            elif op.op == "get":
                 store.get(op.key, max_value_len=65536)
-            except Exception:
-                pass
-        elif op.op == "delete":
-            try:
+            elif op.op == "delete":
                 store.delete(op.key)
-            except Exception:
-                pass
+        except KeyNotFoundError:
+            pass  # a GET or DELETE of a key the trace never stored
         counts[op.op] = counts.get(op.op, 0) + 1
-    total = sum(counts.values())
-    if total == 0:
-        print("empty trace", file=sys.stderr)
-        return 2
+    total = len(trace)
     elapsed = tb.clock.now - t0
     print(f"replayed {total} ops ({counts}) via {args.method}: "
           f"{total / elapsed * 1e6:.1f} Kops/s, "
@@ -287,31 +234,17 @@ def cmd_replay(args) -> int:
 def cmd_faults(args) -> int:
     """Run seeded faults against the ByteExpress write path and report
     how the driver's retry/backoff/breaker machinery coped."""
-    from repro.faults import ALL_KINDS, FaultPlan, fault_event
+    from repro.faults import fault_event
     from repro.metrics import format_latency_summary
     from repro.metrics.stats import LatencyRecorder
     from repro.nvme.constants import IoOpcode
     from repro.nvme.passthrough import PassthruRequest
 
     if args.ops < 1 or args.size < 1:
-        print("bad faults configuration: --ops and --size must be >= 1",
-              file=sys.stderr)
-        return 2
-    kinds = args.kinds.split(",") if args.kinds else list(ALL_KINDS)
-    for k in kinds:
-        if k not in ALL_KINDS:
-            print(f"unknown fault kind {k!r}; pick from {sorted(ALL_KINDS)}",
-                  file=sys.stderr)
-            return 2
-    try:
-        plan = FaultPlan.uniform(args.rate, seed=args.seed, kinds=kinds)
-    except ValueError as exc:
-        print(f"bad fault plan: {exc}", file=sys.stderr)
-        return 2
-    cfg = _config(args, "faults")
-    if cfg is None:
-        return 2
-    tb = make_block_testbed(config=cfg, include_mmio=False,
+        raise ValueError("--ops and --size must be >= 1")
+    kinds = _kinds(args.kinds)
+    plan = FaultPlan.uniform(args.rate, seed=args.seed, kinds=kinds)
+    tb = make_block_testbed(config=_config(args), include_mmio=False,
                             fault_plan=plan)
     drv = tb.driver
     recorder = LatencyRecorder()
@@ -325,10 +258,6 @@ def cmd_faults(args) -> int:
         except CommandTimeoutError:
             timeouts += 1
             continue
-        except EngineSaturatedError as exc:
-            # An inline payload the SQ can never hold.
-            print(f"bad faults configuration: {exc}", file=sys.stderr)
-            return 2
         recorder.record(res.latency_ns)
         if res.ok:
             ok += 1
@@ -359,50 +288,39 @@ def cmd_faults(args) -> int:
 
 def cmd_engine(args) -> int:
     """Concurrent load over the asynchronous multi-queue engine."""
-    from repro.engine import LoadGenerator, SchedulerError, StreamSpec
+    from repro.engine import LoadGenerator, StreamSpec
     from repro.faults import fault_event
-    from repro.sim.config import LinkConfig
     from repro.ssd.controller import MODE_QUEUE_LOCAL, MODE_TAGGED
     from repro.testbed import make_engine_testbed
 
-    try:
-        cfg = SimConfig(link=LinkConfig(generation=args.gen),
-                        lba_bytes=args.lba,
-                        num_io_queues=args.queues,
-                        doorbell_mode=args.doorbell_mode,
-                        burst_limit=args.burst_limit,
-                        cq_coalesce=args.cq_coalesce).nand_off()
-        mode = MODE_TAGGED if args.tagged else MODE_QUEUE_LOCAL
-        tb = make_engine_testbed(queues=args.queues, config=cfg, mode=mode,
-                                 fault_plan=_fault_plan(args))
-        engine = tb.make_engine(queues=args.queues, qd=args.qd,
-                                policy=args.policy)
-        if args.streams < 1:
-            raise LoadGenError("--streams must be >= 1")
-        per_stream = max(1, args.ops // args.streams)
-        window = max(1, args.queues * args.qd // args.streams)
-        streams = [StreamSpec(stream_id=i, ops=per_stream, size=args.dist,
-                              concurrency=window, think_ns=args.think_ns)
-                   for i in range(args.streams)]
-        gen = LoadGenerator(engine, streams, seed=args.seed,
-                            method=args.method)
-    except (ValueError, LoadGenError, SchedulerError) as exc:
-        print(f"bad engine configuration: {exc}", file=sys.stderr)
-        return 2
-    try:
-        report = gen.run()
-    except (DriverError, EngineSaturatedError) as exc:
-        # e.g. byteexpress-tagged without --tagged: refused at encode.
-        print(f"bad engine configuration: {exc}", file=sys.stderr)
-        return 2
+    cfg = SimConfig(link=LinkConfig(generation=args.gen),
+                    lba_bytes=args.lba,
+                    num_io_queues=args.queues,
+                    doorbell_mode=args.doorbell_mode,
+                    burst_limit=args.burst_limit,
+                    cq_coalesce=args.cq_coalesce).nand_off()
+    mode = MODE_TAGGED if args.tagged else MODE_QUEUE_LOCAL
+    tb = make_engine_testbed(queues=args.queues, config=cfg, mode=mode,
+                             fault_plan=_fault_plan(args))
+    engine = tb.make_engine(queues=args.queues, qd=args.qd,
+                            policy=args.policy)
+    if args.streams < 1:
+        raise ValueError("--streams must be >= 1")
+    per_stream = max(1, args.ops // args.streams)
+    window = max(1, args.queues * args.qd // args.streams)
+    streams = [StreamSpec(stream_id=i, ops=per_stream, size=args.dist,
+                          concurrency=window, think_ns=args.think_ns)
+               for i in range(args.streams)]
+    report = LoadGenerator(engine, streams, seed=args.seed,
+                           method=args.method).run()
     print(report.table())
     print()
     rows = [[k, v] for k, v in report.engine_stats.items()]
     rows.append(["breaker state", tb.driver.breaker.state])
     rows.append(["inflight high water", report.inflight_high_water])
-    if getattr(args, "faults", 0.0):
+    if args.faults:
         for kind in (args.fault_kinds.split(",") if args.fault_kinds
-                     else sorted(_all_fault_kinds())):
+                     else sorted(ALL_KINDS)):
             rows.append([f"injected {kind}",
                          tb.traffic.event_count(fault_event(kind))])
     ctrl = tb.ssd.controller
@@ -431,43 +349,30 @@ def cmd_engine(args) -> int:
 def cmd_virt(args) -> int:
     """Multi-tenant run: N tenants on private namespaces and queues,
     loaded concurrently, with QoS arbitration on or off."""
-    from repro.engine import LoadGenerator, SchedulerError, StreamSpec
+    from repro.engine import LoadGenerator, StreamSpec
     from repro.testbed import make_virt_testbed
-    from repro.virt import QosParams, TenantManager, VirtError
+    from repro.virt import QosParams, TenantManager
 
     tb = make_virt_testbed()
     manager = TenantManager(tb, qos=args.qos)
     params = None
     if args.qos:
-        try:
-            params = QosParams(weight=args.weight,
-                               ops_per_sec=args.ops_per_sec,
-                               bytes_per_sec=args.bytes_per_sec)
-        except ValueError as exc:
-            print(f"bad QoS parameters: {exc}", file=sys.stderr)
-            return 2
-    try:
-        tenants = [manager.provision(f"tenant{i}", queues=args.queues,
-                                     qos=params)
-                   for i in range(args.tenants)]
-        # One stream per tenant; the stream id is the tenant's index.
-        streams = [StreamSpec(stream_id=i, ops=args.ops,
-                              size=f"fixed:{args.size}",
-                              concurrency=args.concurrency,
-                              max_size=args.size)
-                   for i in range(args.tenants)]
-        engines = {i: manager.engine(t, qd=args.concurrency)
-                   for i, t in enumerate(tenants)}
-        gen = LoadGenerator(engines, streams, method=args.method)
-    except (VirtError, LoadGenError, SchedulerError) as exc:
-        print(f"bad tenant configuration: {exc}", file=sys.stderr)
-        return 2
-    try:
-        report = gen.run()
-    except (DriverError, EngineSaturatedError, LoadGenError) as exc:
-        # LoadGenError here: a parked (weight-0) tenant wedges the load.
-        print(f"bad tenant configuration: {exc}", file=sys.stderr)
-        return 2
+        params = QosParams(weight=args.weight,
+                           ops_per_sec=args.ops_per_sec,
+                           bytes_per_sec=args.bytes_per_sec)
+    tenants = [manager.provision(f"tenant{i}", queues=args.queues,
+                                 qos=params)
+               for i in range(args.tenants)]
+    # One stream per tenant; the stream id is the tenant's index.
+    streams = [StreamSpec(stream_id=i, ops=args.ops,
+                          size=f"fixed:{args.size}",
+                          concurrency=args.concurrency,
+                          max_size=args.size)
+               for i in range(args.tenants)]
+    engines = {i: manager.engine(t, qd=args.concurrency)
+               for i, t in enumerate(tenants)}
+    # A parked (weight-0) tenant wedges the load: a LoadGenError.
+    report = LoadGenerator(engines, streams, method=args.method).run()
     rows = []
     for tenant, rep in zip(tenants, report.streams):
         rows.append([tenant.name, tenant.nsid,
@@ -501,26 +406,19 @@ def cmd_virt(args) -> int:
 
 def cmd_serve(args) -> int:
     """Closed-loop serving run: N sessions over the KV front-end."""
-    from repro.engine import SchedulerError
-    from repro.kvssd.service import ServiceError
-    from repro.testbed import make_kv_testbed
     from repro.workloads import run_serving
 
     tb = make_kv_testbed()
-    try:
-        service = tb.make_service(
-            queues=args.queues, qd=args.qd, method=args.method,
-            batch_window_ns=args.window_ns,
-            batch_max_pairs=args.batch_max_pairs,
-            cache_entries=args.cache_entries)
-        report = run_serving(
-            service, sessions=args.sessions, ops_per_session=args.ops,
-            read_ratio=args.read_ratio,
-            keys_per_session=args.keys_per_session,
-            fan_in=args.fan_in, seed=args.seed)
-    except (ServiceError, SchedulerError, ValueError, DriverError) as exc:
-        print(f"bad serving configuration: {exc}", file=sys.stderr)
-        return 2
+    service = tb.make_service(
+        queues=args.queues, qd=args.qd, method=args.method,
+        batch_window_ns=args.window_ns,
+        batch_max_pairs=args.batch_max_pairs,
+        cache_entries=args.cache_entries)
+    report = run_serving(
+        service, sessions=args.sessions, ops_per_session=args.ops,
+        read_ratio=args.read_ratio,
+        keys_per_session=args.keys_per_session,
+        fan_in=args.fan_in, seed=args.seed)
     stats = service.stats
     cache = service.cache_stats
     rows = [
@@ -590,9 +488,6 @@ def cmd_crash(args) -> int:
     except InvariantViolation as exc:
         print(f"INVARIANT VIOLATION: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, RuntimeError, EngineSaturatedError) as exc:
-        print(f"bad crash configuration: {exc}", file=sys.stderr)
-        return 2
     rows = [
         ["cut fired", "yes" if report.cut_fired else "no"],
         ["ops issued", report.issued],
@@ -621,11 +516,6 @@ def cmd_lint(args) -> int:
     return run_lint(args.paths, list_rules=args.list_rules,
                     flow=args.flow, output=args.output,
                     baseline=args.baseline)
-
-
-def _all_fault_kinds():
-    from repro.faults import ALL_KINDS
-    return ALL_KINDS
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -842,9 +732,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: What a refused command's message calls its configuration, where
+#: that is not the command's name.
+_LABELS = {"serve": "serving", "virt": "tenant", "replay": "trace"}
+
+
 def main(argv: List[str] = None) -> int:
+    """Run one command.  A request that can never succeed (a
+    ``ValueError``, which every refusal in the stack is, or an unreadable
+    file) exits 2 with one ``bad <label> configuration`` line; a device
+    failure (:class:`~repro.host.errors.DeviceError`) propagates."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, OSError) as exc:
+        label = _LABELS.get(args.command, args.command)
+        print(f"bad {label} configuration: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

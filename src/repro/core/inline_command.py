@@ -22,7 +22,7 @@ from repro.nvme.command import NvmeCommand
 MAX_INLINE_BYTES = 64 * 1024
 
 
-class InlineEncodingError(Exception):
+class InlineEncodingError(ValueError):
     """Raised for payloads that cannot be carried inline."""
 
 

@@ -17,7 +17,7 @@ from repro.csd.schema import TableSchema
 from repro.ssd.ftl import PageMappingFtl
 
 
-class TableError(Exception):
+class TableError(ValueError):
     """Unknown table, schema mismatch, capacity issues."""
 
 

@@ -28,6 +28,7 @@ from repro.datapath.codecs import (
     TAGGED_INLINE_WRITE_CODEC,
 )
 from repro.datapath.spec import DatapathCaps, DatapathSpec
+from repro.host.errors import DriverError
 
 SPECS: Tuple[DatapathSpec, ...] = (
     # Stock NVMe baseline: DMA via PRP page lists.
@@ -61,8 +62,9 @@ SPECS: Tuple[DatapathSpec, ...] = (
 _BY_NAME: Dict[str, DatapathSpec] = {spec.name: spec for spec in SPECS}
 
 
-class UnknownMethodError(KeyError):
-    """Lookup of a transfer method the table does not list."""
+class UnknownMethodError(DriverError):
+    """Lookup of a transfer method the table does not list: a request
+    that can never succeed, so a :class:`DriverError` (a ``ValueError``)."""
 
 
 def resolve(name: str) -> DatapathSpec:
@@ -71,7 +73,7 @@ def resolve(name: str) -> DatapathSpec:
         return _BY_NAME[name]
     except KeyError:
         raise UnknownMethodError(
-            f"unknown transfer method {name!r}; known: "
+            f"unknown method {name!r}; known: "
             f"{', '.join(sorted(_BY_NAME))}") from None
 
 

@@ -40,6 +40,7 @@ from repro.core.chunking import CHUNK_SIZE
 from repro.core.inline_command import MAX_INLINE_BYTES, make_inline_command
 from repro.core.reassembly import split_tagged, tagged_chunk_count
 from repro.datapath import names
+from repro.host.errors import DriverError
 from repro.nvme.command import NvmeCommand
 from repro.nvme.constants import (
     BANDSLIM_FRAGMENT_CAPACITY,
@@ -52,15 +53,6 @@ from repro.nvme.sgl import build_sgl
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.host.driver import NvmeDriver
-
-
-def _driver_error(message: str) -> Exception:
-    """The driver's own exception type (imported late: the driver module
-    imports this package, and eager cross-imports here would make the
-    package order-sensitive)."""
-    from repro.host.driver import DriverError
-
-    return DriverError(message)
 
 
 class HostCodec:
@@ -86,7 +78,7 @@ def _stage(driver: "NvmeDriver", data: bytes) -> Tuple[int, List[int]]:
     transfer size (Identify MDTS) is refused before anything is
     allocated."""
     if len(data) > driver.identify.max_transfer_bytes:
-        raise _driver_error(
+        raise DriverError(
             f"payload of {len(data)} B exceeds the controller's maximum "
             f"data transfer size ({driver.identify.max_transfer_bytes} B)")
     pages = driver.memory.alloc_pages(
@@ -104,7 +96,7 @@ class PrpWriteCodec(HostCodec):
                qid: int, *, ring: bool = True,
                payload_id: Optional[int] = None) -> int:
         if not data:
-            raise _driver_error("PRP write requires a payload")
+            raise DriverError("PRP write requires a payload")
         res = driver.queue(qid)
         addr, data_pages = _stage(driver, data)
         mapping = build_prps(driver.memory, addr, len(data))
@@ -127,7 +119,7 @@ class SglWriteCodec(HostCodec):
                qid: int, *, ring: bool = True,
                payload_id: Optional[int] = None) -> int:
         if not data:
-            raise _driver_error("SGL write requires a payload")
+            raise DriverError("SGL write requires a payload")
         res = driver.queue(qid)
         addr, data_pages = _stage(driver, data)
         mapping = build_sgl(driver.memory, [(addr, len(data))])
@@ -147,7 +139,7 @@ def _require_byteexpress(driver: "NvmeDriver") -> None:
     """Feature detection: on stock firmware the chunks would be misparsed
     as commands, so an inline submission needs the Identify bit."""
     if not driver.identify.byteexpress:
-        raise _driver_error(
+        raise DriverError(
             "controller firmware does not support ByteExpress "
             "(Identify vendor capability byte is clear)")
 
@@ -174,7 +166,7 @@ class InlineWriteCodec(HostCodec):
             _require_byteexpress(driver)  # raises
         n = len(data)
         if not n:
-            raise _driver_error("inline submission requires a payload")
+            raise DriverError("inline submission requires a payload")
         res = driver.queue(qid)
         sq = res.sq
         needed = 1 + (n + CHUNK_SIZE - 1) // CHUNK_SIZE
@@ -240,9 +232,9 @@ class TaggedInlineWriteCodec(HostCodec):
         from repro.ssd.context import MODE_TAGGED
 
         if not data:
-            raise _driver_error("inline submission requires a payload")
+            raise DriverError("inline submission requires a payload")
         if driver.ssd.controller.mode != MODE_TAGGED:
-            raise _driver_error(
+            raise DriverError(
                 "tagged inline write needs a controller in tagged mode "
                 f"(this one runs {driver.ssd.controller.mode!r})")
         _require_byteexpress(driver)
@@ -350,7 +342,7 @@ class FragmentWriteCodec(HostCodec):
                qid: int, *, ring: bool = True,
                payload_id: Optional[int] = None) -> int:
         if not data:
-            raise _driver_error("BandSlim write requires a payload")
+            raise DriverError("BandSlim write requires a payload")
         res = driver.queue(qid)
         total = len(data)
         count = fragment_count(total)

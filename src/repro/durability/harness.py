@@ -40,6 +40,7 @@ nothing (the golden traffic fingerprints stay byte-identical).
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Set, Tuple, Union
 
@@ -47,6 +48,8 @@ from repro import datapath
 from repro.datapath import names as dp_names
 from repro.faults.plan import CUT_KINDS, CrashCut, CrashPlan
 from repro.nvme.constants import PAGE_SIZE, IoOpcode, KvOpcode, StatusCode
+from repro.ssd.ftl import FtlError
+from repro.ssd.nand import NandError
 
 PLANE_BLOCK = "block"
 PLANE_KV = "kv"
@@ -85,10 +88,8 @@ class CrashSpec:
             raise ValueError("ops must be at least 1")
         if self.payload_bytes < 1:
             raise ValueError("payload_bytes must be at least 1")
-        try:
-            codec = datapath.resolve(self.method).host_codec
-        except datapath.UnknownMethodError as exc:
-            raise ValueError(str(exc)) from None
+        # An unknown method raises UnknownMethodError, a ValueError.
+        codec = datapath.resolve(self.method).host_codec
         if self.qd > 1 and codec is None:
             raise ValueError(f"{self.method!r} has no host codec: BAR-window "
                              f"and layered paths are synchronous and have "
@@ -253,9 +254,8 @@ class _KvPlane:
         durable = set(vlog.flushed_segments)
         for segment in sorted(durable):
             try:
-                for _entry in vlog.parse_segment(segment):
-                    pass
-            except Exception as exc:
+                vlog.parse_segment(segment)
+            except (FtlError, NandError, KeyError, struct.error) as exc:
                 torn.append(f"flushed segment {segment} unparseable: {exc}")
         # Every index pointer must land inside the durable watermark:
         # recovery replays only flushed segments, so a pointer into the

@@ -41,6 +41,7 @@ from repro.engine.scheduler import MultiQueueScheduler
 from repro.engine.table import CommandFuture, InFlightCommand, InFlightTable
 from repro.host.breaker import STATE_CLOSED
 from repro.host.driver import NvmeDriver
+from repro.host.errors import DriverError
 from repro.nvme.command import NvmeCommand
 from repro.nvme.constants import (
     ADMIN_QID,
@@ -70,14 +71,11 @@ def engine_methods() -> tuple:
     return tuple(_ENGINE_SPECS)
 
 
-class EngineError(Exception):
-    """Engine misuse or unrecoverable engine state."""
-
-
-class EngineSaturatedError(EngineError, QueueFullError):
+class EngineSaturatedError(DriverError, QueueFullError):
     """A submission can never be placed (footprint exceeds every queue).
 
-    A :class:`QueueFullError`, like the codecs' own refusal of a payload
+    A :class:`DriverError`, like every request the engine refuses, and a
+    :class:`QueueFullError`, like the codecs' own refusal of a payload
     the SQ cannot hold."""
 
 
@@ -106,7 +104,9 @@ class IoEngine:
     The stack's one submission loop: the QD>1 callers (load generator,
     KV service, tenants, the crash harness), and ``NvmeDriver.passthru``
     and the driver's admin commands at QD 1.  A write is acked once its
-    future resolves OK.
+    future resolves OK.  A request that can never succeed raises
+    :class:`~repro.host.errors.DriverError` (a ``ValueError``), the same
+    class on every path, since ``passthru`` relies on these checks.
     """
 
     def __init__(self, ssd: OpenSsd, driver: NvmeDriver,
@@ -124,7 +124,7 @@ class IoEngine:
         self.qids: List[int] = list(
             driver.io_qids if queues is None else queues)
         if not self.qids:
-            raise EngineError("an engine needs at least one queue")
+            raise DriverError("an engine needs at least one queue")
         #: Host cost of one submission call: the passthrough ioctl for
         #: I/O queues; admin commands are issued in the kernel, so an
         #: engine on the admin queue charges nothing.
@@ -186,15 +186,15 @@ class IoEngine:
         try:
             spec = _ENGINE_SPECS[method]
         except KeyError:
-            raise EngineError(
+            raise DriverError(
                 f"unknown engine method {method!r}; "
                 f"expected one of {engine_methods()}") from None
         if not payload:
-            raise EngineError("engine submissions require a payload")
+            raise DriverError("engine submissions require a payload")
         if (spec.caps.fragmented
                 and not self.ssd.controller.supports(
                     VendorOpcode.BANDSLIM_FRAG)):
-            raise EngineError(
+            raise DriverError(
                 "bandslim requires the BandSlimDeviceLayer to be "
                 "registered on the controller")
         future = CommandFuture(stream, len(payload))
@@ -233,11 +233,11 @@ class IoEngine:
         DBBUF_CONFIG pages); a read's buffer takes PRP1's place.
         """
         if read_len < 0:
-            raise EngineError("read_len must be >= 0")
+            raise DriverError("read_len must be >= 0")
         try:
             spec = _READ_SPECS[method]
         except KeyError:
-            raise EngineError(
+            raise DriverError(
                 f"a read takes 'prp' or 'sgl', not {method!r}") from None
         future = CommandFuture(stream=stream, payload_len=0)
         now = self.clock.now
@@ -307,7 +307,7 @@ class IoEngine:
                     f"nothing is in flight to free capacity")
             guard = guard + 1 if resolved == 0 else 0
             if guard > 10_000:
-                raise EngineError(
+                raise DriverError(
                     "backpressure loop made no progress (livelock)")
 
     def _submit_entry(self, entry: InFlightCommand, qid: int) -> None:
@@ -427,7 +427,7 @@ class IoEngine:
             # step and reap advances it, so only a wedge stands still.
             stall = 0 if done or clock.now != before_ns else stall + 1
             if stall > 100:
-                raise EngineError(
+                raise DriverError(
                     f"drain stalled with {len(self.table)} in flight "
                     f"and {len(self.parked)} parked")
         return resolved

@@ -32,7 +32,7 @@ from repro.sim.rng import make_rng
 from repro.workloads.mixgraph import GPD_SCALE, GPD_SHAPE
 
 
-class LoadGenError(Exception):
+class LoadGenError(ValueError):
     """Bad stream specification or a wedged run."""
 
 

@@ -29,7 +29,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 POLICIES = ("round_robin", "least_inflight", "affinity")
 
 
-class SchedulerError(Exception):
+class SchedulerError(ValueError):
     """Invalid scheduler configuration or accounting misuse."""
 
 

@@ -33,6 +33,7 @@ from repro.durability.domains import DEVICE_VOLATILE, HOST_VOLATILE
 from repro.datapath.spec import DatapathSpec
 from repro.faults.plan import DROP_DOORBELL
 from repro.host.breaker import CircuitBreaker
+from repro.host.errors import CommandTimeoutError, DeviceError, DriverError
 from repro.host.shadow import MAX_QID, ShadowDoorbells
 from repro.nvme.command import NvmeCommand
 from repro.nvme.completion import NvmeCompletion
@@ -64,14 +65,6 @@ from repro.ssd.device import OpenSsd
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engine.engine import IoEngine
     from repro.engine.table import CommandFuture
-
-
-class DriverError(Exception):
-    """Driver-level failures (no completion, bad arguments)."""
-
-
-class CommandTimeoutError(DriverError):
-    """A command exhausted its retry budget or per-command deadline."""
 
 
 @dataclass(frozen=True)
@@ -217,13 +210,13 @@ class NvmeDriver:
         bar.write32(REG_CC, CC_ENABLE)
         self.link.host_mmio_write(4, CAT_DOORBELL)
         if not bar.read32(REG_CSTS) & CSTS_READY:
-            raise DriverError("controller failed to come ready (CSTS.RDY=0)")
+            raise DeviceError("controller failed to come ready (CSTS.RDY=0)")
 
     def _admin_command(self, cmd: NvmeCommand,
                        read_len: int = 0) -> "CommandFuture":
         """Run admin command *cmd*: a keyed QD-1 submission to the admin
         queue's engine, then a drain, so the reactor recovers it as it
-        does I/O.  Raises :class:`DriverError` unless it completes
+        does I/O.  Raises :class:`DeviceError` unless it completes
         successfully; the future carries a *read_len*-byte data return
         (up to the length CQE DW0 reports) in ``data``.
         """
@@ -239,7 +232,7 @@ class NvmeDriver:
             nsid=cmd.nsid, prp1=cmd.prp1, prp2=cmd.prp2)
         engine.drain()
         if not future.ok:
-            raise DriverError(
+            raise DeviceError(
                 f"admin opcode {cmd.opcode:#x} (cdw10 {cmd.cdw10:#x}) "
                 f"failed: {future.state}, status {future.status}")
         return future
@@ -581,15 +574,10 @@ class NvmeDriver:
     # ------------------------------------------------------------------
     def _codec_spec(self, method) -> DatapathSpec:
         """Resolve *method* (name or spec) through the datapath table to a
-        spec that carries a host codec, raising the driver's exception
-        type for unknown and codec-less methods."""
-        if isinstance(method, DatapathSpec):
-            spec = method
-        else:
-            try:
-                spec = datapath.resolve(method)
-            except datapath.UnknownMethodError as exc:
-                raise DriverError(str(exc)) from None
+        spec that carries a host codec; an unknown or codec-less method
+        is a :class:`DriverError`."""
+        spec = (method if isinstance(method, DatapathSpec)
+                else datapath.resolve(method))
         if spec.host_codec is None:
             raise DriverError(
                 f"transfer method {spec.name!r} has no host codec; use its "
@@ -715,8 +703,11 @@ class NvmeDriver:
         Recovery is the engine reactor's: re-ring, timeout, backoff,
         breaker fallback, and (qid, cid) completion matching, so a late
         CQE of an abandoned attempt can never acknowledge this command.
-        A command that never completes raises
-        :class:`CommandTimeoutError`.
+        The engine's checks refuse a bad request (unknown method, empty
+        write, a read by a write-only method, a payload no queue can
+        hold or over MDTS) with a :class:`DriverError`, exactly as it
+        refuses an async submission.  A command that never completes
+        raises :class:`CommandTimeoutError`, a :class:`DeviceError`.
         """
         if qid is None:
             qid = self.default_qid()
@@ -731,21 +722,16 @@ class NvmeDriver:
                 self.ssd, self, queues=(qid,), qd=1)
         start_ns = self.clock.now
         start_bytes = self.link.counter.total_bytes
-        spec = self._codec_spec(method)
+        name = method.name if isinstance(method, DatapathSpec) else method
         if req.is_write:
-            if not req.data:
-                raise DriverError("a passthrough write requires a payload")
-            future = engine.submit(req.data, spec.name, opcode=req.opcode,
+            future = engine.submit(req.data, name, opcode=req.opcode,
                                    cdw10=req.cdw10, cdw11=req.cdw11,
                                    nsid=req.nsid)
         else:
-            if spec.name not in dp_names.READ_METHODS:
-                raise DriverError(
-                    f"a read takes 'prp' or 'sgl', not {spec.name!r}")
             future = engine.submit_read(
                 req.read_len, req.opcode, cdw10=req.cdw10, cdw11=req.cdw11,
                 mptr=req.mptr, cdw14=req.cdw14, cdw15=req.cdw15,
-                nsid=req.nsid, method=spec.name)
+                nsid=req.nsid, method=name)
         engine.drain()
         cqe = future.cqe
         if cqe is None:

@@ -87,7 +87,11 @@ class KvSsdPersonality:
         old = self.index.get(key)
         try:
             ptr = self.vlog.append(key, value)
-        except (ValueError, NandError):
+        except ValueError:
+            # The log refuses the entry (e.g. larger than a segment):
+            # a bad request, not a media fault.
+            return CommandResult(StatusCode.INVALID_FIELD)
+        except NandError:
             return CommandResult(StatusCode.MEDIA_WRITE_FAULT)
         self.index.put(key, ptr)
         if old is not None:
@@ -118,7 +122,9 @@ class KvSsdPersonality:
             old = self.index.get(key)
             try:
                 ptr = self.vlog.append(key, value)
-            except (ValueError, NandError):
+            except ValueError:
+                return CommandResult(StatusCode.INVALID_FIELD, result=stored)
+            except NandError:
                 return CommandResult(StatusCode.MEDIA_WRITE_FAULT,
                                      result=stored)
             self.index.put(key, ptr)

@@ -2,7 +2,7 @@
 
 An iLSM/PinK-style in-storage LSM tree mapping keys to value-log pointers:
 a sorted memtable absorbs writes; full memtables flush to immutable,
-sorted SSTables (serialised to NAND through the FTL, so flush/compaction
+sorted SSTables (written to NAND through the FTL, so flush/compaction
 I/O is charged to the NAND model); L0 tables may overlap and are searched
 newest-first; deeper levels are kept as one non-overlapping sorted run
 each and are merged by whole-level compaction when the level above
@@ -16,7 +16,6 @@ merged view of memtable + all levels.
 
 from __future__ import annotations
 
-import struct
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
@@ -24,13 +23,13 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 from repro.kvssd.value_log import LogPointer
 from repro.ssd.ftl import PageMappingFtl
 
-#: Serialised index entry: key_len u16 | tombstone u8 | segment u32 |
-#: offset u32 | length u32 | key bytes.
-_ENTRY = struct.Struct("<HBIII")
+#: On-NAND bytes of one index entry besides its key: key_len u16 |
+#: tombstone u8 | segment u32 | offset u32 | length u32.
+_ENTRY_BYTES = 15
 
 #: Marker pointer stored for deletions.  Every test is ``is TOMBSTONE``:
-#: deserialisation re-interns this singleton and flushes and compactions
-#: move references, so identity survives every rebuild of the index.
+#: flushes and compactions move references, so identity survives every
+#: rebuild of the index.
 TOMBSTONE = LogPointer(segment=0xFFFFFFFF, offset=0xFFFFFFFF, length=0)
 
 #: L0 tables that trigger a compaction into L1.
@@ -38,27 +37,6 @@ L0_TABLES = 4
 #: Size ratio between adjacent levels: level *n*'s run holds up to
 #: ``memtable_entries * LEVEL_RATIO**n`` entries before it cascades.
 LEVEL_RATIO = 4
-
-
-def _serialize_entries(entries: List[Tuple[bytes, LogPointer]]) -> bytes:
-    pack = _ENTRY.pack
-    return b"".join([
-        pack(len(key), ptr is TOMBSTONE, ptr.segment & 0xFFFFFFFF,
-             ptr.offset & 0xFFFFFFFF, ptr.length & 0xFFFFFFFF) + key
-        for key, ptr in entries])
-
-
-def _deserialize_entries(raw: bytes) -> List[Tuple[bytes, LogPointer]]:
-    entries: List[Tuple[bytes, LogPointer]] = []
-    pos = 0
-    while pos < len(raw):
-        key_len, tomb, seg, off, length = _ENTRY.unpack_from(raw, pos)
-        pos += _ENTRY.size
-        key = raw[pos:pos + key_len]
-        pos += key_len
-        ptr = TOMBSTONE if tomb else LogPointer(seg, off, length)
-        entries.append((key, ptr))
-    return entries
 
 
 @dataclass
@@ -97,6 +75,7 @@ class LsmIndex:
         if memtable_entries < 1:
             raise ValueError("memtable must hold at least one entry")
         self.ftl = ftl
+        self._zero_page = bytes(ftl.nand.geometry.page_bytes)
         self.lpn_base = lpn_base
         self.memtable_entries = memtable_entries
         self._memtable: Dict[bytes, LogPointer] = {}
@@ -132,13 +111,18 @@ class LsmIndex:
             self._compact(0)
 
     def _persist(self, table: SsTable) -> SsTable:
-        """Write the table's serialised form to NAND pages via the FTL."""
-        raw = _serialize_entries(table.entries)
-        page_bytes = self.ftl.nand.geometry.page_bytes
-        for off in range(0, len(raw), page_bytes):
+        """Charge the table's on-NAND size to NAND pages via the FTL.
+
+        Nothing reads the pages back (lookups bisect the DRAM-pinned
+        entries, and recovery replays the value log), and NAND timing
+        does not depend on page content, so every page is the same
+        shared zero page."""
+        zero_page = self._zero_page
+        size = _ENTRY_BYTES * len(table.keys) + sum(map(len, table.keys))
+        for _ in range(-(-size // len(zero_page))):
             lpn = self._next_lpn
             self._next_lpn += 1
-            self.ftl.write(lpn, raw[off:off + page_bytes])
+            self.ftl.write(lpn, zero_page)
             table.lpns.append(lpn)
         return table
 

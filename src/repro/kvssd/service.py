@@ -62,7 +62,7 @@ FROM_DEVICE = "device"
 MAX_VALUE_BYTES = 4096
 
 
-class ServiceError(Exception):
+class ServiceError(ValueError):
     """Misuse of the serving API (bad key, closed session, ...)."""
 
 

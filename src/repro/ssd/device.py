@@ -31,7 +31,7 @@ from repro.ssd.controller import (
     NvmeController,
 )
 from repro.ssd.dram import DeviceDram
-from repro.ssd.ftl import PageMappingFtl
+from repro.ssd.ftl import FtlError, PageMappingFtl
 from repro.ssd.nand import NandArray, NandError
 
 
@@ -156,7 +156,7 @@ class BlockSsdPersonality:
                 # Sub-page write: read-modify-write.
                 try:
                     current = bytearray(self.ssd.ftl.read(lpn))
-                except Exception:
+                except FtlError:  # never written: reads as zeros
                     current = bytearray(PAGE_SIZE)
                 current[start:start + len(piece)] = piece
                 self.ssd.ftl.write(lpn, bytes(current))
@@ -195,7 +195,7 @@ class BlockSsdPersonality:
             if self.ssd.nand_enabled:
                 try:
                     page = self.ssd.ftl.read(lpn)
-                except Exception:
+                except FtlError:  # never written: reads as zeros
                     page = b"\x00" * PAGE_SIZE
             else:
                 page = bytes(self._pages.get(lpn, b"\x00" * PAGE_SIZE))

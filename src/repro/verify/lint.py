@@ -17,7 +17,8 @@ VER103    ``ring_doorbell()`` only under a lexical ``with ....lock:``
 VER104    no mutation of Submission/CompletionQueue ring fields
           (head/tail/phase/...) from outside ``repro.nvme``
 VER105    no bare ``except:`` (swallows InvariantViolation and
-          KeyboardInterrupt alike)
+          KeyboardInterrupt alike), and no ``except Exception`` /
+          ``except BaseException`` whose handler never raises
 VER106    no hard-coded transfer-method string literals outside
           ``repro/datapath/`` (and tests); use ``repro.datapath.names``
 ========  ==============================================================
@@ -52,7 +53,8 @@ LINT_RULES: Dict[str, str] = {
     VER102: "stdlib random / unseeded NumPy RNG (use sim.rng.make_rng)",
     VER103: "ring_doorbell() outside a lexical `with ....lock:` block",
     VER104: "queue ring-field mutation outside repro.nvme",
-    VER105: "bare `except:` swallows everything, including violations",
+    VER105: "bare `except:` or a non-raising `except Exception` swallows "
+            "everything, including violations",
     VER106: "hard-coded transfer-method literal (use repro.datapath.names)",
 }
 
@@ -68,6 +70,8 @@ _QUEUE_FIELDS = frozenset({"head", "tail", "phase", "shadow_tail",
                            "device_tail", "device_phase"})
 #: Receiver names that conventionally hold queue objects.
 _QUEUE_RECEIVERS = frozenset({"sq", "cq"})
+#: Handler types that catch InvariantViolation along with everything else.
+_CATCH_ALL = frozenset({"Exception", "BaseException"})
 
 #: Transfer-method spellings VER106 polices.  Imported from the single
 #: source of truth so a method added to the table is policed at once.
@@ -111,6 +115,12 @@ def _dotted(node: ast.AST) -> Optional[str]:
         parts.append(node.id)
         return ".".join(reversed(parts))
     return None
+
+
+def _handler_names(node: ast.expr) -> Set[str]:
+    """Dotted names an ``except`` clause's type (or type tuple) lists."""
+    elts = node.elts if isinstance(node, ast.Tuple) else [node]
+    return {name for name in map(_dotted, elts) if name is not None}
 
 
 class _Linter(ast.NodeVisitor):
@@ -277,12 +287,18 @@ class _Linter(ast.NodeVisitor):
                          f"repro.datapath.names / the method table")
         self.generic_visit(node)
 
-    # -- VER105: bare except -------------------------------------------
+    # -- VER105: bare or swallowing catch-all except ---------------------
     def visit_ExceptHandler(self, node: ast.ExceptHandler) -> None:
         if node.type is None:
             self._report(node, VER105,
                          "bare `except:` swallows InvariantViolation "
                          "and KeyboardInterrupt; name the exceptions")
+        elif _CATCH_ALL & _handler_names(node.type) and not any(
+                isinstance(n, ast.Raise) for stmt in node.body
+                for n in ast.walk(stmt)):
+            self._report(node, VER105,
+                         "`except Exception` that never raises swallows "
+                         "InvariantViolation; name the exceptions")
         self.generic_visit(node)
 
 

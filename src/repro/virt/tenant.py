@@ -30,7 +30,7 @@ from repro.nvme.constants import DEFAULT_NSID
 from repro.virt.qos import QosArbiter, QosParams, TenantBudget
 
 
-class VirtError(Exception):
+class VirtError(ValueError):
     """Tenant provisioning, lookup, or teardown misuse."""
 
 

@@ -17,6 +17,7 @@ import json
 from pathlib import Path
 from typing import Iterable, Iterator, List, Union
 
+from repro.kvssd.commands import MAX_INLINE_KEY
 from repro.workloads.mixgraph import KvOp
 
 _VALUELESS = ("get", "delete", "exists")
@@ -50,6 +51,9 @@ def load_trace(path: Union[str, Path]) -> Iterator[KvOp]:
                 raise ValueError(f"{path}:{lineno}: bad trace record: {exc}")
             if not key:
                 raise ValueError(f"{path}:{lineno}: empty key")
+            if len(key) > MAX_INLINE_KEY:
+                raise ValueError(f"{path}:{lineno}: key of {len(key)} B "
+                                 f"exceeds the {MAX_INLINE_KEY} B key field")
             value = bytes.fromhex(record.get("value", ""))
             if op not in ("put",) + _VALUELESS:
                 raise ValueError(f"{path}:{lineno}: unknown op {op!r}")

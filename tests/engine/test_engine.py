@@ -3,7 +3,6 @@
 import pytest
 
 from repro.engine import EngineSaturatedError, IoEngine
-from repro.engine.engine import EngineError
 from repro.engine.table import TIMED_OUT
 from repro.faults.plan import (
     CORRUPT_CHUNK,
@@ -12,6 +11,7 @@ from repro.faults.plan import (
     FaultPlan,
 )
 from repro.host.driver import RetryPolicy
+from repro.host.errors import DriverError
 from repro.pcie.traffic import EVT_RETRY, EVT_TIMEOUT
 from repro.ssd.controller import MODE_TAGGED
 from repro.testbed import make_engine_testbed
@@ -89,9 +89,9 @@ def test_oversized_submission_is_rejected_not_wedged():
 
 def test_unknown_method_and_empty_payload():
     tb, eng = _rig(queues=1)
-    with pytest.raises(EngineError):
+    with pytest.raises(DriverError):
         eng.submit(b"x", method="mmio")
-    with pytest.raises(EngineError):
+    with pytest.raises(DriverError):
         eng.submit(b"")
 
 
@@ -103,7 +103,7 @@ def test_engine_fetch_lanes_are_the_controllers():
 @pytest.mark.parametrize("queues", [(), []])
 def test_empty_queue_set_is_refused(queues):
     tb = make_engine_testbed(queues=1)
-    with pytest.raises(EngineError):
+    with pytest.raises(DriverError):
         IoEngine(tb.ssd, tb.driver, queues=queues)
 
 
@@ -111,9 +111,9 @@ def test_rig_without_io_queues_refuses_an_engine():
     tb = make_engine_testbed(queues=1)
     for qid in list(tb.driver.io_qids):
         tb.driver.delete_io_queue_pair(qid)
-    with pytest.raises(EngineError):
+    with pytest.raises(DriverError):
         IoEngine(tb.ssd, tb.driver)
-    with pytest.raises(EngineError):
+    with pytest.raises(DriverError):
         tb.make_engine()
 
 

@@ -6,6 +6,7 @@ import pytest
 from repro.cli import main
 from repro.host.driver import CommandTimeoutError
 from repro.workloads import MixGraphWorkload, dump_trace
+from repro.workloads.mixgraph import KvOp
 
 
 def test_info(capsys):
@@ -153,6 +154,8 @@ def test_virt(capsys):
     ["faults", "--size", "70000"],
     ["crash", "--payload", "65537"],
     ["virt", "--tenants", "2", "--ops", "5", "--weight", "0"],
+    ["engine", "--queues", "100"],
+    ["crash", "--method", "warp"],
 ], ids=" ".join)
 def test_bad_engine_and_tenant_arguments_are_exit_2(argv, capsys):
     # A small --ops first, so the argument under test overrides it.
@@ -168,6 +171,13 @@ def test_bad_engine_and_tenant_arguments_are_exit_2(argv, capsys):
                 "crash": "bad crash configuration"}[argv[0]])
     err = capsys.readouterr().err
     assert message in err and err.count("\n") == 1
+
+
+def test_crash_unknown_method_message_is_not_quoted(capsys):
+    # The refusal is a ValueError, not a KeyError whose str() is a repr.
+    assert main(["crash", "--method", "warp"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("bad crash configuration: unknown method 'warp'")
 
 
 def test_sweep_timeout_is_not_a_bad_configuration(capsys):
@@ -190,3 +200,16 @@ def test_replay_of_a_missing_trace_is_exit_2(tmp_path, capsys):
     assert main(["replay", str(tmp_path / "missing.jsonl")]) == 2
     err = capsys.readouterr().err
     assert "bad trace" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("op", ["put", "get"])
+def test_replay_of_a_key_over_the_key_field_is_exit_2(op, tmp_path, capsys):
+    # 17 B does not fit the 16 B key field: refused when the trace loads,
+    # before any command, whichever op carries it.
+    trace = tmp_path / f"{op}.jsonl"
+    dump_trace([KvOp(op, b"k" * 17, b"v" * 8 if op == "put" else b"")],
+               trace)
+    assert main(["replay", str(trace)]) == 2
+    err = capsys.readouterr().err
+    assert "bad trace configuration" in err and "17 B" in err
+    assert err.count("\n") == 1

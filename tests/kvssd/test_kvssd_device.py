@@ -3,8 +3,12 @@
 import pytest
 
 from repro.kvssd import KeyNotFoundError, KvError, KVStore
-from repro.kvssd.commands import encode_store_payload, key_field_words
-from repro.nvme.constants import KvOpcode
+from repro.kvssd.commands import (
+    encode_batch_payload,
+    encode_store_payload,
+    key_field_words,
+)
+from repro.nvme.constants import KvOpcode, StatusCode, VendorOpcode
 from repro.workloads import FillRandomWorkload, MixGraphWorkload
 
 
@@ -99,6 +103,24 @@ def test_read_return_stops_at_the_host_buffer(kv_tb):
     assert get.data == value[:4096]
     assert store.ok, store.status
     assert kv_tb.personality.peek(b"next") == b"n" * 100
+
+
+@pytest.mark.parametrize("opcode", [KvOpcode.STORE,
+                                    VendorOpcode.KV_BATCH_STORE],
+                         ids=["store", "batch_store"])
+def test_a_value_no_log_segment_holds_is_an_invalid_field(kv_tb, opcode):
+    """An entry larger than a value-log segment is a bad request, not a
+    media fault: it completes with INVALID_FIELD, alone or in a batch,
+    and the value is not stored."""
+    huge = b"h" * (kv_tb.personality.vlog.segment_bytes + 1)
+    payload = (encode_store_payload(b"huge", huge)
+               if opcode == KvOpcode.STORE else
+               encode_batch_payload([(b"small", b"s"), (b"huge", huge)]))
+    engine = kv_tb.make_engine(queues=1, qd=1)
+    put = engine.submit(payload, "prp", opcode=opcode)
+    engine.drain()
+    assert put.status == StatusCode.INVALID_FIELD
+    assert kv_tb.personality.peek(b"huge") is None
 
 
 def test_put_returns_transfer_stats(rig):

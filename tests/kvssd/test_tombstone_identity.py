@@ -6,13 +6,7 @@ and stay out of scans after each of them.
 """
 
 from repro.kvssd import KVStore
-from repro.kvssd.lsm import (
-    TOMBSTONE,
-    LsmIndex,
-    SsTable,
-    _deserialize_entries,
-    _serialize_entries,
-)
+from repro.kvssd.lsm import TOMBSTONE, LsmIndex
 from repro.kvssd.value_log import LogPointer
 from repro.sim.clock import SimClock
 from repro.sim.config import TimingModel
@@ -38,21 +32,6 @@ def _assert_deleted(idx, key):
     assert idx.get(key) is None
     assert idx.get_many([key]) == [None]
     assert key not in [k for k, _p in idx.scan(b"\x00")]
-
-
-def test_serialise_round_trip_reinterns_the_singleton():
-    entries = [(b"a", _ptr(1)), (b"b", TOMBSTONE), (b"c", _ptr(3))]
-    back = _deserialize_entries(_serialize_entries(entries))
-    assert back == entries
-    assert back[1][1] is TOMBSTONE
-    assert all(p is not TOMBSTONE for k, p in back if k != b"b")
-    # A table rebuilt from those bytes shadows an older value for b"b".
-    idx = _index()
-    idx.put(b"b", _ptr(2))
-    idx.flush_memtable()
-    idx.levels[0].append(SsTable(back))
-    _assert_deleted(idx, b"b")
-    assert [k for k, _p in idx.scan(b"\x00")] == [b"a", b"c"]
 
 
 def test_compaction_into_a_non_last_level_keeps_tombstones():

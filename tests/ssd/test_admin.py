@@ -4,6 +4,7 @@ import pytest
 
 from repro.faults.plan import CORRUPT_TLP, DROP_CQE, DROP_DOORBELL, FaultPlan
 from repro.host.driver import DriverError, NvmeDriver
+from repro.host.errors import DeviceError
 from repro.nvme.command import NvmeCommand
 from repro.nvme.constants import AdminOpcode, StatusCode
 from repro.nvme.identify import IDENTIFY_SIZE, IdentifyController
@@ -149,8 +150,9 @@ def test_bringup_survives_one_dropped_doorbell(index):
 def test_two_dropped_doorbells_on_a_create_fail_loudly(first):
     """Two lost doorbells in a row abandon the command and resubmit it;
     the abandoned SQE still runs, so the duplicate Create is refused
-    (DNR set) and bring-up raises rather than half-succeeding."""
-    with pytest.raises(DriverError):
+    (DNR set) and bring-up raises a device failure rather than
+    half-succeeding."""
+    with pytest.raises(DeviceError):
         make_block_testbed(fault_plan=FaultPlan.scheduled(
             {DROP_DOORBELL: [first, first + 1]}))
 

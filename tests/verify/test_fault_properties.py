@@ -13,14 +13,13 @@ queue state or data quietly went wrong.
 
 from hypothesis import given, settings, strategies as st
 
-from repro.engine.engine import EngineError
 from repro.faults.plan import (
     CORRUPT_CHUNK,
     DROP_CQE,
     DROP_DOORBELL,
     FaultPlan,
 )
-from repro.host.driver import DriverError
+from repro.host.errors import DeviceError, DriverError
 from repro.testbed import make_engine_testbed
 from repro.verify.invariants import InvariantViolation
 from repro.verify.monitor import ProtocolMonitor
@@ -49,7 +48,7 @@ def test_faulted_runs_complete_cleanly_or_flag_an_invariant(
         futures = [engine.submit(p, cdw10=i * 4096)
                    for i, p in enumerate(payloads)]
         engine.drain()
-    except (InvariantViolation, DriverError, EngineError):
+    except (InvariantViolation, DriverError, DeviceError):
         return  # outcome (b): failed loudly, with attribution
     # Outcome (a): whatever claims success must be provably right.
     assert monitor.violations == []

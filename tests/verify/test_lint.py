@@ -198,6 +198,25 @@ def test_ver105_suppression():
     assert codes(src) == []
 
 
+@pytest.mark.parametrize("handler, flagged", [
+    ("except Exception:\n    pass\n", True),
+    ("except BaseException:\n    x = 1\n", True),
+    ("except (KeyError, Exception) as exc:\n    log(exc)\n", True),
+    ("except Exception:\n    cleanup()\n    raise\n", False),
+    ("except Exception as exc:\n    raise RuntimeError() from exc\n", False),
+    ("except (KeyError, ValueError):\n    pass\n", False),
+])
+def test_ver105_flags_a_catch_all_that_never_raises(handler, flagged):
+    # A swallowing catch-all would hide an InvariantViolation.
+    src = "try:\n    f()\n" + handler
+    assert codes(src) == ([VER105] if flagged else [])
+
+
+def test_ver105_corpus_flags_the_swallowing_catch_all():
+    findings = lint_paths([str(CORPUS / "bad_except.py")])
+    assert [(f.code, f.line) for f in findings] == [(VER105, 7), (VER105, 28)]
+
+
 # ---------------------------------------------------------------- VER106
 
 

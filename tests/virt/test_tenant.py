@@ -5,8 +5,8 @@ import pytest
 
 from repro.datapath import names as dp_names
 from repro.engine import LoadGenerator, StreamSpec
-from repro.engine.engine import EngineError
 from repro.engine.loadgen import LoadGenError
+from repro.host.errors import DriverError
 from repro.nvme.constants import DEFAULT_NSID, IoOpcode, StatusCode
 from repro.nvme.passthrough import PassthruRequest
 from repro.testbed import make_virt_testbed
@@ -199,8 +199,6 @@ def test_teardown_then_reprovision_reuses_qids(virt_tb):
 
 
 def test_teardown_refuses_inflight_commands(virt_tb):
-    from repro.host.driver import DriverError
-
     mgr = TenantManager(virt_tb)
     t = mgr.provision("a")
     eng = mgr.engine(t)
@@ -317,7 +315,7 @@ def test_drain_on_a_parked_tenant_fails_instead_of_livelocking(virt_tb):
     engine = mgr.engine(parked, qd=1)
     _bound_polls(engine)
     engine.submit(b"x" * 64)
-    with pytest.raises(EngineError, match="drain stalled"):
+    with pytest.raises(DriverError, match="drain stalled"):
         engine.drain()
     assert engine.stats.re_rings == 0
 
