@@ -421,6 +421,10 @@ def cmd_serve(args) -> int:
         fan_in=args.fan_in, seed=args.seed)
     stats = service.stats
     cache = service.cache_stats
+    kv = tb.personality
+    vlog = kv.vlog
+    space_amp = (f"{vlog.flushed_used / vlog.flushed_live:.2f}x"
+                 if vlog.flushed_live else "n/a")
     rows = [
         ["ops completed", report.ok + report.not_found],
         ["not found", report.not_found],
@@ -437,6 +441,9 @@ def cmd_serve(args) -> int:
         ["deferred reads/deletes", stats.deferred_ops],
         ["cache hit rate", f"{cache.hit_rate:.2f}"],
         ["cache fills / races", f"{cache.fills} / {cache.fill_races}"],
+        ["value-log relocations / PUT",
+         f"{vlog.gc_relocated / max(1, kv.puts):.2f}"],
+        ["log space amplification", space_amp],
     ]
     batching = (f"window {args.window_ns:.0f}ns"
                 if args.window_ns > 0 else "batching off")

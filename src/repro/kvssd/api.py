@@ -20,13 +20,17 @@ from repro.kvssd.commands import (
     key_field_words,
 )
 from repro.host.driver import NvmeDriver
+from repro.host.errors import DriverError
 from repro.nvme.constants import KvOpcode, StatusCode, VendorOpcode
 from repro.nvme.passthrough import PassthruRequest, PassthruResult
 from repro.transfer.base import TransferMethod, TransferStats
 
 
 class KvError(Exception):
-    """Host-visible key-value operation failure."""
+    """The device failed a key-value command (a non-success status).
+
+    A request the host refuses before submission (an empty or too long
+    key) raises :class:`DriverError`, a ``ValueError``, instead."""
 
 
 class KeyNotFoundError(KvError):
@@ -139,8 +143,8 @@ class KVStore:
     @staticmethod
     def _check_key(key: bytes) -> None:
         if not key:
-            raise KvError("empty key")
+            raise DriverError("empty key")
         if len(key) > MAX_INLINE_KEY:
-            raise KvError(
+            raise DriverError(
                 f"key of {len(key)} B exceeds the {MAX_INLINE_KEY} B "
                 f"in-command key field")

@@ -28,7 +28,7 @@ MAX_INLINE_KEY = 16
 _STORE_HEADER = struct.Struct("<H")
 
 
-class KvEncodingError(Exception):
+class KvEncodingError(ValueError):
     """Key/value cannot be represented in the command set."""
 
 

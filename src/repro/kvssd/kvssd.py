@@ -24,7 +24,7 @@ from repro.kvssd.commands import (
 )
 from repro.durability.domains import DEVICE_VOLATILE
 from repro.kvssd.lsm import LsmIndex
-from repro.kvssd.value_log import ValueLog
+from repro.kvssd.value_log import LogFullError, ValueLog
 from repro.nvme.constants import KvOpcode, StatusCode, VendorOpcode
 from repro.sim.config import TimingModel
 from repro.ssd.controller import CommandContext, CommandResult
@@ -35,6 +35,15 @@ from repro.ssd.nand import NandError
 #: upper half of the logical space).
 VLOG_LPN_BASE = 0
 
+#: Value-log GC runs only while at least this share of the flushed log
+#: is garbage.  Greedy victim choice then always reclaims a segment at
+#: least this dead, so each relocated byte frees at least
+#: ``GC_DEAD_RATIO / (1 - GC_DEAD_RATIO)`` bytes; the price is that a log
+#: past the absolute floor settles near ``1 / (1 - GC_DEAD_RATIO)`` space
+#: amplification.  0.2 is the largest ratio of a kv_serving soak sweep
+#: that kept the log within 1.3x.
+GC_DEAD_RATIO = 0.2
+
 
 class KvSsdPersonality:
     """Firmware handlers for STORE / RETRIEVE / DELETE / EXIST / LIST."""
@@ -42,8 +51,9 @@ class KvSsdPersonality:
     def __init__(self, ssd: OpenSsd,
                  memtable_entries: int = 4096) -> None:
         self.ssd = ssd
-        self.vlog = ValueLog(ssd.dram, ssd.ftl, lpn_base=VLOG_LPN_BASE)
         lsm_base = ssd.ftl.logical_capacity_pages // 2
+        self.vlog = ValueLog(ssd.dram, ssd.ftl, lpn_base=VLOG_LPN_BASE,
+                             lpn_limit=lsm_base)
         self.index = LsmIndex(ssd.ftl, lpn_base=lsm_base,
                               memtable_entries=memtable_entries)
         ctl = ssd.controller
@@ -62,7 +72,8 @@ class KvSsdPersonality:
         ssd.durability.register("kv.value_log", DEVICE_VOLATILE, self.vlog,
                                 checkpointed=True)
         ssd.durability.register("kv.index", DEVICE_VOLATILE, self.index)
-        #: Run value-log GC once dead space exceeds this many segments.
+        #: Value-log GC needs at least this much dead space, whatever
+        #: the garbage ratio (see :meth:`maybe_collect`).
         self.gc_threshold_bytes = 2 * self.vlog.segment_bytes
         self.puts = 0
         self.gets = 0
@@ -91,6 +102,8 @@ class KvSsdPersonality:
             # The log refuses the entry (e.g. larger than a segment):
             # a bad request, not a media fault.
             return CommandResult(StatusCode.INVALID_FIELD)
+        except LogFullError:
+            return CommandResult(StatusCode.CAPACITY_EXCEEDED)
         except NandError:
             return CommandResult(StatusCode.MEDIA_WRITE_FAULT)
         self.index.put(key, ptr)
@@ -115,6 +128,13 @@ class KvSsdPersonality:
             pairs = decode_batch_payload(ctx.data)
         except KvEncodingError:
             return CommandResult(StatusCode.INVALID_FIELD)
+        # Refuse the whole batch before its first append.
+        try:
+            self.vlog.check_batch(pairs)
+        except ValueError:
+            return CommandResult(StatusCode.INVALID_FIELD)
+        except LogFullError:
+            return CommandResult(StatusCode.CAPACITY_EXCEEDED)
         # One command-level parse plus per-pair engine work.
         self.ssd.clock.advance(self._timing.kv_put_logic_ns * len(pairs))
         stored = 0
@@ -122,8 +142,6 @@ class KvSsdPersonality:
             old = self.index.get(key)
             try:
                 ptr = self.vlog.append(key, value)
-            except ValueError:
-                return CommandResult(StatusCode.INVALID_FIELD, result=stored)
             except NandError:
                 return CommandResult(StatusCode.MEDIA_WRITE_FAULT,
                                      result=stored)
@@ -136,10 +154,23 @@ class KvSsdPersonality:
         return CommandResult(result=stored)
 
     def maybe_collect(self) -> bool:
-        """Run one value-log GC pass if dead space crossed the threshold."""
-        if self.vlog.dead_bytes < self.gc_threshold_bytes:
+        """Run one value-log GC pass once the flushed log's garbage is
+        both at least ``gc_threshold_bytes`` and at least
+        :data:`GC_DEAD_RATIO` of its used bytes.
+
+        An absolute trigger alone fires at a few percent garbage on a
+        large log, so every pass would relocate a mostly live victim.
+        A full log cannot relocate: the pass stops and the victim stays.
+        """
+        vlog = self.vlog
+        dead = vlog.dead_bytes
+        if (dead < self.gc_threshold_bytes
+                or dead < GC_DEAD_RATIO * vlog.flushed_used):
             return False
-        return self.vlog.collect(self.index.get_many, self.index.put)
+        try:
+            return vlog.collect(self.index.get_many, self.index.put)
+        except LogFullError:
+            return False
 
     def _lookup(self, ctx: CommandContext) -> Tuple[Optional[bytes],
                                                     Optional[bytes]]:
@@ -174,6 +205,11 @@ class KvSsdPersonality:
         old = self.index.get(key)
         if old is None:
             return CommandResult(StatusCode.KV_KEY_NOT_FOUND)
+        try:
+            # The tombstone must fit before the index forgets the key.
+            self.vlog.check_batch([(key, b"")])
+        except LogFullError:
+            return CommandResult(StatusCode.CAPACITY_EXCEEDED)
         self.index.delete(key)
         self.vlog.mark_dead(old)
         # Durable deletion record, so crash recovery replays the delete.

@@ -26,6 +26,11 @@ _TOMBSTONE_FLAG = 0x8000
 MAX_LOG_KEY = 0x7FFF
 
 
+class LogFullError(RuntimeError):
+    """The log reached the end of its LPN window: its next segment would
+    land on a page another structure owns."""
+
+
 class LogPointer(NamedTuple):
     """Location of one value-log entry."""
 
@@ -35,14 +40,23 @@ class LogPointer(NamedTuple):
 
 
 class ValueLog:
-    """Append-only, segment-buffered value log."""
+    """Append-only, segment-buffered value log.
+
+    Segment *n* lives at logical page ``lpn_base + n``; segment numbers
+    only grow, so the log refuses an entry (:class:`LogFullError`) once
+    its next segment would reach *lpn_limit* (default: the end of the
+    FTL's logical space).
+    """
 
     def __init__(self, dram: DeviceDram, ftl: PageMappingFtl,
                  segment_bytes: Optional[int] = None,
-                 lpn_base: int = 0) -> None:
+                 lpn_base: int = 0, lpn_limit: Optional[int] = None) -> None:
         self.ftl = ftl
         self.segment_bytes = segment_bytes or ftl.nand.geometry.page_bytes
         self.lpn_base = lpn_base
+        limit = ftl.logical_capacity_pages if lpn_limit is None else lpn_limit
+        #: Segments the LPN window holds.
+        self._max_segments = limit - lpn_base
         self._buffer: DramRegion = dram.carve("kv.value_log",
                                               self.segment_bytes)
         self._segment = 0
@@ -54,19 +68,20 @@ class ValueLog:
         #: number of bytes actually used before padding.
         self._live: Dict[int, int] = {}
         self._used: Dict[int, int] = {}
+        #: Running totals of used and live bytes over flushed segments,
+        #: so GC's trigger reads the log's garbage without a scan.
+        self.flushed_used = 0
+        self.flushed_live = 0
         self.appends = 0
         self.flushes = 0
         self.gc_runs = 0
         self.gc_relocated = 0
 
     # ------------------------------------------------------------------
-    def append(self, key: bytes, value: bytes,
-               tombstone: bool = False) -> LogPointer:
-        """Append one entry; flushes the active segment first if needed.
-
-        *tombstone* writes a durable deletion record (empty value, flag
-        bit set in the key length) so crash recovery replays deletes.
-        """
+    def entry_size(self, key: bytes, value: bytes,
+                   tombstone: bool = False) -> int:
+        """Bytes one entry takes in the log; raises ValueError for an
+        entry the log can never hold."""
         if not key:
             raise ValueError("empty key")
         if len(key) > MAX_LOG_KEY:
@@ -77,8 +92,36 @@ class ValueLog:
         if size > self.segment_bytes:
             raise ValueError(
                 f"entry of {size} B exceeds segment size {self.segment_bytes}")
+        return size
+
+    def check_batch(self, pairs: List[Tuple[bytes, bytes]]) -> None:
+        """Raise what appending every pair would raise, before any of
+        them is appended: ValueError for an entry the log can never
+        hold, :class:`LogFullError` when the pairs outrun the window."""
+        segment, offset = self._segment, self._offset
+        seg_bytes = self.segment_bytes
+        for key, value in pairs:
+            size = self.entry_size(key, value)
+            if offset + size > seg_bytes:
+                segment += 1
+                offset = 0
+            offset += size
+        if pairs and segment >= self._max_segments:
+            raise LogFullError("batch outruns the value log's LPN window")
+
+    def append(self, key: bytes, value: bytes,
+               tombstone: bool = False) -> LogPointer:
+        """Append one entry; flushes the active segment first if needed.
+
+        *tombstone* writes a durable deletion record (empty value, flag
+        bit set in the key length) so crash recovery replays deletes.
+        """
+        size = self.entry_size(key, value, tombstone)
         if self._offset + size > self.segment_bytes:
             self.flush()
+        if self._segment >= self._max_segments:
+            raise LogFullError(
+                f"value log full at LPN {self.lpn_base + self._segment}")
         ptr = LogPointer(self._segment, self._offset, size)
         key_field = len(key) | (_TOMBSTONE_FLAG if tombstone else 0)
         record = _ENTRY_HEADER.pack(key_field, len(value)) + key + value
@@ -96,6 +139,8 @@ class ValueLog:
         self.ftl.write(self.lpn_base + self._segment, data)
         self._flushed[self._segment] = True
         self._used[self._segment] = self._offset
+        self.flushed_used += self._offset
+        self.flushed_live += self._live.get(self._segment, 0)
         self.flushes += 1
         self._segment += 1
         self._offset = 0
@@ -164,6 +209,9 @@ class ValueLog:
         self._flushed = dict(state["flushed"])
         self._live = dict(state["live"])
         self._used = dict(state["used"])
+        self.flushed_used = sum(self._used[seg] for seg in self._flushed)
+        self.flushed_live = sum(self._live.get(seg, 0)
+                                for seg in self._flushed)
         self._buffer.write(0, state["buffer"])
         (self.appends, self.flushes,
          self.gc_runs, self.gc_relocated) = state["counters"]
@@ -180,6 +228,8 @@ class ValueLog:
         self._flushed.clear()
         self._live.clear()
         self._used.clear()
+        self.flushed_used = 0
+        self.flushed_live = 0
         self._buffer.scrub()
 
     # ------------------------------------------------------------------
@@ -187,16 +237,18 @@ class ValueLog:
     # ------------------------------------------------------------------
     def mark_dead(self, ptr: LogPointer) -> None:
         """Account an entry as dead (overwritten or deleted)."""
-        live = self._live.get(ptr.segment, 0) - ptr.length
-        self._live[ptr.segment] = max(0, live)
+        seg = ptr.segment
+        old = self._live.get(seg, 0)
+        live = max(0, old - ptr.length)
+        self._live[seg] = live
+        if seg in self._flushed:
+            self.flushed_live -= old - live
 
     @property
     def dead_bytes(self) -> int:
-        """Dead space across *flushed* segments (GC's reclaimable pool)."""
-        total = 0
-        for seg in self._flushed:
-            total += self._used.get(seg, 0) - self._live.get(seg, 0)
-        return total
+        """Dead space across *flushed* segments (GC's reclaimable pool),
+        from the running totals."""
+        return self.flushed_used - self.flushed_live
 
     def parse_segment(
             self, segment: int
@@ -256,7 +308,7 @@ class ValueLog:
             self.gc_relocated += 1
         self.ftl.trim(self.lpn_base + victim)
         del self._flushed[victim]
-        self._used.pop(victim, None)
-        self._live.pop(victim, None)
+        self.flushed_used -= self._used.pop(victim)
+        self.flushed_live -= self._live.pop(victim, 0)
         self.gc_runs += 1
         return True

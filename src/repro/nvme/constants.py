@@ -93,6 +93,8 @@ class StatusCode(enum.IntEnum):
     COMMAND_INTERRUPTED = 0x21
     #: NVMe 1.4: transient transport (link-level) error; retry is expected.
     TRANSIENT_TRANSPORT_ERROR = 0x22
+    #: The device has no room left for the write.
+    CAPACITY_EXCEEDED = 0x81
     #: Vendor: key not found (KV retrieve/delete miss).
     KV_KEY_NOT_FOUND = 0x87
     #: Vendor: NAND program failure surfaced to the host.

@@ -13,6 +13,7 @@ from typing import Dict, Optional
 
 from repro.csd.pushdown import CsdPersonality
 from repro.host.driver import NvmeDriver
+from repro.host.errors import DriverError
 from repro.kvssd.kvssd import KvSsdPersonality
 from repro.sim.config import SimConfig
 from repro.ssd.controller import MODE_QUEUE_LOCAL
@@ -44,8 +45,8 @@ class Testbed:
         try:
             return self.methods[name]
         except KeyError:
-            raise KeyError(f"unknown transfer method {name!r}; "
-                           f"have {sorted(self.methods)}")
+            raise DriverError(f"unknown transfer method {name!r}; "
+                              f"have {sorted(self.methods)}") from None
 
     def unmonitor(self) -> "Testbed":
         """Detach the ``REPRO_VERIFY`` protocol monitor, if armed.

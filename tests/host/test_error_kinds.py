@@ -12,7 +12,7 @@ import pytest
 from repro.datapath import names as dp_names
 from repro.engine import IoEngine
 from repro.faults import DROP_CQE, DROP_DOORBELL, FaultPlan
-from repro.host.errors import CommandTimeoutError, DeviceError
+from repro.host.errors import CommandTimeoutError, DeviceError, DriverError
 from repro.nvme.constants import IoOpcode
 from repro.nvme.passthrough import PassthruRequest
 from repro.testbed import make_block_testbed
@@ -54,6 +54,12 @@ def test_a_refused_request_raises_one_value_error_on_both_paths(name):
     assert via_passthru is via_engine
     assert issubclass(via_engine, ValueError)
     assert not issubclass(via_engine, DeviceError)
+
+
+def test_a_method_the_rig_lacks_is_a_driver_error():
+    tb = make_block_testbed()
+    with pytest.raises(DriverError, match="unknown transfer method 'warp'"):
+        tb.method("warp")
 
 
 def test_a_command_timeout_is_a_device_error():

@@ -1,5 +1,6 @@
 """CLI smoke tests (every subcommand end-to-end)."""
 
+import re
 
 import pytest
 
@@ -69,6 +70,15 @@ def test_serve(capsys):
     assert "worst client p99.9" in out
     assert "read-your-writes checks" in out
     assert "PCIe traffic" in out
+
+
+def test_serve_prints_value_log_gc_rows(capsys):
+    # Enough PUTs to flush value-log segments, so both rows are numbers.
+    assert main(["serve", "--sessions", "16", "--ops", "64",
+                 "--read-ratio", "0.5"]) == 0
+    out = capsys.readouterr().out
+    assert re.search(r"value-log relocations / PUT\s*\|?\s*\d+\.\d\d", out)
+    assert re.search(r"log space amplification\s*\|?\s*\d+\.\d\dx", out)
 
 
 def test_serve_disabled_optimisations(capsys):

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.kvssd import KVStore, KvError
+from repro.host.errors import DriverError
+from repro.kvssd import KVStore
 from repro.kvssd.commands import (
     KvEncodingError,
     decode_batch_payload,
@@ -84,7 +85,7 @@ class TestBatchStore:
 
     def test_oversized_key_rejected(self):
         tb, store = self._rig()
-        with pytest.raises(KvError):
+        with pytest.raises(DriverError):
             store.put_batch([(b"x" * 17, b"v")])
 
     def test_batch_survives_crash_as_one_unit(self):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.host.errors import DriverError
 from repro.kvssd import KeyNotFoundError, KvError, KVStore
 from repro.kvssd.commands import (
     encode_batch_payload,
@@ -9,6 +10,7 @@ from repro.kvssd.commands import (
     key_field_words,
 )
 from repro.nvme.constants import KvOpcode, StatusCode, VendorOpcode
+from repro.testbed import make_kv_testbed
 from repro.workloads import FillRandomWorkload, MixGraphWorkload
 
 
@@ -54,11 +56,15 @@ def test_empty_value(rig):
 
 
 def test_key_limits(rig):
+    """A key the command set cannot carry is refused before submission:
+    a DriverError (a ValueError), not the device-status KvError."""
     _, store = rig
-    with pytest.raises(KvError):
+    with pytest.raises(DriverError):
         store.get(b"x" * 17)
-    with pytest.raises(KvError):
+    with pytest.raises(DriverError):
         store.put(b"", b"v")
+    with pytest.raises(DriverError):
+        store.put(b"k" * 17, b"v")
 
 
 def test_value_larger_than_read_buffer(rig):
@@ -111,7 +117,8 @@ def test_read_return_stops_at_the_host_buffer(kv_tb):
 def test_a_value_no_log_segment_holds_is_an_invalid_field(kv_tb, opcode):
     """An entry larger than a value-log segment is a bad request, not a
     media fault: it completes with INVALID_FIELD, alone or in a batch,
-    and the value is not stored."""
+    and nothing is stored.  A batch is all-or-nothing: the pair ahead of
+    the oversized one is refused with it, and the CQE counts zero."""
     huge = b"h" * (kv_tb.personality.vlog.segment_bytes + 1)
     payload = (encode_store_payload(b"huge", huge)
                if opcode == KvOpcode.STORE else
@@ -120,7 +127,9 @@ def test_a_value_no_log_segment_holds_is_an_invalid_field(kv_tb, opcode):
     put = engine.submit(payload, "prp", opcode=opcode)
     engine.drain()
     assert put.status == StatusCode.INVALID_FIELD
+    assert put.cqe.result == 0
     assert kv_tb.personality.peek(b"huge") is None
+    assert kv_tb.personality.peek(b"small") is None
 
 
 def test_put_returns_transfer_stats(rig):
@@ -175,3 +184,60 @@ def test_nand_sees_traffic_with_large_stream(kv_tb):
     for op in FillRandomWorkload(ops=300, value_size=256, seed=9):
         store.put(op.key, op.value)
     assert kv_tb.ssd.nand.programs > 0  # value-log segments flushed
+
+
+def test_the_value_log_stops_at_the_index_lpn_window():
+    """Log segment n lives at LPN n and the LSM index's tables start at
+    half the logical space.  A log that reaches that LPN refuses further
+    STOREs with CAPACITY_EXCEEDED instead of flushing onto a page the
+    index's table writes remap, and every acknowledged value reads
+    back."""
+    tb = make_kv_testbed(memtable_entries=8)
+    kv = tb.personality
+    kv.vlog._segment = kv.index.lpn_base - 1
+    store = KVStore(tb.driver, tb.method("byteexpress"))
+    acked = {}
+    for i in range(40):
+        key, value = b"lpn-%04d" % i, bytes([i]) * 1500
+        try:
+            store.put(key, value)
+        except KvError as exc:
+            assert "status 0x81" in str(exc)
+        else:
+            acked[key] = value
+    assert 0 < len(acked) < 40
+    assert kv.vlog.flushed_segments[-1] == kv.index.lpn_base - 1
+    for key, value in acked.items():
+        assert store.get(key) == value
+    # A full log refuses a batch whole, and a DELETE whose durable
+    # tombstone has no room leaves the key in place.
+    with pytest.raises(KvError, match="status 0x81"):
+        store.put_batch([(b"batch-a", b"a"), (b"batch-b", b"b")])
+    assert kv.peek(b"batch-a") is None
+    with pytest.raises(KvError, match="status 0x81"):
+        store.delete(b"lpn-0000")
+    assert store.get(b"lpn-0000") == acked[b"lpn-0000"]
+
+
+def test_gc_that_relocates_into_a_full_log_stops_the_pass():
+    """A GC pass whose relocations reach the end of the log's LPN window
+    stops instead of escaping the firmware loop, and every acknowledged
+    value still reads back."""
+    tb = make_kv_testbed()
+    kv = tb.personality
+    kv.vlog._segment = kv.index.lpn_base - 6
+    kv.gc_threshold_bytes = kv.vlog.segment_bytes // 2
+    store = KVStore(tb.driver, tb.method("byteexpress"))
+    acked = {}
+    for round_ in range(20):
+        for i in range(40):
+            key, value = b"full-%03d" % i, bytes([round_]) * 1500
+            try:
+                store.put(key, value)
+            except KvError:
+                pass
+            else:
+                acked[key] = value
+    assert kv.vlog.gc_runs > 0
+    for key, value in acked.items():
+        assert store.get(key) == value
