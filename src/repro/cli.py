@@ -425,6 +425,12 @@ def cmd_serve(args) -> int:
     vlog = kv.vlog
     space_amp = (f"{vlog.flushed_used / vlog.flushed_live:.2f}x"
                  if vlog.flushed_live else "n/a")
+    ctrl = tb.ssd.controller
+    served = max(1, report.ok + report.not_found)
+    # The preload issues no GETs, so every parked read and die wait
+    # falls in the timed run.
+    die_wait = (f"{ctrl.die_wait_ns / report.elapsed_ns:.1%}"
+                if report.elapsed_ns > 0 else "n/a")
     rows = [
         ["ops completed", report.ok + report.not_found],
         ["not found", report.not_found],
@@ -444,6 +450,9 @@ def cmd_serve(args) -> int:
         ["value-log relocations / PUT",
          f"{vlog.gc_relocated / max(1, kv.puts):.2f}"],
         ["log space amplification", space_amp],
+        ["NAND reads / op", f"{tb.ssd.nand.reads / served:.2f}"],
+        ["parked reads / op", f"{ctrl.parked_reads / served:.2f}"],
+        ["die-wait share", die_wait],
     ]
     batching = (f"window {args.window_ns:.0f}ns"
                 if args.window_ns > 0 else "batching off")

@@ -173,28 +173,42 @@ class KvSsdPersonality:
             return False
 
     def _lookup(self, ctx: CommandContext) -> Tuple[Optional[bytes],
-                                                    Optional[bytes]]:
+                                                    Optional[bytes], float]:
+        """(key, value, ready time) for a host read of the key in *ctx*.
+
+        A value in a flushed segment is read from NAND without waiting
+        for the die: the ready time says when the read finishes, and the
+        controller parks the command until then (0.0: nothing to wait
+        for).
+        """
         try:
             key = unpack_key_fields(ctx.cmd)
         except KvEncodingError:
-            return None, None
+            return None, None, 0.0
         ptr = self.index.get(key)
         if ptr is None:
-            return key, None
-        stored_key, value = self.vlog.read(ptr)
+            return key, None, 0.0
+        nand = self.ssd.nand
+        nand.defer_reads()
+        try:
+            stored_key, value = self.vlog.read(ptr)
+        finally:
+            ready = nand.end_deferred()
         if stored_key != key:  # pragma: no cover - index corruption guard
-            return key, None
-        return key, value
+            return key, None, ready
+        return key, value, ready
 
     def _on_retrieve(self, ctx: CommandContext) -> CommandResult:
         self.ssd.clock.advance(self._timing.kv_get_logic_ns)
-        key, value = self._lookup(ctx)
+        key, value, ready = self._lookup(ctx)
         if key is None:
             return CommandResult(StatusCode.INVALID_FIELD)
         self.gets += 1
         if value is None:
-            return CommandResult(StatusCode.KV_KEY_NOT_FOUND)
-        return CommandResult(result=len(value), read_data=value)
+            return CommandResult(StatusCode.KV_KEY_NOT_FOUND,
+                                 ready_at_ns=ready)
+        return CommandResult(result=len(value), read_data=value,
+                             ready_at_ns=ready)
 
     def _on_delete(self, ctx: CommandContext) -> CommandResult:
         self.ssd.clock.advance(self._timing.kv_put_logic_ns)
@@ -220,12 +234,13 @@ class KvSsdPersonality:
 
     def _on_exist(self, ctx: CommandContext) -> CommandResult:
         self.ssd.clock.advance(self._timing.kv_get_logic_ns)
-        key, value = self._lookup(ctx)
+        key, value, ready = self._lookup(ctx)
         if key is None:
             return CommandResult(StatusCode.INVALID_FIELD)
         if value is None:
-            return CommandResult(StatusCode.KV_KEY_NOT_FOUND)
-        return CommandResult(result=len(value))
+            return CommandResult(StatusCode.KV_KEY_NOT_FOUND,
+                                 ready_at_ns=ready)
+        return CommandResult(result=len(value), ready_at_ns=ready)
 
     def _on_list(self, ctx: CommandContext) -> CommandResult:
         """NVMe-KV LIST: keys ≥ the given key, in order, bounded by CDW15.
@@ -288,6 +303,7 @@ class KvSsdPersonality:
         Walks the durable watermark — the flushed-segment set — in
         segment order: last-writer-wins falls out of replay order, and
         durable tombstone records make deletions survive the crash.
+        Boot replay is firmware-internal, so its NAND reads block.
         Returns the number of live keys replayed.
         """
         restored: dict = {}

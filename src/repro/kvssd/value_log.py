@@ -151,7 +151,7 @@ class ValueLog:
         """Fetch (key, value) for a pointer, from DRAM or NAND.
 
         Flushed segments come through *read_page* (``ftl.read`` unless
-        given).
+        given), which blocks unless the caller deferred NAND reads.
         """
         if ptr.segment == self._segment and not self._flushed.get(ptr.segment):
             raw = self._buffer.read(ptr.offset, ptr.length)
@@ -253,7 +253,13 @@ class ValueLog:
     def parse_segment(
             self, segment: int
     ) -> List[Tuple[LogPointer, bytes, bytes, bool]]:
-        """(ptr, key, value, is_tombstone) for each entry of a flushed segment."""
+        """(ptr, key, value, is_tombstone) for each entry of a flushed segment.
+
+        The page read blocks: GC and boot replay are firmware-internal
+        and use the entries before they go on, so only host reads (in a
+        command handler's :meth:`~repro.ssd.nand.NandArray.defer_reads`
+        scope) overlap across dies.
+        """
         page = self.ftl.read(self.lpn_base + segment)
         used = self._used[segment]
         offset = 0

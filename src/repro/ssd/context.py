@@ -57,6 +57,10 @@ class CommandResult:
     #: retry loop may resubmit.  Semantic rejections keep the default
     #: (DNR set) — retrying a malformed command cannot succeed.
     retryable: bool = False
+    #: When the command's NAND reads finish (0.0: nothing to wait for).
+    #: A later time parks the command on its die: the firmware loop goes
+    #: on, and the completion posts once the clock reaches this time.
+    ready_at_ns: float = 0.0
 
 
 Handler = Callable[[CommandContext], CommandResult]

@@ -37,7 +37,8 @@ from __future__ import annotations
 
 from collections import deque
 from functools import partial
-from typing import TYPE_CHECKING, Deque, Dict, List, Optional
+from heapq import heapify, heappop, heappush
+from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.virt.qos import QosArbiter
@@ -157,6 +158,10 @@ class NvmeController:
         self._busy_since_park = False
         # CQE coalescing: buffered-but-unposted completion counts per CQ
         self._coalesced: Dict[int, int] = {}
+        #: Commands parked on a busy die, as a heap of (ready time,
+        #: park sequence, qid, command, result); see ``_post_parked``.
+        self._parked: List[Tuple[float, int, int, NvmeCommand,
+                                 CommandResult]] = []
         # stats
         self.commands_processed = 0
         self.admin_commands_processed = 0
@@ -169,6 +174,10 @@ class NvmeController:
         self.burst_fetches = 0
         self.cqe_flushes = 0
         self.ns_rejections = 0
+        #: Commands parked until their NAND reads finished, and the
+        #: simulated time ``quiesce`` waited on a die with no other work.
+        self.parked_reads = 0
+        self.die_wait_ns = 0.0
         # firmware units (the controller is the orchestrator; all state
         # above stays here, the units operate on it through their backref)
         self.admin = AdminEngine(self)
@@ -226,6 +235,7 @@ class NvmeController:
         self._shadow_stale = False
         self._busy_since_park = False
         self._coalesced.clear()
+        self._parked.clear()
         self._ns_of_qid.clear()
         self.enabled = False
         self.bar.write32(REG_CSTS, 0)
@@ -285,6 +295,10 @@ class NvmeController:
         self._rr_next = 0
         self._pending_chunks.pop(qid, None)
         self._ns_of_qid.pop(qid, None)
+        if self._parked:
+            # A deleted queue's parked commands are aborted with it.
+            self._parked = [p for p in self._parked if p[2] != qid]
+            heapify(self._parked)
         self.bar.clear_write_handler(sq_doorbell_offset(qid))
 
     def delete_cq(self, qid: int) -> None:
@@ -369,15 +383,22 @@ class NvmeController:
         """The device-idle transition, called by the host-side drive
         loops once the firmware loop runs dry.
 
-        Flushes any coalesced completions, then (under shadow doorbells)
-        parks the device: the fetch unit publishes the per-queue eventidx
-        values and the park record — the promise to keep polling the
+        First waits out the die queue: every command still parked on a
+        NAND read posts in ready-time order, the clock advancing to each
+        ready time (``die_wait_ns`` counts that wait).  So an entry still
+        tabled after a quiescent drive got no CQE, parked or not, and a
+        QD-1 read pays its full NAND latency.  Then flushes any coalesced
+        completions and (under shadow doorbells) parks the device: the
+        fetch unit publishes the per-queue eventidx values and the park
+        record — the promise to keep polling the
         shadow page for another ``SHADOW_IDLE_NS`` — with one small DMA
         write.  A no-op unless the device did work since the last park:
         an idle host polling an idle device must not generate traffic.
-        Both halves are skipped without a call when they have nothing to
-        do (no coalesced CQE; no shadow page).
+        Each step is skipped without a call when it has nothing to do
+        (no parked command; no coalesced CQE; no shadow page).
         """
+        if self._parked:
+            self._post_parked()
         if self._coalesced:
             self.flush_completions()
         if self._shadow is not None:
@@ -603,9 +624,30 @@ class NvmeController:
             self._complete(qid, cmd, CommandResult(StatusCode.INVALID_OPCODE))
             return
         result = handler(ctx)
+        if result.ready_at_ns:
+            # Parked on its die: the firmware loop goes on meanwhile.
+            self.parked_reads += 1
+            heappush(self._parked, (result.ready_at_ns, self.parked_reads,
+                                    qid, cmd, result))
+            return
         if result.read_data is not None and result.status == StatusCode.SUCCESS:
             result = self._push_read_data(cmd, result)
         self._complete(qid, cmd, result)
+
+    def _post_parked(self) -> None:
+        """Complete every parked command in ready-time order, advancing
+        the clock to each ready time still ahead."""
+        parked = self._parked
+        clock = self.clock
+        while parked:
+            ready, _seq, qid, cmd, result = heappop(parked)
+            if ready > clock.now:
+                self.die_wait_ns += ready - clock.now
+                clock.advance_to(ready)
+            if (result.read_data is not None
+                    and result.status == StatusCode.SUCCESS):
+                result = self._push_read_data(cmd, result)
+            self._complete(qid, cmd, result)
 
     def dispatch_local(self, ctx: CommandContext) -> CommandResult:
         """Invoke an opcode handler on an already-materialised payload.

@@ -9,7 +9,7 @@ exactly like the Cosmos+ firmware variants the paper evaluates.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Callable, Dict, Optional
 
 from repro.durability.domains import (
     DEVICE_VOLATILE,
@@ -153,11 +153,10 @@ class BlockSsdPersonality:
     def _write_through_ftl(self, offset: int, data: bytes) -> None:
         for lpn, start, piece in self._split_pages(offset, data):
             if start != 0 or len(piece) != PAGE_SIZE:
-                # Sub-page write: read-modify-write.
-                try:
-                    current = bytearray(self.ssd.ftl.read(lpn))
-                except FtlError:  # never written: reads as zeros
-                    current = bytearray(PAGE_SIZE)
+                # Sub-page write: read-modify-write.  The read blocks:
+                # the firmware needs the old page before it can merge.
+                current = bytearray(self._gather(lpn * PAGE_SIZE, PAGE_SIZE,
+                                                 self.ssd.ftl.read))
                 current[start:start + len(piece)] = piece
                 self.ssd.ftl.write(lpn, bytes(current))
             else:
@@ -185,6 +184,25 @@ class BlockSsdPersonality:
         # padded up to the LBA boundary; SGL bit buckets can discard it.
         lba = self.ssd.config.lba_bytes
         nbytes = -(-nbytes // lba) * lba
+        if not self.ssd.nand_enabled:
+            return CommandResult(result=nbytes,
+                                 read_data=self._gather(offset, nbytes))
+        # A host read: its pages are read on their dies at once, and the
+        # controller parks the command until the last one finishes.
+        nand = self.ssd.nand
+        nand.defer_reads()
+        try:
+            data = self._gather(offset, nbytes, self.ssd.ftl.read)
+        finally:
+            ready = nand.end_deferred()
+        return CommandResult(result=nbytes, read_data=data, ready_at_ns=ready)
+
+    def _gather(self, offset: int, nbytes: int,
+                read_page: Optional[Callable[[int], bytes]] = None) -> bytes:
+        """The *nbytes* at byte *offset*: from the NAND-off functional
+        store, or with NAND on through *read_page* (an FTL read).  A
+        never-written page reads as zeros either way."""
+        zeros = b"\x00" * PAGE_SIZE
         out = bytearray()
         pos = 0
         while pos < nbytes:
@@ -192,16 +210,16 @@ class BlockSsdPersonality:
             lpn = addr // PAGE_SIZE
             in_page = addr % PAGE_SIZE
             take = min(nbytes - pos, PAGE_SIZE - in_page)
-            if self.ssd.nand_enabled:
-                try:
-                    page = self.ssd.ftl.read(lpn)
-                except FtlError:  # never written: reads as zeros
-                    page = b"\x00" * PAGE_SIZE
+            if read_page is None:
+                page = self._pages.get(lpn, zeros)
             else:
-                page = bytes(self._pages.get(lpn, b"\x00" * PAGE_SIZE))
+                try:
+                    page = read_page(lpn)
+                except FtlError:
+                    page = zeros
             out += page[in_page:in_page + take]
             pos += take
-        return CommandResult(result=len(out), read_data=bytes(out))
+        return bytes(out)
 
     def _on_flush(self, ctx: CommandContext) -> CommandResult:
         if self.ssd.nand_enabled:
@@ -216,18 +234,12 @@ class BlockSsdPersonality:
 
     # -- test/inspection hooks ---------------------------------------------
     def read_back(self, offset: int, nbytes: int) -> bytes:
-        """Direct functional read for verification in tests."""
-        out = bytearray()
-        pos = 0
-        while pos < nbytes:
-            addr = offset + pos
-            lpn = addr // PAGE_SIZE
-            in_page = addr % PAGE_SIZE
-            take = min(nbytes - pos, PAGE_SIZE - in_page)
-            if self.ssd.nand_enabled:
-                page = self.ssd.ftl.read(lpn)
-            else:
-                page = bytes(self._pages.get(lpn, b"\x00" * PAGE_SIZE))
-            out += page[in_page:in_page + take]
-            pos += take
-        return bytes(out)
+        """Direct functional read for verification in tests.
+
+        Timing-free, like the controller's oracles: with NAND on it
+        peeks the FTL, so it moves neither the clock nor the NAND
+        counters.  A never-written page reads as zeros, as over READ.
+        """
+        return self._gather(offset, nbytes,
+                            self.ssd.ftl.peek if self.ssd.nand_enabled
+                            else None)

@@ -86,9 +86,10 @@ class PageMappingFtl:
             state.next_page = 0
             state.valid.setdefault(state.active_block, set())
         channel, way = self._die_coords(die)
-        page = PhysicalPage(channel, way, state.active_block, state.next_page)
-        state.next_page += 1
-        return page
+        # The caller claims the page (``next_page += 1``) only once its
+        # program succeeds: a failed program leaves the NAND write point
+        # where it was, and the die's next write must land there.
+        return PhysicalPage(channel, way, state.active_block, state.next_page)
 
     # ------------------------------------------------------------------
     # host operations
@@ -101,15 +102,18 @@ class PageMappingFtl:
         self._next_die = (self._next_die + 1) % self.nand.geometry.dies
         ppage = self._allocate(die)
         self.nand.program(ppage, data, blocking=blocking)
+        state = self._dies[die]
+        state.next_page += 1
         self._invalidate(lpn)
         self._map[lpn] = ppage
-        die_idx = self.nand.geometry.die_index(ppage.channel, ppage.way)
-        self._dies[die_idx].valid[ppage.block].add(ppage.page)
-        self._reverse[(die_idx, ppage.block, ppage.page)] = lpn
+        state.valid[ppage.block].add(ppage.page)
+        self._reverse[(die, ppage.block, ppage.page)] = lpn
         self.host_writes += 1
         return ppage
 
     def read(self, lpn: int) -> bytes:
+        """Read one logical page: blocking, unless the caller opened a
+        :meth:`NandArray.defer_reads` scope (see :mod:`repro.ssd.nand`)."""
         ppage = self._map.get(lpn)
         if ppage is None:
             raise FtlError(f"LPN {lpn} has never been written")
@@ -164,6 +168,7 @@ class PageMappingFtl:
             lpn = self._reverse.get((die, victim, page_idx))
             if lpn is None:  # pragma: no cover - defensive
                 continue
+            # A blocking read: the migration programs what it returns.
             data = self.nand.read(PhysicalPage(channel, way, victim, page_idx))
             # Migration writes follow the normal allocation path but must
             # not recurse into GC; the active block always has room or is
@@ -186,8 +191,8 @@ class PageMappingFtl:
             state.valid.setdefault(state.active_block, set())
         channel, way = self._die_coords(die)
         ppage = PhysicalPage(channel, way, state.active_block, state.next_page)
-        state.next_page += 1
         self.nand.program(ppage, data)
+        state.next_page += 1
         self._invalidate(lpn)
         self._map[lpn] = ppage
         state.valid[ppage.block].add(ppage.page)

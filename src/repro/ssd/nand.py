@@ -2,10 +2,23 @@
 
 Models the Cosmos+ OpenSSD back-end: a grid of dies (channels × ways), each
 executing page program / page read / block erase operations with realistic
-latencies.  Dies operate independently, so a stream of programs issued to
-different dies pipelines; the array tracks per-die busy-until times against
-the shared simulated clock and exposes both blocking (latency-accurate) and
-pipelined (throughput-accurate) issue modes.
+latencies.  Dies operate independently: the array tracks per-die busy-until
+times against the shared simulated clock, and an operation starts once its
+die is idle.
+
+* Programs are pipelined: the die stays busy and the clock moves on, so a
+  stream of programs issued to different dies overlaps.
+* Reads block by default: the clock advances to the die's finish.  That
+  is what firmware-internal reads need, which use the data before they can
+  go on (boot replay, value-log GC's segment parse, FTL GC migration,
+  sub-page read-modify-write).
+* Host reads are issued inside a :meth:`NandArray.defer_reads` scope by
+  the command handler.  They mark the die busy and capture the page at
+  issue, but do not move the clock; the controller parks the command until
+  :meth:`NandArray.end_deferred`'s ready time.  Host reads on different
+  dies therefore overlap, and reads on one die still queue (Cosmos+
+  firmware queues flash requests per way without stalling its command
+  loop).
 
 The Figure 1(b)/5 experiments disable NAND entirely — the paper measures
 pure transfer latency — while Figure 6 (KV-SSD) runs with NAND on.
@@ -86,6 +99,9 @@ class NandArray:
         self._pages: Dict[Tuple[int, int, int], bytes] = {}
         #: Dies that fail their next program (failure injection).
         self._inject_fail: Dict[int, int] = {}
+        #: Latest finish of the reads issued in the open
+        #: :meth:`defer_reads` scope; None while reads block.
+        self._deferred_until: Optional[float] = None
         self.programs = 0
         self.reads = 0
         self.erases = 0
@@ -145,8 +161,19 @@ class NandArray:
             self.clock.advance_to(end)
         return end
 
-    def read(self, page: PhysicalPage, blocking: bool = True) -> bytes:
-        """Read one programmed page."""
+    def read(self, page: PhysicalPage) -> bytes:
+        """Read one programmed page.
+
+        The read starts once its die is idle and keeps the die busy for
+        ``nand_page_read_ns``.  Outside a :meth:`defer_reads` scope it
+        blocks: the clock advances to the finish, as every
+        firmware-internal read needs (boot replay, value-log GC's
+        ``parse_segment``, FTL GC migration, sub-page read-modify-write).
+        Inside the scope (a host read in its command handler) the clock
+        stays put and the scope records the finish instead.  The
+        page is captured at issue either way, so a later trim, erase or
+        reprogram cannot change what the read returns.
+        """
         self._check_page(page)
         die = self._die(page)
         data = self._pages.get((die, page.block, page.page))
@@ -156,9 +183,24 @@ class NandArray:
         end = start + self.timing.nand_page_read_ns
         self._busy_until[die] = end
         self.reads += 1
-        if blocking:
+        deferred = self._deferred_until
+        if deferred is None:
             self.clock.advance_to(end)
+        elif end > deferred:
+            self._deferred_until = end
         return data
+
+    def defer_reads(self) -> None:
+        """Open a host-read scope: reads until :meth:`end_deferred` mark
+        their dies busy but do not advance the clock."""
+        self._deferred_until = 0.0
+
+    def end_deferred(self) -> float:
+        """Close the :meth:`defer_reads` scope.  Returns when the last
+        read issued in it finishes (0.0 when none reached NAND)."""
+        ready = self._deferred_until
+        self._deferred_until = None
+        return ready or 0.0
 
     def peek(self, page: PhysicalPage) -> bytes:
         """Timing-free read for verification oracles.

@@ -81,6 +81,16 @@ def test_serve_prints_value_log_gc_rows(capsys):
     assert re.search(r"log space amplification\s*\|?\s*\d+\.\d\dx", out)
 
 
+def test_serve_prints_nand_read_and_die_wait_rows(capsys):
+    # Enough keys to flush value-log segments, so GETs reach NAND.
+    assert main(["serve", "--sessions", "64", "--ops", "16"]) == 0
+    out = capsys.readouterr().out
+    reads = re.search(r"NAND reads / op\s*\|?\s*(\d+\.\d\d)", out)
+    assert reads and float(reads.group(1)) > 0
+    assert re.search(r"parked reads / op\s*\|?\s*\d+\.\d\d", out)
+    assert re.search(r"die-wait share\s*\|?\s*\d+\.\d%", out)
+
+
 def test_serve_disabled_optimisations(capsys):
     assert main(["serve", "--sessions", "4", "--ops", "4",
                  "--window-ns", "0", "--cache-entries", "0"]) == 0

@@ -1,5 +1,7 @@
 """KV-SSD personality + host API end-to-end."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.host.errors import DriverError
@@ -10,6 +12,7 @@ from repro.kvssd.commands import (
     key_field_words,
 )
 from repro.nvme.constants import KvOpcode, StatusCode, VendorOpcode
+from repro.sim.config import SimConfig, TimingModel
 from repro.testbed import make_kv_testbed
 from repro.workloads import FillRandomWorkload, MixGraphWorkload
 
@@ -241,3 +244,25 @@ def test_gc_that_relocates_into_a_full_log_stops_the_pass():
     assert kv.vlog.gc_runs > 0
     for key, value in acked.items():
         assert store.get(key) == value
+
+
+def test_a_store_after_a_failed_flush_succeeds():
+    """A failed segment program fails only its own STORE: the die it
+    hit takes the next flush (one die, so every flush lands there)."""
+    timing = replace(TimingModel(), nand_channels=1, nand_ways=1)
+    tb = make_kv_testbed(config=SimConfig(timing=timing))
+    store = KVStore(tb.driver, tb.method("byteexpress"))
+    value = b"v" * 3000
+    store.put(b"k0", value)
+    tb.ssd.nand.inject_program_failures(0, 1)
+    failed = []
+    for i in range(1, 12):  # enough to fill and flush several segments
+        try:
+            store.put(b"k%d" % i, value)
+        except KvError:
+            failed.append(i)
+    assert len(failed) == 1
+    tb.personality.vlog.flush()
+    for i in range(12):
+        if i not in failed:
+            assert store.get(b"k%d" % i) == value

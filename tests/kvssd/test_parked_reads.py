@@ -1,0 +1,212 @@
+"""GETs that miss DRAM park on their NAND die instead of stalling the
+device: reads on different dies overlap, reads on one die queue, and a
+parked command completes through the normal completion path."""
+
+import pytest
+
+from repro.faults.plan import CUT_CQE, DROP_CQE, CrashCut, CrashPlan, FaultPlan
+from repro.host.driver import NvmeDriver
+from repro.kvssd import KVStore
+from repro.kvssd.commands import key_field_words
+from repro.kvssd.service import MAX_VALUE_BYTES
+from repro.nvme.constants import KvOpcode
+from repro.nvme.registers import REG_CC
+from repro.testbed import make_kv_testbed
+from repro.transfer import make_methods
+
+
+def _rig(segments, fault_plan=None):
+    """A KV rig holding *segments* (lists of keys), each flushed to its
+    own value-log segment, so each on its own die."""
+    tb = make_kv_testbed(fault_plan=fault_plan)
+    store = KVStore(tb.driver, tb.method("byteexpress"))
+    values = {}
+    for keys in segments:
+        for key in keys:
+            values[key] = key * (1000 // len(key))
+            store.put(key, values[key])
+        tb.personality.vlog.flush()
+    tb.ssd.nand.drain()
+    return tb, values
+
+
+def _die_of(tb, key):
+    kv = tb.personality
+    ppage = tb.ssd.ftl._map[kv.vlog.lpn_base + kv.index.get(key).segment]
+    return tb.ssd.nand.geometry.die_index(ppage.channel, ppage.way)
+
+
+def _get(engine, key):
+    mptr, cdw10, cdw11, cdw14 = key_field_words(key)
+    return engine.submit_read(MAX_VALUE_BYTES, KvOpcode.RETRIEVE,
+                              cdw10=cdw10, cdw11=cdw11, mptr=mptr,
+                              cdw14=cdw14)
+
+
+def _timed(tb):
+    """Record, per CID, when RETRIEVE issued its NAND read and when its
+    CQE posted."""
+    ctrl = tb.ssd.controller
+    clock = tb.ssd.clock
+    issued, posted = {}, {}
+    retrieve = ctrl._handlers[KvOpcode.RETRIEVE]
+
+    def on_retrieve(ctx):
+        result = retrieve(ctx)
+        issued[ctx.cmd.cid] = clock.now
+        return result
+
+    complete = ctrl._complete
+
+    def _complete(qid, cmd, result):
+        posted[cmd.cid] = clock.now
+        complete(qid, cmd, result)
+
+    ctrl.register_handler(KvOpcode.RETRIEVE, on_retrieve, data_phase=False)
+    ctrl._complete = _complete
+    return issued, posted
+
+
+def _park(tb, engine, keys):
+    """Submit a GET per key and run the firmware loop dry without
+    quiescing, so the GETs stay parked on their dies."""
+    futures = [_get(engine, key) for key in keys]
+    engine.kick_dirty()
+    ctrl = tb.ssd.controller
+    while ctrl.sweep_width():
+        ctrl.poll_once()
+    assert len(ctrl._parked) == len(keys)
+    return futures
+
+
+def test_gets_on_two_dies_overlap():
+    tb, values = _rig([[b"alpha"], [b"beta"]])
+    assert _die_of(tb, b"alpha") != _die_of(tb, b"beta")
+    issued, posted = _timed(tb)
+    engine = tb.make_engine(queues=1, qd=2)
+    futures = [_get(engine, key) for key in values]
+    engine.drain()
+    read_ns = tb.ssd.config.timing.nand_page_read_ns
+    assert [f.data for f in futures] == list(values.values())
+    for cid in posted:  # the second may wait out the first's posting
+        assert read_ns <= posted[cid] - issued[cid] < 1.05 * read_ns
+    first, second = sorted(posted.values())
+    assert second - first < read_ns
+    assert tb.ssd.controller.parked_reads == 2
+
+
+def test_gets_on_one_die_queue():
+    tb, values = _rig([[b"alpha", b"beta"]])
+    assert _die_of(tb, b"alpha") == _die_of(tb, b"beta")
+    issued, posted = _timed(tb)
+    engine = tb.make_engine(queues=1, qd=2)
+    futures = [_get(engine, key) for key in values]
+    engine.drain()
+    read_ns = tb.ssd.config.timing.nand_page_read_ns
+    assert [f.data for f in futures] == list(values.values())
+    first, second = sorted(posted.values())
+    assert second - min(issued.values()) >= 2 * read_ns
+    assert second - first >= read_ns
+
+
+def test_a_gc_trim_and_erase_after_issue_leave_a_parked_get_intact():
+    """The page is captured at issue: value-log GC relocating the key
+    and trimming its segment, then an erase of the NAND block, cannot
+    change what the parked GET returns."""
+    tb, values = _rig([[b"victim", b"filler"]])
+    store = KVStore(tb.driver, tb.method("byteexpress"))
+    store.put(b"filler", b"newer")  # the segment is now mostly garbage
+    kv = tb.personality
+    victim_segment = kv.index.get(b"victim").segment
+    die = _die_of(tb, b"victim")
+    block = tb.ssd.ftl._map[kv.vlog.lpn_base + victim_segment].block
+    engine = tb.make_engine(queues=1, qd=1)
+    (future,) = _park(tb, engine, [b"victim"])
+    assert kv.vlog.collect(kv.index.get_many, kv.index.put)
+    assert victim_segment not in kv.vlog.flushed_segments
+    tb.ssd.nand.erase(die, block)
+    engine.drain()
+    assert future.ok and future.data == values[b"victim"]
+    assert store.get(b"victim") == values[b"victim"]
+
+
+def test_a_qd1_get_still_pays_the_full_read():
+    tb, values = _rig([[b"alpha"]])
+    store = KVStore(tb.driver, tb.method("byteexpress"))
+    timing = tb.ssd.config.timing
+    before = tb.ssd.clock.now
+    assert store.get(b"alpha") == values[b"alpha"]
+    assert (tb.ssd.clock.now - before
+            >= timing.nand_page_read_ns + timing.kv_get_logic_ns)
+    assert tb.ssd.controller.die_wait_ns > 0
+
+
+def test_a_controller_reset_drops_parked_gets():
+    tb, values = _rig([[b"alpha"], [b"beta"]])
+    engine = tb.make_engine(queues=1, qd=2)
+    futures = _park(tb, engine, list(values))
+    ctrl = tb.ssd.controller
+    tb.ssd.bar.write32(REG_CC, 0)
+    ctrl.quiesce()
+    assert not ctrl._parked
+    assert tb.driver.reap(engine.qids[0]) == []
+    assert not any(f.done for f in futures)
+    # The host brings the device back up and issues the GETs again.
+    driver = NvmeDriver(tb.ssd)
+    store = KVStore(driver, make_methods(tb.ssd, driver)["byteexpress"])
+    for key, value in values.items():
+        assert store.get(key) == value
+
+
+def test_a_power_cut_while_gets_are_parked_drops_them():
+    """The cut lands on the first parked GET's CQE; the power loss drops
+    the others, and after reboot and replay every GET returns its acked
+    value."""
+    tb, values = _rig([[b"alpha"], [b"beta"], [b"gamma"]])
+    ssd = tb.ssd
+    engine = tb.make_engine(queues=1, qd=4)
+    futures = [_get(engine, key) for key in values]
+    ssd.faults.arm_crash(CrashPlan(CUT_CQE, 0))
+    with pytest.raises(CrashCut):
+        engine.drain()
+    ssd.faults.disarm_crash()
+    assert len(ssd.controller._parked) == 2
+    ssd.durability.crash(ssd.durability.checkpoint())
+    assert not ssd.controller._parked
+    assert not any(f.done for f in futures)
+    driver = NvmeDriver(ssd)
+    tb.personality.recover()
+    store = KVStore(driver, make_methods(ssd, driver)["byteexpress"])
+    for key, value in values.items():
+        assert store.get(key) == value
+
+
+def test_the_engine_retries_a_parked_get_whose_cqe_was_lost():
+    """A parked completion goes through the CQE fault path: when it is
+    dropped, the engine times out, resubmits, and gets the value."""
+    tb, values = _rig([[b"alpha"]],
+                      fault_plan=FaultPlan.scheduled({DROP_CQE: [0]}))
+    tb.ssd.faults.reset()  # the next I/O CQE is the one dropped
+    ctrl = tb.ssd.controller
+    dropped = ctrl.dropped_cqes
+    engine = tb.make_engine(queues=1, qd=1)
+    future = _get(engine, b"alpha")
+    engine.drain()
+    assert future.ok and future.data == values[b"alpha"]
+    assert future.attempts == 2
+    assert engine.stats.timeouts == 1
+    assert ctrl.dropped_cqes == dropped + 1
+    assert ctrl.parked_reads == 2
+
+
+
+def test_deleting_a_queue_drops_its_parked_gets():
+    """The commands a deleted SQ still had parked are aborted with it:
+    quiesce must not post to the queue that is gone."""
+    tb, values = _rig([[b"alpha"]])
+    engine = tb.make_engine(queues=1, qd=1)
+    _park(tb, engine, list(values))
+    ctrl = tb.ssd.controller
+    ctrl.delete_sq(engine.qids[0])
+    ctrl.quiesce()
+    assert not ctrl._parked

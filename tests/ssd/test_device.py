@@ -77,6 +77,33 @@ class TestBlockWritesNandOn:
             PassthruRequest(opcode=IoOpcode.WRITE, data=b"x" * 4096, cdw10=0))
         assert res.status == StatusCode.MEDIA_WRITE_FAULT
 
+    def test_read_back_is_timing_free(self, block_tb_nand):
+        """The verification read moves neither the clock nor the NAND
+        counters, and reads a never-written page as zeros."""
+        ssd, blk = block_tb_nand.ssd, block_tb_nand.personality
+        block_tb_nand.driver.passthru(PassthruRequest(
+            opcode=IoOpcode.WRITE, data=b"\x5a" * 4096, cdw10=0))
+        ssd.nand.drain()
+        before = (ssd.clock.now, ssd.nand.reads, ssd.nand.programs)
+        assert blk.read_back(0, 4096) == b"\x5a" * 4096
+        assert blk.read_back(1 << 20, 64) == b"\x00" * 64
+        assert (ssd.clock.now, ssd.nand.reads, ssd.nand.programs) == before
+
+    def test_reads_on_two_dies_overlap(self, block_tb_nand):
+        """One READ spanning two pages on two dies waits for one NAND
+        read, not two."""
+        drv, ssd = block_tb_nand.driver, block_tb_nand.ssd
+        drv.passthru(PassthruRequest(opcode=IoOpcode.WRITE,
+                                     data=b"\x01" * 8192, cdw10=0))
+        ssd.nand.drain()
+        before = ssd.clock.now
+        r = drv.passthru(PassthruRequest(opcode=IoOpcode.READ,
+                                         read_len=8192, cdw10=0))
+        assert r.ok and r.data == b"\x01" * 8192
+        read_ns = ssd.config.timing.nand_page_read_ns
+        assert read_ns <= ssd.clock.now - before < 2 * read_ns
+        assert ssd.controller.parked_reads == 1
+
     def test_flush_drains_nand(self, block_tb_nand):
         drv = block_tb_nand.driver
         drv.passthru(PassthruRequest(opcode=IoOpcode.WRITE,

@@ -5,7 +5,7 @@ import pytest
 from repro.sim.clock import SimClock
 from repro.sim.config import TimingModel
 from repro.ssd.ftl import FtlError, PageMappingFtl
-from repro.ssd.nand import NandArray, NandGeometry
+from repro.ssd.nand import NandArray, NandError, NandGeometry
 
 
 def _ftl(blocks=4, pages=4, dies=(1, 1)):
@@ -91,3 +91,45 @@ def test_gc_migrations_counted():
 def test_capacity_is_overprovisioned():
     ftl = _ftl()
     assert ftl.logical_capacity_pages < ftl.nand.geometry.total_pages
+
+
+def test_a_failed_program_does_not_wedge_its_die():
+    """Only the injected write fails: the die's next write lands on the
+    page the failed program left unprogrammed."""
+    ftl = _ftl(blocks=8, pages=8, dies=(2, 4))
+    dies = ftl.nand.geometry.dies
+    ftl.nand.inject_program_failures(0, 1)
+    failed = []
+    for lpn in range(3 * dies):
+        try:
+            ftl.write(lpn, b"lpn%d" % lpn)
+        except NandError:
+            failed.append(lpn)
+    assert failed == [0]
+    for lpn in range(1, 3 * dies):
+        assert ftl.read(lpn)[:8].rstrip(b"\0") == b"lpn%d" % lpn
+
+
+def test_a_failed_gc_migration_does_not_wedge_its_die():
+    """A program failure on GC's first migration fails that write only;
+    later collections migrate into the page it left unprogrammed."""
+    ftl = _ftl(blocks=4, pages=4)
+    for lpn in range(6):  # live pages in every block: GC must migrate
+        ftl.write(lpn, b"live%d" % lpn)
+    migrate = ftl._migrate
+
+    def fail_first_migration(die, lpn, data):
+        ftl._migrate = migrate
+        ftl.nand.inject_program_failures(die, 1)
+        migrate(die, lpn, data)
+
+    ftl._migrate = fail_first_migration
+    with pytest.raises(NandError):
+        for round_ in range(40):
+            ftl.write(6 + round_ % 2, b"churn")
+    for round_ in range(40):
+        ftl.write(6 + round_ % 2, b"after%d" % round_)
+    assert ftl.gc_migrations > 0
+    assert [ftl.read(lpn)[:5] for lpn in range(6)] == [
+        b"live%d" % lpn for lpn in range(6)]
+    assert ftl.read(7)[:7] == b"after39"

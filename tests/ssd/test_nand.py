@@ -113,3 +113,50 @@ def test_op_counters(nand):
     nand.read(_page())
     nand.erase(0, 1)
     assert (nand.programs, nand.reads, nand.erases) == (1, 1, 1)
+
+
+def test_read_blocks_by_default(nand):
+    nand.program(_page(), b"a")
+    nand.read(_page())
+    assert nand.clock.now == (TIMING.nand_page_program_ns
+                              + TIMING.nand_page_read_ns)
+
+
+def test_deferred_reads_overlap_across_dies_and_queue_on_one(nand):
+    """Host reads mark their dies busy without moving the clock: reads on
+    two dies finish together, a second read on one die queues."""
+    die1 = nand.geometry.die_index(1, 0)
+    nand.program(_page(ch=0), b"a")
+    nand.program(_page(ch=1), b"b")
+    nand.drain()
+    t0 = nand.clock.now
+    nand.defer_reads()
+    assert nand.read(_page(ch=0)) == b"a"
+    assert nand.read(_page(ch=1)) == b"b"
+    assert nand.end_deferred() == t0 + TIMING.nand_page_read_ns
+    assert nand.busy_until(die1) == t0 + TIMING.nand_page_read_ns
+    nand.defer_reads()
+    nand.read(_page(ch=0))
+    nand.read(_page(ch=0))
+    assert nand.end_deferred() == t0 + 3 * TIMING.nand_page_read_ns
+    assert nand.clock.now == t0
+    assert nand.reads == 4
+
+
+def test_deferred_read_returns_the_page_as_issued(nand):
+    """An erase after issue cannot change the captured data."""
+    nand.program(_page(), b"old")
+    nand.defer_reads()
+    data = nand.read(_page())
+    nand.end_deferred()
+    nand.erase(0, 0)
+    nand.program(_page(), b"new")
+    assert data == b"old"
+
+
+def test_a_scope_without_nand_reads_is_ready_at_zero(nand):
+    nand.defer_reads()
+    assert nand.end_deferred() == 0.0
+    nand.program(_page(), b"a")
+    nand.read(_page())  # the scope is closed: this read blocks again
+    assert nand.clock.now > 0
