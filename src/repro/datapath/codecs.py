@@ -190,22 +190,14 @@ class InlineWriteCodec(HostCodec):
                 push = sq.push_raw
                 push(cmd.pack())
                 clock.advance(timing.sqe_submit_ns)
-                if needed == 2:
-                    # Dominant case: one command + one chunk.
-                    push(data if n == CHUNK_SIZE
-                         else data + b"\x00" * (CHUNK_SIZE - n))
-                    clock.advance(timing.chunk_submit_ns)
-                else:
-                    # Chunks land per slot (the monitor's ``push_raw``
-                    # wrapper sees every one), then the per-chunk CPU
-                    # cost is charged in one repeated advance — bit-
-                    # identical to advancing after each insert.
-                    for off in range(0, n - CHUNK_SIZE, CHUNK_SIZE):
-                        push(data[off:off + CHUNK_SIZE])
-                    push(data[(needed - 2) * CHUNK_SIZE:]
-                         + b"\x00" * ((needed - 1) * CHUNK_SIZE - n))
-                    clock.advance_repeat(timing.chunk_submit_ns,
-                                         needed - 1)
+                # One slot per chunk (the monitor's ``push_raw`` sees
+                # each), the last zero-padded; one repeated advance
+                # charges them, bit-identical to one per insert.
+                for off in range(0, n - CHUNK_SIZE, CHUNK_SIZE):
+                    push(data[off:off + CHUNK_SIZE])
+                push(data[(needed - 2) * CHUNK_SIZE:]
+                     + b"\x00" * ((needed - 1) * CHUNK_SIZE - n))
+                clock.advance_repeat(timing.chunk_submit_ns, needed - 1)
             finally:
                 clock.span_end("drv.sq_submit", _start)
             if ring:

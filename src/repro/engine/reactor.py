@@ -70,8 +70,8 @@ class CompletionReactor:
         resolved = self.reap_all()
         if resolved == 0:
             ctrl = e.ssd.controller
-            if (ctrl.qos is not None and ctrl.has_pending()
-                    and not ctrl.has_pending(ready_only=True)):
+            if (ctrl.qos is not None and ctrl.sweep_width(ready_only=False)
+                    and not ctrl.sweep_width()):
                 # Nothing resolved and every pending queue is
                 # QoS-throttled: sweep once so the all-denied sweep
                 # advances the clock to the next token-refill instant.

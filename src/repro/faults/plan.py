@@ -18,11 +18,13 @@ opportunity at a time.  It draws a block of doubles at once
 (``random(size=B)`` yields the same doubles as B scalar draws) and finds
 the next firing; :attr:`FaultInjector.left` then holds, per kind, how
 many opportunities can pass before anything happens.  The hot paths
-consume whole runs of opportunities against that countdown — one
-subtraction for a run of TLP copies or inline chunks — and split a run
-only where a fault fires or a crash cut lands.  :meth:`FaultInjector.fire`
-is the count-1 case.  Decisions, opportunity counts, injected events and
-every RNG value are exactly those of the one-at-a-time rule above.
+consume whole runs of opportunities against that countdown.  A run of
+TLP copies is one subtraction, split only where a fault fires or a
+crash cut lands.  An inline payload is one subtraction when no event
+falls inside it, and is consumed one chunk at a time otherwise.
+:meth:`FaultInjector.fire` is the count-1 case.  Decisions, opportunity
+counts, injected events and every RNG value are exactly those of the
+one-at-a-time rule above.
 
 Fault kinds and where the stack consults them:
 
@@ -246,8 +248,9 @@ class FaultInjector:
         self._rngs: Dict[str, np.random.Generator] = {}
         #: Opportunities each stream may still consume before its next
         #: event (a firing, a crash cut, or the end of what the lookahead
-        #: has drawn).  Hot paths subtract whole runs from it; at 0 the
-        #: next opportunity must go through :meth:`fire`.
+        #: has drawn).  Hot paths subtract whole runs from it (a run of
+        #: TLP copies, or an inline payload with no event inside); at 0
+        #: the next opportunity must go through :meth:`fire`.
         self.left: Dict[str, int] = dict.fromkeys(_STREAMS, 0)
         self._start: Dict[str, int] = dict.fromkeys(_STREAMS, 0)
         self._lease: Dict[str, int] = dict.fromkeys(_STREAMS, 0)

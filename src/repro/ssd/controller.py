@@ -376,7 +376,12 @@ class NvmeController:
     # main loop
     # ------------------------------------------------------------------
     def _pending_on(self, qid: int) -> int:
-        state = self._sqs[qid]
+        """Doorbell'd entries not yet fetched on SQ *qid*; 0 for a queue
+        the controller no longer has (deleted, or cleared by a reset)."""
+        try:
+            state = self._sqs[qid]
+        except KeyError:
+            return 0
         return (self._sq_tails[qid] - state.head) % state.depth
 
     def quiesce(self) -> None:
@@ -404,44 +409,16 @@ class NvmeController:
         if self._shadow is not None:
             self.fetch.park()
 
-    def has_pending(self, ready_only: bool = False) -> bool:
-        """Is there fetchable work?
+    def sweep_width(self, ready_only: bool = True) -> int:
+        """The next sweep's width: 0 when no queue has fetchable work
+        ready, else the number of queues with doorbell'd work (at least 1).
 
-        *ready_only* additionally skips QoS-throttled queues (pending
-        work whose token buckets cannot afford a fetch right now).  The
-        engine reactor drives with ``ready_only=True`` so one tenant's
-        polls never sit out another tenant's token refill; full drains
-        (``process_all``) keep the default and wait the throttle out.
-        """
-        if self._shadow is not None and not self._shadow_stale:
-            self.fetch.peek_shadow()
-        if self._shadow_stale:
-            return True
-        tails = self._sq_tails
-        chunks = self._pending_chunks
-        qos = self.qos
-        for qid, state in self._sqs.items():
-            if ((tails[qid] - state.head) % state.depth
-                    or chunks.get(qid, 0)):
-                if qos is not None:
-                    if not qos.serviceable(qid):
-                        continue  # parked (weight-0) queue: not drainable
-                    if (ready_only and qos.governs(qid)
-                            and not qos.ready(
-                                qid, self.fetch.peek_cost(state))):
-                        continue  # throttled: pending, but not right now
-                return True
-        return False
-
-    def sweep_width(self) -> int:
-        """``has_pending(ready_only=True)`` and the next sweep's width in
-        one scan: 0 when no fetchable work is ready, else the number of
-        queues with doorbell'd work (at least 1).
-
-        The engine's completion reactor drives the firmware while this
-        is non-zero and sizes the parallel service width from it
-        (bounded by ``config.fetch_lanes``).  A stale shadow page counts
-        as ready and is synced before the queues are counted.
+        A parked (weight-0) queue is never ready; *ready_only* also skips
+        QoS-throttled ones.  The engine's reactor drives while this is
+        non-zero (one tenant's polls never sit out another's token
+        refill) and sizes its lanes from it; full drains pass
+        ``ready_only=False`` and wait the throttle out.  A stale shadow
+        page counts as ready and is synced before the queues are counted.
         """
         ready = False
         if self._shadow is not None:
@@ -463,8 +440,9 @@ class NvmeController:
                     continue
                 if qos is not None and (
                         not qos.serviceable(qid)
-                        or (qos.governs(qid) and not qos.ready(
-                            qid, self.fetch.peek_cost(state)))):
+                        or (ready_only and qos.governs(qid)
+                            and not qos.ready(
+                                qid, self.fetch.peek_cost(state)))):
                     continue  # parked or throttled: pending, not ready
                 ready = True
         if not ready:
@@ -488,7 +466,7 @@ class NvmeController:
     def process_all(self) -> int:
         """Run the firmware loop until every queue is drained."""
         done = 0
-        while self.has_pending():
+        while self.sweep_width(ready_only=False):
             done += self.poll_once()
         self.quiesce()
         return done
@@ -542,7 +520,7 @@ class NvmeController:
                 log.extend([qid] * serviced)
         if done:
             self._busy_since_park = True
-        elif self.qos is not None and self.has_pending():
+        elif self.qos is not None and self.sweep_width(ready_only=False):
             # Every pending queue was throttled this sweep.  The firmware
             # polls the doorbells while token buckets refill — jump the
             # clock to the denials' next service instant (at least one

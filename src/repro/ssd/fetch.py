@@ -54,6 +54,10 @@ class FetchUnit:
         # chunk fetches share it.
         self._sqe_fetch_batch = tlpmod.device_dma_read(SQE_SIZE,
                                                        ctrl.link.config)
+        #: Burst fetch is on (queue-local mode only: tagged chunks
+        #: interleave per entry).  The admin queue never bursts.
+        self.bursts = (ctrl.config.burst_limit > 1
+                       and ctrl.mode == MODE_QUEUE_LOCAL)
 
     # ------------------------------------------------------------------
     # shadow doorbells (DBBUF): device-side poll / sync
@@ -173,13 +177,8 @@ class FetchUnit:
         qos = ctrl.qos
         if qos is not None and qid != ADMIN_QID and qos.governs(qid):
             return self.service_queue_qos(qid, qos)
-        # Cheap guard first: ``burst_fetch`` re-checks, but skipping its
-        # whole frame matters when burst mode is off (the common case).
-        if (ctrl.config.burst_limit <= 1 or qid == ADMIN_QID
-                or ctrl.mode != MODE_QUEUE_LOCAL):
-            window = None
-        else:
-            window = self.burst_fetch(qid)
+        window = (self.burst_fetch(qid)
+                  if self.bursts and qid != ADMIN_QID else None)
         if window is None:
             self.fetch_and_execute(qid)
             return 1
@@ -205,8 +204,7 @@ class FetchUnit:
         serviced = 0
         if grant > 0:
             window = None
-            if (grant > 1 and ctrl.config.burst_limit > 1
-                    and ctrl.mode == MODE_QUEUE_LOCAL):
+            if grant > 1 and self.bursts:
                 window = self.burst_fetch(qid, limit=grant)
             state = ctrl._sqs[qid]
             while serviced < grant and ctrl._pending_on(qid) > 0:
@@ -255,13 +253,10 @@ class FetchUnit:
         shadow value was already rejected by the doorbell/sync
         validation, so the burst can never read past what the host
         actually doorbell'd — and never wraps the ring end, keeping the
-        transfer a single contiguous MRd.  Queue-local mode only: tagged
-        chunks interleave across queues per-entry by design.
+        transfer a single contiguous MRd.  Called only when
+        :attr:`bursts` is on, for an I/O queue.
         """
         ctrl = self.ctrl
-        if (ctrl.config.burst_limit <= 1 or qid == ADMIN_QID
-                or ctrl.mode != MODE_QUEUE_LOCAL):
-            return None
         state = ctrl._sqs[qid]
         count = min(ctrl._pending_on(qid), ctrl.config.burst_limit,
                     state.depth - state.head)

@@ -202,8 +202,8 @@ class QosArbiter:
 
         Stricter than :meth:`serviceable`: a throttled queue (buckets
         too low for one op of *cost* wire bytes) is
-        pending-but-not-ready.  The controller's ``has_pending``
-        ``ready_only`` path uses this with the *actual* head-of-queue
+        pending-but-not-ready.  The controller's ``sweep_width``
+        ``ready_only`` scan uses this with the *actual* head-of-queue
         cost (``FetchUnit.peek_cost``) so one tenant's polls never
         block on — or silently drain — another tenant's token refill.
         """

@@ -29,16 +29,19 @@ def _submit_ns(tb):
     return tb.clock.span_totals()["drv.sq_submit"]
 
 
-def test_command_then_chunks_consecutive():
+@pytest.mark.parametrize("size", [1, 63, 64, 65, 130])
+def test_command_then_chunks_consecutive(size):
     tb, sq = _rig()
-    payload = bytes(range(130))
+    payload = bytes(i % 251 for i in range(size))
     _encode(tb, payload)
-    assert sq.tail == 4  # cmd + 3 chunks in slots 0..3
-    # Chunk bytes really landed in the following slots.
-    slot1 = sq.memory.read(sq.slot_addr(1), SQE_SIZE)
-    assert slot1 == payload[:64]
-    slot3 = sq.memory.read(sq.slot_addr(3), SQE_SIZE)
-    assert slot3 == payload[128:] + b"\x00" * 62  # last chunk zero-padded
+    chunks = -(-size // SQE_SIZE)
+    assert sq.tail == 1 + chunks  # cmd in slot 0, chunks right behind it
+    # Chunk bytes really landed in the following slots, the last one
+    # zero-padded to a full entry.
+    padded = payload + b"\x00" * (chunks * SQE_SIZE - size)
+    for i in range(chunks):
+        assert (sq.memory.read(sq.slot_addr(1 + i), SQE_SIZE)
+                == padded[i * SQE_SIZE:(i + 1) * SQE_SIZE])
 
 
 def test_inline_length_encoded():

@@ -261,25 +261,28 @@ _TIMING = TimingModel()
 _LINK = LinkConfig()
 
 
-def _inline_sq(payload, window_len):
-    """Host memory holding one inline command + chunks, the device's SQ
-    state just past the command, and an optional burst window over the
-    first *window_len* chunks.
+def _inline_sq(payload, window_len, start=0):
+    """Host memory holding one inline command + chunks from ring slot
+    *start* on, the device's SQ state just past the command, and an
+    optional burst window over the first *window_len* chunks.
 
     The entries are laid out the way ``InlineWriteCodec`` writes them
     (command with the inline length, then zero-padded 64 B chunks), on a
-    bare queue: the oracle runs thousands of these per test.
+    bare 64-entry queue, so a sequence that starts near the end wraps
+    the ring: the oracle runs thousands of these per test.
     """
     mem = HostMemory()
     sq = SubmissionQueue(qid=1, depth=64, memory=mem)
+    sq.head = sq.tail = start  # an empty ring whose next slot is *start*
     cmd = make_inline_command(NvmeCommand(opcode=1), len(payload))
     with sq.lock:
         for entry in [cmd.pack()] + split_payload(payload):
             sq.push_raw(entry)
         sq.ring_doorbell()
-    state = DeviceSqState(qid=1, base_addr=sq.base_addr, depth=sq.depth)
+    state = DeviceSqState(qid=1, base_addr=sq.base_addr, depth=sq.depth,
+                          head=start)
     info = inspect_command(NvmeCommand.unpack(
-        mem.read(state.slot_addr(0), CHUNK_SIZE)))
+        mem.read(state.slot_addr(start), CHUNK_SIZE)))
     state.advance()
     window = None
     if window_len:
@@ -324,14 +327,21 @@ def _outcome(call):
 
 @given(plans(), st.one_of(st.none(), st.integers(0, 80)),
        st.lists(st.tuples(st.integers(1, 12 * CHUNK_SIZE),
-                          st.integers(0, 12)), min_size=1, max_size=8))
+                          st.integers(0, 12), st.integers(0, 63)),
+                min_size=1, max_size=8))
 @example(plan=FaultPlan(seed=0, rates={CORRUPT_CHUNK: 0.2}), cut=5,
-         fetches=[(12 * CHUNK_SIZE, 0)] * 3)  # a cut right after a chunk event
+         fetches=[(12 * CHUNK_SIZE, 0, 0)] * 3)  # a cut right after a chunk event
+# A 2-chunk window prefix, then 4 DMA'd chunks in slots 63, 0, 1, 2:
+# the first fetch's chunk 5 (slot 1, past the ring end) is corrupt, the
+# second fetch wraps the same way with no event inside.
+@example(plan=FaultPlan(seed=0, schedule={CORRUPT_CHUNK: [4]}), cut=None,
+         fetches=[(6 * CHUNK_SIZE, 2, 60)] * 2)
 @settings(max_examples=200, deadline=None)
 def test_inline_fetch_matches_per_chunk_loop(plan, cut, fetches):
-    """``fetch_inline_payload`` moving chunks in runs ≡ the per-chunk
-    loop: same payload or error, head, clock, traffic, counters, and a
-    TLP crash cut landing on the same chunk at the same instant."""
+    """``fetch_inline_payload`` charging payloads in bulk ≡ the
+    per-chunk loop: same payload or error, head, clock, traffic,
+    counters, and a TLP crash cut landing on the same chunk at the same
+    instant."""
     got_counter, want_counter = TrafficCounter(), TrafficCounter()
     got = FaultInjector(plan, counter=got_counter)
     want = OracleInjector(plan, counter=want_counter)
@@ -340,13 +350,15 @@ def test_inline_fetch_matches_per_chunk_loop(plan, cut, fetches):
     if cut is not None:
         got.arm_crash(CrashPlan(CUT_TLP, cut))
         want.arm_crash(CrashPlan(CUT_TLP, cut))
-    for size, window_len in fetches:
+    for size, window_len, start in fetches:
         payload = bytes(i % 251 for i in range(size))
-        mem, tail, got_state, info, window = _inline_sq(payload, window_len)
+        mem, tail, got_state, info, window = _inline_sq(
+            payload, window_len, start)
         result = _outcome(lambda: fetch_inline_payload(
             got_state, info, tail, mem, link, got_clock, _TIMING,
             injector=got, window=window))
-        mem, tail, want_state, info, window = _inline_sq(payload, window_len)
+        mem, tail, want_state, info, window = _inline_sq(
+            payload, window_len, start)
         expect = _outcome(lambda: _oracle_fetch(
             want_state, info, mem, want_counter, want_clock, want, window))
         assert result == expect

@@ -35,7 +35,7 @@ def test_block_stack_under_random_interleaving(ops):
         expected[offset] = payload
     for offset, payload in expected.items():
         assert tb.personality.read_back(offset, len(payload)) == payload
-    assert not tb.ssd.controller.has_pending()
+    assert not tb.ssd.controller.sweep_width(ready_only=False)
 
 
 _kv_op = st.tuples(st.sampled_from(["put", "get", "delete"]),

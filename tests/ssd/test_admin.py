@@ -51,7 +51,7 @@ def test_disable_resets_queues():
     tb = make_block_testbed()
     tb.ssd.bar.write32(REG_CC, 0)  # controller reset
     assert not tb.ssd.controller.enabled
-    assert not tb.ssd.controller.has_pending()
+    assert not tb.ssd.controller.sweep_width(ready_only=False)
     assert not tb.ssd.bar.read32(REG_CSTS) & CSTS_READY
 
 
