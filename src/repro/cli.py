@@ -318,6 +318,8 @@ def cmd_engine(args) -> int:
     rows = [[k, v] for k, v in report.engine_stats.items()]
     rows.append(["breaker state", tb.driver.breaker.state])
     rows.append(["inflight high water", report.inflight_high_water])
+    rows.append(["functional store B / op",
+                 round(tb.personality.stored_bytes / report.total_ops, 1)])
     if args.faults:
         for kind in (args.fault_kinds.split(",") if args.fault_kinds
                      else sorted(ALL_KINDS)):

@@ -250,7 +250,11 @@ class LoadGenerator:
             raise LoadGenError("every engine must share one clock")
         #: Distinct write offset per op, across all streams — concurrent
         #: writes must not overlap, or verification of the backing store
-        #: is meaningless.
+        #: is meaningless.  Each op keeps its own page for the whole run,
+        #: so every acknowledged write stays verifiable afterwards;
+        #: recycling offsets would leave only each offset's last writer
+        #: to check.  The NAND-off store holds just the bytes written, so
+        #: a page per op costs the payload, not 4 KiB.
         self._next_offset = 0
 
     # ------------------------------------------------------------------

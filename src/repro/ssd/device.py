@@ -99,15 +99,24 @@ class BlockSsdPersonality:
         #: buffer entry of normal block SSDs", §3.3.1).
         self.staging = ssd.dram.carve("block.staging", 4 << 20)
         self._staging_off = 0
-        #: NAND-off functional store: logical page -> bytes.
+        #: NAND-off functional store: logical page -> its extent, the
+        #: page's bytes from 0 up to the highest byte ever written.  A
+        #: short extent reads as if zero-padded to the full page, so a
+        #: 32 B write holds 32 B here, not 4 KiB.
         self._pages: Dict[int, bytearray] = {}
         ssd.controller.register_handler(IoOpcode.WRITE, self._on_write)
         ssd.controller.register_handler(IoOpcode.READ, self._on_read)
         ssd.controller.register_handler(IoOpcode.FLUSH, self._on_flush)
         # The functional store stands in for the NAND medium when NAND is
-        # off — it is the device's persistent surface either way (with
-        # NAND on it merely mirrors what the FTL path wrote).
+        # off, so it registers as the device's persistent surface.  With
+        # NAND on, writes go through the FTL and the store stays empty.
         ssd.durability.register("block.medium", PERSISTENT, self)
+
+    @property
+    def stored_bytes(self) -> int:
+        """Bytes the NAND-off functional store holds: the sum of its
+        extents (0 with NAND on)."""
+        return sum(map(len, self._pages.values()))
 
     # ------------------------------------------------------------------
     def _on_write(self, ctx: CommandContext) -> CommandResult:
@@ -134,21 +143,25 @@ class BlockSsdPersonality:
 
     def _write_functional(self, offset: int, data: bytes, n: int) -> None:
         """Write *data* (*n* bytes) at byte *offset* of the NAND-off
-        functional store."""
+        functional store, growing each page's extent to cover it."""
         in_page = offset % PAGE_SIZE
-        if n and in_page + n <= PAGE_SIZE:
-            # Fast path: the write lands in a single page.
-            lpn = offset // PAGE_SIZE
-            pages = self._pages
-            if lpn in pages:
-                page = pages[lpn]
-            else:
-                page = pages[lpn] = bytearray(PAGE_SIZE)
-            page[in_page:in_page + n] = data
+        if not (n and in_page + n <= PAGE_SIZE):
+            for lpn, start, piece in self._split_pages(offset, data):
+                self._write_functional(lpn * PAGE_SIZE + start, piece,
+                                       len(piece))
             return
-        for lpn, start, piece in self._split_pages(offset, data):
-            page = self._pages.setdefault(lpn, bytearray(PAGE_SIZE))
-            page[start:start + len(piece)] = piece
+        # The write lands in a single page.
+        lpn = offset // PAGE_SIZE
+        pages = self._pages
+        if lpn not in pages:
+            pages[lpn] = bytearray(in_page) + data
+            return
+        extent = pages[lpn]
+        gap = in_page - len(extent)
+        if gap > 0:
+            # Zero-fill up to the write, as a padded page would read.
+            extent += bytes(gap)
+        extent[in_page:in_page + n] = data
 
     def _write_through_ftl(self, offset: int, data: bytes) -> None:
         for lpn, start, piece in self._split_pages(offset, data):
@@ -200,9 +213,9 @@ class BlockSsdPersonality:
     def _gather(self, offset: int, nbytes: int,
                 read_page: Optional[Callable[[int], bytes]] = None) -> bytes:
         """The *nbytes* at byte *offset*: from the NAND-off functional
-        store, or with NAND on through *read_page* (an FTL read).  A
-        never-written page reads as zeros either way."""
-        zeros = b"\x00" * PAGE_SIZE
+        store, or with NAND on through *read_page* (an FTL read).  Bytes
+        past a page's extent, and a never-written page, read as zeros
+        either way."""
         out = bytearray()
         pos = 0
         while pos < nbytes:
@@ -211,13 +224,16 @@ class BlockSsdPersonality:
             in_page = addr % PAGE_SIZE
             take = min(nbytes - pos, PAGE_SIZE - in_page)
             if read_page is None:
-                page = self._pages.get(lpn, zeros)
+                page = self._pages.get(lpn, b"")
             else:
                 try:
                     page = read_page(lpn)
                 except FtlError:
-                    page = zeros
-            out += page[in_page:in_page + take]
+                    page = b""
+            piece = page[in_page:in_page + take]
+            out += piece
+            if len(piece) < take:
+                out += bytes(take - len(piece))
             pos += take
         return bytes(out)
 

@@ -5,8 +5,14 @@ import pytest
 
 from repro.datapath import names as dp_names
 from repro.durability import CrashSpec, run_crash
-from repro.durability.harness import PLANE_BLOCK, PLANE_KV
+from repro.durability.harness import (
+    PLANE_BLOCK,
+    PLANE_KV,
+    _make_plane,
+    make_crash_testbed,
+)
 from repro.faults.plan import CUT_CQE, CUT_DOORBELL, CUT_TLP, CrashPlan
+from repro.nvme.constants import PAGE_SIZE
 from repro.verify import InvariantViolation
 
 
@@ -72,6 +78,23 @@ class TestBlockPlane:
         assert report.ok, (report.lost, report.torn)
         assert report.scrubbed  # volatile domains really died
         assert report.acked < report.issued or report.acked == 12
+
+    def test_short_extents_are_whole_and_an_overlong_one_is_torn(self):
+        """The medium keeps a page's bytes up to the highest one written:
+        a 512 B extent is a whole page that reads back zero-padded, but
+        an extent past the page boundary is torn."""
+        spec = CrashSpec(plane=PLANE_BLOCK, ops=2)
+        tb = make_crash_testbed(spec)
+        plane = _make_plane(tb, spec)
+        method = tb.method(spec.method)
+        for op in range(2):
+            method.write(plane.payload(op), **plane.write_kwargs(op))
+        assert plane.torn_checks() == []
+        assert plane.verify(0) and plane.verify(1)
+        tb.personality._pages[1] += bytes(PAGE_SIZE)
+        torn = plane.torn_checks()
+        assert torn == [f"medium page 1 extent is {PAGE_SIZE + 512} B, "
+                        f"past its {PAGE_SIZE} B page"]
 
     def test_qd8_batched_workload_survives(self):
         report = run_crash(CrashSpec(
