@@ -433,6 +433,8 @@ def cmd_serve(args) -> int:
     # falls in the timed run.
     die_wait = (f"{ctrl.die_wait_ns / report.elapsed_ns:.1%}"
                 if report.elapsed_ns > 0 else "n/a")
+    nand = tb.ssd.nand
+    parked = max(1, ctrl.parked_reads)
     rows = [
         ["ops completed", report.ok + report.not_found],
         ["not found", report.not_found],
@@ -452,9 +454,13 @@ def cmd_serve(args) -> int:
         ["value-log relocations / PUT",
          f"{vlog.gc_relocated / max(1, kv.puts):.2f}"],
         ["log space amplification", space_amp],
-        ["NAND reads / op", f"{tb.ssd.nand.reads / served:.2f}"],
+        ["NAND reads / op", f"{nand.reads / served:.2f}"],
         ["parked reads / op", f"{ctrl.parked_reads / served:.2f}"],
         ["die-wait share", die_wait],
+        ["read queued behind programs (us / parked read)",
+         f"{nand.read_wait_program_ns / parked / 1000:.1f}"],
+        ["read queued behind reads (us / parked read)",
+         f"{nand.read_wait_read_ns / parked / 1000:.1f}"],
     ]
     batching = (f"window {args.window_ns:.0f}ns"
                 if args.window_ns > 0 else "batching off")

@@ -8,12 +8,18 @@ One ``poll()`` round is the engine's heartbeat:
    queues have doorbell'd work and the controller has ``fetch_lanes``
    parallel fetch/DMA engines, per-command service overlaps: the sweep
    runs under :meth:`SimClock.concurrent`, which is where multi-queue
-   scaling physically comes from in the cost model.
+   scaling physically comes from in the cost model.  Once nothing is
+   left to fetch, the reads parked on a NAND die whose die has finished
+   post, under a scope as wide as the queues they complete on; the
+   drive never waits for a die.
 3. **Reap** — drain every CQ phase-bit-first via ``driver.reap`` and
    resolve the matching futures out of order.  Error completions with
    DNR clear are parked for backoff and resubmission; DNR-set errors
-   fail their future immediately.
-4. **Recover** — entries still tabled after a quiescent drive got no
+   fail their future immediately.  A round that resolved nothing, with
+   nothing left to fetch and a read parked on a die, waits for the
+   earliest die, drives and reaps again.
+4. **Recover** — entries still tabled after a quiescent drive, other
+   than those parked on a die, got no
    CQE at all: re-ring their doorbells (recovers a dropped tail write),
    drive and reap again, then resubmit survivors under fresh CIDs with
    exponential backoff (recovers a dropped CQE) until the retry policy's
@@ -78,6 +84,15 @@ class CompletionReactor:
                 # Without this, a backpressured submitter polling on a
                 # throttled queue would spin on a frozen clock.
                 ctrl.poll_once()
+            if (ctrl._parked and e.table._entries
+                    and (ctrl.qos is None or not ctrl.sweep_width())):
+                # Nothing resolved, nothing to fetch (the drive ran dry;
+                # only the throttled sweep above can have changed that),
+                # a read parked on its die: the host has nothing to do
+                # but wait for the earliest die, then post what finished.
+                ctrl.wait_for_die()
+                self.drive_device()
+                resolved = self.reap_all()
         if e.table._entries:
             resolved += self._recover_stuck()
         if e.parked:
@@ -93,25 +108,39 @@ class CompletionReactor:
         Each ``poll_once`` services one command on one queue; while K
         queues are active and the controller has L fetch lanes, that
         service overlaps min(K, L)-wide, so a sweep across K queues
-        costs roughly one serial command time instead of K.
+        costs roughly one serial command time instead of K.  When no
+        queue has fetchable work, the parked reads whose die has
+        finished post the same way, min(K, L)-wide over the K queues
+        they complete on.  Reads still on their die stay parked.
         """
         e = self.engine
         ctrl = e.ssd.controller
-        conc = e.clock._concurrency
+        clock = e.clock
+        conc = clock._concurrency
         fetch_lanes = e.fetch_lanes
+        # Read once: the controller's heap of commands parked on a die,
+        # keyed by ready time (reset and ``delete_sq`` edit it in place).
+        parked = ctrl._parked
         # Ready work only: a QoS-throttled tenant's backlog must not make
         # this loop (and with it every tenant's poll) wait out a token
         # refill — throttled queues get serviced once sim time reaches
         # their refill instant.
         while True:
             width = ctrl.sweep_width()
-            if not width:
+            if width:
+                step = ctrl.poll_once
+            elif parked and parked[0][0] <= clock.now:
+                # Reads whose die has finished post like any other
+                # service: overlapped across the queues they complete on.
+                step = ctrl.post_parked
+                width = ctrl.parked_ready_width()
+            else:
                 break
             lanes = width if width < fetch_lanes else fetch_lanes
             if lanes == 1 and not conc:
                 # A one-lane scope divides every advance by 1.0, which is
                 # exact: with no outer scope open there is nothing to push.
-                ctrl.poll_once()
+                step()
                 continue
             # Inlined clock.concurrent(lanes): lanes >= 1 (width > 0 here
             # and fetch_lanes >= 1), so the scope's validation cannot
@@ -119,12 +148,13 @@ class CompletionReactor:
             # manager.
             conc.append(float(lanes))
             try:
-                ctrl.poll_once()
+                step()
             finally:
                 conc.pop()
         # The device ran dry: flush coalesced completions before the
-        # reap phase and, under shadow doorbells, publish the park
-        # record so the host knows when a BAR wake becomes necessary.
+        # reap phase and, under shadow doorbells with no read parked,
+        # publish the park record so the host knows when a BAR wake
+        # becomes necessary.
         ctrl.quiesce()
 
     # ------------------------------------------------------------------
@@ -179,7 +209,14 @@ class CompletionReactor:
     def _recover_stuck(self) -> int:
         """Handle entries that survived a quiescent drive with no CQE."""
         e = self.engine
-        stuck: List["InFlightCommand"] = e.table.entries()
+        ctrl = e.ssd.controller
+        # A command parked on its die is in flight, not stuck: its CQE
+        # posts once the die finishes.
+        on_die = ctrl.parked_keys()
+        stuck: List["InFlightCommand"] = [
+            entry for entry in e.table.entries() if entry.key not in on_die]
+        if not stuck:
+            return 0
         # First line of defence: republish every affected tail.  This is
         # idempotent and exactly recovers a dropped doorbell write — the
         # SQEs are in host memory, the device just never saw the tail.
@@ -188,7 +225,7 @@ class CompletionReactor:
         # below, to the entries still tabled after the retried drive.
         # A parked (weight-0) queue is not stuck: re-ringing it only
         # burns clock, which hides the wedge from drain's stall check.
-        qos = e.ssd.controller.qos
+        qos = ctrl.qos
         for qid in sorted({entry.key[0] for entry in stuck}):
             if qos is not None and not qos.serviceable(qid):
                 continue
@@ -204,9 +241,10 @@ class CompletionReactor:
         # unfetched SQEs after a (ready-only) drive is QoS-throttled,
         # not stuck — its completions arrive once the tokens refill, so
         # recovery for its entries waits until the queue itself drains.
-        ctrl = e.ssd.controller
+        on_die = ctrl.parked_keys()
         lost = [entry for entry in e.table.entries()
-                if ctrl._pending_on(entry.key[0]) == 0]
+                if ctrl._pending_on(entry.key[0]) == 0
+                and entry.key not in on_die]
         e.stats.timeouts += len(lost)
         e.driver.timeouts += len(lost)
         if lost:

@@ -59,7 +59,9 @@ class CommandResult:
     retryable: bool = False
     #: When the command's NAND reads finish (0.0: nothing to wait for).
     #: A later time parks the command on its die: the firmware loop goes
-    #: on, and the completion posts once the clock reaches this time.
+    #: on, and the completion posts in the first drive that finds the
+    #: clock past this time (``NvmeController.post_parked``).  Only a
+    #: full ``process_all`` drain waits for it.
     ready_at_ns: float = 0.0
 
 

@@ -159,9 +159,11 @@ class NvmeController:
         # CQE coalescing: buffered-but-unposted completion counts per CQ
         self._coalesced: Dict[int, int] = {}
         #: Commands parked on a busy die, as a heap of (ready time,
-        #: park sequence, qid, command, result); see ``_post_parked``.
+        #: park sequence, qid, command, result); see ``post_parked``.
         self._parked: List[Tuple[float, int, int, NvmeCommand,
                                  CommandResult]] = []
+        #: ``(qid, cid)`` of every command in ``_parked``.
+        self._parked_keys: Dict[Tuple[int, int], None] = {}
         # stats
         self.commands_processed = 0
         self.admin_commands_processed = 0
@@ -175,7 +177,8 @@ class NvmeController:
         self.cqe_flushes = 0
         self.ns_rejections = 0
         #: Commands parked until their NAND reads finished, and the
-        #: simulated time ``quiesce`` waited on a die with no other work.
+        #: simulated time the host waited on a die with no other work
+        #: (``wait_for_die``, or a ``process_all`` drain).
         self.parked_reads = 0
         self.die_wait_ns = 0.0
         # firmware units (the controller is the orchestrator; all state
@@ -236,6 +239,7 @@ class NvmeController:
         self._busy_since_park = False
         self._coalesced.clear()
         self._parked.clear()
+        self._parked_keys.clear()
         self._ns_of_qid.clear()
         self.enabled = False
         self.bar.write32(REG_CSTS, 0)
@@ -296,9 +300,12 @@ class NvmeController:
         self._pending_chunks.pop(qid, None)
         self._ns_of_qid.pop(qid, None)
         if self._parked:
-            # A deleted queue's parked commands are aborted with it.
-            self._parked = [p for p in self._parked if p[2] != qid]
+            # A deleted queue's parked commands are aborted with it
+            # (in place: the reactor's drive loop holds the list).
+            self._parked[:] = [p for p in self._parked if p[2] != qid]
             heapify(self._parked)
+            self._parked_keys = {(p[2], p[3].cid): None
+                                 for p in self._parked}
         self.bar.clear_write_handler(sq_doorbell_offset(qid))
 
     def delete_cq(self, qid: int) -> None:
@@ -388,25 +395,25 @@ class NvmeController:
         """The device-idle transition, called by the host-side drive
         loops once the firmware loop runs dry.
 
-        First waits out the die queue: every command still parked on a
-        NAND read posts in ready-time order, the clock advancing to each
-        ready time (``die_wait_ns`` counts that wait).  So an entry still
-        tabled after a quiescent drive got no CQE, parked or not, and a
-        QD-1 read pays its full NAND latency.  Then flushes any coalesced
-        completions and (under shadow doorbells) parks the device: the
-        fetch unit publishes the per-queue eventidx values and the park
-        record — the promise to keep polling the
-        shadow page for another ``SHADOW_IDLE_NS`` — with one small DMA
-        write.  A no-op unless the device did work since the last park:
-        an idle host polling an idle device must not generate traffic.
-        Each step is skipped without a call when it has nothing to do
-        (no parked command; no coalesced CQE; no shadow page).
+        Does not wait for the dies: a command still parked on a NAND
+        read stays parked and posts once the clock passes its ready time
+        (:meth:`post_parked`, which the engine's reactor calls inside
+        its lane scope).  So an entry still tabled after a quiescent
+        drive either got no CQE or is parked (:meth:`parked_keys`).
+        Flushes any coalesced completions and, under shadow doorbells
+        with no read parked, parks the device: the fetch unit publishes
+        the per-queue eventidx values and the park record — the promise
+        to keep polling the shadow page for another ``SHADOW_IDLE_NS`` —
+        with one small DMA write.  A device with a read still parked is
+        not idle, so it publishes no park record yet.  A no-op unless
+        the device did work since the last park: an idle host polling an
+        idle device must not generate traffic.  Each step is skipped
+        without a call when it has nothing to do (no coalesced CQE; no
+        shadow page).
         """
-        if self._parked:
-            self._post_parked()
         if self._coalesced:
             self.flush_completions()
-        if self._shadow is not None:
+        if self._shadow is not None and not self._parked:
             self.fetch.park()
 
     def sweep_width(self, ready_only: bool = True) -> int:
@@ -468,6 +475,8 @@ class NvmeController:
         done = 0
         while self.sweep_width(ready_only=False):
             done += self.poll_once()
+        if self._parked:
+            self.post_parked(wait=True)
         self.quiesce()
         return done
 
@@ -607,18 +616,51 @@ class NvmeController:
             self.parked_reads += 1
             heappush(self._parked, (result.ready_at_ns, self.parked_reads,
                                     qid, cmd, result))
+            self._parked_keys[qid, cmd.cid] = None
             return
         if result.read_data is not None and result.status == StatusCode.SUCCESS:
             result = self._push_read_data(cmd, result)
         self._complete(qid, cmd, result)
 
-    def _post_parked(self) -> None:
-        """Complete every parked command in ready-time order, advancing
-        the clock to each ready time still ahead."""
+    def parked_ready_width(self) -> int:
+        """The number of distinct queues among the parked commands whose
+        die has finished by now (0 when none has)."""
+        parked = self._parked
+        now = self.clock.now
+        n = len(parked)
+        qids = {}
+        # Walk only the ready top of the heap: no child is ready before
+        # its parent.  (Index arithmetic and ``+=`` keep the walk free
+        # of calls.)
+        todo = [0] if n and parked[0][0] <= now else []
+        while todo:
+            i = todo[-1]
+            del todo[-1]
+            qids[parked[i][2]] = None
+            child = 2 * i + 1
+            if child < n and parked[child][0] <= now:
+                todo += (child,)
+            child += 1
+            if child < n and parked[child][0] <= now:
+                todo += (child,)
+        return len(qids)
+
+    def post_parked(self, wait: bool = False) -> None:
+        """Complete parked commands in ready-time order.
+
+        By default posts those whose die has finished by now — the
+        reactor calls this inside a lane scope of
+        :meth:`parked_ready_width`, so completions on different queues
+        overlap like any other command service.  With *wait* (a full
+        :meth:`process_all` drain) posts every one, the clock advancing
+        to each ready time still ahead (``die_wait_ns`` counts that).
+        """
         parked = self._parked
         clock = self.clock
-        while parked:
+        until = float("inf") if wait else clock.now
+        while parked and parked[0][0] <= until:
             ready, _seq, qid, cmd, result = heappop(parked)
+            del self._parked_keys[qid, cmd.cid]
             if ready > clock.now:
                 self.die_wait_ns += ready - clock.now
                 clock.advance_to(ready)
@@ -626,6 +668,22 @@ class NvmeController:
                     and result.status == StatusCode.SUCCESS):
                 result = self._push_read_data(cmd, result)
             self._complete(qid, cmd, result)
+
+    def wait_for_die(self) -> None:
+        """Advance the clock to the earliest parked command's ready time
+        (``die_wait_ns`` counts the wait).  The reactor calls this only
+        when a round resolved nothing and no queue has fetchable work."""
+        ready = self._parked[0][0]
+        now = self.clock.now
+        if ready > now:
+            self.die_wait_ns += ready - now
+            self.clock.advance_to(ready)
+
+    def parked_keys(self) -> Dict[Tuple[int, int], None]:
+        """``(qid, cid)`` of every command parked on a die (a live view:
+        read it, do not keep it).  They are in flight, not lost, so host
+        recovery leaves them alone."""
+        return self._parked_keys
 
     def dispatch_local(self, ctx: CommandContext) -> CommandResult:
         """Invoke an opcode handler on an already-materialised payload.

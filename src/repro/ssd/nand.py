@@ -15,10 +15,13 @@ die is idle.
 * Host reads are issued inside a :meth:`NandArray.defer_reads` scope by
   the command handler.  They mark the die busy and capture the page at
   issue, but do not move the clock; the controller parks the command until
-  :meth:`NandArray.end_deferred`'s ready time.  Host reads on different
-  dies therefore overlap, and reads on one die still queue (Cosmos+
-  firmware queues flash requests per way without stalling its command
-  loop).
+  :meth:`NandArray.end_deferred`'s ready time and posts it in the first
+  drive that finds the clock past it, while the host keeps submitting
+  and reaping.  Host reads on different dies therefore overlap, and
+  reads on one die still queue (Cosmos+ firmware queues flash requests
+  per way without stalling its command loop).  How long they queue is
+  counted by cause: ``read_wait_program_ns`` behind a program or erase,
+  ``read_wait_read_ns`` behind other reads.
 
 The Figure 1(b)/5 experiments disable NAND entirely — the paper measures
 pure transfer latency — while Figure 6 (KV-SSD) runs with NAND on.
@@ -102,9 +105,18 @@ class NandArray:
         #: Latest finish of the reads issued in the open
         #: :meth:`defer_reads` scope; None while reads block.
         self._deferred_until: Optional[float] = None
+        #: die index -> (start, end) of its programs and erases that had
+        #: not finished when last looked at, in start order.
+        self._slow_ops: List[List[Tuple[float, float]]] = [
+            [] for _ in range(self.geometry.dies)]
         self.programs = 0
         self.reads = 0
         self.erases = 0
+        #: How long host reads (those in a :meth:`defer_reads` scope)
+        #: queued on their die before starting: behind a program or
+        #: erase, and behind other reads.
+        self.read_wait_program_ns = 0.0
+        self.read_wait_read_ns = 0.0
 
     # ------------------------------------------------------------------
     # failure injection
@@ -154,6 +166,7 @@ class NandArray:
         start = max(self.clock.now, self._busy_until[die])
         end = start + self.timing.nand_page_program_ns
         self._busy_until[die] = end
+        self._slow_ops_ahead(die).append((start, end))
         self._write_points[key] = expected + 1
         self._pages[(die, page.block, page.page)] = bytes(data)
         self.programs += 1
@@ -170,7 +183,10 @@ class NandArray:
         firmware-internal read needs (boot replay, value-log GC's
         ``parse_segment``, FTL GC migration, sub-page read-modify-write).
         Inside the scope (a host read in its command handler) the clock
-        stays put and the scope records the finish instead.  The
+        stays put and the scope records the finish instead; the time
+        the read queues before it starts is added to
+        ``read_wait_program_ns`` and ``read_wait_read_ns`` by what the
+        die is busy with until then.  The
         page is captured at issue either way, so a later trim, erase or
         reprogram cannot change what the read returns.
         """
@@ -179,16 +195,35 @@ class NandArray:
         data = self._pages.get((die, page.block, page.page))
         if data is None:
             raise NandError(f"read of unwritten page {page}")
-        start = max(self.clock.now, self._busy_until[die])
+        now = self.clock.now
+        start = max(now, self._busy_until[die])
         end = start + self.timing.nand_page_read_ns
         self._busy_until[die] = end
         self.reads += 1
         deferred = self._deferred_until
         if deferred is None:
             self.clock.advance_to(end)
-        elif end > deferred:
+            return data
+        if end > deferred:
             self._deferred_until = end
+        if start > now:
+            # The die's work from now on is back to back up to
+            # ``start``; what of it is not a program or erase is reads.
+            behind = 0.0
+            for op_start, op_end in self._slow_ops_ahead(die):
+                behind += op_end - (op_start if op_start > now else now)
+            self.read_wait_program_ns += behind
+            self.read_wait_read_ns += start - now - behind
         return data
+
+    def _slow_ops_ahead(self, die: int) -> List[Tuple[float, float]]:
+        """*die*'s programs and erases not finished yet, in start order
+        (drops the finished ones)."""
+        slow = self._slow_ops[die]
+        now = self.clock.now
+        while slow and slow[0][1] <= now:
+            del slow[0]
+        return slow
 
     def defer_reads(self) -> None:
         """Open a host-read scope: reads until :meth:`end_deferred` mark
@@ -223,6 +258,7 @@ class NandArray:
         start = max(self.clock.now, self._busy_until[die])
         end = start + ERASE_NS
         self._busy_until[die] = end
+        self._slow_ops_ahead(die).append((start, end))
         self._write_points[(die, block)] = 0
         for page in range(self.geometry.pages_per_block):
             self._pages.pop((die, block, page), None)
@@ -259,4 +295,5 @@ class NandArray:
         self._write_points.clear()
         for die in range(len(self._busy_until)):
             self._busy_until[die] = 0.0
+            self._slow_ops[die].clear()
         self._inject_fail.clear()

@@ -42,8 +42,10 @@ def session_key(session_id: int, key_id: int) -> bytes:
 
 #: Power-law exponent for key popularity: ``key = floor(K * u^skew)``.
 #: MixGraph's key accesses are heavily skewed toward a hot set (Cao et
-#: al., FAST '20, §5: "all_dist" follows a power law); skew 2 puts ~71 %
-#: of accesses on the hottest quarter of the range, 1 is uniform.
+#: al., FAST '20, §5: "all_dist" follows a power law).  A key falls in
+#: the hottest fraction f of the range when ``u < f ** (1 / skew)``, so
+#: skew 2 puts 50 % of accesses on the hottest quarter and ~70.7 % on
+#: the hottest half; 1 is uniform.
 KEY_SKEW = 2.0
 
 

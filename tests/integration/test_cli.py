@@ -89,6 +89,9 @@ def test_serve_prints_nand_read_and_die_wait_rows(capsys):
     assert reads and float(reads.group(1)) > 0
     assert re.search(r"parked reads / op\s*\|?\s*\d+\.\d\d", out)
     assert re.search(r"die-wait share\s*\|?\s*\d+\.\d%", out)
+    for cause in ("programs", "reads"):
+        assert re.search(rf"read queued behind {cause} \(us / parked read\)"
+                         rf"\s*\|?\s*\d+\.\d", out)
 
 
 def test_serve_disabled_optimisations(capsys):

@@ -1,6 +1,8 @@
 """Closed-loop serving workload: determinism, read-your-writes
 verification, and report shape (ISSUE 8)."""
 
+import math
+
 import pytest
 
 from repro.testbed import make_kv_testbed
@@ -45,9 +47,17 @@ def test_session_keys_are_private():
 
 
 def test_key_skew_concentrates_on_hot_keys():
-    ops = session_ops(0, 400, 0.0, 100, seed=1, key_skew=2.0)
-    hot = sum(1 for o in ops if o.key < session_key(0, 25))
-    assert hot > 200  # ~71 % expected on the hottest quarter
+    """``key = floor(K * u ** 2)`` lands below ``h`` when
+    ``u < sqrt(h / K)``: 50 % of draws on the hottest quarter, 70.7 %
+    on the hottest half.  The 400-op sample must sit within 4 binomial
+    standard deviations of each share."""
+    n = 400
+    ops = session_ops(0, n, 0.0, 100, seed=1, key_skew=2.0)
+    for hot_keys in (25, 50):
+        hot = sum(1 for o in ops if o.key < session_key(0, hot_keys))
+        share = math.sqrt(hot_keys / 100)
+        sigma = math.sqrt(n * share * (1 - share))
+        assert abs(hot - n * share) <= 4 * sigma, (hot_keys, hot)
 
 
 def test_session_ops_rejects_bad_parameters():

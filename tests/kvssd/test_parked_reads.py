@@ -7,18 +7,19 @@ import pytest
 from repro.faults.plan import CUT_CQE, DROP_CQE, CrashCut, CrashPlan, FaultPlan
 from repro.host.driver import NvmeDriver
 from repro.kvssd import KVStore
-from repro.kvssd.commands import key_field_words
+from repro.kvssd.commands import encode_store_payload, key_field_words
 from repro.kvssd.service import MAX_VALUE_BYTES
 from repro.nvme.constants import KvOpcode
 from repro.nvme.registers import REG_CC
+from repro.sim.config import DOORBELL_SHADOW, SimConfig
 from repro.testbed import make_kv_testbed
 from repro.transfer import make_methods
 
 
-def _rig(segments, fault_plan=None):
+def _rig(segments, fault_plan=None, config=None):
     """A KV rig holding *segments* (lists of keys), each flushed to its
     own value-log segment, so each on its own die."""
-    tb = make_kv_testbed(fault_plan=fault_plan)
+    tb = make_kv_testbed(config=config, fault_plan=fault_plan)
     store = KVStore(tb.driver, tb.method("byteexpress"))
     values = {}
     for keys in segments:
@@ -34,6 +35,13 @@ def _die_of(tb, key):
     kv = tb.personality
     ppage = tb.ssd.ftl._map[kv.vlog.lpn_base + kv.index.get(key).segment]
     return tb.ssd.nand.geometry.die_index(ppage.channel, ppage.way)
+
+
+def _busy(tb, die):
+    """Keep *die* busy with an erase of its last block (no key lives
+    there); returns when the die is idle again."""
+    nand = tb.ssd.nand
+    return nand.erase(die, nand.geometry.blocks_per_die - 1)
 
 
 def _get(engine, key):
@@ -210,3 +218,73 @@ def test_deleting_a_queue_drops_its_parked_gets():
     ctrl.delete_sq(engine.qids[0])
     ctrl.quiesce()
     assert not ctrl._parked
+
+
+def test_a_get_on_an_idle_die_overtakes_one_parked_on_a_busy_die():
+    """A parked read is no barrier: the GET issued second, on an idle
+    die, resolves while the first still waits on its busy die, and no
+    drive waits that die out."""
+    tb, values = _rig([[b"alpha"], [b"beta"]])
+    assert _die_of(tb, b"alpha") != _die_of(tb, b"beta")
+    idle_at = _busy(tb, _die_of(tb, b"alpha"))
+    engine = tb.make_engine(queues=1, qd=2)
+    (first,) = _park(tb, engine, [b"alpha"])
+    second = _get(engine, b"beta")
+    assert engine.poll() == 1
+    assert second.ok and second.data == values[b"beta"]
+    assert not first.done
+    assert tb.ssd.clock.now < idle_at
+    engine.drain()
+    assert first.ok and first.data == values[b"alpha"]
+    assert tb.ssd.clock.now >= idle_at
+
+
+def test_a_lost_write_beside_a_parked_get_is_recovered_alone():
+    """Recovery leaves a command parked on its die alone: the STORE
+    whose CQE is dropped times out and is retried once, while the GET
+    parked beside it is never re-rung, timed out or resubmitted."""
+    tb, values = _rig([[b"alpha"]],
+                      fault_plan=FaultPlan.scheduled({DROP_CQE: [0]}))
+    _busy(tb, _die_of(tb, b"alpha"))
+    ctrl = tb.ssd.controller
+    engine = tb.make_engine(queues=1, qd=4)
+    (get,) = _park(tb, engine, [b"alpha"])
+    tb.ssd.faults.reset()  # the next I/O CQE is the one dropped
+    puts = {b"lost": b"L" * 100, b"kept": b"K" * 100}
+    writes = [engine.submit(encode_store_payload(key, value),
+                            opcode=KvOpcode.STORE)
+              for key, value in puts.items()]
+    assert engine.poll() == 1  # the second STORE; the GET stays parked
+    assert engine.stats.timeouts == 1 and engine.stats.retries == 1
+    assert not get.done and len(ctrl._parked) == 1
+    engine.drain()
+    assert all(w.ok for w in writes)
+    assert [w.attempts for w in writes] == [2, 1]
+    assert get.ok and get.data == values[b"alpha"]
+    assert get.attempts == 1
+    assert ctrl.parked_reads == 1
+    assert engine.stats.timeouts == 1 and engine.stats.retries == 1
+    store = KVStore(tb.driver, tb.method("byteexpress"))
+    for key, value in puts.items():
+        assert store.get(key) == value
+
+
+def test_a_get_parked_across_a_drive_completes_under_shadow_doorbells():
+    """Under shadow doorbells the device publishes no park record while
+    a read is parked (it is not idle yet); the GET still completes, and
+    the record is published once it has."""
+    tb, values = _rig([[b"alpha"]],
+                      config=SimConfig(doorbell_mode=DOORBELL_SHADOW))
+    ctrl = tb.ssd.controller
+    assert ctrl._shadow is not None
+    idle_at = _busy(tb, _die_of(tb, b"alpha"))
+    engine = tb.make_engine(queues=1, qd=1)
+    future = _get(engine, b"alpha")
+    record = ctrl._shadow.read_poll_until()
+    engine.kick_dirty()
+    engine.reactor.drive_device()
+    assert len(ctrl._parked) == 1 and not future.done
+    assert ctrl._shadow.read_poll_until() == record
+    engine.drain()
+    assert future.ok and future.data == values[b"alpha"]
+    assert ctrl._shadow.read_poll_until() > idle_at

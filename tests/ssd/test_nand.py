@@ -160,3 +160,39 @@ def test_a_scope_without_nand_reads_is_ready_at_zero(nand):
     nand.program(_page(), b"a")
     nand.read(_page())  # the scope is closed: this read blocks again
     assert nand.clock.now > 0
+
+
+def test_deferred_read_queueing_is_split_by_what_it_waits_behind(nand):
+    """A host read behind a program counts the program's remaining time
+    as ``read_wait_program_ns``; one behind another read counts that
+    read's time as ``read_wait_read_ns``; a blocking read counts none."""
+    program_ns = TIMING.nand_page_program_ns
+    read_ns = TIMING.nand_page_read_ns
+    nand.program(_page(), b"a")
+    nand.clock.advance(100.0)  # the program is under way
+    nand.defer_reads()
+    nand.read(_page())
+    nand.read(_page())
+    nand.end_deferred()
+    assert nand.read_wait_program_ns == 2 * (program_ns - 100.0)
+    assert nand.read_wait_read_ns == read_ns
+    nand.drain()
+    nand.read(_page())  # blocking: not a host read
+    assert nand.read_wait_program_ns == 2 * (program_ns - 100.0)
+    assert nand.read_wait_read_ns == read_ns
+
+
+def test_a_read_between_programs_splits_its_wait(nand):
+    """Read, program, then a host read on one die: the wait is the
+    first read's time plus the whole program."""
+    nand.program(_page(page=0), b"a")
+    nand.drain()
+    nand.defer_reads()
+    nand.read(_page(page=0))
+    nand.program(_page(page=1), b"b")
+    nand.read(_page(page=0))
+    nand.end_deferred()
+    assert nand.read_wait_program_ns == TIMING.nand_page_program_ns
+    assert nand.read_wait_read_ns == TIMING.nand_page_read_ns
+    nand.scrub()
+    assert nand._slow_ops[0] == []
