@@ -15,7 +15,7 @@ import pytest
 from conftest import DEFAULT_OPS, report
 from repro.kvssd import KVStore
 from repro.metrics import format_table
-from repro.metrics.stats import summarize_latencies
+from repro.metrics.stats import LatencyRecorder
 from repro.sim.config import SimConfig
 from repro.testbed import make_kv_testbed
 from repro.workloads import FillRandomWorkload, MixGraphWorkload
@@ -32,12 +32,12 @@ def _run(workload_factory):
         tb = make_kv_testbed(config=SimConfig(timing_jitter=0.05))
         store = KVStore(tb.driver, tb.method(method))
         t0, b0 = tb.clock.now, tb.traffic.total_bytes
-        latencies = []
+        latency = LatencyRecorder()
         for op in workload_factory():
-            latencies.append(store.put(op.key, op.value).latency_ns)
-        n = len(latencies)
+            latency.record(store.put(op.key, op.value).latency_ns)
+        n = len(latency)
         elapsed = tb.clock.now - t0
-        summary = summarize_latencies(latencies)
+        summary = latency.summary()
         out[method] = {
             "traffic_per_op": (tb.traffic.total_bytes - b0) / n,
             "kops": n / elapsed * 1e6,

@@ -29,13 +29,8 @@ def split_payload(payload: bytes) -> List[bytes]:
     >>> [len(c) for c in split_payload(b"x" * 100)]
     [64, 64]
     """
-    n = len(payload)
-    if 0 < n <= CHUNK_SIZE:
-        # Single-chunk payloads dominate small-write workloads.
-        return [payload if n == CHUNK_SIZE
-                else payload + b"\x00" * (CHUNK_SIZE - n)]
     chunks: List[bytes] = []
-    for off in range(0, n, CHUNK_SIZE):
+    for off in range(0, len(payload), CHUNK_SIZE):
         piece = payload[off:off + CHUNK_SIZE]
         if len(piece) < CHUNK_SIZE:
             piece = piece + b"\x00" * (CHUNK_SIZE - len(piece))
@@ -49,12 +44,6 @@ def join_chunks(chunks: Sequence[bytes], nbytes: int) -> bytes:
     Inverse of :func:`split_payload` given the true length (the controller
     knows it from the command's reserved field).
     """
-    if len(chunks) == 1 and 0 < nbytes <= CHUNK_SIZE:
-        c = chunks[0]
-        if len(c) != CHUNK_SIZE:
-            raise ValueError(
-                f"chunk 0 is {len(c)} bytes, expected {CHUNK_SIZE}")
-        return c[:nbytes]
     if chunk_count(nbytes) != len(chunks):
         raise ValueError(
             f"{len(chunks)} chunks cannot carry a {nbytes}-byte payload")

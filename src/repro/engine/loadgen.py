@@ -25,7 +25,7 @@ import numpy as np
 from repro.datapath import names as dp_names
 from repro.engine.engine import IoEngine
 from repro.engine.table import OK, PENDING, TIMED_OUT, CommandFuture
-from repro.metrics.stats import LatencySummary, summarize_latencies
+from repro.metrics.stats import LatencyRecorder, LatencySummary
 from repro.metrics.reporting import format_table
 from repro.nvme.constants import PAGE_SIZE, IoOpcode
 from repro.sim.rng import make_rng
@@ -119,7 +119,7 @@ class _StreamState:
     end_ns: float = 0.0
     next_issue_ns: float = 0.0
     outstanding: List[CommandFuture] = field(default_factory=list)
-    latencies: List[float] = field(default_factory=list)
+    latency: LatencyRecorder = field(default_factory=LatencyRecorder)
     ok: int = 0
     errors: int = 0
     timeouts: int = 0
@@ -299,12 +299,12 @@ class LoadGenerator:
         harvested = len(outstanding) - len(still)
         if not harvested:
             return 0
-        latencies = state.latencies
+        record = state.latency.samples.append
         for f in outstanding:
             fstate = f.state
             if fstate == OK:
                 state.ok += 1
-                latencies.append(f.latency_ns)
+                record(f.latency_ns)
             elif fstate == TIMED_OUT:
                 state.timeouts += 1
             elif fstate != PENDING:
@@ -354,19 +354,15 @@ class LoadGenerator:
 
         elapsed_ns = clock.now - start_ns
         reports = []
-        all_lat: List[float] = []
+        aggregate = LatencyRecorder()
         for state in self._states:
-            all_lat.extend(state.latencies)
-            lat = (summarize_latencies(state.latencies)
-                   if state.latencies else LatencySummary.empty())
+            aggregate.merge(state.latency)
             reports.append(StreamReport(
                 stream_id=state.spec.stream_id,
                 method=state.spec.method or self.method,
                 ops=state.spec.ops, ok=state.ok, errors=state.errors,
-                timeouts=state.timeouts, latency=lat,
+                timeouts=state.timeouts, latency=state.latency.summary(),
                 elapsed_ns=max(state.end_ns - state.start_ns, 0.0)))
-        agg_lat = (summarize_latencies(all_lat) if all_lat
-                   else LatencySummary.empty())
         engine_stats: Dict[str, int] = {}
         for engine, _ in groups:
             for name, value in engine.stats.as_dict().items():
@@ -378,7 +374,7 @@ class LoadGenerator:
             total_ok=sum(s.ok for s in self._states),
             total_errors=sum(s.errors for s in self._states),
             total_timeouts=sum(s.timeouts for s in self._states),
-            latency=agg_lat,
+            latency=aggregate.summary(),
             pcie_bytes=counter.total_bytes - start_bytes,
             engine_stats=engine_stats,
             inflight_high_water=max(e.table.high_water for e, _ in groups))

@@ -114,7 +114,12 @@ class KvSsdPersonality:
         return CommandResult(result=len(value))
 
     def _on_batch_store(self, ctx: CommandContext) -> CommandResult:
-        """Compound STORE (§2.2.1's bulk-PUT): all-or-nothing semantics.
+        """Compound STORE (§2.2.1's bulk-PUT).
+
+        Only a refusal is all-or-nothing: ``check_batch`` runs before
+        the first append, so a refused batch stores nothing.  A NAND
+        program failure mid-batch keeps the pairs appended before it,
+        and the CQE's result reports how many that is.
 
         Protocol overhead amortises over the batch, but the per-pair
         engine work (log append + index insert) remains — and the pairs

@@ -2,7 +2,6 @@
 
 from repro.metrics.ascii_plot import ascii_chart
 from repro.metrics.energy import EnergyModel, EnergyReport, measure_energy
-from repro.metrics.pipeline import PipelineEstimate, estimate_pipeline
 from repro.metrics.reporting import (
     format_bytes,
     format_latency_summary,
@@ -14,7 +13,6 @@ from repro.metrics.stats import (
     LatencySummary,
     NoSamplesError,
     reduction_pct,
-    summarize_latencies,
     throughput_kops,
 )
 
@@ -22,7 +20,6 @@ __all__ = [
     "LatencySummary",
     "LatencyRecorder",
     "NoSamplesError",
-    "summarize_latencies",
     "format_latency_summary",
     "throughput_kops",
     "reduction_pct",
@@ -32,7 +29,5 @@ __all__ = [
     "EnergyModel",
     "EnergyReport",
     "measure_energy",
-    "PipelineEstimate",
-    "estimate_pipeline",
     "ascii_chart",
 ]

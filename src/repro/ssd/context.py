@@ -61,7 +61,7 @@ class CommandResult:
     #: A later time parks the command on its die: the firmware loop goes
     #: on, and the completion posts in the first drive that finds the
     #: clock past this time (``NvmeController.post_parked``).  Only a
-    #: full ``process_all`` drain waits for it.
+    #: host with nothing else to do waits for it (``wait_for_die``).
     ready_at_ns: float = 0.0
 
 

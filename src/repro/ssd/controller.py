@@ -178,7 +178,7 @@ class NvmeController:
         self.ns_rejections = 0
         #: Commands parked until their NAND reads finished, and the
         #: simulated time the host waited on a die with no other work
-        #: (``wait_for_die``, or a ``process_all`` drain).
+        #: (``wait_for_die``, which a ``process_all`` drain calls too).
         self.parked_reads = 0
         self.die_wait_ns = 0.0
         # firmware units (the controller is the orchestrator; all state
@@ -475,8 +475,9 @@ class NvmeController:
         done = 0
         while self.sweep_width(ready_only=False):
             done += self.poll_once()
-        if self._parked:
-            self.post_parked(wait=True)
+        while self._parked:
+            self.wait_for_die()
+            self.post_parked()
         self.quiesce()
         return done
 
@@ -645,25 +646,20 @@ class NvmeController:
                 todo += (child,)
         return len(qids)
 
-    def post_parked(self, wait: bool = False) -> None:
-        """Complete parked commands in ready-time order.
+    def post_parked(self) -> None:
+        """Complete, in ready-time order, every parked command whose die
+        had finished when the call began.
 
-        By default posts those whose die has finished by now — the
-        reactor calls this inside a lane scope of
+        The reactor calls this inside a lane scope of
         :meth:`parked_ready_width`, so completions on different queues
-        overlap like any other command service.  With *wait* (a full
-        :meth:`process_all` drain) posts every one, the clock advancing
-        to each ready time still ahead (``die_wait_ns`` counts that).
+        overlap like any other command service; a :meth:`process_all`
+        drain calls it after each :meth:`wait_for_die`.
         """
         parked = self._parked
-        clock = self.clock
-        until = float("inf") if wait else clock.now
+        until = self.clock.now
         while parked and parked[0][0] <= until:
-            ready, _seq, qid, cmd, result = heappop(parked)
+            _ready, _seq, qid, cmd, result = heappop(parked)
             del self._parked_keys[qid, cmd.cid]
-            if ready > clock.now:
-                self.die_wait_ns += ready - clock.now
-                clock.advance_to(ready)
             if (result.read_data is not None
                     and result.status == StatusCode.SUCCESS):
                 result = self._push_read_data(cmd, result)
@@ -672,7 +668,8 @@ class NvmeController:
     def wait_for_die(self) -> None:
         """Advance the clock to the earliest parked command's ready time
         (``die_wait_ns`` counts the wait).  The reactor calls this only
-        when a round resolved nothing and no queue has fetchable work."""
+        when a round resolved nothing and no queue has fetchable work; a
+        :meth:`process_all` drain, before each :meth:`post_parked`."""
         ready = self._parked[0][0]
         now = self.clock.now
         if ready > now:

@@ -17,6 +17,7 @@ import abc
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
+from repro.metrics.stats import LatencyRecorder
 from repro.nvme.constants import IoOpcode
 from repro.nvme.passthrough import PassthruRequest
 
@@ -53,8 +54,9 @@ class TransferStats:
 class AggregateStats:
     """Accumulated over a workload run (one Figure-5/6/7 data point).
 
-    Per-op latencies are retained so benches can report the paper's
-    1st–99th percentile error bars (Figure 6) alongside the mean.
+    Per-op latencies are recorded so benches can report the paper's
+    1st–99th percentile error bars (Figure 6) alongside the mean:
+    ``agg.latency.summary()``.
     """
 
     method: str
@@ -63,7 +65,7 @@ class AggregateStats:
     pcie_bytes: int = 0
     total_latency_ns: float = 0.0
     commands: int = 0
-    latencies_ns: list = field(default_factory=list)
+    latency: LatencyRecorder = field(default_factory=LatencyRecorder)
 
     def add(self, stats: TransferStats) -> None:
         if stats.method != self.method:
@@ -74,18 +76,7 @@ class AggregateStats:
         self.pcie_bytes += stats.pcie_bytes
         self.total_latency_ns += stats.latency_ns
         self.commands += stats.commands
-        self.latencies_ns.append(stats.latency_ns)
-
-    def latency_summary(self):
-        """Mean + percentile summary of the per-op latencies.
-
-        Empty-safe: zero recorded ops yield ``LatencySummary.empty()``.
-        """
-        from repro.metrics.stats import LatencySummary, summarize_latencies
-
-        if not self.latencies_ns:
-            return LatencySummary.empty()
-        return summarize_latencies(self.latencies_ns)
+        self.latency.record(stats.latency_ns)
 
     @property
     def mean_latency_ns(self) -> float:

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-from repro.metrics.stats import LatencySummary, summarize_latencies
+from repro.metrics.stats import LatencyRecorder, LatencySummary
 from repro.sim.rng import make_rng, random_bytes
 from repro.workloads.mixgraph import KvOp, sample_value_sizes
 
@@ -135,7 +135,7 @@ class _SessionState:
     not_found: int = 0
     errors: int = 0
     outstanding: List[Tuple[KvOp, KvFuture]] = field(default_factory=list)
-    latencies: List[float] = field(default_factory=list)
+    latency: LatencyRecorder = field(default_factory=LatencyRecorder)
     #: key → last acknowledged value (None records an acked delete).
     acked: Dict[bytes, Optional[bytes]] = field(default_factory=dict)
 
@@ -164,7 +164,7 @@ def _collect(state: _SessionState, verify: bool) -> Tuple[int, int]:
             still.append((op, future))
             continue
         progressed += 1
-        state.latencies.append(future.latency_ns)
+        state.latency.samples.append(future.latency_ns)
         if future.ok:
             state.ok += 1
         elif future.not_found:
@@ -268,23 +268,20 @@ def run_serving(service: KvService, sessions: int, ops_per_session: int,
     elapsed_ns = clock.now - start_ns
 
     per_session: List[SessionReport] = []
-    all_latencies: List[float] = []
+    aggregate = LatencyRecorder()
     for st in states:
-        all_latencies.extend(st.latencies)
-        lat = (summarize_latencies(st.latencies) if st.latencies
-               else LatencySummary.empty())
+        aggregate.merge(st.latency)
         per_session.append(SessionReport(
             session_id=st.session.session_id, ops=len(st.ops), ok=st.ok,
-            not_found=st.not_found, errors=st.errors, latency=lat))
+            not_found=st.not_found, errors=st.errors,
+            latency=st.latency.summary()))
         st.session.close()
-    aggregate = (summarize_latencies(all_latencies) if all_latencies
-                 else LatencySummary.empty())
     return ServingReport(
         sessions=sessions, ops=sessions * ops_per_session,
         ok=sum(st.ok for st in states),
         not_found=sum(st.not_found for st in states),
         errors=sum(st.errors for st in states),
-        elapsed_ns=elapsed_ns, latency=aggregate,
+        elapsed_ns=elapsed_ns, latency=aggregate.summary(),
         worst_p99_us=max((s.latency.p99 for s in per_session
                           if s.latency.count), default=0.0) / 1000.0,
         worst_p999_us=max((s.latency.p999 for s in per_session

@@ -4,6 +4,7 @@ import pytest
 
 from repro.engine import LoadGenerator, StreamSpec
 from repro.engine.loadgen import LoadGenError, _draw_sizes
+from repro.metrics import LatencySummary
 from repro.testbed import make_engine_testbed
 
 
@@ -28,6 +29,30 @@ def test_run_completes_every_stream():
     assert report.kiops > 0
     assert report.pcie_bytes > 0
     assert report.engine_stats["completed"] == 160
+
+
+def test_report_latencies_summarise_the_ok_futures():
+    """Each stream's latency, and the aggregate, is the summary of its
+    OK futures' latencies."""
+    streams = [StreamSpec(i, ops=30, concurrency=3, size="mixgraph")
+               for i in range(3)]
+    engine = make_engine_testbed(queues=2).make_engine(queues=2, qd=4)
+    futures = {spec.stream_id: [] for spec in streams}
+    submit = engine.submit
+
+    def logged(payload, **kw):
+        future = submit(payload, **kw)
+        futures[kw["stream"]].append(future)
+        return future
+
+    engine.submit = logged
+    report = LoadGenerator(engine, streams).run()
+    ok = {sid: [f.latency_ns for f in fs if f.ok]
+          for sid, fs in futures.items()}
+    for s in report.streams:
+        assert s.latency == LatencySummary.from_samples(ok[s.stream_id])
+    assert report.latency == LatencySummary.from_samples(
+        [lat for sid in sorted(ok) for lat in ok[sid]])
 
 
 def test_same_seed_is_byte_identical():

@@ -4,16 +4,16 @@ import pytest
 
 from repro.metrics import (
     LatencyRecorder,
+    LatencySummary,
     format_bytes,
     format_table,
     reduction_pct,
-    summarize_latencies,
     throughput_kops,
 )
 
 
 def test_summary_basics():
-    s = summarize_latencies([1000.0] * 99 + [2000.0])
+    s = LatencySummary.from_samples([1000.0] * 99 + [2000.0])
     assert s.count == 100
     assert s.mean == pytest.approx(1010.0)
     assert s.p50 == 1000.0
@@ -22,13 +22,13 @@ def test_summary_basics():
 
 
 def test_percentiles_ordered():
-    s = summarize_latencies(list(range(1, 1001)))
+    s = LatencySummary.from_samples(list(range(1, 1001)))
     assert s.p1 <= s.p50 <= s.p99
 
 
 def test_empty_summary_rejected():
     with pytest.raises(ValueError):
-        summarize_latencies([])
+        LatencySummary.from_samples([])
 
 
 def test_recorder():

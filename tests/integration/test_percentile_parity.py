@@ -16,13 +16,19 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.metrics import LatencySummary
+from repro.metrics import LatencyRecorder, LatencySummary
 
 RANKS = (1.0, 50.0, 99.0, 99.9)
 
 #: Latency-like magnitudes; finite, non-negative, spanning ns..seconds.
 _sample = st.floats(min_value=0.0, max_value=1e12,
                     allow_nan=False, allow_infinity=False, width=64)
+
+
+#: Whole-ns latencies (the engine cell's) and fractional ones (charged
+#: under a lane scope, as in serving), mixed in one list.
+_mixed = st.one_of(_sample,
+                   st.integers(min_value=0, max_value=10**9).map(float))
 
 
 def _scalar_reference(samples):
@@ -82,3 +88,28 @@ def test_single_sample_every_percentile_is_the_sample():
     s = LatencySummary.from_samples([123.0])
     assert (s.p1, s.p50, s.p99, s.p999) == (123.0,) * 4
     assert (s.minimum, s.maximum, s.mean) == (123.0, 123.0, 123.0)
+
+
+@given(st.data())
+@settings(max_examples=200)
+def test_merged_recorders_summarise_like_from_samples(data):
+    """Samples recorded across 1-4 recorders and merged in order give
+    the summary of the whole list, field for field, or the empty
+    summary when there are none."""
+    samples = data.draw(st.lists(_mixed, max_size=200))
+    cuts = sorted(data.draw(st.lists(
+        st.integers(min_value=0, max_value=len(samples)), max_size=3)))
+    bounds = [0] + cuts + [len(samples)]
+    recorders = []
+    for lo, hi in zip(bounds, bounds[1:]):
+        rec = LatencyRecorder()
+        for v in samples[lo:hi]:
+            rec.record(v)
+        recorders.append(rec)
+    merged = recorders[0]
+    for rec in recorders[1:]:
+        merged.merge(rec)
+    assert len(merged) == len(samples)
+    expected = (LatencySummary.from_samples(samples) if samples
+                else LatencySummary.empty())
+    assert merged.summary() == expected

@@ -1,42 +1,9 @@
-"""Pipeline estimator + remaining protocol edge cases."""
+"""Protocol edge cases: multi-extent SGL writes and MMIO commits."""
 
-import pytest
-
-from repro.metrics.pipeline import estimate_pipeline
 from repro.nvme.command import NvmeCommand
 from repro.nvme.constants import IoOpcode, StatusCode
 from repro.nvme.sgl import build_sgl
 from repro.testbed import make_block_testbed
-
-
-class TestPipelineEstimate:
-    def _measure(self, method, ops=50):
-        tb = make_block_testbed()
-        tb.clock.reset_spans()
-        t0 = tb.clock.now
-        for _ in range(ops):
-            tb.method(method).write(b"x" * 64, cdw10=0)
-        return estimate_pipeline(tb.clock.span_totals(), ops,
-                                 tb.clock.now - t0)
-
-    def test_device_is_the_bottleneck(self):
-        est = self._measure("byteexpress")
-        assert est.bottleneck == "device"
-        assert est.device_ns > est.host_ns
-
-    def test_pipelined_bound_exceeds_serial(self):
-        est = self._measure("prp")
-        assert est.pipelined_kops > est.serial_kops
-        assert est.overlap_speedup > 1.0
-
-    def test_byteexpress_keeps_edge_in_pipelined_bound(self):
-        be = self._measure("byteexpress")
-        prp = self._measure("prp")
-        assert be.pipelined_kops > prp.pipelined_kops
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            estimate_pipeline({}, 0, 100.0)
 
 
 class TestSglMultiExtentWrite:

@@ -117,6 +117,44 @@ def test_gets_on_one_die_queue():
     assert second - first >= read_ns
 
 
+def test_process_all_waits_out_parked_gets_in_ready_order():
+    """A full drain posts every parked GET at or after its die finished,
+    in ready order, and counts exactly the idle gaps as die wait."""
+    tb, values = _rig([[b"alpha"], [b"beta"]])
+    assert _die_of(tb, b"alpha") != _die_of(tb, b"beta")
+    _busy(tb, _die_of(tb, b"alpha"))  # alpha's die finishes last
+    _issued, posted = _timed(tb)
+    engine = tb.make_engine(queues=1, qd=2)
+    futures = _park(tb, engine, list(values))
+    ctrl = tb.ssd.controller
+    clock = tb.ssd.clock
+    heap = sorted((ready, cmd.cid) for ready, _seq, _qid, cmd, _result
+                  in ctrl._parked)
+    done = []
+    complete = ctrl._complete
+
+    def _complete(qid, cmd, result):
+        complete(qid, cmd, result)
+        done.append(clock.now)
+
+    ctrl._complete = _complete
+    expected_wait = ctrl.die_wait_ns
+    idle_from = clock.now
+    ctrl.process_all()
+    assert not ctrl._parked
+    assert sorted(posted, key=posted.get) == [cid for _ready, cid in heap]
+    gaps = []
+    for (ready, cid), finished in zip(heap, done):
+        assert posted[cid] >= ready
+        gaps.append(max(ready - idle_from, 0.0))
+        expected_wait += gaps[-1]
+        idle_from = finished
+    assert all(gaps)  # each die was still busy when the drain reached it
+    assert ctrl.die_wait_ns == expected_wait
+    engine.drain()
+    assert [f.data for f in futures] == list(values.values())
+
+
 def test_a_gc_trim_and_erase_after_issue_leave_a_parked_get_intact():
     """The page is captured at issue: value-log GC relocating the key
     and trimming its segment, then an erase of the NAND block, cannot

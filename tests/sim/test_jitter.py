@@ -56,7 +56,7 @@ def test_jittered_testbed_produces_percentile_spread():
     tb = make_block_testbed(config=cfg)
     agg = tb.method("byteexpress").run_workload(
         [b"x" * 64 for _ in range(100)], cdw10=0)
-    summary = agg.latency_summary()
+    summary = agg.latency.summary()
     assert summary.p99 > summary.p1          # real error bars
     assert summary.p99 < summary.mean * 1.5  # but not absurd ones
 
