@@ -9,6 +9,7 @@ workloads through each.
 
 from __future__ import annotations
 
+from enum import IntEnum
 from typing import Iterable, List, Optional, Tuple
 
 from repro.kvssd.commands import (
@@ -50,12 +51,7 @@ class KVStore:
     def put(self, key: bytes, value: bytes) -> TransferStats:
         """Store one pair; returns the transfer measurement for the op."""
         self._check_key(key)
-        payload = encode_store_payload(key, value)
-        stats = self.put_method.write(payload, opcode=KvOpcode.STORE,
-                                      qid=self.qid)
-        if not stats.ok:
-            raise KvError(f"STORE failed with status {stats.status:#x}")
-        return stats
+        return self._store(encode_store_payload(key, value), KvOpcode.STORE)
 
     def get(self, key: bytes, max_value_len: int = 4096) -> bytes:
         """Fetch the value for *key* (keys are limited to 16 bytes)."""
@@ -98,14 +94,8 @@ class KVStore:
         pairs = list(pairs)
         for key, _ in pairs:
             self._check_key(key)
-        payload = encode_batch_payload(pairs)
-        stats = self.put_method.write(payload,
-                                      opcode=VendorOpcode.KV_BATCH_STORE,
-                                      qid=self.qid)
-        if not stats.ok:
-            raise KvError(f"batch STORE failed with status "
-                          f"{stats.status:#x}")
-        return stats
+        return self._store(encode_batch_payload(pairs),
+                           VendorOpcode.KV_BATCH_STORE)
 
     def list_keys(self, start_key: bytes = b"\x00",
                   max_keys: int = 64, max_len: int = 8192) -> List[bytes]:
@@ -127,6 +117,14 @@ class KVStore:
         return list(decode_key_list((res.data or b"")[:list_len]))
 
     # ------------------------------------------------------------------
+    def _store(self, payload: bytes, opcode: IntEnum) -> TransferStats:
+        """Write one STORE or batch STORE payload by the put method."""
+        stats = self.put_method.write(payload, opcode=opcode, qid=self.qid)
+        if not stats.ok:
+            raise KvError(f"{opcode.name} failed with status "
+                          f"{stats.status:#x}")
+        return stats
+
     def _keyed(self, opcode: int, key: bytes, read_len: int = 0,
                cdw15: int = 0) -> PassthruResult:
         """One keyed command through ``passthru``: the key rides the

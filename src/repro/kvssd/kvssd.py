@@ -14,7 +14,7 @@ paper claims for ByteExpress.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 from repro.kvssd.commands import (
     KvEncodingError,
@@ -23,7 +23,7 @@ from repro.kvssd.commands import (
     unpack_key_fields,
 )
 from repro.durability.domains import DEVICE_VOLATILE
-from repro.kvssd.lsm import LsmIndex
+from repro.kvssd.lsm import TOMBSTONE, LsmIndex
 from repro.kvssd.value_log import LogFullError, ValueLog
 from repro.nvme.constants import KvOpcode, StatusCode, VendorOpcode
 from repro.sim.config import TimingModel
@@ -94,32 +94,12 @@ class KvSsdPersonality:
             return CommandResult(StatusCode.INVALID_FIELD)
         if ctx.cmd.cdw14 and ctx.cmd.cdw14 != len(key):
             return CommandResult(StatusCode.INVALID_FIELD)
-        self.ssd.clock.advance(self._timing.kv_put_logic_ns)
-        old = self.index.get(key)
-        try:
-            ptr = self.vlog.append(key, value)
-        except ValueError:
-            # The log refuses the entry (e.g. larger than a segment):
-            # a bad request, not a media fault.
-            return CommandResult(StatusCode.INVALID_FIELD)
-        except LogFullError:
-            return CommandResult(StatusCode.CAPACITY_EXCEEDED)
-        except NandError:
-            return CommandResult(StatusCode.MEDIA_WRITE_FAULT)
-        self.index.put(key, ptr)
-        if old is not None:
-            self.vlog.mark_dead(old)
-        self.puts += 1
-        self.maybe_collect()
-        return CommandResult(result=len(value))
+        return self._commit([(key, value)]) or CommandResult(result=len(value))
 
     def _on_batch_store(self, ctx: CommandContext) -> CommandResult:
-        """Compound STORE (§2.2.1's bulk-PUT).
-
-        Only a refusal is all-or-nothing: ``check_batch`` runs before
-        the first append, so a refused batch stores nothing.  A NAND
-        program failure mid-batch keeps the pairs appended before it,
-        and the CQE's result reports how many that is.
+        """Compound STORE (§2.2.1's bulk-PUT), all or nothing: a refused
+        or failed batch leaves none of its pairs stored (:meth:`_commit`).
+        The CQE's result is the number of pairs stored.
 
         Protocol overhead amortises over the batch, but the per-pair
         engine work (log append + index insert) remains — and the pairs
@@ -133,30 +113,53 @@ class KvSsdPersonality:
             pairs = decode_batch_payload(ctx.data)
         except KvEncodingError:
             return CommandResult(StatusCode.INVALID_FIELD)
-        # Refuse the whole batch before its first append.
+        return self._commit(pairs) or CommandResult(result=len(pairs))
+
+    def _commit(self, pairs: List[Tuple[bytes, bytes]],
+                tombstone: bool = False) -> Optional[CommandResult]:
+        """Apply one write command all or nothing: the pairs of a STORE
+        or batch STORE, or a DELETE's durable *tombstone*.
+
+        ``check_batch`` refuses the whole command up front; then each
+        entry lands in the value log before the index points at it.  A
+        NAND program failure part-way restores the command's index
+        updates in reverse and leaves its appended entries dead.  Only a
+        command that wrote every entry retires what it superseded and
+        may start a GC pass.  Returns the failure's completion, or None.
+        """
+        vlog, index = self.vlog, self.index
         try:
-            self.vlog.check_batch(pairs)
+            vlog.check_batch(pairs)
         except ValueError:
+            # An entry the log can never hold (e.g. larger than a
+            # segment): a bad request, not a media fault.
             return CommandResult(StatusCode.INVALID_FIELD)
         except LogFullError:
             return CommandResult(StatusCode.CAPACITY_EXCEEDED)
-        # One command-level parse plus per-pair engine work.
         self.ssd.clock.advance(self._timing.kv_put_logic_ns * len(pairs))
-        stored = 0
-        for key, value in pairs:
-            old = self.index.get(key)
-            try:
-                ptr = self.vlog.append(key, value)
-            except NandError:
-                return CommandResult(StatusCode.MEDIA_WRITE_FAULT,
-                                     result=stored)
-            self.index.put(key, ptr)
+        applied = []
+        try:
+            for key, value in pairs:
+                old = index.get(key)
+                ptr = vlog.append(key, value, tombstone)
+                index.put(key, TOMBSTONE if tombstone else ptr)
+                applied.append((key, old, ptr))
+        except NandError:
+            for key, old, ptr in reversed(applied):
+                index.put(key, TOMBSTONE if old is None else old)
+                vlog.mark_dead(ptr)
+            return CommandResult(StatusCode.MEDIA_WRITE_FAULT)
+        for _key, old, ptr in applied:
             if old is not None:
-                self.vlog.mark_dead(old)
-            stored += 1
-        self.puts += stored
+                vlog.mark_dead(old)
+            if tombstone:
+                vlog.mark_dead(ptr)  # tombstones are dead space at once
+        if tombstone:
+            self.deletes += len(pairs)
+        else:
+            self.puts += len(pairs)
         self.maybe_collect()
-        return CommandResult(result=stored)
+        return None
 
     def maybe_collect(self) -> bool:
         """Run one value-log GC pass once the flushed log's garbage is
@@ -165,7 +168,8 @@ class KvSsdPersonality:
 
         An absolute trigger alone fires at a few percent garbage on a
         large log, so every pass would relocate a mostly live victim.
-        A full log cannot relocate: the pass stops and the victim stays.
+        A full log or a failed program cannot relocate: the pass stops
+        and the victim stays, its relocated entries already re-pointed.
         """
         vlog = self.vlog
         dead = vlog.dead_bytes
@@ -174,7 +178,7 @@ class KvSsdPersonality:
             return False
         try:
             return vlog.collect(self.index.get_many, self.index.put)
-        except LogFullError:
+        except (LogFullError, NandError):
             return False
 
     def _lookup(self, ctx: CommandContext) -> Tuple[Optional[bytes],
@@ -216,26 +220,15 @@ class KvSsdPersonality:
                              ready_at_ns=ready)
 
     def _on_delete(self, ctx: CommandContext) -> CommandResult:
-        self.ssd.clock.advance(self._timing.kv_put_logic_ns)
         try:
             key = unpack_key_fields(ctx.cmd)
         except KvEncodingError:
             return CommandResult(StatusCode.INVALID_FIELD)
-        old = self.index.get(key)
-        if old is None:
+        if self.index.get(key) is None:
             return CommandResult(StatusCode.KV_KEY_NOT_FOUND)
-        try:
-            # The tombstone must fit before the index forgets the key.
-            self.vlog.check_batch([(key, b"")])
-        except LogFullError:
-            return CommandResult(StatusCode.CAPACITY_EXCEEDED)
-        self.index.delete(key)
-        self.vlog.mark_dead(old)
-        # Durable deletion record, so crash recovery replays the delete.
-        tomb = self.vlog.append(key, b"", tombstone=True)
-        self.vlog.mark_dead(tomb)  # tombstones are immediately dead space
-        self.deletes += 1
-        return CommandResult()
+        # The durable tombstone lands before the index forgets the key,
+        # so crash recovery replays the delete.
+        return self._commit([(key, b"")], tombstone=True) or CommandResult()
 
     def _on_exist(self, ctx: CommandContext) -> CommandResult:
         self.ssd.clock.advance(self._timing.kv_get_logic_ns)

@@ -22,6 +22,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.kvssd.value_log import LogPointer
 from repro.ssd.ftl import PageMappingFtl
+from repro.ssd.nand import NandError
 
 #: On-NAND bytes of one index entry besides its key: key_len u16 |
 #: tombstone u8 | segment u32 | offset u32 | length u32.
@@ -90,11 +91,17 @@ class LsmIndex:
     # write path
     # ------------------------------------------------------------------
     def put(self, key: bytes, ptr: LogPointer) -> None:
+        """Map *key* to *ptr*.  Raises no media error: a failed SSTable
+        program keeps the memtable, and the next put retries the flush
+        (nothing reads index pages back; boot replays the value log)."""
         if not key:
             raise ValueError("empty key")
         self._memtable[key] = ptr
         if len(self._memtable) >= self.memtable_entries:
-            self.flush_memtable()
+            try:
+                self.flush_memtable()
+            except NandError:
+                pass
 
     def delete(self, key: bytes) -> None:
         self.put(key, TOMBSTONE)
@@ -102,9 +109,8 @@ class LsmIndex:
     def flush_memtable(self) -> None:
         if not self._memtable:
             return
-        entries = sorted(self._memtable.items())
+        table = self._persist(SsTable(sorted(self._memtable.items())))
         self._memtable.clear()
-        table = self._persist(SsTable(entries))
         self.levels[0].append(table)
         self.flushes += 1
         if len(self.levels[0]) > L0_TABLES:
@@ -116,18 +122,26 @@ class LsmIndex:
         Nothing reads the pages back (lookups bisect the DRAM-pinned
         entries, and recovery replays the value log), and NAND timing
         does not depend on page content, so every page is the same
-        shared zero page."""
+        shared zero page.  A failed program trims the pages this table
+        did program and re-raises, so a retry writes the same LPNs."""
         zero_page = self._zero_page
         size = _ENTRY_BYTES * len(table.keys) + sum(map(len, table.keys))
-        for _ in range(-(-size // len(zero_page))):
-            lpn = self._next_lpn
-            self._next_lpn += 1
-            self.ftl.write(lpn, zero_page)
-            table.lpns.append(lpn)
+        start = self._next_lpn
+        try:
+            for _ in range(-(-size // len(zero_page))):
+                self.ftl.write(self._next_lpn, zero_page)
+                self._next_lpn += 1
+        except NandError:
+            for lpn in range(start, self._next_lpn):
+                self.ftl.trim(lpn)
+            self._next_lpn = start
+            raise
+        table.lpns.extend(range(start, self._next_lpn))
         return table
 
     def _compact(self, level: int) -> None:
-        """Merge *level* into *level*+1 as one fresh sorted run."""
+        """Merge *level* into *level*+1 as one fresh sorted run; both
+        levels keep their tables until the run is programmed."""
         while len(self.levels) <= level + 1:
             self.levels.append([])
         sources = self.levels[level] + self.levels[level + 1]
@@ -143,13 +157,12 @@ class LsmIndex:
         entries = sorted(merged.items())
         if is_last:
             entries = [e for e in entries if e[1] is not TOMBSTONE]
+        run = [self._persist(SsTable(entries))] if entries else []
         self.levels[level] = []
-        self.levels[level + 1] = (
-            [self._persist(SsTable(entries))] if entries else [])
+        self.levels[level + 1] = run
         self.compactions += 1
         # Cascade when the level run grows beyond the size ratio.
         limit = self.memtable_entries * (LEVEL_RATIO ** (level + 1))
-        run = self.levels[level + 1]
         if run and len(run[0].entries) > limit:
             self._compact(level + 1)
 

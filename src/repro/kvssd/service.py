@@ -167,7 +167,6 @@ class _BatchRecord:
     #: Thunks to run after the group commits — deferred reads/deletes
     #: whose key this batch is about to overwrite.
     followers: List[Callable[[], None]] = field(default_factory=list)
-    committed: bool = False
 
 
 class KvSession:
@@ -304,7 +303,10 @@ class KvService:
         if self.cache is not None:
             self.cache.invalidate(key)
         if self.batch_window_ns <= 0:
-            return self._put_per_op(key, value, future)
+            # No group commit: a one-pair record, encoded as a plain STORE.
+            self._submit(_BatchRecord([(key, value)], [future]),
+                         encode_store_payload(key, value), KvOpcode.STORE)
+            return future
         record = self._open
         if record is None:
             record = self._open = _BatchRecord(
@@ -315,25 +317,6 @@ class KvService:
         if len(record.pairs) >= self.batch_max_pairs:
             self.stats.flush_size += 1
             self._flush_open()
-        return future
-
-    def _put_per_op(self, key: bytes, value: bytes,
-                    future: KvFuture) -> KvFuture:
-        payload = encode_store_payload(key, value)
-        ef = self.engine.submit(payload, method=self.method,
-                                opcode=KvOpcode.STORE, nsid=self.nsid,
-                                stream=future.session_id)
-
-        def on_done(ef: CommandFuture) -> None:
-            if self.cache is not None:
-                self.cache.invalidate(key)
-            if ef.ok:
-                future._resolve(OK, self.clock.now, ef.status,
-                                served_from=FROM_DEVICE)
-            else:
-                future._resolve(FAILED, self.clock.now, ef.status)
-
-        self._watch.append((ef, on_done))
         return future
 
     def _get(self, key: bytes, sid: int) -> KvFuture:
@@ -438,16 +421,20 @@ class KvService:
         if record is None or not record.pairs:
             return
         self._open = None
-        payload = encode_batch_payload(record.pairs)
         self.stats.batches += 1
         self.stats.batched_pairs += len(record.pairs)
-        ef = self.engine.submit(payload, method=self.method,
-                                opcode=VendorOpcode.KV_BATCH_STORE,
+        self._submit(record, encode_batch_payload(record.pairs),
+                     VendorOpcode.KV_BATCH_STORE)
+
+    def _submit(self, record: _BatchRecord, payload: bytes,
+                opcode: int) -> None:
+        """Submit *record*'s pairs as one write command; its completion
+        resolves every member future, then runs the followers."""
+        ef = self.engine.submit(payload, method=self.method, opcode=opcode,
                                 nsid=self.nsid,
                                 stream=record.futures[0].session_id)
 
         def on_done(ef: CommandFuture) -> None:
-            record.committed = True
             # Re-invalidate at commit: a read-through that raced the
             # batch (began before submit, filled after) must not leave
             # a pre-commit value behind.

@@ -8,13 +8,13 @@ from repro.kvssd.lsm import LsmIndex, SsTable
 from repro.kvssd.value_log import LogPointer
 from repro.sim.clock import SimClock
 from repro.sim.config import TimingModel
-from repro.ssd.ftl import PageMappingFtl
-from repro.ssd.nand import NandArray, NandGeometry
+from repro.ssd.ftl import FtlError, PageMappingFtl
+from repro.ssd.nand import NandArray, NandError, NandGeometry
 
 
-def _index(memtable_entries=4):
+def _index(memtable_entries=4, channels=2):
     nand = NandArray(SimClock(), TimingModel(),
-                     NandGeometry(channels=2, ways=2, blocks_per_die=32,
+                     NandGeometry(channels=channels, ways=2, blocks_per_die=32,
                                   pages_per_block=32, page_bytes=2048))
     ftl = PageMappingFtl(nand)
     return LsmIndex(ftl, lpn_base=ftl.logical_capacity_pages // 2,
@@ -186,3 +186,39 @@ def test_get_many_spans_every_level():
     got = idx.get_many(keys)
     assert got == [idx.get(k) for k in keys]
     assert got[5] is None and got[6] == _ptr(99) and got[44] is None
+
+
+def test_a_failed_sstable_program_trims_its_pages_and_retries():
+    """A memtable whose two-page table fails on its second page stays in
+    DRAM, the first page is trimmed, and the next put's flush programs
+    the same LPNs.  Pages go to dies 0 and 1 in turn; die 1 fails."""
+    idx = _index(memtable_entries=120, channels=1)
+    idx.ftl.nand.inject_program_failures(1, 1)
+    for n in range(120):
+        idx.put(b"key%05d" % n, _ptr(n))
+    assert (idx.flushes, idx.memtable_size) == (0, 120)
+    with pytest.raises(FtlError):
+        idx.ftl.peek(idx.lpn_base)
+    idx.put(b"key%05d" % 120, _ptr(120))
+    assert (idx.flushes, idx.memtable_size) == (1, 0)
+    (table,) = idx.levels[0]
+    assert table.lpns == [idx.lpn_base, idx.lpn_base + 1]
+    assert all(idx.get(b"key%05d" % n) == _ptr(n) for n in range(121))
+
+
+def test_a_failed_compaction_keeps_both_levels():
+    """A compaction whose merged run fails to program keeps its source
+    tables; the retry merges them."""
+    idx = _index(memtable_entries=1, channels=1)
+    for n in range(3):
+        idx.put(b"k%d" % n, _ptr(n))  # one L0 table each
+    for die in range(2):
+        idx.ftl.nand.inject_program_failures(die, 1)
+    with pytest.raises(NandError):
+        idx._compact(0)
+    assert (len(idx.levels[0]), idx.compactions) == (3, 0)
+    with pytest.raises(NandError):
+        idx._compact(0)  # the other die's failure
+    idx._compact(0)
+    assert (idx.levels[0], idx.compactions) == ([], 1)
+    assert [idx.get(b"k%d" % n) for n in range(3)] == [_ptr(n) for n in range(3)]
