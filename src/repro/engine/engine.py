@@ -7,8 +7,16 @@ and the completion reactor to one driver/device pair:
   registers it in the table, and returns a :class:`CommandFuture`
   immediately — no per-command wait.  Doorbells are deferred: the next
   ``poll()`` publishes all dirty tails with one MMIO write per queue.
-* ``poll()`` runs one reactor round (kick, drive, reap, recover).
+* ``poll()`` runs one reactor round (kick, drive, reap, recover), then
+  fires the completion callbacks of the futures that round resolved.
 * ``drain()`` polls until every future is resolved.
+
+A future's ``callback`` therefore runs in the round that reaped its
+CQE, including a round ``_dispatch`` runs under backpressure, so a
+caller such as ``KvService`` keeps no list of its own to scan.  The
+drain of due callbacks is not re-entrant: a callback that submits work
+whose ``_dispatch`` polls only queues that nested round's callbacks,
+and the outer drain runs them in resolve order.
 
 Backpressure is built in: when every eligible queue is at its QD cap
 (or lacks SQ slots for the submission's footprint) the engine reaps
@@ -31,8 +39,9 @@ submission and are downgraded to PRP while it is open.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro import datapath
 from repro.datapath import names as dp_names
@@ -151,6 +160,10 @@ class IoEngine:
         self.parked: List[InFlightCommand] = []
         #: Queues with submissions whose doorbell has not been rung yet.
         self._dirty: Set[int] = set()
+        #: Resolved futures whose callback has not run yet, in resolve
+        #: order, and whether ``_fire`` is draining them.
+        self._due: Deque[CommandFuture] = deque()
+        self._firing = False
         #: A tagged controller reassembles every inline payload from
         #: self-describing chunks, so inline writes take the tagged codec.
         self.tagged = ssd.controller.mode == MODE_TAGGED
@@ -409,8 +422,25 @@ class IoEngine:
         dirty.clear()
 
     def poll(self) -> int:
-        """One reactor round; returns futures resolved this round."""
-        return self.reactor.poll()
+        """One reactor round, then the callbacks it made due; returns
+        futures resolved this round."""
+        resolved = self.reactor.poll()
+        if self._due and not self._firing:
+            self._fire()
+        return resolved
+
+    def _fire(self) -> None:
+        """Run due callbacks in resolve order until none is left,
+        including those queued by rounds the callbacks' own submissions
+        poll under backpressure."""
+        due = self._due
+        self._firing = True
+        try:
+            while due:
+                future = due.popleft()
+                future.callback(future)  # type: ignore[misc]
+        finally:
+            self._firing = False
 
     def drain(self) -> int:
         """Poll until nothing is in flight or parked; returns the number

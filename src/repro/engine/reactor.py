@@ -189,7 +189,7 @@ class CompletionReactor:
                 breaker.record_success()
             if entry.read_pages:
                 entry.finish_read(cqe, e.driver.memory)
-            entry.resolve(cqe, e.clock.now)
+            entry.resolve(cqe, e.clock.now, e._due)
             e.stats.completed += 1
             return 1
         if entry.is_inline and cqe.retryable and breaker.record_failure():
@@ -199,7 +199,7 @@ class CompletionReactor:
             return 0
         if entry.read_pages:
             entry.finish_read(None, e.driver.memory)
-        entry.resolve(cqe, e.clock.now)
+        entry.resolve(cqe, e.clock.now, e._due)
         e.stats.failed += 1
         return 1
 
@@ -257,7 +257,7 @@ class CompletionReactor:
             entry.key = None
             if not self._park_for_retry(entry):
                 entry.release_read_buffer(e.driver.memory)
-                entry.fail(None, e.clock.now)
+                entry.resolve(None, e.clock.now, e._due)
                 e.stats.failed += 1
                 resolved += 1
         return resolved

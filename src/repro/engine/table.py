@@ -15,7 +15,8 @@ deadline derived from the driver's :class:`~repro.host.driver.RetryPolicy`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple
+from typing import (TYPE_CHECKING, Callable, Deque, Dict, Iterator, List,
+                    Optional, Tuple)
 
 from repro.nvme.completion import NvmeCompletion
 from repro.nvme.constants import StatusCode
@@ -41,11 +42,18 @@ class CommandFuture:
     The simulation is single-threaded, so this is a plain state machine
     rather than a synchronised primitive: ``done`` flips exactly once,
     when the reactor resolves or fails the command.
+
+    ``callback`` is the one completion slot: a callable set before the
+    engine's next poll gets the resolved future.  ``IoEngine.poll``
+    fires the callbacks of the futures a reactor round resolved once
+    that round returns, in resolve order, including the rounds
+    ``_dispatch`` runs under backpressure; a future left at None costs
+    one attribute test.
     """
 
     __slots__ = ("state", "cqe", "status", "latency_ns", "attempts",
                  "method_used", "stream", "payload_len", "submit_ns",
-                 "data")
+                 "data", "callback")
 
     def __init__(self, stream: Optional[int] = None,
                  payload_len: int = 0) -> None:
@@ -65,6 +73,7 @@ class CommandFuture:
         #: copied out of the command's private DMA buffer at completion;
         #: None for writes and for reads that returned no data.
         self.data: Optional[bytes] = None
+        self.callback: Optional[Callable[["CommandFuture"], None]] = None
 
     @property
     def done(self) -> bool:
@@ -145,20 +154,19 @@ class InFlightCommand:
     def qid(self) -> Optional[int]:
         return self.key[0] if self.key else None
 
-    def fail(self, cqe: Optional[NvmeCompletion], now_ns: float) -> None:
-        state = FAILED if cqe is not None else TIMED_OUT
-        self.future.attempts = self.attempts
-        if self.spec_used is not None:
-            self.future.method_used = self.spec_used.name
-        self.future._resolve(state, cqe, now_ns - self.first_submit_ns)
-
-    def resolve(self, cqe: NvmeCompletion, now_ns: float) -> None:
+    def resolve(self, cqe: Optional[NvmeCompletion], now_ns: float,
+                due: Deque[CommandFuture]) -> None:
+        """Resolve the future off its CQE (None: timed out) and queue it
+        on *due* when it has a callback to fire."""
         future = self.future
         future.attempts = self.attempts
         if self.spec_used is not None:
             future.method_used = self.spec_used.name
-        state = OK if cqe.status == StatusCode.SUCCESS else FAILED
+        state = (TIMED_OUT if cqe is None
+                 else OK if cqe.status == StatusCode.SUCCESS else FAILED)
         future._resolve(state, cqe, now_ns - self.first_submit_ns)
+        if future.callback is not None:
+            due.append(future)
 
     @property
     def is_inline(self) -> bool:

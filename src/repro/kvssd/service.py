@@ -21,6 +21,14 @@ with three serving optimisations layered over the raw KV command set —
   cache-coherence machinery, so a scan started after a write barrier
   sees that write.
 
+Every device command's completion is an engine-future callback, so a
+serving future resolves (and a GET fills the cache) in the engine round
+that reaps its CQE, whether :meth:`poll` or a submission's backpressure
+ran that round.  The service keeps no list of engine futures: it holds
+the open batch, the pending-write barriers and a count of resolved
+serving futures, so its memory follows the engine's in-flight commands,
+not the length of a burst.
+
 The service is deliberately *not* re-entrant with simulated time: like
 the engine it fronts, a single host thread drives :meth:`poll`, and all
 concurrency is expressed through outstanding futures.
@@ -258,10 +266,9 @@ class KvService:
         #: key → batch record that will write it (open or in flight).
         #: A GET/DELETE for one of these keys must not pass the write.
         self._pending: Dict[bytes, _BatchRecord] = {}
-        #: Engine futures we are waiting on, in submission order, each
-        #: with the serving-level callback that consumes its result.
-        self._watch: List[Tuple[CommandFuture, Callable[[CommandFuture],
-                                                        None]]] = []
+        #: Serving futures resolved so far; poll and drain report the
+        #: difference across their call.
+        self._resolved = 0
 
     # ------------------------------------------------------------------
     # session table
@@ -346,6 +353,7 @@ class KvService:
                 hook = self.on_cache_hit
                 if hook is not None:
                     hook(key, value)
+                self._resolved += 1
                 future._resolve(OK, self.clock.now, None, value, FROM_CACHE)
                 return
             token = self.cache.begin_fill(key)
@@ -358,6 +366,7 @@ class KvService:
             stream=future.session_id)
 
         def on_done(ef: CommandFuture) -> None:
+            self._resolved += 1
             if ef.status == StatusCode.KV_KEY_NOT_FOUND:
                 future._resolve(NOT_FOUND, self.clock.now, ef.status)
                 return
@@ -370,7 +379,7 @@ class KvService:
             future._resolve(OK, self.clock.now, ef.status, value,
                             FROM_DEVICE)
 
-        self._watch.append((ef, on_done))
+        ef.callback = on_done
 
     def _delete(self, key: bytes, sid: int) -> KvFuture:
         self._check_key(key)
@@ -400,6 +409,7 @@ class KvService:
             cdw14=cdw14, nsid=self.nsid, stream=future.session_id)
 
         def on_done(ef: CommandFuture) -> None:
+            self._resolved += 1
             if self.cache is not None:
                 self.cache.invalidate(key)
             if ef.status == StatusCode.KV_KEY_NOT_FOUND:
@@ -410,7 +420,7 @@ class KvService:
             else:
                 future._resolve(FAILED, self.clock.now, ef.status)
 
-        self._watch.append((ef, on_done))
+        ef.callback = on_done
 
     # ------------------------------------------------------------------
     # group commit
@@ -446,6 +456,7 @@ class KvService:
                     del self._pending[key]
             now = self.clock.now
             state = OK if ef.ok else FAILED
+            self._resolved += len(record.futures)
             for future in record.futures:
                 future._resolve(state, now, ef.status,
                                 served_from=FROM_DEVICE)
@@ -453,7 +464,7 @@ class KvService:
             for follower in record.followers:
                 follower()
 
-        self._watch.append((ef, on_done))
+        ef.callback = on_done
 
     def flush(self) -> None:
         """Close the batching window now (explicit group commit)."""
@@ -465,68 +476,45 @@ class KvService:
     # progress
     # ------------------------------------------------------------------
     def poll(self) -> int:
-        """One serving round: deadline flush → engine poll → callbacks.
+        """One serving round: deadline flush, then one engine poll.
 
-        Returns the number of *serving* futures resolved.  When the
-        engine pipeline is idle but a batch window is still open, the
-        clock sleeps forward to the window deadline and commits — the
+        Returns the number of *serving* futures resolved in the round:
+        a group commit of 28 pairs counts 28.  A device future resolves
+        in the engine round that reaps its CQE (the engine fires its
+        callback), so a submission that waits for a slot can resolve
+        futures too; those count for no poll.  When the engine
+        pipeline is idle but a batch window is still open, the clock
+        sleeps forward to the window deadline and commits — the
         serving analogue of the reactor's backoff sleep, without which
         every session blocked on a PUT would spin on a frozen clock.
         """
+        resolved = self._resolved
         record = self._open
         if record is not None and self.clock.now >= record.deadline_ns:
             self.stats.flush_deadline += 1
             self._flush_open()
         self.engine.poll()
-        resolved = self._run_callbacks()
-        if (resolved == 0 and self._open is not None
+        if (self._resolved == resolved and self._open is not None
                 and not self.engine.table and not self.engine.parked):
             record = self._open
             self.clock.advance_to(record.deadline_ns)
             self.stats.flush_deadline += 1
             self._flush_open()
             self.engine.poll()
-            resolved = self._run_callbacks()
-        return resolved
-
-    def _run_callbacks(self) -> int:
-        """Fire callbacks of resolved engine futures, in issue order."""
-        fired = 0
-        while True:
-            remaining: List[Tuple[CommandFuture,
-                                  Callable[[CommandFuture], None]]] = []
-            ready: List[Tuple[CommandFuture,
-                              Callable[[CommandFuture], None]]] = []
-            for ef, callback in self._watch:
-                (ready if ef.done else remaining).append((ef, callback))
-            if not ready:
-                return fired
-            self._watch = remaining
-            for ef, callback in ready:
-                callback(ef)
-                fired += 1
-            # Callbacks may have registered new watchers on futures the
-            # engine already resolved (group-commit followers resolved
-            # from cache); loop until quiescent.
+        return self._resolved - resolved
 
     def drain(self) -> int:
         """Commit the open batch and run every outstanding op down.
 
-        Returns the number of serving futures resolved while draining.
+        Every unresolved serving future waits on an engine command, as
+        a member or a follower of a commit in flight, so draining the
+        engine resolves them all.  Returns the number of serving
+        futures resolved while draining.
         """
+        resolved = self._resolved
         self.flush()
-        resolved = self._run_callbacks()
-        stall = 0
-        while self._watch or self._open is not None:
-            before = (len(self._watch), self.clock.now)
-            resolved += self.poll()
-            after = (len(self._watch), self.clock.now)
-            stall = stall + 1 if after == before else 0
-            if stall > 100:
-                raise ServiceError(
-                    f"drain stalled with {len(self._watch)} watched "
-                    f"futures outstanding")
-        return resolved
+        self.engine.drain()
+        return self._resolved - resolved
 
     # ------------------------------------------------------------------
     # ordered range scan
@@ -591,13 +579,13 @@ class KvService:
 
     def _await(self, future: Union[CommandFuture, KvFuture],
                what: str) -> None:
-        """Poll the engine (running service callbacks) until *future*
-        resolves; a frozen clock for 100 rounds is a stalled scan."""
+        """Poll the engine (which runs the service's callbacks) until
+        *future* resolves; a frozen clock for 100 rounds is a stalled
+        scan."""
         stall = 0
         while not future.done:
             before = self.clock.now
             self.engine.poll()
-            self._run_callbacks()
             stall = stall + 1 if self.clock.now <= before else 0
             if stall > 100:
                 raise ServiceError(f"scan stalled awaiting {what}")

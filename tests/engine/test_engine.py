@@ -78,6 +78,57 @@ def test_backpressure_bounds_inflight():
     assert eng.stats.backpressure_waits > 0
 
 
+def test_callbacks_fire_after_the_round_that_resolves_them():
+    tb, eng = _rig(queues=1, qd=4)
+    fired = []
+    futs = [eng.submit(b"c" * 64, cdw10=i * 4096) for i in range(4)]
+    for fut in futs:
+        fut.callback = fired.append
+    assert eng.poll() == 4
+    assert fired == futs  # in resolve order, by the poll that reaped them
+
+
+def test_callbacks_fire_inside_a_backpressured_submission():
+    """A submission that waits for a slot runs whole engine rounds, and
+    their callbacks fire there.  A callback that submits more work only
+    queues the callbacks of the rounds its own waits run; the outer
+    drain fires them, in resolve order, before it returns."""
+    tb, eng = _rig(queues=1, qd=1)
+    fired = []
+    more = []
+
+    def submit_two_more(fut):
+        fired.append(fut)
+        for i in range(2):
+            more.append(eng.submit(b"e" * 64, cdw10=(8 + i) * 4096))
+            more[-1].callback = fired.append
+        # Placing the second write reaped the first one in a nested
+        # round, whose callback is queued behind this one.
+        assert more[0].done and fired == [first]
+
+    first = eng.submit(b"d" * 64)
+    first.callback = submit_two_more
+    # Placing `second` reaps `first`; its callback takes the freed slot.
+    second = eng.submit(b"d" * 64, cdw10=4096)
+    second.callback = fired.append
+    assert fired == [first, more[0], more[1]]
+    eng.drain()
+    assert fired == [first, *more, second]
+    assert all(f.ok for f in fired)
+
+
+def test_a_timed_out_future_fires_its_callback():
+    policy = RetryPolicy(max_attempts=1, deadline_ns=1e9)
+    plan = FaultPlan.scheduled({DROP_CQE: list(range(50))})
+    tb = make_engine_testbed(queues=1, fault_plan=plan)
+    tb.driver.retry_policy = policy
+    eng = tb.make_engine(queues=1, qd=2)
+    fired = []
+    eng.submit(b"z" * 64).callback = fired.append
+    eng.drain()
+    assert [f.state for f in fired] == [TIMED_OUT]
+
+
 def test_oversized_submission_is_rejected_not_wedged():
     tb, eng = _rig(queues=1, qd=1)
     with pytest.raises(EngineSaturatedError):

@@ -1,5 +1,7 @@
 """In-flight table and future semantics."""
 
+from collections import deque
+
 import pytest
 
 from repro.datapath import names, resolve
@@ -43,7 +45,7 @@ def test_resolve_success_sets_latency_and_attempts():
     e.attempts = 2
     e.spec_used = resolve(names.BYTEEXPRESS)
     e.first_submit_ns = 100.0
-    e.resolve(_cqe(1, 7), now_ns=350.0)
+    e.resolve(_cqe(1, 7), 350.0, deque())
     assert e.future.state == OK
     assert e.future.ok
     assert e.future.latency_ns == 250.0
@@ -54,14 +56,15 @@ def test_resolve_success_sets_latency_and_attempts():
 
 def test_resolve_error_status_marks_failed():
     e = _entry(1, 7)
-    e.resolve(_cqe(1, 7, status=StatusCode.INVALID_FIELD, dnr=True), 10.0)
+    e.resolve(_cqe(1, 7, status=StatusCode.INVALID_FIELD, dnr=True), 10.0,
+              deque())
     assert e.future.state == FAILED
     assert e.future.status == StatusCode.INVALID_FIELD
 
 
 def test_fail_without_cqe_is_timeout():
     e = _entry(2, 3)
-    e.fail(None, now_ns=5.0)
+    e.resolve(None, 5.0, deque())
     assert e.future.state == TIMED_OUT
     with pytest.raises(FutureError):
         e.future.result()
@@ -69,9 +72,18 @@ def test_fail_without_cqe_is_timeout():
 
 def test_double_resolve_rejected():
     e = _entry(1, 1)
-    e.resolve(_cqe(1, 1), 1.0)
+    e.resolve(_cqe(1, 1), 1.0, deque())
     with pytest.raises(FutureError):
-        e.resolve(_cqe(1, 1), 2.0)
+        e.resolve(_cqe(1, 1), 2.0, deque())
+
+
+def test_resolve_queues_only_a_future_with_a_callback():
+    due = deque()
+    plain, called = _entry(1, 1), _entry(1, 2)
+    called.future.callback = print
+    plain.resolve(_cqe(1, 1), 1.0, due)
+    called.resolve(None, 1.0, due)
+    assert list(due) == [called.future]
 
 
 def test_table_keying_and_per_queue_counts():

@@ -1,6 +1,8 @@
 """Unit tests for the KV serving front-end (sessions, group commit,
 read cache, ordered scan)."""
 
+import tracemalloc
+
 import pytest
 
 from repro.kvssd.service import (
@@ -12,9 +14,9 @@ from repro.kvssd.service import (
 from repro.testbed import make_kv_testbed
 
 
-def _service(**kwargs):
+def _service(qd=8, **kwargs):
     tb = make_kv_testbed()
-    return tb, tb.make_service(qd=8, **kwargs)
+    return tb, tb.make_service(qd=qd, **kwargs)
 
 
 def _run(service, future):
@@ -140,6 +142,70 @@ def test_per_op_futures_resolve_individually():
     service.drain()
     assert f1.ok and f2.ok
     assert f1.latency_ns >= 0 and f2.latency_ns >= 0
+
+
+def test_poll_counts_every_future_a_commit_resolves():
+    """poll() and drain() count serving futures, not device commands:
+    the poll that commits one 28-pair batch resolves 28 PUTs."""
+    _tb, service = _service(batch_window_ns=5_000.0, batch_max_pairs=32)
+    s = service.open_session()
+    futures = [s.put(b"k%d" % i, b"v") for i in range(28)]
+    assert service.poll() == 28  # sleeps to the deadline, then commits
+    assert service.stats.batches == 1
+    assert all(f.ok for f in futures)
+    gets = [s.get(b"k%d" % i) for i in range(5)]
+    assert service.drain() == 5
+    assert all(g.result() == b"v" for g in gets)
+
+
+# ----------------------------------------------------------------------
+# device futures resolve in the engine round that reaps them
+# ----------------------------------------------------------------------
+
+def test_get_burst_resolves_while_it_is_submitted():
+    """A burst of GETs submitted without one poll resolves under the
+    engine's backpressure rounds: after the loop no more than the
+    engine's queues x QD are pending, and the service holds no parked
+    engine future, CQE or data copy per GET.  The bound counts the
+    caller's own futures and values (~345 B per GET); a service that
+    keeps every resolved GET until its next poll peaks at ~950 B."""
+    gets = 2048
+    _tb, service = _service()
+    s = service.open_session()
+    keys = [b"key%06d" % i for i in range(gets)]
+    for key in keys:
+        s.put(key, b"v" * 64)
+    service.drain()
+    tracemalloc.start()
+    try:
+        futures = [s.get(key) for key in keys]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    engine = service.engine
+    pending = sum(not f.done for f in futures)
+    assert pending <= len(engine.qids) * engine.qd
+    assert peak / gets < 600, f"{peak / gets:.0f} B per GET"
+    assert service.drain() == pending
+    assert all(f.result() == b"v" * 64 for f in futures)
+
+
+def test_commit_callback_submits_its_followers_under_backpressure():
+    """64 GETs wait on one PUT's group commit; its callback submits them
+    all on a 1-queue QD-2 engine, where every submission past the second
+    polls under backpressure from inside the callback drain.  The nested
+    rounds only queue their callbacks, so nothing recurses and every GET
+    reads the PUT's value."""
+    _tb, service = _service(batch_window_ns=1e9, queues=1, qd=2)
+    s = service.open_session()
+    put = s.put(b"key", b"value")
+    gets = [s.get(b"key") for _ in range(64)]
+    service.drain()
+    assert put.ok
+    assert [g.result() for g in gets] == [b"value"] * 64
+    assert all(g.served_from == FROM_DEVICE for g in gets)
+    assert service.stats.deferred_ops == 64
+    assert service.engine.stats.backpressure_waits > 0
 
 
 # ----------------------------------------------------------------------
