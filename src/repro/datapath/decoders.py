@@ -104,11 +104,13 @@ class PrpDecoder(DeviceDecoder):
         if cmd.cdw13:
             data = data[:-(-cmd.cdw13 // PAGE_SIZE) * PAGE_SIZE]
         ctrl.host_memory.write(cmd.prp1, data)
-        batch = tlpmod.device_dma_write(len(data), ctrl.link.config)
-        ctrl.link.record_only(CAT_DATA, batch)
-        ctrl.clock.advance(ctrl.timing.prp_dma_setup_ns
-                           + ctrl.link.serialisation_ns(batch.total_bytes)
-                           + ctrl.timing.link_propagation_ns)
+        link = ctrl.link
+        batch = link.dma_write_batch(len(data))
+        link.record_only(CAT_DATA, batch)
+        timing = ctrl.timing
+        ctrl.clock.advance(timing.prp_dma_setup_ns
+                           + link.serialisation_ns(batch.total_bytes)
+                           + timing.link_propagation_ns)
 
 
 class SglDecoder(DeviceDecoder):

@@ -213,10 +213,14 @@ class IoEngine:
         future = CommandFuture(stream, len(payload))
         now = self.clock.now
         future.submit_ns = now
+        # The command fields positionally, in field order (future, spec,
+        # opcode, payload, cdw10, cdw11, nsid, stream, then a read's
+        # mptr, cdw14, cdw15, prp1, prp2, read_len): matching keywords
+        # on a dataclass this wide costs about as much again, once per
+        # submission.
         entry = InFlightCommand(
-            future=future, spec=spec, opcode=opcode, payload=payload,
-            cdw10=cdw10, cdw11=cdw11,
-            nsid=self.default_nsid if nsid is None else nsid, stream=stream,
+            future, spec, opcode, payload, cdw10, cdw11,
+            self.default_nsid if nsid is None else nsid, stream,
             first_submit_ns=now,
             deadline_ns=now + self.driver.retry_policy.deadline_ns)
         self.stats.submitted += 1
@@ -252,15 +256,14 @@ class IoEngine:
         except KeyError:
             raise DriverError(
                 f"a read takes 'prp' or 'sgl', not {method!r}") from None
-        future = CommandFuture(stream=stream, payload_len=0)
+        future = CommandFuture(stream)
         now = self.clock.now
         future.submit_ns = now
+        # Positional command fields, in field order (see ``submit``).
         entry = InFlightCommand(
-            future=future, spec=spec, opcode=opcode, payload=b"",
-            cdw10=cdw10, cdw11=cdw11,
-            nsid=self.default_nsid if nsid is None else nsid, stream=stream,
-            mptr=mptr, cdw14=cdw14, cdw15=cdw15, prp1=prp1, prp2=prp2,
-            read_len=read_len, first_submit_ns=now,
+            future, spec, opcode, b"", cdw10, cdw11,
+            self.default_nsid if nsid is None else nsid, stream,
+            mptr, cdw14, cdw15, prp1, prp2, read_len, first_submit_ns=now,
             deadline_ns=now + self.driver.retry_policy.deadline_ns)
         self.stats.submitted += 1
         self._dispatch(entry)
@@ -301,7 +304,12 @@ class IoEngine:
 
     def _dispatch(self, entry: InFlightCommand) -> None:
         """Place *entry* on a queue, reaping under backpressure."""
-        need, fits = self._placement(entry)
+        # The ``_placement`` memo hit, inlined: one per submission.
+        try:
+            need, fits = self._placements[entry.spec.name,
+                                          entry.future.payload_len]
+        except KeyError:
+            need, fits = self._placement(entry)
         if need > self._max_slots:
             raise EngineSaturatedError(
                 f"submission needs {need} SQ slots; no queue is that deep")

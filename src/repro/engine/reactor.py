@@ -19,7 +19,8 @@ One ``poll()`` round is the engine's heartbeat:
    nothing left to fetch and a read parked on a die, waits for the
    earliest die, drives and reaps again.
 4. **Recover** — entries still tabled after a quiescent drive, other
-   than those parked on a die, got no
+   than those parked on a die (a round where every entry is parked
+   skips the scan), got no
    CQE at all: re-ring their doorbells (recovers a dropped tail write),
    drive and reap again, then resubmit survivors under fresh CIDs with
    exponential backoff (recovers a dropped CQE) until the retry policy's
@@ -172,7 +173,7 @@ class CompletionReactor:
 
     def _on_cqe(self, qid: int, cqe) -> int:
         e = self.engine
-        entry = e.table.pop((qid, cqe.cid))
+        entry = e.table._entries.pop((qid, cqe.cid), None)
         if entry is None:
             # A CQE for a command the engine already abandoned (its
             # delayed completion raced our timeout resubmission).  The
@@ -211,8 +212,13 @@ class CompletionReactor:
         e = self.engine
         ctrl = e.ssd.controller
         # A command parked on its die is in flight, not stuck: its CQE
-        # posts once the die finishes.
+        # posts once the die finishes.  When every entry this engine has
+        # in flight is parked (a GET burst waiting for its dies), a
+        # subset test of the keys, done in C, skips the scan; it stays
+        # exact with other engines' commands parked on the same device.
         on_die = ctrl.parked_keys()
+        if e.table._entries.keys() <= on_die.keys():
+            return 0
         stuck: List["InFlightCommand"] = [
             entry for entry in e.table.entries() if entry.key not in on_die]
         if not stuck:

@@ -92,15 +92,6 @@ class CommandFuture:
             raise FutureError("command timed out without a completion")
         return self.cqe
 
-    def _resolve(self, state: str, cqe: Optional[NvmeCompletion],
-                 latency_ns: float) -> None:
-        if self.state != PENDING:
-            raise FutureError(f"future already resolved ({self.state})")
-        self.state = state
-        self.cqe = cqe
-        self.status = cqe.status if cqe is not None else None
-        self.latency_ns = latency_ns
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"CommandFuture({self.state}, status={self.status}, "
                 f"attempts={self.attempts})")
@@ -157,14 +148,22 @@ class InFlightCommand:
     def resolve(self, cqe: Optional[NvmeCompletion], now_ns: float,
                 due: Deque[CommandFuture]) -> None:
         """Resolve the future off its CQE (None: timed out) and queue it
-        on *due* when it has a callback to fire."""
+        on *due* when it has a callback to fire.  The future's one
+        state transition happens here; a second resolve raises
+        :class:`FutureError`."""
         future = self.future
+        if future.state != PENDING:
+            raise FutureError(f"future already resolved ({future.state})")
         future.attempts = self.attempts
         if self.spec_used is not None:
             future.method_used = self.spec_used.name
-        state = (TIMED_OUT if cqe is None
-                 else OK if cqe.status == StatusCode.SUCCESS else FAILED)
-        future._resolve(state, cqe, now_ns - self.first_submit_ns)
+        if cqe is None:
+            future.state = TIMED_OUT
+        else:
+            status = future.status = cqe.status
+            future.state = OK if status == StatusCode.SUCCESS else FAILED
+        future.cqe = cqe
+        future.latency_ns = now_ns - self.first_submit_ns
         if future.callback is not None:
             due.append(future)
 
@@ -184,12 +183,18 @@ class InFlightCommand:
                     memory: "HostMemory") -> None:
         """Terminal handling of a read with a data buffer: on success,
         copy the data return (the length CQE DW0 reports, capped at the
-        buffer) into the future; then free the buffer.  Parked retries
-        keep it: the resubmission lands its data in the same pages."""
-        if cqe is not None and cqe.ok:
-            self.future.data = memory.read(self.read_pages[0],
-                                           min(cqe.result, self.read_len))
-        self.release_read_buffer(memory)
+        buffer) into the future; then free the buffer, as
+        :meth:`release_read_buffer` does.  Parked retries keep it: the
+        resubmission lands its data in the same pages."""
+        pages = self.read_pages
+        if cqe is not None and cqe.status == StatusCode.SUCCESS:
+            nbytes = cqe.result
+            if nbytes > self.read_len:
+                nbytes = self.read_len
+            self.future.data = memory.read(pages[0], nbytes)
+        for page in pages:
+            memory.free_page(page)
+        self.read_pages = ()
 
     def release_read_buffer(self, memory: "HostMemory") -> None:
         """Free the private read-return pages, if any (idempotent)."""

@@ -611,7 +611,10 @@ class NvmeDriver:
         by protocol (BandSlim intermediate fragments): its CID is not
         tracked as live, because no completion will ever retire it.
         """
-        res = self.queue(qid)
+        try:
+            res = self._queues[qid]
+        except KeyError:
+            res = self.queue(qid)  # raises the driver's error
         cmd.cid = self._alloc_cid(res, track=expect_completion)
         self._push_sqe(res, cmd, ring)
         return cmd.cid

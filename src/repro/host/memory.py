@@ -32,6 +32,9 @@ class HostMemory:
 
     def alloc_pages(self, count: int) -> List[int]:
         """Allocate *count* contiguous pages; returns their addresses."""
+        if count == 1:
+            # One page (every KV GET's read buffer): no comprehension.
+            return [self.alloc_page()]
         if count < 1:
             raise ValueError("must allocate at least one page")
         return [self.alloc_page() for _ in range(count)]

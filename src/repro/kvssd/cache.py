@@ -8,9 +8,10 @@ DELETE and batch commit drops the affected keys *before* the write is
 acknowledged, so a later GET either hits a value at least as new as the
 client's last acknowledged write, or misses and reads through.
 
-Fills are versioned: a read-through records the shard's version when it
-starts (:meth:`begin_fill`) and the fill is discarded if any
-invalidation touched the shard in between (:meth:`commit_fill`).
+Fills are versioned: a read-through records the key's version when it
+starts (:meth:`begin_fill`, or the miss of :meth:`probe`) and the fill
+is discarded if any invalidation of that key, or a :meth:`clear`,
+landed in between (:meth:`commit_fill`).
 Without this, a slow device read racing a newer write would install the
 stale value *after* the invalidation that was supposed to kill it —
 the classic look-aside cache bug.  Discarded fills are counted as
@@ -25,10 +26,10 @@ partitioning, not locking).
 
 from __future__ import annotations
 
-import zlib
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
+from zlib import crc32
 
 
 @dataclass
@@ -78,6 +79,11 @@ class _Shard:
     epoch: int = 0
 
 
+#: What :meth:`ShardedReadCache.begin_fill` returns: the key's shard,
+#: the key, and the key's version and the shard's epoch at the start.
+FillToken = Tuple[_Shard, bytes, int, int]
+
+
 class ShardedReadCache:
     """Bounded, sharded, invalidation-coherent LRU of key → value.
 
@@ -104,19 +110,28 @@ class ShardedReadCache:
         # crc32 rather than hash(): stable across runs (PYTHONHASHSEED),
         # so shard placement — and with it the eviction order — is
         # deterministic, as every reproduction artifact must be.
-        return self._shards[zlib.crc32(key) % self.num_shards]
+        return self._shards[crc32(key) % self.num_shards]
 
     # ------------------------------------------------------------------
-    def lookup(self, key: bytes) -> Optional[bytes]:
-        """Return the cached value, refreshing LRU recency; None on miss."""
-        shard = self._shard_for(key)
+    def probe(self, key: bytes) -> Tuple[Optional[bytes],
+                                         Optional[FillToken]]:
+        """One GET's look-aside step: ``(value, None)`` on a hit, which
+        refreshes LRU recency, and ``(None, token)`` on a miss, whose
+        token begins the key's read-through fill (:meth:`begin_fill`).
+        The key is hashed once for both."""
+        shard = self._shards[crc32(key) % self.num_shards]
         value = shard.entries.get(key)
         if value is None:
             self.stats.misses += 1
-            return None
+            return None, (shard, key, shard.versions.get(key, 0),
+                          shard.epoch)
         shard.entries.move_to_end(key)
         self.stats.hits += 1
-        return value
+        return value, None
+
+    def lookup(self, key: bytes) -> Optional[bytes]:
+        """Return the cached value, refreshing LRU recency; None on miss."""
+        return self.probe(key)[0]
 
     def peek(self, key: bytes) -> Optional[bytes]:
         """Lookup without touching recency or stats (tests, monitor)."""
@@ -125,29 +140,34 @@ class ShardedReadCache:
     # ------------------------------------------------------------------
     # versioned read-through fill
     # ------------------------------------------------------------------
-    def begin_fill(self, key: bytes) -> Tuple[bytes, int, int]:
-        """Start a read-through for *key*; returns an opaque fill token."""
-        shard = self._shard_for(key)
-        return (key, shard.versions.get(key, 0), shard.epoch)
+    def begin_fill(self, key: bytes) -> FillToken:
+        """Start a read-through for *key*; returns an opaque fill token.
 
-    def commit_fill(self, token: Tuple[bytes, int, int],
-                    value: bytes) -> bool:
-        """Install the read-through result unless *key* was invalidated
-        since :meth:`begin_fill`.  Returns True if installed.
+        The token is ``(shard, key, version, epoch)``: it carries the
+        key's shard, so :meth:`commit_fill` does not hash the key again.
         """
-        key, version, epoch = token
+        shard = self._shards[crc32(key) % self.num_shards]
+        return (shard, key, shard.versions.get(key, 0), shard.epoch)
+
+    def commit_fill(self, token: FillToken, value: bytes) -> bool:
+        """Install the read-through result unless *key* was invalidated
+        (or the cache cleared) since its token was made.  Returns True
+        if installed.
+        """
+        shard, key, version, epoch = token
         if self.per_shard == 0:
             return False
-        shard = self._shard_for(key)
         if shard.versions.get(key, 0) != version or shard.epoch != epoch:
             self.stats.fill_races += 1
             return False
-        if key in shard.entries:
-            shard.entries.move_to_end(key)
-        shard.entries[key] = value
+        entries = shard.entries
+        if key in entries:
+            entries.move_to_end(key)
+        entries[key] = value
         self.stats.fills += 1
-        while len(shard.entries) > self.per_shard:
-            shard.entries.popitem(last=False)
+        # One insert grows the shard by at most one entry over its cap.
+        if len(entries) > self.per_shard:
+            entries.popitem(last=False)
             self.stats.evictions += 1
         return True
 
@@ -156,7 +176,7 @@ class ShardedReadCache:
     # ------------------------------------------------------------------
     def invalidate(self, key: bytes) -> bool:
         """Drop *key* and fence its in-flight fills."""
-        shard = self._shard_for(key)
+        shard = self._shards[crc32(key) % self.num_shards]
         shard.versions[key] = shard.versions.get(key, 0) + 1
         if shard.entries.pop(key, None) is not None:
             self.stats.invalidations += 1

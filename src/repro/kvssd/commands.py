@@ -58,28 +58,30 @@ def key_field_words(key: bytes) -> Tuple[int, int, int, int]:
     Returns ``(mptr, cdw10, cdw11, cdw14)`` — the raw words every
     keyed command carries (``KVStore``'s passthrough requests and the
     async engine's keyed path), with CDW14 carrying the key length.
+    The key field is the key NUL-padded to 16 B, little-endian: padding
+    only adds high zero bytes, so the three words are bit slices of one
+    ``int.from_bytes`` of the key itself.  A key with trailing NULs
+    keeps them, since CDW14 carries its length.
     """
-    if not key:
-        raise KvEncodingError("empty key")
-    if len(key) > MAX_INLINE_KEY:
+    key_len = len(key)
+    if not 0 < key_len <= MAX_INLINE_KEY:
+        if not key_len:
+            raise KvEncodingError("empty key")
         raise KvEncodingError(
-            f"key of {len(key)} B exceeds the {MAX_INLINE_KEY} B key field")
-    padded = key + b"\x00" * (MAX_INLINE_KEY - len(key))
-    return (int.from_bytes(padded[:8], "little"),
-            int.from_bytes(padded[8:12], "little"),
-            int.from_bytes(padded[12:16], "little"),
-            len(key))
+            f"key of {key_len} B exceeds the {MAX_INLINE_KEY} B key field")
+    field = int.from_bytes(key, "little")
+    return (field & 0xFFFF_FFFF_FFFF_FFFF, (field >> 64) & 0xFFFF_FFFF,
+            field >> 96, key_len)
 
 
 def unpack_key_fields(cmd: NvmeCommand) -> bytes:
-    """Recover the in-command key (device side)."""
+    """Recover the in-command key (device side): the inverse of
+    :func:`key_field_words`, one ``int.to_bytes`` of the 16 B field."""
     key_len = cmd.cdw14
     if not 0 < key_len <= MAX_INLINE_KEY:
         raise KvEncodingError(f"bad in-command key length {key_len}")
-    raw = (cmd.mptr.to_bytes(8, "little")
-           + cmd.cdw10.to_bytes(4, "little")
-           + cmd.cdw11.to_bytes(4, "little"))
-    return raw[:key_len]
+    return ((cmd.cdw11 << 96) | (cmd.cdw10 << 64) | cmd.mptr).to_bytes(
+        MAX_INLINE_KEY, "little")[:key_len]
 
 
 _PAIR_HEADER = struct.Struct("<HI")

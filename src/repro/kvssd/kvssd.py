@@ -26,7 +26,6 @@ from repro.durability.domains import DEVICE_VOLATILE
 from repro.kvssd.lsm import TOMBSTONE, LsmIndex
 from repro.kvssd.value_log import LogFullError, ValueLog
 from repro.nvme.constants import KvOpcode, StatusCode, VendorOpcode
-from repro.sim.config import TimingModel
 from repro.ssd.controller import CommandContext, CommandResult
 from repro.ssd.device import OpenSsd
 from repro.ssd.nand import NandError
@@ -81,10 +80,6 @@ class KvSsdPersonality:
         self.lists = 0
 
     # ------------------------------------------------------------------
-    @property
-    def _timing(self) -> TimingModel:
-        return self.ssd.config.timing
-
     def _on_store(self, ctx: CommandContext) -> CommandResult:
         if ctx.data is None:
             return CommandResult(StatusCode.INVALID_FIELD)
@@ -136,7 +131,8 @@ class KvSsdPersonality:
             return CommandResult(StatusCode.INVALID_FIELD)
         except LogFullError:
             return CommandResult(StatusCode.CAPACITY_EXCEEDED)
-        self.ssd.clock.advance(self._timing.kv_put_logic_ns * len(pairs))
+        self.ssd.clock.advance(
+            self.ssd.config.timing.kv_put_logic_ns * len(pairs))
         applied = []
         try:
             for key, value in pairs:
@@ -208,7 +204,8 @@ class KvSsdPersonality:
         return key, value, ready
 
     def _on_retrieve(self, ctx: CommandContext) -> CommandResult:
-        self.ssd.clock.advance(self._timing.kv_get_logic_ns)
+        ssd = self.ssd
+        ssd.clock.advance(ssd.config.timing.kv_get_logic_ns)
         key, value, ready = self._lookup(ctx)
         if key is None:
             return CommandResult(StatusCode.INVALID_FIELD)
@@ -216,8 +213,10 @@ class KvSsdPersonality:
         if value is None:
             return CommandResult(StatusCode.KV_KEY_NOT_FOUND,
                                  ready_at_ns=ready)
-        return CommandResult(result=len(value), read_data=value,
-                             ready_at_ns=ready)
+        # Positional (status, result, read_data, suppress_cqe, retryable,
+        # ready_at_ns): keywords double the cost of this dataclass.
+        return CommandResult(StatusCode.SUCCESS, len(value), value, False,
+                             False, ready)
 
     def _on_delete(self, ctx: CommandContext) -> CommandResult:
         try:
@@ -231,7 +230,7 @@ class KvSsdPersonality:
         return self._commit([(key, b"")], tombstone=True) or CommandResult()
 
     def _on_exist(self, ctx: CommandContext) -> CommandResult:
-        self.ssd.clock.advance(self._timing.kv_get_logic_ns)
+        self.ssd.clock.advance(self.ssd.config.timing.kv_get_logic_ns)
         key, value, ready = self._lookup(ctx)
         if key is None:
             return CommandResult(StatusCode.INVALID_FIELD)
@@ -246,7 +245,7 @@ class KvSsdPersonality:
         Returns the spec-style key list: u32 count followed by
         (u16 key_len | key) records.
         """
-        self.ssd.clock.advance(self._timing.kv_get_logic_ns)
+        self.ssd.clock.advance(self.ssd.config.timing.kv_get_logic_ns)
         try:
             start = unpack_key_fields(ctx.cmd)
         except KvEncodingError:

@@ -81,16 +81,22 @@ class KvFuture:
     future: one PUT future may share a single device command with dozens
     of others (group commit), and one GET future may resolve with no
     device command at all (cache hit).
+
+    ``done`` and ``ok`` are plain attributes, not properties: every
+    poller reads them once per op or more, so ``_resolve`` sets them
+    once, with ``state``.  ``done`` flips from False to True exactly
+    once; ``ok`` is True only for a resolution in state ``ok``.  Treat
+    both as read-only.  The future keeps no session id: the service
+    passes the session's stream along with the request instead, which
+    keeps a burst of futures at ten slots each.
     """
 
     __slots__ = ("op", "key", "value", "state", "status", "served_from",
-                 "submit_ns", "latency_ns", "session_id")
+                 "submit_ns", "latency_ns", "done", "ok")
 
-    def __init__(self, op: str, key: bytes, session_id: int,
-                 submit_ns: float) -> None:
+    def __init__(self, op: str, key: bytes, submit_ns: float) -> None:
         self.op = op
         self.key = key
-        self.session_id = session_id
         self.submit_ns = submit_ns
         self.value: Optional[bytes] = None
         self.state = PENDING
@@ -98,14 +104,8 @@ class KvFuture:
         self.status: Optional[int] = None
         self.served_from: Optional[str] = None
         self.latency_ns: float = 0.0
-
-    @property
-    def done(self) -> bool:
-        return self.state != PENDING
-
-    @property
-    def ok(self) -> bool:
-        return self.state == OK
+        self.done = False
+        self.ok = False
 
     @property
     def not_found(self) -> bool:
@@ -131,6 +131,8 @@ class KvFuture:
         if self.done:
             raise ServiceError(f"future already resolved ({self.state})")
         self.state = state
+        self.done = True
+        self.ok = state == OK
         self.status = status
         self.value = value
         self.served_from = served_from
@@ -172,6 +174,8 @@ class _BatchRecord:
     pairs: List[Tuple[bytes, bytes]] = field(default_factory=list)
     futures: List[KvFuture] = field(default_factory=list)
     deadline_ns: float = float("inf")
+    #: Engine stream of the command: the session of its first PUT.
+    stream: Optional[int] = None
     #: Thunks to run after the group commits — deferred reads/deletes
     #: whose key this batch is about to overwrite.
     followers: List[Callable[[], None]] = field(default_factory=list)
@@ -193,26 +197,34 @@ class KvSession:
         self.ops = 0
         self.closed = False
 
-    def _check(self) -> None:
-        if self.closed:
-            raise ServiceError(f"session {self.session_id} is closed")
-        self.ops += 1
+    # Each verb tests ``closed`` and counts itself inline: the check
+    # runs once per op.
+    def _refuse(self) -> None:
+        raise ServiceError(f"session {self.session_id} is closed")
 
     def put(self, key: bytes, value: bytes) -> KvFuture:
-        self._check()
+        if self.closed:
+            self._refuse()
+        self.ops += 1
         return self.service._put(key, value, self.session_id)
 
     def get(self, key: bytes) -> KvFuture:
-        self._check()
+        if self.closed:
+            self._refuse()
+        self.ops += 1
         return self.service._get(key, self.session_id)
 
     def delete(self, key: bytes) -> KvFuture:
-        self._check()
+        if self.closed:
+            self._refuse()
+        self.ops += 1
         return self.service._delete(key, self.session_id)
 
     def scan(self, start: bytes, end: Optional[bytes] = None,
              page_size: int = 64) -> Iterator[Tuple[bytes, bytes]]:
-        self._check()
+        if self.closed:
+            self._refuse()
+        self.ops += 1
         return self.service.scan(start, end, page_size=page_size)
 
     def close(self) -> None:
@@ -301,9 +313,10 @@ class KvService:
                 f"in-command key field")
 
     def _put(self, key: bytes, value: bytes, sid: int) -> KvFuture:
-        self._check_key(key)
+        if not 0 < len(key) <= MAX_INLINE_KEY:
+            self._check_key(key)  # raises the precise refusal
         self.stats.puts += 1
-        future = KvFuture("put", key, sid, self.clock.now)
+        future = KvFuture("put", key, self.clock.now)
         # Invalidate *before* the write is even submitted: from this
         # moment until commit re-invalidates, no read-through may
         # install a pre-write value (the cache's fill fence).
@@ -311,13 +324,14 @@ class KvService:
             self.cache.invalidate(key)
         if self.batch_window_ns <= 0:
             # No group commit: a one-pair record, encoded as a plain STORE.
-            self._submit(_BatchRecord([(key, value)], [future]),
+            self._submit(_BatchRecord([(key, value)], [future], stream=sid),
                          encode_store_payload(key, value), KvOpcode.STORE)
             return future
         record = self._open
         if record is None:
             record = self._open = _BatchRecord(
-                deadline_ns=self.clock.now + self.batch_window_ns)
+                deadline_ns=self.clock.now + self.batch_window_ns,
+                stream=sid)
         record.pairs.append((key, value))
         record.futures.append(future)
         self._pending[key] = record
@@ -327,9 +341,10 @@ class KvService:
         return future
 
     def _get(self, key: bytes, sid: int) -> KvFuture:
-        self._check_key(key)
+        if not 0 < len(key) <= MAX_INLINE_KEY:
+            self._check_key(key)  # raises the precise refusal
         self.stats.gets += 1
-        future = KvFuture("get", key, sid, self.clock.now)
+        future = KvFuture("get", key, self.clock.now)
         record = self._pending.get(key)
         if record is not None:
             # Read barrier: the key has an unacknowledged write.  Close
@@ -337,18 +352,21 @@ class KvService:
             # and run the read after the group commits — read-your-writes
             # by construction.
             self.stats.deferred_ops += 1
-            record.followers.append(lambda: self._get_through(key, future))
+            record.followers.append(
+                lambda: self._get_through(key, future, sid))
             if record is self._open:
                 self.stats.flush_barrier += 1
                 self._flush_open()
             return future
-        self._get_through(key, future)
+        self._get_through(key, future, sid)
         return future
 
-    def _get_through(self, key: bytes, future: KvFuture) -> None:
-        """Cache lookup, then device read-through on a miss."""
-        if self.cache is not None:
-            value = self.cache.lookup(key)
+    def _get_through(self, key: bytes, future: KvFuture,
+                     sid: int) -> None:
+        """Cache probe, then device read-through on a miss."""
+        cache = self.cache
+        if cache is not None:
+            value, token = cache.probe(key)
             if value is not None:
                 hook = self.on_cache_hit
                 if hook is not None:
@@ -356,35 +374,35 @@ class KvService:
                 self._resolved += 1
                 future._resolve(OK, self.clock.now, None, value, FROM_CACHE)
                 return
-            token = self.cache.begin_fill(key)
         else:
             token = None
         mptr, cdw10, cdw11, cdw14 = key_field_words(key)
         ef = self.engine.submit_read(
             MAX_VALUE_BYTES, KvOpcode.RETRIEVE, cdw10=cdw10,
             cdw11=cdw11, mptr=mptr, cdw14=cdw14, nsid=self.nsid,
-            stream=future.session_id)
+            stream=sid)
 
         def on_done(ef: CommandFuture) -> None:
             self._resolved += 1
-            if ef.status == StatusCode.KV_KEY_NOT_FOUND:
-                future._resolve(NOT_FOUND, self.clock.now, ef.status)
-                return
-            if not ef.ok:
-                future._resolve(FAILED, self.clock.now, ef.status)
-                return
-            value = ef.data if ef.data is not None else b""
-            if self.cache is not None and token is not None:
-                self.cache.commit_fill(token, value)
-            future._resolve(OK, self.clock.now, ef.status, value,
-                            FROM_DEVICE)
+            status = ef.status
+            if status == StatusCode.SUCCESS:
+                value = ef.data if ef.data is not None else b""
+                if token is not None and cache is not None:
+                    cache.commit_fill(token, value)
+                future._resolve(OK, self.clock.now, status, value,
+                                FROM_DEVICE)
+            elif status == StatusCode.KV_KEY_NOT_FOUND:
+                future._resolve(NOT_FOUND, self.clock.now, status)
+            else:
+                future._resolve(FAILED, self.clock.now, status)
 
         ef.callback = on_done
 
     def _delete(self, key: bytes, sid: int) -> KvFuture:
-        self._check_key(key)
+        if not 0 < len(key) <= MAX_INLINE_KEY:
+            self._check_key(key)  # raises the precise refusal
         self.stats.deletes += 1
-        future = KvFuture("delete", key, sid, self.clock.now)
+        future = KvFuture("delete", key, self.clock.now)
         if self.cache is not None:
             self.cache.invalidate(key)
         record = self._pending.get(key)
@@ -394,19 +412,20 @@ class KvService:
             # the batched value.
             self.stats.deferred_ops += 1
             record.followers.append(
-                lambda: self._delete_through(key, future))
+                lambda: self._delete_through(key, future, sid))
             if record is self._open:
                 self.stats.flush_barrier += 1
                 self._flush_open()
             return future
-        self._delete_through(key, future)
+        self._delete_through(key, future, sid)
         return future
 
-    def _delete_through(self, key: bytes, future: KvFuture) -> None:
+    def _delete_through(self, key: bytes, future: KvFuture,
+                        sid: int) -> None:
         mptr, cdw10, cdw11, cdw14 = key_field_words(key)
         ef = self.engine.submit_read(
             0, KvOpcode.DELETE, cdw10=cdw10, cdw11=cdw11, mptr=mptr,
-            cdw14=cdw14, nsid=self.nsid, stream=future.session_id)
+            cdw14=cdw14, nsid=self.nsid, stream=sid)
 
         def on_done(ef: CommandFuture) -> None:
             self._resolved += 1
@@ -442,7 +461,7 @@ class KvService:
         resolves every member future, then runs the followers."""
         ef = self.engine.submit(payload, method=self.method, opcode=opcode,
                                 nsid=self.nsid,
-                                stream=record.futures[0].session_id)
+                                stream=record.stream)
 
         def on_done(ef: CommandFuture) -> None:
             # Re-invalidate at commit: a read-through that raced the
@@ -567,8 +586,8 @@ class KvService:
                     return
                 progressed = True
                 cursor = key
-                future = KvFuture("get", key, -1, self.clock.now)
-                self._get_through(key, future)
+                future = KvFuture("get", key, self.clock.now)
+                self._get_through(key, future, -1)
                 self._await(future, "a value read")
                 if future.not_found:
                     continue  # deleted after the page snapshot

@@ -16,6 +16,8 @@ propagation.
 
 from __future__ import annotations
 
+from typing import Dict
+
 from repro.faults.plan import CORRUPT_TLP, MMIO_TLP, FaultInjector
 from repro.pcie import tlp as tlpmod
 from repro.pcie.tlp import TlpBatch
@@ -47,6 +49,8 @@ class PCIeLink:
         #: ns, built once: for a given link neither ever changes.
         self._doorbell = tlpmod.host_mmio_write(4, link)
         self._doorbell_ns = self._one_way(self._doorbell.downstream_bytes)
+        #: Device DMA-write batches by size (see :meth:`dma_write_batch`).
+        self._dma_writes: Dict[int, TlpBatch] = {}
 
     # ------------------------------------------------------------------
     # primitive timings
@@ -57,6 +61,20 @@ class PCIeLink:
 
     def _one_way(self, wire_bytes: int) -> float:
         return self.serialisation_ns(wire_bytes) + self.timing.link_propagation_ns
+
+    def dma_write_batch(self, nbytes: int) -> TlpBatch:
+        """``tlp.device_dma_write(nbytes, self.config)``, memoised on the
+        link by size alone (its config never changes): every read-data
+        return looks one up."""
+        try:
+            return self._dma_writes[nbytes]
+        except KeyError:
+            pass
+        if len(self._dma_writes) >= 4096:
+            self._dma_writes.clear()
+        batch = self._dma_writes[nbytes] = tlpmod.device_dma_write(
+            nbytes, self.config)
+        return batch
 
     # ------------------------------------------------------------------
     # protocol actions

@@ -45,11 +45,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 from repro.core.controller_ext import DeviceSqState
 from repro.core.reassembly import ReassemblyBuffer
-from repro.datapath.decoders import decoder_for_psdt
+from repro.datapath.decoders import (PRP_DECODER, SGL_DECODER,
+                                     decoder_for_psdt)
 from repro.host.memory import HostMemory
 from repro.host.shadow import ShadowDoorbells
 from repro.nvme.command import NvmeCommand
-from repro.nvme.constants import StatusCode
+from repro.nvme.constants import Psdt, StatusCode
 from repro.nvme.identify import IdentifyController
 from repro.nvme.queues import CompletionQueue, CqOverrunError, SubmissionQueue
 from repro.nvme.registers import (
@@ -561,12 +562,24 @@ class NvmeController:
         data = result.read_data
         if not data:
             return result
+        clock = self.clock
+        start = clock.now
         try:
-            with self.clock.span("ctrl.data_transfer"):
-                decoder_for_psdt(cmd.psdt).push(self, cmd, data)
+            # ``decoder_for_psdt(cmd.psdt)`` without building the Psdt
+            # enum: 0 is PRP, 1 and 2 are SGL, and the reserved 3 is
+            # refused as the enum would refuse it.
+            psdt = (cmd.flags >> 6) & 0b11
+            if psdt == Psdt.PRP:
+                PRP_DECODER.push(self, cmd, data)
+            elif psdt == 0b11:
+                raise ValueError(f"{psdt} is not a valid Psdt")
+            else:
+                SGL_DECODER.push(self, cmd, data)
         except (ValueError, MemoryError):
             self.fetch_errors += 1
             return CommandResult(StatusCode.DATA_TRANSFER_ERROR)
+        finally:
+            clock.span_end("ctrl.data_transfer", start)
         return result
 
     # ------------------------------------------------------------------
@@ -593,9 +606,8 @@ class NvmeController:
         # host→device data length in bytes for our vendor/passthrough
         # commands; zero means no host→device data phase.
         if ctx.data is None:
-            xfer_len = (cmd.cdw12 if self._data_phase.get(cmd.opcode, True)
-                        else 0)
-            if xfer_len:
+            xfer_len = cmd.cdw12
+            if xfer_len and self._data_phase.get(cmd.opcode, True):
                 decoder = decoder_for_psdt(cmd.psdt)
                 try:
                     ctx.data = decoder.pull(self, cmd, xfer_len)

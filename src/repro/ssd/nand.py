@@ -190,13 +190,25 @@ class NandArray:
         page is captured at issue either way, so a later trim, erase or
         reprogram cannot change what the read returns.
         """
-        self._check_page(page)
-        die = self._die(page)
-        data = self._pages.get((die, page.block, page.page))
+        # ``_check_page`` and ``_die`` inlined: every host GET that
+        # misses DRAM reads one page here.
+        g = self.geometry
+        channel = page.channel
+        way = page.way
+        block = page.block
+        index = page.page
+        if not (0 <= block < g.blocks_per_die
+                and 0 <= index < g.pages_per_block):
+            raise ValueError(f"page {page} out of range")
+        if not (0 <= channel < g.channels and 0 <= way < g.ways):
+            raise ValueError(f"die ({channel},{way}) out of range")
+        die = channel * g.ways + way
+        data = self._pages.get((die, block, index))
         if data is None:
             raise NandError(f"read of unwritten page {page}")
         now = self.clock.now
-        start = max(now, self._busy_until[die])
+        busy = self._busy_until[die]
+        start = busy if busy > now else now
         end = start + self.timing.nand_page_read_ns
         self._busy_until[die] = end
         self.reads += 1

@@ -111,13 +111,13 @@ def test_rw_verification_catches_a_lying_store():
     tb.unmonitor()  # the protocol monitor would (rightly) fire first
     service = tb.make_service(qd=8, cache_entries=256)
 
-    original_lookup = service.cache.lookup
+    original_probe = service.cache.probe
 
-    def lying_lookup(key):
-        value = original_lookup(key)
-        return b"stale-garbage" if value is not None else None
+    def lying_probe(key):
+        value, token = original_probe(key)
+        return (b"stale-garbage" if value is not None else None), token
 
-    service.cache.lookup = lying_lookup
+    service.cache.probe = lying_probe
     with pytest.raises(ServingConsistencyError):
         run_serving(service, sessions=4, ops_per_session=12,
                     keys_per_session=2, read_ratio=0.9, seed=3)

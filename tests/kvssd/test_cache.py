@@ -116,3 +116,45 @@ def test_hit_rate():
     cache.lookup(b"miss")
     assert cache.stats.hit_rate == 0.5
     assert cache.stats.as_dict()["hit_rate"] == 0.5
+
+
+# ----------------------------------------------------------------------
+# probe: one hash per GET, and its miss token is a fill token
+# ----------------------------------------------------------------------
+
+def test_probe_hit_and_miss_shapes():
+    cache = ShardedReadCache(capacity=16, shards=4)
+    value, token = cache.probe(b"k")
+    assert value is None and token is not None
+    assert cache.commit_fill(token, b"v")
+    assert cache.probe(b"k") == (b"v", None)
+    stats = cache.stats
+    assert (stats.hits, stats.misses, stats.fills) == (1, 1, 1)
+
+
+def test_token_carries_the_keys_shard():
+    cache = ShardedReadCache(capacity=64, shards=8)
+    for i in range(16):
+        key = b"key-%d" % i
+        assert cache.probe(key)[1][0] is cache._shard_for(key)
+        assert cache.begin_fill(key)[0] is cache._shard_for(key)
+
+
+def test_probe_miss_invalidated_before_its_fill_is_discarded():
+    """A GET that missed, then saw its key written before its device
+    read returned, must not install the value it read."""
+    cache = ShardedReadCache(capacity=16)
+    _value, token = cache.probe(b"k")
+    cache.invalidate(b"k")
+    assert not cache.commit_fill(token, b"stale")
+    assert cache.peek(b"k") is None
+    assert cache.stats.fill_races == 1
+
+
+def test_clear_fences_probe_tokens_on_every_shard():
+    cache = ShardedReadCache(capacity=64, shards=8)
+    tokens = [cache.probe(b"key-%d" % i)[1] for i in range(32)]
+    cache.clear()
+    assert not any(cache.commit_fill(t, b"stale") for t in tokens)
+    assert len(cache) == 0
+    assert cache.stats.fill_races == 32

@@ -73,3 +73,32 @@ class TestKeyFields:
     @given(st.binary(min_size=1, max_size=MAX_INLINE_KEY))
     def test_roundtrip_property(self, key):
         assert unpack_key_fields(_keyed_command(key)) == key
+
+    @given(st.binary(min_size=0, max_size=MAX_INLINE_KEY - 1),
+           st.integers(min_value=1, max_value=MAX_INLINE_KEY))
+    def test_trailing_nuls_roundtrip_over_the_wire(self, prefix, nuls):
+        key = (prefix + b"\x00" * nuls)[:MAX_INLINE_KEY]
+        back = NvmeCommand.unpack(_keyed_command(key).pack())
+        assert unpack_key_fields(back) == key
+
+    @given(st.binary(min_size=1, max_size=MAX_INLINE_KEY))
+    def test_words_are_the_nul_padded_key_field(self, key):
+        # The layout on the wire: the key NUL-padded to 16 B, bytes 0-7
+        # in MPTR, 8-11 in CDW10 and 12-15 in CDW11, little-endian.
+        padded = key.ljust(MAX_INLINE_KEY, b"\x00")
+        assert key_field_words(key) == (
+            int.from_bytes(padded[:8], "little"),
+            int.from_bytes(padded[8:12], "little"),
+            int.from_bytes(padded[12:], "little"),
+            len(key))
+
+    @given(st.binary(min_size=MAX_INLINE_KEY + 1, max_size=64))
+    def test_over_long_keys_rejected(self, key):
+        with pytest.raises(KvEncodingError):
+            key_field_words(key)
+
+    def test_empty_key_and_zero_length_field_rejected(self):
+        with pytest.raises(KvEncodingError):
+            key_field_words(b"")
+        with pytest.raises(KvEncodingError):
+            unpack_key_fields(NvmeCommand(cdw14=0))

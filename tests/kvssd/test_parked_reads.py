@@ -4,6 +4,7 @@ parked command completes through the normal completion path."""
 
 import pytest
 
+from repro.engine import IoEngine
 from repro.faults.plan import CUT_CQE, DROP_CQE, CrashCut, CrashPlan, FaultPlan
 from repro.host.driver import NvmeDriver
 from repro.kvssd import KVStore
@@ -326,3 +327,61 @@ def test_a_get_parked_across_a_drive_completes_under_shadow_doorbells():
     engine.drain()
     assert future.ok and future.data == values[b"alpha"]
     assert ctrl._shadow.read_poll_until() > idle_at
+
+
+def _count_scans(engine):
+    """Count the reactor's scans of *engine*'s in-flight table."""
+    scans = []
+    entries = engine.table.entries
+
+    def counted():
+        scans.append(1)
+        return entries()
+
+    engine.table.entries = counted
+    return scans
+
+
+def test_a_parked_get_burst_never_scans_for_stuck_commands():
+    """A burst on a 1-queue QD-2 engine runs a backpressure round per
+    freed slot.  After each drive every command still in flight is
+    parked on a die, so recovery skips its scan of the table (at one
+    scan per round, the burst would scan ~30 times)."""
+    keys = [b"key%03d" % i for i in range(32)]
+    tb, values = _rig([keys[i:i + 4] for i in range(0, len(keys), 4)])
+    engine = tb.make_engine(queues=1, qd=2)
+    scans = _count_scans(engine)
+    futures = [_get(engine, key) for key in keys]
+    engine.drain()
+    assert [f.data for f in futures] == [values[key] for key in keys]
+    assert engine.stats.backpressure_waits >= len(keys) - 2
+    assert engine.stats.timeouts == 0
+    assert scans == []
+
+
+def test_another_engines_parked_gets_do_not_hide_a_lost_completion():
+    """The skip is exact per engine: GETs another engine has parked on
+    the same device do not stand in for this engine's entries, so a
+    STORE whose CQE is lost is timed out in the round that finds it."""
+    tb, values = _rig([[b"alpha", b"beta", b"gamma"]],
+                      fault_plan=FaultPlan.scheduled({DROP_CQE: [0]}))
+    _busy(tb, _die_of(tb, b"alpha"))
+    reader = tb.make_engine(queues=1, qd=4)
+    gets = _park(tb, reader, list(values))
+    writer = IoEngine(tb.ssd, tb.driver, queues=[tb.driver.io_qids[1]],
+                      qd=4)
+    scans = _count_scans(writer)
+    tb.ssd.faults.reset()  # the next I/O CQE is the one dropped
+    writes = [writer.submit(encode_store_payload(key, b"v" * 100),
+                            opcode=KvOpcode.STORE)
+              for key in (b"lost", b"kept")]
+    assert writer.poll() == 1  # the kept STORE
+    assert scans  # the parked GETs are not the writer's: it scanned
+    assert writer.stats.timeouts == 1 and writer.stats.retries == 1
+    assert len(tb.ssd.controller._parked) == len(gets)
+    assert not any(g.done for g in gets)
+    writer.drain()
+    reader.drain()
+    assert [w.attempts for w in writes] == [2, 1] and all(w.ok for w in writes)
+    assert [g.data for g in gets] == list(values.values())
+    assert reader.stats.timeouts == 0

@@ -6,8 +6,12 @@ import tracemalloc
 import pytest
 
 from repro.kvssd.service import (
+    FAILED,
     FROM_CACHE,
     FROM_DEVICE,
+    NOT_FOUND,
+    OK,
+    KvFuture,
     KvService,
     ServiceError,
 )
@@ -247,6 +251,22 @@ def test_delete_invalidates_cache():
     assert _run(service, s.get(b"k")).not_found
 
 
+def test_get_fill_raced_by_a_put_is_discarded():
+    """A GET misses and reads through; a PUT to its key is submitted
+    before the GET's CQE is reaped.  The GET returns what the device
+    read, but its fill (token taken at the miss) must not install it."""
+    _tb, service = _service(cache_entries=64)
+    s = service.open_session()
+    _run(service, s.put(b"k", b"old"))
+    get = s.get(b"k")
+    put = s.put(b"k", b"new")
+    service.drain()
+    assert get.result() == b"old" and put.ok
+    assert service.cache_stats.fill_races == 1
+    assert service.cache.peek(b"k") is None
+    assert _run(service, s.get(b"k")).result() == b"new"
+
+
 def test_batch_commit_reinvalidates_members():
     _tb, service = _service(batch_window_ns=5_000.0, cache_entries=64)
     s = service.open_session()
@@ -358,3 +378,21 @@ def test_not_found_result_raises_keyerror():
     got = _run(service, s.get(b"absent"))
     with pytest.raises(KeyError):
         got.result()
+
+
+def test_future_done_and_ok_flip_once():
+    """``done`` and ``ok`` are attributes set by the one resolution; a
+    second resolution raises and changes nothing."""
+    future = KvFuture("get", b"k", 10.0)
+    assert (future.done, future.ok) == (False, False)
+    future._resolve(OK, 15.0, value=b"v", served_from=FROM_CACHE)
+    assert (future.done, future.ok, future.latency_ns) == (True, True, 5.0)
+    with pytest.raises(ServiceError):
+        future._resolve(FAILED, 20.0, status=0x80)
+    assert (future.state, future.done, future.ok) == (OK, True, True)
+    assert future.result() == b"v"
+    for state in (FAILED, NOT_FOUND):
+        other = KvFuture("get", b"k", 0.0)
+        other._resolve(state, 1.0, status=0x80)
+        assert other.done and not other.ok
+        assert other.not_found == (state == NOT_FOUND)
