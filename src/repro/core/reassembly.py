@@ -81,10 +81,6 @@ class _InFlight:
         self.dram = bytearray(self.total * TAGGED_CAPACITY)
 
     @property
-    def received(self) -> int:
-        return bin(self.bitmap).count("1")
-
-    @property
     def complete(self) -> bool:
         return self.bitmap == (1 << self.total) - 1
 

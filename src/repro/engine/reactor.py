@@ -6,18 +6,18 @@ One ``poll()`` round is the engine's heartbeat:
    submissions (one MMIO write per queue, amortised over the batch).
 2. **Drive** — run the device firmware loop to quiescence.  While N
    queues have doorbell'd work and the controller has ``fetch_lanes``
-   parallel fetch/DMA engines, per-command service overlaps: the sweep
-   runs under :meth:`SimClock.concurrent`, which is where multi-queue
-   scaling physically comes from in the cost model.  Once nothing is
-   left to fetch, the reads parked on a NAND die whose die has finished
-   post, under a scope as wide as the queues they complete on; the
-   drive never waits for a die.
+   parallel fetch/DMA engines, per-command service overlaps: each step
+   runs with its lane count pushed on the clock's ``_concurrency``
+   stack, which is where multi-queue scaling physically comes from in
+   the cost model.  Once nothing is left to fetch, the reads parked on
+   a NAND die whose die has finished post, with as many lanes as the
+   queues they complete on; the drive never waits for a die.
 3. **Reap** — drain every CQ phase-bit-first via ``driver.reap`` and
    resolve the matching futures out of order.  Error completions with
    DNR clear are parked for backoff and resubmission; DNR-set errors
    fail their future immediately.  A round that resolved nothing, with
-   nothing left to fetch and a read parked on a die, waits for the
-   earliest die, drives and reaps again.
+   nothing left to fetch and one of this engine's reads parked on a
+   die, waits for the earliest die, drives and reaps again.
 4. **Recover** — entries still tabled after a quiescent drive, other
    than those parked on a die (a round where every entry is parked
    skips the scan), got no
@@ -85,12 +85,15 @@ class CompletionReactor:
                 # Without this, a backpressured submitter polling on a
                 # throttled queue would spin on a frozen clock.
                 ctrl.poll_once()
-            if (ctrl._parked and e.table._entries
+            if (ctrl._parked and not e.table._entries.keys().isdisjoint(
+                    ctrl.parked_keys())
                     and (ctrl.qos is None or not ctrl.sweep_width())):
                 # Nothing resolved, nothing to fetch (the drive ran dry;
                 # only the throttled sweep above can have changed that),
-                # a read parked on its die: the host has nothing to do
-                # but wait for the earliest die, then post what finished.
+                # one of this engine's reads parked on its die: the host
+                # has nothing to do but wait for the earliest die, then
+                # post what finished.  Another engine's parked read is
+                # not this engine's to wait for.
                 ctrl.wait_for_die()
                 self.drive_device()
                 resolved = self.reap_all()
@@ -139,14 +142,13 @@ class CompletionReactor:
                 break
             lanes = width if width < fetch_lanes else fetch_lanes
             if lanes == 1 and not conc:
-                # A one-lane scope divides every advance by 1.0, which is
-                # exact: with no outer scope open there is nothing to push.
+                # One lane divides every advance by 1.0, which is exact:
+                # with the lane stack empty there is nothing to push.
                 step()
                 continue
-            # Inlined clock.concurrent(lanes): lanes >= 1 (width > 0 here
-            # and fetch_lanes >= 1), so the scope's validation cannot
-            # fire; the push/pop pair is all that remains of the context
-            # manager.
+            # The clock's lane stack divides every advance inside the
+            # step by ``lanes`` (>= 1: width > 0 here and fetch_lanes
+            # >= 1).
             conc.append(float(lanes))
             try:
                 step()

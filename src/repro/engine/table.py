@@ -15,8 +15,8 @@ deadline derived from the driver's :class:`~repro.host.driver.RetryPolicy`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import (TYPE_CHECKING, Callable, Deque, Dict, Iterator, List,
-                    Optional, Tuple)
+from typing import (TYPE_CHECKING, Callable, Deque, Dict, List, Optional,
+                    Tuple)
 
 from repro.nvme.completion import NvmeCompletion
 from repro.nvme.constants import StatusCode
@@ -141,10 +141,6 @@ class InFlightCommand:
     #: resubmitted (exponential backoff).
     retry_at_ns: float = 0.0
 
-    @property
-    def qid(self) -> Optional[int]:
-        return self.key[0] if self.key else None
-
     def resolve(self, cqe: Optional[NvmeCompletion], now_ns: float,
                 due: Deque[CommandFuture]) -> None:
         """Resolve the future off its CQE (None: timed out) and queue it
@@ -243,6 +239,3 @@ class InFlightTable:
 
     def __bool__(self) -> bool:
         return bool(self._entries)
-
-    def __iter__(self) -> Iterator[InFlightCommand]:
-        return iter(list(self._entries.values()))

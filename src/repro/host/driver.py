@@ -454,13 +454,14 @@ class NvmeDriver:
     def _maybe_clear_zombies(self, res: _QueueResources) -> None:
         """Lift the quarantine once no late CQE can exist.
 
-        With nothing in flight, the device's SQ head caught up to the
-        published tail, and every posted CQE consumed, any completion
-        the abandoned commands could ever produce has already happened.
+        Called from :meth:`reap` right after it polled the CQ empty, so
+        every CQE already posted has been consumed.  With nothing in
+        flight as well, and the device's SQ head caught up to the
+        published tail, any completion the abandoned commands could
+        ever produce has already happened.
         """
         if (res.zombie_cids and not res.live_cids
-                and res.sq.head == res.sq.tail == res.sq.shadow_tail
-                and res.cq.outstanding == 0):
+                and res.sq.head == res.sq.tail == res.sq.shadow_tail):
             res.zombie_cids.clear()
 
     def inflight(self, qid: int) -> int:

@@ -9,9 +9,9 @@ acknowledged, so a later GET either hits a value at least as new as the
 client's last acknowledged write, or misses and reads through.
 
 Fills are versioned: a read-through records the key's version when it
-starts (:meth:`begin_fill`, or the miss of :meth:`probe`) and the fill
-is discarded if any invalidation of that key, or a :meth:`clear`,
-landed in between (:meth:`commit_fill`).
+starts (the miss of :meth:`probe`) and the fill is discarded if any
+invalidation of that key, or a :meth:`clear`, landed in between
+(:meth:`commit_fill`).
 Without this, a slow device read racing a newer write would install the
 stale value *after* the invalidation that was supposed to kill it —
 the classic look-aside cache bug.  Discarded fills are counted as
@@ -42,7 +42,7 @@ class CacheStats:
     invalidations: int = 0
     fills: int = 0
     #: Read-through fills discarded because an invalidation landed on
-    #: the shard between ``begin_fill`` and ``commit_fill``.
+    #: the shard between ``probe`` and ``commit_fill``.
     fill_races: int = 0
 
     @property
@@ -79,8 +79,9 @@ class _Shard:
     epoch: int = 0
 
 
-#: What :meth:`ShardedReadCache.begin_fill` returns: the key's shard,
-#: the key, and the key's version and the shard's epoch at the start.
+#: What a miss of :meth:`ShardedReadCache.probe` returns: the key's
+#: shard, the key, and the key's version and the shard's epoch at the
+#: start.
 FillToken = Tuple[_Shard, bytes, int, int]
 
 
@@ -117,8 +118,9 @@ class ShardedReadCache:
                                          Optional[FillToken]]:
         """One GET's look-aside step: ``(value, None)`` on a hit, which
         refreshes LRU recency, and ``(None, token)`` on a miss, whose
-        token begins the key's read-through fill (:meth:`begin_fill`).
-        The key is hashed once for both."""
+        token begins the key's read-through fill.  The token is
+        ``(shard, key, version, epoch)``: it carries the key's shard, so
+        :meth:`commit_fill` does not hash the key again."""
         shard = self._shards[crc32(key) % self.num_shards]
         value = shard.entries.get(key)
         if value is None:
@@ -129,10 +131,6 @@ class ShardedReadCache:
         self.stats.hits += 1
         return value, None
 
-    def lookup(self, key: bytes) -> Optional[bytes]:
-        """Return the cached value, refreshing LRU recency; None on miss."""
-        return self.probe(key)[0]
-
     def peek(self, key: bytes) -> Optional[bytes]:
         """Lookup without touching recency or stats (tests, monitor)."""
         return self._shard_for(key).entries.get(key)
@@ -140,15 +138,6 @@ class ShardedReadCache:
     # ------------------------------------------------------------------
     # versioned read-through fill
     # ------------------------------------------------------------------
-    def begin_fill(self, key: bytes) -> FillToken:
-        """Start a read-through for *key*; returns an opaque fill token.
-
-        The token is ``(shard, key, version, epoch)``: it carries the
-        key's shard, so :meth:`commit_fill` does not hash the key again.
-        """
-        shard = self._shards[crc32(key) % self.num_shards]
-        return (shard, key, shard.versions.get(key, 0), shard.epoch)
-
     def commit_fill(self, token: FillToken, value: bytes) -> bool:
         """Install the read-through result unless *key* was invalidated
         (or the cache cleared) since its token was made.  Returns True

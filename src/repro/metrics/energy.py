@@ -42,9 +42,6 @@ class EnergyModel:
         # mW * ns = pJ;  / 1000 -> nJ.
         return self.idle_mw * elapsed_ns / 1000.0 / 1000.0
 
-    def total_nj(self, counter: TrafficCounter, elapsed_ns: float) -> float:
-        return self.dynamic_nj(counter) + self.static_nj(elapsed_ns)
-
 
 @dataclass(frozen=True)
 class EnergyReport:

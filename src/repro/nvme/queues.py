@@ -14,7 +14,7 @@ race into a hard test failure.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 from repro.host.memory import HostMemory
 from repro.nvme.completion import NvmeCompletion
@@ -29,11 +29,12 @@ class CqOverrunError(Exception):
     """Raised when a completion would overwrite an unconsumed CQE.
 
     The CQ has no full/empty doorbell handshake of its own — the
-    producer must bound itself by the consumer's progress.  Posting a
-    ``depth+1``-th unconsumed entry silently destroys a live completion
-    (the host would never learn its command finished), so both the
-    host-side ring model here and the controller's device-side producer
-    state refuse it loudly.
+    producer must bound itself by the consumer's progress, learned from
+    the CQ-head doorbell.  The controller's producer
+    (:meth:`repro.ssd.context.DeviceCqState.post`) applies NVMe's "full
+    is one less than the size" rule: it refuses the post that would make
+    its tail meet the host head, so at most ``depth - 1`` CQEs are ever
+    unconsumed and no live completion is silently destroyed.
     """
 
 
@@ -143,11 +144,6 @@ class SubmissionQueue:
             return  # stale/backwards report from out-of-order completion
         self.head = head
 
-    # -- device operations --------------------------------------------------
-    def device_pending(self, device_head: int) -> int:
-        """Entries between the device's head and the doorbell'd tail."""
-        return (self.shadow_tail - device_head) % self.depth
-
     # -- persistence (repro.durability) --------------------------------------
     def scrub(self) -> None:
         """Power-loss wipe: pointers to reset values, slots zeroed.
@@ -163,7 +159,12 @@ class SubmissionQueue:
 
 
 class CompletionQueue:
-    """Host-side view of one completion queue ring with phase-bit protocol."""
+    """Host-side view of one completion queue ring with phase-bit protocol.
+
+    The host only consumes: the device writes CQEs into the ring
+    through its own producer state
+    (:class:`repro.ssd.context.DeviceCqState`).
+    """
 
     def __init__(self, qid: int, depth: int, memory: HostMemory) -> None:
         if depth < 2:
@@ -174,38 +175,6 @@ class CompletionQueue:
         self.base_addr = memory.alloc_buffer(depth * CQE_SIZE)
         self.head = 0          # host consume pointer
         self.phase = 1         # phase the host expects for new entries
-        #: Device-side producer state.
-        self.device_tail = 0
-        self.device_phase = 1
-        #: Posted-but-unconsumed completions currently in the ring.
-        #: The phase-bit protocol lets the ring hold *depth* of them
-        #: (no slot is sacrificed); one more would overwrite a live CQE.
-        self.outstanding = 0
-
-    def slot_addr(self, index: int) -> int:
-        return self.base_addr + (index % self.depth) * CQE_SIZE
-
-    # -- device operations ---------------------------------------------------
-    def device_post(self, cqe: NvmeCompletion) -> int:
-        """Device writes a completion at its tail; returns the slot used.
-
-        Refuses to overwrite an unconsumed CQE: with ``depth`` entries
-        already posted and none polled, the next write would land on a
-        completion the host has not seen yet and lose it silently
-        (the bug class the PR 4 protocol monitor was built to catch).
-        """
-        if self.outstanding >= self.depth:
-            raise CqOverrunError(
-                f"CQ{self.qid} overrun: {self.outstanding} unconsumed "
-                f"CQEs already fill the {self.depth}-deep ring")
-        cqe.phase = self.device_phase
-        slot = self.device_tail
-        self.memory.write(self.slot_addr(slot), cqe.pack())
-        self.device_tail = (self.device_tail + 1) % self.depth
-        if self.device_tail == 0:
-            self.device_phase ^= 1
-        self.outstanding += 1
-        return slot
 
     # -- host operations -----------------------------------------------------
     def poll(self) -> Optional[NvmeCompletion]:
@@ -222,26 +191,11 @@ class CompletionQueue:
         self.head = head = (head + 1) % depth
         if head == 0:
             self.phase ^= 1
-        if self.outstanding > 0:
-            self.outstanding -= 1
         return cqe
-
-    def drain(self, limit: Optional[int] = None) -> List[NvmeCompletion]:
-        """Consume all currently visible completions (up to *limit*)."""
-        out: List[NvmeCompletion] = []
-        while limit is None or len(out) < limit:
-            cqe = self.poll()
-            if cqe is None:
-                break
-            out.append(cqe)
-        return out
 
     # -- persistence (repro.durability) --------------------------------------
     def scrub(self) -> None:
         """Power-loss wipe in place: reset phase protocol, zero slots."""
         self.head = 0
         self.phase = 1
-        self.device_tail = 0
-        self.device_phase = 1
-        self.outstanding = 0
         self.memory.write(self.base_addr, bytes(self.depth * CQE_SIZE))

@@ -43,24 +43,6 @@ class _SpanScope:
         self._clock.span_end(self._name, self._start)
 
 
-class _ConcurrencyScope:
-    """Class-based context manager for :meth:`SimClock.concurrent`."""
-
-    __slots__ = ("_clock", "_lanes")
-
-    def __init__(self, clock: "SimClock", lanes: float) -> None:
-        if lanes < 1:
-            raise ValueError(f"concurrency must be >= 1, got {lanes}")
-        self._clock = clock
-        self._lanes = float(lanes)
-
-    def __enter__(self) -> None:
-        self._clock._concurrency.append(self._lanes)
-
-    def __exit__(self, *exc) -> None:
-        self._clock._concurrency.pop()
-
-
 class SimClock:
     """Monotonic simulated clock measured in nanoseconds.
 
@@ -94,6 +76,17 @@ class SimClock:
         #: closes (in closing order, so the float sums are the same as
         #: summing a list of closed spans afterwards).
         self._span_totals: Dict[str, float] = {}
+        #: Lane stack: while non-empty, every advance is divided by its
+        #: top entry.  It models N identical units progressing in
+        #: parallel under processor sharing: when the firmware loop
+        #: services N queues with N parallel fetch/DMA engines, each unit
+        #: of per-command work only occupies ``1/N`` of wall-clock time.
+        #: The cost-accounting clock is otherwise strictly serial, which
+        #: would make multi-queue service no faster than single-queue —
+        #: this is the one place the model expresses hardware
+        #: concurrency.  Only ``CompletionReactor.drive_device`` pushes
+        #: an entry (a lane count >= 1) around an overlapped device step,
+        #: and pops it after.
         self._concurrency: List[float] = []
         self.jitter = jitter
         self._rng_state = seed & 0xFFFFFFFFFFFFFFFF or 1
@@ -144,22 +137,6 @@ class SimClock:
         for _ in range(count):
             now += step
         self.now = now
-
-    def concurrent(self, lanes: float) -> "_ConcurrencyScope":
-        """Scale advances inside the block by ``1/lanes``.
-
-        Models *lanes* identical units progressing in parallel under
-        processor sharing: when the firmware loop services N queues with
-        N parallel fetch/DMA engines, each unit of per-command work only
-        occupies ``1/N`` of wall-clock time.  The cost-accounting clock
-        is otherwise strictly serial, which would make multi-queue
-        service no faster than single-queue — this is the one place the
-        model expresses hardware concurrency.
-
-        Nested regions are allowed; the innermost factor wins (the engine
-        never nests them in practice).
-        """
-        return _ConcurrencyScope(self, lanes)
 
     def advance_to(self, t_ns: float) -> None:
         """Jump forward to an absolute time; no-op if already past it."""

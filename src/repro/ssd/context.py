@@ -80,14 +80,12 @@ class DeviceCqState:
     #: Host consume pointer, learned from CQ head doorbell writes.
     host_head: int = 0
 
-    def slot_addr(self, index: int) -> int:
-        return self.base_addr + (index % self.depth) * CQE_SIZE
-
-    def is_full(self) -> bool:
-        return (self.tail + 1) % self.depth == self.host_head
-
     def post(self, cqe: NvmeCompletion, memory: HostMemory) -> None:
-        # is_full()/slot_addr() inlined: one CQE lands here per command.
+        """Write *cqe* at the tail with the current phase; the ring's
+        one producer.  Full is one less than the size (NVMe): the post
+        that would make the tail meet the host head raises
+        :class:`CqOverrunError`, so at most ``depth - 1`` CQEs are ever
+        unconsumed."""
         tail = self.tail
         depth = self.depth
         if (tail + 1) % depth == self.host_head:

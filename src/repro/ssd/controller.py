@@ -52,7 +52,7 @@ from repro.host.shadow import ShadowDoorbells
 from repro.nvme.command import NvmeCommand
 from repro.nvme.constants import Psdt, StatusCode
 from repro.nvme.identify import IdentifyController
-from repro.nvme.queues import CompletionQueue, CqOverrunError, SubmissionQueue
+from repro.nvme.queues import CqOverrunError
 from repro.nvme.registers import (
     CC_ENABLE,
     CSTS_READY,
@@ -316,14 +316,6 @@ class NvmeController:
             raise ValueError(f"CQ {qid} still referenced by an SQ")
         del self._cqs[qid]
         self.bar.clear_write_handler(cq_doorbell_offset(qid))
-
-    def register_queue_pair(self, sq: SubmissionQueue,
-                            cq: CompletionQueue) -> None:
-        """Convenience wiring from host queue objects (tests, direct use)."""
-        if sq.qid in self._sqs:
-            raise ValueError(f"queue pair {sq.qid} already registered")
-        self._install_queue_pair(sq.qid, sq.base_addr, sq.depth,
-                                 cq.base_addr, cq.depth)
 
     # ------------------------------------------------------------------
     # namespace bindings (repro.virt)

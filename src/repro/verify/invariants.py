@@ -160,6 +160,4 @@ def cq_snapshot(cq: Any) -> Dict[str, Any]:
         "depth": cq.depth,
         "head": cq.head,
         "phase": cq.phase,
-        "device_tail": cq.device_tail,
-        "device_phase": cq.device_phase,
     }

@@ -352,15 +352,12 @@ class ProtocolMonitor:
         self._patch(sq, "note_sq_head", note_sq_head)
 
     # ------------------------------------------------------------------
-    # completion queue (host consumer + host-side producer shim)
+    # completion queue (host consumer + device producer)
     # ------------------------------------------------------------------
     def attach_cq(self, cq: Any) -> None:
-        state = _CqState(host_cq=cq, dev_tail=cq.device_tail,
-                         dev_phase=cq.device_phase, host_head=cq.head,
-                         host_phase=cq.phase)
+        state = _CqState(host_cq=cq, host_head=cq.head, host_phase=cq.phase)
         self._cq[cq.qid] = state
         self._wrap_host_poll(cq, state)
-        self._wrap_host_device_post(cq, state)
 
     def _cq_consumed(self, cq: Any, state: _CqState, phase: int) -> None:
         self.checks[INV_CQ_PHASE] += 1
@@ -392,62 +389,47 @@ class ProtocolMonitor:
 
         self._patch(cq, "poll", poll)
 
-    def _cq_produced(self, qid: int, state: _CqState, depth: int,
-                     phase: int, snapshot: Dict[str, Any]) -> None:
-        self.checks[INV_CQ_OVERRUN] += 1
-        if state.outstanding >= depth:
-            self._violate(
-                INV_CQ_OVERRUN,
-                f"CQ{qid} posted completion #{state.outstanding + 1} into a "
-                f"{depth}-deep ring with none consumed (overwrote a live "
-                f"CQE)", snapshot)
-        state.outstanding += 1
-        self.checks[INV_CQ_PHASE] += 1
-        if phase != state.dev_phase:
-            self._violate(
-                INV_CQ_PHASE,
-                f"CQ{qid} produced a CQE with phase {phase} at slot "
-                f"{state.dev_tail}, expected phase {state.dev_phase}",
-                snapshot)
-        state.dev_tail = (state.dev_tail + 1) % depth
-        if state.dev_tail == 0:
-            state.dev_phase ^= 1
-
-    def _wrap_host_device_post(self, cq: Any, state: _CqState) -> None:
-        orig = cq.device_post
-
-        def device_post(cqe: Any) -> int:
-            slot = orig(cqe)
-            self._cq_produced(cq.qid, state, cq.depth, cqe.phase,
-                              cq_snapshot(cq))
-            return slot
-
-        self._patch(cq, "device_post", device_post)
-
     def _wrap_device_post(self, qid: int, dev_state: Any) -> None:
         """Wrap the controller's DeviceCqState producer for CQ *qid*."""
         state = self._cq.get(qid)
         if state is None:
             return  # controller-only queue the host never attached
-        # The mirror was seeded from the host-side shim, which never saw
-        # posts made before attach (the driver's bring-up admin
-        # commands).  Adopt the live producer position, or the phase
-        # mirror falsely fires on the queue's first wrap.
+        # Adopt the live producer position: posts made before attach
+        # (the driver's bring-up admin commands) were never observed,
+        # and a mirror starting at slot 0 would falsely fire on the
+        # queue's first wrap.
         state.dev_tail = dev_state.tail
         state.dev_phase = dev_state.phase
         state.outstanding = (dev_state.tail
                              - state.host_cq.head) % dev_state.depth
         orig = dev_state.post
+        depth = dev_state.depth
+
+        def snapshot() -> Dict[str, Any]:
+            return {"qid": qid, "depth": depth, "tail": dev_state.tail,
+                    "phase": dev_state.phase,
+                    "host_head": dev_state.host_head}
 
         def post(cqe: Any, memory: Any) -> None:
             orig(cqe, memory)
-            self._cq_produced(qid, state, dev_state.depth, cqe.phase, {
-                "qid": qid,
-                "depth": dev_state.depth,
-                "tail": dev_state.tail,
-                "phase": dev_state.phase,
-                "host_head": dev_state.host_head,
-            })
+            self.checks[INV_CQ_OVERRUN] += 1
+            if state.outstanding >= depth:
+                self._violate(
+                    INV_CQ_OVERRUN,
+                    f"CQ{qid} posted completion #{state.outstanding + 1} "
+                    f"into a {depth}-deep ring with none consumed "
+                    f"(overwrote a live CQE)", snapshot())
+            state.outstanding += 1
+            self.checks[INV_CQ_PHASE] += 1
+            if cqe.phase != state.dev_phase:
+                self._violate(
+                    INV_CQ_PHASE,
+                    f"CQ{qid} produced a CQE with phase {cqe.phase} at "
+                    f"slot {state.dev_tail}, expected phase "
+                    f"{state.dev_phase}", snapshot())
+            state.dev_tail = (state.dev_tail + 1) % depth
+            if state.dev_tail == 0:
+                state.dev_phase ^= 1
 
         self._patch(dev_state, "post", post)
 

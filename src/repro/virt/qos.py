@@ -80,10 +80,6 @@ class TokenBucket:
         self._last_ns = 0.0
 
     @property
-    def limited(self) -> bool:
-        return self.rate_per_sec is not None
-
-    @property
     def full(self) -> bool:
         return self.tokens >= self.capacity
 

@@ -11,6 +11,7 @@ from repro.host.shadow import ShadowDoorbells
 from repro.nvme.completion import NvmeCompletion
 from repro.nvme.constants import SQE_SIZE
 from repro.nvme.queues import CompletionQueue, SubmissionQueue
+from repro.ssd.context import DeviceCqState
 
 
 def sqe(tag: int) -> bytes:
@@ -43,11 +44,26 @@ class TestSubmissionQueue:
 
 
 class TestCompletionQueue:
-    def fill_past_phase_flip(self, cq: CompletionQueue) -> None:
-        """Post a full ring (device phase flips), consume half of it."""
-        for cid in range(cq.depth):
-            cq.device_post(NvmeCompletion(cid=cid))
-        assert cq.device_phase == 0  # wrapped once
+    @staticmethod
+    def device_for(cq: CompletionQueue) -> DeviceCqState:
+        """The controller's producer state over *cq*'s ring."""
+        return DeviceCqState(qid=cq.qid, base_addr=cq.base_addr,
+                             depth=cq.depth)
+
+    def fill_past_phase_flip(self, cq: CompletionQueue,
+                             dev: DeviceCqState) -> None:
+        """Post a full lap (device phase flips), consume half of it.
+
+        The device keeps one slot free, so the lap's last post waits
+        for the host to consume (and report through its CQ-head
+        doorbell) the first CQE.
+        """
+        for cid in range(cq.depth - 1):
+            dev.post(NvmeCompletion(cid=cid), cq.memory)
+        assert cq.poll() is not None
+        dev.host_head = cq.head
+        dev.post(NvmeCompletion(cid=cq.depth - 1), cq.memory)
+        assert dev.phase == 0  # wrapped once
         for _ in range(cq.depth // 2):
             assert cq.poll() is not None
 
@@ -55,11 +71,12 @@ class TestCompletionQueue:
         memory = HostMemory()
         cq = CompletionQueue(qid=1, depth=4, memory=memory)
         base = cq.base_addr
-        self.fill_past_phase_flip(cq)
+        self.fill_past_phase_flip(cq, self.device_for(cq))
         cq.scrub()
         assert cq.base_addr == base
         assert cq.poll() is None  # zeroed slots read as empty again
-        cq.device_post(NvmeCompletion(cid=7))
+        # The controller's producer state is rebuilt at bring-up.
+        self.device_for(cq).post(NvmeCompletion(cid=7), memory)
         got = cq.poll()
         assert got is not None and got.cid == 7
 

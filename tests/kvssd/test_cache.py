@@ -5,12 +5,17 @@ import pytest
 from repro.kvssd.cache import ShardedReadCache
 
 
+def _fill(cache, key, value):
+    """Miss on *key*, then install *value* with the miss's token."""
+    return cache.commit_fill(cache.probe(key)[1], value)
+
+
 def test_lookup_miss_then_fill_then_hit():
     cache = ShardedReadCache(capacity=16, shards=4)
-    assert cache.lookup(b"k") is None
-    token = cache.begin_fill(b"k")
+    value, token = cache.probe(b"k")
+    assert value is None
     assert cache.commit_fill(token, b"v")
-    assert cache.lookup(b"k") == b"v"
+    assert cache.probe(b"k")[0] == b"v"
     assert cache.stats.hits == 1
     assert cache.stats.misses == 1
     assert cache.stats.fills == 1
@@ -18,10 +23,9 @@ def test_lookup_miss_then_fill_then_hit():
 
 def test_invalidate_drops_entry_and_counts():
     cache = ShardedReadCache(capacity=16)
-    token = cache.begin_fill(b"k")
-    cache.commit_fill(token, b"v")
+    _fill(cache, b"k", b"v")
     assert cache.invalidate(b"k")
-    assert cache.lookup(b"k") is None
+    assert cache.probe(b"k")[0] is None
     assert cache.stats.invalidations == 1
     # Invalidating an absent key is not an "invalidation" event.
     assert not cache.invalidate(b"absent")
@@ -32,13 +36,13 @@ def test_fill_race_discarded():
     """A fill begun before an invalidation must not install — the
     classic look-aside bug where a slow read resurrects a stale value."""
     cache = ShardedReadCache(capacity=16)
-    token = cache.begin_fill(b"k")
+    _value, token = cache.probe(b"k")
     cache.invalidate(b"k")  # a write landed mid-read-through
     assert not cache.commit_fill(token, b"stale")
     assert cache.peek(b"k") is None
     assert cache.stats.fill_races == 1
     # A fill started *after* the invalidation installs fine.
-    token = cache.begin_fill(b"k")
+    _value, token = cache.probe(b"k")
     assert cache.commit_fill(token, b"fresh")
     assert cache.peek(b"k") == b"fresh"
 
@@ -47,7 +51,7 @@ def test_neighbour_key_writes_do_not_fence_a_fill():
     """Fences are per key, not per shard: a busy neighbour must not
     discard every concurrent fill that happens to share its shard."""
     cache = ShardedReadCache(capacity=64, shards=1)  # force sharing
-    token = cache.begin_fill(b"cold")
+    _value, token = cache.probe(b"cold")
     for i in range(10):
         cache.invalidate(b"hot")
     assert cache.commit_fill(token, b"v")
@@ -57,7 +61,7 @@ def test_neighbour_key_writes_do_not_fence_a_fill():
 
 def test_clear_fences_all_in_flight_fills():
     cache = ShardedReadCache(capacity=16)
-    token = cache.begin_fill(b"k")
+    _value, token = cache.probe(b"k")
     cache.clear()
     assert not cache.commit_fill(token, b"stale")
     assert len(cache) == 0
@@ -67,7 +71,7 @@ def test_lru_eviction_per_shard():
     cache = ShardedReadCache(capacity=4, shards=1)
     for i in range(6):
         key = b"k%d" % i
-        cache.commit_fill(cache.begin_fill(key), b"v")
+        _fill(cache, key, b"v")
     assert len(cache) == 4
     assert cache.stats.evictions == 2
     # Oldest two fell out.
@@ -78,10 +82,10 @@ def test_lru_eviction_per_shard():
 
 def test_lookup_refreshes_recency():
     cache = ShardedReadCache(capacity=2, shards=1)
-    cache.commit_fill(cache.begin_fill(b"a"), b"1")
-    cache.commit_fill(cache.begin_fill(b"b"), b"2")
-    assert cache.lookup(b"a") == b"1"  # refresh a
-    cache.commit_fill(cache.begin_fill(b"c"), b"3")  # evicts b
+    _fill(cache, b"a", b"1")
+    _fill(cache, b"b", b"2")
+    assert cache.probe(b"a")[0] == b"1"  # refresh a
+    _fill(cache, b"c", b"3")  # evicts b
     assert cache.peek(b"a") == b"1"
     assert cache.peek(b"b") is None
 
@@ -111,9 +115,8 @@ def test_bad_parameters_rejected():
 def test_hit_rate():
     cache = ShardedReadCache(capacity=8)
     assert cache.stats.hit_rate == 0.0
-    cache.commit_fill(cache.begin_fill(b"k"), b"v")
-    cache.lookup(b"k")
-    cache.lookup(b"miss")
+    _fill(cache, b"k", b"v")  # one miss
+    cache.probe(b"k")  # one hit
     assert cache.stats.hit_rate == 0.5
     assert cache.stats.as_dict()["hit_rate"] == 0.5
 
@@ -137,7 +140,6 @@ def test_token_carries_the_keys_shard():
     for i in range(16):
         key = b"key-%d" % i
         assert cache.probe(key)[1][0] is cache._shard_for(key)
-        assert cache.begin_fill(key)[0] is cache._shard_for(key)
 
 
 def test_probe_miss_invalidated_before_its_fill_is_discarded():

@@ -385,3 +385,29 @@ def test_another_engines_parked_gets_do_not_hide_a_lost_completion():
     assert [w.attempts for w in writes] == [2, 1] and all(w.ok for w in writes)
     assert [g.data for g in gets] == list(values.values())
     assert reader.stats.timeouts == 0
+
+
+def test_an_engine_waits_only_for_a_die_its_own_command_is_parked_on():
+    """A round that resolved nothing waits for a die only when one of
+    this engine's commands is parked there: a writer whose one STORE
+    lost its CQE does not sleep the clock to a reader's busy die."""
+    tb, values = _rig([[b"alpha"]],
+                      fault_plan=FaultPlan.scheduled({DROP_CQE: [0]}))
+    _busy(tb, _die_of(tb, b"alpha"))  # 3 ms erase
+    reader = tb.make_engine(queues=1, qd=1)
+    (get,) = _park(tb, reader, [b"alpha"])
+    writer = IoEngine(tb.ssd, tb.driver, queues=[tb.driver.io_qids[1]],
+                      qd=1)
+    tb.ssd.faults.reset()  # the next I/O CQE is the one dropped
+    write = writer.submit(encode_store_payload(b"lost", b"v" * 100),
+                          opcode=KvOpcode.STORE)
+    ctrl = tb.ssd.controller
+    waited, start = ctrl.die_wait_ns, tb.ssd.clock.now
+    writer.poll()
+    assert ctrl.die_wait_ns == waited
+    assert tb.ssd.clock.now - start < 1_000_000  # well short of the die
+    assert len(ctrl._parked) == 1 and not get.done
+    writer.drain()
+    reader.drain()
+    assert write.ok and write.attempts == 2
+    assert get.ok and get.data == values[b"alpha"]

@@ -11,6 +11,7 @@ from repro.nvme.queues import (
     QueueFullError,
     SubmissionQueue,
 )
+from repro.ssd.context import DeviceCqState
 
 
 def _entry(i: int) -> bytes:
@@ -19,6 +20,22 @@ def _entry(i: int) -> bytes:
 
 def _sq(depth=8) -> SubmissionQueue:
     return SubmissionQueue(qid=1, depth=depth, memory=HostMemory())
+
+
+def _cq(depth: int):
+    """A host CQ and the device producer that posts into its ring."""
+    cq = CompletionQueue(qid=1, depth=depth, memory=HostMemory())
+    return cq, DeviceCqState(qid=1, base_addr=cq.base_addr, depth=depth)
+
+
+def _drain(cq: CompletionQueue, dev: DeviceCqState) -> list:
+    """Poll every visible CQE, then report the head as the CQ-head
+    doorbell does."""
+    out = []
+    while (cqe := cq.poll()) is not None:
+        out.append(cqe)
+    dev.host_head = cq.head
+    return out
 
 
 class TestSqWraparound:
@@ -64,26 +81,29 @@ class TestCqPhaseBit:
     def test_phase_flips_every_lap(self):
         """Poll sees every CQE exactly once across >= 3 phase flips."""
         depth = 4
-        cq = CompletionQueue(qid=1, depth=depth, memory=HostMemory())
+        cq, dev = _cq(depth)
         for i in range(3 * depth + 2):  # crosses the wrap 3 times
             assert cq.poll() is None  # nothing posted yet
-            cq.device_post(NvmeCompletion(cid=i & 0xFFFF))
-            cqe = cq.poll()
-            assert cqe is not None and cqe.cid == i & 0xFFFF
+            dev.post(NvmeCompletion(cid=i & 0xFFFF), cq.memory)
+            (cqe,) = _drain(cq, dev)  # consumed exactly once
+            assert cqe.cid == i & 0xFFFF
             assert cqe.phase == (1 if (i // depth) % 2 == 0 else 0)
-            assert cq.poll() is None  # consumed exactly once
 
     def test_stale_entries_invisible_after_wrap(self):
         """Old-phase entries from the previous lap never repeat."""
         depth = 4
-        cq = CompletionQueue(qid=1, depth=depth, memory=HostMemory())
-        for i in range(depth):
-            cq.device_post(NvmeCompletion(cid=i))
-        assert [c.cid for c in cq.drain()] == list(range(depth))
+        cq, dev = _cq(depth)
+        # Full is one less than the size: the last lap-1 slot is only
+        # posted once the host has consumed the first three.
+        for i in range(depth - 1):
+            dev.post(NvmeCompletion(cid=i), cq.memory)
+        assert [c.cid for c in _drain(cq, dev)] == list(range(depth - 1))
+        dev.post(NvmeCompletion(cid=depth - 1), cq.memory)
+        assert [c.cid for c in _drain(cq, dev)] == [depth - 1]
         # The ring is physically full of lap-1 entries; none may reappear.
         assert cq.poll() is None
-        cq.device_post(NvmeCompletion(cid=99))
-        assert [c.cid for c in cq.drain()] == [99]
+        dev.post(NvmeCompletion(cid=99), cq.memory)
+        assert [c.cid for c in _drain(cq, dev)] == [99]
 
 
 class TestDoorbellLocking:

@@ -14,6 +14,7 @@ from repro.nvme.queues import (
     QueueLock,
     SubmissionQueue,
 )
+from repro.ssd.context import DeviceCqState
 
 
 def _sq(depth=8):
@@ -84,15 +85,6 @@ class TestSubmissionQueue:
             assert sq.ring_doorbell() == 2
         assert sq.shadow_tail == 2
 
-    def test_device_pending_counts_from_doorbell(self):
-        sq = _sq()
-        with sq.lock:
-            sq.push_raw(_entry(0))
-            sq.push_raw(_entry(1))
-            sq.ring_doorbell()
-        assert sq.device_pending(0) == 2
-        assert sq.device_pending(1) == 1
-
     def test_head_report_frees_slots(self):
         sq = _sq(depth=4)
         with sq.lock:
@@ -132,39 +124,58 @@ class TestSubmissionQueue:
 
 
 class TestCompletionQueue:
+    """The host CQ consumes what the device's producer posts into the
+    same ring; each poll feeds the head back as the CQ-head doorbell
+    does."""
+
     def _cq(self, depth=4):
-        return CompletionQueue(qid=1, depth=depth, memory=HostMemory())
+        cq = CompletionQueue(qid=1, depth=depth, memory=HostMemory())
+        dev = DeviceCqState(qid=1, base_addr=cq.base_addr, depth=depth)
+        return cq, dev
+
+    @staticmethod
+    def _post(cq, dev, cid):
+        dev.post(NvmeCompletion(cid=cid), cq.memory)
+
+    @staticmethod
+    def _poll(cq, dev):
+        cqe = cq.poll()
+        dev.host_head = cq.head
+        return cqe
 
     def test_poll_empty_returns_none(self):
-        assert self._cq().poll() is None
+        cq, _dev = self._cq()
+        assert cq.poll() is None
 
     def test_post_then_poll(self):
-        cq = self._cq()
-        cq.device_post(NvmeCompletion(cid=5))
-        cqe = cq.poll()
+        cq, dev = self._cq()
+        self._post(cq, dev, 5)
+        cqe = self._poll(cq, dev)
         assert cqe is not None and cqe.cid == 5
         assert cq.poll() is None
 
     def test_phase_flips_on_wrap(self):
-        cq = self._cq(depth=4)
+        cq, dev = self._cq(depth=4)
         for i in range(10):
-            cq.device_post(NvmeCompletion(cid=i))
-            cqe = cq.poll()
+            self._post(cq, dev, i)
+            cqe = self._poll(cq, dev)
             assert cqe is not None and cqe.cid == i
 
     def test_drain(self):
-        cq = self._cq(depth=8)
+        cq, dev = self._cq(depth=8)
         for i in range(3):
-            cq.device_post(NvmeCompletion(cid=i))
-        cqes = cq.drain()
+            self._post(cq, dev, i)
+        cqes = []
+        while (cqe := self._poll(cq, dev)) is not None:
+            cqes.append(cqe)
         assert [c.cid for c in cqes] == [0, 1, 2]
-        assert cq.drain() == []
+        assert cq.poll() is None
 
     def test_stale_entry_not_consumed(self):
         """After a full wrap, an old-phase entry must not be re-read."""
-        cq = self._cq(depth=2)
-        cq.device_post(NvmeCompletion(cid=1))
-        assert cq.poll().cid == 1
+        cq, dev = self._cq(depth=2)
+        self._post(cq, dev, 1)
+        assert self._poll(cq, dev).cid == 1
         # Nothing new posted: the old entry at slot 1... slot 0 holds a
         # stale phase-1 CQE but head now points at slot 1 (phase 1 expected)
         assert cq.poll() is None

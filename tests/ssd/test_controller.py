@@ -106,8 +106,11 @@ def test_dispatch_local_unknown_opcode(tb):
 
 def test_registering_duplicate_queue_rejected(tb):
     res = tb.driver.queue(1)
+    ctrl = tb.ssd.controller
     with pytest.raises(ValueError):
-        tb.ssd.controller.register_queue_pair(res.sq, res.cq)
+        ctrl.create_cq(1, res.cq.base_addr, res.cq.depth)
+    with pytest.raises(ValueError):
+        ctrl.create_sq(1, res.sq.base_addr, res.sq.depth, cq_qid=1)
 
 
 def test_invalid_mode_rejected():

@@ -127,36 +127,45 @@ def test_window_growing_head_report_flagged():
     assert "grew the in-flight window" in str(exc.value)
 
 
+def _monitor_device_cq(tb, buggy_post):
+    """Install *buggy_post* as CQ 1's device producer, then attach a
+    monitor that wraps it through ``attach_controller``."""
+    ctrl = tb.ssd.controller
+    dev = ctrl._cqs[1]
+    object.__setattr__(dev, "post", buggy_post)
+    mon = ProtocolMonitor()
+    mon.attach_cq(tb.driver.queue(1).cq)
+    mon.attach_controller(ctrl)
+    return mon, dev
+
+
 def test_wrong_phase_completion_flagged():
     tb = _tb()
-    cq = tb.driver.queue(1).cq
 
-    def buggy_post(cqe):  # forgets to stamp the device phase
-        return 0
+    def buggy_post(cqe, memory):  # forgets to stamp the device phase
+        pass
 
-    object.__setattr__(cq, "device_post", buggy_post)
-    mon = ProtocolMonitor()
-    mon.attach_cq(cq)
+    _mon, dev = _monitor_device_cq(tb, buggy_post)
     with pytest.raises(InvariantViolation) as exc:
-        cq.device_post(NvmeCompletion(cid=1, phase=0))  # expected phase 1
+        # expected phase 1
+        dev.post(NvmeCompletion(cid=1, phase=0), tb.driver.memory)
     assert exc.value.rule == INV_CQ_PHASE
 
 
 def test_cq_overrun_flagged_with_unguarded_producer():
     tb = _tb()
-    cq = tb.driver.queue(1).cq
 
-    def buggy_post(cqe):  # the pre-fix producer: no overrun guard
-        return 0
+    def buggy_post(cqe, memory):  # the pre-fix producer: no overrun guard
+        pass
 
-    object.__setattr__(cq, "device_post", buggy_post)
-    mon = ProtocolMonitor()
-    mon.attach_cq(cq)
-    for _ in range(cq.depth):  # legal: fill the ring completely
-        cq.device_post(NvmeCompletion(cid=1, phase=1))
+    mon, dev = _monitor_device_cq(tb, buggy_post)
+    memory = tb.driver.memory
+    for _ in range(dev.depth):  # no live CQE overwritten yet
+        dev.post(NvmeCompletion(cid=1, phase=1), memory)
     assert mon.violations == []
     with pytest.raises(InvariantViolation) as exc:
-        cq.device_post(NvmeCompletion(cid=1, phase=0))  # lap 2, none read
+        # lap 2, none read
+        dev.post(NvmeCompletion(cid=1, phase=0), memory)
     assert exc.value.rule == INV_CQ_OVERRUN
 
 

@@ -1,11 +1,11 @@
 """Regression tests for the two real protocol bugs the PR 4 monitor
 surfaced.
 
-1. ``CompletionQueue.device_post`` silently overwrote an unconsumed CQE
-   once ``depth`` completions were outstanding (the phase bit makes a
-   completely full ring legal, so the old one-slot-free heuristic did
-   not apply).  Fixed with an ``outstanding`` counter and a loud
-   ``CqOverrunError``.
+1. A CQ producer silently overwrote an unconsumed CQE once the ring
+   was full.  The one producer, ``DeviceCqState.post``, applies NVMe's
+   "full is one less than the size" rule against the host head it
+   learns from the CQ-head doorbell, and refuses the post that would
+   make its tail meet that head with a loud ``CqOverrunError``.
 
 2. The driver reallocated the CID of an *abandoned* command while the
    device could still complete it, so the late CQE resolved the wrong
@@ -21,40 +21,73 @@ from repro.nvme.command import NvmeCommand
 from repro.nvme.completion import NvmeCompletion
 from repro.nvme.constants import IoOpcode
 from repro.nvme.queues import CompletionQueue, CqOverrunError
+from repro.ssd.context import DeviceCqState
 from repro.testbed import make_block_testbed
 
 
-def _cq(depth=4):
-    return CompletionQueue(qid=1, depth=depth, memory=HostMemory())
+class _Ring:
+    """A host CQ and the device producer posting into its ring."""
+
+    def __init__(self, depth: int) -> None:
+        self.cq = CompletionQueue(qid=1, depth=depth, memory=HostMemory())
+        self.dev = DeviceCqState(qid=1, base_addr=self.cq.base_addr,
+                                 depth=depth)
+
+    def post(self, cid: int) -> None:
+        self.dev.post(NvmeCompletion(cid=cid), self.cq.memory)
+
+    def poll(self) -> NvmeCompletion:
+        """Consume one CQE and report the head, as the CQ-head
+        doorbell does."""
+        cqe = self.cq.poll()
+        self.dev.host_head = self.cq.head
+        return cqe
+
+    def unconsumed(self) -> int:
+        return (self.dev.tail - self.cq.head) % self.cq.depth
 
 
 class TestCqOverrunGuard:
-    def test_ring_may_fill_completely(self):
-        """Phase bit, not a sacrificed slot: depth posts are legal."""
-        cq = _cq(depth=4)
-        for cid in range(4):
-            cq.device_post(NvmeCompletion(cid=cid))
-        assert cq.outstanding == 4
+    def test_full_ring_keeps_one_slot_free(self):
+        """NVMe's rule: full is one less than the size, so depth - 1
+        posts fit and the next raises with the ring untouched, wherever
+        the head sits (here one lap and a slot in)."""
+        ring = _Ring(depth=4)
+        for cid in range(5):
+            ring.post(cid)
+            assert ring.poll().cid == cid
+        assert ring.dev.phase == 0
+        for cid in range(3):
+            ring.post(cid)
+        assert ring.unconsumed() == 3
+        with pytest.raises(CqOverrunError):
+            ring.post(99)
+        assert ring.unconsumed() == 3
+        # The unconsumed completions survive intact, in order.
+        assert [ring.poll().cid for _ in range(3)] == [0, 1, 2]
+        assert ring.cq.poll() is None
 
     def test_post_into_full_ring_raises_instead_of_overwriting(self):
-        cq = _cq(depth=4)
-        for cid in range(4):
-            cq.device_post(NvmeCompletion(cid=cid))
+        ring = _Ring(depth=4)
+        for cid in range(3):
+            ring.post(cid)
         with pytest.raises(CqOverrunError):
-            cq.device_post(NvmeCompletion(cid=99))
+            ring.post(99)
         # The unconsumed completions survive intact, in order.
-        assert [cq.poll().cid for _ in range(4)] == [0, 1, 2, 3]
+        assert [ring.poll().cid for _ in range(3)] == [0, 1, 2]
 
     def test_poll_frees_space_for_the_next_post(self):
-        cq = _cq(depth=2)
-        cq.device_post(NvmeCompletion(cid=0))
-        cq.device_post(NvmeCompletion(cid=1))
-        assert cq.poll().cid == 0
-        assert cq.outstanding == 1
-        cq.device_post(NvmeCompletion(cid=2))  # would have raised before
-        assert cq.poll().cid == 1
-        assert cq.poll().cid == 2
-        assert cq.outstanding == 0
+        ring = _Ring(depth=2)
+        ring.post(0)
+        with pytest.raises(CqOverrunError):
+            ring.post(1)  # depth 2 holds one unconsumed CQE
+        assert ring.poll().cid == 0
+        assert ring.unconsumed() == 0
+        ring.post(1)  # the reported head freed the slot
+        assert ring.poll().cid == 1
+        ring.post(2)
+        assert ring.poll().cid == 2
+        assert ring.unconsumed() == 0
 
     def test_controller_reexports_the_same_exception(self):
         from repro.ssd.controller import CqOverrunError as CtrlError
