@@ -33,8 +33,7 @@ cdw15
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional, Tuple
+from typing import TYPE_CHECKING, List, NamedTuple, Optional, Tuple
 
 from repro.core.chunking import CHUNK_SIZE
 from repro.core.inline_command import MAX_INLINE_BYTES, make_inline_command
@@ -77,13 +76,15 @@ def _stage(driver: "NvmeDriver", data: bytes) -> Tuple[int, List[int]]:
     fetch).  A payload larger than the controller's maximum data
     transfer size (Identify MDTS) is refused before anything is
     allocated."""
-    if len(data) > driver.identify.max_transfer_bytes:
+    n = len(data)
+    limit = driver.identify.max_transfer_bytes
+    if n > limit:
         raise DriverError(
-            f"payload of {len(data)} B exceeds the controller's maximum "
-            f"data transfer size ({driver.identify.max_transfer_bytes} B)")
-    pages = driver.memory.alloc_pages(
-        max(1, (len(data) + PAGE_SIZE - 1) // PAGE_SIZE))
-    driver.memory.write(pages[0], data)
+            f"payload of {n} B exceeds the controller's maximum "
+            f"data transfer size ({limit} B)")
+    memory = driver.memory
+    pages = memory.alloc_pages((n + PAGE_SIZE - 1) // PAGE_SIZE or 1)
+    memory.write(pages[0], data)
     return pages[0], pages
 
 
@@ -95,19 +96,20 @@ class PrpWriteCodec(HostCodec):
     def encode(self, driver: "NvmeDriver", cmd: NvmeCommand, data: bytes,
                qid: int, *, ring: bool = True,
                payload_id: Optional[int] = None) -> int:
-        if not data:
+        n = len(data)
+        if not n:
             raise DriverError("PRP write requires a payload")
         res = driver.queue(qid)
         addr, data_pages = _stage(driver, data)
-        mapping = build_prps(driver.memory, addr, len(data))
-        cmd.cid = driver._alloc_cid(res)
-        res.pending_pages.setdefault(cmd.cid, []).extend(
-            list(mapping.list_pages) + data_pages)
+        mapping = build_prps(driver.memory, addr, n)
+        cid = cmd.cid = driver._alloc_cid(res)
+        # A fresh CID owns no pages yet: retirement pops them.
+        res.pending_pages[cid] = mapping.list_pages + data_pages
         cmd.prp1 = mapping.prp1
         cmd.prp2 = mapping.prp2
-        cmd.cdw12 = len(data)
+        cmd.cdw12 = n
         driver._push_sqe(res, cmd, ring)
-        return cmd.cid
+        return cid
 
 
 class SglWriteCodec(HostCodec):
@@ -257,6 +259,12 @@ class TaggedInlineWriteCodec(HostCodec):
 # BandSlim: the payload split across a sequence of vendor commands
 # ----------------------------------------------------------------------
 _LAST_FLAG = 1 << 8
+#: The 32 payload bytes a fragment carries, in field order: mptr, prp1,
+#: prp2 (8 B each), then cdw12 and cdw15 (4 B each).
+_FRAGMENT_FIELDS = struct.Struct("<QQQII")
+assert _FRAGMENT_FIELDS.size == BANDSLIM_FRAGMENT_CAPACITY
+#: Read once: an enum class attribute costs a lookup on every access.
+_FRAG_OPCODE = VendorOpcode.BANDSLIM_FRAG
 
 
 def fragment_count(payload_len: int) -> int:
@@ -274,22 +282,27 @@ def pack_fragment(stream: int, seq: int, total_len: int, frag: bytes,
     offset) in the fragment's CDW3 — CDW2 must stay zero so the fragment
     is never mistaken for a ByteExpress command.
     """
-    if not 0 < len(frag) <= BANDSLIM_FRAGMENT_CAPACITY:
+    n = len(frag)
+    if not 0 < n <= BANDSLIM_FRAGMENT_CAPACITY:
         raise ValueError(
             f"fragment must be 1..{BANDSLIM_FRAGMENT_CAPACITY} bytes")
-    padded = frag + b"\x00" * (BANDSLIM_FRAGMENT_CAPACITY - len(frag))
-    mptr, prp1, prp2 = struct.unpack("<QQQ", padded[:24])
-    cdw12, cdw15 = struct.unpack("<II", padded[24:32])
-    cdw11 = len(frag) | (_LAST_FLAG if last else 0) | ((target_opcode & 0xFF) << 16)
-    return NvmeCommand(opcode=VendorOpcode.BANDSLIM_FRAG,
-                       cdw3=target_cdw10,
-                       cdw10=stream, cdw11=cdw11, cdw13=seq, cdw14=total_len,
-                       mptr=mptr, prp1=prp1, prp2=prp2,
-                       cdw12=cdw12, cdw15=cdw15)
+    mptr, prp1, prp2, cdw12, cdw15 = _FRAGMENT_FIELDS.unpack(
+        frag + b"\x00" * (BANDSLIM_FRAGMENT_CAPACITY - n))
+    # Positional, in field order: opcode, flags, cid, nsid, cdw2, cdw3,
+    # mptr, prp1, prp2, cdw10 .. cdw15.
+    return NvmeCommand(
+        _FRAG_OPCODE, 0, 0, 0, 0, target_cdw10, mptr, prp1, prp2, stream,
+        n | (_LAST_FLAG if last else 0) | ((target_opcode & 0xFF) << 16),
+        cdw12, seq, total_len, cdw15)
 
 
-@dataclass(frozen=True)
-class FragmentView:
+class FragmentView(NamedTuple):
+    """One decoded BandSlim fragment (device side).
+
+    A named tuple: immutable, and built without the per-field
+    ``__setattr__`` calls a frozen dataclass pays on every fragment.
+    """
+
     stream: int
     seq: int
     total_len: int
@@ -301,17 +314,17 @@ class FragmentView:
 
 def unpack_fragment(cmd: NvmeCommand) -> FragmentView:
     """Decode a vendor fragment command (device side)."""
-    if cmd.opcode != VendorOpcode.BANDSLIM_FRAG:
+    if cmd.opcode != _FRAG_OPCODE:
         raise ValueError(f"not a BandSlim fragment: opcode {cmd.opcode:#x}")
-    frag_len = cmd.cdw11 & 0xFF
+    cdw11 = cmd.cdw11
+    frag_len = cdw11 & 0xFF
     if not 0 < frag_len <= BANDSLIM_FRAGMENT_CAPACITY:
         raise ValueError(f"bad fragment length {frag_len}")
-    raw = (struct.pack("<QQQ", cmd.mptr, cmd.prp1, cmd.prp2)
-           + struct.pack("<II", cmd.cdw12, cmd.cdw15))
-    return FragmentView(stream=cmd.cdw10, seq=cmd.cdw13, total_len=cmd.cdw14,
-                        data=raw[:frag_len], last=bool(cmd.cdw11 & _LAST_FLAG),
-                        target_opcode=(cmd.cdw11 >> 16) & 0xFF,
-                        target_cdw10=cmd.cdw3)
+    raw = _FRAGMENT_FIELDS.pack(cmd.mptr, cmd.prp1, cmd.prp2, cmd.cdw12,
+                                cmd.cdw15)
+    return FragmentView(cmd.cdw10, cmd.cdw13, cmd.cdw14, raw[:frag_len],
+                        (cdw11 & _LAST_FLAG) != 0, (cdw11 >> 16) & 0xFF,
+                        cmd.cdw3)
 
 
 class FragmentWriteCodec(HostCodec):
@@ -333,15 +346,16 @@ class FragmentWriteCodec(HostCodec):
     def encode(self, driver: "NvmeDriver", cmd: NvmeCommand, data: bytes,
                qid: int, *, ring: bool = True,
                payload_id: Optional[int] = None) -> int:
-        if not data:
+        total = len(data)
+        if not total:
             raise DriverError("BandSlim write requires a payload")
         res = driver.queue(qid)
-        total = len(data)
         count = fragment_count(total)
-        if count > res.sq.space():
+        space = res.sq.space()
+        if count > space:
             raise QueueFullError(
                 f"payload needs {count} fragment commands but SQ{qid} has "
-                f"{res.sq.space()} free slots")
+                f"{space} free slots")
         clock = driver.clock
         timing = driver.timing
         # The fragment-management software layer (per payload).
@@ -352,11 +366,12 @@ class FragmentWriteCodec(HostCodec):
         cmd.cid = cids[last]
         stream = driver._bind_payload_id(res, cmd.cid, payload_id)
         cap = BANDSLIM_FRAGMENT_CAPACITY
+        opcode = cmd.opcode
+        cdw10 = cmd.cdw10
         for seq, cid in enumerate(cids):
             frag = pack_fragment(stream, seq, total,
                                  data[seq * cap:(seq + 1) * cap],
-                                 last=seq == last, target_opcode=cmd.opcode,
-                                 target_cdw10=cmd.cdw10)
+                                 seq == last, opcode, cdw10)
             frag.cid = cid
             clock.advance(timing.bandslim_frag_host_ns)
             driver._push_sqe(res, frag, ring and seq == last)

@@ -68,9 +68,19 @@ class PrpDecoder(DeviceDecoder):
 
     def pull(self, ctrl: "NvmeController", cmd: NvmeCommand,
              nbytes: int) -> bytes:
-        """Host→device data transfer over PRP (LBA-granular on the wire)."""
-        with ctrl.clock.span("ctrl.data_transfer"):
-            ctrl.clock.advance(ctrl.timing.prp_dma_setup_ns)
+        """Host→device data transfer over PRP (LBA-granular on the wire).
+
+        The span closes through ``span_end`` rather than a scope object,
+        and each segment's read batch comes from the link's memo
+        (:meth:`~repro.pcie.link.PCIeLink.dma_read_batch`).
+        """
+        clock = ctrl.clock
+        start = clock.now
+        try:
+            timing = ctrl.timing
+            link = ctrl.link
+            memory = ctrl.host_memory
+            clock.advance(timing.prp_dma_setup_ns)
             segments = walk_prps(cmd.prp1, cmd.prp2, nbytes,
                                  lambda addr: self._read_list_page(ctrl, addr),
                                  fetch_granularity=ctrl.config.lba_bytes)
@@ -78,17 +88,19 @@ class PrpDecoder(DeviceDecoder):
             wire_bytes = 0
             fetched = 0
             for seg in segments:
-                payload += ctrl.host_memory.read(seg.addr, seg.nbytes)
-                batch = tlpmod.device_dma_read(seg.fetch_bytes,
-                                               ctrl.link.config)
-                ctrl.link.record_only(CAT_DATA, batch)
+                payload += memory.read(seg.addr, seg.nbytes)
+                fetch = seg.fetch_bytes
+                batch = link.dma_read_batch(fetch)
+                link.record_only(CAT_DATA, batch)
                 wire_bytes += batch.total_bytes
-                fetched += seg.fetch_bytes
-            ctrl.clock.advance(ctrl.link.serialisation_ns(wire_bytes)
-                               + ctrl.timing.host_mem_read_ns
-                               + ctrl.timing.link_propagation_ns * 2)
-            ctrl.clock.advance(ctrl.timing.dram_copy_per_kb_ns
-                               * fetched / 1024.0)
+                fetched += fetch
+            # ``link.serialisation_ns(wire_bytes)``, inlined.
+            clock.advance(wire_bytes / link._bytes_per_ns
+                          + timing.host_mem_read_ns
+                          + timing.link_propagation_ns * 2)
+            clock.advance(timing.dram_copy_per_kb_ns * fetched / 1024.0)
+        finally:
+            clock.span_end("ctrl.data_transfer", start)
         return bytes(payload)
 
     def push(self, ctrl: "NvmeController", cmd: NvmeCommand,
@@ -196,6 +208,20 @@ PRP_DECODER = PrpDecoder()
 SGL_DECODER = SglDecoder()
 
 
+#: The decoder each defined PSDT value selects; the reserved 3 has none.
+_DECODER_BY_PSDT = {psdt: PRP_DECODER if psdt == Psdt.PRP else SGL_DECODER
+                    for psdt in Psdt}
+
+
 def decoder_for_psdt(psdt: int) -> DeviceDecoder:
-    """The data-pointer decoder a command's PSDT field selects."""
-    return PRP_DECODER if psdt == Psdt.PRP else SGL_DECODER
+    """The data-pointer decoder a command's PSDT field selects.
+
+    Takes the field as a plain int (``(cmd.flags >> 6) & 0b11``), so the
+    hot path builds no :class:`Psdt` enum, and refuses a value
+    :class:`Psdt` does not define with :class:`ValueError`, as the enum
+    would.
+    """
+    try:
+        return _DECODER_BY_PSDT[psdt]
+    except KeyError:
+        raise ValueError(f"{psdt} is not a valid Psdt") from None

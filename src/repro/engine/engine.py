@@ -316,7 +316,7 @@ class IoEngine:
 
         guard = 0
         while True:
-            qid = self.scheduler.pick(stream=entry.stream, fits=fits)
+            qid = self.scheduler.pick(entry.stream, fits)
             if qid is not None:
                 self._submit_entry(entry, qid)
                 return

@@ -121,7 +121,8 @@ class MultiQueueScheduler:
         self.inflight[qid] += 1
 
     def note_complete(self, qid: int) -> None:
-        if self.inflight.get(qid, 0) <= 0:
+        inflight = self.inflight
+        if qid not in inflight or inflight[qid] <= 0:
             raise SchedulerError(
                 f"completion accounting underflow on qid {qid}")
-        self.inflight[qid] -= 1
+        inflight[qid] -= 1

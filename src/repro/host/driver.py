@@ -168,6 +168,9 @@ class NvmeDriver:
         self.shadow_wakes = 0
         #: Every queue pair by qid: the admin pair is qid 0, the lowest.
         self._queues: Dict[int, _QueueResources] = {}
+        #: :meth:`default_qid`'s answer, kept until a queue pair is
+        #: created or deleted (None: not known yet).
+        self._default_qid: Optional[int] = None
         #: The QD-1 engine per qid (admin and ``passthru``), built lazily.
         self._engines: Dict[int, "IoEngine"] = {}
         #: One payload/stream-id space per driver, shared by every path
@@ -261,6 +264,7 @@ class NvmeDriver:
             cdw11=0b1 | (qid << 16))
         self._admin_command(create_sq)
         self._queues[qid] = res
+        self._default_qid = None
         self.ssd.durability.register(f"nvme.sq{qid}", DEVICE_VOLATILE, res.sq)
         self.ssd.durability.register(f"nvme.cq{qid}", DEVICE_VOLATILE, res.cq)
 
@@ -307,6 +311,7 @@ class NvmeDriver:
         for opcode in (AdminOpcode.DELETE_SQ, AdminOpcode.DELETE_CQ):
             self._admin_command(NvmeCommand(opcode=opcode, cdw10=qid))
         del self._queues[qid]
+        self._default_qid = None
         self._engines.pop(qid, None)
         self.ssd.durability.unregister(f"nvme.sq{qid}")
         self.ssd.durability.unregister(f"nvme.cq{qid}")
@@ -373,11 +378,19 @@ class NvmeDriver:
         return sorted(self._queues)[1:]  # [0] is the admin pair
 
     def default_qid(self) -> int:
-        """The lowest I/O qid: where a command goes when none is named."""
-        try:
-            return sorted(self._queues)[1]  # [0] is the admin pair
-        except IndexError:
-            raise DriverError("no I/O queue exists") from None
+        """The lowest I/O qid: where a command goes when none is named.
+
+        Sorted once per queue-pair create or delete, not per command:
+        every ``passthru`` that names no queue asks.
+        """
+        qid = self._default_qid
+        if qid is None:
+            try:
+                qid = sorted(self._queues)[1]  # [0] is the admin pair
+            except IndexError:
+                raise DriverError("no I/O queue exists") from None
+            self._default_qid = qid
+        return qid
 
     def queue(self, qid: int) -> _QueueResources:
         try:
@@ -553,7 +566,11 @@ class NvmeDriver:
             return
         self.link.host_mmio_write(4, CAT_DOORBELL)
         self.clock.advance(self.timing.doorbell_write_ns)
-        if self.faults.fire(DROP_DOORBELL):
+        # ``faults.fire(DROP_DOORBELL)`` with its countdown step inlined.
+        left = self.faults.left
+        if left[DROP_DOORBELL]:
+            left[DROP_DOORBELL] -= 1
+        elif self.faults.fire(DROP_DOORBELL):
             # The posted write left the root complex but never landed:
             # the host paid the cost, the device's tail stays stale.
             return
@@ -724,13 +741,15 @@ class NvmeDriver:
 
             engine = self._engines[qid] = IoEngine(
                 self.ssd, self, queues=(qid,), qd=1)
-        start_ns = self.clock.now
-        start_bytes = self.link.counter.total_bytes
+        clock = self.clock
+        counter = self.link.counter
+        start_ns = clock.now
+        start_bytes = counter.total_bytes
         name = method.name if isinstance(method, DatapathSpec) else method
-        if req.is_write:
-            future = engine.submit(req.data, name, opcode=req.opcode,
-                                   cdw10=req.cdw10, cdw11=req.cdw11,
-                                   nsid=req.nsid)
+        if req.data is not None:  # ``req.is_write``
+            # Positional: (payload, method, opcode, cdw10, cdw11, nsid).
+            future = engine.submit(req.data, name, req.opcode, req.cdw10,
+                                   req.cdw11, req.nsid)
         else:
             future = engine.submit_read(
                 req.read_len, req.opcode, cdw10=req.cdw10, cdw11=req.cdw11,
@@ -742,7 +761,8 @@ class NvmeDriver:
             raise CommandTimeoutError(
                 f"command on SQ{qid} produced no completion within "
                 f"{future.attempts} attempt(s)")
-        return PassthruResult(
-            status=cqe.status, result=cqe.result, data=future.data,
-            latency_ns=self.clock.now - start_ns,
-            pcie_bytes=self.link.counter.total_bytes - start_bytes)
+        # Positional, in field order: status, result, data, latency_ns,
+        # pcie_bytes.
+        return PassthruResult(cqe.status, cqe.result, future.data,
+                              clock.now - start_ns,
+                              counter.total_bytes - start_bytes)

@@ -7,7 +7,7 @@ read by the device over PCIe.  The model is a sparse map of 4 KB frames.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 from repro.sim.config import PAGE_SIZE
 
@@ -54,12 +54,16 @@ class HostMemory:
             raise MemoryError(f"double free of host page {addr:#x}")
 
     # -- access -----------------------------------------------------------
-    def _frame(self, addr: int) -> bytearray:
-        base = addr & ~(PAGE_SIZE - 1)
-        frame = self._frames.get(base)
-        if frame is None:
-            raise MemoryError(f"access to unmapped host address {addr:#x}")
-        return frame
+    def frame_at(self, addr: int) -> Tuple[bytearray, int]:
+        """The 4 KB frame holding *addr* and *addr*'s offset in it, for
+        in-place access (the host's CQ poll tests a phase bit there);
+        an unmapped address raises :class:`MemoryError`."""
+        in_page = addr & (PAGE_SIZE - 1)
+        try:
+            return self._frames[addr - in_page], in_page
+        except KeyError:
+            raise MemoryError(
+                f"access to unmapped host address {addr:#x}") from None
 
     def write(self, addr: int, data: bytes) -> None:
         """Write *data* starting at *addr*, possibly spanning pages."""
@@ -77,10 +81,8 @@ class HostMemory:
             return
         off = 0
         while off < n:
-            base = (addr + off) & ~(PAGE_SIZE - 1)
-            in_page = (addr + off) - base
+            frame, in_page = self.frame_at(addr + off)
             take = min(n - off, PAGE_SIZE - in_page)
-            frame = self._frame(addr + off)
             frame[in_page:in_page + take] = data[off:off + take]
             off += take
 
@@ -97,10 +99,8 @@ class HostMemory:
         out = bytearray()
         off = 0
         while off < nbytes:
-            base = (addr + off) & ~(PAGE_SIZE - 1)
-            in_page = (addr + off) - base
+            frame, in_page = self.frame_at(addr + off)
             take = min(nbytes - off, PAGE_SIZE - in_page)
-            frame = self._frame(addr + off)
             out += frame[in_page:in_page + take]
             off += take
         return bytes(out)

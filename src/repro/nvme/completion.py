@@ -56,14 +56,18 @@ class NvmeCompletion:
 
     @classmethod
     def unpack(cls, raw: bytes) -> "NvmeCompletion":
-        try:
-            result, _rsvd, sq_head, sq_id, cid, dw3_hi = (
-                _CQE_STRUCT.unpack(raw))
-        except struct.error:
-            # The struct format is exactly CQE_SIZE bytes: a size
-            # mismatch is the only way a bytes-like input fails here.
-            raise ValueError(
-                f"CQE must be {CQE_SIZE} bytes, got {len(raw)}") from None
+        # The struct format is exactly CQE_SIZE bytes: anything else is
+        # refused, as ``struct.unpack`` would refuse it.
+        if len(raw) != CQE_SIZE:
+            raise ValueError(f"CQE must be {CQE_SIZE} bytes, got {len(raw)}")
+        return cls.unpack_from(raw, 0)
+
+    @classmethod
+    def unpack_from(cls, buf, offset: int) -> "NvmeCompletion":
+        """Parse the 16-byte CQE at *offset* of *buf* (a ring's host
+        frame) in place, without copying it out first."""
+        result, _rsvd, sq_head, sq_id, cid, dw3_hi = (
+            _CQE_STRUCT.unpack_from(buf, offset))
         # Positional construction: this sits on the host's CQ poll path.
         return cls(result, sq_head, sq_id, cid,
                    dw3_hi & 1, (dw3_hi >> 1) & 0x3FFF,

@@ -15,7 +15,7 @@ from typing import Optional
 from repro.nvme.constants import DEFAULT_NSID, StatusCode
 
 
-@dataclass
+@dataclass(slots=True)
 class PassthruRequest:
     """Mirror of ``struct nvme_passthru_cmd``: a raw command plus a user
     data buffer the driver must map for the transfer."""
@@ -55,7 +55,7 @@ class PassthruRequest:
         return len(self.data) if self.data is not None else self.read_len
 
 
-@dataclass
+@dataclass(slots=True)
 class PassthruResult:
     """Completion surfaced back through the ioctl."""
 

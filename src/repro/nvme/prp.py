@@ -15,7 +15,7 @@ and the page-rounded fetch sizes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List
+from typing import Callable, List, NamedTuple
 
 from repro.host.memory import HostMemory
 from repro.nvme.constants import PAGE_SIZE, PRP_ENTRY_SIZE
@@ -24,7 +24,7 @@ from repro.nvme.constants import PAGE_SIZE, PRP_ENTRY_SIZE
 ENTRIES_PER_LIST_PAGE = PAGE_SIZE // PRP_ENTRY_SIZE
 
 
-@dataclass
+@dataclass(slots=True)
 class PrpMapping:
     """Host-side result of PRP construction for one buffer."""
 
@@ -55,14 +55,13 @@ def build_prps(memory: HostMemory, addr: int, nbytes: int) -> PrpMapping:
     """
     npages = page_count(addr, nbytes)
     first_page = addr - (addr % PAGE_SIZE)
-    page_addrs = [addr] + [first_page + PAGE_SIZE * i for i in range(1, npages)]
 
     if npages == 1:
-        return PrpMapping(prp1=addr, prp2=0)
+        return PrpMapping(addr, 0)
     if npages == 2:
-        return PrpMapping(prp1=addr, prp2=page_addrs[1])
+        return PrpMapping(addr, first_page + PAGE_SIZE)
 
-    remaining = page_addrs[1:]
+    remaining = [first_page + PAGE_SIZE * i for i in range(1, npages)]
     list_pages: List[int] = []
     first_list = memory.alloc_page()
     list_pages.append(first_list)
@@ -84,9 +83,13 @@ def build_prps(memory: HostMemory, addr: int, nbytes: int) -> PrpMapping:
     return PrpMapping(prp1=addr, prp2=first_list, list_pages=list_pages)
 
 
-@dataclass(frozen=True)
-class PrpSegment:
-    """One contiguous host-memory region of a PRP transfer."""
+class PrpSegment(NamedTuple):
+    """One contiguous host-memory region of a PRP transfer.
+
+    A named tuple: immutable, and built without the per-field
+    ``__setattr__`` calls a frozen dataclass pays, since the device
+    builds one per page of every PRP data pull.
+    """
 
     addr: int
     nbytes: int          # exact bytes of payload in this page
@@ -143,13 +146,14 @@ def walk_prps(
 
     segments: List[PrpSegment] = []
     remaining = nbytes
-    for i, addr in enumerate(entries):
-        in_page = PAGE_SIZE - (offset if i == 0 else 0)
-        take = min(remaining, in_page)
+    in_page = PAGE_SIZE - offset  # the first entry may carry an offset
+    for addr in entries:
+        take = remaining if remaining < in_page else in_page
         fetch = -(-take // fetch_granularity) * fetch_granularity
-        segments.append(PrpSegment(addr=addr, nbytes=take,
-                                   fetch_bytes=min(fetch, PAGE_SIZE)))
+        segments.append(PrpSegment(
+            addr, take, fetch if fetch < PAGE_SIZE else PAGE_SIZE))
         remaining -= take
+        in_page = PAGE_SIZE
     if remaining != 0:
         raise ValueError("PRP entries do not cover the transfer length")
     return segments

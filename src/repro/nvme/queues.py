@@ -49,6 +49,8 @@ class QueueLock:
     driver's locking discipline rather than to provide mutual exclusion.
     """
 
+    __slots__ = ("_held", "acquisitions")
+
     def __init__(self) -> None:
         self._held = False
         self.acquisitions = 0
@@ -64,7 +66,7 @@ class QueueLock:
         self.acquisitions += 1
         return self
 
-    def __exit__(self, *exc: object) -> None:
+    def __exit__(self, exc_type: object, exc: object, tb: object) -> None:
         self._held = False
 
 
@@ -178,16 +180,21 @@ class CompletionQueue:
 
     # -- host operations -----------------------------------------------------
     def poll(self) -> Optional[NvmeCompletion]:
-        """Consume the next completion if its phase bit matches; else None."""
+        """Consume the next completion if its phase bit matches; else None.
+
+        The phase bit lives in bit 0 of DW3's high half-word (byte 14).
+        It is tested in place in the ring's host frame, so an empty slot
+        costs no copy and no CQE object.  The ring is page-aligned and a
+        16 B slot never straddles a page; an unmapped ring raises
+        :class:`MemoryError` (:meth:`HostMemory.frame_at`).
+        """
         head = self.head
         depth = self.depth
-        raw = self.memory.read(self.base_addr + (head % depth) * CQE_SIZE,
-                               CQE_SIZE)
-        # Phase bit lives in bit 0 of DW3's high half-word (byte 14):
-        # check it on the raw bytes so an empty slot costs no CQE object.
-        if (raw[14] & 1) != self.phase:
+        frame, in_page = self.memory.frame_at(
+            self.base_addr + (head % depth) * CQE_SIZE)
+        if (frame[in_page + 14] & 1) != self.phase:
             return None
-        cqe = NvmeCompletion.unpack(raw)
+        cqe = NvmeCompletion.unpack_from(frame, in_page)
         self.head = head = (head + 1) % depth
         if head == 0:
             self.phase ^= 1

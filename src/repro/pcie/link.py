@@ -16,13 +16,35 @@ propagation.
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Callable, Dict
 
 from repro.faults.plan import CORRUPT_TLP, MMIO_TLP, FaultInjector
 from repro.pcie import tlp as tlpmod
 from repro.pcie.tlp import TlpBatch
 from repro.pcie.traffic import EVT_TLP_REPLAY, TrafficCounter
 from repro.sim.config import LinkConfig, TimingModel
+
+
+class _BatchMemo(Dict[int, TlpBatch]):
+    """``build(nbytes, config)`` by size, for one link.
+
+    Keyed by size alone, since a link's config never changes: a hit is
+    a plain dict lookup, with no key tuple to build and no closure to
+    make.  A miss builds the batch; past 4096 sizes the memo starts
+    over.
+    """
+
+    def __init__(self, build: Callable[[int, LinkConfig], TlpBatch],
+                 config: LinkConfig) -> None:
+        super().__init__()
+        self.build = build
+        self.config = config
+
+    def __missing__(self, nbytes: int) -> TlpBatch:
+        if len(self) >= 4096:
+            self.clear()
+        batch = self[nbytes] = self.build(nbytes, self.config)
+        return batch
 
 
 class PCIeLink:
@@ -49,8 +71,10 @@ class PCIeLink:
         #: ns, built once: for a given link neither ever changes.
         self._doorbell = tlpmod.host_mmio_write(4, link)
         self._doorbell_ns = self._one_way(self._doorbell.downstream_bytes)
-        #: Device DMA-write batches by size (see :meth:`dma_write_batch`).
-        self._dma_writes: Dict[int, TlpBatch] = {}
+        #: Device DMA batches by size (see :meth:`dma_read_batch` and
+        #: :meth:`dma_write_batch`).
+        self._dma_reads = _BatchMemo(tlpmod.device_dma_read, link)
+        self._dma_writes = _BatchMemo(tlpmod.device_dma_write, link)
 
     # ------------------------------------------------------------------
     # primitive timings
@@ -62,19 +86,16 @@ class PCIeLink:
     def _one_way(self, wire_bytes: int) -> float:
         return self.serialisation_ns(wire_bytes) + self.timing.link_propagation_ns
 
+    def dma_read_batch(self, nbytes: int) -> TlpBatch:
+        """``tlp.device_dma_read(nbytes, self.config)``, memoised on the
+        link (:class:`_BatchMemo`): every PRP data segment a write pulls
+        looks one up."""
+        return self._dma_reads[nbytes]
+
     def dma_write_batch(self, nbytes: int) -> TlpBatch:
         """``tlp.device_dma_write(nbytes, self.config)``, memoised on the
-        link by size alone (its config never changes): every read-data
-        return looks one up."""
-        try:
-            return self._dma_writes[nbytes]
-        except KeyError:
-            pass
-        if len(self._dma_writes) >= 4096:
-            self._dma_writes.clear()
-        batch = self._dma_writes[nbytes] = tlpmod.device_dma_write(
-            nbytes, self.config)
-        return batch
+        link (:class:`_BatchMemo`): every read-data return looks one up."""
+        return self._dma_writes[nbytes]
 
     # ------------------------------------------------------------------
     # protocol actions
@@ -85,9 +106,24 @@ class PCIeLink:
         Returns the one-way delivery latency.  The host CPU itself only
         pays the store cost from the timing model, not this latency.
         """
-        self.faults.fire(MMIO_TLP)  # a crash cut may land here
+        # ``faults.fire(MMIO_TLP)`` with its countdown step inlined: the
+        # call runs only at the end of a lease, where a crash cut armed
+        # on this stream lands (MMIO_TLP itself never injects).
+        left = self.faults.left
+        if left[MMIO_TLP]:
+            left[MMIO_TLP] -= 1
+        else:
+            self.faults.fire(MMIO_TLP)
         if nbytes == 4:
-            self.counter.record(category, self._doorbell)
+            # ``counter.record(category, self._doorbell)``, inlined: every
+            # doorbell write lands here.
+            counter = self.counter
+            batch = self._doorbell
+            tot = counter._by_cat[category]
+            tot.downstream_bytes += batch.downstream_bytes
+            tot.upstream_bytes += batch.upstream_bytes
+            tot.tlp_count += batch.tlp_count
+            counter.total_bytes += batch.total_bytes
             return self._doorbell_ns
         batch = tlpmod.host_mmio_write(nbytes, self.config)
         self.counter.record(category, batch)

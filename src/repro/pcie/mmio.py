@@ -55,9 +55,11 @@ class BarSpace:
         if not 0 <= value < (1 << 32):
             raise ValueError(f"register value out of range: {value:#x}")
         self._regs[offset] = value
-        handler = self._handlers.get(offset)
-        if handler is not None:
-            handler(value)
+        try:
+            handler = self._handlers[offset]
+        except KeyError:
+            return  # a plain register: no firmware hook
+        handler(value)
 
     def read32(self, offset: int) -> int:
         return self._regs.get(offset, 0)

@@ -54,7 +54,8 @@ class TrafficCounter:
 
     ``total_bytes`` is a running integer: every path that adds bytes to a
     category (:meth:`record`, :meth:`record_batch`, and the inlined
-    copies in ``PCIeLink.record_only``/``record_pair``) adds the same
+    copies in ``PCIeLink.record_only``/``record_pair`` and the doorbell
+    branch of ``PCIeLink.host_mmio_write``) adds the same
     bytes to it, and :meth:`reset` zeroes it.  Byte counts are integers,
     so it always equals the sum over categories exactly, and reading it
     around every synchronous command costs one attribute load.

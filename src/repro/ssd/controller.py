@@ -45,12 +45,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 from repro.core.controller_ext import DeviceSqState
 from repro.core.reassembly import ReassemblyBuffer
-from repro.datapath.decoders import (PRP_DECODER, SGL_DECODER,
-                                     decoder_for_psdt)
+from repro.datapath.decoders import decoder_for_psdt
 from repro.host.memory import HostMemory
 from repro.host.shadow import ShadowDoorbells
 from repro.nvme.command import NvmeCommand
-from repro.nvme.constants import Psdt, StatusCode
+from repro.nvme.constants import StatusCode
 from repro.nvme.identify import IdentifyController
 from repro.nvme.queues import CqOverrunError
 from repro.nvme.registers import (
@@ -133,7 +132,12 @@ class NvmeController:
         self._sq_cq: Dict[int, int] = {}
         self._handlers: Dict[int, Handler] = {}
         self._data_phase: Dict[int, bool] = {}
-        self._rr_order: List[int] = []
+        #: The round-robin sweep order: ``(qid, state)`` per SQ, in
+        #: creation order.  A tuple, replaced only when a queue is
+        #: created or deleted or the controller resets, so a sweep
+        #: iterates it without a copy even if an admin command it
+        #: services creates or deletes a queue.
+        self._rr_order: Tuple[Tuple[int, DeviceSqState], ...] = ()
         self._rr_next = 0
         self.enabled = False
         #: Namespace bindings (``repro.virt``): qid → owning nsid.  Empty
@@ -231,7 +235,7 @@ class NvmeController:
         self._sq_tails.clear()
         self._cqs.clear()
         self._sq_cq.clear()
-        self._rr_order.clear()
+        self._rr_order = ()
         self._rr_next = 0
         self._pending_chunks.clear()
         self._deferred.clear()
@@ -283,10 +287,11 @@ class NvmeController:
             raise ValueError(f"SQ {qid} references missing CQ {cq_qid}")
         if depth < 2:
             raise ValueError("SQ depth must be at least 2")
-        self._sqs[qid] = DeviceSqState(qid=qid, base_addr=base, depth=depth)
+        state = self._sqs[qid] = DeviceSqState(qid=qid, base_addr=base,
+                                               depth=depth)
         self._sq_tails[qid] = 0
         self._sq_cq[qid] = cq_qid
-        self._rr_order.append(qid)
+        self._rr_order += ((qid, state),)
         self.bar.on_write(sq_doorbell_offset(qid),
                           partial(self.note_sq_doorbell, qid))
 
@@ -296,7 +301,7 @@ class NvmeController:
         del self._sqs[qid]
         del self._sq_tails[qid]
         del self._sq_cq[qid]
-        self._rr_order.remove(qid)
+        self._rr_order = tuple(p for p in self._rr_order if p[0] != qid)
         self._rr_next = 0
         self._pending_chunks.pop(qid, None)
         self._ns_of_qid.pop(qid, None)
@@ -345,16 +350,20 @@ class NvmeController:
         return self._ns_of_qid.get(qid)
 
     def note_sq_doorbell(self, qid: int, tail: int) -> None:
-        state = self._sqs.get(qid)
-        if state is None or not 0 <= tail < state.depth:
+        try:
+            state = self._sqs[qid]
+        except KeyError:
             return  # spec: bad doorbells are ignored (may set CSTS later)
-        self._sq_tails[qid] = tail
+        if 0 <= tail < state.depth:
+            self._sq_tails[qid] = tail
 
     def note_cq_head(self, qid: int, head: int) -> None:
-        state = self._cqs.get(qid)
-        if state is None or not 0 <= head < state.depth:
+        try:
+            state = self._cqs[qid]
+        except KeyError:
             return
-        state.host_head = head
+        if 0 <= head < state.depth:
+            state.host_head = head
 
     # ------------------------------------------------------------------
     # handler registration
@@ -431,7 +440,7 @@ class NvmeController:
         chunks = self._pending_chunks
         qos = self.qos
         count = 0
-        for qid, state in self._sqs.items():
+        for qid, state in self._rr_order:
             # ``chunks`` is empty unless tagged chunks are in flight.
             if ((tails[qid] - state.head) % state.depth
                     or (chunks and chunks.get(qid, 0))):
@@ -490,15 +499,15 @@ class NvmeController:
             if self._shadow_stale:
                 self.fetch.sync_shadow()
         done = 0
-        # Snapshot: servicing the admin queue can CREATE/DELETE queues
-        # mid-sweep (tenant provisioning), mutating ``_rr_order`` under
-        # the iteration.  Deleted queues are skipped below; created ones
-        # join the next sweep.
-        order = list(self._rr_order)
-        if not order:
+        # ``_rr_order`` is replaced, never mutated, when servicing the
+        # admin queue creates or deletes a queue mid-sweep (tenant
+        # provisioning): this sweep keeps the order it started with,
+        # skips queues deleted under it, and created ones join the next.
+        order = self._rr_order
+        nqueues = len(order)
+        if not nqueues:
             return 0
         start = self._rr_next
-        nqueues = len(order)
         tagged = self.mode == MODE_TAGGED
         tails = self._sq_tails
         sqs = self._sqs
@@ -506,10 +515,9 @@ class NvmeController:
         fetch = self.fetch
         for i in range(nqueues):
             idx = (start + i) % nqueues
-            qid = order[idx]
+            qid, state = order[idx]
             if qid not in sqs:
                 continue  # deleted by an admin command this sweep
-            state = sqs[qid]
             if tagged and self._pending_chunks.get(qid, 0):
                 fetch.fetch_tagged_chunk(qid)
                 serviced = 1
@@ -557,16 +565,7 @@ class NvmeController:
         clock = self.clock
         start = clock.now
         try:
-            # ``decoder_for_psdt(cmd.psdt)`` without building the Psdt
-            # enum: 0 is PRP, 1 and 2 are SGL, and the reserved 3 is
-            # refused as the enum would refuse it.
-            psdt = (cmd.flags >> 6) & 0b11
-            if psdt == Psdt.PRP:
-                PRP_DECODER.push(self, cmd, data)
-            elif psdt == 0b11:
-                raise ValueError(f"{psdt} is not a valid Psdt")
-            else:
-                SGL_DECODER.push(self, cmd, data)
+            decoder_for_psdt((cmd.flags >> 6) & 0b11).push(self, cmd, data)
         except (ValueError, MemoryError):
             self.fetch_errors += 1
             return CommandResult(StatusCode.DATA_TRANSFER_ERROR)
@@ -600,8 +599,10 @@ class NvmeController:
         if ctx.data is None:
             xfer_len = cmd.cdw12
             if xfer_len and self._data_phase.get(cmd.opcode, True):
-                decoder = decoder_for_psdt(cmd.psdt)
                 try:
+                    # A reserved PSDT is refused with ValueError, so it
+                    # completes with an error like a failed pull.
+                    decoder = decoder_for_psdt((cmd.flags >> 6) & 0b11)
                     ctx.data = decoder.pull(self, cmd, xfer_len)
                     ctx.transport = decoder.transport
                 except (ValueError, MemoryError):

@@ -339,11 +339,11 @@ class FetchUnit:
             ctx = CommandContext(cmd, qid)
             if info.is_inline:
                 try:
+                    # Positional: (..., injector, window, chunk_batch).
                     ctx.data = fetch_inline_payload(
                         state, info, ctrl._sq_tails[qid],
                         ctrl.host_memory, ctrl.link, clock, timing,
-                        injector=ctrl.faults, window=window,
-                        chunk_batch=self._sqe_fetch_batch)
+                        ctrl.faults, window, self._sqe_fetch_batch)
                     ctx.transport = TRANSPORT_INLINE
                     ctrl.inline_payloads += 1
                 except ChunkCorruptionError:

@@ -26,6 +26,7 @@ from repro.datapath.codecs import (
     unpack_fragment,
 )
 from repro.datapath.spec import DatapathSpec
+from repro.durability import DEVICE_VOLATILE
 from repro.host.driver import NvmeDriver
 from repro.nvme.command import NvmeCommand
 from repro.nvme.constants import IoOpcode, StatusCode, VendorOpcode
@@ -37,7 +38,7 @@ __all__ = ["BandSlimDeviceLayer", "BandSlimTransfer", "FragmentView",
            "pack_fragment", "unpack_fragment"]
 
 
-@dataclass
+@dataclass(slots=True)
 class _StreamState:
     buffer: bytearray
     expected_seq: int
@@ -54,28 +55,40 @@ class BandSlimDeviceLayer:
 
     def __init__(self, ssd: OpenSsd) -> None:
         self.ssd = ssd
+        #: Half-reassembled payloads by stream id.  Device SRAM: a power
+        #: cut loses them (:meth:`scrub`).
         self._streams: Dict[int, _StreamState] = {}
         ssd.controller.register_handler(VendorOpcode.BANDSLIM_FRAG,
                                         self._on_fragment, data_phase=False)
+        ssd.durability.register("bandslim.streams", DEVICE_VOLATILE, self)
         self.fragments = 0
         self.payloads = 0
 
+    def scrub(self) -> None:
+        """Power cut: every half-reassembled stream is lost, as the
+        controller's tagged reassembly buffer is (the host retries)."""
+        self._streams.clear()
+
     def _on_fragment(self, ctx: CommandContext) -> CommandResult:
-        timing = self.ssd.config.timing
-        self.ssd.clock.advance(timing.bandslim_frag_device_ns)
+        ssd = self.ssd
+        timing = ssd.config.timing
+        ssd.clock.advance(timing.bandslim_frag_device_ns)
         try:
             view = unpack_fragment(ctx.cmd)
         except ValueError:
             return CommandResult(StatusCode.INVALID_FIELD)
         self.fragments += 1
 
-        state = self._streams.get(view.stream)
-        if state is None:
-            state = _StreamState(bytearray(), 0, view.total_len)
-            self._streams[view.stream] = state
+        streams = self._streams
+        stream = view.stream
+        try:
+            state = streams[stream]
+        except KeyError:
+            state = streams[stream] = _StreamState(bytearray(), 0,
+                                                   view.total_len)
         if view.seq != state.expected_seq:
             # Serialisation violated — drop the stream and fail.
-            del self._streams[view.stream]
+            del streams[stream]
             return CommandResult(StatusCode.INVALID_FIELD)
         state.expected_seq += 1
         state.buffer += view.data
@@ -83,17 +96,23 @@ class BandSlimDeviceLayer:
         if not view.last:
             # Intermediate fragments are acknowledged implicitly by the
             # final fragment's completion — BandSlim firmware behaviour.
-            return CommandResult(suppress_cqe=True)
-        del self._streams[view.stream]
-        if len(state.buffer) != state.total_len:
+            # Positional: CommandResult(status, result, read_data,
+            # suppress_cqe).
+            return CommandResult(StatusCode.SUCCESS, 0, None, True)
+        del streams[stream]
+        total_len = state.total_len
+        if len(state.buffer) != total_len:
             return CommandResult(StatusCode.DATA_TRANSFER_ERROR)
-        self.ssd.clock.advance(timing.bandslim_task_device_ns)
+        ssd.clock.advance(timing.bandslim_task_device_ns)
         self.payloads += 1
+        # Positional, in field order: NvmeCommand(opcode, flags, cid,
+        # nsid, cdw2, cdw3, mptr, prp1, prp2, cdw10, cdw11, cdw12) and
+        # CommandContext(cmd, qid, data, transport).
         inner = CommandContext(
-            cmd=NvmeCommand(opcode=view.target_opcode, cid=ctx.cmd.cid,
-                            cdw10=view.target_cdw10, cdw12=state.total_len),
-            qid=ctx.qid, data=bytes(state.buffer), transport=dp_names.TRANSPORT_BANDSLIM)
-        return self.ssd.controller.dispatch_local(inner)
+            NvmeCommand(view.target_opcode, 0, ctx.cmd.cid, 0, 0, 0, 0, 0, 0,
+                        view.target_cdw10, 0, total_len),
+            ctx.qid, bytes(state.buffer), dp_names.TRANSPORT_BANDSLIM)
+        return ssd.controller.dispatch_local(inner)
 
 
 class BandSlimTransfer(PassthruTransfer):

@@ -26,7 +26,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.host.driver import NvmeDriver
 
 
-@dataclass
+@dataclass(slots=True)
 class TransferStats:
     """Measured outcome of one payload transfer."""
 
@@ -130,10 +130,10 @@ class PassthruTransfer(TransferMethod):
     def write(self, payload: bytes, opcode: int = IoOpcode.WRITE,
               cdw10: int = 0, cdw11: int = 0, nsid: int = 1,
               qid: Optional[int] = None) -> TransferStats:
-        req = PassthruRequest(opcode=opcode, nsid=nsid, data=payload,
-                              cdw10=cdw10, cdw11=cdw11)
-        result = self.driver.passthru(req, method=self.spec, qid=qid)
-        return TransferStats(method=self.name, payload_len=len(payload),
-                             latency_ns=result.latency_ns,
-                             pcie_bytes=result.pcie_bytes,
-                             commands=1, status=result.status)
+        # Positional, in field order: PassthruRequest(opcode, nsid, data,
+        # read_len, mptr, cdw10, cdw11) and TransferStats(method,
+        # payload_len, latency_ns, pcie_bytes, commands, status).
+        req = PassthruRequest(opcode, nsid, payload, 0, 0, cdw10, cdw11)
+        result = self.driver.passthru(req, self.spec, qid)
+        return TransferStats(self.name, len(payload), result.latency_ns,
+                             result.pcie_bytes, 1, result.status)

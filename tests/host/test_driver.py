@@ -18,6 +18,24 @@ def test_queue_pairs_created(tb):
     assert tb.driver.io_qids == [1, 2, 3, 4]
 
 
+def test_default_qid_follows_queue_create_and_delete():
+    """The lowest I/O qid is kept between commands; creating or deleting
+    a queue pair recomputes it."""
+    from repro.sim.config import SimConfig
+
+    drv = make_block_testbed(
+        config=SimConfig(num_io_queues=2).nand_off()).driver
+    assert drv.default_qid() == 1
+    drv.delete_io_queue_pair(1)
+    assert drv.default_qid() == 2
+    assert drv.create_io_queue_pair(1) == 1
+    assert drv.default_qid() == 1
+    drv.delete_io_queue_pair(1)
+    drv.delete_io_queue_pair(2)
+    with pytest.raises(DriverError, match="no I/O queue"):
+        drv.default_qid()
+
+
 def test_unknown_queue_rejected(tb):
     with pytest.raises(DriverError):
         tb.driver.queue(99)

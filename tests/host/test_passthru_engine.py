@@ -67,6 +67,30 @@ def test_an_abandoned_attempts_cqe_is_stale_not_the_next_commands_ack():
     assert tb.driver.inflight(1) == 0
 
 
+def test_drop_doorbell_plan_drops_exactly_the_planned_doorbell():
+    """The doorbell's fault countdown is stepped inline: a plan that
+    names the third I/O doorbell loses that one and no other, so only
+    the third write needs the reactor's re-ring."""
+    probe = make_block_testbed(
+        fault_plan=FaultPlan.scheduled({DROP_DOORBELL: [10 ** 9]}))
+    first_io = probe.ssd.faults.opportunities[DROP_DOORBELL]
+    tb = make_block_testbed(fault_plan=FaultPlan.scheduled(
+        {DROP_DOORBELL: [first_io + 2]}))
+    engine_re_rings = []
+    for i in range(5):
+        res = tb.driver.passthru(_wreq(bytes([i]) * 64, offset=i * 4096),
+                                 method="byteexpress")
+        assert res.ok
+        engine_re_rings.append(tb.driver._engines[1].stats.re_rings)
+    assert engine_re_rings == [0, 0, 1, 1, 1]
+    faults = tb.ssd.faults
+    assert faults.injected[DROP_DOORBELL] == 1
+    # One doorbell per write, plus the re-ring.
+    assert faults.opportunities[DROP_DOORBELL] == first_io + 6
+    for i in range(5):
+        assert tb.personality.read_back(i * 4096, 64) == bytes([i]) * 64
+
+
 def test_one_engine_per_queue_dropped_with_the_queue():
     tb = make_block_testbed()
     drv = tb.driver

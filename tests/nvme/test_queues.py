@@ -179,3 +179,27 @@ class TestCompletionQueue:
         # Nothing new posted: the old entry at slot 1... slot 0 holds a
         # stale phase-1 CQE but head now points at slot 1 (phase 1 expected)
         assert cq.poll() is None
+
+    def test_poll_on_unmapped_ring_raises_memory_error(self):
+        """The phase bit is tested in the ring's frame in place; a ring
+        whose page is gone still raises as a host-memory read would."""
+        cq, dev = self._cq()
+        self._post(cq, dev, 3)
+        cq.memory.free_page(cq.base_addr)
+        with pytest.raises(MemoryError, match="unmapped"):
+            cq.poll()
+        assert cq.head == 0 and cq.phase == 1
+
+    def test_poll_reads_the_slot_in_place(self):
+        """A posted CQE decodes field for field from the ring frame, at
+        every slot of a wrapping ring."""
+        cq, dev = self._cq(depth=3)
+        for i in range(7):
+            dev.post(NvmeCompletion(result=0xABCD0000 + i, sq_head=i % 5,
+                                    sq_id=1, cid=100 + i, status=0x11,
+                                    dnr=bool(i & 1)), cq.memory)
+            cqe = self._poll(cq, dev)
+            assert (cqe.result, cqe.sq_head, cqe.sq_id, cqe.cid, cqe.status,
+                    cqe.dnr) == (0xABCD0000 + i, i % 5, 1, 100 + i, 0x11,
+                                 bool(i & 1))
+            assert cq.poll() is None

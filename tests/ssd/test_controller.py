@@ -23,6 +23,23 @@ def test_unknown_opcode_fails_cleanly(tb):
     assert cqe.status == StatusCode.INVALID_OPCODE
 
 
+def test_reserved_psdt_write_fails_with_data_transfer_error(tb, payload64):
+    """A write whose flags carry the reserved PSDT 3 completes with an
+    error; it does not raise out of the firmware loop, and the queue
+    goes on serving the next command."""
+    tb.driver.submit_raw(NvmeCommand(
+        opcode=IoOpcode.WRITE, flags=0xC0, nsid=1, cdw12=64,
+        prp1=tb.driver.memory.alloc_page()), qid=1)
+    tb.ssd.controller.process_all()
+    (cqe,) = tb.driver.reap(1)
+    assert cqe.status == StatusCode.DATA_TRANSFER_ERROR
+    tb.driver.submit("prp", NvmeCommand(opcode=IoOpcode.WRITE), payload64,
+                     qid=1)
+    tb.ssd.controller.process_all()
+    (cqe,) = tb.driver.reap(1)
+    assert cqe.ok
+
+
 def test_commands_processed_counter(tb, payload64):
     before = tb.ssd.controller.commands_processed
     tb.driver.submit("prp", NvmeCommand(opcode=IoOpcode.WRITE),

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.durability import DEVICE_VOLATILE
 from repro.nvme.constants import BANDSLIM_FRAGMENT_CAPACITY, IoOpcode, StatusCode
 from repro.nvme.queues import QueueFullError
 from repro.transfer.bandslim import pack_fragment, unpack_fragment
@@ -115,3 +116,19 @@ class TestBandSlimTransfer:
         tb.ssd.controller.process_all()
         (cqe,) = tb.driver.reap(1)
         assert cqe.status == StatusCode.DATA_TRANSFER_ERROR
+
+    def test_power_cut_loses_half_reassembled_streams(self):
+        """The reassembly buffer is device SRAM: a power cut wipes a
+        stream that has only some of its fragments, as it wipes the
+        controller's tagged reassembly buffer."""
+        tb = make_block_testbed()
+        layer = tb.method("bandslim").device_layer
+        frag0 = pack_fragment(7, 0, 40, b"a" * 32, last=False,
+                              target_opcode=IoOpcode.WRITE)
+        tb.driver.submit_raw(frag0, qid=1)
+        tb.ssd.controller.process_all()
+        state = layer._streams[7]
+        assert (bytes(state.buffer), state.expected_seq) == (b"a" * 32, 1)
+        assert "bandslim.streams" in tb.ssd.durability.names(DEVICE_VOLATILE)
+        tb.ssd.durability.crash()
+        assert layer._streams == {}
