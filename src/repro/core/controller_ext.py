@@ -163,12 +163,15 @@ def fetch_inline_payload(
     if dma:
         start = (head + burst) % depth
         addr = state.base_addr + start * CHUNK_SIZE
-        wrapped = start + dma - depth
-        if wrapped <= 0:
-            data += host_memory.read(addr, dma * CHUNK_SIZE)
+        # The payload's own bytes only: the last chunk's zero padding
+        # crosses the wire (it is charged below) but is never kept.
+        want = info.payload_len - burst * CHUNK_SIZE
+        room = (depth - start) * CHUNK_SIZE  # up to the ring end
+        if want <= room:
+            data += host_memory.read(addr, want)
         else:
-            data += host_memory.read(addr, (dma - wrapped) * CHUNK_SIZE)
-            data += host_memory.read(state.base_addr, wrapped * CHUNK_SIZE)
+            data += host_memory.read(addr, room)
+            data += host_memory.read(state.base_addr, want - room)
 
     chunk_left = injector.left if injector is not None else None
     if ((chunk_left is None or chunk_left[CORRUPT_CHUNK] >= n)

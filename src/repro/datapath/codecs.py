@@ -146,6 +146,11 @@ def _require_byteexpress(driver: "NvmeDriver") -> None:
             "(Identify vendor capability byte is clear)")
 
 
+#: Zero padding for the last inline chunk: ``_ZEROS[k:]`` pads a chunk
+#: of ``k`` payload bytes to a full slot.
+_ZEROS = bytes(CHUNK_SIZE)
+
+
 class InlineWriteCodec(HostCodec):
     """ByteExpress path: command + payload chunks under one SQ lock.
 
@@ -171,40 +176,44 @@ class InlineWriteCodec(HostCodec):
             raise DriverError("inline submission requires a payload")
         res = driver.queue(qid)
         sq = res.sq
-        needed = 1 + (n + CHUNK_SIZE - 1) // CHUNK_SIZE
-        if (sq.head - sq.tail - 1) % sq.depth < needed:
+        chunks = (n + CHUNK_SIZE - 1) // CHUNK_SIZE
+        if (sq.head - sq.tail - 1) % sq.depth <= chunks:
             raise QueueFullError(
-                f"SQ{sq.qid}: need {needed} slots for inline "
+                f"SQ{sq.qid}: need {chunks + 1} slots for inline "
                 f"submit, have {sq.space()}")
         # ``make_inline_command`` inlined: it is called only to raise
         # its error when one of its checks fails.
         if n > MAX_INLINE_BYTES or cmd.cdw2:
             make_inline_command(cmd, n)
         # Every check has passed: a refused submit holds no CID.
-        cmd.cid = driver._alloc_cid(res)
-        cmd.cdw12 = n
+        cid = cmd.cid = driver._alloc_cid(res)
+        cmd.cdw2 = cmd.cdw12 = n
+        try:
+            sqe = cmd.pack()
+        except ValueError as exc:
+            raise driver._unencodable(res, cid, exc) from None
         clock = driver.clock
         timing = driver.timing
         with sq.lock:
             _start = clock.now
             try:
-                cmd.cdw2 = n
                 push = sq.push_raw
-                push(cmd.pack())
+                push(sqe)
                 clock.advance(timing.sqe_submit_ns)
                 # One slot per chunk (the monitor's ``push_raw`` sees
                 # each), the last zero-padded; one repeated advance
                 # charges them, bit-identical to one per insert.
-                for off in range(0, n - CHUNK_SIZE, CHUNK_SIZE):
-                    push(data[off:off + CHUNK_SIZE])
-                push(data[(needed - 2) * CHUNK_SIZE:]
-                     + b"\x00" * ((needed - 1) * CHUNK_SIZE - n))
-                clock.advance_repeat(timing.chunk_submit_ns, needed - 1)
+                last = (chunks - 1) * CHUNK_SIZE
+                if last:
+                    for off in range(0, last, CHUNK_SIZE):
+                        push(data[off:off + CHUNK_SIZE])
+                push(data[last:] + _ZEROS[n - last:])
+                clock.advance_repeat(timing.chunk_submit_ns, chunks)
             finally:
                 clock.span_end("drv.sq_submit", _start)
             if ring:
                 driver._ring_sq_doorbell(res)
-        return cmd.cid
+        return cid
 
 
 class TaggedInlineWriteCodec(HostCodec):
@@ -242,10 +251,14 @@ class TaggedInlineWriteCodec(HostCodec):
         cmd.cid = driver._alloc_cid(res)
         cmd.cdw12 = len(data)
         cmd.cdw3 = driver._bind_payload_id(res, cmd.cid, payload_id)
+        try:
+            sqe = cmd.pack()
+        except ValueError as exc:
+            raise driver._unencodable(res, cmd.cid, exc) from None
         chunks = split_tagged(data, cmd.cdw3)
         with res.sq.lock:
             with driver.clock.span("drv.sq_submit"):
-                res.sq.push_raw(cmd.pack())
+                res.sq.push_raw(sqe)
                 driver.clock.advance(driver.timing.sqe_submit_ns)
                 for chunk in chunks:
                     res.sq.push_raw(chunk)
@@ -349,6 +362,14 @@ class FragmentWriteCodec(HostCodec):
         total = len(data)
         if not total:
             raise DriverError("BandSlim write requires a payload")
+        if cmd.cdw11:
+            # A fragment's only spare dword (CDW3) carries the target's
+            # CDW10; nothing carries CDW11, so a write past 4 GiB would
+            # land at its offset modulo 4 GiB.
+            raise DriverError(
+                f"BandSlim fragments carry the target's CDW10 only; "
+                f"CDW11={cmd.cdw11:#x} (a byte offset of 4 GiB or more) "
+                f"cannot be sent")
         res = driver.queue(qid)
         count = fragment_count(total)
         space = res.sq.space()
@@ -368,13 +389,20 @@ class FragmentWriteCodec(HostCodec):
         cap = BANDSLIM_FRAGMENT_CAPACITY
         opcode = cmd.opcode
         cdw10 = cmd.cdw10
-        for seq, cid in enumerate(cids):
-            frag = pack_fragment(stream, seq, total,
-                                 data[seq * cap:(seq + 1) * cap],
-                                 seq == last, opcode, cdw10)
-            frag.cid = cid
-            clock.advance(timing.bandslim_frag_host_ns)
-            driver._push_sqe(res, frag, ring and seq == last)
+        try:
+            for seq, cid in enumerate(cids):
+                frag = pack_fragment(stream, seq, total,
+                                     data[seq * cap:(seq + 1) * cap],
+                                     seq == last, opcode, cdw10)
+                frag.cid = cid
+                clock.advance(timing.bandslim_frag_host_ns)
+                driver._push_sqe(res, frag, ring and seq == last)
+        except DriverError:
+            # A fragment did not pack (every fragment carries the same
+            # target words, so the first one): nothing was inserted;
+            # the stream's tracked CID and its id go back too.
+            driver._retire_cid(res, cmd.cid)
+            raise
         return cmd.cid
 
 

@@ -70,6 +70,9 @@ from repro.ssd.device import OpenSsd
 _ENGINE_SPECS = {spec.name: spec for spec in datapath.SPECS
                  if spec.host_codec is not None}
 
+#: Read once: an enum class attribute costs a lookup on every access.
+_BANDSLIM_FRAG = VendorOpcode.BANDSLIM_FRAG
+
 #: Specs a read's device→host data return can take.
 _READ_SPECS = {name: _ENGINE_SPECS[name] for name in dp_names.READ_METHODS}
 
@@ -205,26 +208,23 @@ class IoEngine:
         if not payload:
             raise DriverError("engine submissions require a payload")
         if (spec.caps.fragmented
-                and not self.ssd.controller.supports(
-                    VendorOpcode.BANDSLIM_FRAG)):
+                and not self.ssd.controller.supports(_BANDSLIM_FRAG)):
             raise DriverError(
                 "bandslim requires the BandSlimDeviceLayer to be "
                 "registered on the controller")
-        future = CommandFuture(stream, len(payload))
         now = self.clock.now
-        future.submit_ns = now
+        future = CommandFuture(stream, len(payload), now)
         # The command fields positionally, in field order (future, spec,
-        # opcode, payload, cdw10, cdw11, nsid, stream, then a read's
-        # mptr, cdw14, cdw15, prp1, prp2, read_len): matching keywords
-        # on a dataclass this wide costs about as much again, once per
-        # submission.
+        # opcode, payload, cdw10, cdw11, nsid, stream, first_submit_ns,
+        # deadline_ns, then a read's mptr, cdw14, cdw15, prp1, prp2,
+        # read_len): matching keywords on a dataclass this wide costs
+        # about as much again, once per submission.
         entry = InFlightCommand(
             future, spec, opcode, payload, cdw10, cdw11,
-            self.default_nsid if nsid is None else nsid, stream,
-            first_submit_ns=now,
-            deadline_ns=now + self.driver.retry_policy.deadline_ns)
+            self.default_nsid if nsid is None else nsid, stream, now,
+            now + self.driver.retry_policy.deadline_ns)
         self.stats.submitted += 1
-        self._dispatch(entry)
+        self._submit_entry(entry)
         return future
 
     def submit_read(self, read_len: int, opcode: int, cdw10: int = 0,
@@ -256,17 +256,16 @@ class IoEngine:
         except KeyError:
             raise DriverError(
                 f"a read takes 'prp' or 'sgl', not {method!r}") from None
-        future = CommandFuture(stream)
         now = self.clock.now
-        future.submit_ns = now
+        future = CommandFuture(stream, 0, now)
         # Positional command fields, in field order (see ``submit``).
         entry = InFlightCommand(
             future, spec, opcode, b"", cdw10, cdw11,
-            self.default_nsid if nsid is None else nsid, stream,
-            mptr, cdw14, cdw15, prp1, prp2, read_len, first_submit_ns=now,
-            deadline_ns=now + self.driver.retry_policy.deadline_ns)
+            self.default_nsid if nsid is None else nsid, stream, now,
+            now + self.driver.retry_policy.deadline_ns,
+            mptr, cdw14, cdw15, prp1, prp2, read_len)
         self.stats.submitted += 1
-        self._dispatch(entry)
+        self._submit_entry(entry)
         return future
 
     def _placement(self, entry: InFlightCommand
@@ -302,24 +301,18 @@ class IoEngine:
         placement = self._placements[key] = (need, fits)
         return placement
 
-    def _dispatch(self, entry: InFlightCommand) -> None:
-        """Place *entry* on a queue, reaping under backpressure."""
-        # The ``_placement`` memo hit, inlined: one per submission.
-        try:
-            need, fits = self._placements[entry.spec.name,
-                                          entry.future.payload_len]
-        except KeyError:
-            need, fits = self._placement(entry)
+    def _dispatch(self, entry: InFlightCommand, need: int,
+                  fits: Callable[[int], bool]) -> int:
+        """The queue *entry* goes to once one has room: a first pick
+        found none, so reap (backpressure) and pick again until one
+        does.  Refuses a footprint no queue can ever take, and a wait
+        with nothing in flight to free capacity."""
         if need > self._max_slots:
             raise EngineSaturatedError(
                 f"submission needs {need} SQ slots; no queue is that deep")
 
         guard = 0
         while True:
-            qid = self.scheduler.pick(entry.stream, fits)
-            if qid is not None:
-                self._submit_entry(entry, qid)
-                return
             self.stats.backpressure_waits += 1
             resolved = self.poll()
             if resolved == 0 and not self.table and not self.parked:
@@ -330,15 +323,34 @@ class IoEngine:
             if guard > 10_000:
                 raise DriverError(
                     "backpressure loop made no progress (livelock)")
+            qid = self.scheduler.pick(entry.stream, fits)
+            if qid is not None:
+                return qid
 
-    def _submit_entry(self, entry: InFlightCommand, qid: int) -> None:
+    def _submit_entry(self, entry: InFlightCommand,
+                      qid: Optional[int] = None) -> None:
         """Drive one (re)submission through the driver, no doorbell: a
         write is one host-codec encode, anything else one SQE.
+
+        With no *qid* the entry is placed first: on the scheduler's
+        pick, or, when no queue has room, on the one ``_dispatch``
+        frees by reaping under backpressure.
 
         A read's return buffer is allocated once per entry and reused
         across timeout resubmissions — the retry must land its data in
         the same place the future's copy-out will look.
         """
+        if qid is None:
+            # The ``_placement`` memo hit, inlined: one per submission.
+            try:
+                need, fits = self._placements[entry.spec.name,
+                                              entry.future.payload_len]
+            except KeyError:
+                need, fits = self._placement(entry)
+            if need <= self._max_slots:
+                qid = self.scheduler.pick(entry.stream, fits)
+            if qid is None:
+                qid = self._dispatch(entry, need, fits)
         driver = self.driver
         spec = entry.spec
         payload = entry.payload

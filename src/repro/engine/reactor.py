@@ -45,7 +45,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, List
 
 from repro.host.breaker import STATE_CLOSED
-from repro.nvme.constants import StatusCode
+from repro.nvme.constants import STATUS_SUCCESS
 from repro.pcie.traffic import (
     EVT_BREAKER_TRIP,
     EVT_RETRY,
@@ -184,7 +184,7 @@ class CompletionReactor:
             return 0
         e.scheduler.note_complete(qid)
         breaker = e.driver.breaker
-        if cqe.status == StatusCode.SUCCESS:
+        if cqe.status == STATUS_SUCCESS:
             # ``record_success()`` is a no-op on a closed breaker with no
             # failure streak, so it is only called when it has work.
             if ((breaker.consecutive_failures

@@ -19,7 +19,7 @@ from typing import (TYPE_CHECKING, Callable, Deque, Dict, List, Optional,
                     Tuple)
 
 from repro.nvme.completion import NvmeCompletion
-from repro.nvme.constants import StatusCode
+from repro.nvme.constants import STATUS_SUCCESS
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.datapath.spec import DatapathSpec
@@ -56,7 +56,7 @@ class CommandFuture:
                  "data", "callback")
 
     def __init__(self, stream: Optional[int] = None,
-                 payload_len: int = 0) -> None:
+                 payload_len: int = 0, submit_ns: float = 0.0) -> None:
         self.state = PENDING
         self.cqe: Optional[NvmeCompletion] = None
         self.status: Optional[int] = None
@@ -68,7 +68,7 @@ class CommandFuture:
         self.method_used: Optional[str] = None
         self.stream = stream
         self.payload_len = payload_len
-        self.submit_ns: float = 0.0
+        self.submit_ns = submit_ns
         #: Device→host data of a read-style command (``submit_read``),
         #: copied out of the command's private DMA buffer at completion;
         #: None for writes and for reads that returned no data.
@@ -110,6 +110,8 @@ class InFlightCommand:
     cdw11: int = 0
     nsid: int = 1
     stream: Optional[int] = None
+    first_submit_ns: float = 0.0
+    deadline_ns: float = float("inf")
     #: Extra command words for keyed/read-style commands (NVMe-KV packs
     #: the key into mptr + CDW10/11 with CDW14 holding the key length,
     #: CDW15 a per-opcode bound such as LIST's max key count).
@@ -135,8 +137,6 @@ class InFlightCommand:
     #: (qid, cid) of the current submission; None while parked for retry.
     key: Optional[Tuple[int, int]] = None
     attempts: int = 0
-    first_submit_ns: float = 0.0
-    deadline_ns: float = float("inf")
     #: Absolute simulated time before which a parked entry must not be
     #: resubmitted (exponential backoff).
     retry_at_ns: float = 0.0
@@ -151,13 +151,14 @@ class InFlightCommand:
         if future.state != PENDING:
             raise FutureError(f"future already resolved ({future.state})")
         future.attempts = self.attempts
-        if self.spec_used is not None:
-            future.method_used = self.spec_used.name
+        used = self.spec_used
+        if used is not None:
+            future.method_used = used.name
         if cqe is None:
             future.state = TIMED_OUT
         else:
             status = future.status = cqe.status
-            future.state = OK if status == StatusCode.SUCCESS else FAILED
+            future.state = OK if status == STATUS_SUCCESS else FAILED
         future.cqe = cqe
         future.latency_ns = now_ns - self.first_submit_ns
         if future.callback is not None:
@@ -183,7 +184,7 @@ class InFlightCommand:
         :meth:`release_read_buffer` does.  Parked retries keep it: the
         resubmission lands its data in the same pages."""
         pages = self.read_pages
-        if cqe is not None and cqe.status == StatusCode.SUCCESS:
+        if cqe is not None and cqe.status == STATUS_SUCCESS:
             nbytes = cqe.result
             if nbytes > self.read_len:
                 nbytes = self.read_len

@@ -510,6 +510,15 @@ class NvmeDriver:
         res.payload_ids[cid] = payload_id
         return payload_id
 
+    def _unencodable(self, res: _QueueResources, cid: int,
+                     exc: ValueError) -> DriverError:
+        """The error for a command whose SQE did not pack (a command
+        word wider than its field), after releasing what it holds:
+        nothing was inserted, so its CID, with the pages and payload id
+        bound to it, is retired."""
+        self._retire_cid(res, cid)
+        return DriverError(f"command does not fit its SQE: {exc}")
+
     def _push_sqe(self, res: _QueueResources, cmd: NvmeCommand,
                   ring: bool = True) -> None:
         """Insert one SQE under the SQ lock and optionally ring.
@@ -517,11 +526,15 @@ class NvmeDriver:
         The insertion (and its host CPU cost) is the ``drv.sq_submit``
         phase; the doorbell is written under the same lock acquisition.
         """
+        try:
+            sqe = cmd.pack()
+        except ValueError as exc:
+            raise self._unencodable(res, cmd.cid, exc) from None
         clock = self.clock
         with res.sq.lock:
             _start = clock.now
             try:
-                res.sq.push_raw(cmd.pack())
+                res.sq.push_raw(sqe)
                 clock.advance(self.timing.sqe_submit_ns)
             finally:
                 clock.span_end("drv.sq_submit", _start)
@@ -669,31 +682,29 @@ class NvmeDriver:
             res = self.queue(qid)  # raises the driver's error
         out: List[NvmeCompletion] = []
         poll = res.cq.poll
-        while True:
-            cqe = poll()
-            if cqe is None:
-                break
+        note_sq_head = res.sq.note_sq_head
+        retire = self._retire_cid
+        cqe = poll()
+        while cqe is not None:
             out.append(cqe)
+            # One pass per CQE: its SQ-head report and its CID's
+            # retirement; neither moves the clock.
+            note_sq_head(cqe.sq_head)
+            retire(res, cqe.cid)
+            cqe = poll()
         if out:
-            # Batched harvesting: the whole drain was collected above;
-            # handling cost, SQ-head reports, the CQ doorbell and CID
-            # retirement are applied in one pass.  One span covers the
-            # batch (span *totals* are what the phase breakdowns
-            # consume), and ``advance_repeat`` keeps the clock arithmetic
-            # bit-identical to a per-CQE loop.
+            # Batched handling: one span covers the batch (span *totals*
+            # are what the phase breakdowns consume), ``advance_repeat``
+            # keeps the clock arithmetic bit-identical to a per-CQE
+            # loop, and the CQ doorbell is rung once.
             clock = self.clock
             _start = clock.now
             try:
                 clock.advance_repeat(self.timing.completion_handle_ns,
                                      len(out))
-                note_sq_head = res.sq.note_sq_head
-                for cqe in out:
-                    note_sq_head(cqe.sq_head)
                 self._ring_cq_doorbell(res)
             finally:
                 clock.span_end("drv.completion", _start)
-            for cqe in out:
-                self._retire_cid(res, cqe.cid)
         if res.zombie_cids:
             self._maybe_clear_zombies(res)
         return out

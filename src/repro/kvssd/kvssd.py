@@ -25,7 +25,12 @@ from repro.kvssd.commands import (
 from repro.durability.domains import DEVICE_VOLATILE
 from repro.kvssd.lsm import TOMBSTONE, LsmIndex
 from repro.kvssd.value_log import LogFullError, ValueLog
-from repro.nvme.constants import KvOpcode, StatusCode, VendorOpcode
+from repro.nvme.constants import (
+    STATUS_SUCCESS,
+    KvOpcode,
+    StatusCode,
+    VendorOpcode,
+)
 from repro.ssd.controller import CommandContext, CommandResult
 from repro.ssd.device import OpenSsd
 from repro.ssd.nand import NandError
@@ -215,7 +220,7 @@ class KvSsdPersonality:
                                  ready_at_ns=ready)
         # Positional (status, result, read_data, suppress_cqe, retryable,
         # ready_at_ns): keywords double the cost of this dataclass.
-        return CommandResult(StatusCode.SUCCESS, len(value), value, False,
+        return CommandResult(STATUS_SUCCESS, len(value), value, False,
                              False, ready)
 
     def _on_delete(self, ctx: CommandContext) -> CommandResult:

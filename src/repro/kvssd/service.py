@@ -51,7 +51,12 @@ from repro.kvssd.commands import (
     encode_store_payload,
     key_field_words,
 )
-from repro.nvme.constants import KvOpcode, StatusCode, VendorOpcode
+from repro.nvme.constants import (
+    STATUS_SUCCESS,
+    KvOpcode,
+    StatusCode,
+    VendorOpcode,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.kvssd.kvssd import KvSsdPersonality
@@ -385,7 +390,7 @@ class KvService:
         def on_done(ef: CommandFuture) -> None:
             self._resolved += 1
             status = ef.status
-            if status == StatusCode.SUCCESS:
+            if status == STATUS_SUCCESS:
                 value = ef.data if ef.data is not None else b""
                 if token is not None and cache is not None:
                     cache.commit_fill(token, value)

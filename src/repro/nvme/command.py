@@ -85,6 +85,13 @@ class NvmeCommand:
                 f"SQE must be {SQE_SIZE} bytes, got {len(raw)}") from None
         return cls(*fields)
 
+    @classmethod
+    def unpack_from(cls, buf: bytes | bytearray,
+                    offset: int) -> "NvmeCommand":
+        """Parse the 64-byte SQE at *offset* of *buf* (a ring's host
+        frame) in place, without copying it out first."""
+        return cls(*_SQE_STRUCT.unpack_from(buf, offset))
+
     def _validate(self) -> None:
         for name, bits in (("opcode", 8), ("flags", 8), ("cid", 16),
                            ("nsid", 32), ("cdw2", 32), ("cdw3", 32),

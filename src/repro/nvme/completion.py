@@ -22,7 +22,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 
-from repro.nvme.constants import CQE_SIZE, StatusCode
+from repro.nvme.constants import CQE_SIZE, STATUS_SUCCESS
 
 _CQE_STRUCT = struct.Struct("<IIHHHH")
 assert _CQE_STRUCT.size == CQE_SIZE
@@ -40,19 +40,29 @@ class NvmeCompletion:
     sq_id: int = 0
     cid: int = 0
     phase: int = 0
-    status: int = StatusCode.SUCCESS
+    status: int = STATUS_SUCCESS
     #: Do Not Retry: set when resubmitting the command cannot succeed.
     dnr: bool = False
 
     def pack(self) -> bytes:
-        if not 0 <= self.result < (1 << 32):
+        buf = bytearray(CQE_SIZE)
+        self.pack_into(buf, 0)
+        return bytes(buf)
+
+    def pack_into(self, buf: bytearray, offset: int) -> None:
+        """Write the 16-byte wire format at *offset* of *buf* (a ring's
+        host frame) in place, without building it first."""
+        # A shift is zero exactly when the value is in range: negative
+        # values shift to -1.
+        result = self.result
+        if result >> 32:
             raise ValueError("result exceeds 32 bits")
-        if not 0 <= self.status < (1 << 14):
+        status = self.status
+        if status >> 14:
             raise ValueError("status exceeds 14 bits")
-        dw3_hi = ((_DNR_BIT if self.dnr else 0)
-                  | (self.status << 1) | (self.phase & 1))
-        return _CQE_STRUCT.pack(self.result, 0, self.sq_head, self.sq_id,
-                                self.cid, dw3_hi)
+        _CQE_STRUCT.pack_into(
+            buf, offset, result, 0, self.sq_head, self.sq_id, self.cid,
+            (_DNR_BIT if self.dnr else 0) | (status << 1) | (self.phase & 1))
 
     @classmethod
     def unpack(cls, raw: bytes) -> "NvmeCompletion":
@@ -63,7 +73,8 @@ class NvmeCompletion:
         return cls.unpack_from(raw, 0)
 
     @classmethod
-    def unpack_from(cls, buf, offset: int) -> "NvmeCompletion":
+    def unpack_from(cls, buf: bytes | bytearray,
+                    offset: int) -> "NvmeCompletion":
         """Parse the 16-byte CQE at *offset* of *buf* (a ring's host
         frame) in place, without copying it out first."""
         result, _rsvd, sq_head, sq_id, cid, dw3_hi = (
@@ -75,7 +86,7 @@ class NvmeCompletion:
 
     @property
     def ok(self) -> bool:
-        return self.status == StatusCode.SUCCESS
+        return self.status == STATUS_SUCCESS
 
     @property
     def retryable(self) -> bool:

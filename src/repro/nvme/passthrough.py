@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.nvme.constants import DEFAULT_NSID, StatusCode
+from repro.nvme.constants import DEFAULT_NSID, STATUS_SUCCESS
 
 
 @dataclass(slots=True)
@@ -70,4 +70,4 @@ class PassthruResult:
 
     @property
     def ok(self) -> bool:
-        return self.status == StatusCode.SUCCESS
+        return self.status == STATUS_SUCCESS

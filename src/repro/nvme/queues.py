@@ -18,7 +18,7 @@ from typing import Optional
 
 from repro.host.memory import HostMemory
 from repro.nvme.completion import NvmeCompletion
-from repro.nvme.constants import CQE_SIZE, SQE_SIZE
+from repro.nvme.constants import CQE_SIZE, PAGE_SIZE, SQE_SIZE
 
 
 class QueueFullError(Exception):
@@ -80,6 +80,13 @@ class SubmissionQueue:
         self.depth = depth
         self.memory = memory
         self.base_addr = memory.alloc_buffer(depth * SQE_SIZE)
+        #: Views of the ring's host frames (``alloc_buffer`` is
+        #: page-aligned and frames never move while mapped):
+        #: ``push_raw`` writes a slot in place, and a view refuses an
+        #: entry of any other size than the slot's.
+        self._frames = [memoryview(memory.frame_at(page)[0]) for page in
+                        range(self.base_addr,
+                              self.base_addr + depth * SQE_SIZE, PAGE_SIZE)]
         self.tail = 0          # next free slot (host-owned)
         self.head = 0          # last slot the device reported consuming
         #: Device-visible tail, updated only by the doorbell write.
@@ -106,13 +113,17 @@ class SubmissionQueue:
         """
         if not self.lock._held:
             raise LockNotHeldError(f"SQ{self.qid} written without its lock")
-        if len(entry) != SQE_SIZE:
-            raise ValueError(f"SQ entries are {SQE_SIZE} bytes")
         slot = self.tail
         depth = self.depth
         if (self.head - slot - 1) % depth == 0:
             raise QueueFullError(f"SQ{self.qid} full (depth {depth})")
-        self.memory.write(self.base_addr + (slot % depth) * SQE_SIZE, entry)
+        # In place: a 64 B slot never straddles a page of the ring.
+        at = (slot % depth) * SQE_SIZE
+        in_page = at % PAGE_SIZE
+        try:
+            self._frames[at // PAGE_SIZE][in_page:in_page + SQE_SIZE] = entry
+        except ValueError:
+            raise ValueError(f"SQ entries are {SQE_SIZE} bytes") from None
         self.tail = (slot + 1) % depth
         return slot
 

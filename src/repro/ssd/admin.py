@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING, Callable, Dict
 
 from repro.host.shadow import ShadowDoorbells
 from repro.nvme.command import NvmeCommand
-from repro.nvme.constants import AdminOpcode, StatusCode
+from repro.nvme.constants import STATUS_SUCCESS, AdminOpcode, StatusCode
 from repro.ssd.context import ADMIN_QID, CommandContext, CommandResult
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -43,7 +43,7 @@ class AdminEngine:
             ctrl._complete(qid, cmd, CommandResult(StatusCode.INVALID_OPCODE))
             return
         result = handler(cmd)
-        if result.read_data is not None and result.status == StatusCode.SUCCESS:
+        if result.read_data is not None and result.status == STATUS_SUCCESS:
             result = ctrl._push_read_data(cmd, result)
         ctrl.admin_commands_processed += 1
         ctrl._complete(qid, cmd, result)

@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING
 from repro.faults.plan import DELAY_CQE, DELAY_CQE_NS, DROP_CQE
 from repro.nvme.command import NvmeCommand
 from repro.nvme.completion import NvmeCompletion
-from repro.nvme.constants import CQE_SIZE, StatusCode
+from repro.nvme.constants import CQE_SIZE, STATUS_SUCCESS
 from repro.pcie import tlp as tlpmod
 from repro.pcie.traffic import CAT_CQE, CAT_MSIX
 from repro.ssd.context import ADMIN_QID, CommandResult
@@ -41,16 +41,15 @@ class CompletionUnit:
             ctrl.commands_processed += 1
             return
         clock = ctrl.clock
-        link = ctrl.link
-        timing = ctrl.timing
         _span_start = clock.now
         try:
-            state = ctrl._sqs[qid]
             cq = ctrl._cqs[ctrl._sq_cq[qid]]
             status = result.status
-            dnr = status != StatusCode.SUCCESS and not result.retryable
-            cqe = NvmeCompletion(result.result, state.head, qid, cmd.cid,
-                                 0, status, dnr)
+            # Positional, in field order: result, sq_head, sq_id, cid,
+            # phase, status, dnr.
+            cqe = NvmeCompletion(
+                result.result, ctrl._sqs[qid].head, qid, cmd.cid, 0, status,
+                status != STATUS_SUCCESS and not result.retryable)
             # CQE faults target the I/O path: a lost *admin* completion
             # has no in-band recovery (real drivers escalate to a
             # controller reset), so bring-up is exempt.
@@ -69,7 +68,7 @@ class CompletionUnit:
                         # command ran, but the host learns nothing and
                         # must time out + retry.
                         ctrl.dropped_cqes += 1
-                        clock.advance(timing.completion_post_ns)
+                        clock.advance(ctrl.timing.completion_post_ns)
                         ctrl.commands_processed += 1
                         return
             cq.post(cqe, ctrl.host_memory)
@@ -79,13 +78,13 @@ class CompletionUnit:
                 # DMA write and MSI-X are batched — one of each per
                 # ``cq_coalesce`` completions, or at quiescence.
                 ctrl._coalesced[cq.qid] = ctrl._coalesced.get(cq.qid, 0) + 1
-                clock.advance(timing.cqe_coalesce_ns)
+                clock.advance(ctrl.timing.cqe_coalesce_ns)
                 if ctrl._coalesced[cq.qid] >= ctrl.config.cq_coalesce:
                     self.flush_cq(cq.qid)
             else:
-                link.record_pair(CAT_CQE, self._cqe_batch,
-                                 CAT_MSIX, self._msix_batch)
-                clock.advance(timing.completion_post_ns)
+                ctrl.link.record_pair(CAT_CQE, self._cqe_batch,
+                                      CAT_MSIX, self._msix_batch)
+                clock.advance(ctrl.timing.completion_post_ns)
         finally:
             clock.span_end("ctrl.completion", _span_start)
         ctrl.commands_processed += 1

@@ -17,7 +17,7 @@ from typing import Callable, Optional
 from repro.host.memory import HostMemory
 from repro.nvme.command import NvmeCommand
 from repro.nvme.completion import NvmeCompletion
-from repro.nvme.constants import CQE_SIZE, StatusCode
+from repro.nvme.constants import CQE_SIZE, STATUS_SUCCESS
 from repro.nvme.queues import CqOverrunError
 
 #: Fetch-from-SQ modes (paper §3.3.2).
@@ -46,7 +46,9 @@ class CommandContext:
 class CommandResult:
     """Handler outcome."""
 
-    status: int = StatusCode.SUCCESS
+    #: A plain int: the completion path compares and packs it per
+    #: command.
+    status: int = STATUS_SUCCESS
     result: int = 0
     #: Device→host data (for read-style commands); DMA'd before completion.
     read_data: Optional[bytes] = None
@@ -91,7 +93,11 @@ class DeviceCqState:
         if (tail + 1) % depth == self.host_head:
             raise CqOverrunError(f"CQ{self.qid} overrun")
         cqe.phase = self.phase
-        memory.write(self.base_addr + (tail % depth) * CQE_SIZE, cqe.pack())
+        # In place: a 16 B slot of a page-aligned ring never straddles
+        # a page.
+        frame, in_page = memory.frame_at(
+            self.base_addr + (tail % depth) * CQE_SIZE)
+        cqe.pack_into(frame, in_page)
         self.tail = tail = (tail + 1) % depth
         if tail == 0:
             self.phase ^= 1

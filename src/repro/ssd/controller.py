@@ -49,7 +49,7 @@ from repro.datapath.decoders import decoder_for_psdt
 from repro.host.memory import HostMemory
 from repro.host.shadow import ShadowDoorbells
 from repro.nvme.command import NvmeCommand
-from repro.nvme.constants import StatusCode
+from repro.nvme.constants import PAGE_SIZE, STATUS_SUCCESS, StatusCode
 from repro.nvme.identify import IdentifyController
 from repro.nvme.queues import CqOverrunError
 from repro.nvme.registers import (
@@ -276,6 +276,10 @@ class NvmeController:
             raise ValueError(f"CQ {qid} already exists")
         if depth < 2:
             raise ValueError("CQ depth must be at least 2")
+        if base % PAGE_SIZE:
+            # NVMe: a contiguous queue's base is memory-page aligned, so
+            # no entry straddles a page.
+            raise ValueError(f"CQ {qid} base {base:#x} is not page aligned")
         self._cqs[qid] = DeviceCqState(qid=qid, base_addr=base, depth=depth)
         self.bar.on_write(cq_doorbell_offset(qid),
                           partial(self.note_cq_head, qid))
@@ -287,6 +291,8 @@ class NvmeController:
             raise ValueError(f"SQ {qid} references missing CQ {cq_qid}")
         if depth < 2:
             raise ValueError("SQ depth must be at least 2")
+        if base % PAGE_SIZE:
+            raise ValueError(f"SQ {qid} base {base:#x} is not page aligned")
         state = self._sqs[qid] = DeviceSqState(qid=qid, base_addr=base,
                                                depth=depth)
         self._sq_tails[qid] = 0
@@ -513,6 +519,9 @@ class NvmeController:
         sqs = self._sqs
         log = self.service_log
         fetch = self.fetch
+        # With bursts and QoS off a queue's visit is one command, so the
+        # sweep fetches it without ``service_queue`` in between.
+        one_each = not fetch.bursts and self.qos is None
         for i in range(nqueues):
             idx = (start + i) % nqueues
             qid, state = order[idx]
@@ -524,7 +533,11 @@ class NvmeController:
             else:
                 if (tails[qid] - state.head) % state.depth == 0:
                     continue
-                serviced = fetch.service_queue(qid)
+                if one_each:
+                    fetch.fetch_and_execute(qid)
+                    serviced = 1
+                else:
+                    serviced = fetch.service_queue(qid)
             done += serviced
             self._rr_next = (idx + 1) % nqueues
             if log is not None:
@@ -624,7 +637,7 @@ class NvmeController:
                                     qid, cmd, result))
             self._parked_keys[qid, cmd.cid] = None
             return
-        if result.read_data is not None and result.status == StatusCode.SUCCESS:
+        if result.read_data is not None and result.status == STATUS_SUCCESS:
             result = self._push_read_data(cmd, result)
         self._complete(qid, cmd, result)
 
@@ -666,7 +679,7 @@ class NvmeController:
             _ready, _seq, qid, cmd, result = heappop(parked)
             del self._parked_keys[qid, cmd.cid]
             if (result.read_data is not None
-                    and result.status == StatusCode.SUCCESS):
+                    and result.status == STATUS_SUCCESS):
                 result = self._push_read_data(cmd, result)
             self._complete(qid, cmd, result)
 

@@ -35,6 +35,11 @@ from repro.ssd.ftl import FtlError, PageMappingFtl
 from repro.ssd.nand import NandArray, NandError
 
 
+#: A write's outcome once its data has landed: nothing downstream
+#: mutates a result, so every successful write shares this one.
+_WRITTEN = CommandResult()
+
+
 class OpenSsd:
     """The simulated Cosmos+ OpenSSD.
 
@@ -134,12 +139,12 @@ class BlockSsdPersonality:
         offset = cmd.cdw10 | (cmd.cdw11 << 32)
         if not self.ssd.config.nand_enabled:
             self._write_functional(offset, data, n)
-            return CommandResult()
+            return _WRITTEN
         try:
             self._write_through_ftl(offset, data)
         except NandError:
             return CommandResult(StatusCode.MEDIA_WRITE_FAULT)
-        return CommandResult()
+        return _WRITTEN
 
     def _write_functional(self, offset: int, data: bytes, n: int) -> None:
         """Write *data* (*n* bytes) at byte *offset* of the NAND-off

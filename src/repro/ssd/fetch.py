@@ -292,19 +292,26 @@ class FetchUnit:
                 # Burst-prefetched: already on-die, decode cost only.
                 state.head = (head + 1) % state.depth
                 clock.advance(timing.burst_sqe_logic_ns)
+                cmd = NvmeCommand.unpack(raw)
             else:
                 clock.advance(timing.doorbell_poll_ns)
                 # fetch_sqe inlined (slot address and head advance too):
-                # 64 B DMA read at the device head.
+                # 64 B DMA read at the device head, decoded in place (a
+                # slot of a page-aligned ring never straddles a page).
                 depth = state.depth
-                raw = ctrl.host_memory.read(
-                    state.base_addr + (head % depth) * SQE_SIZE, SQE_SIZE)
+                frame, in_page = ctrl.host_memory.frame_at(
+                    state.base_addr + (head % depth) * SQE_SIZE)
+                cmd = NvmeCommand.unpack_from(frame, in_page)
                 state.head = (head + 1) % depth
                 ctrl.link.record_only(CAT_CMD_FETCH, self._sqe_fetch_batch)
                 clock.advance(timing.cmd_fetch_logic_ns)
-            cmd = NvmeCommand.unpack(raw)
 
-            if cmd.cdw2:  # the inline length (``cmd.inline_length``)
+            # --- ByteExpress detection (paper §3.3.1) -------------------
+            # A zero reserved field (``cmd.inline_length``) is a plain
+            # command: ``inspect_command`` would find it not inline.
+            if not cmd.cdw2:
+                ctx = CommandContext(cmd, qid)
+            else:
                 # ``faults.fire`` with its countdown step inlined.
                 left = ctrl.faults.left
                 if left[CORRUPT_INLINE_LENGTH]:
@@ -314,37 +321,36 @@ class FetchUnit:
                     # below must detect it and fail the command, never
                     # mis-fetch.
                     cmd.cdw2 = ctrl.faults.corrupt_length(cmd.cdw2)
-
-            # --- ByteExpress detection (paper §3.3.1) -------------------
-            try:
-                info = inspect_command(cmd)
-            except InlineEncodingError:
-                ctrl.fetch_errors += 1
-                self.resync_sq(qid)
-                ctrl._complete(qid, cmd, CommandResult(
-                    StatusCode.INVALID_FIELD, retryable=True))
-                return
-
-            if info.is_inline and not ctrl.byteexpress_enabled:
-                # Defensive firmware: refuse rather than misparse chunks.
-                ctrl.fetch_errors += 1
-                state.advance(min(info.chunks, ctrl._pending_on(qid)))
-                ctrl._complete(qid, cmd, CommandResult(StatusCode.INVALID_FIELD))
-                return
-
-            if info.is_inline and ctrl.mode == MODE_TAGGED:
-                self.begin_tagged(qid, cmd, info.payload_len)
-                return
-
-            ctx = CommandContext(cmd, qid)
-            if info.is_inline:
                 try:
-                    # Positional: (..., injector, window, chunk_batch).
-                    ctx.data = fetch_inline_payload(
+                    info = inspect_command(cmd)
+                except InlineEncodingError:
+                    ctrl.fetch_errors += 1
+                    self.resync_sq(qid)
+                    ctrl._complete(qid, cmd, CommandResult(
+                        StatusCode.INVALID_FIELD, retryable=True))
+                    return
+
+                if not ctrl.byteexpress_enabled:
+                    # Defensive firmware: refuse rather than misparse
+                    # chunks.
+                    ctrl.fetch_errors += 1
+                    state.advance(min(info.chunks, ctrl._pending_on(qid)))
+                    ctrl._complete(qid, cmd, CommandResult(
+                        StatusCode.INVALID_FIELD))
+                    return
+
+                if ctrl.mode == MODE_TAGGED:
+                    self.begin_tagged(qid, cmd, info.payload_len)
+                    return
+
+                try:
+                    # Positional: (..., injector, window, chunk_batch),
+                    # and CommandContext(cmd, qid, data, transport).
+                    ctx = CommandContext(cmd, qid, fetch_inline_payload(
                         state, info, ctrl._sq_tails[qid],
                         ctrl.host_memory, ctrl.link, clock, timing,
-                        ctrl.faults, window, self._sqe_fetch_batch)
-                    ctx.transport = TRANSPORT_INLINE
+                        ctrl.faults, window, self._sqe_fetch_batch),
+                        TRANSPORT_INLINE)
                     ctrl.inline_payloads += 1
                 except ChunkCorruptionError:
                     ctrl.fetch_errors += 1

@@ -29,7 +29,12 @@ from repro.datapath.spec import DatapathSpec
 from repro.durability import DEVICE_VOLATILE
 from repro.host.driver import NvmeDriver
 from repro.nvme.command import NvmeCommand
-from repro.nvme.constants import IoOpcode, StatusCode, VendorOpcode
+from repro.nvme.constants import (
+    STATUS_SUCCESS,
+    IoOpcode,
+    StatusCode,
+    VendorOpcode,
+)
 from repro.ssd.controller import CommandContext, CommandResult
 from repro.ssd.device import OpenSsd
 from repro.transfer.base import PassthruTransfer, TransferStats
@@ -98,7 +103,7 @@ class BandSlimDeviceLayer:
             # final fragment's completion — BandSlim firmware behaviour.
             # Positional: CommandResult(status, result, read_data,
             # suppress_cqe).
-            return CommandResult(StatusCode.SUCCESS, 0, None, True)
+            return CommandResult(STATUS_SUCCESS, 0, None, True)
         del streams[stream]
         total_len = state.total_len
         if len(state.buffer) != total_len:

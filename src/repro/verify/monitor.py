@@ -531,12 +531,14 @@ class ProtocolMonitor:
     def _wrap_tenant_fetch(self, manager: Any) -> None:
         """Fetch confinement: the sweep only services the admin queue,
         the host's own bring-up queues (snapshotted at attach time), or
-        a queue some *currently provisioned* tenant owns."""
+        a queue some *currently provisioned* tenant owns.  Checked on
+        each command fetch: every sweep path (plain, burst, QoS) fetches
+        through ``fetch_and_execute``."""
         fetch = manager.ctrl.fetch
-        orig = fetch.service_queue
+        orig = fetch.fetch_and_execute
         host_qids = frozenset(manager.driver.io_qids)
 
-        def service_queue(qid: int) -> int:
+        def fetch_and_execute(qid: int, window: Any = None) -> None:
             self.checks[INV_TENANT_QUEUE] += 1
             if (qid != ADMIN_QID and qid not in host_qids
                     and manager.owner_of(qid) is None):
@@ -546,9 +548,9 @@ class ProtocolMonitor:
                     f"and the host never brought up",
                     {"qid": qid, "host_qids": sorted(host_qids),
                      "tenant_qids": manager.tenant_qids()})
-            return orig(qid)
+            orig(qid, window)
 
-        self._patch(fetch, "service_queue", service_queue)
+        self._patch(fetch, "fetch_and_execute", fetch_and_execute)
 
     def _wrap_tenant_complete(self, manager: Any) -> None:
         """Namespace isolation: a *successful* CQE on a tenant-owned

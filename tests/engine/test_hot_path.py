@@ -13,6 +13,7 @@ import pytest
 
 from repro.engine import LoadGenerator, StreamSpec
 from repro.engine.loadgen import _payload_bytes
+from repro.host.driver import DriverError
 from repro.nvme.constants import PAGE_SIZE
 from repro.testbed import make_engine_testbed
 from repro.verify import (
@@ -50,6 +51,40 @@ def test_writes_past_4gib_keep_distinct_offsets():
     for i in range(4):
         assert tb.personality.read_back(first + i * PAGE_SIZE, 64) == (
             _payload_bytes(i * 131, 64))
+
+
+@pytest.mark.parametrize("method", ["prp", "sgl", "byteexpress"])
+def test_write_at_4gib_lands_at_4gib(method):
+    """A write whose offset's high dword is 1 lands at 4 GiB, not on
+    the block at offset 0."""
+    tb = make_engine_testbed(queues=1)
+    engine = tb.make_engine(queues=1, qd=4)
+    fut = engine.submit(b"HIGH" * 10, method=method, cdw10=0, cdw11=1)
+    engine.drain()
+    assert fut.ok
+    assert tb.personality.read_back(1 << 32, 8) == b"HIGHHIGH"
+    assert tb.personality.read_back(0, 8) == bytes(8)
+
+
+def test_bandslim_write_past_4gib_is_refused_not_wrapped():
+    """BandSlim's twin of the test above: a fragment carries the
+    target's CDW10 only, so a write that needs CDW11 is refused before
+    it takes a CID, never landed at its offset modulo 4 GiB over the
+    block there."""
+    tb = make_engine_testbed(queues=1)
+    engine = tb.make_engine(queues=1, qd=4)
+    res = tb.driver.queue(engine.qids[0])
+    with pytest.raises(DriverError, match="CDW11"):
+        engine.submit(b"HIGH" * 10, method="bandslim", cdw10=0, cdw11=1)
+    engine.drain()
+    assert not res.live_cids and not res.payload_ids
+    assert tb.personality.read_back(0, 8) == bytes(8)
+    assert tb.personality.read_back(1 << 32, 8) == bytes(8)
+    # A write below 4 GiB on the same queue still goes through.
+    fut = engine.submit(b"HIGH" * 10, method="bandslim", cdw10=PAGE_SIZE)
+    engine.drain()
+    assert fut.ok
+    assert tb.personality.read_back(PAGE_SIZE, 8) == b"HIGHHIGH"
 
 
 def test_monitor_sees_every_wrapped_call(monkeypatch):

@@ -10,9 +10,10 @@ import pytest
 
 from repro.host.driver import DriverError
 from repro.nvme.command import NvmeCommand
-from repro.nvme.constants import IoOpcode
+from repro.nvme.constants import PAGE_SIZE, IoOpcode
 from repro.sim.config import SimConfig
-from repro.testbed import make_block_testbed
+from repro.ssd.controller import MODE_QUEUE_LOCAL, MODE_TAGGED
+from repro.testbed import make_block_testbed, make_engine_testbed
 
 
 @pytest.fixture
@@ -98,3 +99,43 @@ def test_per_queue_cid_spaces_are_independent(tb):
     tb.driver.retire(1, a)
     assert tb.driver.inflight(2) == 1
     tb.driver.retire(2, b)
+
+
+@pytest.mark.parametrize("word", ["cdw10", "cdw11"])
+@pytest.mark.parametrize("method", [
+    "prp", "sgl", "bandslim", "byteexpress", "byteexpress-tagged"])
+def test_command_word_wider_than_its_field_holds_nothing(method, word):
+    """A submit whose CDW10 or CDW11 does not fit 32 bits is refused
+    with ``DriverError`` after the codec took a CID: the CID, the pages
+    staged for it and any payload id bound to it are released, and the
+    next submit on the queue goes through."""
+    tagged = method == "byteexpress-tagged"
+    tb = make_engine_testbed(queues=1,
+                             mode=MODE_TAGGED if tagged else MODE_QUEUE_LOCAL)
+    engine = tb.make_engine(queues=1, qd=4)
+    res = tb.driver.queue(engine.qids[0])
+    pages = tb.driver.memory.mapped_pages
+    # The tagged rig takes the tagged codec for byteexpress writes.
+    submit_as = "byteexpress" if tagged else method
+    # (BandSlim refuses any CDW11 first: no fragment carries it.)
+    with pytest.raises(DriverError, match="does not fit|CDW11"):
+        engine.submit(b"x" * 100, method=submit_as, **{word: 1 << 32})
+    assert not res.live_cids
+    assert not res.payload_ids
+    assert not res.pending_pages
+    assert tb.driver.memory.mapped_pages == pages
+    fut = engine.submit(b"y" * 100, method=submit_as, cdw10=PAGE_SIZE)
+    engine.drain()
+    assert fut.ok and fut.method_used == method
+    assert tb.personality.read_back(PAGE_SIZE, 100) == b"y" * 100
+    assert not res.live_cids
+
+
+def test_raw_submit_of_an_unencodable_command_retires_its_cid(tb):
+    """``submit_raw`` takes the same refusal: the CID it allocated is
+    retired, not left live."""
+    cmd = NvmeCommand(opcode=IoOpcode.FLUSH, nsid=1, cdw10=1 << 32)
+    with pytest.raises(DriverError, match="does not fit"):
+        tb.driver.submit_raw(cmd, 1, ring=False)
+    assert not tb.driver.queue(1).live_cids
+    assert tb.driver.queue(1).sq.tail == 0

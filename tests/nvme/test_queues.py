@@ -60,6 +60,23 @@ class TestSubmissionQueue:
             with pytest.raises(ValueError):
                 sq.push_raw(b"short")
 
+    @pytest.mark.parametrize("entry", [
+        bytes(SQE_SIZE - 1), bytes(SQE_SIZE + 1)])
+    def test_refused_entry_leaves_the_ring_intact(self, entry):
+        """A wrong-sized entry is refused and the ring (written in place)
+        keeps its slots, its size and its tail."""
+        sq = _sq()
+        with sq.lock:
+            sq.push_raw(_entry(7))
+            with pytest.raises(ValueError, match="SQ entries are 64 bytes"):
+                sq.push_raw(entry)
+            sq.push_raw(_entry(8))
+        assert sq.tail == 2
+        assert sq.memory.read(sq.base_addr, 3 * SQE_SIZE) == (
+            _entry(7) + _entry(8) + bytes(SQE_SIZE))
+        frame, _ = sq.memory.frame_at(sq.base_addr)
+        assert len(frame) == 4096
+
     def test_full_queue_rejects(self):
         sq = _sq(depth=4)
         with sq.lock:
